@@ -4,10 +4,10 @@ Implements the finite-sample conformal quantile, per-horizon calibrated
 intervals (split conformal on a residual matrix), bootstrap-ensemble
 intervals with a sliding residual window (Xu & Xie's EnbPI scheme),
 sequential quantile-regression intervals on signed residuals (Xu & Xie's
-SPCI scheme, with a linear pinball fit standing in for the quantile
-forest), cross-series pooled intervals with a Bonferroni budget, a
-cross-validation residual baseline, and Gaussian intervals from a fitted
-autoregression.
+SPCI scheme, with an exact linear quantile regression standing in for
+the quantile forest), cross-series pooled intervals with a Bonferroni
+budget, a cross-validation residual baseline, and Gaussian intervals from
+a fitted autoregression.
 """
 
 from __future__ import annotations
@@ -380,10 +380,7 @@ def spci_quantile_pair(
     betas = _resolve_beta_grid(spec, alpha)
     m = len(betas)
     diag = {"crossings": 0, "fallbacks": 0}
-    rows = n - w
-    X = np.empty((rows, w))
-    for r in range(rows):
-        X[r] = history[r : r + w]
+    X = np.lib.stride_tricks.sliding_window_view(history, w)[:-1]
     y = history[w:]
     x_star = history[n - w :]
     taus = np.concatenate([betas, 1.0 - alpha + betas])

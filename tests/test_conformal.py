@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from ctsbench import conformal
 from ctsbench.conformal import (
     EnsembleSpec,
     IntervalMatrix,
@@ -219,6 +220,34 @@ class TestSpci:
         )
         assert diag["fallbacks"] == 1
         assert q_lo == pytest.approx(2.0) and q_hi == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("pattern", [[1.0, -1.0], [1.0, 2.0, -3.0]])
+    def test_rank_deficient_lags_give_finite_interval(self, pattern):
+        # periodic residuals make lag columns collinear without being
+        # constant; the next residual is pattern[0], predicted exactly
+        history = np.tile(pattern, 30 // len(pattern))
+        q_lo, q_hi, _, diag = spci_quantile_pair(history, SpciSpec(), 0.1)
+        assert diag["fallbacks"] == 0
+        assert q_lo <= q_hi
+        assert q_lo == pytest.approx(pattern[0], abs=1e-8)
+        assert q_hi == pytest.approx(pattern[0], abs=1e-8)
+
+    def test_lag_matrix_rows_are_consecutive_windows(self, monkeypatch):
+        seen = {}
+        real = conformal.fit_pinball_linear
+
+        def capture(X, y, taus):
+            seen["X"], seen["y"] = np.array(X), np.array(y)
+            return real(X, y, taus)
+
+        monkeypatch.setattr(conformal, "fit_pinball_linear", capture)
+        e = simulate_ar1(40, 0.5, seed=3)
+        spci_quantile_pair(e, SpciSpec(lag_count=5), 0.1)
+        loop = np.empty((35, 5))
+        for r in range(35):
+            loop[r] = e[r : r + 5]
+        assert seen["X"].tobytes() == loop.tobytes()
+        assert seen["y"].tobytes() == e[5:].tobytes()
 
     def test_beta_in_grid(self):
         e = simulate_ar1(60, 0.8, seed=21)
