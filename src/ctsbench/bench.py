@@ -461,10 +461,8 @@ def summary_payload(report: BenchmarkReport) -> dict:
         m: {
             "n_series": s.n_series,
             "coverage": round(s.coverage, 10),
-            "width": _json_safe(round(s.width, 10) if math.isfinite(s.width) else s.width),
-            "winkler": _json_safe(
-                round(s.winkler, 10) if math.isfinite(s.winkler) else s.winkler
-            ),
+            "width": _json_safe(round(s.width, 10)),
+            "winkler": _json_safe(round(s.winkler, 10)),
             "joint_coverage": round(s.joint_coverage, 10),
             "infinite_cells": s.infinite_cells,
         }

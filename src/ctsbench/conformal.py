@@ -14,16 +14,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
 from .forecaster import (
     FittedForecaster,
     ForecasterSpec,
+    _fit_ar_prefixes,
+    _forecast_paths,
     fit_auto_ar,
     forecast,
     point_forecast,
+    seasonal_naive_forecast,
     sigma_h,
 )
 from .quantreg import fit_pinball_linear
@@ -158,7 +161,9 @@ def build_residual_matrix(
     whose truth falls inside the calibration block, so late columns are
     shorter. refit_every controls how often the model is refitted along
     the origins (None: fit once at the first origin); forecasts always use
-    the full visible history.
+    the full visible history. For auto_ar every refit is one prefix of a
+    single batched least-squares solve, and the recursive forecasts of all
+    origins advance together.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -173,24 +178,25 @@ def build_residual_matrix(
     work = series.values[start : start + spec.train_len + spec.cal_len]
     end = len(work)
     first = spec.train_len
-    origins = list(range(first, end))
-    if not origins:
+    origins = np.arange(first, end)
+    if not len(origins):
         raise ValueError("no usable forecast origins in the calibration segment")
-    rows = np.full((len(origins), horizon), np.nan)
-    model: FittedForecaster | None = None
-    for r, t in enumerate(origins):
-        visible = work[:t]
-        if forecaster.kind == "auto_ar":
-            if model is None or (refit_every is not None and (t - first) % refit_every == 0):
-                model = fit_auto_ar(visible, forecaster)
-            yhat = forecast(model, visible, horizon)
-        else:
-            yhat = point_forecast(series.head(start + t), forecaster, horizon)[0]
-        avail = min(horizon, end - t)
-        truth = work[t : t + avail]
-        resid = truth - yhat[:avail]
-        rows[r, :avail] = resid if signed else np.abs(resid)
-    return ResidualMatrix(matrix=rows, origins=tuple(origins), signed=signed)
+    if forecaster.kind == "auto_ar":
+        step = len(origins) if refit_every is None else refit_every
+        fits = _fit_ar_prefixes(
+            work, origins[::step], forecaster.max_order, forecaster.include_drift
+        )
+        model = (origins - first) // step  # the latest refit at or before each origin
+        yhat = _forecast_paths(work, origins, fits.intercept[model], fits.phi[model], horizon)
+    else:
+        yhat = np.stack(
+            [point_forecast(series.head(start + t), forecaster, horizon)[0] for t in origins]
+        )
+    ahead = origins[:, None] + np.arange(horizon)
+    inside = ahead < end  # truths beyond the calibration block stay NaN
+    resid = work[np.where(inside, ahead, 0)] - yhat
+    rows = np.where(inside, resid if signed else np.abs(resid), np.nan)
+    return ResidualMatrix(matrix=rows, origins=tuple(origins.tolist()), signed=signed)
 
 
 def mscp_intervals(
@@ -232,15 +238,27 @@ class EnsembleSpec:
             raise ValueError(f"window_len must be >= 1, got {self.window_len}")
 
 
-def _one_step_prediction(model: FittedForecaster, history: np.ndarray) -> float:
-    yhat = model.intercept
-    for j in range(model.order):
-        yhat += model.phi[j] * history[len(history) - 1 - j]
-    return float(yhat)
+def _one_step_fitted(values: np.ndarray, models: Sequence[FittedForecaster]) -> np.ndarray:
+    """(members, n) one-step predictions of values[i] from values[:i].
+
+    Entry [b, i] is NaN where i is below member b's AR order.
+    """
+    n = len(values)
+    P = max(model.order for model in models)
+    phi = np.zeros((len(models), P))
+    for b, model in enumerate(models):
+        phi[b, : model.order] = model.phi
+    lags = np.zeros((n, P))  # lags[i, j] = values[i - 1 - j]
+    for j in range(P):
+        lags[j + 1 :, j] = values[: n - 1 - j]
+    fitted = np.array([model.intercept for model in models])[:, None] + phi @ lags.T
+    orders = np.array([model.order for model in models])
+    fitted[np.arange(n) < orders[:, None]] = np.nan
+    return fitted
 
 
 def enbpi_loo_residuals(
-    values: np.ndarray, members: Sequence[tuple[frozenset, FittedForecaster]]
+    values: np.ndarray, members: Sequence[tuple[Collection[int], FittedForecaster]]
 ) -> tuple[np.ndarray, int]:
     """Leave-one-out residuals on the training span.
 
@@ -250,27 +268,18 @@ def enbpi_loo_residuals(
     Indices below every member's AR order are skipped.
     """
     values = np.asarray(values, dtype=np.float64)
-    n = len(values)
-    fitted = np.full((len(members), n), np.nan)
-    for b, (_, model) in enumerate(members):
-        p = model.order
-        for i in range(p, n):
-            fitted[b, i] = _one_step_prediction(model, values[:i]) if p else model.intercept
-    residuals = []
-    fallbacks = 0
-    for i in range(n):
-        loo = [
-            fitted[b, i]
-            for b, (idx_set, _) in enumerate(members)
-            if i not in idx_set and np.isfinite(fitted[b, i])
-        ]
-        if not loo:
-            loo = [v for v in fitted[:, i] if np.isfinite(v)]
-            if not loo:
-                continue
-            fallbacks += 1
-        residuals.append(abs(values[i] - float(np.mean(loo))))
-    return np.asarray(residuals), fallbacks
+    fitted = _one_step_fitted(values, [model for _, model in members])
+    in_bag = np.zeros(fitted.shape, dtype=bool)
+    for b, (idx, _) in enumerate(members):
+        in_bag[b, np.fromiter(idx, dtype=np.intp)] = True
+    finite = np.isfinite(fitted)
+    use = finite & ~in_bag
+    fallback = ~use.any(axis=0) & finite.any(axis=0)
+    use[:, fallback] = finite[:, fallback]
+    keep = use.any(axis=0)
+    total = np.where(use, fitted, 0.0).sum(axis=0)
+    mean = total[keep] / use.sum(axis=0)[keep]
+    return np.abs(values[keep] - mean), int(fallback.sum())
 
 
 def _block_bootstrap(n: int, block_len: int, rng: np.random.Generator) -> np.ndarray:
@@ -309,24 +318,22 @@ def enbpi_intervals(
     members = []
     for _ in range(spec.B):
         idx = _block_bootstrap(n_train, series.period, rng)
-        sample = values[idx]
-        model = fit_auto_ar(sample, forecaster)
-        members.append((frozenset(int(i) for i in idx), model))
+        members.append((idx, fit_auto_ar(values[idx], forecaster)))
     loo, fallbacks = enbpi_loo_residuals(values[:n_train], members)
     if len(loo) == 0:
         raise ValueError("no leave-one-out residuals could be formed")
-    window = list(loo[-spec.window_len :])
-    lower = np.empty(test_len)
-    upper = np.empty(test_len)
-    for j in range(test_len):
-        history = values[: n_train + j]
-        yhat = float(np.mean([_one_step_prediction(m, history) for _, m in members]))
-        radius = conformal_quantile(np.asarray(window), 1.0 - alpha)
-        lower[j] = yhat - radius
-        upper[j] = yhat + radius
-        window.append(abs(values[n_train + j] - yhat))
-        if len(window) > spec.window_len:
-            window.pop(0)
+    # The test block's one-step predictions read only known values, so one
+    # lag-matrix product gives them all; the sliding window at step j holds
+    # the last window_len scores before scores[start + j].
+    yhat = _one_step_fitted(values, [model for _, model in members])[:, n_train:].mean(axis=0)
+    scores = np.concatenate((loo[-spec.window_len :], np.abs(values[n_train:] - yhat)))
+    start = len(scores) - test_len
+    radii = np.array([
+        conformal_quantile(scores[max(start + j - spec.window_len, 0) : start + j], 1.0 - alpha)
+        for j in range(test_len)
+    ])
+    lower = yhat - radii
+    upper = yhat + radii
     return IntervalMatrix(
         lower=lower.reshape(1, -1),
         upper=upper.reshape(1, -1),
@@ -520,14 +527,13 @@ def global_cp_intervals(
     )
 
 
-def cv_residual_matrix(
+def _cv_backtest(
     series: TimeSeries, n_windows: int, forecaster: ForecasterSpec, horizon: int
-) -> ResidualMatrix:
-    """Absolute residuals from n_windows rolling H-step holdout windows.
+) -> tuple[ResidualMatrix, np.ndarray]:
+    """Backtest residuals and the forecast from the series end.
 
-    Cutoffs step back from the series end in strides of `horizon`; each
-    window fits on everything before its cutoff and scores the next
-    `horizon` observations.
+    The window cutoffs and the series end are prefixes of one fit: one
+    batched least-squares solve for auto_ar.
     """
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
@@ -539,15 +545,31 @@ def cv_residual_matrix(
         raise ValueError(
             f"series {series.series_id!r} admits no {n_windows}-window backtest at horizon {horizon}"
         )
-    rows = np.empty((n_windows, horizon))
-    origins = []
-    for w in range(n_windows, 0, -1):
-        cutoff = n - w * horizon
-        yhat = point_forecast(series.head(cutoff), forecaster, horizon)[0]
-        truth = series.values[cutoff : cutoff + horizon]
-        rows[n_windows - w] = np.abs(truth - yhat)
-        origins.append(cutoff)
-    return ResidualMatrix(matrix=rows, origins=tuple(origins), signed=False)
+    values = series.values
+    ends = n - horizon * np.arange(n_windows, -1, -1)  # the cutoffs, then n
+    if forecaster.kind == "auto_ar":
+        fits = _fit_ar_prefixes(values, ends, forecaster.max_order, forecaster.include_drift)
+        yhat = _forecast_paths(values, ends, fits.intercept, fits.phi, horizon)
+    else:
+        yhat = np.stack([seasonal_naive_forecast(values[:t], horizon, series.period) for t in ends])
+    cutoffs = ends[:-1]
+    truth = values[cutoffs[:, None] + np.arange(horizon)]
+    residuals = ResidualMatrix(
+        matrix=np.abs(truth - yhat[:-1]), origins=tuple(cutoffs.tolist()), signed=False
+    )
+    return residuals, yhat[-1]
+
+
+def cv_residual_matrix(
+    series: TimeSeries, n_windows: int, forecaster: ForecasterSpec, horizon: int
+) -> ResidualMatrix:
+    """Absolute residuals from n_windows rolling H-step holdout windows.
+
+    Cutoffs step back from the series end in strides of `horizon`; each
+    window fits on everything before its cutoff and scores the next
+    `horizon` observations.
+    """
+    return _cv_backtest(series, n_windows, forecaster, horizon)[0]
 
 
 def cv_conformal_intervals(
@@ -564,11 +586,8 @@ def cv_conformal_intervals(
     small n_windows gives anti-conservative intervals (mirroring the
     cross-validation baseline this reproduces).
     """
-    residuals = cv_residual_matrix(series, n_windows, forecaster, horizon)
-    radii = np.empty(horizon)
-    for h in range(1, horizon + 1):
-        radii[h - 1] = float(np.quantile(residuals.column(h), 1.0 - alpha))
-    yhat = point_forecast(series, forecaster, horizon)[0]
+    residuals, yhat = _cv_backtest(series, n_windows, forecaster, horizon)
+    radii = np.quantile(residuals.matrix, 1.0 - alpha, axis=0)
     return IntervalMatrix(
         lower=(yhat - radii).reshape(1, -1), upper=(yhat + radii).reshape(1, -1)
     )

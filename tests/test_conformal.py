@@ -114,6 +114,35 @@ class TestResidualMatrix:
             np.abs(signed.matrix), unsigned.matrix, equal_nan=True
         )
 
+    @pytest.mark.parametrize("refit_every", [1, 3, None])
+    @pytest.mark.parametrize("signed", [True, False])
+    @pytest.mark.parametrize(
+        "split, spec",
+        [
+            (SplitSpec(25, 12, 4), ForecasterSpec()),
+            (SplitSpec(30, 20, 6), ForecasterSpec(max_order=3, include_drift=False)),
+            # prefixes shorter than max_order admit fewer candidate orders
+            (SplitSpec(4, 10, 3), ForecasterSpec(max_order=5)),
+        ],
+    )
+    def test_build_matches_per_origin_refits(self, refit_every, signed, split, spec):
+        horizon = 5
+        for seed in range(3):
+            y = 40.0 + simulate_ar1(split.total + 7, 0.7, seed=seed)
+            rm = build_residual_matrix(make_series(y), split, spec, horizon, refit_every, signed)
+            work = y[7 : 7 + split.train_len + split.cal_len]
+            expected = np.full((split.cal_len, horizon), np.nan)
+            model = None
+            for r, t in enumerate(range(split.train_len, len(work))):
+                if model is None or (refit_every is not None and r % refit_every == 0):
+                    model = fit_auto_ar(work[:t], spec)
+                avail = min(horizon, len(work) - t)
+                resid = work[t : t + avail] - forecast(model, work[:t], horizon)[:avail]
+                expected[r, :avail] = resid if signed else np.abs(resid)
+            assert rm.origins == tuple(range(split.train_len, len(work)))
+            assert np.array_equal(np.isnan(rm.matrix), np.isnan(expected))
+            assert np.allclose(rm.matrix, expected, rtol=0.0, atol=1e-10, equal_nan=True)
+
 
 class TestMscp:
     def test_hand_radius(self):
@@ -158,7 +187,80 @@ class TestMscp:
         assert 0.86 <= hits / cells <= 0.96
 
 
+def reference_loo(values, members):
+    """The leave-one-out residuals computed index by index."""
+    n = len(values)
+    fitted = np.full((len(members), n), np.nan)
+    for b, (_, model) in enumerate(members):
+        for i in range(model.order, n):
+            yhat = model.intercept
+            for j in range(model.order):
+                yhat += model.phi[j] * values[i - 1 - j]
+            fitted[b, i] = yhat
+    residuals, fallbacks = [], 0
+    for i in range(n):
+        loo = [fitted[b, i] for b, (idx, _) in enumerate(members)
+               if i not in set(idx) and np.isfinite(fitted[b, i])]
+        if not loo:
+            loo = [v for v in fitted[:, i] if np.isfinite(v)]
+            if not loo:
+                continue
+            fallbacks += 1
+        residuals.append(abs(values[i] - float(np.mean(loo))))
+    return np.asarray(residuals), fallbacks, fitted
+
+
+def reference_enbpi(series, test_len, spec, forecaster, alpha):
+    """EnbPI with one-step predictions and the window updated step by step."""
+    values = series.values
+    n_train = len(values) - test_len
+    rng = np.random.default_rng(spec.seed)
+    members = []
+    for _ in range(spec.B):
+        idx = conformal._block_bootstrap(n_train, series.period, rng)
+        members.append((idx, fit_auto_ar(values[idx], forecaster)))
+    loo, fallbacks, _ = reference_loo(values[:n_train], members)
+    window = list(loo[-spec.window_len:])
+    lower, upper = np.empty(test_len), np.empty(test_len)
+    for j in range(test_len):
+        _, _, fitted = reference_loo(values[: n_train + j + 1], members)
+        yhat = float(np.mean(fitted[:, n_train + j]))
+        radius = conformal_quantile(np.asarray(window), 1.0 - alpha)
+        lower[j], upper[j] = yhat - radius, yhat + radius
+        window.append(abs(values[n_train + j] - yhat))
+        if len(window) > spec.window_len:
+            window.pop(0)
+    return lower, upper, {"loo_fallbacks": fallbacks, "loo_count": len(loo)}
+
+
 class TestEnbpi:
+    def test_loo_matches_index_loop(self):
+        rng = np.random.default_rng(21)
+        values = 10.0 + simulate_ar1(40, 0.6, seed=21)
+        for _ in range(10):
+            members = []
+            for _ in range(int(rng.integers(2, 7))):
+                idx = rng.integers(0, 40, size=int(rng.integers(25, 45)))
+                model = fit_auto_ar(values[idx], ForecasterSpec(max_order=int(rng.integers(0, 5))))
+                members.append((frozenset(idx.tolist()), model))
+            got, fallbacks = enbpi_loo_residuals(values, members)
+            want, want_fallbacks, _ = reference_loo(values, members)
+            assert fallbacks == want_fallbacks
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("window_len", [10, 100])
+    @pytest.mark.parametrize("period", [1, 4])
+    def test_intervals_match_step_by_step_loop(self, window_len, period):
+        for seed in range(3):
+            y = 30.0 + simulate_ar1(70, 0.5, seed=seed)
+            ts = make_series(y, period=period)
+            spec = EnsembleSpec(B=6, window_len=window_len, seed=seed)
+            iv = enbpi_intervals(ts, 8, spec, ForecasterSpec(), 0.2)
+            lower, upper, diagnostics = reference_enbpi(ts, 8, spec, ForecasterSpec(), 0.2)
+            assert iv.diagnostics == diagnostics
+            assert np.allclose(iv.lower[0], lower, rtol=0.0, atol=1e-12)
+            assert np.allclose(iv.upper[0], upper, rtol=0.0, atol=1e-12)
+
     def test_loo_hand_example(self):
         # order-0 members are constant predictors, so LOO means are explicit
         def const_model(c):
@@ -343,6 +445,15 @@ class TestCvConformal:
             radius = float(np.quantile(rm.column(h), 0.9))
             assert iv.lower[0, h - 1] == pytest.approx(yhat[h - 1] - radius)
             assert iv.upper[0, h - 1] == pytest.approx(yhat[h - 1] + radius)
+
+    def test_radii_are_per_column_quantiles_bit_for_bit(self):
+        for seed in range(5):
+            ts = make_series(simulate_ar1(60, 0.5, seed=seed))
+            residuals, yhat = conformal._cv_backtest(ts, 4, ForecasterSpec(), 6)
+            radii = np.array([np.quantile(residuals.column(h), 0.85) for h in range(1, 7)])
+            iv = cv_conformal_intervals(ts, 4, ForecasterSpec(), 0.15, 6)
+            assert np.array_equal(iv.lower[0], yhat - radii)
+            assert np.array_equal(iv.upper[0], yhat + radii)
 
     def test_single_window_matches_manual_holdout(self):
         y = simulate_ar1(40, 0.5, seed=31)

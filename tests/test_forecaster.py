@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctsbench.forecaster import (
     FittedForecaster,
@@ -95,14 +97,178 @@ class TestFitAutoAr:
         model = fit_auto_ar(y, ForecasterSpec(include_drift=False))
         assert model.intercept == 0.0
 
+    def test_no_drift_counts_no_intercept(self):
+        # without an intercept AR(p) has p coefficients: sigma2 = RSS/(m - p)
+        # and the AIC penalty is 2(p + 1)
+        y = simulate_ar1(50, 0.8, c=2.0, seed=9)
+        model = fit_auto_ar(y, ForecasterSpec(include_drift=False))
+        p = model.order
+        assert p >= 1
+        X = np.column_stack([y[p - j : len(y) - j] for j in range(1, p + 1)])
+        coef, _, _, _ = np.linalg.lstsq(X, y[p:], rcond=None)
+        resid = y[p:] - X @ coef
+        rss, m = float(resid @ resid), len(resid)
+        assert model.sigma2 == pytest.approx(rss / (m - p), rel=1e-9)
+        assert model.aic == pytest.approx(m * math.log(rss / m) + 2 * (p + 1), abs=1e-9)
+
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="at least 3"):
             fit_auto_ar(np.array([1.0, 2.0]), ForecasterSpec())
+
+    def test_large_level_is_not_rank_deficient(self):
+        # at level 1e6 the lag columns are within 1e-6 of the intercept
+        # column; the shift by the first observation keeps them apart
+        y = 1e6 + simulate_ar1(80, 0.6, seed=12)
+        model = fit_auto_ar(y, ForecasterSpec(max_order=3))
+        assert all(math.isfinite(a) for a in model.aics)
+        p = model.order
+        assert p >= 1
+        X = np.column_stack(
+            [np.ones(len(y) - p)] + [y[p - j : len(y) - j] for j in range(1, p + 1)]
+        )
+        coef, _, _, _ = np.linalg.lstsq(X, y[p:], rcond=None)
+        assert np.allclose(model.phi, coef[1:], rtol=0.0, atol=1e-7)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            fit_auto_ar(np.array([1.0, 2.0, np.nan, 3.0]), ForecasterSpec())
 
     def test_max_order_clipped_by_length(self):
         y = simulate_ar1(6, 0.3, seed=2)
         model = fit_auto_ar(y, ForecasterSpec(max_order=10))
         assert max(model.candidate_orders) <= 4
+
+
+def lstsq_candidates(y, max_order, include_drift):
+    """Reference fit of every candidate order by np.linalg.lstsq.
+
+    One dict per order with the design X, rows m, coefficient count k, and
+    the smallest over the largest singular value of X with its columns
+    scaled to unit norm ("ratio"); then, unless the order has no more rows
+    than coefficients or lstsq finds X rank-deficient ("rejected"), the
+    coefficients and the RSS.
+    """
+    n = len(y)
+    out = []
+    for p in range(min(max_order, n - 2) + 1):
+        cols = ([np.ones(n - p)] if include_drift else []) + [
+            y[p - j : n - j] for j in range(1, p + 1)
+        ]
+        X = np.column_stack(cols) if cols else np.empty((n - p, 0))
+        m, k = X.shape
+        norms = np.linalg.norm(X, axis=0)
+        if not k:
+            ratio = 1.0
+        elif np.all(norms > 0.0):
+            sv = np.linalg.svd(X / norms, compute_uv=False)
+            ratio = sv[-1] / sv[0]
+        else:
+            ratio = 0.0
+        r = dict(X=X, m=m, k=k, ratio=ratio, rejected=True)
+        out.append(r)
+        if m <= k:
+            continue
+        coef, _, rank, _ = np.linalg.lstsq(X, y[p:], rcond=None)
+        if k and rank < k:
+            continue
+        resid = y[p:] - X @ coef
+        r.update(coef=coef, rss=float(resid @ resid), rejected=False)
+    return out
+
+
+def family_series(family, n, offset, seed):
+    t = np.arange(n, dtype=np.float64)
+    if family == "noise":
+        rng = np.random.default_rng(seed)
+        return offset + simulate_ar1(n, float(rng.uniform(-0.9, 0.95)), seed=seed, burn=20)
+    if family == "constant":
+        return np.full(n, offset)
+    if family == "ar1":  # noise-free, approaching its fixed point `offset`
+        y = np.empty(n)
+        y[0] = offset + 10.0
+        for i in range(1, n):
+            y[i] = 0.05 * offset + 0.95 * y[i - 1]
+        return y
+    if family == "trend":
+        return offset + 0.5 * t
+    if family == "alternating":
+        return offset + (-1.0) ** t
+    y = np.full(n, offset)  # "spike": one early outlier, constant after it
+    y[1] += 5.0
+    return y
+
+
+class TestBatchedSolverMatchesLstsq:
+    """fit_auto_ar against a per-order lstsq oracle.
+
+    The two rank rules agree on designs that lstsq finds rank-deficient and
+    that stay nearly dependent with their columns scaled to unit norm
+    (smallest-to-largest singular value ratio below 1e-6), and on designs
+    lstsq accepts with that ratio at least 1e-4. Elsewhere they may differ:
+    the normal equations cannot resolve a design as lstsq does, and lstsq's
+    tolerance is not scale-free. Candidates there are not compared. RSS is compared to within the rounding of the residuals
+    (about 1e-13 of the fitted level per row), which for an exact AR
+    recursion is all of it: the AIC of such a fit is the logarithm of
+    rounding noise, so AICs are compared to 1e-9 only where that rounding
+    is negligible, and the chosen order must be the best for some RSS
+    within those bounds. The intercept is in the units of the series and
+    is compared relative to its size.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family=st.sampled_from(["noise", "constant", "ar1", "trend", "alternating", "spike"]),
+        n=st.integers(3, 60),
+        max_order=st.integers(0, 6),
+        include_drift=st.booleans(),
+        offset=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_selection_aics_and_coefficients(
+        self, family, n, max_order, include_drift, offset, seed
+    ):
+        y = family_series(family, n, offset, seed)
+        model = fit_auto_ar(y, ForecasterSpec(max_order=max_order, include_drift=include_drift))
+        ref = lstsq_candidates(y, max_order, include_drift)
+        assert model.candidate_orders == tuple(range(len(ref)))
+        # Both rules reject designs lstsq finds rank-deficient that are also
+        # nearly dependent after column scaling, and accept designs lstsq
+        # accepts that are well conditioned after it; the rest is not compared.
+        clear = [
+            r["m"] <= r["k"]
+            or (r["rejected"] and r["ratio"] < 1e-6)
+            or (not r["rejected"] and r["ratio"] >= 1e-4)
+            for r in ref
+        ]
+        for p, (aic, r) in enumerate(zip(model.aics, ref)):
+            if not clear[p]:
+                continue
+            assert math.isinf(aic) == r["rejected"], p
+            if r["rejected"]:
+                continue
+            m, k, rss = r["m"], r["k"], r["rss"]
+            ours = m * math.exp((aic - 2 * (k + 1)) / m)
+            floor = 1e-13 * (1.0 + np.abs(r["X"]) @ np.abs(r["coef"]) + np.abs(y[p:])).max()
+            rounding = 2.0 * math.sqrt(rss * m) * floor + m * floor**2
+            r["band"] = 1e-11 * rss + rounding
+            assert abs(ours - rss) <= r["band"], p
+            if rounding <= 1e-12 * rss:
+                assert aic == pytest.approx(m * math.log(rss / m) + 2 * (k + 1), abs=1e-9)
+        if not all(clear):
+            return
+
+        def aic_of(r, rss):
+            return r["m"] * math.log(max(rss, 1e-300) / r["m"]) + 2 * (r["k"] + 1)
+
+        # The chosen order must be optimal for some RSS inside every band.
+        valid = [r for r in ref if not r["rejected"]]
+        best_upper = min(aic_of(r, r["rss"] + r["band"]) for r in valid)
+        r = ref[model.order]
+        assert aic_of(r, r["rss"] - r["band"]) <= best_upper
+        intercept, phi = (r["coef"][0], r["coef"][1:]) if include_drift else (0.0, r["coef"])
+        assert model.intercept == pytest.approx(intercept, abs=1e-9 * (1.0 + abs(intercept)))
+        assert np.allclose(model.phi, phi, rtol=0.0, atol=1e-9)
+        assert model.sigma2 * (r["m"] - r["k"]) == pytest.approx(r["rss"], abs=r["band"])
 
 
 class TestSigmaH:
