@@ -57,7 +57,11 @@ def main() -> None:
     panel = generate_synthetic(
         SyntheticSpec(generator="ar1", n_series=args.n_series, length=96, seed=args.seed)
     )
-    res = global_cp_intervals(panel, 0.5, ForecasterSpec(), args.alpha, H)
+    forecasts = {}
+    for series in panel:
+        head = series.values[:-H]
+        forecasts[series.series_id] = forecast(fit_auto_ar(head, ForecasterSpec()), head, H)
+    res = global_cp_intervals(panel, 0.5, forecasts, args.alpha, H)
 
     print(f"cohort: {len(res.calibration_ids)} calibration series pooled,")
     print(f"        {len(res.evaluation_ids)} evaluation series scored")

@@ -1,6 +1,13 @@
 """Benchmark orchestration: config, synthetic panels, per-series evaluation,
 aggregation, rank tests, and report emission.
 
+Each series is evaluated in one task. The task's context makes the
+series' one point forecast, its model and its residual matrices on first
+use, and a table maps each per-series method to a function of that
+context, so every method wraps the same forecast. global_cp is the one
+method that spans series: after the tasks finish, it pools the forecasts
+they returned.
+
 Every run is a pure function of (config, data, seed): per-series RNG seeds
 are derived by hashing the global seed with the series id, series tasks
 share nothing mutable, and results merge in sorted-id order, so the
@@ -18,6 +25,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 
@@ -36,7 +44,7 @@ from .conformal import (
     parametric_intervals,
     spci_intervals,
 )
-from .forecaster import ForecasterSpec, fit_auto_ar, forecast, seasonal_naive_forecast
+from .forecaster import FittedForecaster, ForecasterSpec, fit_auto_ar, forecast, seasonal_naive_forecast
 from .metrics import MethodSummary, MetricRecord, aggregate, series_metrics
 from .online import AciState, CoverageEvent, aci_interval, aci_step, acmcp_init, acmcp_interval, acmcp_step
 from .series import PanelError, SeriesPanel, SplitSpec, TimeSeries, parse_panel, serialize_panel
@@ -252,84 +260,107 @@ def _acmcp_series_intervals(
     return IntervalMatrix(lower=lower.reshape(1, -1), upper=upper.reshape(1, -1))
 
 
+class _SeriesContext:
+    """One series' inputs shared by its methods, each built on first use.
+
+    A build that raises is not cached: every method that needs it raises
+    the same error, which becomes that method's skip reason.
+    """
+
+    def __init__(self, series: TimeSeries, config: BenchConfig):
+        self.series = series
+        self.config = config
+        self.head = series.head(len(series) - config.horizon)  # all but the test block
+
+    @cached_property
+    def signed(self) -> ResidualMatrix:
+        c = self.config
+        train_len = c.train_len if c.train_len is not None else len(self.head) - c.cal_len
+        sspec = SplitSpec(train_len, c.cal_len, c.horizon)
+        return build_residual_matrix(
+            self.series, sspec, c.forecaster, c.horizon, c.refit_every, signed=True
+        )
+
+    @cached_property
+    def abs_matrix(self) -> ResidualMatrix:
+        return ResidualMatrix(np.abs(self.signed.matrix), self.signed.origins, signed=False)
+
+    @cached_property
+    def model(self) -> FittedForecaster | None:
+        """The autoregression behind the forecast; None for seasonal naive."""
+        if self.config.forecaster.kind != "auto_ar":
+            return None
+        return fit_auto_ar(self.head.values, self.config.forecaster)
+
+    @cached_property
+    def fc(self) -> np.ndarray:
+        """The series' one point forecast of its test block."""
+        if self.model is None:
+            return seasonal_naive_forecast(self.head, self.config.horizon)
+        return forecast(self.model, self.head.values, self.config.horizon)
+
+
+def _enbpi(ctx: _SeriesContext) -> IntervalMatrix:
+    c = ctx.config
+    spec = EnsembleSpec(
+        B=c.enbpi_members,
+        window_len=c.enbpi_window,
+        seed=series_seed(c.seed, ctx.series.series_id),
+    )
+    return enbpi_intervals(ctx.series, c.horizon, spec, c.forecaster, c.alpha)
+
+
+def _parametric(ctx: _SeriesContext) -> IntervalMatrix:
+    if ctx.model is None:
+        raise ValueError("parametric intervals require an autoregressive forecaster")
+    return parametric_intervals(ctx.model, ctx.head.values, ctx.config.horizon, ctx.config.alpha)
+
+
+# Every method but global_cp, which pools the forecasts of many series.
+_PER_SERIES = {
+    "mscp": lambda ctx: mscp_intervals(ctx.fc, ctx.abs_matrix, ctx.config.alpha),
+    "enbpi": _enbpi,
+    "spci": lambda ctx: spci_intervals(
+        ctx.fc, ctx.signed, SpciSpec(lag_count=ctx.config.spci_lags), ctx.config.alpha
+    ),
+    "cv_cp": lambda ctx: cv_conformal_intervals(
+        ctx.head, ctx.config.n_windows, ctx.config.forecaster, ctx.config.alpha, ctx.config.horizon
+    ),
+    "aci": lambda ctx: _aci_series_intervals(
+        ctx.fc, ctx.abs_matrix, ctx.config.alpha, ctx.config.gamma
+    ),
+    "acmcp": lambda ctx: _acmcp_series_intervals(ctx.fc, ctx.abs_matrix, ctx.config.alpha),
+    "parametric": _parametric,
+}
+
+_METHOD_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError)
+
+
 def _series_task(
     series: TimeSeries, config: BenchConfig
-) -> tuple[str, dict[str, MetricRecord], list[tuple[str, str, str]]]:
+) -> tuple[list[MetricRecord], list[tuple[str, str, str]], np.ndarray | None]:
+    """Per-series records and skips, plus the point forecast when global_cp
+    needs it (None otherwise or when it could not be made)."""
     sid = series.series_id
-    H, alpha = config.horizon, config.alpha
-    fc_spec = config.forecaster
-    n = len(series)
-    train_len = config.train_len if config.train_len is not None else n - config.cal_len - H
-    sspec = SplitSpec(train_len, config.cal_len, H)
-    truth = series.values[n - H :]
-    traincal = series.values[: n - H]
-    head = series.head(n - H)
-    records: dict[str, MetricRecord] = {}
+    ctx = _SeriesContext(series, config)
+    truth = series.values[len(ctx.head) :]
+    records: list[MetricRecord] = []
     skips: list[tuple[str, str, str]] = []
-
-    needs_matrix = bool({"mscp", "spci", "aci", "acmcp"} & set(config.methods))
-    signed = abs_matrix = None
-    matrix_err: str | None = None
-    if needs_matrix:
-        try:
-            signed = build_residual_matrix(
-                series, sspec, fc_spec, H, config.refit_every, signed=True
-            )
-            abs_matrix = ResidualMatrix(
-                np.abs(signed.matrix), signed.origins, signed=False
-            )
-        except (ValueError, np.linalg.LinAlgError) as e:
-            matrix_err = str(e)
-
-    model = None
-    fc = None
-    fc_err: str | None = None
-    try:
-        if fc_spec.kind == "auto_ar":
-            model = fit_auto_ar(traincal, fc_spec)
-            fc = forecast(model, traincal, H)
-        else:
-            fc = seasonal_naive_forecast(head, H)
-    except ValueError as e:
-        fc_err = str(e)
-
     for method in config.methods:
-        if method == "global_cp":
+        build = _PER_SERIES.get(method)
+        if build is None:
             continue
         try:
-            if fc_err is not None and method != "enbpi":
-                raise ValueError(fc_err)
-            if method in ("mscp", "spci", "aci", "acmcp") and matrix_err is not None:
-                raise ValueError(matrix_err)
-            if method == "mscp":
-                iv = mscp_intervals(fc, abs_matrix, alpha)
-            elif method == "spci":
-                iv = spci_intervals(fc, signed, SpciSpec(lag_count=config.spci_lags), alpha)
-            elif method == "aci":
-                iv = _aci_series_intervals(fc, abs_matrix, alpha, config.gamma)
-            elif method == "acmcp":
-                iv = _acmcp_series_intervals(fc, abs_matrix, alpha)
-            elif method == "enbpi":
-                spec = EnsembleSpec(
-                    B=config.enbpi_members,
-                    window_len=config.enbpi_window,
-                    seed=series_seed(config.seed, sid),
-                )
-                iv = enbpi_intervals(series, H, spec, fc_spec, alpha)
-            elif method == "cv_cp":
-                iv = cv_conformal_intervals(head, config.n_windows, fc_spec, alpha, H)
-            elif method == "parametric":
-                if model is None:
-                    raise ValueError(
-                        "parametric intervals require an autoregressive forecaster"
-                    )
-                iv = parametric_intervals(model, traincal, H, alpha)
-            else:
-                raise ValueError(f"unknown method {method!r}")
-            records[method] = series_metrics(sid, method, iv, truth, alpha)
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as e:
+            records.append(series_metrics(sid, method, build(ctx), truth, config.alpha))
+        except _METHOD_ERRORS as e:
             skips.append((sid, method, str(e)))
-    return sid, records, skips
+    fc = None
+    if "global_cp" in config.methods:
+        try:
+            fc = ctx.fc
+        except _METHOD_ERRORS as e:
+            skips.append((sid, "global_cp", str(e)))
+    return records, skips, fc
 
 
 def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> BenchmarkReport:
@@ -364,27 +395,6 @@ def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> Benc
     if not eligible:
         raise NothingEvaluableError("no series long enough to evaluate")
 
-    global_records: dict[str, MetricRecord] = {}
-    if "global_cp" in config.methods:
-        try:
-            sub = SeriesPanel(tuple(eligible))
-            result = global_cp_intervals(
-                sub, config.cohort_split, config.forecaster, config.alpha, H
-            )
-        except ValueError as e:
-            if set(config.methods) == {"global_cp"}:
-                raise NothingEvaluableError(str(e)) from None
-            skips.extend((s.series_id, "global_cp", str(e)) for s in eligible)
-        else:
-            for sid in result.calibration_ids:
-                skips.append((sid, "global_cp", "spent as pooled calibration cohort"))
-            for sid in result.evaluation_ids:
-                series = panel[sid]
-                truth = series.values[len(series) - H :]
-                global_records[sid] = series_metrics(
-                    sid, "global_cp", result.intervals[sid], truth, config.alpha
-                )
-
     if config.parallelism > 1 and len(eligible) > 1:
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
             results = list(pool.map(lambda s: _series_task(s, config), eligible))
@@ -392,12 +402,30 @@ def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> Benc
         results = [_series_task(s, config) for s in eligible]
 
     records: list[MetricRecord] = []
-    for sid, recs, task_skips in results:
-        if sid in global_records:
-            recs = dict(recs)
-            recs["global_cp"] = global_records[sid]
-        records.extend(recs[m] for m in config.methods if m in recs)
+    forecasts: dict[str, np.ndarray] = {}
+    for series, (recs, task_skips, fc) in zip(eligible, results):
+        records.extend(recs)
         skips.extend(task_skips)
+        if fc is not None:
+            forecasts[series.series_id] = fc
+    if "global_cp" in config.methods:
+        try:
+            cohort = SeriesPanel(tuple(s for s in eligible if s.series_id in forecasts))
+            result = global_cp_intervals(
+                cohort, config.cohort_split, forecasts, config.alpha, H
+            )
+        except ValueError as e:
+            if set(config.methods) == {"global_cp"}:
+                raise NothingEvaluableError(str(e)) from None
+            skips.extend((sid, "global_cp", str(e)) for sid in forecasts)
+        else:
+            for sid in result.calibration_ids:
+                skips.append((sid, "global_cp", "spent as pooled calibration cohort"))
+            for sid in result.evaluation_ids:
+                truth = cohort[sid].values[-H:]
+                records.append(
+                    series_metrics(sid, "global_cp", result.intervals[sid], truth, config.alpha)
+                )
     if not records:
         raise NothingEvaluableError("every (series, method) evaluation was skipped")
     records.sort(key=lambda r: (r.series_id, r.method))

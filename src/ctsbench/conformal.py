@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Collection, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -225,15 +225,12 @@ class EnsembleSpec:
     """Bootstrap ensemble configuration for EnbPI."""
 
     B: int = 20
-    aggregation: str = "mean"
     window_len: int = 100
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.B < 2:
             raise ValueError(f"B must be >= 2, got {self.B}")
-        if self.aggregation != "mean":
-            raise ValueError(f"unsupported aggregation {self.aggregation!r}")
         if self.window_len < 1:
             raise ValueError(f"window_len must be >= 1, got {self.window_len}")
 
@@ -407,14 +404,6 @@ def spci_quantile_pair(
     return q_lo, q_hi, float(betas[pick]), diag
 
 
-def spci_interval(
-    forecast_value: float, history: np.ndarray, spec: SpciSpec, alpha: float
-) -> tuple[float, float, dict]:
-    """One interval from the point forecast plus predicted residual quantiles."""
-    q_lo, q_hi, _, diag = spci_quantile_pair(history, spec, alpha)
-    return forecast_value + q_lo, forecast_value + q_hi, diag
-
-
 def spci_intervals(
     forecasts: np.ndarray, residuals: ResidualMatrix, spec: SpciSpec, alpha: float
 ) -> IntervalMatrix:
@@ -437,10 +426,9 @@ def spci_intervals(
     fallbacks = 0
     betas = []
     for h in range(1, horizon + 1):
-        col = residuals.column(h)
-        lo, hi, diag = spci_interval(float(fc[h - 1]), col, spec, alpha)
-        lower[h - 1] = lo
-        upper[h - 1] = hi
+        q_lo, q_hi, _, diag = spci_quantile_pair(residuals.column(h), spec, alpha)
+        lower[h - 1] = float(fc[h - 1]) + q_lo
+        upper[h - 1] = float(fc[h - 1]) + q_hi
         crossings += diag["crossings"]
         fallbacks += diag["fallbacks"]
         betas.append(diag["beta"])
@@ -459,24 +447,24 @@ class GlobalCpResult:
     radii: np.ndarray
     calibration_ids: tuple[str, ...]
     evaluation_ids: tuple[str, ...]
-    forecasts: dict
 
 
 def global_cp_intervals(
     panel: SeriesPanel,
     cohort_split: float,
-    forecaster: ForecasterSpec,
+    forecasts: Mapping[str, np.ndarray],
     alpha: float,
     horizon: int,
 ) -> GlobalCpResult:
     """Cross-series conformal intervals with a per-horizon Bonferroni budget.
 
-    The panel is split by SERIES into a calibration cohort and an
-    evaluation cohort. Every series gets its own local forecaster fitted on
-    all but its final `horizon` points; calibration-cohort absolute
-    residuals are pooled per horizon and the shared radius for horizon h is
-    the conformal quantile at level 1 - alpha/horizon. Evaluation series
-    receive those radii around their own local forecasts.
+    forecasts maps each series id to its point forecast of the series'
+    final `horizon` points, made without seeing them. The panel is split
+    by SERIES into a calibration cohort and an evaluation cohort;
+    calibration-cohort absolute residuals are pooled per horizon and the
+    shared radius for horizon h is the conformal quantile at level
+    1 - alpha/horizon. Evaluation series receive those radii around their
+    own forecasts.
     """
     if len(panel) < 2:
         raise ValueError("Global-CP requires a cohort: panel has fewer than 2 series")
@@ -488,42 +476,32 @@ def global_cp_intervals(
     k = min(max(int(round(cohort_split * len(ids))), 1), len(ids) - 1)
     cal_ids, eval_ids = ids[:k], ids[k:]
 
-    def _local(series: TimeSeries) -> np.ndarray:
-        if len(series) < horizon + 3:
+    def _forecast(sid: str) -> np.ndarray:
+        if sid not in forecasts:
+            raise ValueError(f"no forecast for series {sid!r}")
+        yhat = np.asarray(forecasts[sid], dtype=np.float64)
+        if yhat.shape != (horizon,):
             raise ValueError(
-                f"series {series.series_id!r} too short for horizon {horizon}"
+                f"forecast for series {sid!r} has shape {yhat.shape}, expected ({horizon},)"
             )
-        head = series.values[: len(series) - horizon]
-        model = fit_auto_ar(head, forecaster)
-        return forecast(model, head, horizon)
+        return yhat
 
-    pools: list[list[float]] = [[] for _ in range(horizon)]
-    for sid in cal_ids:
+    resid = np.empty((k, horizon))
+    for i, sid in enumerate(cal_ids):
         series = panel[sid]
-        yhat = _local(series)
-        tail = series.values[len(series) - horizon :]
-        for h in range(horizon):
-            pools[h].append(abs(tail[h] - yhat[h]))
+        if len(series) < horizon:
+            raise ValueError(f"series {sid!r} too short for horizon {horizon}")
+        resid[i] = np.abs(series.values[-horizon:] - _forecast(sid))
     level = 1.0 - alpha / horizon
-    radii = np.empty(horizon)
-    for h in range(horizon):
-        if not pools[h]:
-            raise ValueError(f"pooled residual column for horizon {h + 1} is empty")
-        radii[h] = conformal_quantile(np.asarray(pools[h]), level)
+    radii = np.array([conformal_quantile(resid[:, h], level) for h in range(horizon)])
     intervals = {}
-    fcs = {}
     for sid in eval_ids:
-        yhat = _local(panel[sid])
-        fcs[sid] = yhat
+        yhat = _forecast(sid)
         intervals[sid] = IntervalMatrix(
             lower=(yhat - radii).reshape(1, -1), upper=(yhat + radii).reshape(1, -1)
         )
     return GlobalCpResult(
-        intervals=intervals,
-        radii=radii,
-        calibration_ids=cal_ids,
-        evaluation_ids=eval_ids,
-        forecasts=fcs,
+        intervals=intervals, radii=radii, calibration_ids=cal_ids, evaluation_ids=eval_ids
     )
 
 

@@ -166,11 +166,7 @@ def _fit_score_model(window: np.ndarray, h: int) -> tuple[float, ...]:
     return tuple(float(c) for c in coef)
 
 
-def acmcp_step(
-    state: AcmcpState,
-    event: CoverageEvent,
-    score_innovations: Sequence[float] | None = None,
-) -> AcmcpState:
+def acmcp_step(state: AcmcpState, event: CoverageEvent) -> AcmcpState:
     """Advance the tracker with one realized coverage outcome.
 
     q' = q + eta*(err - alpha) + k_i*tanh(err_sum'/c_sat) + (e_hat - e_prev),
@@ -179,8 +175,7 @@ def acmcp_step(
     prediction's increment keeps exactly the current prediction inside q;
     adding e_hat itself would accumulate the whole prediction history and
     let q drift. The realized score enters the sliding window and the
-    model is refit before predicting. score_innovations overrides the
-    internally computed feature vector (most recent first).
+    model is refit before predicting.
     """
     if event.horizon != state.h:
         raise ValueError(f"event horizon {event.horizon} != tracked horizon {state.h}")
@@ -191,16 +186,8 @@ def acmcp_step(
     theta = _fit_score_model(arr, state.h)
     e_hat = 0.0
     if theta:
-        lags = len(theta)
-        if score_innovations is None:
-            centered = arr - arr.mean()
-            feats = centered[::-1][:lags]
-        else:
-            feats = np.asarray(score_innovations, dtype=np.float64)
-            if len(feats) < lags:
-                raise ValueError(f"need >= {lags} innovations, got {len(feats)}")
-            feats = feats[:lags]
-        e_hat = float(np.dot(theta, feats))
+        centered = arr - arr.mean()
+        e_hat = float(np.dot(theta, centered[::-1][: len(theta)]))
     q = state.q + state.eta * (event.err - state.alpha) + saturation + (e_hat - state.e_prev)
     return replace(
         state, q=q, err_sum=err_sum, theta=theta, e_prev=e_hat, score_window=window
@@ -248,33 +235,3 @@ def acmcp_init(
         score_window=tuple(float(s) for s in scores[-window_len:]),
         window_len=window_len,
     )
-
-
-class AcmcpController:
-    """Per-horizon tracker collection with a sequential update loop.
-
-    One instance per series; never share an instance across threads.
-    """
-
-    def __init__(self, states: dict[int, AcmcpState]):
-        if not states:
-            raise ValueError("controller needs at least one tracked horizon")
-        for h, st in states.items():
-            if st.h != h:
-                raise ValueError(f"state for horizon {h} tracks {st.h}")
-        self._states = dict(states)
-
-    @property
-    def horizons(self) -> tuple[int, ...]:
-        return tuple(sorted(self._states))
-
-    def state(self, h: int) -> AcmcpState:
-        return self._states[h]
-
-    def update(self, event: CoverageEvent) -> AcmcpState:
-        new = acmcp_step(self._states[event.horizon], event)
-        self._states[event.horizon] = new
-        return new
-
-    def interval(self, h: int, forecast: float) -> tuple[float, float]:
-        return acmcp_interval(self._states[h], forecast)

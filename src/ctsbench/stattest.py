@@ -23,8 +23,6 @@ __all__ = [
     "rank_scores",
     "friedman_test",
     "conover_posthoc",
-    "chi_sq_cdf",
-    "student_t_quantile",
 ]
 
 _DEGENERATE_TOL = 1e-12

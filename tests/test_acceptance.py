@@ -29,7 +29,7 @@ from ctsbench.bench import (
     summary_payload,
 )
 from ctsbench.conformal import conformal_quantile, global_cp_intervals
-from ctsbench.forecaster import ForecasterSpec
+from ctsbench.forecaster import ForecasterSpec, fit_auto_ar, forecast
 from ctsbench.metrics import winkler
 from ctsbench.online import AciState, aci_interval, aci_step
 from ctsbench.series import SeriesPanel
@@ -174,7 +174,11 @@ def test_criterion_5_global_cp_joint_validity(capsys):
         SyntheticSpec(generator="ar1", n_series=300, length=72, seed=31)
     )
     H = 12
-    res = global_cp_intervals(panel, 0.5, ForecasterSpec(), 0.1, H)
+    forecasts = {}
+    for series in panel:
+        head = series.values[:-H]
+        forecasts[series.series_id] = forecast(fit_auto_ar(head, ForecasterSpec()), head, H)
+    res = global_cp_intervals(panel, 0.5, forecasts, 0.1, H)
     joints = []
     for sid in res.evaluation_ids:
         truth = panel[sid].values[-H:]

@@ -9,6 +9,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from ctsbench import bench, conformal
 from ctsbench.bench import (
     BenchConfig,
     NothingEvaluableError,
@@ -23,7 +24,8 @@ from ctsbench.bench import (
     write_panel_csv,
 )
 from ctsbench.cli import main as cli_main
-from ctsbench.forecaster import ForecasterSpec
+from ctsbench.conformal import global_cp_intervals
+from ctsbench.forecaster import ForecasterSpec, fit_auto_ar, seasonal_naive_forecast
 from ctsbench.series import parse_panel
 
 FAST_METHODS = ("mscp", "cv_cp", "parametric")
@@ -158,13 +160,16 @@ class TestRunBenchmark:
 
     def test_parallelism_invariant(self):
         panel = small_panel()
-        a = run_benchmark(small_config(parallelism=1), panel=panel)
-        b = run_benchmark(small_config(parallelism=4), panel=panel)
-        assert a.records == b.records
-        pa, pb = summary_payload(a), summary_payload(b)
-        pa.pop("metadata")
-        pb.pop("metadata")
-        assert pa == pb
+        # global_cp pools forecasts made in the pool workers; alpha and the
+        # horizon are chosen so its three-series cohort gives finite radii.
+        for kw in ({}, dict(methods=("global_cp",), alpha=0.5, horizon=2)):
+            a = run_benchmark(small_config(parallelism=1, **kw), panel=panel)
+            b = run_benchmark(small_config(parallelism=4, **kw), panel=panel)
+            assert a.records == b.records
+            pa, pb = summary_payload(a), summary_payload(b)
+            pa.pop("metadata")
+            pb.pop("metadata")
+            assert pa == pb
 
     def test_single_series_global_cp_nothing_evaluable(self):
         panel = small_panel(n=1)
@@ -179,6 +184,50 @@ class TestRunBenchmark:
         reasons = {s[2] for s in report.skips if s[1] == "global_cp"}
         assert "spent as pooled calibration cohort" in reasons
         assert report.summaries["global_cp"].n_series == 3
+
+    def test_global_cp_centres_on_the_configured_forecaster(self, monkeypatch):
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(global_cp_intervals(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(bench, "global_cp_intervals", spy)
+        panel = small_panel(generator="seasonal_ar")
+        config = small_config(
+            methods=("global_cp", "mscp"),
+            forecaster=ForecasterSpec(kind="seasonal_naive"),
+            alpha=0.5,
+            horizon=2,
+        )
+        run_benchmark(config, panel=panel)
+        (result,) = results
+        assert np.all(np.isfinite(result.radii))
+        assert len(result.evaluation_ids) == 3
+        for sid in result.evaluation_ids:
+            series = panel[sid]
+            fc = seasonal_naive_forecast(series.head(len(series) - 2), 2)
+            assert np.array_equal(result.intervals[sid].lower[0], fc - result.radii)
+            assert np.array_equal(result.intervals[sid].upper[0], fc + result.radii)
+
+    def test_each_series_fitted_once(self, monkeypatch):
+        fitted = []
+
+        def counting_fit(train, spec):
+            fitted.append(len(train))
+            return fit_auto_ar(train, spec)
+
+        monkeypatch.setattr(bench, "fit_auto_ar", counting_fit)
+        monkeypatch.setattr(conformal, "fit_auto_ar", counting_fit)
+        from ctsbench.series import SeriesPanel, TimeSeries
+
+        short = TimeSeries(
+            "tiny", np.arange(1, 21, dtype=np.int64), np.random.default_rng(0).standard_normal(20), 12, "int"
+        )
+        panel = SeriesPanel(tuple(small_panel().series) + (short,))
+        report = run_benchmark(small_config(methods=("global_cp", "parametric")), panel=panel)
+        assert report.metadata["n_series_evaluated"] == 6
+        assert fitted == [90 - 6] * 6
 
     def test_short_series_skipped_with_reason(self):
         from ctsbench.series import SeriesPanel, TimeSeries

@@ -47,6 +47,15 @@ def simulate_ar1(n, phi, sigma=1.0, seed=0):
     return y[1:]
 
 
+def local_forecasts(panel, horizon):
+    """Each series' AR forecast of its final `horizon` points from the rest."""
+    out = {}
+    for series in panel:
+        head = series.values[:-horizon]
+        out[series.series_id] = forecast(fit_auto_ar(head, ForecasterSpec()), head, horizon)
+    return out
+
+
 def oracle_quantile(scores, level):
     arr = np.sort(np.asarray(scores, dtype=np.float64))
     k = math.ceil(level * (len(arr) + 1))
@@ -389,7 +398,7 @@ class TestGlobalCp:
     def test_single_series_rejected(self):
         panel = SeriesPanel((make_series(np.arange(30.0)),))
         with pytest.raises(ValueError, match="requires a cohort"):
-            global_cp_intervals(panel, 0.5, ForecasterSpec(), 0.1, 3)
+            global_cp_intervals(panel, 0.5, local_forecasts(panel, 3), 0.1, 3)
 
     def test_h1_equals_split_conformal(self):
         # with one horizon the pooled construction reduces to plain split
@@ -400,24 +409,17 @@ class TestGlobalCp:
             for i in range(8)
         )
         panel = SeriesPanel(series)
-        res = global_cp_intervals(panel, 0.5, ForecasterSpec(), 0.1, 1)
+        fcs = local_forecasts(panel, 1)
+        res = global_cp_intervals(panel, 0.5, fcs, 0.1, 1)
         assert res.calibration_ids == panel.ids[:4]
         assert res.evaluation_ids == panel.ids[4:]
-        pooled = []
-        for sid in res.calibration_ids:
-            y = panel[sid].values
-            model = fit_auto_ar(y[:-1], ForecasterSpec())
-            yhat = forecast(model, y[:-1], 1)
-            pooled.append(abs(y[-1] - yhat[0]))
+        pooled = [abs(panel[sid].values[-1] - fcs[sid][0]) for sid in res.calibration_ids]
         radius = conformal_quantile(np.asarray(pooled), 0.9)
         assert res.radii[0] == radius
         for sid in res.evaluation_ids:
-            y = panel[sid].values
-            model = fit_auto_ar(y[:-1], ForecasterSpec())
-            yhat = forecast(model, y[:-1], 1)
             iv = res.intervals[sid]
-            assert iv.lower[0, 0] == yhat[0] - radius
-            assert iv.upper[0, 0] == yhat[0] + radius
+            assert iv.lower[0, 0] == fcs[sid][0] - radius
+            assert iv.upper[0, 0] == fcs[sid][0] + radius
 
     def test_shared_radii_across_evaluation_series(self):
         rng = np.random.default_rng(15)
@@ -425,10 +427,25 @@ class TestGlobalCp:
             make_series(simulate_ar1(48, 0.4, seed=int(rng.integers(1 << 30))), series_id=f"s{i:02d}")
             for i in range(10)
         )
-        res = global_cp_intervals(SeriesPanel(series), 0.5, ForecasterSpec(), 0.1, 6)
+        panel = SeriesPanel(series)
+        res = global_cp_intervals(panel, 0.5, local_forecasts(panel, 6), 0.1, 6)
         for sid in res.evaluation_ids:
             w = res.intervals[sid].width[0]
             assert np.allclose(w, 2.0 * res.radii)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [(lambda f: f.pop("s03"), "no forecast for series 's03'"),
+         (lambda f: f.update(s01=np.zeros(5)), r"shape \(5,\), expected \(6,\)")],
+    )
+    def test_every_series_needs_a_horizon_length_forecast(self, bad, match):
+        panel = SeriesPanel(tuple(
+            make_series(simulate_ar1(30, 0.4, seed=i), series_id=f"s{i:02d}") for i in range(4)
+        ))
+        fcs = local_forecasts(panel, 6)
+        bad(fcs)
+        with pytest.raises(ValueError, match=match):
+            global_cp_intervals(panel, 0.5, fcs, 0.1, 6)
 
 
 class TestCvConformal:

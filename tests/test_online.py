@@ -9,7 +9,6 @@ import pytest
 
 from ctsbench.online import (
     AciState,
-    AcmcpController,
     AcmcpState,
     CoverageEvent,
     aci_interval,
@@ -175,18 +174,6 @@ class TestAcmcpStep:
         assert state.theta == ()
         assert state.e_prev == 0.0
 
-    def test_innovations_override_length_checked(self):
-        state = tracker(h=4, window_len=50)
-        for t in range(30):
-            state = acmcp_step(state, CoverageEvent(origin=t, horizon=4, err=0, score=float(np.sin(t))))
-        assert len(state.theta) >= 1
-        with pytest.raises(ValueError, match="innovations"):
-            acmcp_step(
-                state,
-                CoverageEvent(origin=30, horizon=4, err=0, score=0.5),
-                score_innovations=[],
-            )
-
     def test_iid_closed_loop_tracks_target(self):
         rng = np.random.default_rng(50)
         state = acmcp_init(2, np.abs(rng.standard_normal(12)), 0.1)
@@ -233,21 +220,3 @@ class TestAcmcpInit:
     def test_needs_two_scores(self):
         with pytest.raises(ValueError):
             acmcp_init(1, np.array([1.0]), 0.1)
-
-
-class TestController:
-    def test_routing_and_horizons(self):
-        states = {h: tracker(h=h, q=float(h)) for h in (1, 2, 3)}
-        ctl = AcmcpController(states)
-        assert ctl.horizons == (1, 2, 3)
-        ctl.update(CoverageEvent(origin=0, horizon=2, err=1, score=1.0))
-        assert ctl.state(2).q != 2.0
-        assert ctl.state(1).q == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            AcmcpController({})
-
-    def test_mismatched_key_rejected(self):
-        with pytest.raises(ValueError):
-            AcmcpController({2: tracker(h=3)})
