@@ -30,12 +30,11 @@ def evaluate_one(series, horizon, cal_len, alpha, verbose=False):
     n = len(series)
     sspec = SplitSpec(n - cal_len - horizon, cal_len, horizon)
     residuals = build_residual_matrix(series, sspec, ForecasterSpec(), horizon)
-    abs_res = type(residuals)(np.abs(residuals.matrix), residuals.origins, signed=False)
 
     traincal = series.values[: n - horizon]
     model = fit_auto_ar(traincal, ForecasterSpec())
     fc = forecast(model, traincal, horizon)
-    iv = mscp_intervals(fc, abs_res, alpha)
+    iv = mscp_intervals(fc, residuals, alpha)
 
     truth = series.values[n - horizon :]
     hits = (truth >= iv.lower[0]) & (truth <= iv.upper[0])
@@ -46,7 +45,7 @@ def evaluate_one(series, horizon, cal_len, alpha, verbose=False):
         print()
         print(" h  radius  forecast  truth    interval           hit")
         for h in range(horizon):
-            col = abs_res.column(h + 1)
+            col = residuals.column(h + 1)
             radius = conformal_quantile(col, 1.0 - alpha)
             print(
                 f"{h + 1:2d}  {radius:6.3f}  {fc[h]:8.3f}  {truth[h]:6.3f}"

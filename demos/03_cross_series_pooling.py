@@ -34,10 +34,9 @@ def per_series_joint(panel, ids, horizon, cal_len, alpha):
         n = len(series)
         sspec = SplitSpec(n - cal_len - horizon, cal_len, horizon)
         res = build_residual_matrix(series, sspec, ForecasterSpec(), horizon)
-        abs_res = type(res)(np.abs(res.matrix), res.origins, signed=False)
         traincal = series.values[: n - horizon]
         fc = forecast(fit_auto_ar(traincal, ForecasterSpec()), traincal, horizon)
-        iv = mscp_intervals(fc, abs_res, alpha)
+        iv = mscp_intervals(fc, res, alpha)
         truth = series.values[n - horizon :]
         joints.append(bool(np.all((truth >= iv.lower[0]) & (truth <= iv.upper[0]))))
     return float(np.mean(joints))

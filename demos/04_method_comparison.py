@@ -20,7 +20,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n-series", type=int, default=24)
     ap.add_argument("--seed", type=int, default=6)
-    ap.add_argument("--parallelism", type=int, default=4)
     args = ap.parse_args()
 
     panel = generate_synthetic(
@@ -29,10 +28,7 @@ def main() -> None:
     # global_cp is omitted: it scores only the evaluation half of a cohort,
     # and ranking needs every method on every series
     methods = ("mscp", "enbpi", "spci", "cv_cp", "aci", "acmcp", "parametric")
-    config = BenchConfig(
-        horizon=6, cal_len=30, methods=methods, seed=args.seed,
-        parallelism=args.parallelism,
-    )
+    config = BenchConfig(horizon=6, cal_len=30, methods=methods, seed=args.seed)
     report = run_benchmark(config, panel=panel)
 
     print(f"{args.n_series} series, horizon 6, alpha {config.alpha}")

@@ -16,12 +16,7 @@ import tempfile
 from ctsbench.cli import main as ctsbench
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--keep", metavar="DIR", help="write artifacts here instead of a temp dir")
-    args = ap.parse_args()
-
-    workdir = args.keep or tempfile.mkdtemp(prefix="ctsbench_demo_")
+def demo(workdir: str, keep: bool) -> None:
     csv_path = os.path.join(workdir, "panel.csv")
     out_dir = os.path.join(workdir, "reports")
 
@@ -59,7 +54,19 @@ def main() -> None:
         print(f"friedman p-value: {fr['p_value']:.3e}")
     print()
     print(f"everything lives under {workdir}"
-          + ("" if args.keep else " (temp dir, sandbox-cleaned)"))
+          + ("" if keep else " (temp dir, sandbox-cleaned)"))
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--keep", metavar="DIR", help="write artifacts here instead of a temp dir")
+    args = ap.parse_args()
+
+    if args.keep:
+        demo(args.keep, keep=True)
+    else:
+        with tempfile.TemporaryDirectory(prefix="ctsbench_demo_") as workdir:
+            demo(workdir, keep=False)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from .conformal import (
     build_residual_matrix,
     conformal_quantile,
     cv_conformal_intervals,
-    cv_residual_matrix,
     enbpi_intervals,
     global_cp_intervals,
     mscp_intervals,
@@ -68,9 +67,7 @@ from .series import (
     SplitSpec,
     TimeSeries,
     parse_panel,
-    rolling_origins,
     serialize_panel,
-    split,
 )
 from .stattest import (
     FriedmanResult,
@@ -118,7 +115,6 @@ __all__ = [
     "conformal_quantile",
     "conover_posthoc",
     "cv_conformal_intervals",
-    "cv_residual_matrix",
     "emit_reports",
     "enbpi_intervals",
     "fit_auto_ar",
@@ -132,14 +128,12 @@ __all__ = [
     "parametric_intervals",
     "parse_panel",
     "rank_scores",
-    "rolling_origins",
     "run_benchmark",
     "seasonal_naive_forecast",
     "serialize_panel",
     "series_metrics",
     "sigma_h",
     "spci_intervals",
-    "split",
     "winkler",
     "winkler_matrix",
 ]

@@ -1,17 +1,17 @@
 """Benchmark orchestration: config, synthetic panels, per-series evaluation,
 aggregation, rank tests, and report emission.
 
-Each series is evaluated in one task. The task's context makes the
-series' one point forecast, its model and its residual matrices on first
-use, and a table maps each per-series method to a function of that
-context, so every method wraps the same forecast. global_cp is the one
-method that spans series: after the tasks finish, it pools the forecasts
-they returned.
+The eligible series are evaluated one after another, in sorted-id order.
+Each series' context makes its one point forecast, its model and its
+residual matrices on first use, and a table maps each per-series method
+to a function of that context, so every method wraps the same forecast.
+global_cp is the one method that spans series: after the loop, it pools
+the forecasts the series returned.
 
 Every run is a pure function of (config, data, seed): per-series RNG seeds
-are derived by hashing the global seed with the series id, series tasks
-share nothing mutable, and results merge in sorted-id order, so the
-parallelism degree cannot change any output byte.
+are derived by hashing the global seed with the series id. The
+`parallelism` setting is validated but selects nothing; worker threads
+made the run slower, because the per-series work is Python-bound.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -158,7 +157,7 @@ class BenchConfig:
     period: int = 12
     seed: int = 0
     out_dir: str | None = None
-    parallelism: int = 1
+    parallelism: int = 1  # validated; series are evaluated serially whatever it is
     cohort_split: float = 0.5
     n_windows: int = 2
     gamma: float = 0.01
@@ -180,6 +179,18 @@ class BenchConfig:
             raise ValueError(f"cal_len must be >= 2, got {self.cal_len}")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
+        if self.period < 1:
+            raise ValueError(f"period must be >= 1, got {self.period}")
+        if self.refit_every is not None and self.refit_every < 1:
+            raise ValueError(f"refit_every must be >= 1 or None, got {self.refit_every}")
+        if not 0.0 < self.cohort_split < 1.0:
+            raise ValueError(f"cohort_split must be in (0, 1), got {self.cohort_split}")
+        if self.n_windows < 1:
+            raise ValueError(f"n_windows must be >= 1, got {self.n_windows}")
+        # The method states and specs check the fields they take.
+        AciState(alpha_t=self.alpha, gamma=self.gamma, target=self.alpha)
+        EnsembleSpec(B=self.enbpi_members, window_len=self.enbpi_window)
+        SpciSpec(lag_count=self.spci_lags)
         object.__setattr__(self, "methods", tuple(self.methods))
 
     def config_hash(self) -> str:
@@ -214,10 +225,12 @@ def _aci_series_intervals(
         raise ValueError("adaptive calibration needs >= 2 one-step scores")
     state = AciState(alpha_t=alpha, gamma=gamma, target=alpha)
     pool = [float(scores[0])]
+    warmup_errs = 0
     for s in scores[1:]:
         # Radius of the symmetric interval; the absolute score covers iff s <= radius.
         _, radius = aci_interval(state, 0.0, pool)
         err = 0 if s <= radius else 1
+        warmup_errs += err
         state = aci_step(state, err)
         pool.append(float(s))
     horizon = len(fc)
@@ -230,7 +243,7 @@ def _aci_series_intervals(
     return IntervalMatrix(
         lower=lower.reshape(1, -1),
         upper=upper.reshape(1, -1),
-        diagnostics={"alpha_final": state.alpha_t, "warmup_errs": sum(state.err_history)},
+        diagnostics={"alpha_final": state.alpha_t, "warmup_errs": warmup_errs},
     )
 
 
@@ -313,7 +326,7 @@ def _enbpi(ctx: _SeriesContext) -> IntervalMatrix:
 def _parametric(ctx: _SeriesContext) -> IntervalMatrix:
     if ctx.model is None:
         raise ValueError("parametric intervals require an autoregressive forecaster")
-    return parametric_intervals(ctx.model, ctx.head.values, ctx.config.horizon, ctx.config.alpha)
+    return parametric_intervals(ctx.model, ctx.fc, ctx.config.alpha)
 
 
 # Every method but global_cp, which pools the forecasts of many series.
@@ -336,16 +349,17 @@ _PER_SERIES = {
 _METHOD_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError)
 
 
-def _series_task(
-    series: TimeSeries, config: BenchConfig
-) -> tuple[list[MetricRecord], list[tuple[str, str, str]], np.ndarray | None]:
-    """Per-series records and skips, plus the point forecast when global_cp
-    needs it (None otherwise or when it could not be made)."""
+def _evaluate_series(
+    series: TimeSeries,
+    config: BenchConfig,
+    records: list[MetricRecord],
+    skips: list[tuple[str, str, str]],
+) -> np.ndarray | None:
+    """Append the series' records and skips; return its point forecast when
+    global_cp needs it (None otherwise or when it could not be made)."""
     sid = series.series_id
     ctx = _SeriesContext(series, config)
     truth = series.values[len(ctx.head) :]
-    records: list[MetricRecord] = []
-    skips: list[tuple[str, str, str]] = []
     for method in config.methods:
         build = _PER_SERIES.get(method)
         if build is None:
@@ -354,13 +368,12 @@ def _series_task(
             records.append(series_metrics(sid, method, build(ctx), truth, config.alpha))
         except _METHOD_ERRORS as e:
             skips.append((sid, method, str(e)))
-    fc = None
     if "global_cp" in config.methods:
         try:
-            fc = ctx.fc
+            return ctx.fc
         except _METHOD_ERRORS as e:
             skips.append((sid, "global_cp", str(e)))
-    return records, skips, fc
+    return None
 
 
 def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> BenchmarkReport:
@@ -395,17 +408,10 @@ def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> Benc
     if not eligible:
         raise NothingEvaluableError("no series long enough to evaluate")
 
-    if config.parallelism > 1 and len(eligible) > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            results = list(pool.map(lambda s: _series_task(s, config), eligible))
-    else:
-        results = [_series_task(s, config) for s in eligible]
-
     records: list[MetricRecord] = []
     forecasts: dict[str, np.ndarray] = {}
-    for series, (recs, task_skips, fc) in zip(eligible, results):
-        records.extend(recs)
-        skips.extend(task_skips)
+    for series in eligible:
+        fc = _evaluate_series(series, config, records, skips)
         if fc is not None:
             forecasts[series.series_id] = fc
     if "global_cp" in config.methods:
@@ -632,6 +638,16 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _parse_bool(key: str, value: str) -> bool:
+    try:
+        return _BOOLEANS[value.lower()]
+    except KeyError:
+        raise ValueError(f"{key} must be one of true/false/yes/no/1/0, got {value!r}") from None
+
+
 def build_config(file_values: dict[str, str] | None = None, **overrides) -> BenchConfig:
     """Merge config-file values with explicit overrides (overrides win)."""
     raw: dict[str, str] = dict(file_values or {})
@@ -654,7 +670,7 @@ def build_config(file_values: dict[str, str] | None = None, **overrides) -> Benc
         elif key == "max_order":
             fc_kwargs["max_order"] = int(value)
         elif key == "include_drift":
-            fc_kwargs["include_drift"] = value.lower() in ("1", "true", "yes")
+            fc_kwargs["include_drift"] = _parse_bool(key, value)
         else:
             kwargs[key] = _CONFIG_KEYS[key](value)
     if fc_kwargs:

@@ -44,7 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, help="global RNG seed")
     run.add_argument("--out", help="output directory (default bench_out)")
-    run.add_argument("--parallelism", type=int, help="worker threads (default 1)")
+    run.add_argument(
+        "--parallelism", type=int,
+        help="accepted for compatibility (>= 1); series are evaluated serially",
+    )
 
     synth = sub.add_parser("synth", help="write a synthetic panel CSV")
     synth.add_argument("--generator", choices=GENERATORS, default="ar1")

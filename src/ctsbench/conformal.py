@@ -24,8 +24,7 @@ from .forecaster import (
     _fit_ar_prefixes,
     _forecast_paths,
     fit_auto_ar,
-    forecast,
-    point_forecast,
+    forecast,  # unused here, but perfbench/spans.py wraps conformal.forecast
     seasonal_naive_forecast,
     sigma_h,
 )
@@ -189,9 +188,10 @@ def build_residual_matrix(
         model = (origins - first) // step  # the latest refit at or before each origin
         yhat = _forecast_paths(work, origins, fits.intercept[model], fits.phi[model], horizon)
     else:
-        yhat = np.stack(
-            [point_forecast(series.head(start + t), forecaster, horizon)[0] for t in origins]
-        )
+        yhat = np.stack([
+            seasonal_naive_forecast(series.values[: start + t], horizon, series.period)
+            for t in origins
+        ])
     ahead = origins[:, None] + np.arange(horizon)
     inside = ahead < end  # truths beyond the calibration block stay NaN
     resid = work[np.where(inside, ahead, 0)] - yhat
@@ -302,6 +302,8 @@ def enbpi_intervals(
     contiguous concatenations of blocks (block length = seasonal period)
     so serial dependence inside a block survives resampling.
     """
+    if forecaster.kind != "auto_ar":
+        raise ValueError("EnbPI ensembles require an autoregressive forecaster")
     if test_len < 1:
         raise ValueError(f"test_len must be >= 1, got {test_len}")
     n = len(series)
@@ -342,26 +344,14 @@ def enbpi_intervals(
 class SpciSpec:
     """Sequential quantile-regression configuration.
 
-    lag_count is the number of lagged signed residuals used as features;
-    beta_grid (optional) lists candidate lower-tail levels inside [0, alpha],
-    defaulting to 11 equispaced points.
+    lag_count is the number of lagged signed residuals used as features.
     """
 
     lag_count: int = 8
-    beta_grid: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.lag_count < 1:
             raise ValueError(f"lag_count must be >= 1, got {self.lag_count}")
-
-
-def _resolve_beta_grid(spec: SpciSpec, alpha: float) -> np.ndarray:
-    if spec.beta_grid is None:
-        return np.linspace(0.0, alpha, 11)
-    grid = np.asarray(spec.beta_grid, dtype=np.float64)
-    if np.any(grid < 0.0) or np.any(grid > alpha):
-        raise ValueError(f"beta grid must lie inside [0, {alpha}]")
-    return grid
 
 
 def spci_quantile_pair(
@@ -370,18 +360,19 @@ def spci_quantile_pair(
     """Predicted (lower, upper) residual quantiles at the next step.
 
     Fits linear pinball-loss regressions of the signed residual on its
-    lag_count predecessors for every candidate level pair (beta, 1-alpha+beta),
-    evaluates each pair at the latest lag vector, and keeps the beta whose
-    predicted width is smallest. Crossed predictions are swapped and
-    counted; a degenerate (constant-feature) design falls back to empirical
-    quantiles of the history.
+    lag_count predecessors for every candidate level pair (beta, 1-alpha+beta)
+    with beta on 11 equispaced points of [0, alpha], evaluates each pair at
+    the latest lag vector, and keeps the beta whose predicted width is
+    smallest. Crossed predictions are swapped and counted; a degenerate
+    (constant-feature) design falls back to empirical quantiles of the
+    history.
     """
     history = np.asarray(history, dtype=np.float64)
     w = spec.lag_count
     n = len(history)
     if n < w + 10:
         raise ValueError(f"residual history too short: need >= {w + 10}, have {n}")
-    betas = _resolve_beta_grid(spec, alpha)
+    betas = np.linspace(0.0, alpha, 11)
     m = len(betas)
     diag = {"crossings": 0, "fallbacks": 0}
     X = np.lib.stride_tricks.sliding_window_view(history, w)[:-1]
@@ -510,8 +501,11 @@ def _cv_backtest(
 ) -> tuple[ResidualMatrix, np.ndarray]:
     """Backtest residuals and the forecast from the series end.
 
-    The window cutoffs and the series end are prefixes of one fit: one
-    batched least-squares solve for auto_ar.
+    Absolute residuals come from n_windows rolling H-step holdout windows:
+    cutoffs step back from the series end in strides of `horizon`, and each
+    window fits on everything before its cutoff and scores the next
+    `horizon` observations. The window cutoffs and the series end are
+    prefixes of one fit: one batched least-squares solve for auto_ar.
     """
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
@@ -538,18 +532,6 @@ def _cv_backtest(
     return residuals, yhat[-1]
 
 
-def cv_residual_matrix(
-    series: TimeSeries, n_windows: int, forecaster: ForecasterSpec, horizon: int
-) -> ResidualMatrix:
-    """Absolute residuals from n_windows rolling H-step holdout windows.
-
-    Cutoffs step back from the series end in strides of `horizon`; each
-    window fits on everything before its cutoff and scores the next
-    `horizon` observations.
-    """
-    return _cv_backtest(series, n_windows, forecaster, horizon)[0]
-
-
 def cv_conformal_intervals(
     series: TimeSeries,
     n_windows: int,
@@ -572,13 +554,16 @@ def cv_conformal_intervals(
 
 
 def parametric_intervals(
-    model: FittedForecaster, history: np.ndarray | TimeSeries, horizon: int, alpha: float
+    model: FittedForecaster, forecast: np.ndarray, alpha: float
 ) -> IntervalMatrix:
-    """Gaussian intervals from the AR psi-weight forecast variance."""
+    """Gaussian intervals from the AR psi-weight forecast variance.
+
+    forecast is the model's point forecast; the horizon is its length.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    yhat = forecast(model, history, horizon)
-    sd = sigma_h(model, horizon)
+    yhat = np.asarray(forecast, dtype=np.float64)
+    sd = sigma_h(model, len(yhat))
     z = normal_quantile(1.0 - alpha / 2.0)
     return IntervalMatrix(
         lower=(yhat - z * sd).reshape(1, -1), upper=(yhat + z * sd).reshape(1, -1)

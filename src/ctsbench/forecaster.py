@@ -334,12 +334,3 @@ def seasonal_naive_forecast(history: np.ndarray | TimeSeries, horizon: int, peri
         out[h - 1] = values[idx]
     return out
 
-
-def point_forecast(
-    history: TimeSeries, spec: ForecasterSpec, horizon: int
-) -> tuple[np.ndarray, FittedForecaster | None]:
-    """Fit per spec on the history and forecast; seasonal naive has no model."""
-    if spec.kind == "seasonal_naive":
-        return seasonal_naive_forecast(history, horizon), None
-    model = fit_auto_ar(history, spec)
-    return forecast(model, history, horizon), model

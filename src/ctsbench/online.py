@@ -19,44 +19,30 @@ from .conformal import conformal_quantile
 
 @dataclass(frozen=True)
 class AciState:
-    """Adaptive miscoverage level and its trajectory.
+    """Adaptive miscoverage level.
 
     alpha_t may leave [0, 1]; the interval rule handles both degenerate
     regimes explicitly instead of clamping, which preserves the long-run
-    coverage guarantee of the linear update. The error history is stored
-    as bytes so each append copies raw memory instead of rebuilding a
-    tuple of boxed ints; streams run to tens of thousands of steps and a
-    per-step cost linear in Python objects would dominate the whole run.
-    Any iterable of 0/1 ints is accepted and normalized on construction.
+    coverage guarantee of the linear update. The state keeps no error
+    history: a caller that needs the errors counts them as it steps.
     """
 
     alpha_t: float
     gamma: float
     target: float
-    err_history: bytes = b""
 
     def __post_init__(self) -> None:
         if self.gamma <= 0.0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if not 0.0 < self.target < 1.0:
             raise ValueError(f"target must be in (0, 1), got {self.target}")
-        history = self.err_history
-        if not isinstance(history, bytes):
-            history = bytes(iter(history))
-            object.__setattr__(self, "err_history", history)
-        if history.translate(None, b"\x00\x01"):
-            raise ValueError("err_history entries must be 0 or 1")
 
 
 def aci_step(state: AciState, err: int) -> AciState:
     """One update: alpha_{t+1} = alpha_t + gamma * (target - err)."""
     if err not in (0, 1):
         raise ValueError(f"err must be 0 or 1, got {err}")
-    return replace(
-        state,
-        alpha_t=state.alpha_t + state.gamma * (state.target - err),
-        err_history=state.err_history + bytes((int(err),)),
-    )
+    return replace(state, alpha_t=state.alpha_t + state.gamma * (state.target - err))
 
 
 def aci_interval(
@@ -194,29 +180,19 @@ def acmcp_step(state: AcmcpState, event: CoverageEvent) -> AcmcpState:
     )
 
 
-def acmcp_interval(state: AcmcpState, forecast: float, h: int | None = None) -> tuple[float, float]:
+def acmcp_interval(state: AcmcpState, forecast: float) -> tuple[float, float]:
     """Symmetric interval with radius max(q, 0)."""
-    if h is not None and h != state.h:
-        raise ValueError(f"horizon {h} != tracked horizon {state.h}")
     radius = max(state.q, 0.0)
     return forecast - radius, forecast + radius
 
 
-def acmcp_init(
-    h: int,
-    warm_scores: Sequence[float] | np.ndarray,
-    alpha: float,
-    eta: float | None = None,
-    k_i: float | None = None,
-    c_sat: float = 20.0,
-    window_len: int = 50,
-) -> AcmcpState:
+def acmcp_init(h: int, warm_scores: Sequence[float] | np.ndarray, alpha: float) -> AcmcpState:
     """Seed a tracker from warm-up scores.
 
     q starts at the empirical (1-alpha) quantile of the warm-up scores;
-    eta and k_i default to half the warm-up interquartile range and the
-    full range respectively (floored by the standard deviation when the
-    IQR collapses).
+    eta and k_i are half the warm-up interquartile range and the full
+    range respectively (floored by the standard deviation when the IQR
+    collapses); c_sat is 20 and the score window keeps the default length.
     """
     scores = np.asarray(warm_scores, dtype=np.float64)
     if len(scores) < 2:
@@ -228,10 +204,9 @@ def acmcp_init(
     return AcmcpState(
         h=h,
         q=q0,
-        eta=0.5 * scale if eta is None else eta,
+        eta=0.5 * scale,
         alpha=alpha,
-        k_i=scale if k_i is None else k_i,
-        c_sat=c_sat,
-        score_window=tuple(float(s) for s in scores[-window_len:]),
-        window_len=window_len,
+        k_i=scale,
+        c_sat=20.0,
+        score_window=tuple(float(s) for s in scores[-AcmcpState.window_len :]),
     )

@@ -1,4 +1,4 @@
-"""Series containers, panel CSV parsing, and rolling-origin bookkeeping."""
+"""Series containers, the train/calibration/test split spec, and panel CSV parsing."""
 
 from __future__ import annotations
 
@@ -145,55 +145,6 @@ class SplitSpec:
     @property
     def total(self) -> int:
         return self.train_len + self.cal_len + self.test_len
-
-
-@dataclass(frozen=True)
-class SeriesSplit:
-    train: TimeSeries
-    cal: TimeSeries
-    test: TimeSeries
-
-
-def split(series: TimeSeries, spec: SplitSpec) -> SeriesSplit:
-    """Split a series so the test block occupies its final observations."""
-    n = len(series)
-    need = spec.total
-    if n < need:
-        raise ValueError(
-            f"series {series.series_id!r} too short to split: need {need}, have {n}"
-        )
-    start = n - need
-    segs = []
-    bounds = (
-        (start, start + spec.train_len),
-        (start + spec.train_len, start + spec.train_len + spec.cal_len),
-        (n - spec.test_len, n),
-    )
-    for lo, hi in bounds:
-        segs.append(
-            TimeSeries(
-                series.series_id,
-                series.timestamps[lo:hi].copy(),
-                series.values[lo:hi].copy(),
-                series.period,
-                series.ds_kind,
-            )
-        )
-    return SeriesSplit(train=segs[0], cal=segs[1], test=segs[2])
-
-
-def rolling_origins(series: TimeSeries, first_origin: int, step: int = 1) -> list[int]:
-    """Forecast origins t = number of visible observations.
-
-    An origin t is valid while at least one future point remains, so the
-    largest origin is len(series) - 1. A series of length 10 with
-    first_origin=7 and step=1 yields [7, 8, 9].
-    """
-    if first_origin < 1:
-        raise ValueError(f"first_origin must be >= 1, got {first_origin}")
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
-    return list(range(first_origin, len(series), step))
 
 
 _HEADER = ("unique_id", "ds", "y")

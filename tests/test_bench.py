@@ -25,7 +25,7 @@ from ctsbench.bench import (
 )
 from ctsbench.cli import main as cli_main
 from ctsbench.conformal import global_cp_intervals
-from ctsbench.forecaster import ForecasterSpec, fit_auto_ar, seasonal_naive_forecast
+from ctsbench.forecaster import ForecasterSpec, fit_auto_ar, forecast, seasonal_naive_forecast
 from ctsbench.series import parse_panel
 
 FAST_METHODS = ("mscp", "cv_cp", "parametric")
@@ -134,6 +134,8 @@ class TestConfigParsing:
         assert cfg.refit_every is None
         assert cfg.alpha == 0.05
         assert cfg.forecaster == ForecasterSpec(max_order=3, include_drift=False)
+        assert build_config({"include_drift": "No"}).forecaster.include_drift is False
+        assert build_config({"include_drift": "YES"}).forecaster.include_drift is True
 
     def test_overrides_win(self):
         cfg = build_config({"alpha": "0.05"}, alpha=0.2, seed=9)
@@ -160,7 +162,7 @@ class TestRunBenchmark:
 
     def test_parallelism_invariant(self):
         panel = small_panel()
-        # global_cp pools forecasts made in the pool workers; alpha and the
+        # global_cp pools the forecasts of the per-series loop; alpha and the
         # horizon are chosen so its three-series cohort gives finite radii.
         for kw in ({}, dict(methods=("global_cp",), alpha=0.5, horizon=2)):
             a = run_benchmark(small_config(parallelism=1, **kw), panel=panel)
@@ -228,6 +230,30 @@ class TestRunBenchmark:
         report = run_benchmark(small_config(methods=("global_cp", "parametric")), panel=panel)
         assert report.metadata["n_series_evaluated"] == 6
         assert fitted == [90 - 6] * 6
+
+    def test_each_series_forecast_once(self, monkeypatch):
+        calls = []
+
+        def counting_forecast(model, history, horizon):
+            calls.append(len(history))
+            return forecast(model, history, horizon)
+
+        monkeypatch.setattr(bench, "forecast", counting_forecast)
+        monkeypatch.setattr(conformal, "forecast", counting_forecast)
+        config = small_config(methods=("global_cp", "parametric"))
+        report = run_benchmark(config, panel=small_panel())
+        assert report.summaries["parametric"].n_series == 6
+        assert calls == [90 - 6] * 6
+
+    def test_enbpi_skipped_under_seasonal_naive(self):
+        config = small_config(
+            methods=("enbpi", "mscp"), forecaster=ForecasterSpec(kind="seasonal_naive")
+        )
+        report = run_benchmark(config, panel=small_panel(n=3))
+        assert "enbpi" not in report.summaries
+        reasons = {s[2] for s in report.skips if s[1] == "enbpi"}
+        assert reasons == {"EnbPI ensembles require an autoregressive forecaster"}
+        assert report.summaries["mscp"].n_series == 3
 
     def test_short_series_skipped_with_reason(self):
         from ctsbench.series import SeriesPanel, TimeSeries
@@ -339,6 +365,32 @@ class TestCli:
         cfg.write_text("frobnicate = 1\n")
         assert self.run_cli("run", "--config", str(cfg)) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("refit_every = 0", "refit_every"),
+            ("gamma = -1", "gamma"),
+            ("n_windows = 0", "n_windows"),
+            ("enbpi_members = 1", "B must be"),
+            ("enbpi_window = 0", "window_len"),
+            ("spci_lags = 0", "lag_count"),
+            ("cohort_split = 1.5", "cohort_split"),
+            ("include_drift = ture", "include_drift"),
+            ("period = 0", "period"),
+        ],
+    )
+    def test_invalid_setting_exit_2(self, tmp_path, capsys, line, match):
+        # each of these once ran and turned into a skip on every series
+        data = tmp_path / "panel.csv"
+        write_panel_csv(small_panel(n=3), str(data))
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(
+            f"data = {data}\nhorizon = 6\nmethods = mscp\nout = {tmp_path / 'r'}\n{line}\n"
+        )
+        assert self.run_cli("run", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and match in err
 
     def test_missing_data_exit_2(self, tmp_path, capsys):
         rc = self.run_cli("run", "--data", str(tmp_path / "nope.csv"))

@@ -16,7 +16,6 @@ from ctsbench.conformal import (
     build_residual_matrix,
     conformal_quantile,
     cv_conformal_intervals,
-    cv_residual_matrix,
     enbpi_intervals,
     enbpi_loo_residuals,
     global_cp_intervals,
@@ -25,7 +24,14 @@ from ctsbench.conformal import (
     spci_intervals,
     spci_quantile_pair,
 )
-from ctsbench.forecaster import FittedForecaster, ForecasterSpec, fit_auto_ar, forecast, point_forecast, sigma_h
+from ctsbench.forecaster import (
+    FittedForecaster,
+    ForecasterSpec,
+    fit_auto_ar,
+    forecast,
+    seasonal_naive_forecast,
+    sigma_h,
+)
 from ctsbench.series import SeriesPanel, SplitSpec, TimeSeries
 from ctsbench.special import normal_quantile
 
@@ -100,6 +106,11 @@ class TestResidualMatrix:
             ResidualMatrix(matrix=np.array([[-1.0]]), origins=(3,))
         ResidualMatrix(matrix=np.array([[-1.0]]), origins=(3,), signed=True)
 
+    def test_build_too_short_message(self):
+        ts = make_series(np.arange(10.0))
+        with pytest.raises(ValueError, match="need 11, have 10"):
+            build_residual_matrix(ts, SplitSpec(5, 4, 2), ForecasterSpec(), 2)
+
     def test_build_constant_series_all_zero(self):
         ts = make_series(np.full(30, 5.0))
         rm = build_residual_matrix(ts, SplitSpec(20, 8, 2), ForecasterSpec(), 4)
@@ -122,6 +133,18 @@ class TestResidualMatrix:
         assert np.allclose(
             np.abs(signed.matrix), unsigned.matrix, equal_nan=True
         )
+
+    def test_build_seasonal_naive_matches_per_origin_forecasts(self):
+        y = simulate_ar1(40, 0.5, seed=3)
+        ts = make_series(y, period=4)
+        rm = build_residual_matrix(
+            ts, SplitSpec(20, 10, 5), ForecasterSpec(kind="seasonal_naive"), 3, signed=True
+        )
+        work = y[5:35]
+        for r, t in enumerate(range(20, 30)):
+            avail = min(3, 30 - t)
+            fc = seasonal_naive_forecast(work[:t], 3, 4)[:avail]
+            assert np.array_equal(rm.matrix[r, :avail], work[t : t + avail] - fc)
 
     @pytest.mark.parametrize("refit_every", [1, 3, None])
     @pytest.mark.parametrize("signed", [True, False])
@@ -319,6 +342,13 @@ class TestEnbpi:
         with pytest.raises(ValueError):
             enbpi_intervals(make_series(np.arange(6.0)), 2, EnsembleSpec(B=4), ForecasterSpec(), 0.1)
 
+    def test_seasonal_naive_rejected(self):
+        # the ensemble members are autoregressions; under seasonal naive they
+        # would wrap a different forecaster from every other method
+        ts = make_series(simulate_ar1(80, 0.5, seed=11), period=4)
+        with pytest.raises(ValueError, match="autoregressive"):
+            enbpi_intervals(ts, 6, EnsembleSpec(B=4), ForecasterSpec(kind="seasonal_naive"), 0.1)
+
 
 class TestSpci:
     def test_history_too_short(self):
@@ -456,8 +486,8 @@ class TestCvConformal:
         y = simulate_ar1(60, 0.5, seed=30)
         ts = make_series(y)
         iv = cv_conformal_intervals(ts, 3, ForecasterSpec(), 0.1, 4)
-        rm = cv_residual_matrix(ts, 3, ForecasterSpec(), 4)
-        yhat = point_forecast(ts, ForecasterSpec(), 4)[0]
+        rm, _ = conformal._cv_backtest(ts, 3, ForecasterSpec(), 4)
+        yhat = forecast(fit_auto_ar(ts, ForecasterSpec()), ts, 4)
         for h in range(1, 5):
             radius = float(np.quantile(rm.column(h), 0.9))
             assert iv.lower[0, h - 1] == pytest.approx(yhat[h - 1] - radius)
@@ -475,9 +505,10 @@ class TestCvConformal:
     def test_single_window_matches_manual_holdout(self):
         y = simulate_ar1(40, 0.5, seed=31)
         ts = make_series(y)
-        rm = cv_residual_matrix(ts, 1, ForecasterSpec(), 5)
+        rm, _ = conformal._cv_backtest(ts, 1, ForecasterSpec(), 5)
         cutoff = 35
-        yhat = point_forecast(ts.head(cutoff), ForecasterSpec(), 5)[0]
+        head = ts.head(cutoff)
+        yhat = forecast(fit_auto_ar(head, ForecasterSpec()), head, 5)
         expected = np.abs(y[cutoff:] - yhat)
         assert np.allclose(rm.matrix[0], expected)
         assert rm.origins == (cutoff,)
@@ -485,22 +516,23 @@ class TestCvConformal:
     def test_too_many_windows_rejected(self):
         ts = make_series(np.arange(10.0))
         with pytest.raises(ValueError, match="backtest"):
-            cv_residual_matrix(ts, 3, ForecasterSpec(), 4)
+            conformal._cv_backtest(ts, 3, ForecasterSpec(), 4)
 
 
 class TestParametric:
     def test_width_is_two_z_sigma(self):
         y = simulate_ar1(50, 0.5, seed=40)
         model = fit_auto_ar(y, ForecasterSpec())
-        iv = parametric_intervals(model, y, 6, 0.1)
+        iv = parametric_intervals(model, forecast(model, y, 6), 0.1)
         z = normal_quantile(0.95)
         assert np.allclose(iv.width[0], 2.0 * z * sigma_h(model, 6))
 
     def test_centered_on_forecast(self):
         y = simulate_ar1(50, 0.5, seed=41)
         model = fit_auto_ar(y, ForecasterSpec())
-        iv = parametric_intervals(model, y, 4, 0.2)
         yhat = forecast(model, y, 4)
+        iv = parametric_intervals(model, yhat, 0.2)
+        assert iv.shape == (1, 4)
         assert np.allclose((iv.lower[0] + iv.upper[0]) / 2.0, yhat)
 
 

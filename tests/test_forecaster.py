@@ -14,7 +14,6 @@ from ctsbench.forecaster import (
     ForecasterSpec,
     fit_auto_ar,
     forecast,
-    point_forecast,
     seasonal_naive_forecast,
     sigma_h,
 )
@@ -329,20 +328,5 @@ class TestSeasonalNaive:
             values=np.arange(24.0),
             period=12,
         )
-        fc, model = point_forecast(ts, ForecasterSpec(kind="seasonal_naive"), 3)
-        assert model is None
+        fc = seasonal_naive_forecast(ts, 3)
         assert fc[0] == ts.values[-12]
-
-
-class TestPointForecast:
-    def test_auto_ar_returns_model(self):
-        ts = TimeSeries(
-            series_id="s",
-            timestamps=np.arange(1, 41, dtype=np.int64),
-            values=simulate_ar1(40, 0.6, seed=5),
-            period=1,
-        )
-        fc, model = point_forecast(ts, ForecasterSpec(), 6)
-        assert model is not None
-        assert fc.shape == (6,)
-        assert np.all(np.isfinite(fc))

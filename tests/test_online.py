@@ -32,17 +32,6 @@ class TestAciStep:
         state = AciState(alpha_t=0.1, gamma=0.005, target=0.1)
         assert aci_step(state, 0).alpha_t == pytest.approx(0.1005)
 
-    def test_err_history_appended(self):
-        state = AciState(alpha_t=0.1, gamma=0.01, target=0.1)
-        state = aci_step(aci_step(state, 1), 0)
-        assert tuple(state.err_history) == (1, 0)
-
-    def test_err_history_normalized_and_validated(self):
-        state = AciState(alpha_t=0.1, gamma=0.01, target=0.1, err_history=(1, 0, 1))
-        assert state.err_history == bytes((1, 0, 1))
-        with pytest.raises(ValueError, match="0 or 1"):
-            AciState(alpha_t=0.1, gamma=0.01, target=0.1, err_history=(0, 2))
-
     def test_err_validated(self):
         state = AciState(alpha_t=0.1, gamma=0.01, target=0.1)
         with pytest.raises(ValueError):
@@ -198,10 +187,6 @@ class TestAcmcpInterval:
 
     def test_negative_q_degenerates_to_point(self):
         assert acmcp_interval(tracker(q=-2.0), 100.0) == (100.0, 100.0)
-
-    def test_horizon_check(self):
-        with pytest.raises(ValueError):
-            acmcp_interval(tracker(h=3), 0.0, h=2)
 
 
 class TestAcmcpInit:

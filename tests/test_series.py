@@ -1,4 +1,4 @@
-"""Panel container, splitting, rolling origins, and CSV round trips."""
+"""Panel container, the split spec, and CSV round trips."""
 
 from __future__ import annotations
 
@@ -11,9 +11,7 @@ from ctsbench.series import (
     SplitSpec,
     TimeSeries,
     parse_panel,
-    rolling_origins,
     serialize_panel,
-    split,
 )
 
 
@@ -72,56 +70,9 @@ class TestTimeSeries:
 
 
 class TestSplit:
-    def test_lengths_and_final_anchor(self):
-        s = make_series(np.arange(10.0))
-        parts = split(s, SplitSpec(5, 3, 2))
-        assert (len(parts.train), len(parts.cal), len(parts.test)) == (5, 3, 2)
-        assert parts.test.values.tolist() == [8.0, 9.0]
-        assert parts.cal.values.tolist() == [5.0, 6.0, 7.0]
-
-    def test_too_short_message(self):
-        s = make_series(np.arange(10.0))
-        with pytest.raises(ValueError, match="need 11, have 10"):
-            split(s, SplitSpec(5, 4, 2))
-
-    def test_three_singletons(self):
-        s = make_series([7.0, 8.0, 9.0])
-        parts = split(s, SplitSpec(1, 1, 1))
-        assert parts.train.values.tolist() == [7.0]
-        assert parts.cal.values.tolist() == [8.0]
-        assert parts.test.values.tolist() == [9.0]
-
-    def test_partition_property(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            n = int(rng.integers(3, 40))
-            s = make_series(rng.standard_normal(n))
-            tr = int(rng.integers(1, n - 1))
-            ca = int(rng.integers(1, n - tr)) if n - tr > 1 else 1
-            te = n - tr - ca
-            if te < 1:
-                continue
-            spec = SplitSpec(tr, ca, te)
-            parts = split(s, spec)
-            glued = np.concatenate(
-                [parts.train.values, parts.cal.values, parts.test.values]
-            )
-            assert np.array_equal(glued, s.values[n - spec.total :])
-            assert len(parts.train) + len(parts.cal) + len(parts.test) == spec.total
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SplitSpec(0, 1, 1)
-
-
-class TestRollingOrigins:
-    def test_basic(self):
-        s = make_series(np.arange(10.0))
-        assert rolling_origins(s, 7, 2) == [7, 9]
-
-    def test_empty_when_origin_past_end(self):
-        s = make_series(np.arange(5.0))
-        assert rolling_origins(s, 9, 1) == []
 
 
 class TestPanel:
