@@ -16,7 +16,6 @@ import numpy as np
 
 from ctsbench import (
     AciState,
-    CoverageEvent,
     aci_interval,
     aci_step,
     acmcp_init,
@@ -74,12 +73,8 @@ def acmcp_part(alpha: float, seed: int) -> None:
     state = acmcp_init(h, scores[:20], alpha)
     q_path, errs = [], []
     for t in range(20, len(scores)):
-        radius = max(state.q, 0.0)
-        err = 1 if scores[t] > radius else 0
-        errs.append(err)
-        state = acmcp_step(
-            state, CoverageEvent(origin=t, horizon=h, err=err, score=float(scores[t]))
-        )
+        errs.append(1 if scores[t] > max(state.q, 0.0) else 0)
+        state = acmcp_step(state, scores[t])
         q_path.append(state.q)
 
     print(f"--- multi-step quantile tracker (horizon {h}, target miss {alpha}) ---")

@@ -54,11 +54,11 @@ from .metrics import (
 from .online import (
     AciState,
     AcmcpState,
-    CoverageEvent,
     aci_interval,
     aci_step,
     acmcp_init,
     acmcp_interval,
+    acmcp_run,
     acmcp_step,
 )
 from .series import (
@@ -86,7 +86,6 @@ __all__ = [
     "BenchConfig",
     "BenchmarkReport",
     "BenchOutputError",
-    "CoverageEvent",
     "EnsembleSpec",
     "FittedForecaster",
     "ForecasterSpec",
@@ -109,6 +108,7 @@ __all__ = [
     "aci_step",
     "acmcp_init",
     "acmcp_interval",
+    "acmcp_run",
     "acmcp_step",
     "aggregate",
     "build_residual_matrix",

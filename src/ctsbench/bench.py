@@ -16,6 +16,7 @@ made the run slower, because the per-series work is Python-bound.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
 import hashlib
@@ -45,7 +46,8 @@ from .conformal import (
 )
 from .forecaster import FittedForecaster, ForecasterSpec, fit_auto_ar, forecast, seasonal_naive_forecast
 from .metrics import MethodSummary, MetricRecord, aggregate, series_metrics
-from .online import AciState, CoverageEvent, aci_interval, aci_step, acmcp_init, acmcp_interval, acmcp_step
+# acmcp_step stays importable here: perfbench/spans.py traces it by this name.
+from .online import AciState, aci_interval, aci_step, acmcp_init, acmcp_interval, acmcp_run, acmcp_step  # noqa: F401
 from .series import PanelError, SeriesPanel, SplitSpec, TimeSeries, parse_panel, serialize_panel
 from .stattest import FriedmanResult, PosthocResult, conover_posthoc, friedman_test, rank_scores
 from .svgchart import cd_diagram_svg, coverage_bar_svg
@@ -177,6 +179,9 @@ class BenchConfig:
             raise ValueError(f"unknown methods: {unknown}; choose from {METHODS}")
         if self.cal_len < 2:
             raise ValueError(f"cal_len must be >= 2, got {self.cal_len}")
+        # _min_train(1) is the least training length of any period.
+        if self.train_len is not None and self.train_len < _min_train(1):
+            raise ValueError(f"train_len must be >= {_min_train(1)}, got {self.train_len}")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
         if self.period < 1:
@@ -224,22 +229,23 @@ def _aci_series_intervals(
     if len(scores) < 2:
         raise ValueError("adaptive calibration needs >= 2 one-step scores")
     state = AciState(alpha_t=alpha, gamma=gamma, target=alpha)
-    pool = [float(scores[0])]
+    pool = [float(scores[0])]  # kept sorted
     warmup_errs = 0
-    for s in scores[1:]:
-        # Radius of the symmetric interval; the absolute score covers iff s <= radius.
-        _, radius = aci_interval(state, 0.0, pool)
+    for s in scores[1:].tolist():
+        # aci_interval's radius read off the sorted pool: 0 at alpha_t >= 1, else the
+        # rank-th smallest score, +inf past the pool (always so at alpha_t <= 0).
+        level = 1.0 - state.alpha_t
+        rank = math.ceil(level * (len(pool) + 1))
+        radius = 0.0 if level <= 0.0 else pool[rank - 1] if rank <= len(pool) else math.inf
         err = 0 if s <= radius else 1
         warmup_errs += err
         state = aci_step(state, err)
-        pool.append(float(s))
+        bisect.insort(pool, s)
     horizon = len(fc)
     lower = np.empty(horizon)
     upper = np.empty(horizon)
     for h in range(1, horizon + 1):
-        lo, hi = aci_interval(state, float(fc[h - 1]), abs_matrix.column(h))
-        lower[h - 1] = lo
-        upper[h - 1] = hi
+        lower[h - 1], upper[h - 1] = aci_interval(state, float(fc[h - 1]), abs_matrix.column(h))
     return IntervalMatrix(
         lower=lower.reshape(1, -1),
         upper=upper.reshape(1, -1),
@@ -260,16 +266,8 @@ def _acmcp_series_intervals(
         burn = max(5, min(10, m // 3))
         if m < burn + 1:
             raise ValueError(f"horizon {h} stream too short to warm a tracker: {m}")
-        state = acmcp_init(h, stream[:burn], alpha)
-        for i in range(burn, m):
-            radius = max(state.q, 0.0)
-            err = 1 if stream[i] > radius else 0
-            state = acmcp_step(
-                state, CoverageEvent(origin=i, horizon=h, err=err, score=float(stream[i]))
-            )
-        lo, hi = acmcp_interval(state, float(fc[h - 1]))
-        lower[h - 1] = lo
-        upper[h - 1] = hi
+        state = acmcp_run(acmcp_init(h, stream[:burn], alpha), stream[burn:])
+        lower[h - 1], upper[h - 1] = acmcp_interval(state, float(fc[h - 1]))
     return IntervalMatrix(lower=lower.reshape(1, -1), upper=upper.reshape(1, -1))
 
 

@@ -3,7 +3,11 @@
 Two feedback rules that adapt interval size from realized coverage errors:
 the miscoverage-level update of Gibbs & Candes (adaptive conformal
 inference) and a per-horizon quantile tracker with saturated integral
-action plus a short autoregressive score forecast for multi-step errors.
+action plus a short autoregressive score forecast for multi-step errors
+(after Angelopoulos, Candes & Tibshirani's conformal PID control). The
+tracker runs whole score streams (`acmcp_run`): its score model reads the
+scores alone, never q or the coverage errors, so every step's prediction
+comes from one batched ridge solve before a scalar loop over q.
 """
 
 from __future__ import annotations
@@ -50,35 +54,23 @@ def aci_interval(
 ) -> tuple[float, float]:
     """Symmetric interval at the current adaptive level.
 
-    alpha_t <= 0 demands certain coverage, giving the whole line; alpha_t
-    >= 1 tolerates certain miscoverage, giving the point forecast alone.
+    alpha_t <= 0 (or so small that 1 - alpha_t rounds to 1) demands certain
+    coverage, giving the whole line; alpha_t >= 1 tolerates certain
+    miscoverage, giving the point forecast alone.
     """
     if len(scores) == 0:
         raise ValueError("aci_interval requires a nonempty score pool")
-    if state.alpha_t <= 0.0:
+    level = 1.0 - state.alpha_t
+    if level >= 1.0:
         return -math.inf, math.inf
-    if state.alpha_t >= 1.0:
+    if level <= 0.0:
         return forecast, forecast
-    radius = conformal_quantile(scores, 1.0 - state.alpha_t)
+    radius = conformal_quantile(scores, level)
     return forecast - radius, forecast + radius
 
 
-@dataclass(frozen=True)
-class CoverageEvent:
-    """Realized outcome of one issued interval."""
-
-    origin: int
-    horizon: int
-    err: int
-    score: float
-
-    def __post_init__(self) -> None:
-        if self.err not in (0, 1):
-            raise ValueError(f"err must be 0 or 1, got {self.err}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not math.isfinite(self.score):
-            raise ValueError(f"score must be finite, got {self.score}")
+WINDOW_LEN = 50  # scores the score model is fitted on
+C_SAT = 20.0  # saturation scale of the integral term
 
 
 @dataclass(frozen=True)
@@ -87,12 +79,12 @@ class AcmcpState:
 
     q is the current radius estimate; err_sum accumulates coverage error
     relative to the target and feeds the saturated integral term
-    k_i * tanh(err_sum / c_sat); theta holds the coefficients of the
-    least-squares score model on up to h-1 recent centered scores (empty
+    k_i * tanh(err_sum / C_SAT); theta holds the coefficients of the
+    latest ridge score model on up to h-1 recent centered scores (empty
     for h = 1, truncated below h-1 when the window is short); e_prev is
     the score model's previous prediction, kept so q carries the current
-    prediction rather than accumulating its history; score_window is the
-    sliding sample the model is refit on.
+    prediction rather than accumulating its history; score_window holds
+    the last WINDOW_LEN scores, the sample the model is fitted on.
     """
 
     h: int
@@ -100,12 +92,10 @@ class AcmcpState:
     eta: float
     alpha: float
     k_i: float
-    c_sat: float
     err_sum: float = 0.0
     theta: tuple[float, ...] = ()
     e_prev: float = 0.0
     score_window: tuple[float, ...] = ()
-    window_len: int = 50
 
     def __post_init__(self) -> None:
         if self.h < 1:
@@ -116,68 +106,85 @@ class AcmcpState:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.k_i < 0.0:
             raise ValueError(f"k_i must be >= 0, got {self.k_i}")
-        if self.c_sat <= 0.0:
-            raise ValueError(f"c_sat must be > 0, got {self.c_sat}")
-        if self.window_len < 2:
-            raise ValueError(f"window_len must be >= 2, got {self.window_len}")
 
 
-def _fit_score_model(window: np.ndarray, h: int) -> tuple[float, ...]:
-    """Ridge fit of the centered score on its recent predecessors.
+def _score_model(scores: np.ndarray, first: int, h: int) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Prediction e_hat after each of scores[first:], and the last fit's theta.
 
-    The memory is h-1 steps, but the fitted lag count is capped at
-    len(window) // 6 so a short window cannot overfit; surplus memory
-    contributes nothing until the window has grown to support it. The
-    ridge penalty equals the mean diagonal of the Gram matrix, which
-    shrinks coefficients by roughly half at full correlation; unshrunk
-    least squares on these short windows chases noise and widens the
-    coverage error it is meant to cancel.
+    After the score at index t the model is a ridge fit of the centered
+    score on its recent predecessors, over the last WINDOW_LEN scores up to
+    t, and e_hat is its prediction from the latest of them. The memory is
+    h-1 steps, but the fitted lag count is capped at len(window) // 6 so a
+    short window cannot overfit; surplus memory contributes nothing until
+    the window has grown to support it. The ridge penalty equals the mean
+    diagonal of the Gram matrix, which shrinks coefficients by roughly half
+    at full correlation; unshrunk least squares on these short windows
+    chases noise and widens the coverage error it is meant to cancel.
+
+    All steps are fitted at once, their windows zero-padded after centering
+    and their designs to the largest lag count. Padding adds nothing to the
+    cross products; a padded lag gets a unit diagonal and a zero right-hand
+    side, hence a zero coefficient; a step without a model gets the identity.
     """
-    lags = min(h - 1, len(window) // 6)
-    if lags <= 0:
-        return ()
-    centered = window - window.mean()
-    rows = len(centered) - lags
-    if rows < lags + 2:
-        return ()
-    X = np.empty((rows, lags))
-    for j in range(1, lags + 1):
-        X[:, j - 1] = centered[lags - j : lags - j + rows]
-    y = centered[lags:]
-    gram = X.T @ X
-    penalty = float(np.trace(gram)) / lags
-    if not np.isfinite(penalty) or penalty <= 0.0:
-        return ()
-    coef = np.linalg.solve(gram + penalty * np.eye(lags), X.T @ y)
-    return tuple(float(c) for c in coef)
+    ends = np.arange(first + 1, len(scores) + 1)
+    n = np.minimum(ends, WINDOW_LEN)
+    k = np.minimum(h - 1, n // 6)
+    K = int(k.max())
+    # back[t, p]: step t's window, newest score first, centered, zero past its start
+    p = np.arange(int(n.max()))
+    inside = p < n[:, None]
+    back = np.where(inside, scores[np.maximum(ends[:, None] - 1 - p, 0)], 0.0)
+    back = np.where(inside, back - back.sum(axis=1, keepdims=True) / n[:, None], 0.0)
+    # Design row b of step t is (c_b, c_b+1, ..., c_b+k): the target, then lags 1..k.
+    j = np.arange(K + 1)
+    used = (np.arange(len(p) - K)[:, None] < (n - k)[:, None, None]) & (j <= k[:, None, None])
+    design = np.where(used, np.lib.stride_tricks.sliding_window_view(back, K + 1, axis=1), 0.0)
+    cross = design.transpose(0, 2, 1) @ design
+    gram, rhs = cross[:, 1:, 1:], cross[:, 1:, 0]
+    penalty = np.trace(gram, axis1=1, axis2=2) / np.maximum(k, 1)
+    ok = np.isfinite(penalty) & (penalty > 0.0)  # false without lags
+    lag = (j[:-1] < k[:, None]) & ok[:, None]
+    diagonal = np.where(lag, penalty[:, None], 1.0)
+    system = np.where(ok[:, None, None], gram, 0.0) + diagonal[:, :, None] * np.eye(K)
+    coef = np.linalg.solve(system, np.where(ok[:, None], rhs, 0.0)[:, :, None])[:, :, 0]
+    theta = tuple(coef[-1, : k[-1]].tolist()) if ok[-1] else ()
+    return (coef * np.where(lag, back[:, :K], 0.0)).sum(axis=1), theta
 
 
-def acmcp_step(state: AcmcpState, event: CoverageEvent) -> AcmcpState:
-    """Advance the tracker with one realized coverage outcome.
+def acmcp_run(state: AcmcpState, scores: Sequence[float] | np.ndarray) -> AcmcpState:
+    """Advance the tracker through a stream of realized scores.
 
-    q' = q + eta*(err - alpha) + k_i*tanh(err_sum'/c_sat) + (e_hat - e_prev),
-    where e_hat is the score model's prediction of the next centered score
-    from its latest predecessors (zero for h = 1). Stepping by the
-    prediction's increment keeps exactly the current prediction inside q;
-    adding e_hat itself would accumulate the whole prediction history and
-    let q drift. The realized score enters the sliding window and the
-    model is refit before predicting.
+    Each score is a miss (err = 1) iff it exceeds the radius max(q, 0)
+    issued before it. Then err_sum' = err_sum + (err - alpha) and
+    q' = q + eta*(err - alpha) + k_i*tanh(err_sum'/C_SAT) + (e_hat - e_prev),
+    where e_hat is the score model's prediction once the score is in its
+    window (zero for h = 1). Stepping by the prediction's increment keeps
+    exactly the current prediction inside q; adding e_hat itself would
+    accumulate the whole prediction history and let q drift.
     """
-    if event.horizon != state.h:
-        raise ValueError(f"event horizon {event.horizon} != tracked horizon {state.h}")
-    err_sum = state.err_sum + (event.err - state.alpha)
-    saturation = state.k_i * math.tanh(err_sum / state.c_sat)
-    window = (state.score_window + (float(event.score),))[-state.window_len :]
-    arr = np.asarray(window)
-    theta = _fit_score_model(arr, state.h)
-    e_hat = 0.0
-    if theta:
-        centered = arr - arr.mean()
-        e_hat = float(np.dot(theta, centered[::-1][: len(theta)]))
-    q = state.q + state.eta * (event.err - state.alpha) + saturation + (e_hat - state.e_prev)
-    return replace(
-        state, q=q, err_sum=err_sum, theta=theta, e_prev=e_hat, score_window=window
-    )
+    stream = np.asarray(scores, dtype=np.float64)
+    if stream.ndim != 1:
+        raise ValueError(f"scores must be one-dimensional, got shape {stream.shape}")
+    if not np.all(np.isfinite(stream)):
+        raise ValueError("scores must be finite")
+    if len(stream) == 0:
+        return state
+    full = np.concatenate((np.asarray(state.score_window, dtype=np.float64), stream))
+    e_hats, theta = _score_model(full, len(state.score_window), state.h)
+    q, err_sum, e_prev = state.q, state.err_sum, state.e_prev
+    for score, e_hat in zip(stream.tolist(), e_hats.tolist()):
+        err = 1 if score > max(q, 0.0) else 0
+        err_sum = err_sum + (err - state.alpha)
+        saturation = state.k_i * math.tanh(err_sum / C_SAT)
+        q = q + state.eta * (err - state.alpha) + saturation + (e_hat - e_prev)
+        e_prev = e_hat
+    window = tuple(full[-WINDOW_LEN:].tolist())
+    return replace(state, q=q, err_sum=err_sum, theta=theta, e_prev=e_prev, score_window=window)
+
+
+def acmcp_step(state: AcmcpState, score: float) -> AcmcpState:
+    """Advance the tracker by one realized score: `acmcp_run` on one score."""
+    return acmcp_run(state, [score])
 
 
 def acmcp_interval(state: AcmcpState, forecast: float) -> tuple[float, float]:
@@ -192,21 +199,20 @@ def acmcp_init(h: int, warm_scores: Sequence[float] | np.ndarray, alpha: float) 
     q starts at the empirical (1-alpha) quantile of the warm-up scores;
     eta and k_i are half the warm-up interquartile range and the full
     range respectively (floored by the standard deviation when the IQR
-    collapses); c_sat is 20 and the score window keeps the default length.
+    collapses); the score window keeps the last WINDOW_LEN warm-up scores.
     """
     scores = np.asarray(warm_scores, dtype=np.float64)
     if len(scores) < 2:
         raise ValueError(f"need >= 2 warm-up scores, have {len(scores)}")
-    scale = float(np.quantile(scores, 0.75) - np.quantile(scores, 0.25))
+    upper, lower, q0 = np.quantile(scores, [0.75, 0.25, 1.0 - alpha]).tolist()
+    scale = upper - lower
     if scale <= 0.0:
         scale = max(float(np.std(scores)), 1e-6)
-    q0 = float(np.quantile(scores, 1.0 - alpha))
     return AcmcpState(
         h=h,
         q=q0,
         eta=0.5 * scale,
         alpha=alpha,
         k_i=scale,
-        c_sat=20.0,
-        score_window=tuple(float(s) for s in scores[-AcmcpState.window_len :]),
+        score_window=tuple(float(s) for s in scores[-WINDOW_LEN:]),
     )

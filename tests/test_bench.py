@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctsbench import bench, conformal
 from ctsbench.bench import (
@@ -24,8 +28,9 @@ from ctsbench.bench import (
     write_panel_csv,
 )
 from ctsbench.cli import main as cli_main
-from ctsbench.conformal import global_cp_intervals
+from ctsbench.conformal import ResidualMatrix, global_cp_intervals
 from ctsbench.forecaster import ForecasterSpec, fit_auto_ar, forecast, seasonal_naive_forecast
+from ctsbench.online import AciState, aci_interval, aci_step
 from ctsbench.series import parse_panel
 
 FAST_METHODS = ("mscp", "cv_cp", "parametric")
@@ -280,6 +285,70 @@ class TestRunBenchmark:
             run_benchmark(small_config(data="/nonexistent/panel.csv"))
 
 
+def _aci_warmup_reference(scores, alpha, gamma):
+    """The warm-up loop as it was: a conformal quantile of the grown pool per step."""
+    state = AciState(alpha_t=alpha, gamma=gamma, target=alpha)
+    pool = [float(scores[0])]
+    warmup_errs = 0
+    for s in scores[1:]:
+        _, radius = aci_interval(state, 0.0, pool)
+        err = 0 if s <= radius else 1
+        warmup_errs += err
+        state = aci_step(state, err)
+        pool.append(float(s))
+    return state.alpha_t, warmup_errs
+
+
+class TestAciWarmup:
+    @given(
+        st.lists(
+            st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, 1.0, 2.0])),
+            min_size=2,
+            max_size=60,
+        ),
+        st.sampled_from([0.05, 0.1, 0.2]),
+        st.sampled_from([0.005, 0.01, 0.05, 0.3, 1.0]),
+    )
+    # four covers lift alpha_t to 1 (radius 0), a miss drops it, another takes it below 0
+    @example(scores=[5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.25, 10.0, 20.0], alpha=0.2, gamma=1.0)
+    def test_matches_per_step_reference(self, scores, alpha, gamma):
+        matrix = ResidualMatrix(np.array(scores)[:, None], tuple(range(len(scores))))
+        iv = bench._aci_series_intervals(np.array([5.0]), matrix, alpha, gamma)
+        alpha_t, errs = _aci_warmup_reference(scores, alpha, gamma)
+        assert iv.diagnostics == {"alpha_final": alpha_t, "warmup_errs": errs}
+        ref = AciState(alpha_t=alpha_t, gamma=gamma, target=alpha)
+        assert (iv.lower[0, 0], iv.upper[0, 0]) == aci_interval(ref, 5.0, scores)
+
+
+def _payload(out_dir: Path) -> bytes:
+    """summary.json without metadata, then metrics.csv: the bytes a run must repeat."""
+    summary = json.loads((out_dir / "summary.json").read_text())
+    summary.pop("metadata")
+    metrics = (out_dir / "metrics.csv").read_bytes()
+    return json.dumps(summary, sort_keys=True).encode() + b"\n" + metrics
+
+
+class TestCsvRowOrder:
+    @settings(max_examples=8, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_shuffled_rows_same_payload(self, rnd):
+        methods = ("mscp", "aci", "acmcp", "global_cp")
+        text = bench.serialize_panel(small_panel(n=4, length=70))
+        header, *rows = text.splitlines(keepends=True)
+        shuffled = rows[:]
+        rnd.shuffle(shuffled)
+        payloads = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, lines in enumerate((rows, shuffled)):
+                data = Path(tmp) / f"panel{i}.csv"
+                data.write_text(header + "".join(lines))
+                report = run_benchmark(small_config(methods=methods, data=str(data)))
+                assert {r.method for r in report.records} == set(methods)
+                emit_reports(report, str(Path(tmp) / f"out{i}"))
+                payloads.append(_payload(Path(tmp) / f"out{i}"))
+        assert payloads[0] == payloads[1]
+
+
 class TestReports:
     def test_emits_four_artifacts(self, tmp_path):
         report = run_benchmark(small_config(), panel=small_panel())
@@ -378,6 +447,7 @@ class TestCli:
             ("cohort_split = 1.5", "cohort_split"),
             ("include_drift = ture", "include_drift"),
             ("period = 0", "period"),
+            ("train_len = 0", "train_len"),
         ],
     )
     def test_invalid_setting_exit_2(self, tmp_path, capsys, line, match):

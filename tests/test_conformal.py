@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctsbench import conformal
 from ctsbench.conformal import (
@@ -84,6 +86,29 @@ class TestConformalQuantile:
             scores = rng.standard_normal(n)
             level = float(rng.uniform(0.01, 0.99))
             assert conformal_quantile(scores, level) == oracle_quantile(scores, level)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([0.0, 1.0, 2.5])
+            ),
+            min_size=1,
+            max_size=40,
+        ).flatmap(lambda xs: st.tuples(st.just(xs), st.permutations(xs))),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_order_statistic_identity(self, scores_and_permuted, level):
+        scores, permuted = scores_and_permuted
+        n = len(scores)
+        k = math.ceil(level * (n + 1))
+        q = conformal_quantile(scores, level)
+        if k > n:
+            assert q == math.inf
+        else:
+            # q is the k-th smallest score: fewer than k lie below it, at least k at or below
+            assert q in scores
+            assert sum(s < q for s in scores) < k <= sum(s <= q for s in scores)
+        assert conformal_quantile(permuted, level) == q
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion and prints something."""
+"""Every script under demos/ runs to completion and prints something; the
+demos in RECORDED print their output under tests/data byte for byte."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+RECORDED = ("02_online_adaptation",)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -21,3 +23,5 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    if demo.stem in RECORDED:
+        assert proc.stdout == (ROOT / "tests" / "data" / f"{demo.stem}.stdout").read_text()

@@ -3,24 +3,28 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctsbench.online import (
+    WINDOW_LEN,
     AciState,
     AcmcpState,
-    CoverageEvent,
     aci_interval,
     aci_step,
     acmcp_init,
     acmcp_interval,
+    acmcp_run,
     acmcp_step,
 )
 
 
-def tracker(q=10.0, eta=1.0, alpha=0.1, k_i=0.0, c_sat=20.0, h=1, **kw):
-    return AcmcpState(h=h, q=q, eta=eta, alpha=alpha, k_i=k_i, c_sat=c_sat, **kw)
+def tracker(q=10.0, eta=1.0, alpha=0.1, k_i=0.0, h=1, **kw):
+    return AcmcpState(h=h, q=q, eta=eta, alpha=alpha, k_i=k_i, **kw)
 
 
 class TestAciStep:
@@ -49,6 +53,16 @@ class TestAciInterval:
         state = AciState(alpha_t=-0.02, gamma=0.01, target=0.1)
         lo, hi = aci_interval(state, 5.0, [1.0, 2.0])
         assert lo == -math.inf and hi == math.inf
+
+    def test_level_rounding_to_one_whole_line(self):
+        # 0.1 plus eight covers and twelve misses at gamma 0.01 ends at ~4e-17,
+        # where 1 - alpha_t rounds to 1: certain coverage, not an error
+        alpha_t = 0.1
+        for d in [0.001] * 8 + [-0.009] * 12:
+            alpha_t = alpha_t + d
+        assert 0.0 < alpha_t and 1.0 - alpha_t == 1.0
+        state = AciState(alpha_t=alpha_t, gamma=0.01, target=0.1)
+        assert aci_interval(state, 5.0, [1.0, 2.0]) == (-math.inf, math.inf)
 
     def test_degenerate_high_alpha_point(self):
         state = AciState(alpha_t=1.3, gamma=0.01, target=0.1)
@@ -103,82 +117,179 @@ class TestAciInterval:
         assert abs(np.mean(errs_late) - 0.1) < 0.06
 
 
-class TestCoverageEvent:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CoverageEvent(origin=0, horizon=0, err=0, score=1.0)
-        with pytest.raises(ValueError):
-            CoverageEvent(origin=0, horizon=1, err=2, score=1.0)
-        with pytest.raises(ValueError):
-            CoverageEvent(origin=0, horizon=1, err=0, score=math.inf)
-
-
 class TestAcmcpStep:
     def test_miss_grows_quantile(self):
         state = tracker(q=10.0, eta=1.0, alpha=0.1, k_i=0.0)
-        new = acmcp_step(state, CoverageEvent(origin=0, horizon=1, err=1, score=3.0))
-        assert new.q == pytest.approx(10.9)
+        assert acmcp_step(state, 13.0).q == pytest.approx(10.9)
 
     def test_cover_shrinks_quantile(self):
         state = tracker(q=10.0, eta=1.0, alpha=0.1, k_i=0.0)
-        new = acmcp_step(state, CoverageEvent(origin=0, horizon=1, err=0, score=3.0))
-        assert new.q == pytest.approx(9.9)
+        assert acmcp_step(state, 3.0).q == pytest.approx(9.9)
+
+    def test_score_at_radius_covers(self):
+        # err = score > max(q, 0): a score on the radius is covered, and a
+        # negative q issues radius 0, so any positive score misses
+        assert acmcp_step(tracker(q=10.0), 10.0).q == pytest.approx(9.9)
+        assert acmcp_step(tracker(q=-2.0), 0.5).q == pytest.approx(-1.1)
 
     def test_miss_streak_grows_proportionally(self):
         # five straight misses at eta=1, alpha=0.1 add exactly 4.5 without
         # the integral term, and at least that much with it
         state = tracker(q=0.0, eta=1.0, alpha=0.1, k_i=0.0)
-        for t in range(5):
-            state = acmcp_step(state, CoverageEvent(origin=t, horizon=1, err=1, score=5.0))
+        for _ in range(5):
+            state = acmcp_step(state, 50.0)
         assert state.q == pytest.approx(4.5)
         state = tracker(q=0.0, eta=1.0, alpha=0.1, k_i=2.0)
-        for t in range(5):
-            state = acmcp_step(state, CoverageEvent(origin=t, horizon=1, err=1, score=5.0))
+        for _ in range(5):
+            state = acmcp_step(state, 50.0)
         assert state.q > 4.5
 
     def test_integral_term_bounded_by_k_i(self):
-        state = tracker(q=0.0, eta=1.0, alpha=0.1, k_i=3.0, c_sat=0.5)
-        prev = state
-        for t in range(50):
-            new = acmcp_step(prev, CoverageEvent(origin=t, horizon=1, err=1, score=5.0))
+        # every score misses; the integral term approaches but never exceeds k_i
+        prev = tracker(q=0.0, eta=1.0, alpha=0.1, k_i=3.0)
+        for _ in range(100):
+            new = acmcp_step(prev, 1e4)
             delta = new.q - prev.q - prev.eta * (1 - prev.alpha)
-            assert abs(delta) <= 3.0 + 1e-12
+            assert 0.0 < delta <= 3.0 + 1e-12
             prev = new
-
-    def test_horizon_mismatch_rejected(self):
-        state = tracker(h=2)
-        with pytest.raises(ValueError, match="horizon"):
-            acmcp_step(state, CoverageEvent(origin=0, horizon=1, err=0, score=1.0))
+        assert delta > 0.9 * 3.0
 
     def test_window_trimmed(self):
-        state = tracker(window_len=4)
-        for t in range(10):
-            state = acmcp_step(state, CoverageEvent(origin=t, horizon=1, err=0, score=float(t)))
-        assert state.score_window == (6.0, 7.0, 8.0, 9.0)
+        state = tracker()
+        for t in range(WINDOW_LEN + 10):
+            state = acmcp_step(state, float(t))
+        assert state.score_window == tuple(float(t) for t in range(10, WINDOW_LEN + 10))
 
     def test_h1_never_fits_score_model(self):
-        state = tracker(h=1, window_len=50)
+        state = tracker(h=1)
         for t in range(30):
-            state = acmcp_step(state, CoverageEvent(origin=t, horizon=1, err=0, score=float(t % 3)))
+            state = acmcp_step(state, float(t % 3))
         assert state.theta == ()
         assert state.e_prev == 0.0
+
+    def test_nonfinite_score_rejected(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                acmcp_step(tracker(), bad)
+            with pytest.raises(ValueError, match="finite"):
+                acmcp_run(tracker(), [1.0, bad, 2.0])
 
     def test_iid_closed_loop_tracks_target(self):
         rng = np.random.default_rng(50)
         state = acmcp_init(2, np.abs(rng.standard_normal(12)), 0.1)
         errs = []
         theta_mag = 0.0
-        for t in range(2000):
-            radius = max(state.q, 0.0)
+        for _ in range(2000):
             s = abs(rng.standard_normal())
-            err = 0 if s <= radius else 1
-            errs.append(err)
-            state = acmcp_step(state, CoverageEvent(origin=t, horizon=2, err=err, score=s))
+            errs.append(1 if s > max(state.q, 0.0) else 0)
+            state = acmcp_step(state, s)
             if state.theta:
                 theta_mag = max(theta_mag, max(abs(v) for v in state.theta))
         assert 0.85 <= 1.0 - np.mean(errs) <= 0.95
         # ridge shrinkage keeps the score model small on exchangeable data
         assert theta_mag < 0.5
+
+
+# The per-step tracker as it was before acmcp_run: one ridge refit per score.
+# It is the reference the batched stream update must reproduce.
+def _reference_fit(window: np.ndarray, h: int) -> tuple[float, ...]:
+    lags = min(h - 1, len(window) // 6)
+    if lags <= 0:
+        return ()
+    centered = window - window.mean()
+    rows = len(centered) - lags
+    if rows < lags + 2:
+        return ()
+    X = np.empty((rows, lags))
+    for j in range(1, lags + 1):
+        X[:, j - 1] = centered[lags - j : lags - j + rows]
+    y = centered[lags:]
+    gram = X.T @ X
+    penalty = float(np.trace(gram)) / lags
+    if not np.isfinite(penalty) or penalty <= 0.0:
+        return ()
+    coef = np.linalg.solve(gram + penalty * np.eye(lags), X.T @ y)
+    return tuple(float(c) for c in coef)
+
+
+def _reference_steps(state: AcmcpState, scores) -> list[AcmcpState]:
+    out = []
+    for score in scores:
+        err = 1 if score > max(state.q, 0.0) else 0
+        err_sum = state.err_sum + (err - state.alpha)
+        saturation = state.k_i * math.tanh(err_sum / 20.0)
+        window = (state.score_window + (float(score),))[-50:]
+        arr = np.asarray(window)
+        theta = _reference_fit(arr, state.h)
+        e_hat = 0.0
+        if theta:
+            centered = arr - arr.mean()
+            e_hat = float(np.dot(theta, centered[::-1][: len(theta)]))
+        q = state.q + state.eta * (err - state.alpha) + saturation + (e_hat - state.e_prev)
+        state = replace(
+            state, q=q, err_sum=err_sum, theta=theta, e_prev=e_hat, score_window=window
+        )
+        out.append(state)
+    return out
+
+
+_score = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _tracker_streams(draw):
+    """A tracker and a 6..120-score stream: drawn, autocorrelated, or constant."""
+    h = draw(st.integers(1, 12))
+    alpha = draw(st.sampled_from([0.05, 0.1, 0.2, 0.5]))
+    warm = draw(st.lists(_score, min_size=2, max_size=12))
+    kind = draw(st.sampled_from(["drawn", "ar", "constant"]))
+    if kind == "drawn":
+        stream = draw(st.lists(_score, min_size=6, max_size=120))
+    elif kind == "constant":
+        stream = [draw(_score)] * draw(st.integers(6, 120))
+    else:
+        # |AR(1)| scores, the overlap pattern of multi-step residuals
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scale = draw(st.sampled_from([0.01, 1.0, 30.0]))
+        x, stream = 0.0, []
+        for _ in range(draw(st.integers(6, 120))):
+            x = 0.8 * x + rng.standard_normal()
+            stream.append(scale * abs(x))
+    return acmcp_init(h, warm, alpha), stream
+
+
+class TestAcmcpRun:
+    def test_empty_stream_keeps_state(self):
+        state = acmcp_init(3, [1.0, 2.0, 3.0, 4.0], 0.1)
+        assert acmcp_run(state, []) is state
+
+    def test_two_dimensional_scores_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            acmcp_run(tracker(), np.ones((2, 3)))
+
+    def test_split_stream_matches_whole(self):
+        rng = np.random.default_rng(7)
+        scores = np.abs(rng.standard_normal(90)).cumsum() % 5.0
+        state = acmcp_init(6, scores[:8], 0.1)
+        whole = acmcp_run(state, scores[8:])
+        parts = acmcp_run(acmcp_run(state, scores[8:40]), scores[40:])
+        assert parts.q == pytest.approx(whole.q, abs=1e-12)
+        assert parts.score_window == whole.score_window
+        assert parts.err_sum == whole.err_sum
+
+    @settings(max_examples=60, deadline=None)
+    @given(_tracker_streams())
+    def test_matches_per_step_reference(self, case):
+        state, stream = case
+        expected = _reference_steps(state, stream)
+        for j, ref in enumerate(expected, start=1):
+            got = acmcp_run(state, stream[:j])
+            assert abs(got.q - ref.q) <= 1e-12
+            assert abs(got.e_prev - ref.e_prev) <= 1e-12
+        assert got.err_sum == ref.err_sum
+        assert got.score_window == ref.score_window
+        assert len(got.theta) == len(ref.theta)
+        assert np.allclose(got.theta, ref.theta, rtol=0.0, atol=1e-12)
 
 
 class TestAcmcpInterval:
