@@ -1,12 +1,12 @@
-"""Benchmark orchestration: config, synthetic panels, per-series evaluation,
+"""Benchmark orchestration: config, synthetic panels, method evaluation,
 aggregation, rank tests, and report emission.
 
-The eligible series are evaluated one after another, in sorted-id order.
-Each series' context makes its one point forecast, its model and its
-residual matrices on first use, and a table maps each per-series method
-to a function of that context, so every method wraps the same forecast.
-global_cp is the one method that spans series: after the loop, it pools
-the forecasts the series returned.
+A run builds one context per eligible series, which makes the series'
+one point forecast, model and residual matrices on first use. A table
+maps each method to one function of all the contexts that returns each
+series' intervals or skip reason. The methods run in configured order
+and share the contexts, so every method wraps the same forecast; most
+treat each series on its own, and global_cp pools all the forecasts.
 
 Every run is a pure function of (config, data, seed): per-series RNG seeds
 are derived by hashing the global seed with the series id. The
@@ -25,9 +25,11 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -52,7 +54,6 @@ from .series import PanelError, SeriesPanel, SplitSpec, TimeSeries, parse_panel,
 from .stattest import FriedmanResult, PosthocResult, conover_posthoc, friedman_test, rank_scores
 from .svgchart import cd_diagram_svg, coverage_bar_svg
 
-METHODS = ("mscp", "enbpi", "spci", "global_cp", "cv_cp", "aci", "acmcp", "parametric")
 GENERATORS = ("ar1", "seasonal_ar", "shift")
 
 
@@ -99,10 +100,13 @@ class SyntheticSpec:
             raise ValueError(f"length must be >= 8, got {self.length}")
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
-        if abs(self.phi) >= 1.0:
+        if not abs(self.phi) < 1.0:
             raise ValueError(f"stable generators need |phi| < 1, got {self.phi}")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        for name in ("amplitude", "shift_magnitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.shift_at < 1.0:
             raise ValueError(f"shift_at must be in (0, 1), got {self.shift_at}")
 
@@ -142,64 +146,6 @@ def generate_synthetic(spec: SyntheticSpec) -> SeriesPanel:
             )
         )
     return SeriesPanel(tuple(out))
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    """Full run configuration; every field has a usable default except data."""
-
-    data: str | None = None
-    alpha: float = 0.1
-    horizon: int = 12
-    methods: tuple[str, ...] = METHODS
-    forecaster: ForecasterSpec = field(default_factory=ForecasterSpec)
-    cal_len: int = 36
-    train_len: int | None = None
-    refit_every: int | None = 1
-    period: int = 12
-    seed: int = 0
-    out_dir: str | None = None
-    parallelism: int = 1  # validated; series are evaluated serially whatever it is
-    cohort_split: float = 0.5
-    n_windows: int = 2
-    gamma: float = 0.01
-    enbpi_members: int = 20
-    enbpi_window: int = 100
-    spci_lags: int = 8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not self.methods:
-            raise ValueError("method list must be nonempty")
-        unknown = [m for m in self.methods if m not in METHODS]
-        if unknown:
-            raise ValueError(f"unknown methods: {unknown}; choose from {METHODS}")
-        if self.cal_len < 2:
-            raise ValueError(f"cal_len must be >= 2, got {self.cal_len}")
-        # _min_train(1) is the least training length of any period.
-        if self.train_len is not None and self.train_len < _min_train(1):
-            raise ValueError(f"train_len must be >= {_min_train(1)}, got {self.train_len}")
-        if self.parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
-        if self.refit_every is not None and self.refit_every < 1:
-            raise ValueError(f"refit_every must be >= 1 or None, got {self.refit_every}")
-        if not 0.0 < self.cohort_split < 1.0:
-            raise ValueError(f"cohort_split must be in (0, 1), got {self.cohort_split}")
-        if self.n_windows < 1:
-            raise ValueError(f"n_windows must be >= 1, got {self.n_windows}")
-        # The method states and specs check the fields they take.
-        AciState(alpha_t=self.alpha, gamma=self.gamma, target=self.alpha)
-        EnsembleSpec(B=self.enbpi_members, window_len=self.enbpi_window)
-        SpciSpec(lag_count=self.spci_lags)
-        object.__setattr__(self, "methods", tuple(self.methods))
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(repr(dataclasses.asdict(self)).encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -327,51 +273,117 @@ def _parametric(ctx: _SeriesContext) -> IntervalMatrix:
     return parametric_intervals(ctx.model, ctx.fc, ctx.config.alpha)
 
 
-# Every method but global_cp, which pools the forecasts of many series.
-_PER_SERIES = {
-    "mscp": lambda ctx: mscp_intervals(ctx.fc, ctx.abs_matrix, ctx.config.alpha),
-    "enbpi": _enbpi,
-    "spci": lambda ctx: spci_intervals(
-        ctx.fc, ctx.signed, SpciSpec(lag_count=ctx.config.spci_lags), ctx.config.alpha
-    ),
-    "cv_cp": lambda ctx: cv_conformal_intervals(
-        ctx.head, ctx.config.n_windows, ctx.config.forecaster, ctx.config.alpha, ctx.config.horizon
-    ),
-    "aci": lambda ctx: _aci_series_intervals(
-        ctx.fc, ctx.abs_matrix, ctx.config.alpha, ctx.config.gamma
-    ),
-    "acmcp": lambda ctx: _acmcp_series_intervals(ctx.fc, ctx.abs_matrix, ctx.config.alpha),
-    "parametric": _parametric,
-}
-
 _METHOD_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError)
 
 
-def _evaluate_series(
-    series: TimeSeries,
-    config: BenchConfig,
-    records: list[MetricRecord],
-    skips: list[tuple[str, str, str]],
-) -> np.ndarray | None:
-    """Append the series' records and skips; return its point forecast when
-    global_cp needs it (None otherwise or when it could not be made)."""
-    sid = series.series_id
-    ctx = _SeriesContext(series, config)
-    truth = series.values[len(ctx.head) :]
-    for method in config.methods:
-        build = _PER_SERIES.get(method)
-        if build is None:
-            continue
-        try:
-            records.append(series_metrics(sid, method, build(ctx), truth, config.alpha))
-        except _METHOD_ERRORS as e:
-            skips.append((sid, method, str(e)))
-    if "global_cp" in config.methods:
-        try:
-            return ctx.fc
-        except _METHOD_ERRORS as e:
-            skips.append((sid, "global_cp", str(e)))
-    return None
+def _per_series(method: Callable[[_SeriesContext], IntervalMatrix]) -> Callable:
+    """Lift a method of one series' context to every context; a method
+    error on a series becomes that series' skip reason."""
+
+    def run(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
+        out = {}
+        for ctx in contexts:
+            sid = ctx.series.series_id
+            try:
+                out[sid] = method(ctx)
+            except _METHOD_ERRORS as e:
+                out[sid] = str(e)
+        return out
+
+    return run
+
+
+def _global_cp(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
+    """Pool the series' forecasts. Each becomes an interval on an evaluation
+    series, or a skip on a calibration series or when pooling fails."""
+    c = contexts[0].config
+    out = _per_series(lambda ctx: ctx.fc)(contexts)
+    forecasts = {sid: fc for sid, fc in out.items() if not isinstance(fc, str)}
+    try:
+        cohort = SeriesPanel(tuple(ctx.series for ctx in contexts if ctx.series.series_id in forecasts))
+        result = global_cp_intervals(cohort, c.cohort_split, forecasts, c.alpha, c.horizon)
+    except ValueError as e:
+        return out | dict.fromkeys(forecasts, str(e))
+    cohort_skips = dict.fromkeys(result.calibration_ids, "spent as pooled calibration cohort")
+    return out | cohort_skips | result.intervals
+
+
+# Each method maps every eligible series' context to its intervals or a skip reason.
+_METHODS = {
+    "mscp": _per_series(lambda ctx: mscp_intervals(ctx.fc, ctx.abs_matrix, ctx.config.alpha)),
+    "enbpi": _per_series(_enbpi),
+    "spci": _per_series(lambda ctx: spci_intervals(
+        ctx.fc, ctx.signed, SpciSpec(lag_count=ctx.config.spci_lags), ctx.config.alpha
+    )),
+    "global_cp": _global_cp,
+    "cv_cp": _per_series(lambda ctx: cv_conformal_intervals(
+        ctx.head, ctx.config.n_windows, ctx.config.forecaster, ctx.config.alpha, ctx.config.horizon
+    )),
+    "aci": _per_series(lambda ctx: _aci_series_intervals(
+        ctx.fc, ctx.abs_matrix, ctx.config.alpha, ctx.config.gamma
+    )),
+    "acmcp": _per_series(lambda ctx: _acmcp_series_intervals(ctx.fc, ctx.abs_matrix, ctx.config.alpha)),
+    "parametric": _per_series(_parametric),
+}
+METHODS = tuple(_METHODS)
+
+
+@dataclass(frozen=True)
+class BenchConfig:
+    """Full run configuration; every field has a usable default except data."""
+
+    data: str | None = None
+    alpha: float = 0.1
+    horizon: int = 12
+    methods: tuple[str, ...] = METHODS
+    forecaster: ForecasterSpec = field(default_factory=ForecasterSpec)
+    cal_len: int = 36
+    train_len: int | None = None
+    refit_every: int | None = 1
+    period: int = 12
+    seed: int = 0
+    out_dir: str | None = None
+    parallelism: int = 1  # validated; series are evaluated serially whatever it is
+    cohort_split: float = 0.5
+    n_windows: int = 2
+    gamma: float = 0.01
+    enbpi_members: int = 20
+    enbpi_window: int = 100
+    spci_lags: int = 8
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if not self.methods:
+            raise ValueError("method list must be nonempty")
+        unknown = [m for m in self.methods if m not in METHODS]
+        if unknown:
+            raise ValueError(f"unknown methods: {unknown}; choose from {METHODS}")
+        if self.cal_len < 2:
+            raise ValueError(f"cal_len must be >= 2, got {self.cal_len}")
+        # _min_train(1) is the least training length of any period.
+        if self.train_len is not None and self.train_len < _min_train(1):
+            raise ValueError(f"train_len must be >= {_min_train(1)}, got {self.train_len}")
+        if self.parallelism < 1:
+            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
+        if self.period < 1:
+            raise ValueError(f"period must be >= 1, got {self.period}")
+        if self.refit_every is not None and self.refit_every < 1:
+            raise ValueError(f"refit_every must be >= 1 or None, got {self.refit_every}")
+        if not 0.0 < self.cohort_split < 1.0:
+            raise ValueError(f"cohort_split must be in (0, 1), got {self.cohort_split}")
+        if self.n_windows < 1:
+            raise ValueError(f"n_windows must be >= 1, got {self.n_windows}")
+        # The method states and specs check the fields they take.
+        AciState(alpha_t=self.alpha, gamma=self.gamma, target=self.alpha)
+        EnsembleSpec(B=self.enbpi_members, window_len=self.enbpi_window)
+        SpciSpec(lag_count=self.spci_lags)
+        object.__setattr__(self, "methods", tuple(self.methods))
+
+    def config_hash(self) -> str:
+        return hashlib.sha256(repr(dataclasses.asdict(self)).encode()).hexdigest()[:12]
 
 
 def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> BenchmarkReport:
@@ -394,7 +406,7 @@ def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> Benc
 
     H = config.horizon
     skips: list[tuple[str, str, str]] = []
-    eligible: list[TimeSeries] = []
+    contexts: list[_SeriesContext] = []
     for series in panel:
         n = len(series)
         train_len = config.train_len if config.train_len is not None else n - config.cal_len - H
@@ -402,36 +414,23 @@ def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> Benc
             reason = f"series too short: {n} observations for train {train_len}, cal {config.cal_len}, test {H}"
             skips.extend((series.series_id, m, reason) for m in config.methods)
             continue
-        eligible.append(series)
-    if not eligible:
+        contexts.append(_SeriesContext(series, config))
+    if not contexts:
         raise NothingEvaluableError("no series long enough to evaluate")
 
     records: list[MetricRecord] = []
-    forecasts: dict[str, np.ndarray] = {}
-    for series in eligible:
-        fc = _evaluate_series(series, config, records, skips)
-        if fc is not None:
-            forecasts[series.series_id] = fc
-    if "global_cp" in config.methods:
-        try:
-            cohort = SeriesPanel(tuple(s for s in eligible if s.series_id in forecasts))
-            result = global_cp_intervals(
-                cohort, config.cohort_split, forecasts, config.alpha, H
-            )
-        except ValueError as e:
-            if set(config.methods) == {"global_cp"}:
-                raise NothingEvaluableError(str(e)) from None
-            skips.extend((sid, "global_cp", str(e)) for sid in forecasts)
-        else:
-            for sid in result.calibration_ids:
-                skips.append((sid, "global_cp", "spent as pooled calibration cohort"))
-            for sid in result.evaluation_ids:
-                truth = cohort[sid].values[-H:]
-                records.append(
-                    series_metrics(sid, "global_cp", result.intervals[sid], truth, config.alpha)
-                )
+    for method in config.methods:
+        for sid, result in _METHODS[method](contexts).items():
+            if isinstance(result, str):
+                skips.append((sid, method, result))
+            else:
+                truth = panel[sid].values[-H:]
+                records.append(series_metrics(sid, method, result, truth, config.alpha))
     if not records:
-        raise NothingEvaluableError("every (series, method) evaluation was skipped")
+        reason = Counter(s[2] for s in skips).most_common(1)[0][0]
+        raise NothingEvaluableError(
+            f"every (series, method) evaluation was skipped; most often: {reason}"
+        )
     records.sort(key=lambda r: (r.series_id, r.method))
     skips.sort(key=lambda s: (s[0], s[1]))
     summaries = aggregate(records)
@@ -467,7 +466,7 @@ def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> Benc
         "horizon": H,
         "methods": list(config.methods),
         "n_series": len(panel),
-        "n_series_evaluated": len(eligible),
+        "n_series_evaluated": len(contexts),
         "n_rank_series": len(complete) if len(rank_methods) >= 2 else 0,
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }

@@ -106,7 +106,7 @@ class ResidualMatrix:
 class IntervalMatrix:
     """Lower/upper interval bounds per origin and horizon.
 
-    Infinite bounds are permitted; lower <= upper wherever both are finite.
+    Infinite bounds are permitted; no cell may have lower > upper.
     diagnostics carries method-specific counters and never participates in
     equality.
     """
@@ -120,8 +120,7 @@ class IntervalMatrix:
         hi = np.ascontiguousarray(np.atleast_2d(self.upper), dtype=np.float64)
         if lo.shape != hi.shape:
             raise ValueError(f"bound shape mismatch: {lo.shape} vs {hi.shape}")
-        both = np.isfinite(lo) & np.isfinite(hi)
-        if np.any(lo[both] > hi[both]):
+        if np.any(lo > hi):
             raise ValueError("lower bound exceeds upper bound")
         lo.flags.writeable = False
         hi.flags.writeable = False

@@ -36,8 +36,8 @@ class AciState:
     target: float
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if not 0.0 < self.target < 1.0:
             raise ValueError(f"target must be in (0, 1), got {self.target}")
 

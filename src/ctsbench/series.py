@@ -57,7 +57,7 @@ class TimeSeries:
             )
         if len(ts) == 0:
             raise ValueError(f"series {self.series_id!r} is empty")
-        if np.any(np.diff(ts) <= 0):
+        if np.any(ts[1:] <= ts[:-1]):  # np.diff would overflow across the int64 range
             raise ValueError(f"series {self.series_id!r} timestamps must strictly increase")
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"series {self.series_id!r} contains non-finite values")
@@ -152,12 +152,14 @@ _HEADER = ("unique_id", "ds", "y")
 
 def _parse_ds(raw: str, row_num: int) -> tuple[int, str]:
     raw = raw.strip()
-    if "-" in raw:
-        parts = raw.split("-")
+    # A leading minus is the sign of the stamp or of the year; later ones separate date parts.
+    sign, body = ("-", raw[1:]) if raw.startswith("-") else ("", raw)
+    if "-" in body:
+        parts = body.split("-")
         if len(parts) not in (2, 3):
             raise PanelError(f"row {row_num}: cannot parse ds value {raw!r}")
         try:
-            year = int(parts[0])
+            year = int(sign + parts[0])
             month = int(parts[1])
         except ValueError:
             raise PanelError(f"row {row_num}: cannot parse ds value {raw!r}") from None

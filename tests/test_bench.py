@@ -167,7 +167,7 @@ class TestRunBenchmark:
 
     def test_parallelism_invariant(self):
         panel = small_panel()
-        # global_cp pools the forecasts of the per-series loop; alpha and the
+        # global_cp pools the forecasts of every series' context; alpha and the
         # horizon are chosen so its three-series cohort gives finite radii.
         for kw in ({}, dict(methods=("global_cp",), alpha=0.5, horizon=2)):
             a = run_benchmark(small_config(parallelism=1, **kw), panel=panel)
@@ -177,6 +177,15 @@ class TestRunBenchmark:
             pa.pop("metadata")
             pb.pop("metadata")
             assert pa == pb
+
+    def test_methods_do_not_interfere_through_shared_contexts(self):
+        panel = small_panel()
+        kw = dict(alpha=0.5, horizon=2)
+        together = run_benchmark(small_config(methods=bench.METHODS, **kw), panel=panel)
+        for method in bench.METHODS:
+            alone = run_benchmark(small_config(methods=(method,), **kw), panel=panel)
+            assert alone.records == tuple(r for r in together.records if r.method == method)
+            assert alone.skips == tuple(s for s in together.skips if s[1] == method)
 
     def test_single_series_global_cp_nothing_evaluable(self):
         panel = small_panel(n=1)
@@ -440,6 +449,8 @@ class TestCli:
         [
             ("refit_every = 0", "refit_every"),
             ("gamma = -1", "gamma"),
+            ("gamma = nan", "gamma"),
+            ("gamma = inf", "gamma"),
             ("n_windows = 0", "n_windows"),
             ("enbpi_members = 1", "B must be"),
             ("enbpi_window = 0", "window_len"),
@@ -487,6 +498,26 @@ class TestCli:
         )
         assert rc == 4
         assert "output error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "generator, flag, value",
+        [
+            ("ar1", "--phi", "nan"),
+            ("ar1", "--sigma", "nan"),
+            ("seasonal_ar", "--amplitude", "inf"),
+            ("shift", "--shift-magnitude", "nan"),
+        ],
+    )
+    def test_synth_nonfinite_exit_2(self, tmp_path, capsys, generator, flag, value):
+        out = tmp_path / "panel.csv"
+        rc = self.run_cli(
+            "synth", "--generator", generator, "--n", "2", "--len", "20", flag, value,
+            "--out", str(out),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"got {value}" in err
+        assert not out.exists()
 
     def test_synth_bad_out_exit_4(self, tmp_path, capsys):
         rc = self.run_cli(

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ctsbench import conformal
@@ -569,3 +569,25 @@ class TestIntervalMatrix:
     def test_width(self):
         iv = IntervalMatrix(lower=np.array([[0.0, 1.0]]), upper=np.array([[2.0, 4.0]]))
         assert iv.width.tolist() == [[2.0, 3.0]]
+
+    @given(
+        st.lists(
+            st.tuples(*[st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-math.inf, math.inf]))] * 2),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @example([(math.inf, 5.0)])
+    @example([(1.0, 2.0), (3.0, -math.inf)])
+    def test_constructs_exactly_when_no_cell_is_inverted(self, cells):
+        lower = np.array([[lo for lo, _ in cells]])
+        upper = np.array([[hi for _, hi in cells]])
+        if any(lo > hi for lo, hi in cells):
+            with pytest.raises(ValueError, match="exceeds"):
+                IntervalMatrix(lower=lower, upper=upper)
+            return
+        iv = IntervalMatrix(lower=lower, upper=upper)
+        # A cell pinned at one infinite bound has no width: inf - inf is nan.
+        pinned = np.isinf(lower) & (lower == upper)
+        with np.errstate(invalid="ignore"):
+            assert np.all(iv.width[~pinned] >= 0.0)

@@ -12,7 +12,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-RECORDED = ("02_online_adaptation",)
+RECORDED = (
+    "01_split_conformal",
+    "02_online_adaptation",
+    "03_cross_series_pooling",
+    "04_method_comparison",
+)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ctsbench.series import (
     PanelError,
@@ -26,7 +28,26 @@ def make_series(values, series_id="s1", period=1, ds_kind="int"):
     )
 
 
+@st.composite
+def _panels(draw):
+    """Panels of int and month series; stamps span the whole int64 range."""
+    ids = draw(st.lists(st.text("abz09_", min_size=1, max_size=5), min_size=1, max_size=4, unique=True))
+    series = []
+    for sid in ids:
+        stamps = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6, unique=True))
+        values = draw(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=len(stamps), max_size=len(stamps))
+        )
+        kind = draw(st.sampled_from(["int", "month"]))
+        series.append(TimeSeries(sid, np.array(sorted(stamps)), np.array(values), 3, kind))
+    return SeriesPanel(tuple(series))
+
+
 class TestTimeSeries:
+    def test_stamps_spanning_int64_accepted(self):
+        ts = np.array([-(2**63), 0, 2**63 - 1])
+        assert TimeSeries("x", ts, np.zeros(3)).timestamps.tolist() == ts.tolist()
+
     def test_rejects_nonincreasing_timestamps(self):
         with pytest.raises(ValueError, match="strictly increase"):
             TimeSeries(
@@ -131,6 +152,14 @@ class TestCsv:
         for s in series:
             assert np.array_equal(again[s.series_id].values, s.values)
             assert np.array_equal(again[s.series_id].timestamps, s.timestamps)
+
+    @given(_panels())
+    @example(SeriesPanel((TimeSeries("a", np.array([-2, 0, 5]), np.array([1.0, 2.0, 3.0]), 3, "int"),)))
+    @example(SeriesPanel((TimeSeries("m", np.array([-13, -1, 0]), np.array([1.0, 2.0, 3.0]), 3, "month"),)))
+    def test_round_trip_property(self, panel):
+        again = parse_panel(serialize_panel(panel), period=3)
+        assert again.ids == panel.ids
+        assert all(a == b for a, b in zip(again, panel))
 
     def test_round_trip_month(self):
         ts = np.array([2020 * 12 + 0, 2020 * 12 + 1, 2020 * 12 + 2], dtype=np.int64)
