@@ -2,11 +2,12 @@
 aggregation, rank tests, and report emission.
 
 A run builds one context per eligible series, which makes the series'
-one point forecast, model and residual matrices on first use. A table
-maps each method to one function of all the contexts that returns each
-series' intervals or skip reason. The methods run in configured order
-and share the contexts, so every method wraps the same forecast; most
-treat each series on its own, and global_cp pools all the forecasts.
+one point forecast `fc`, model and residual matrices on first use. A
+table maps each method to one function of all the contexts that returns
+each series' intervals or skip reason. The methods run in configured
+order and share the contexts. Every method but enbpi, whose bootstrap
+ensemble makes its own one-step forecasts, wraps `fc`; most treat each
+series on its own, and global_cp pools all the forecasts.
 
 Every run is a pure function of (config, data, seed): per-series RNG seeds
 are derived by hashing the global seed with the series id. The
@@ -317,7 +318,7 @@ _METHODS = {
     )),
     "global_cp": _global_cp,
     "cv_cp": _per_series(lambda ctx: cv_conformal_intervals(
-        ctx.head, ctx.config.n_windows, ctx.config.forecaster, ctx.config.alpha, ctx.config.horizon
+        ctx.fc, ctx.head, ctx.config.n_windows, ctx.config.forecaster, ctx.config.alpha
     )),
     "aci": _per_series(lambda ctx: _aci_series_intervals(
         ctx.fc, ctx.abs_matrix, ctx.config.alpha, ctx.config.gamma
@@ -660,8 +661,6 @@ def build_config(file_values: dict[str, str] | None = None, **overrides) -> Benc
             kwargs["out_dir"] = value
         elif key == "refit_every":
             kwargs["refit_every"] = None if value.lower() in ("none", "never") else int(value)
-        elif key == "train_len":
-            kwargs["train_len"] = int(value)
         elif key == "forecaster":
             fc_kwargs["kind"] = value
         elif key == "max_order":

@@ -21,11 +21,9 @@ import numpy as np
 from .forecaster import (
     FittedForecaster,
     ForecasterSpec,
-    _fit_ar_prefixes,
-    _forecast_paths,
+    _prefix_forecasts,
     fit_auto_ar,
     forecast,  # unused here, but perfbench/spans.py wraps conformal.forecast
-    seasonal_naive_forecast,
     sigma_h,
 )
 from .quantreg import fit_pinball_linear
@@ -106,7 +104,8 @@ class ResidualMatrix:
 class IntervalMatrix:
     """Lower/upper interval bounds per origin and horizon.
 
-    Infinite bounds are permitted; no cell may have lower > upper.
+    Infinite bounds are permitted, but no cell may have lower > upper or
+    be pinned at one infinite bound (lower = +inf or upper = -inf).
     diagnostics carries method-specific counters and never participates in
     equality.
     """
@@ -122,6 +121,8 @@ class IntervalMatrix:
             raise ValueError(f"bound shape mismatch: {lo.shape} vs {hi.shape}")
         if np.any(lo > hi):
             raise ValueError("lower bound exceeds upper bound")
+        if np.any(lo == np.inf) or np.any(hi == -np.inf):
+            raise ValueError("interval pinned at an infinite bound")
         lo.flags.writeable = False
         hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
@@ -159,9 +160,7 @@ def build_residual_matrix(
     whose truth falls inside the calibration block, so late columns are
     shorter. refit_every controls how often the model is refitted along
     the origins (None: fit once at the first origin); forecasts always use
-    the full visible history. For auto_ar every refit is one prefix of a
-    single batched least-squares solve, and the recursive forecasts of all
-    origins advance together.
+    all the data from the start of the training block to the origin.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -175,22 +174,10 @@ def build_residual_matrix(
     start = n - spec.total
     work = series.values[start : start + spec.train_len + spec.cal_len]
     end = len(work)
-    first = spec.train_len
-    origins = np.arange(first, end)
+    origins = np.arange(spec.train_len, end)
     if not len(origins):
         raise ValueError("no usable forecast origins in the calibration segment")
-    if forecaster.kind == "auto_ar":
-        step = len(origins) if refit_every is None else refit_every
-        fits = _fit_ar_prefixes(
-            work, origins[::step], forecaster.max_order, forecaster.include_drift
-        )
-        model = (origins - first) // step  # the latest refit at or before each origin
-        yhat = _forecast_paths(work, origins, fits.intercept[model], fits.phi[model], horizon)
-    else:
-        yhat = np.stack([
-            seasonal_naive_forecast(series.values[: start + t], horizon, series.period)
-            for t in origins
-        ])
+    yhat = _prefix_forecasts(work, origins, forecaster, series.period, horizon, refit_every)
     ahead = origins[:, None] + np.arange(horizon)
     inside = ahead < end  # truths beyond the calibration block stay NaN
     resid = work[np.where(inside, ahead, 0)] - yhat
@@ -497,55 +484,48 @@ def global_cp_intervals(
 
 def _cv_backtest(
     series: TimeSeries, n_windows: int, forecaster: ForecasterSpec, horizon: int
-) -> tuple[ResidualMatrix, np.ndarray]:
-    """Backtest residuals and the forecast from the series end.
+) -> ResidualMatrix:
+    """Absolute residuals of n_windows rolling H-step holdout windows.
 
-    Absolute residuals come from n_windows rolling H-step holdout windows:
-    cutoffs step back from the series end in strides of `horizon`, and each
+    Cutoffs step back from the series end in strides of `horizon`; each
     window fits on everything before its cutoff and scores the next
-    `horizon` observations. The window cutoffs and the series end are
-    prefixes of one fit: one batched least-squares solve for auto_ar.
+    `horizon` observations.
     """
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     n = len(series)
-    earliest = n - n_windows * horizon
-    if earliest < 3:
+    if n - n_windows * horizon < 3:
         raise ValueError(
             f"series {series.series_id!r} admits no {n_windows}-window backtest at horizon {horizon}"
         )
     values = series.values
-    ends = n - horizon * np.arange(n_windows, -1, -1)  # the cutoffs, then n
-    if forecaster.kind == "auto_ar":
-        fits = _fit_ar_prefixes(values, ends, forecaster.max_order, forecaster.include_drift)
-        yhat = _forecast_paths(values, ends, fits.intercept, fits.phi, horizon)
-    else:
-        yhat = np.stack([seasonal_naive_forecast(values[:t], horizon, series.period) for t in ends])
-    cutoffs = ends[:-1]
+    cutoffs = n - horizon * np.arange(n_windows, 0, -1)
+    yhat = _prefix_forecasts(values, cutoffs, forecaster, series.period, horizon)
     truth = values[cutoffs[:, None] + np.arange(horizon)]
-    residuals = ResidualMatrix(
-        matrix=np.abs(truth - yhat[:-1]), origins=tuple(cutoffs.tolist()), signed=False
-    )
-    return residuals, yhat[-1]
+    return ResidualMatrix(matrix=np.abs(truth - yhat), origins=tuple(cutoffs.tolist()), signed=False)
 
 
 def cv_conformal_intervals(
+    forecast: np.ndarray,
     series: TimeSeries,
     n_windows: int,
     forecaster: ForecasterSpec,
     alpha: float,
-    horizon: int,
 ) -> IntervalMatrix:
-    """Backtest-calibrated intervals around forecasts beyond the series end.
+    """Backtest-calibrated intervals around a forecast beyond the series end.
 
-    Per-horizon radii are the empirical (1-alpha) quantiles of the
-    backtest residual columns; no finite-sample correction is applied, so
-    small n_windows gives anti-conservative intervals (mirroring the
-    cross-validation baseline this reproduces).
+    forecast is the point forecast of the `horizon` points after the
+    series, where horizon is its length. Backtest windows of that length
+    refit `forecaster` before each cutoff, and the per-horizon radii are
+    the empirical (1-alpha) quantiles of their absolute residuals; no
+    finite-sample correction is applied, so small n_windows gives
+    anti-conservative intervals (mirroring the cross-validation baseline
+    this reproduces).
     """
-    residuals, yhat = _cv_backtest(series, n_windows, forecaster, horizon)
+    yhat = np.asarray(forecast, dtype=np.float64)
+    residuals = _cv_backtest(series, n_windows, forecaster, len(yhat))
     radii = np.quantile(residuals.matrix, 1.0 - alpha, axis=0)
     return IntervalMatrix(
         lower=(yhat - radii).reshape(1, -1), upper=(yhat + radii).reshape(1, -1)

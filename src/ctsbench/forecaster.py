@@ -6,16 +6,23 @@ auto-ARIMA search; the conformal layer only consumes its point forecasts
 (and, for the Gaussian baseline, its innovation variance), so any forecaster
 with the same interface can be swapped in.
 
+`_prefix_forecasts` makes one series' forecasts from many origins and is the
+one place that branches on the forecaster kind: batched AR fits and
+recursions, or one seasonal index gather (`seasonal_naive_forecast` is its
+one-origin case). `forecast` stays a scalar loop for one fitted model: a
+one-row batched recursion costs several times as much.
+
 All least-squares fits go through one solver, `_fit_ar_prefixes`, which fits
 every candidate order on every prefix values[:T] of one series at once;
 `fit_auto_ar` is its one-prefix case. Order p regresses rows t >= p of one
-lag matrix on an intercept and lags 1..p, so its cross-product [y X]'[y X]
-on prefix T is a sum of per-row outer products over rows p..T-1: running
-sums over rows P..T-1, shared by every order up to the largest P, plus the
-order's own rows p..P-1. The sums only add, so a column that vanishes on a
-fit's rows stays exactly zero. The cross-products of all (prefix, order)
-pairs are scaled to unit diagonal and inverted in one batched call; each
-solution is refined once from its explicit residuals, and the RSS comes
+lag matrix Z on an intercept and lags 1..p, so its cross-product [y X]'[y X]
+on prefix T is the sum of the row outer products of Z over rows p..T-1. One
+matrix product of a 0/1 row mask, one row per (prefix, order) pair, with the
+stacked outer products gives every pair's cross-product; a prefix too short
+for an order leaves it too few rows and no special case. The 0/1 weights only
+add, so a column that vanishes on a fit's rows stays exactly zero. The
+cross-products are scaled to unit diagonal and inverted in one batched call;
+each solution is refined once from its explicit residuals, and the RSS comes
 from the refined residuals, not from y'y - b'X'y, which cancels on
 near-perfect fits.
 
@@ -39,7 +46,6 @@ condition number; the intercept absorbs the shift and is mapped back.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -116,7 +122,6 @@ class _Layout(NamedTuple):
     min_rows: np.ndarray  # (P+1,) a fit needs more rows than this
     penalty: np.ndarray  # (P+1,) AIC penalty 2 * (n_params + 1)
     fill: np.ndarray  # (P+1, P+1, P+1) identity on unused columns, plus the ridge
-    from_row: np.ndarray  # (P+1, 1, P) 0/1 weights of rows 0..P-1: rows >= p
 
 
 @functools.lru_cache(maxsize=16)
@@ -131,7 +136,6 @@ def _order_layout(P: int, include_drift: bool) -> _Layout:
     layout = _Layout(
         orders=orders, active=active, n_params=n_params, min_rows=np.maximum(n_params, 1),
         penalty=2.0 * (n_params + 1), fill=fill,
-        from_row=(orders[:P] >= orders[:, None, None]).astype(np.float64),
     )
     for a in layout:
         a.flags.writeable = False
@@ -143,17 +147,15 @@ def _fit_ar_prefixes(
 ) -> _PrefixFits:
     """Fit AR(0..P) by least squares on values[:T] for every T in ends.
 
-    ends must be ascending. P = min(max_order, max(ends) - 2); a prefix of
-    length T admits the orders p <= T - 2 that leave more rows (T - p) than
-    coefficients (p + include_drift).
+    P = min(max_order, max(ends) - 2); a prefix of length T admits the
+    orders p <= T - 2 that leave more rows (T - p) than coefficients
+    (p + include_drift).
     """
     ends = np.asarray(ends, dtype=np.intp)
-    t0, n = int(ends[0]), int(ends[-1])
+    t0, n = int(ends.min()), int(ends.max())
     if t0 < 3:
         raise ValueError(f"auto_ar needs at least 3 observations, have {t0}")
     P = min(max_order, n - 2)
-    if t0 < P:
-        return _fit_short_apart(values, ends, P, max_order, include_drift)
     lay = _order_layout(P, include_drift)
     shift = float(values[0]) if include_drift else 0.0
     u = values[:n] - shift
@@ -164,17 +166,13 @@ def _fit_ar_prefixes(
         Z[j:, j] = u[:-j]
     Z[:, P + 1] = 1.0
     X = Z[:, 1:]
-    # [y X]'[y X] of order p on prefix T sums the rows p..T-1: rows P..T-1,
-    # shared by every order, plus rows p..P-1. The sums only add, so a
-    # column that is zero on a fit's rows stays exactly zero.
-    shared = np.empty((n - t0 + 1, P + 2, P + 2))
-    shared[0] = Z[P:t0].T @ Z[P:t0]
-    if n > t0:
-        later = Z[t0:]
-        np.cumsum(later[:, :, None] * later[:, None, :], axis=0, out=shared[1:])
-        shared[1:] += shared[0]
-    head = Z[:P]
-    G = shared[ends - t0][:, None] + (head.T * lay.from_row) @ head  # (R, P+1, P+2, P+2)
+    # [y X]'[y X] of order p on prefix T sums the outer products of rows
+    # p..T-1 of Z: a 0/1 mask over the stacked products. The weights only
+    # add, so a column that is zero on a fit's rows stays exactly zero.
+    rows = np.arange(n)
+    in_fit = (rows >= lay.orders[:, None]) & (rows < ends[:, None, None])  # (R, P+1, n)
+    outer = (Z[:, :, None] * Z[:, None, :]).reshape(n, -1)
+    G = (in_fit.astype(np.float64) @ outer).reshape(len(ends), P + 1, P + 2, P + 2)
 
     # Scale the used columns to a unit diagonal; unused ones become identity.
     d = G.diagonal(axis1=-2, axis2=-1)[..., 1:]
@@ -190,8 +188,6 @@ def _fit_ar_prefixes(
     def solve(rhs: np.ndarray) -> np.ndarray:
         return (inv @ (rhs * scale)[..., None])[..., 0] * scale
 
-    rows = np.arange(n)
-    in_fit = (rows >= lay.orders[:, None]) & (rows < ends[:, None, None])
     beta = solve(G[..., 1:, 0])
     resid = np.where(in_fit, u - beta @ X.T, 0.0)
     beta += solve(resid @ X)  # one refinement step from explicit residuals
@@ -207,24 +203,6 @@ def _fit_ar_prefixes(
     intercept = coef[:, P] + shift * (1.0 - phi.sum(axis=1))
     sigma2 = rss[pick, best] / (m[pick, best] - lay.n_params[best])
     return _PrefixFits(best, intercept, phi, sigma2, aics)
-
-
-def _fit_short_apart(
-    values: np.ndarray, ends: np.ndarray, P: int, max_order: int, include_drift: bool
-) -> _PrefixFits:
-    """`_fit_ar_prefixes` where the leading ends are below P.
-
-    Those prefixes admit fewer orders, so they are fitted apart and their
-    phi and aics are padded (with 0 and +inf) to the width of the others.
-    """
-    cut = int(np.searchsorted(ends, P))
-    short = _fit_ar_prefixes(values, ends[:cut], max_order, include_drift)
-    rest = _fit_ar_prefixes(values, ends[cut:], max_order, include_drift)
-    wider = ((0, 0), (0, P - short.phi.shape[1]))
-    short = short._replace(
-        phi=np.pad(short.phi, wider), aics=np.pad(short.aics, wider, constant_values=np.inf)
-    )
-    return _PrefixFits(*(np.concatenate(pair) for pair in zip(short, rest)))
 
 
 def fit_auto_ar(train: np.ndarray | TimeSeries, spec: ForecasterSpec) -> FittedForecaster:
@@ -325,12 +303,25 @@ def seasonal_naive_forecast(history: np.ndarray | TimeSeries, horizon: int, peri
         m = period
     if m < 1:
         raise ValueError(f"period must be >= 1, got {m}")
-    n = len(values)
-    if n < m:
-        raise ValueError(f"seasonal naive needs at least one full period: {n} < {m}")
-    out = np.empty(horizon)
-    for h in range(1, horizon + 1):
-        idx = n + h - m * math.ceil(h / m) - 1
-        out[h - 1] = values[idx]
-    return out
+    return _prefix_forecasts(values, [len(values)], ForecasterSpec("seasonal_naive"), m, horizon)[0]
 
+
+def _prefix_forecasts(
+    values: np.ndarray, ends: np.ndarray, spec: ForecasterSpec, period: int, horizon: int,
+    refit_every: int | None = 1,
+) -> np.ndarray:
+    """(R, horizon) forecasts, one row per T in ends, from the end of values[:T].
+
+    auto_ar fits every refit_every-th prefix (None: the first only) in one
+    batched solve, and each row uses the latest fit at or before it; ends
+    must ascend. Seasonal naive reads step h of row T at T - period + (h-1) % period.
+    """
+    ends = np.asarray(ends, dtype=np.intp)
+    if spec.kind == "seasonal_naive":
+        if ends.min() < period:
+            raise ValueError(f"seasonal naive needs at least one full period: {ends.min()} < {period}")
+        return values[ends[:, None] - period + np.arange(horizon) % period]
+    step = len(ends) if refit_every is None else refit_every
+    fits = _fit_ar_prefixes(values, ends[::step], spec.max_order, spec.include_drift)
+    model = np.arange(len(ends)) // step  # the latest fit at or before each end
+    return _forecast_paths(values, ends, fits.intercept[model], fits.phi[model], horizon)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import calendar
 import csv
 import io
 import math
@@ -161,10 +162,14 @@ def _parse_ds(raw: str, row_num: int) -> tuple[int, str]:
         try:
             year = int(sign + parts[0])
             month = int(parts[1])
+            day = int(parts[2]) if len(parts) == 3 else 1
         except ValueError:
             raise PanelError(f"row {row_num}: cannot parse ds value {raw!r}") from None
         if not 1 <= month <= 12:
             raise PanelError(f"row {row_num}: month out of range in ds value {raw!r}")
+        # Every month has days 1..28; only a later day needs the calendar.
+        if day < 1 or (day > 28 and day > calendar.monthrange(year, month)[1]):
+            raise PanelError(f"row {row_num}: day out of range in ds value {raw!r}")
         return year * 12 + (month - 1), "month"
     try:
         return int(raw), "int"

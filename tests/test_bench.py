@@ -187,6 +187,38 @@ class TestRunBenchmark:
             assert alone.records == tuple(r for r in together.records if r.method == method)
             assert alone.skips == tuple(s for s in together.skips if s[1] == method)
 
+    def test_methods_wrap_the_context_forecast(self, monkeypatch):
+        # Shifting the context's forecast shifts every interval built around
+        # it; enbpi makes its own forecasts. global_cp is left out because its
+        # calibration residuals are computed from the forecasts.
+        wrapping = ("mscp", "spci", "aci", "acmcp", "parametric", "cv_cp")
+        config = small_config(methods=wrapping + ("enbpi",), alpha=0.5)
+        metrics = bench.series_metrics
+
+        def intervals():
+            seen = {}
+
+            def spy(sid, method, result, truth, alpha):
+                seen[sid, method] = result
+                return metrics(sid, method, result, truth, alpha)
+
+            monkeypatch.setattr(bench, "series_metrics", spy)
+            assert not run_benchmark(config, panel=small_panel()).skips
+            return seen
+
+        before = intervals()
+        monkeypatch.setattr(
+            bench, "forecast", lambda model, history, horizon: forecast(model, history, horizon) + 1000.0
+        )
+        after = intervals()
+        assert before.keys() == after.keys() and len(before) == 6 * 7
+        for (sid, method), iv in before.items():
+            offset = 0.0 if method == "enbpi" else 1000.0
+            for old, new in ((iv.lower, after[sid, method].lower), (iv.upper, after[sid, method].upper)):
+                finite = np.isfinite(old)
+                assert np.array_equal(old[~finite], new[~finite]), (sid, method)
+                assert np.allclose(new[finite], old[finite] + offset, rtol=0.0, atol=1e-9), (sid, method)
+
     def test_single_series_global_cp_nothing_evaluable(self):
         panel = small_panel(n=1)
         with pytest.raises(NothingEvaluableError, match="cohort"):

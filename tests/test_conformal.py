@@ -171,6 +171,12 @@ class TestResidualMatrix:
             fc = seasonal_naive_forecast(work[:t], 3, 4)[:avail]
             assert np.array_equal(rm.matrix[r, :avail], work[t : t + avail] - fc)
 
+    def test_build_seasonal_naive_needs_a_period_of_training(self):
+        # forecasts read only the training and calibration blocks
+        ts = make_series(simulate_ar1(40, 0.5, seed=3), period=12)
+        with pytest.raises(ValueError, match="full period: 8 < 12"):
+            build_residual_matrix(ts, SplitSpec(8, 10, 5), ForecasterSpec(kind="seasonal_naive"), 3)
+
     @pytest.mark.parametrize("refit_every", [1, 3, None])
     @pytest.mark.parametrize("signed", [True, False])
     @pytest.mark.parametrize(
@@ -510,9 +516,9 @@ class TestCvConformal:
     def test_radii_match_backtest_quantiles(self):
         y = simulate_ar1(60, 0.5, seed=30)
         ts = make_series(y)
-        iv = cv_conformal_intervals(ts, 3, ForecasterSpec(), 0.1, 4)
-        rm, _ = conformal._cv_backtest(ts, 3, ForecasterSpec(), 4)
         yhat = forecast(fit_auto_ar(ts, ForecasterSpec()), ts, 4)
+        iv = cv_conformal_intervals(yhat, ts, 3, ForecasterSpec(), 0.1)
+        rm = conformal._cv_backtest(ts, 3, ForecasterSpec(), 4)
         for h in range(1, 5):
             radius = float(np.quantile(rm.column(h), 0.9))
             assert iv.lower[0, h - 1] == pytest.approx(yhat[h - 1] - radius)
@@ -521,16 +527,17 @@ class TestCvConformal:
     def test_radii_are_per_column_quantiles_bit_for_bit(self):
         for seed in range(5):
             ts = make_series(simulate_ar1(60, 0.5, seed=seed))
-            residuals, yhat = conformal._cv_backtest(ts, 4, ForecasterSpec(), 6)
+            yhat = np.random.default_rng(seed).standard_normal(6)
+            residuals = conformal._cv_backtest(ts, 4, ForecasterSpec(), 6)
             radii = np.array([np.quantile(residuals.column(h), 0.85) for h in range(1, 7)])
-            iv = cv_conformal_intervals(ts, 4, ForecasterSpec(), 0.15, 6)
+            iv = cv_conformal_intervals(yhat, ts, 4, ForecasterSpec(), 0.15)
             assert np.array_equal(iv.lower[0], yhat - radii)
             assert np.array_equal(iv.upper[0], yhat + radii)
 
     def test_single_window_matches_manual_holdout(self):
         y = simulate_ar1(40, 0.5, seed=31)
         ts = make_series(y)
-        rm, _ = conformal._cv_backtest(ts, 1, ForecasterSpec(), 5)
+        rm = conformal._cv_backtest(ts, 1, ForecasterSpec(), 5)
         cutoff = 35
         head = ts.head(cutoff)
         yhat = forecast(fit_auto_ar(head, ForecasterSpec()), head, 5)
@@ -579,6 +586,8 @@ class TestIntervalMatrix:
     )
     @example([(math.inf, 5.0)])
     @example([(1.0, 2.0), (3.0, -math.inf)])
+    @example([(math.inf, math.inf)])
+    @example([(-math.inf, -math.inf), (1.0, 2.0)])
     def test_constructs_exactly_when_no_cell_is_inverted(self, cells):
         lower = np.array([[lo for lo, _ in cells]])
         upper = np.array([[hi for _, hi in cells]])
@@ -586,8 +595,9 @@ class TestIntervalMatrix:
             with pytest.raises(ValueError, match="exceeds"):
                 IntervalMatrix(lower=lower, upper=upper)
             return
+        if any(lo == math.inf or hi == -math.inf for lo, hi in cells):
+            with pytest.raises(ValueError, match="pinned"):
+                IntervalMatrix(lower=lower, upper=upper)
+            return
         iv = IntervalMatrix(lower=lower, upper=upper)
-        # A cell pinned at one infinite bound has no width: inf - inf is nan.
-        pinned = np.isinf(lower) & (lower == upper)
-        with np.errstate(invalid="ignore"):
-            assert np.all(iv.width[~pinned] >= 0.0)
+        assert np.all(iv.width >= 0.0)  # and so no width is nan

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ctsbench.forecaster import (
     FittedForecaster,
     ForecasterSpec,
+    _fit_ar_prefixes,
     fit_auto_ar,
     forecast,
     seasonal_naive_forecast,
@@ -198,7 +199,7 @@ def family_series(family, n, offset, seed):
 
 
 class TestBatchedSolverMatchesLstsq:
-    """fit_auto_ar against a per-order lstsq oracle.
+    """fit_auto_ar and multi-prefix _fit_ar_prefixes calls against a per-order lstsq oracle.
 
     The two rank rules agree on designs that lstsq finds rank-deficient and
     that stay nearly dependent with their columns scaled to unit norm
@@ -222,14 +223,36 @@ class TestBatchedSolverMatchesLstsq:
         include_drift=st.booleans(),
         offset=st.floats(-1e3, 1e3),
         seed=st.integers(0, 2**32 - 1),
+        shorter=st.lists(st.one_of(st.integers(3, 9), st.integers(3, 60)), max_size=4),
     )
     def test_same_selection_aics_and_coefficients(
-        self, family, n, max_order, include_drift, offset, seed
+        self, family, n, max_order, include_drift, offset, seed, shorter
     ):
         y = family_series(family, n, offset, seed)
         model = fit_auto_ar(y, ForecasterSpec(max_order=max_order, include_drift=include_drift))
+        assert model.candidate_orders == tuple(range(min(max_order, n - 2) + 1))
+        self.check_fit(
+            y, max_order, include_drift,
+            model.order, np.array(model.aics), model.intercept, model.phi, model.sigma2,
+        )
+        # One call fits every prefix, those too short for the largest order too;
+        # each row is checked as a fit of its own prefix.
+        ends = np.array(sorted({t for t in shorter if t < n} | {n}))
+        fits = _fit_ar_prefixes(y, ends, max_order, include_drift)
+        assert fits.aics.shape == (len(ends), min(max_order, n - 2) + 1)
+        for r, T in enumerate(ends):
+            self.check_fit(
+                y[:T], max_order, include_drift,
+                int(fits.order[r]), fits.aics[r], fits.intercept[r], fits.phi[r], fits.sigma2[r],
+            )
+
+    @staticmethod
+    def check_fit(y, max_order, include_drift, order, aics, intercept, phi, sigma2):
+        """One selected fit of y; aics and phi may be padded past y's orders with +inf and 0."""
         ref = lstsq_candidates(y, max_order, include_drift)
-        assert model.candidate_orders == tuple(range(len(ref)))
+        assert np.all(np.isinf(aics[len(ref):]))
+        assert np.all(phi[order:] == 0.0)
+        phi = phi[:order]
         # Both rules reject designs lstsq finds rank-deficient that are also
         # nearly dependent after column scaling, and accept designs lstsq
         # accepts that are well conditioned after it; the rest is not compared.
@@ -239,7 +262,7 @@ class TestBatchedSolverMatchesLstsq:
             or (not r["rejected"] and r["ratio"] >= 1e-4)
             for r in ref
         ]
-        for p, (aic, r) in enumerate(zip(model.aics, ref)):
+        for p, (aic, r) in enumerate(zip(aics, ref)):
             if not clear[p]:
                 continue
             assert math.isinf(aic) == r["rejected"], p
@@ -262,12 +285,12 @@ class TestBatchedSolverMatchesLstsq:
         # The chosen order must be optimal for some RSS inside every band.
         valid = [r for r in ref if not r["rejected"]]
         best_upper = min(aic_of(r, r["rss"] + r["band"]) for r in valid)
-        r = ref[model.order]
+        r = ref[order]
         assert aic_of(r, r["rss"] - r["band"]) <= best_upper
-        intercept, phi = (r["coef"][0], r["coef"][1:]) if include_drift else (0.0, r["coef"])
-        assert model.intercept == pytest.approx(intercept, abs=1e-9 * (1.0 + abs(intercept)))
-        assert np.allclose(model.phi, phi, rtol=0.0, atol=1e-9)
-        assert model.sigma2 * (r["m"] - r["k"]) == pytest.approx(r["rss"], abs=r["band"])
+        want_intercept, want_phi = (r["coef"][0], r["coef"][1:]) if include_drift else (0.0, r["coef"])
+        assert intercept == pytest.approx(want_intercept, abs=1e-9 * (1.0 + abs(want_intercept)))
+        assert np.allclose(phi, want_phi, rtol=0.0, atol=1e-9)
+        assert sigma2 * (r["m"] - r["k"]) == pytest.approx(r["rss"], abs=r["band"])
 
 
 class TestSigmaH:

@@ -125,6 +125,13 @@ class TestCsv:
         assert s.ds_kind == "month"
         assert np.all(np.diff(s.timestamps) == 1)
 
+    @pytest.mark.parametrize("bad", ["2020-02-xyz", "2020-02-30", "2019-02-29", "2020-01-00"])
+    def test_day_must_be_a_day_of_its_month(self, bad):
+        good = "unique_id,ds,y\na,2019-12,0.0\na,2020-01-31,1.0\na,2020-02-29,2.0\n"
+        assert parse_panel(good)["a"].timestamps.tolist() == [2019 * 12 + 11, 2020 * 12, 2020 * 12 + 1]
+        with pytest.raises(PanelError, match=f"row 4: .*ds value '{bad}'"):
+            parse_panel(good + f"b,{bad},3.0\n")
+
     def test_header_must_match(self):
         with pytest.raises(PanelError, match="header"):
             parse_panel("id,ds,y\na,1,1.0\n", period=1)
