@@ -7,7 +7,10 @@ table maps each method to one function of all the contexts that returns
 each series' intervals or skip reason. The methods run in configured
 order and share the contexts. Every method but enbpi, whose bootstrap
 ensemble makes its own one-step forecasts, wraps `fc`; most treat each
-series on its own, and global_cp pools all the forecasts.
+series on its own. global_cp and cv_cp pool the forecasts of all the
+contexts into one call: global_cp calibrates on a cohort of series, and
+cv_cp backtests equal-length series heads in stacked solves, which gives
+each series the intervals it would get alone.
 
 Every run is a pure function of (config, data, seed): per-series RNG seeds
 are derived by hashing the global seed with the series id. The
@@ -294,12 +297,17 @@ def _per_series(method: Callable[[_SeriesContext], IntervalMatrix]) -> Callable:
     return run
 
 
+def _forecasts(contexts: list[_SeriesContext]) -> tuple[dict[str, np.ndarray | str], dict[str, np.ndarray]]:
+    """Every context's forecast or skip reason, and the forecasts alone."""
+    out = _per_series(lambda ctx: ctx.fc)(contexts)
+    return out, {sid: fc for sid, fc in out.items() if not isinstance(fc, str)}
+
+
 def _global_cp(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
     """Pool the series' forecasts. Each becomes an interval on an evaluation
     series, or a skip on a calibration series or when pooling fails."""
     c = contexts[0].config
-    out = _per_series(lambda ctx: ctx.fc)(contexts)
-    forecasts = {sid: fc for sid, fc in out.items() if not isinstance(fc, str)}
+    out, forecasts = _forecasts(contexts)
     try:
         cohort = SeriesPanel(tuple(ctx.series for ctx in contexts if ctx.series.series_id in forecasts))
         result = global_cp_intervals(cohort, c.cohort_split, forecasts, c.alpha, c.horizon)
@@ -307,6 +315,15 @@ def _global_cp(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str
         return out | dict.fromkeys(forecasts, str(e))
     cohort_skips = dict.fromkeys(result.calibration_ids, "spent as pooled calibration cohort")
     return out | cohort_skips | result.intervals
+
+
+def _cv_cp(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
+    """Backtest every series with a forecast in one pooled call on the
+    series' heads; a series without one keeps its forecast's skip reason."""
+    c = contexts[0].config
+    out, forecasts = _forecasts(contexts)
+    heads = [ctx.head for ctx in contexts if ctx.series.series_id in forecasts]
+    return out | cv_conformal_intervals(forecasts, heads, c.n_windows, c.forecaster, c.alpha)
 
 
 # Each method maps every eligible series' context to its intervals or a skip reason.
@@ -317,9 +334,7 @@ _METHODS = {
         ctx.fc, ctx.signed, SpciSpec(lag_count=ctx.config.spci_lags), ctx.config.alpha
     )),
     "global_cp": _global_cp,
-    "cv_cp": _per_series(lambda ctx: cv_conformal_intervals(
-        ctx.fc, ctx.head, ctx.config.n_windows, ctx.config.forecaster, ctx.config.alpha
-    )),
+    "cv_cp": _cv_cp,
     "aci": _per_series(lambda ctx: _aci_series_intervals(
         ctx.fc, ctx.abs_matrix, ctx.config.alpha, ctx.config.gamma
     )),

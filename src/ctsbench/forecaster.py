@@ -6,25 +6,34 @@ auto-ARIMA search; the conformal layer only consumes its point forecasts
 (and, for the Gaussian baseline, its innovation variance), so any forecaster
 with the same interface can be swapped in.
 
-`_prefix_forecasts` makes one series' forecasts from many origins and is the
-one place that branches on the forecaster kind: batched AR fits and
-recursions, or one seasonal index gather (`seasonal_naive_forecast` is its
-one-origin case). `forecast` stays a scalar loop for one fitted model: a
-one-row batched recursion costs several times as much.
+`_prefix_forecasts` makes the forecasts of a stack of equal-length series
+from many shared origins and is the one place that branches on the
+forecaster kind: batched AR fits and recursions, or one seasonal index
+gather (`seasonal_naive_forecast` is its one-series, one-origin case).
+`forecast` stays a scalar loop for one fitted model: a one-row batched
+recursion costs several times as much.
 
 All least-squares fits go through one solver, `_fit_ar_prefixes`, which fits
-every candidate order on every prefix values[:T] of one series at once;
-`fit_auto_ar` is its one-prefix case. Order p regresses rows t >= p of one
-lag matrix Z on an intercept and lags 1..p, so its cross-product [y X]'[y X]
-on prefix T is the sum of the row outer products of Z over rows p..T-1. One
-matrix product of a 0/1 row mask, one row per (prefix, order) pair, with the
-stacked outer products gives every pair's cross-product; a prefix too short
-for an order leaves it too few rows and no special case. The 0/1 weights only
-add, so a column that vanishes on a fit's rows stays exactly zero. The
-cross-products are scaled to unit diagonal and inverted in one batched call;
-each solution is refined once from its explicit residuals, and the RSS comes
-from the refined residuals, not from y'y - b'X'y, which cancels on
-near-perfect fits.
+every candidate order on every prefix values[s, :T] of an (S, n) stack of
+series at once; one series is the stack S = 1, and `fit_auto_ar` is its
+one-prefix case. Order p regresses rows t >= p of a series' lag matrix Z on
+an intercept and lags 1..p, so its cross-product [y X]'[y X] on prefix T is
+the sum of the row outer products of Z over rows p..T-1. One matrix product
+of a 0/1 row mask, one row per (prefix, order) pair and shared by the
+series, with each series' stacked outer products gives every cross-product;
+a prefix too short for an order leaves it too few rows and no special case.
+The 0/1 weights only add, so a column that vanishes on a fit's rows stays
+exactly zero. The cross-products are scaled to unit diagonal and inverted in
+one batched call; each solution is refined once from its explicit
+residuals, and the RSS comes from the refined residuals, not from
+y'y - b'X'y, which cancels on near-perfect fits.
+
+Every operation acts on one series' slice of the stack, in the same shapes
+whatever S is, so a series gets bit for bit the fits and forecasts it gets
+alone, and one series' rank-deficient candidate cannot touch another's. The
+temporaries grow with S, about 60 KiB per series of 84 points fitted at two
+prefixes, so a caller with many series stacks them in blocks: cv_cp
+backtests at most 64 at a time (`conformal._CV_BLOCK`).
 
 Rank rule: in the scaled cross-product A of an order, the pivot of column
 j, 1 / [A^-1]_jj, is the squared sine of the angle between that column and
@@ -38,9 +47,10 @@ factor 1e4 of each other. Between the two, normal equations cannot resolve
 a design as lstsq does, and the rules can differ. A ridge of 1e-14 on A's
 diagonal keeps rejected candidates invertible.
 
-With an intercept the series is first shifted by its first observation, a
-value every prefix shares, so that a large level does not enter the
-condition number; the intercept absorbs the shift and is mapped back.
+With an intercept each series is first shifted by its own first
+observation, a value all its prefixes share, so that a large level does
+not enter the condition number; the intercept absorbs the shift and is
+mapped back.
 """
 
 from __future__ import annotations
@@ -101,13 +111,13 @@ _RIDGE = 1e-14
 
 
 class _PrefixFits(NamedTuple):
-    """Selected AR fits for R prefixes; phi is zero-padded to the largest order."""
+    """Selected AR fits of S series at R prefixes each; phi is zero-padded to the largest order."""
 
-    order: np.ndarray  # (R,)
-    intercept: np.ndarray  # (R,)
-    phi: np.ndarray  # (R, P)
-    sigma2: np.ndarray  # (R,)
-    aics: np.ndarray  # (R, P + 1), +inf where a candidate was rejected
+    order: np.ndarray  # (S, R)
+    intercept: np.ndarray  # (S, R)
+    phi: np.ndarray  # (S, R, P)
+    sigma2: np.ndarray  # (S, R)
+    aics: np.ndarray  # (S, R, P + 1), +inf where a candidate was rejected
 
 
 class _Layout(NamedTuple):
@@ -145,7 +155,8 @@ def _order_layout(P: int, include_drift: bool) -> _Layout:
 def _fit_ar_prefixes(
     values: np.ndarray, ends: np.ndarray, max_order: int, include_drift: bool
 ) -> _PrefixFits:
-    """Fit AR(0..P) by least squares on values[:T] for every T in ends.
+    """Fit AR(0..P) by least squares on values[s, :T] for every series s of
+    an (S, n) stack and every T in ends.
 
     P = min(max_order, max(ends) - 2); a prefix of length T admits the
     orders p <= T - 2 that leave more rows (T - p) than coefficients
@@ -157,22 +168,24 @@ def _fit_ar_prefixes(
         raise ValueError(f"auto_ar needs at least 3 observations, have {t0}")
     P = min(max_order, n - 2)
     lay = _order_layout(P, include_drift)
-    shift = float(values[0]) if include_drift else 0.0
-    u = values[:n] - shift
-    # Row t of Z: [u[t], u[t-1], ..., u[t-P], 1], lags before the start zero.
-    Z = np.zeros((n, P + 2))
-    Z[:, 0] = u
+    S, R = len(values), len(ends)
+    shift = values[:, :1] if include_drift else np.zeros((S, 1))
+    u = values[:, :n] - shift
+    # Row t of Z[s]: [u[t], u[t-1], ..., u[t-P], 1], lags before the start zero.
+    Z = np.zeros((S, n, P + 2))
+    Z[:, :, 0] = u
     for j in range(1, P + 1):
-        Z[j:, j] = u[:-j]
-    Z[:, P + 1] = 1.0
-    X = Z[:, 1:]
+        Z[:, j:, j] = u[:, :-j]
+    Z[:, :, P + 1] = 1.0
+    X = Z[:, None, :, 1:]  # (S, 1, n, P+1), broadcast over the prefixes
     # [y X]'[y X] of order p on prefix T sums the outer products of rows
-    # p..T-1 of Z: a 0/1 mask over the stacked products. The weights only
-    # add, so a column that is zero on a fit's rows stays exactly zero.
+    # p..T-1 of Z: a 0/1 mask, shared by the series, over the stacked
+    # products. The weights only add, so a column that is zero on a fit's
+    # rows stays exactly zero.
     rows = np.arange(n)
     in_fit = (rows >= lay.orders[:, None]) & (rows < ends[:, None, None])  # (R, P+1, n)
-    outer = (Z[:, :, None] * Z[:, None, :]).reshape(n, -1)
-    G = (in_fit.astype(np.float64) @ outer).reshape(len(ends), P + 1, P + 2, P + 2)
+    outer = np.einsum("...i,...j->...ij", Z, Z).reshape(S, 1, n, -1)
+    G = (in_fit.astype(np.float64) @ outer).reshape(S, R, P + 1, P + 2, P + 2)
 
     # Scale the used columns to a unit diagonal; unused ones become identity.
     d = G.diagonal(axis1=-2, axis2=-1)[..., 1:]
@@ -188,20 +201,21 @@ def _fit_ar_prefixes(
     def solve(rhs: np.ndarray) -> np.ndarray:
         return (inv @ (rhs * scale)[..., None])[..., 0] * scale
 
+    y = u[:, None, None, :]
     beta = solve(G[..., 1:, 0])
-    resid = np.where(in_fit, u - beta @ X.T, 0.0)
+    resid = np.where(in_fit, y - beta @ X.swapaxes(-1, -2), 0.0)
     beta += solve(resid @ X)  # one refinement step from explicit residuals
-    resid = np.where(in_fit, u - beta @ X.T, 0.0)
+    resid = np.where(in_fit, y - beta @ X.swapaxes(-1, -2), 0.0)
     rss = np.einsum("...t,...t->...", resid, resid)
 
     m = np.maximum(m, 1)
     aics = np.where(ok, m * np.log(np.maximum(rss, 1e-300) / m) + lay.penalty, np.inf)
-    best = aics.argmin(axis=1)  # the first minimum: ties go to the smaller order
-    pick = np.arange(len(ends))
-    coef = beta[pick, best]
-    phi = coef[:, :P]
-    intercept = coef[:, P] + shift * (1.0 - phi.sum(axis=1))
-    sigma2 = rss[pick, best] / (m[pick, best] - lay.n_params[best])
+    best = aics.argmin(axis=-1)  # the first minimum: ties go to the smaller order
+    s, r = np.arange(S)[:, None], np.arange(R)
+    coef = beta[s, r, best]
+    phi = coef[..., :P]
+    intercept = coef[..., P] + shift * (1.0 - phi.sum(axis=-1))
+    sigma2 = rss[s, r, best] / (m[r, best] - lay.n_params[best])
     return _PrefixFits(best, intercept, phi, sigma2, aics)
 
 
@@ -224,11 +238,11 @@ def fit_auto_ar(train: np.ndarray | TimeSeries, spec: ForecasterSpec) -> FittedF
         if not np.all(np.isfinite(values)):
             raise ValueError("auto_ar needs finite observations")
     n = len(values)
-    fits = _fit_ar_prefixes(values, np.array([n]), spec.max_order, spec.include_drift)
-    p = int(fits.order[0])
-    aics = fits.aics[0]
+    fits = _fit_ar_prefixes(values[None], np.array([n]), spec.max_order, spec.include_drift)
+    p = int(fits.order[0, 0])
+    aics = fits.aics[0, 0]
     return FittedForecaster(
-        phi=fits.phi[0, :p], intercept=float(fits.intercept[0]), sigma2=float(fits.sigma2[0]),
+        phi=fits.phi[0, 0, :p], intercept=float(fits.intercept[0, 0]), sigma2=float(fits.sigma2[0, 0]),
         order=p, n_train=n, aic=float(aics[p]), aics=tuple(aics.tolist()),
         candidate_orders=tuple(range(len(aics))),
     )
@@ -237,19 +251,21 @@ def fit_auto_ar(train: np.ndarray | TimeSeries, spec: ForecasterSpec) -> FittedF
 def _forecast_paths(
     values: np.ndarray, ends: np.ndarray, intercept: np.ndarray, phi: np.ndarray, horizon: int
 ) -> np.ndarray:
-    """Recursive forecasts, one row per T in ends, from the end of values[:T].
+    """Recursive forecasts from the end of values[s, :T] for every series s
+    of an (S, n) stack and every T in ends: (S, R, horizon).
 
-    Row r uses intercept[r] and the coefficients phi[r], zero-padded past
-    its order; the recursion runs over the horizon, vectorized over rows.
+    Row [s, r] uses intercept[s, r] and the coefficients phi[s, r],
+    zero-padded past its order; the recursion runs over the horizon,
+    vectorized over rows.
     """
-    R, P = phi.shape
-    path = np.zeros((R, P + horizon))  # lag values oldest first, then forecasts
+    S, R, P = phi.shape
+    path = np.zeros((S, R, P + horizon))  # lag values oldest first, then forecasts
     lag_idx = np.asarray(ends)[:, None] - np.arange(P, 0, -1)
-    path[:, :P] = np.where(lag_idx >= 0, values[np.maximum(lag_idx, 0)], 0.0)
-    oldest_first = phi[:, ::-1]
+    path[..., :P] = np.where(lag_idx >= 0, values[:, np.maximum(lag_idx, 0)], 0.0)
+    oldest_first = phi[..., ::-1]
     for h in range(horizon):
-        path[:, P + h] = intercept + np.einsum("rj,rj->r", path[:, h : P + h], oldest_first)
-    return path[:, P:]
+        path[..., P + h] = intercept + np.einsum("...j,...j->...", path[..., h : P + h], oldest_first)
+    return path[..., P:]
 
 
 def forecast(model: FittedForecaster, history: np.ndarray | TimeSeries, horizon: int) -> np.ndarray:
@@ -303,14 +319,15 @@ def seasonal_naive_forecast(history: np.ndarray | TimeSeries, horizon: int, peri
         m = period
     if m < 1:
         raise ValueError(f"period must be >= 1, got {m}")
-    return _prefix_forecasts(values, [len(values)], ForecasterSpec("seasonal_naive"), m, horizon)[0]
+    return _prefix_forecasts(values[None], [len(values)], ForecasterSpec("seasonal_naive"), m, horizon)[0, 0]
 
 
 def _prefix_forecasts(
     values: np.ndarray, ends: np.ndarray, spec: ForecasterSpec, period: int, horizon: int,
     refit_every: int | None = 1,
 ) -> np.ndarray:
-    """(R, horizon) forecasts, one row per T in ends, from the end of values[:T].
+    """(S, R, horizon) forecasts from the end of values[s, :T] for every
+    series s of an (S, n) stack and every T in ends.
 
     auto_ar fits every refit_every-th prefix (None: the first only) in one
     batched solve, and each row uses the latest fit at or before it; ends
@@ -320,8 +337,8 @@ def _prefix_forecasts(
     if spec.kind == "seasonal_naive":
         if ends.min() < period:
             raise ValueError(f"seasonal naive needs at least one full period: {ends.min()} < {period}")
-        return values[ends[:, None] - period + np.arange(horizon) % period]
+        return values[:, ends[:, None] - period + np.arange(horizon) % period]
     step = len(ends) if refit_every is None else refit_every
     fits = _fit_ar_prefixes(values, ends[::step], spec.max_order, spec.include_drift)
     model = np.arange(len(ends)) // step  # the latest fit at or before each end
-    return _forecast_paths(values, ends, fits.intercept[model], fits.phi[model], horizon)
+    return _forecast_paths(values, ends, fits.intercept[:, model], fits.phi[:, model], horizon)

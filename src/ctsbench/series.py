@@ -149,6 +149,8 @@ class SplitSpec:
 
 
 _HEADER = ("unique_id", "ds", "y")
+# Timestamps are int64 (see TimeSeries).
+_STAMP_MIN, _STAMP_MAX = -(2**63), 2**63 - 1
 
 
 def _parse_ds(raw: str, row_num: int) -> tuple[int, str]:
@@ -170,11 +172,15 @@ def _parse_ds(raw: str, row_num: int) -> tuple[int, str]:
         # Every month has days 1..28; only a later day needs the calendar.
         if day < 1 or (day > 28 and day > calendar.monthrange(year, month)[1]):
             raise PanelError(f"row {row_num}: day out of range in ds value {raw!r}")
-        return year * 12 + (month - 1), "month"
-    try:
-        return int(raw), "int"
-    except ValueError:
-        raise PanelError(f"row {row_num}: cannot parse ds value {raw!r}") from None
+        stamp, kind = year * 12 + (month - 1), "month"
+    else:
+        try:
+            stamp, kind = int(raw), "int"
+        except ValueError:
+            raise PanelError(f"row {row_num}: cannot parse ds value {raw!r}") from None
+    if not _STAMP_MIN <= stamp <= _STAMP_MAX:
+        raise PanelError(f"row {row_num}: ds value out of range {raw!r}")
+    return stamp, kind
 
 
 def parse_panel(csv_text: str, period: int = 1) -> SeriesPanel:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import tempfile
 import xml.etree.ElementTree as ET
@@ -31,7 +32,7 @@ from ctsbench.cli import main as cli_main
 from ctsbench.conformal import ResidualMatrix, global_cp_intervals
 from ctsbench.forecaster import ForecasterSpec, fit_auto_ar, forecast, seasonal_naive_forecast
 from ctsbench.online import AciState, aci_interval, aci_step
-from ctsbench.series import parse_panel
+from ctsbench.series import SeriesPanel, parse_panel
 
 FAST_METHODS = ("mscp", "cv_cp", "parametric")
 
@@ -177,6 +178,53 @@ class TestRunBenchmark:
             pa.pop("metadata")
             pb.pop("metadata")
             assert pa == pb
+
+    def test_panel_order_invariant(self):
+        # Two length groups and all eight methods: the panel reversed and a
+        # seeded shuffle of it give the same records, skips and payload.
+        series = list(small_panel(n=4).series) + [
+            dataclasses.replace(ts, series_id=f"b{ts.series_id}") for ts in small_panel(n=3, seed=3, length=70)
+        ]
+        order = np.random.default_rng(11).permutation(len(series))
+        config = small_config(methods=bench.METHODS, alpha=0.5, horizon=2)
+        reports = [
+            run_benchmark(config, panel=SeriesPanel(tuple(panel)))
+            for panel in (series, series[::-1], [series[i] for i in order])
+        ]
+        assert {len(ts) for ts in series} == {90, 70}
+        assert {r.method for r in reports[0].records} == set(bench.METHODS)
+        payloads = [summary_payload(r) for r in reports]
+        for p in payloads:
+            p.pop("metadata")
+        for report, payload in zip(reports[1:], payloads[1:]):
+            assert report.records == reports[0].records
+            assert report.skips == reports[0].skips
+            assert payload == payloads[0]
+
+    def test_cv_cp_runs_through_the_traced_name(self, monkeypatch):
+        # perfbench times cv_cp at bench.cv_conformal_intervals: a run must
+        # call it, and every cv_cp interval must be one it returned.
+        results = []
+
+        def counting(*args, **kwargs):
+            results.append(conformal.cv_conformal_intervals(*args, **kwargs))
+            return results[-1]
+
+        scored = {}
+        metrics = bench.series_metrics
+
+        def spy(sid, method, result, truth, alpha):
+            scored[sid, method] = result
+            return metrics(sid, method, result, truth, alpha)
+
+        monkeypatch.setattr(bench, "cv_conformal_intervals", counting)
+        monkeypatch.setattr(bench, "series_metrics", spy)
+        report = run_benchmark(small_config(methods=("cv_cp", "mscp")), panel=small_panel())
+        assert len(results) >= 1
+        returned = {sid: iv for out in results for sid, iv in out.items()}
+        cv_scored = {sid: iv for (sid, method), iv in scored.items() if method == "cv_cp"}
+        assert len(cv_scored) == report.summaries["cv_cp"].n_series == 6
+        assert all(iv is returned[sid] for sid, iv in cv_scored.items())
 
     def test_methods_do_not_interfere_through_shared_contexts(self):
         panel = small_panel()

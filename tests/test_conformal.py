@@ -517,10 +517,10 @@ class TestCvConformal:
         y = simulate_ar1(60, 0.5, seed=30)
         ts = make_series(y)
         yhat = forecast(fit_auto_ar(ts, ForecasterSpec()), ts, 4)
-        iv = cv_conformal_intervals(yhat, ts, 3, ForecasterSpec(), 0.1)
-        rm = conformal._cv_backtest(ts, 3, ForecasterSpec(), 4)
+        iv = cv_conformal_intervals({"s": yhat}, [ts], 3, ForecasterSpec(), 0.1)["s"]
+        _, resid = conformal._cv_backtest(ts.values[None], 3, ForecasterSpec(), ts.period, 4)
         for h in range(1, 5):
-            radius = float(np.quantile(rm.column(h), 0.9))
+            radius = float(np.quantile(resid[0, :, h - 1], 0.9))
             assert iv.lower[0, h - 1] == pytest.approx(yhat[h - 1] - radius)
             assert iv.upper[0, h - 1] == pytest.approx(yhat[h - 1] + radius)
 
@@ -528,27 +528,83 @@ class TestCvConformal:
         for seed in range(5):
             ts = make_series(simulate_ar1(60, 0.5, seed=seed))
             yhat = np.random.default_rng(seed).standard_normal(6)
-            residuals = conformal._cv_backtest(ts, 4, ForecasterSpec(), 6)
-            radii = np.array([np.quantile(residuals.column(h), 0.85) for h in range(1, 7)])
-            iv = cv_conformal_intervals(yhat, ts, 4, ForecasterSpec(), 0.15)
+            _, resid = conformal._cv_backtest(ts.values[None], 4, ForecasterSpec(), ts.period, 6)
+            radii = np.array([np.quantile(resid[0, :, h - 1], 0.85) for h in range(1, 7)])
+            iv = cv_conformal_intervals({"s": yhat}, [ts], 4, ForecasterSpec(), 0.15)["s"]
             assert np.array_equal(iv.lower[0], yhat - radii)
             assert np.array_equal(iv.upper[0], yhat + radii)
 
     def test_single_window_matches_manual_holdout(self):
         y = simulate_ar1(40, 0.5, seed=31)
         ts = make_series(y)
-        rm = conformal._cv_backtest(ts, 1, ForecasterSpec(), 5)
+        cutoffs, resid = conformal._cv_backtest(ts.values[None], 1, ForecasterSpec(), ts.period, 5)
         cutoff = 35
         head = ts.head(cutoff)
         yhat = forecast(fit_auto_ar(head, ForecasterSpec()), head, 5)
         expected = np.abs(y[cutoff:] - yhat)
-        assert np.allclose(rm.matrix[0], expected)
-        assert rm.origins == (cutoff,)
+        assert np.allclose(resid[0, 0], expected)
+        assert cutoffs.tolist() == [cutoff]
 
     def test_too_many_windows_rejected(self):
         ts = make_series(np.arange(10.0))
-        with pytest.raises(ValueError, match="backtest"):
-            conformal._cv_backtest(ts, 3, ForecasterSpec(), 4)
+        out = cv_conformal_intervals({"s": np.zeros(4)}, [ts], 3, ForecasterSpec(), 0.1)
+        assert out == {"s": "series 's' admits no 3-window backtest at horizon 4"}
+
+    @pytest.mark.parametrize(
+        "forecaster",
+        [ForecasterSpec(), ForecasterSpec(max_order=3, include_drift=False), ForecasterSpec("seasonal_naive")],
+    )
+    def test_pooled_series_get_their_one_series_intervals(self, monkeypatch, forecaster):
+        # Two length groups, both larger than the block, a constant and a
+        # trend inside them, and one series too short for its backtest; the
+        # series arrive in shuffled order.
+        monkeypatch.setattr(conformal, "_CV_BLOCK", 2)
+        series = [make_series(simulate_ar1(40, 0.6, seed=i), f"long{i}", period=4) for i in range(4)]
+        series += [make_series(simulate_ar1(33, 0.3, seed=i), f"mid{i}", period=4) for i in range(3)]
+        series += [
+            make_series(np.full(40, 2.0), "flat", period=4),
+            make_series(1.0 + 0.5 * np.arange(33.0), "trend", period=4),
+            make_series(simulate_ar1(14, 0.6, seed=9), "short", period=4),
+        ]
+        rng = np.random.default_rng(8)
+        forecasts = {ts.series_id: rng.standard_normal(4) for ts in series}
+        shuffled = [series[i] for i in rng.permutation(len(series))]
+        pooled = cv_conformal_intervals(forecasts, shuffled, 3, forecaster, 0.2)
+        assert pooled.keys() == forecasts.keys()
+        for ts in series:
+            sid = ts.series_id
+            alone = cv_conformal_intervals({sid: forecasts[sid]}, [ts], 3, forecaster, 0.2)
+            assert pooled[sid] == alone[sid], sid
+        assert pooled["short"] == "series 'short' admits no 3-window backtest at horizon 4"
+        assert all(isinstance(pooled[ts.series_id], IntervalMatrix) for ts in series[:-1])
+
+    def test_an_error_stays_with_its_series(self, monkeypatch):
+        # A stacked solve that fails is redone series by series, so that
+        # the failure skips only the series that caused it.
+        monkeypatch.setattr(conformal, "_CV_BLOCK", 2)
+        prefix_forecasts = conformal._prefix_forecasts
+
+        def failing(values, *args):
+            if np.any(values[:, 0] == 99.0):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return prefix_forecasts(values, *args)
+
+        monkeypatch.setattr(conformal, "_prefix_forecasts", failing)
+        series = [make_series(simulate_ar1(30, 0.5, seed=i), f"s{i}") for i in range(3)]
+        bad = simulate_ar1(30, 0.5, seed=3)
+        bad[0] = 99.0
+        series.append(make_series(bad, "bad"))
+        forecasts = {ts.series_id: np.zeros(3) for ts in series}
+        pooled = cv_conformal_intervals(forecasts, series, 2, ForecasterSpec(), 0.2)
+        assert pooled["bad"] == "Singular matrix"
+        for ts in series[:3]:
+            alone = cv_conformal_intervals({ts.series_id: np.zeros(3)}, [ts], 2, ForecasterSpec(), 0.2)
+            assert pooled[ts.series_id] == alone[ts.series_id]
+
+    def test_missing_forecast_rejected(self):
+        ts = make_series(simulate_ar1(30, 0.5, seed=1))
+        with pytest.raises(ValueError, match="no forecast for series 's'"):
+            cv_conformal_intervals({}, [ts], 2, ForecasterSpec(), 0.1)
 
 
 class TestParametric:

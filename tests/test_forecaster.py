@@ -6,13 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctsbench.forecaster import (
     FittedForecaster,
     ForecasterSpec,
     _fit_ar_prefixes,
+    _prefix_forecasts,
     fit_auto_ar,
     forecast,
     seasonal_naive_forecast,
@@ -238,12 +239,12 @@ class TestBatchedSolverMatchesLstsq:
         # One call fits every prefix, those too short for the largest order too;
         # each row is checked as a fit of its own prefix.
         ends = np.array(sorted({t for t in shorter if t < n} | {n}))
-        fits = _fit_ar_prefixes(y, ends, max_order, include_drift)
-        assert fits.aics.shape == (len(ends), min(max_order, n - 2) + 1)
+        fits = _fit_ar_prefixes(y[None], ends, max_order, include_drift)
+        assert fits.aics.shape == (1, len(ends), min(max_order, n - 2) + 1)
         for r, T in enumerate(ends):
             self.check_fit(
                 y[:T], max_order, include_drift,
-                int(fits.order[r]), fits.aics[r], fits.intercept[r], fits.phi[r], fits.sigma2[r],
+                int(fits.order[0, r]), fits.aics[0, r], fits.intercept[0, r], fits.phi[0, r], fits.sigma2[0, r],
             )
 
     @staticmethod
@@ -291,6 +292,54 @@ class TestBatchedSolverMatchesLstsq:
         assert intercept == pytest.approx(want_intercept, abs=1e-9 * (1.0 + abs(want_intercept)))
         assert np.allclose(phi, want_phi, rtol=0.0, atol=1e-9)
         assert sigma2 * (r["m"] - r["k"]) == pytest.approx(r["rss"], abs=r["band"])
+
+
+class TestStackedSolver:
+    """A stack of equal-length series is fitted and forecast exactly as each series alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        families=st.lists(st.sampled_from(["noise", "constant", "ar1", "trend"]), min_size=2, max_size=6),
+        n=st.integers(3, 60),
+        max_order=st.integers(0, 6),
+        include_drift=st.booleans(),
+        offset=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+        shorter=st.lists(st.integers(3, 60), max_size=4),
+        horizon=st.integers(1, 13),
+        refit_every=st.sampled_from([1, 2, None]),
+    )
+    @example(
+        families=["noise", "constant", "trend", "ar1"], n=40, max_order=5, include_drift=True,
+        offset=100.0, seed=0, shorter=[10, 25], horizon=12, refit_every=1,
+    )
+    def test_stack_matches_one_series_calls(
+        self, families, n, max_order, include_drift, offset, seed, shorter, horizon, refit_every
+    ):
+        stack = np.stack([family_series(f, n, offset, (seed + i) % 2**32) for i, f in enumerate(families)])
+        ends = np.array(sorted({t for t in shorter if t < n} | {n}))
+        spec = ForecasterSpec(max_order=max_order, include_drift=include_drift)
+        fits = _fit_ar_prefixes(stack, ends, max_order, include_drift)
+        paths = _prefix_forecasts(stack, ends, spec, 12, horizon, refit_every)
+        assert paths.shape == (len(families), len(ends), horizon)
+        for s in range(len(families)):
+            alone = _fit_ar_prefixes(stack[s : s + 1], ends, max_order, include_drift)
+            for name, stacked, single in zip(fits._fields, fits, alone):
+                assert np.array_equal(stacked[s], single[0]), (name, families[s])
+            single_paths = _prefix_forecasts(stack[s : s + 1], ends, spec, 12, horizon, refit_every)
+            assert np.array_equal(paths[s], single_paths[0]), families[s]
+
+    def test_seasonal_naive_gathers_each_series(self):
+        rng = np.random.default_rng(6)
+        stack = rng.standard_normal((3, 30))
+        ends = np.array([12, 20, 30])
+        paths = _prefix_forecasts(stack, ends, ForecasterSpec("seasonal_naive"), 12, 14)
+        for s in range(3):
+            single = _prefix_forecasts(stack[s : s + 1], ends, ForecasterSpec("seasonal_naive"), 12, 14)
+            assert np.array_equal(paths[s], single[0])
+            for r, T in enumerate(ends):
+                assert np.array_equal(paths[s, r], seasonal_naive_forecast(stack[s, :T], 14, period=12))
+                assert np.array_equal(paths[s, r], stack[s, T - 12 + np.arange(14) % 12])
 
 
 class TestSigmaH:

@@ -132,6 +132,24 @@ class TestCsv:
         with pytest.raises(PanelError, match=f"row 4: .*ds value '{bad}'"):
             parse_panel(good + f"b,{bad},3.0\n")
 
+    @pytest.mark.parametrize(
+        "bad", ["99999999999999999999-01", "99999999999999999999", "-99999999999999999999", "9223372036854775808"]
+    )
+    def test_ds_outside_int64_rejected(self, bad):
+        with pytest.raises(PanelError, match=f"row 2: ds value out of range '{bad}'"):
+            parse_panel(f"unique_id,ds,y\na,1,1.0\nb,{bad},1.0\n")
+
+    def test_int64_extremes_accepted(self):
+        top, bottom = 2**63 - 1, -(2**63)
+        panel = parse_panel(f"unique_id,ds,y\na,{bottom},0.0\na,{top},1.0\n")
+        assert panel["a"].timestamps.tolist() == [bottom, top]
+        # The latest month whose stamp year * 12 + (month - 1) fits in int64.
+        year, last = divmod(top, 12)
+        late = parse_panel(f"unique_id,ds,y\nm,{year}-{last + 1:02d}-01,1.0\n")
+        assert late["m"].timestamps.tolist() == [top]
+        with pytest.raises(PanelError, match="row 1: ds value out of range"):
+            parse_panel(f"unique_id,ds,y\nm,{year}-{last + 2:02d}-01,1.0\n")
+
     def test_header_must_match(self):
         with pytest.raises(PanelError, match="header"):
             parse_panel("id,ds,y\na,1,1.0\n", period=1)
