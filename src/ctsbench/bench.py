@@ -2,15 +2,18 @@
 aggregation, rank tests, and report emission.
 
 A run builds one context per eligible series, which makes the series'
-one point forecast `fc`, model and residual matrices on first use. A
-table maps each method to one function of all the contexts that returns
-each series' intervals or skip reason. The methods run in configured
-order and share the contexts. Every method but enbpi, whose bootstrap
-ensemble makes its own one-step forecasts, wraps `fc`; most treat each
-series on its own. global_cp and cv_cp pool the forecasts of all the
-contexts into one call: global_cp calibrates on a cohort of series, and
-cv_cp backtests equal-length series heads in stacked solves, which gives
-each series the intervals it would get alone.
+one point forecast `fc`, model and residual matrices on first use. The
+contexts share one table of series-end models: the first time a method
+asks for a model, every context's head is fitted, in stacked blocks of
+equal-length heads (`forecaster.fit_auto_ar_stacked`). A table maps each
+method to one function of all the contexts that returns each series'
+intervals or skip reason. The methods run in configured order and share
+the contexts. Every method but enbpi, whose bootstrap ensemble makes its
+own one-step forecasts, wraps `fc`; most treat each series on its own.
+global_cp and cv_cp pool the forecasts of all the contexts into one call:
+global_cp calibrates on a cohort of series, and cv_cp backtests
+equal-length series heads in stacked solves, which gives each series the
+intervals it would get alone.
 
 Every run is a pure function of (config, data, seed): per-series RNG seeds
 are derived by hashing the global seed with the series id. The
@@ -50,7 +53,14 @@ from .conformal import (
     parametric_intervals,
     spci_intervals,
 )
-from .forecaster import FittedForecaster, ForecasterSpec, fit_auto_ar, forecast, seasonal_naive_forecast
+from .forecaster import (
+    FittedForecaster,
+    ForecasterSpec,
+    fit_auto_ar,  # noqa: F401  unused here, but perfbench/spans.py traces bench.fit_auto_ar
+    fit_auto_ar_stacked,
+    forecast,
+    seasonal_naive_forecast,
+)
 from .metrics import MethodSummary, MetricRecord, aggregate, series_metrics
 # acmcp_step stays importable here: perfbench/spans.py traces it by this name.
 from .online import AciState, aci_interval, aci_step, acmcp_init, acmcp_interval, acmcp_run, acmcp_step  # noqa: F401
@@ -221,17 +231,36 @@ def _acmcp_series_intervals(
     return IntervalMatrix(lower=lower.reshape(1, -1), upper=upper.reshape(1, -1))
 
 
+class _EndModels:
+    """The series-end models of a run's contexts by series id, fitted in
+    stacked blocks the first time any context asks for its model. A fit
+    that raised leaves its error message in place of the model."""
+
+    def __init__(self, spec: ForecasterSpec):
+        self.spec = spec
+        # The contexts' heads, not the contexts, which hold this table: a
+        # reference cycle would keep every context alive until the cyclic GC ran.
+        self.heads: list[TimeSeries] = []
+
+    @cached_property
+    def table(self) -> dict[str, FittedForecaster | str]:
+        models = fit_auto_ar_stacked(self.heads, self.spec)
+        return {head.series_id: model for head, model in zip(self.heads, models)}
+
+
 class _SeriesContext:
     """One series' inputs shared by its methods, each built on first use.
 
     A build that raises is not cached: every method that needs it raises
-    the same error, which becomes that method's skip reason.
+    the same error, which becomes that method's skip reason. The model
+    comes from the run's shared table, which keeps a failed fit's message.
     """
 
-    def __init__(self, series: TimeSeries, config: BenchConfig):
+    def __init__(self, series: TimeSeries, config: BenchConfig, end_models: _EndModels):
         self.series = series
         self.config = config
         self.head = series.head(len(series) - config.horizon)  # all but the test block
+        self.end_models = end_models
 
     @cached_property
     def signed(self) -> ResidualMatrix:
@@ -251,7 +280,10 @@ class _SeriesContext:
         """The autoregression behind the forecast; None for seasonal naive."""
         if self.config.forecaster.kind != "auto_ar":
             return None
-        return fit_auto_ar(self.head.values, self.config.forecaster)
+        model = self.end_models.table[self.series.series_id]
+        if isinstance(model, str):
+            raise ValueError(model)
+        return model
 
     @cached_property
     def fc(self) -> np.ndarray:
@@ -402,6 +434,25 @@ class BenchConfig:
         return hashlib.sha256(repr(dataclasses.asdict(self)).encode()).hexdigest()[:12]
 
 
+def _contexts(panel: SeriesPanel, config: BenchConfig) -> tuple[list[_SeriesContext], list[tuple[str, str, str]]]:
+    """A context for each series long enough to evaluate, all sharing one
+    table of series-end models, and a skip for every method on each other series."""
+    H = config.horizon
+    skips: list[tuple[str, str, str]] = []
+    contexts: list[_SeriesContext] = []
+    end_models = _EndModels(config.forecaster)
+    for series in panel:
+        n = len(series)
+        train_len = config.train_len if config.train_len is not None else n - config.cal_len - H
+        if train_len < _min_train(series.period) or n < train_len + config.cal_len + H:
+            reason = f"series too short: {n} observations for train {train_len}, cal {config.cal_len}, test {H}"
+            skips.extend((series.series_id, m, reason) for m in config.methods)
+            continue
+        contexts.append(_SeriesContext(series, config, end_models))
+        end_models.heads.append(contexts[-1].head)
+    return contexts, skips
+
+
 def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> BenchmarkReport:
     """Evaluate every configured method on every evaluable series.
 
@@ -415,22 +466,15 @@ def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> Benc
         if config.data is None:
             raise PanelError("no data source: set the data path or pass a panel")
         try:
-            text = Path(config.data).read_text()
+            text = Path(config.data).read_text(encoding="utf-8")
         except OSError as e:
             raise PanelError(f"cannot read data file {config.data!r}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise PanelError(f"cannot decode data file {config.data!r} as UTF-8: {e}") from None
         panel = parse_panel(text, period=config.period)
 
     H = config.horizon
-    skips: list[tuple[str, str, str]] = []
-    contexts: list[_SeriesContext] = []
-    for series in panel:
-        n = len(series)
-        train_len = config.train_len if config.train_len is not None else n - config.cal_len - H
-        if train_len < _min_train(series.period) or n < train_len + config.cal_len + H:
-            reason = f"series too short: {n} observations for train {train_len}, cal {config.cal_len}, test {H}"
-            skips.extend((series.series_id, m, reason) for m in config.methods)
-            continue
-        contexts.append(_SeriesContext(series, config))
+    contexts, skips = _contexts(panel, config)
     if not contexts:
         raise NothingEvaluableError("no series long enough to evaluate")
 
@@ -691,6 +735,6 @@ def build_config(file_values: dict[str, str] | None = None, **overrides) -> Benc
 
 def write_panel_csv(panel: SeriesPanel, path: str) -> None:
     try:
-        Path(path).write_text(serialize_panel(panel))
+        Path(path).write_text(serialize_panel(panel), encoding="utf-8")
     except OSError as e:
         raise BenchOutputError(f"cannot write panel to {path!r}: {e}") from None

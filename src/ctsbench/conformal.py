@@ -21,6 +21,7 @@ import numpy as np
 from .forecaster import (
     FittedForecaster,
     ForecasterSpec,
+    _in_blocks,
     _prefix_forecasts,
     fit_auto_ar,
     forecast,  # unused here, but perfbench/spans.py wraps conformal.forecast
@@ -100,6 +101,9 @@ class ResidualMatrix:
         )
 
 
+_MAX = np.finfo(np.float64).max
+
+
 @dataclass(frozen=True, eq=False)
 class IntervalMatrix:
     """Lower/upper interval bounds per origin and horizon.
@@ -115,13 +119,19 @@ class IntervalMatrix:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        lo = np.ascontiguousarray(np.atleast_2d(self.lower), dtype=np.float64)
-        hi = np.ascontiguousarray(np.atleast_2d(self.upper), dtype=np.float64)
+        # Copies, so that freezing them never freezes or aliases a caller's array.
+        lo = np.array(self.lower, dtype=np.float64, order="C", ndmin=2)
+        hi = np.array(self.upper, dtype=np.float64, order="C", ndmin=2)
         if lo.shape != hi.shape:
             raise ValueError(f"bound shape mismatch: {lo.shape} vs {hi.shape}")
-        if np.any(lo > hi):
-            raise ValueError("lower bound exceeds upper bound")
-        if np.any(lo == np.inf) or np.any(hi == -np.inf):
+        # One comparison finds every bad cell. Clamping lower up to -MAX and
+        # upper down to +MAX (fmax/fmin turn a NaN bound into the clamp)
+        # keeps lower > upper where it held and makes a cell pinned at one
+        # infinite bound compare +inf > MAX or -MAX > -inf; a NaN bound
+        # alone never compares.
+        if np.greater(np.fmax(lo, -_MAX), np.fmin(hi, _MAX)).any():
+            if (lo > hi).any():
+                raise ValueError("lower bound exceeds upper bound")
             raise ValueError("interval pinned at an infinite bound")
         lo.flags.writeable = False
         hi.flags.writeable = False
@@ -482,12 +492,6 @@ def global_cp_intervals(
     )
 
 
-# Series per stacked cv_cp backtest solve. 588 series of 84 points in one
-# stack peak at about 36 MiB of solver temporaries (tracemalloc), against
-# about 5 MiB in blocks of 64, at about the same speed.
-_CV_BLOCK = 64
-
-
 def _cv_backtest(
     values: np.ndarray, n_windows: int, forecaster: ForecasterSpec, period: int, horizon: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -524,14 +528,14 @@ def cv_conformal_intervals(
     Returns each series' intervals, or the message of the error that
     stopped it (a series too short for its backtest, for one). Series of
     equal length, period and horizon are backtested together, in blocks of
-    at most _CV_BLOCK series with one stacked AR solve each; every
-    operation of the solve acts on one series at a time, so each series
-    gets the intervals it would get alone.
+    at most forecaster._STACK_BLOCK series with one stacked AR solve each;
+    every operation of the solve acts on one series at a time, so each
+    series gets the intervals it would get alone.
     """
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
     out: dict[str, IntervalMatrix | str] = {}
-    groups: dict[tuple[int, int, int], list[tuple[str, np.ndarray, np.ndarray]]] = {}
+    members: list[tuple[str, np.ndarray, TimeSeries]] = []
     for ts in series:
         sid = ts.series_id
         if sid not in forecasts:
@@ -543,26 +547,19 @@ def cv_conformal_intervals(
         if len(ts) - n_windows * horizon < 3:
             out[sid] = f"series {sid!r} admits no {n_windows}-window backtest at horizon {horizon}"
             continue
-        groups.setdefault((len(ts), ts.period, horizon), []).append((sid, yhat, ts.values))
-    blocks = [
-        (period, horizon, members[i : i + _CV_BLOCK])
-        for (_, period, horizon), members in groups.items()
-        for i in range(0, len(members), _CV_BLOCK)
-    ]
-    while blocks:
-        period, horizon, block = blocks.pop()
-        stack = np.stack([values for _, _, values in block])
-        try:
-            _, resid = _cv_backtest(stack, n_windows, forecaster, period, horizon)
-        except (ValueError, ArithmeticError) as e:
-            if len(block) > 1:  # retry one by one, so that an error stays with its series
-                blocks.extend((period, horizon, [member]) for member in block)
-            else:
-                out[block[0][0]] = str(e)
-            continue
-        radii = np.quantile(resid, 1.0 - alpha, axis=1)
-        for (sid, yhat, _), r in zip(block, radii):
-            out[sid] = IntervalMatrix(lower=(yhat - r).reshape(1, -1), upper=(yhat + r).reshape(1, -1))
+        members.append((sid, yhat, ts))
+
+    def radii(block: list[int]) -> np.ndarray:
+        _, yhat, ts = members[block[0]]
+        stack = np.stack([members[i][2].values for i in block])
+        _, resid = _cv_backtest(stack, n_windows, forecaster, ts.period, len(yhat))
+        return np.quantile(resid, 1.0 - alpha, axis=1)
+
+    keys = [(len(ts), ts.period, len(yhat)) for _, yhat, ts in members]
+    for (sid, yhat, _), r in zip(members, _in_blocks(keys, radii)):
+        out[sid] = r if isinstance(r, str) else IntervalMatrix(
+            lower=(yhat - r).reshape(1, -1), upper=(yhat + r).reshape(1, -1)
+        )
     return out
 
 

@@ -188,13 +188,16 @@ def parse_panel(csv_text: str, period: int = 1) -> SeriesPanel:
 
     Rows are numbered from 1 for the first data row; error messages cite
     the offending row. Within a series timestamps must be unique and the
-    ds encoding (plain integer vs year-month date) must not mix.
+    ds encoding (plain integer vs year-month date) must not mix. Each
+    distinct ds string is parsed once, at its first row.
     """
     reader = csv.reader(io.StringIO(csv_text))
     try:
         header = next(reader)
     except StopIteration:
         raise PanelError("empty panel: no header row") from None
+    except csv.Error as e:
+        raise PanelError(f"cannot read CSV header row: {e}") from None
     if tuple(h.strip() for h in header) != _HEADER:
         raise PanelError(
             f"bad header: expected {','.join(_HEADER)!r}, got {','.join(header)!r}"
@@ -202,31 +205,38 @@ def parse_panel(csv_text: str, period: int = 1) -> SeriesPanel:
     rows_by_id: dict[str, list[tuple[int, float]]] = {}
     kind_by_id: dict[str, str] = {}
     seen: dict[str, set[int]] = {}
+    parsed_ds: dict[str, tuple[int, str]] = {}
     row_num = 0
-    for row in reader:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        row_num += 1
-        if len(row) != 3:
-            raise PanelError(f"row {row_num}: expected 3 fields, got {len(row)}")
-        uid = row[0].strip()
-        if not uid:
-            raise PanelError(f"row {row_num}: empty unique_id")
-        ts, kind = _parse_ds(row[1], row_num)
-        try:
-            y = float(row[2])
-        except ValueError:
-            raise PanelError(f"row {row_num}: cannot parse y value {row[2]!r}") from None
-        if not math.isfinite(y):
-            raise PanelError(f"row {row_num}: non-finite y value {row[2]!r}")
-        prior_kind = kind_by_id.setdefault(uid, kind)
-        if prior_kind != kind:
-            raise PanelError(f"row {row_num}: mixed ds formats in series {uid!r}")
-        stamps = seen.setdefault(uid, set())
-        if ts in stamps:
-            raise PanelError(f"row {row_num}: duplicate timestamp in series {uid!r}")
-        stamps.add(ts)
-        rows_by_id.setdefault(uid, []).append((ts, y))
+    try:  # the reader raises csv.Error on a row it cannot read (a field over its size limit, say)
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            row_num += 1
+            if len(row) != 3:
+                raise PanelError(f"row {row_num}: expected 3 fields, got {len(row)}")
+            uid = row[0].strip()
+            if not uid:
+                raise PanelError(f"row {row_num}: empty unique_id")
+            ds = parsed_ds.get(row[1])
+            if ds is None:
+                ds = parsed_ds[row[1]] = _parse_ds(row[1], row_num)
+            ts, kind = ds
+            try:
+                y = float(row[2])
+            except ValueError:
+                raise PanelError(f"row {row_num}: cannot parse y value {row[2]!r}") from None
+            if not math.isfinite(y):
+                raise PanelError(f"row {row_num}: non-finite y value {row[2]!r}")
+            prior_kind = kind_by_id.setdefault(uid, kind)
+            if prior_kind != kind:
+                raise PanelError(f"row {row_num}: mixed ds formats in series {uid!r}")
+            stamps = seen.setdefault(uid, set())
+            if ts in stamps:
+                raise PanelError(f"row {row_num}: duplicate timestamp in series {uid!r}")
+            stamps.add(ts)
+            rows_by_id.setdefault(uid, []).append((ts, y))
+    except csv.Error as e:
+        raise PanelError(f"row {row_num + 1}: cannot read CSV row: {e}") from None
     if not rows_by_id:
         raise PanelError("empty panel: no data rows")
     out = []

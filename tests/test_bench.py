@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctsbench import bench, conformal
+from ctsbench import bench, conformal, forecaster
 from ctsbench.bench import (
     BenchConfig,
     NothingEvaluableError,
@@ -30,9 +30,16 @@ from ctsbench.bench import (
 )
 from ctsbench.cli import main as cli_main
 from ctsbench.conformal import ResidualMatrix, global_cp_intervals
-from ctsbench.forecaster import ForecasterSpec, fit_auto_ar, forecast, seasonal_naive_forecast
+from ctsbench.forecaster import (
+    FittedForecaster,
+    ForecasterSpec,
+    fit_auto_ar,
+    fit_auto_ar_stacked,
+    forecast,
+    seasonal_naive_forecast,
+)
 from ctsbench.online import AciState, aci_interval, aci_step
-from ctsbench.series import SeriesPanel, parse_panel
+from ctsbench.series import SeriesPanel, TimeSeries, parse_panel
 
 FAST_METHODS = ("mscp", "cv_cp", "parametric")
 
@@ -49,6 +56,14 @@ def small_panel(n=6, seed=2, length=90, generator="ar1"):
     return generate_synthetic(
         SyntheticSpec(generator=generator, n_series=n, length=length, seed=seed)
     )
+
+
+def two_length_series(n_long):
+    """n_long series of 90 points and three of 70, with distinct ids."""
+    short = small_panel(n=3, seed=3, length=70)
+    return list(small_panel(n=n_long).series) + [
+        dataclasses.replace(ts, series_id=f"b{ts.series_id}") for ts in short
+    ]
 
 
 class TestSeriesSeed:
@@ -182,9 +197,7 @@ class TestRunBenchmark:
     def test_panel_order_invariant(self):
         # Two length groups and all eight methods: the panel reversed and a
         # seeded shuffle of it give the same records, skips and payload.
-        series = list(small_panel(n=4).series) + [
-            dataclasses.replace(ts, series_id=f"b{ts.series_id}") for ts in small_panel(n=3, seed=3, length=70)
-        ]
+        series = two_length_series(4)
         order = np.random.default_rng(11).permutation(len(series))
         config = small_config(methods=bench.METHODS, alpha=0.5, horizon=2)
         reports = [
@@ -307,16 +320,21 @@ class TestRunBenchmark:
             assert np.array_equal(result.intervals[sid].upper[0], fc + result.radii)
 
     def test_each_series_fitted_once(self, monkeypatch):
+        # Series-end models come from one stacked call over the eligible
+        # heads; no lone fit_auto_ar call fits them again.
         fitted = []
+
+        def counting_stacked(trains, spec):
+            fitted.extend(len(t) for t in trains)
+            return fit_auto_ar_stacked(trains, spec)
 
         def counting_fit(train, spec):
             fitted.append(len(train))
             return fit_auto_ar(train, spec)
 
+        monkeypatch.setattr(bench, "fit_auto_ar_stacked", counting_stacked)
         monkeypatch.setattr(bench, "fit_auto_ar", counting_fit)
         monkeypatch.setattr(conformal, "fit_auto_ar", counting_fit)
-        from ctsbench.series import SeriesPanel, TimeSeries
-
         short = TimeSeries(
             "tiny", np.arange(1, 21, dtype=np.int64), np.random.default_rng(0).standard_normal(20), 12, "int"
         )
@@ -324,6 +342,75 @@ class TestRunBenchmark:
         report = run_benchmark(small_config(methods=("global_cp", "parametric")), panel=panel)
         assert report.metadata["n_series_evaluated"] == 6
         assert fitted == [90 - 6] * 6
+
+    @pytest.mark.parametrize(
+        "spec", [ForecasterSpec(), ForecasterSpec(max_order=3, include_drift=False)]
+    )
+    def test_stacked_end_fits_match_lone_fits(self, monkeypatch, spec):
+        # Two head lengths, each larger than the block, a constant and a
+        # trend among them: every context's model is, field for field, the
+        # one fit_auto_ar gives its head alone.
+        monkeypatch.setattr(forecaster, "_STACK_BLOCK", 2)
+        series = two_length_series(5)
+        stamps = np.arange(1, 71, dtype=np.int64)
+        series += [
+            TimeSeries("flat", stamps, np.full(70, 2.0), 12),
+            TimeSeries("trend", stamps, 1.0 + 0.5 * np.arange(70.0), 12),
+        ]
+        contexts, skips = bench._contexts(SeriesPanel(tuple(series)), small_config(forecaster=spec))
+        assert len(contexts) == 10 and not skips
+        for ctx in contexts:
+            alone = fit_auto_ar(ctx.head.values, spec)
+            for f in dataclasses.fields(FittedForecaster):
+                assert np.array_equal(getattr(ctx.model, f.name), getattr(alone, f.name)), (ctx.series.series_id, f)
+
+    def test_a_failed_end_fit_skips_only_its_series(self, monkeypatch):
+        # A stacked solve that raises is redone series by series: the error
+        # becomes the skip reason of its own series for every method that
+        # needs the model, and the other series are evaluated as without it.
+        monkeypatch.setattr(forecaster, "_STACK_BLOCK", 4)
+        fit_ar_prefixes = forecaster._fit_ar_prefixes
+
+        def failing(values, *args):
+            if np.any(values[:, 0] == 99.0):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return fit_ar_prefixes(values, *args)
+
+        monkeypatch.setattr(forecaster, "_fit_ar_prefixes", failing)
+        panel = small_panel()
+        bad = panel.series[0]
+        values = bad.values.copy()
+        values[0] = 99.0
+        bad = TimeSeries("bad", bad.timestamps, values, bad.period)
+        config = small_config(methods=("parametric", "global_cp", "mscp"), alpha=0.5)
+        with_bad = run_benchmark(config, panel=SeriesPanel(panel.series + (bad,)))
+        without = run_benchmark(config, panel=panel)
+        assert with_bad.records == without.records
+        assert [s for s in with_bad.skips if s[0] == "bad"] == [
+            ("bad", m, "Singular matrix") for m in ("global_cp", "mscp", "parametric")
+        ]
+
+    def test_enbpi_alone_fits_no_end_model(self, monkeypatch):
+        def refuse(trains, spec):
+            raise AssertionError("a series-end model was fitted")
+
+        monkeypatch.setattr(bench, "fit_auto_ar_stacked", refuse)
+        report = run_benchmark(small_config(methods=("enbpi",)), panel=small_panel(n=3))
+        assert report.summaries["enbpi"].n_series == 3
+
+    def test_stack_composition_does_not_change_records(self, monkeypatch):
+        # Blocks of 2 against 64, with the methods in another order, stack
+        # and evaluate the series differently; the records are the same.
+        series = two_length_series(5)
+        panel = SeriesPanel(tuple(series))
+        methods = ("global_cp", "parametric", "cv_cp", "mscp")
+        reports = []
+        for block, order in ((64, methods), (2, methods[::-1])):
+            monkeypatch.setattr(forecaster, "_STACK_BLOCK", block)
+            reports.append(run_benchmark(small_config(methods=order, alpha=0.5), panel=panel))
+        assert {r.method for r in reports[0].records} == set(methods)
+        assert reports[0].records == reports[1].records
+        assert reports[0].skips == reports[1].skips
 
     def test_each_series_forecast_once(self, monkeypatch):
         calls = []
@@ -552,6 +639,12 @@ class TestCli:
         assert self.run_cli("run", "--config", str(cfg)) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and match in err
+
+    def test_non_utf8_data_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "panel.csv"
+        data.write_bytes(b"unique_id,ds,y\na,1,1.0\xff\xfe\n")
+        assert self.run_cli("run", "--data", str(data), "--out", str(tmp_path / "r")) == 2
+        assert "cannot decode data file" in capsys.readouterr().err
 
     def test_missing_data_exit_2(self, tmp_path, capsys):
         rc = self.run_cli("run", "--data", str(tmp_path / "nope.csv"))

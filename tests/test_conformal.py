@@ -558,7 +558,7 @@ class TestCvConformal:
         # Two length groups, both larger than the block, a constant and a
         # trend inside them, and one series too short for its backtest; the
         # series arrive in shuffled order.
-        monkeypatch.setattr(conformal, "_CV_BLOCK", 2)
+        monkeypatch.setattr("ctsbench.forecaster._STACK_BLOCK", 2)
         series = [make_series(simulate_ar1(40, 0.6, seed=i), f"long{i}", period=4) for i in range(4)]
         series += [make_series(simulate_ar1(33, 0.3, seed=i), f"mid{i}", period=4) for i in range(3)]
         series += [
@@ -581,7 +581,7 @@ class TestCvConformal:
     def test_an_error_stays_with_its_series(self, monkeypatch):
         # A stacked solve that fails is redone series by series, so that
         # the failure skips only the series that caused it.
-        monkeypatch.setattr(conformal, "_CV_BLOCK", 2)
+        monkeypatch.setattr("ctsbench.forecaster._STACK_BLOCK", 2)
         prefix_forecasts = conformal._prefix_forecasts
 
         def failing(values, *args):
@@ -632,6 +632,14 @@ class TestIntervalMatrix:
     def test_width(self):
         iv = IntervalMatrix(lower=np.array([[0.0, 1.0]]), upper=np.array([[2.0, 4.0]]))
         assert iv.width.tolist() == [[2.0, 3.0]]
+
+    def test_bounds_are_read_only_copies(self):
+        lower, upper = np.array([[0.0, 1.0]]), np.array([2.0, 4.0])
+        iv = IntervalMatrix(lower=lower, upper=upper)
+        assert iv.shape == (1, 2)
+        assert lower.flags.writeable and upper.flags.writeable
+        assert not iv.lower.flags.writeable and not iv.upper.flags.writeable
+        assert not np.shares_memory(iv.lower, lower) and not np.shares_memory(iv.upper, upper)
 
     @given(
         st.lists(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ctsbench import series
 from ctsbench.series import (
     PanelError,
     SeriesPanel,
@@ -149,6 +150,36 @@ class TestCsv:
         assert late["m"].timestamps.tolist() == [top]
         with pytest.raises(PanelError, match="row 1: ds value out of range"):
             parse_panel(f"unique_id,ds,y\nm,{year}-{last + 2:02d}-01,1.0\n")
+
+    def test_each_distinct_ds_parsed_once(self, monkeypatch):
+        calls = []
+        parse_ds = series._parse_ds
+
+        def spy(raw, row_num):
+            calls.append(raw)
+            return parse_ds(raw, row_num)
+
+        monkeypatch.setattr(series, "_parse_ds", spy)
+        rows = [f"{sid},2020-{m:02d}-01,{m}.0" for sid in "abc" for m in (1, 2, 3)]
+        rows += ["d,7,1.0", "e,7,2.0", "d, 8,3.0", "e,8,4.0"]
+        panel = parse_panel("unique_id,ds,y\n" + "\n".join(rows) + "\n")
+        assert calls == ["2020-01-01", "2020-02-01", "2020-03-01", "7", " 8", "8"]
+        assert panel["a"].timestamps.tolist() == panel["c"].timestamps.tolist()
+        assert panel["d"].timestamps.tolist() == panel["e"].timestamps.tolist() == [7, 8]
+
+    def test_repeated_bad_ds_reported_at_its_first_row(self):
+        text = "unique_id,ds,y\na,2020-01-01,1.0\nb,2020-13-01,1.0\nc,2020-13-01,1.0\n"
+        with pytest.raises(PanelError, match="row 2: month out of range in ds value '2020-13-01'"):
+            parse_panel(text)
+
+    def test_oversized_field_is_a_panel_error(self):
+        # csv's default field limit is 131072 characters; parsing must not
+        # raise the process-wide limit, nor let csv.Error escape.
+        huge = "x" * 131073
+        with pytest.raises(PanelError, match="row 2: cannot read CSV row: field larger than field limit"):
+            parse_panel(f"unique_id,ds,y\na,1,1.0\n\nb,{huge},1.0\n")
+        with pytest.raises(PanelError, match="header row: field larger than field limit"):
+            parse_panel(f"unique_id,ds,{huge}\na,1,1.0\n")
 
     def test_header_must_match(self):
         with pytest.raises(PanelError, match="header"):
