@@ -54,6 +54,7 @@ from .conformal import (
     spci_intervals,
 )
 from .forecaster import (
+    _METHOD_ERRORS,
     FittedForecaster,
     ForecasterSpec,
     fit_auto_ar,  # noqa: F401  unused here, but perfbench/spans.py traces bench.fit_auto_ar
@@ -256,19 +257,18 @@ class _SeriesContext:
     comes from the run's shared table, which keeps a failed fit's message.
     """
 
-    def __init__(self, series: TimeSeries, config: BenchConfig, end_models: _EndModels):
+    def __init__(self, series: TimeSeries, config: BenchConfig, split: SplitSpec, end_models: _EndModels):
         self.series = series
         self.config = config
+        self.split = split
         self.head = series.head(len(series) - config.horizon)  # all but the test block
         self.end_models = end_models
 
     @cached_property
     def signed(self) -> ResidualMatrix:
         c = self.config
-        train_len = c.train_len if c.train_len is not None else len(self.head) - c.cal_len
-        sspec = SplitSpec(train_len, c.cal_len, c.horizon)
         return build_residual_matrix(
-            self.series, sspec, c.forecaster, c.horizon, c.refit_every, signed=True
+            self.series, self.split, c.forecaster, c.horizon, c.refit_every, signed=True
         )
 
     @cached_property
@@ -307,9 +307,6 @@ def _parametric(ctx: _SeriesContext) -> IntervalMatrix:
     if ctx.model is None:
         raise ValueError("parametric intervals require an autoregressive forecaster")
     return parametric_intervals(ctx.model, ctx.fc, ctx.config.alpha)
-
-
-_METHOD_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError)
 
 
 def _per_series(method: Callable[[_SeriesContext], IntervalMatrix]) -> Callable:
@@ -448,7 +445,7 @@ def _contexts(panel: SeriesPanel, config: BenchConfig) -> tuple[list[_SeriesCont
             reason = f"series too short: {n} observations for train {train_len}, cal {config.cal_len}, test {H}"
             skips.extend((series.series_id, m, reason) for m in config.methods)
             continue
-        contexts.append(_SeriesContext(series, config, end_models))
+        contexts.append(_SeriesContext(series, config, SplitSpec(train_len, config.cal_len, H), end_models))
         end_models.heads.append(contexts[-1].head)
     return contexts, skips
 

@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Collection, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .forecaster import (
     FittedForecaster,
     ForecasterSpec,
+    _fit_ar_prefixes,
     _in_blocks,
     _prefix_forecasts,
-    fit_auto_ar,
+    fit_auto_ar,  # unused here, but perfbench/spans.py wraps conformal.fit_auto_ar
     forecast,  # unused here, but perfbench/spans.py wraps conformal.forecast
     sigma_h,
 )
@@ -231,40 +232,37 @@ class EnsembleSpec:
             raise ValueError(f"window_len must be >= 1, got {self.window_len}")
 
 
-def _one_step_fitted(values: np.ndarray, models: Sequence[FittedForecaster]) -> np.ndarray:
+def _one_step_fitted(
+    values: np.ndarray, order: np.ndarray, intercept: np.ndarray, phi: np.ndarray
+) -> np.ndarray:
     """(members, n) one-step predictions of values[i] from values[:i].
 
-    Entry [b, i] is NaN where i is below member b's AR order.
+    Member b is an AR(order[b]) with intercept[b] and the coefficients
+    phi[b], zero-padded past its order. Entry [b, i] is NaN where i is
+    below member b's AR order.
     """
     n = len(values)
-    P = max(model.order for model in models)
-    phi = np.zeros((len(models), P))
-    for b, model in enumerate(models):
-        phi[b, : model.order] = model.phi
+    P = phi.shape[1]
     lags = np.zeros((n, P))  # lags[i, j] = values[i - 1 - j]
     for j in range(P):
         lags[j + 1 :, j] = values[: n - 1 - j]
-    fitted = np.array([model.intercept for model in models])[:, None] + phi @ lags.T
-    orders = np.array([model.order for model in models])
-    fitted[np.arange(n) < orders[:, None]] = np.nan
+    fitted = intercept[:, None] + phi @ lags.T
+    fitted[np.arange(n) < order[:, None]] = np.nan
     return fitted
 
 
 def enbpi_loo_residuals(
-    values: np.ndarray, members: Sequence[tuple[Collection[int], FittedForecaster]]
+    values: np.ndarray, fitted: np.ndarray, in_bag: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """Leave-one-out residuals on the training span.
+    """Leave-one-out residuals on the training span from members' one-step
+    predictions fitted[b, i] (NaN where none) and in-bag marks in_bag[b, i].
 
-    For each index i, the aggregate prediction averages the one-step fitted
-    values of members whose bootstrap index set excludes i; when every
-    member saw i, all members are used instead (counted as fallbacks).
-    Indices below every member's AR order are skipped.
+    For each index i, the aggregate prediction averages the predictions of
+    members whose bootstrap index set excludes i; when every member saw i,
+    all members are used instead (counted as fallbacks). Indices without
+    any prediction are skipped.
     """
     values = np.asarray(values, dtype=np.float64)
-    fitted = _one_step_fitted(values, [model for _, model in members])
-    in_bag = np.zeros(fitted.shape, dtype=bool)
-    for b, (idx, _) in enumerate(members):
-        in_bag[b, np.fromiter(idx, dtype=np.intp)] = True
     finite = np.isfinite(fitted)
     use = finite & ~in_bag
     fallback = ~use.any(axis=0) & finite.any(axis=0)
@@ -310,17 +308,20 @@ def enbpi_intervals(
     if n_train < 6:
         raise ValueError(f"training span too short for an ensemble: {n_train}")
     rng = np.random.default_rng(spec.seed)
-    members = []
-    for _ in range(spec.B):
-        idx = _block_bootstrap(n_train, series.period, rng)
-        members.append((idx, fit_auto_ar(values[idx], forecaster)))
-    loo, fallbacks = enbpi_loo_residuals(values[:n_train], members)
+    idx = np.stack([_block_bootstrap(n_train, series.period, rng) for _ in range(spec.B)])
+    # Every resample has n_train points: one stacked solve fits the members.
+    fits = _fit_ar_prefixes(values[idx], np.array([n_train]), forecaster.max_order, forecaster.include_drift)
+    # One-step predictions read only known values, so one lag-matrix product
+    # over the whole series serves the training span and the test block.
+    fitted = _one_step_fitted(values, fits.order[:, 0], fits.intercept[:, 0], fits.phi[:, 0])
+    in_bag = np.zeros((spec.B, n_train), dtype=bool)
+    in_bag[np.arange(spec.B)[:, None], idx] = True
+    loo, fallbacks = enbpi_loo_residuals(values[:n_train], fitted[:, :n_train], in_bag)
     if len(loo) == 0:
         raise ValueError("no leave-one-out residuals could be formed")
-    # The test block's one-step predictions read only known values, so one
-    # lag-matrix product gives them all; the sliding window at step j holds
-    # the last window_len scores before scores[start + j].
-    yhat = _one_step_fitted(values, [model for _, model in members])[:, n_train:].mean(axis=0)
+    # The sliding window at step j holds the last window_len scores before
+    # scores[start + j].
+    yhat = fitted[:, n_train:].mean(axis=0)
     scores = np.concatenate((loo[-spec.window_len :], np.abs(values[n_train:] - yhat)))
     start = len(scores) - test_len
     radii = np.array([
@@ -352,14 +353,14 @@ class SpciSpec:
 
 def spci_quantile_pair(
     history: np.ndarray, spec: SpciSpec, alpha: float
-) -> tuple[float, float, float, dict]:
-    """Predicted (lower, upper) residual quantiles at the next step.
+) -> tuple[float, float, dict]:
+    """Predicted (lower, upper) residual quantiles at the next step and their diagnostics.
 
     Fits linear pinball-loss regressions of the signed residual on its
     lag_count predecessors for every candidate level pair (beta, 1-alpha+beta)
     with beta on 11 equispaced points of [0, alpha], evaluates each pair at
-    the latest lag vector, and keeps the beta whose predicted width is
-    smallest. Crossed predictions are swapped and counted; a degenerate
+    the latest lag vector, and keeps the beta (diag["beta"]) whose
+    predicted width is smallest. Crossed predictions are swapped and counted; a degenerate
     (constant-feature) design falls back to empirical quantiles of the
     history.
     """
@@ -388,7 +389,7 @@ def spci_quantile_pair(
         q_lo, q_hi = q_hi, q_lo
         diag["crossings"] = 1
     diag["beta"] = float(betas[pick])
-    return q_lo, q_hi, float(betas[pick]), diag
+    return q_lo, q_hi, diag
 
 
 def spci_intervals(
@@ -413,7 +414,7 @@ def spci_intervals(
     fallbacks = 0
     betas = []
     for h in range(1, horizon + 1):
-        q_lo, q_hi, _, diag = spci_quantile_pair(residuals.column(h), spec, alpha)
+        q_lo, q_hi, diag = spci_quantile_pair(residuals.column(h), spec, alpha)
         lower[h - 1] = float(fc[h - 1]) + q_lo
         upper[h - 1] = float(fc[h - 1]) + q_hi
         crossings += diag["crossings"]

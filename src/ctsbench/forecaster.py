@@ -94,10 +94,7 @@ class FittedForecaster:
     intercept: float
     sigma2: float
     order: int
-    n_train: int
-    aic: float
-    aics: tuple[float, ...]
-    candidate_orders: tuple[int, ...]
+    aics: tuple[float, ...]  # AIC of each candidate order 0..P, +inf where rejected
 
     def __post_init__(self) -> None:
         phi = np.ascontiguousarray(self.phi, dtype=np.float64)
@@ -249,11 +246,9 @@ def _fit_stack(values: np.ndarray, spec: ForecasterSpec) -> list[FittedForecaste
     fits = _fit_ar_prefixes(values, np.array([n]), spec.max_order, spec.include_drift)
     models = []
     for s, p in enumerate(fits.order[:, 0].tolist()):
-        aics = fits.aics[s, 0]
         models.append(FittedForecaster(
             phi=fits.phi[s, 0, :p], intercept=float(fits.intercept[s, 0]), sigma2=float(fits.sigma2[s, 0]),
-            order=p, n_train=n, aic=float(aics[p]), aics=tuple(aics.tolist()),
-            candidate_orders=tuple(range(len(aics))),
+            order=p, aics=tuple(fits.aics[s, 0].tolist()),
         ))
     return models
 
@@ -270,6 +265,9 @@ def fit_auto_ar_stacked(trains: Sequence[TimeSeries], spec: ForecasterSpec) -> l
     )
 
 
+# What a fit or an interval method raises on data it cannot handle (LinAlgError is a ValueError).
+_METHOD_ERRORS = (ValueError, ArithmeticError)
+
 # Series per stacked solve (cv_cp backtests, series-end fits). 588 series of
 # 84 points in one stack peak at about 36 MiB of solver temporaries
 # (tracemalloc) in the cv_cp backtest, against about 5 MiB in blocks of 64,
@@ -282,8 +280,8 @@ def _in_blocks(keys: Sequence[Hashable], solve: Callable[[list[int]], Sequence])
     of at most _STACK_BLOCK items of equal key and solve returns one result
     per index.
 
-    A block whose solve raises ValueError or ArithmeticError is redone one
-    item at a time, so that an error stays with its item: that item's
+    A block whose solve raises one of _METHOD_ERRORS is redone one item at
+    a time, so that an error stays with its item: that item's
     result is the error message.
     """
     groups: dict[Hashable, list[int]] = {}
@@ -295,7 +293,7 @@ def _in_blocks(keys: Sequence[Hashable], solve: Callable[[list[int]], Sequence])
         block = blocks.pop()
         try:
             results = solve(block)
-        except (ValueError, ArithmeticError) as e:
+        except _METHOD_ERRORS as e:
             if len(block) > 1:
                 blocks.extend([i] for i in block)
             else:

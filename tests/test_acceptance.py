@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+from ctsbench import forecaster
 from ctsbench.bench import (
     BenchConfig,
     SyntheticSpec,
@@ -69,12 +70,14 @@ def suite_run():
 def determinism_runs(tmp_path_factory):
     panel = generate_synthetic(SyntheticSpec(generator="ar1", n_series=30, seed=40))
     outs = []
-    for tag, parallelism in (("a", 8), ("b", 8), ("c", 1)):
-        config = BenchConfig(seed=5, parallelism=parallelism)
-        report = run_benchmark(config, panel=panel)
-        out = tmp_path_factory.mktemp(f"det_{tag}")
-        emit_reports(report, str(out))
-        outs.append((report, out))
+    # Blocks of 2 against 64 series per stacked solve give a second evaluation order.
+    with pytest.MonkeyPatch.context() as mp:
+        for tag, block in (("a", 64), ("b", 64), ("c", 2)):
+            mp.setattr(forecaster, "_STACK_BLOCK", block)
+            report = run_benchmark(BenchConfig(seed=5), panel=panel)
+            out = tmp_path_factory.mktemp(f"det_{tag}")
+            emit_reports(report, str(out))
+            outs.append((report, out))
     return outs
 
 
@@ -257,17 +260,17 @@ def test_criterion_9_determinism_and_runtime(capsys, suite_run, determinism_runs
     (rep_a, out_a), (rep_b, out_b), (rep_c, out_c) = determinism_runs
     bytes_a = (out_a / "metrics.csv").read_bytes()
     same_seed = bytes_a == (out_b / "metrics.csv").read_bytes()
-    par_invariant = bytes_a == (out_c / "metrics.csv").read_bytes()
+    block_invariant = bytes_a == (out_c / "metrics.csv").read_bytes()
     payloads = []
     for rep in (rep_a, rep_b, rep_c):
         p = summary_payload(rep)
         p.pop("metadata")
         payloads.append(json.dumps(p, sort_keys=True))
     summaries_equal = payloads[0] == payloads[1] == payloads[2]
-    ok = same_seed and par_invariant and summaries_equal and suite_wall < 300.0
+    ok = same_seed and block_invariant and summaries_equal and suite_wall < 300.0
     verdict(
         capsys, 9, "determinism-and-runtime",
         ok,
-        f"same-seed bytes equal={same_seed}, parallelism 1 vs 8 equal={par_invariant}, "
+        f"same-seed bytes equal={same_seed}, stack blocks 64 vs 2 equal={block_invariant}, "
         f"summaries equal={summaries_equal}, full suite wall={suite_wall:.1f}s (< 300s)",
     )

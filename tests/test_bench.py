@@ -181,13 +181,17 @@ class TestRunBenchmark:
         assert report.metadata["n_series_evaluated"] == 6
         assert report.friedman is not None
 
-    def test_parallelism_invariant(self):
+    def test_stack_block_invariant(self, monkeypatch):
+        # Blocks of 2 against 64 stack the series-end fits and the cv_cp
+        # backtests differently; the records and the payload are the same.
         panel = small_panel()
         # global_cp pools the forecasts of every series' context; alpha and the
         # horizon are chosen so its three-series cohort gives finite radii.
         for kw in ({}, dict(methods=("global_cp",), alpha=0.5, horizon=2)):
-            a = run_benchmark(small_config(parallelism=1, **kw), panel=panel)
-            b = run_benchmark(small_config(parallelism=4, **kw), panel=panel)
+            monkeypatch.setattr(forecaster, "_STACK_BLOCK", 64)
+            a = run_benchmark(small_config(**kw), panel=panel)
+            monkeypatch.setattr(forecaster, "_STACK_BLOCK", 2)
+            b = run_benchmark(small_config(**kw), panel=panel)
             assert a.records == b.records
             pa, pb = summary_payload(a), summary_payload(b)
             pa.pop("metadata")

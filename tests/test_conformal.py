@@ -27,7 +27,6 @@ from ctsbench.conformal import (
     spci_quantile_pair,
 )
 from ctsbench.forecaster import (
-    FittedForecaster,
     ForecasterSpec,
     fit_auto_ar,
     forecast,
@@ -273,15 +272,71 @@ def reference_loo(values, members):
     return np.asarray(residuals), fallbacks, fitted
 
 
-def reference_enbpi(series, test_len, spec, forecaster, alpha):
-    """EnbPI with one-step predictions and the window updated step by step."""
-    values = series.values
-    n_train = len(values) - test_len
+def reference_members(series, test_len, spec, forecaster):
+    """The bootstrap members fitted one at a time: (index set, lone fit_auto_ar model)."""
+    n_train = len(series) - test_len
     rng = np.random.default_rng(spec.seed)
     members = []
     for _ in range(spec.B):
         idx = conformal._block_bootstrap(n_train, series.period, rng)
-        members.append((idx, fit_auto_ar(values[idx], forecaster)))
+        members.append((idx, fit_auto_ar(series.values[idx], forecaster)))
+    return members
+
+
+def padded_coefficients(models):
+    """Orders, intercepts and coefficients zero-padded to the largest order."""
+    P = max(model.order for model in models)
+    phi = np.zeros((len(models), P))
+    for b, model in enumerate(models):
+        phi[b, : model.order] = model.phi
+    return (
+        np.array([model.order for model in models]),
+        np.array([model.intercept for model in models]),
+        phi,
+    )
+
+
+def reference_one_step(values, models):
+    """One-step predictions of lone models from their padded coefficients."""
+    n = len(values)
+    orders, intercepts, phi = padded_coefficients(models)
+    lags = np.zeros((n, phi.shape[1]))
+    for j in range(phi.shape[1]):
+        lags[j + 1 :, j] = values[: n - 1 - j]
+    fitted = intercepts[:, None] + phi @ lags.T
+    fitted[np.arange(n) < orders[:, None]] = np.nan
+    return fitted
+
+
+def reference_enbpi_per_member(series, test_len, spec, forecaster, alpha):
+    """EnbPI with one lone fit per member and separate one-step passes over
+    the training span and the whole series; the arithmetic of each value
+    is that of enbpi_intervals, so the results must be equal."""
+    values = series.values
+    n_train = len(values) - test_len
+    members = reference_members(series, test_len, spec, forecaster)
+    models = [model for _, model in members]
+    fitted = reference_one_step(values[:n_train], models)
+    in_bag = np.zeros(fitted.shape, dtype=bool)
+    for b, (idx, _) in enumerate(members):
+        in_bag[b, idx] = True
+    loo, fallbacks = enbpi_loo_residuals(values[:n_train], fitted, in_bag)
+    yhat = reference_one_step(values, models)[:, n_train:].mean(axis=0)
+    window = list(loo[-spec.window_len :])
+    radii = np.empty(test_len)
+    for j in range(test_len):
+        radii[j] = conformal_quantile(np.asarray(window), 1.0 - alpha)
+        window.append(abs(values[n_train + j] - yhat[j]))
+        if len(window) > spec.window_len:
+            window.pop(0)
+    return yhat - radii, yhat + radii, {"loo_fallbacks": fallbacks, "loo_count": len(loo)}
+
+
+def reference_enbpi(series, test_len, spec, forecaster, alpha):
+    """EnbPI with one-step predictions and the window updated step by step."""
+    values = series.values
+    n_train = len(values) - test_len
+    members = reference_members(series, test_len, spec, forecaster)
     loo, fallbacks, _ = reference_loo(values[:n_train], members)
     window = list(loo[-spec.window_len:])
     lower, upper = np.empty(test_len), np.empty(test_len)
@@ -298,6 +353,7 @@ def reference_enbpi(series, test_len, spec, forecaster, alpha):
 
 class TestEnbpi:
     def test_loo_matches_index_loop(self):
+        # Members of different orders, fitted on index sets of different sizes.
         rng = np.random.default_rng(21)
         values = 10.0 + simulate_ar1(40, 0.6, seed=21)
         for _ in range(10):
@@ -306,8 +362,13 @@ class TestEnbpi:
                 idx = rng.integers(0, 40, size=int(rng.integers(25, 45)))
                 model = fit_auto_ar(values[idx], ForecasterSpec(max_order=int(rng.integers(0, 5))))
                 members.append((frozenset(idx.tolist()), model))
-            got, fallbacks = enbpi_loo_residuals(values, members)
-            want, want_fallbacks, _ = reference_loo(values, members)
+            fitted = conformal._one_step_fitted(values, *padded_coefficients([m for _, m in members]))
+            in_bag = np.zeros(fitted.shape, dtype=bool)
+            for b, (idx, _) in enumerate(members):
+                in_bag[b, list(idx)] = True
+            got, fallbacks = enbpi_loo_residuals(values, fitted, in_bag)
+            want, want_fallbacks, want_fitted = reference_loo(values, members)
+            assert np.allclose(fitted, want_fitted, rtol=0.0, atol=1e-12, equal_nan=True)
             assert fallbacks == want_fallbacks
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -324,21 +385,46 @@ class TestEnbpi:
             assert np.allclose(iv.lower[0], lower, rtol=0.0, atol=1e-12)
             assert np.allclose(iv.upper[0], upper, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "forecaster", [ForecasterSpec(), ForecasterSpec(max_order=3, include_drift=False)]
+    )
+    @pytest.mark.parametrize("window_len", [5, 100])
+    @pytest.mark.parametrize("period", [1, 4, 12])
+    def test_stacked_ensemble_equals_per_member_fits(self, forecaster, window_len, period):
+        # The one stacked solve gives every member bit for bit its lone fit,
+        # and the one-step pass over the whole series its two separate passes.
+        for seed in range(4):
+            y = 20.0 + simulate_ar1(60 + 13 * seed, 0.4 + 0.1 * seed, seed=seed)
+            ts = make_series(y, period=period)
+            spec = EnsembleSpec(B=3 + 5 * seed, window_len=window_len, seed=seed)
+            iv = enbpi_intervals(ts, 6 + seed, spec, forecaster, 0.1)
+            lower, upper, diagnostics = reference_enbpi_per_member(ts, 6 + seed, spec, forecaster, 0.1)
+            assert iv.diagnostics == diagnostics
+            assert np.array_equal(iv.lower[0], lower)
+            assert np.array_equal(iv.upper[0], upper)
+
+    def test_one_stacked_fit_per_call(self, monkeypatch):
+        calls = []
+        fit_ar_prefixes = conformal._fit_ar_prefixes
+
+        def counting(values, ends, *args):
+            calls.append((values.shape, list(ends)))
+            return fit_ar_prefixes(values, ends, *args)
+
+        def refuse(*args):
+            raise AssertionError("a member was fitted alone")
+
+        monkeypatch.setattr(conformal, "_fit_ar_prefixes", counting)
+        monkeypatch.setattr(conformal, "fit_auto_ar", refuse)
+        monkeypatch.setattr("ctsbench.forecaster.fit_auto_ar", refuse)
+        enbpi_intervals(make_series(simulate_ar1(80, 0.5, seed=11)), 6, EnsembleSpec(B=8), ForecasterSpec(), 0.1)
+        assert calls == [((8, 74), [74])]
+
     def test_loo_hand_example(self):
         # order-0 members are constant predictors, so LOO means are explicit
-        def const_model(c):
-            return FittedForecaster(
-                phi=np.empty(0), intercept=c, sigma2=1.0, order=0, n_train=3,
-                aic=0.0, aics=(0.0,), candidate_orders=(0,),
-            )
-
-        members = [
-            (frozenset({0, 1}), const_model(10.0)),
-            (frozenset({1, 2}), const_model(20.0)),
-        ]
-        residuals, fallbacks = enbpi_loo_residuals(
-            np.array([1.0, 2.0, 3.0]), members
-        )
+        fitted = np.array([[10.0, 10.0, 10.0], [20.0, 20.0, 20.0]])
+        in_bag = np.array([[True, True, False], [False, True, True]])
+        residuals, fallbacks = enbpi_loo_residuals(np.array([1.0, 2.0, 3.0]), fitted, in_bag)
         # i=0: only member 2 excludes it -> |1-20|; i=1: nobody excludes it
         # -> fallback mean 15 -> |2-15|; i=2: member 1 -> |3-10|
         assert residuals.tolist() == [19.0, 13.0, 7.0]
@@ -387,7 +473,7 @@ class TestSpci:
             spci_quantile_pair(np.zeros(10), SpciSpec(lag_count=8), 0.1)
 
     def test_constant_history_falls_back(self):
-        q_lo, q_hi, beta, diag = spci_quantile_pair(
+        q_lo, q_hi, diag = spci_quantile_pair(
             np.full(30, 2.0), SpciSpec(lag_count=8), 0.1
         )
         assert diag["fallbacks"] == 1
@@ -398,7 +484,7 @@ class TestSpci:
         # periodic residuals make lag columns collinear without being
         # constant; the next residual is pattern[0], predicted exactly
         history = np.tile(pattern, 30 // len(pattern))
-        q_lo, q_hi, _, diag = spci_quantile_pair(history, SpciSpec(), 0.1)
+        q_lo, q_hi, diag = spci_quantile_pair(history, SpciSpec(), 0.1)
         assert diag["fallbacks"] == 0
         assert q_lo <= q_hi
         assert q_lo == pytest.approx(pattern[0], abs=1e-8)
@@ -423,8 +509,8 @@ class TestSpci:
 
     def test_beta_in_grid(self):
         e = simulate_ar1(60, 0.8, seed=21)
-        _, _, beta, _ = spci_quantile_pair(e, SpciSpec(), 0.1)
-        assert beta in np.linspace(0.0, 0.1, 11)
+        _, _, diag = spci_quantile_pair(e, SpciSpec(), 0.1)
+        assert diag["beta"] in np.linspace(0.0, 0.1, 11)
 
     def test_narrower_than_split_on_autocorrelated_residuals(self):
         # quantile regression on lagged residuals exploits the dependence
@@ -435,7 +521,7 @@ class TestSpci:
             e = np.zeros(60)
             for t in range(1, 60):
                 e[t] = 0.8 * e[t - 1] + rng.standard_normal()
-            q_lo, q_hi, _, _ = spci_quantile_pair(e, SpciSpec(), 0.1)
+            q_lo, q_hi, _ = spci_quantile_pair(e, SpciSpec(), 0.1)
             spci_w.append(q_hi - q_lo)
             mscp_w.append(2.0 * conformal_quantile(np.abs(e), 0.9))
         assert np.mean(spci_w) < np.mean(mscp_w)

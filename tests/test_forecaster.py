@@ -74,7 +74,7 @@ class TestFitAutoAr:
     def test_aic_formula(self):
         y = simulate_ar1(50, 0.5, seed=7)
         model = fit_auto_ar(y, ForecasterSpec(max_order=2))
-        for p, aic in zip(model.candidate_orders, model.aics):
+        for p, aic in enumerate(model.aics):
             X = np.column_stack(
                 [np.ones(len(y) - p)] + [y[p - j : len(y) - j] for j in range(1, p + 1)]
             )
@@ -83,14 +83,15 @@ class TestFitAutoAr:
             m = len(resid)
             expected = m * math.log(max(float(resid @ resid), 1e-300) / m) + 2 * (p + 2)
             assert aic == pytest.approx(expected, abs=1e-9)
-        assert model.aic == min(model.aics)
+        assert model.aics[model.order] == min(model.aics)
 
     def test_tie_breaks_to_smaller_order(self):
         y = simulate_ar1(40, 0.0, seed=3)
         model = fit_auto_ar(y, ForecasterSpec(max_order=5))
-        better = [p for p, a in zip(model.candidate_orders, model.aics) if a < model.aic]
+        aic = model.aics[model.order]
+        better = [p for p, a in enumerate(model.aics) if a < aic]
         assert not better
-        same = [p for p, a in zip(model.candidate_orders, model.aics) if a == model.aic]
+        same = [p for p, a in enumerate(model.aics) if a == aic]
         assert model.order == min(same)
 
     def test_no_drift_zero_intercept(self):
@@ -110,7 +111,7 @@ class TestFitAutoAr:
         resid = y[p:] - X @ coef
         rss, m = float(resid @ resid), len(resid)
         assert model.sigma2 == pytest.approx(rss / (m - p), rel=1e-9)
-        assert model.aic == pytest.approx(m * math.log(rss / m) + 2 * (p + 1), abs=1e-9)
+        assert model.aics[p] == pytest.approx(m * math.log(rss / m) + 2 * (p + 1), abs=1e-9)
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="at least 3"):
@@ -137,7 +138,7 @@ class TestFitAutoAr:
     def test_max_order_clipped_by_length(self):
         y = simulate_ar1(6, 0.3, seed=2)
         model = fit_auto_ar(y, ForecasterSpec(max_order=10))
-        assert max(model.candidate_orders) <= 4
+        assert len(model.aics) == 5  # orders 0..len(y) - 2
 
 
 def lstsq_candidates(y, max_order, include_drift):
@@ -231,7 +232,7 @@ class TestBatchedSolverMatchesLstsq:
     ):
         y = family_series(family, n, offset, seed)
         model = fit_auto_ar(y, ForecasterSpec(max_order=max_order, include_drift=include_drift))
-        assert model.candidate_orders == tuple(range(min(max_order, n - 2) + 1))
+        assert len(model.aics) == min(max_order, n - 2) + 1
         self.check_fit(
             y, max_order, include_drift,
             model.order, np.array(model.aics), model.intercept, model.phi, model.sigma2,
@@ -345,16 +346,14 @@ class TestStackedSolver:
 class TestSigmaH:
     def test_ar0_constant_sigma(self):
         model = FittedForecaster(
-            phi=np.empty(0), intercept=0.0, sigma2=4.0, order=0, n_train=10,
-            aic=0.0, aics=(0.0,), candidate_orders=(0,),
+            phi=np.empty(0), intercept=0.0, sigma2=4.0, order=0, aics=(0.0,),
         )
         assert np.allclose(sigma_h(model, 5), 2.0)
 
     def test_ar1_closed_form(self):
         # var(h) = sigma2 * sum_{k<h} phi^{2k}
         model = FittedForecaster(
-            phi=np.array([0.5]), intercept=0.0, sigma2=1.0, order=1, n_train=10,
-            aic=0.0, aics=(0.0,), candidate_orders=(0, 1),
+            phi=np.array([0.5]), intercept=0.0, sigma2=1.0, order=1, aics=(1.0, 0.0),
         )
         got = sigma_h(model, 4)
         expected = np.sqrt(np.cumsum(0.25 ** np.arange(4)))
