@@ -202,14 +202,10 @@ def _aci_series_intervals(
         warmup_errs += err
         state = aci_step(state, err)
         bisect.insort(pool, s)
-    horizon = len(fc)
-    lower = np.empty(horizon)
-    upper = np.empty(horizon)
-    for h in range(1, horizon + 1):
-        lower[h - 1], upper[h - 1] = aci_interval(state, float(fc[h - 1]), abs_matrix.column(h))
+    lower, upper = zip(*(aci_interval(state, y, abs_matrix.column(h)) for h, y in enumerate(fc.tolist(), 1)))
     return IntervalMatrix(
-        lower=lower.reshape(1, -1),
-        upper=upper.reshape(1, -1),
+        lower=lower,
+        upper=upper,
         diagnostics={"alpha_final": state.alpha_t, "warmup_errs": warmup_errs},
     )
 
@@ -218,18 +214,17 @@ def _acmcp_series_intervals(
     fc: np.ndarray, abs_matrix: ResidualMatrix, alpha: float
 ) -> IntervalMatrix:
     """Run one quantile tracker per horizon through its calibration stream."""
-    horizon = len(fc)
-    lower = np.empty(horizon)
-    upper = np.empty(horizon)
-    for h in range(1, horizon + 1):
+    bounds = []
+    for h, y in enumerate(fc.tolist(), 1):
         stream = abs_matrix.column(h)
         m = len(stream)
         burn = max(5, min(10, m // 3))
         if m < burn + 1:
             raise ValueError(f"horizon {h} stream too short to warm a tracker: {m}")
         state = acmcp_run(acmcp_init(h, stream[:burn], alpha), stream[burn:])
-        lower[h - 1], upper[h - 1] = acmcp_interval(state, float(fc[h - 1]))
-    return IntervalMatrix(lower=lower.reshape(1, -1), upper=upper.reshape(1, -1))
+        bounds.append(acmcp_interval(state, y))
+    lower, upper = zip(*bounds)
+    return IntervalMatrix(lower=lower, upper=upper)
 
 
 class _EndModels:

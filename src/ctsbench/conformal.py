@@ -1,13 +1,19 @@
 """Batch conformal interval constructions for multi-horizon forecasts.
 
-Implements the finite-sample conformal quantile, per-horizon calibrated
-intervals (split conformal on a residual matrix), bootstrap-ensemble
-intervals with a sliding residual window (Xu & Xie's EnbPI scheme),
-sequential quantile-regression intervals on signed residuals (Xu & Xie's
-SPCI scheme, with an exact linear quantile regression standing in for
-the quantile forest), cross-series pooled intervals with a Bonferroni
-budget, a cross-validation residual baseline, and Gaussian intervals from
-a fitted autoregression.
+Per-horizon split conformal on a residual matrix, bootstrap-ensemble
+intervals with a sliding residual window (Xu & Xie's EnbPI), sequential
+quantile-regression intervals on signed residuals (Xu & Xie's SPCI, with an
+exact linear quantile regression standing in for the quantile forest),
+cross-series pooled intervals with a Bonferroni budget, a cross-validation
+residual baseline, and Gaussian intervals from a fitted autoregression.
+
+Each kind of calibration is written once. `_conformal_radii`, the one
+radius rule, takes the finite-sample conformal quantile of every column of
+a NaN-padded score matrix: for split conformal, the pooled cohort and
+EnbPI's windows (`conformal_quantile` is its validated one-sample form).
+`_origin_residuals`, the one residual builder, gives the signed residuals
+of a stack of series' forecasts from shared origins: for
+`build_residual_matrix` and the cross-validation backtest.
 """
 
 from __future__ import annotations
@@ -18,10 +24,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import forecaster as _forecaster
 from .forecaster import (
     FittedForecaster,
     ForecasterSpec,
     _fit_ar_prefixes,
+    _PrefixFits,
     _in_blocks,
     _prefix_forecasts,
     fit_auto_ar,  # unused here, but perfbench/spans.py wraps conformal.fit_auto_ar
@@ -55,12 +63,31 @@ def conformal_quantile(scores: Sequence[float] | np.ndarray, level: float) -> fl
     return float(np.partition(arr, k - 1)[k - 1])
 
 
+def _conformal_radii(scores: np.ndarray, level: float) -> np.ndarray:
+    """conformal_quantile of every column of a NaN-padded score matrix.
+
+    Column j's radius is the k-th smallest of its n non-NaN entries, with
+    k = ceil(level * (n+1)), or +inf when k exceeds n. An all-NaN column
+    is an error: column j holds the residuals of horizon j + 1.
+    """
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+    n = np.count_nonzero(~np.isnan(scores), axis=0)
+    if not n.all():
+        raise ValueError(f"residual column for horizon {np.argmin(n) + 1} is empty")
+    k = np.ceil(level * (n + 1)).astype(np.intp)
+    ordered = np.sort(scores, axis=0)  # NaN sorts last
+    radii = ordered[np.minimum(k, len(ordered)) - 1, np.arange(len(n))]
+    return np.where(k <= n, radii, np.inf)
+
+
 @dataclass(frozen=True, eq=False)
 class ResidualMatrix:
     """Residuals by forecast origin (rows) and horizon (columns).
 
-    Ragged late horizons are NaN-padded; column(h) drops the padding.
-    Entries are absolute scores unless signed is set.
+    Ragged late horizons are NaN-padded, and NaN is only padding:
+    column(h) drops it, and an infinite entry is rejected. Entries are
+    absolute scores unless signed is set.
     """
 
     matrix: np.ndarray
@@ -73,10 +100,10 @@ class ResidualMatrix:
             raise ValueError("residual matrix must be 2-D with at least one row")
         if len(self.origins) != m.shape[0]:
             raise ValueError("one origin per matrix row required")
-        if not self.signed:
-            finite = m[np.isfinite(m)]
-            if np.any(finite < 0.0):
-                raise ValueError("absolute-score matrix entries must be nonnegative")
+        if np.isinf(m).any():
+            raise ValueError("residual matrix entries must be finite; NaN marks padding")
+        if not self.signed and np.any(m < 0.0):
+            raise ValueError("absolute-score matrix entries must be nonnegative")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "origins", tuple(int(t) for t in self.origins))
@@ -86,11 +113,11 @@ class ResidualMatrix:
         return self.matrix.shape[1]
 
     def column(self, h: int) -> np.ndarray:
-        """Finite residuals for horizon h (1-based)."""
+        """Residuals for horizon h (1-based), without the padding."""
         if not 1 <= h <= self.horizons:
             raise ValueError(f"horizon {h} outside 1..{self.horizons}")
         col = self.matrix[:, h - 1]
-        return col[np.isfinite(col)]
+        return col[~np.isnan(col)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResidualMatrix):
@@ -155,6 +182,22 @@ class IntervalMatrix:
         )
 
 
+def _origin_residuals(
+    values: np.ndarray, origins: np.ndarray, forecaster: ForecasterSpec, period: int, horizon: int,
+    refit_every: int | None = 1,
+) -> np.ndarray:
+    """(S, R, horizon) signed residuals of forecasts from every origin T of
+    an (S, n) stack of series: entry [s, r, h-1] is values[s, T+h-1] less
+    the h-step forecast from values[s, :T], and NaN where T+h-1 >= n.
+
+    Origins ascend; refit_every is that of forecaster._prefix_forecasts.
+    """
+    yhat = _prefix_forecasts(values, origins, forecaster, period, horizon, refit_every)
+    ahead = origins[:, None] + np.arange(horizon)
+    inside = ahead < values.shape[1]
+    return np.where(inside, values[:, np.where(inside, ahead, 0)] - yhat, np.nan)
+
+
 def build_residual_matrix(
     series: TimeSeries,
     spec: SplitSpec,
@@ -184,16 +227,13 @@ def build_residual_matrix(
         )
     start = n - spec.total
     work = series.values[start : start + spec.train_len + spec.cal_len]
-    end = len(work)
-    origins = np.arange(spec.train_len, end)
-    if not len(origins):
-        raise ValueError("no usable forecast origins in the calibration segment")
-    yhat = _prefix_forecasts(work[None], origins, forecaster, series.period, horizon, refit_every)[0]
-    ahead = origins[:, None] + np.arange(horizon)
-    inside = ahead < end  # truths beyond the calibration block stay NaN
-    resid = work[np.where(inside, ahead, 0)] - yhat
-    rows = np.where(inside, resid if signed else np.abs(resid), np.nan)
-    return ResidualMatrix(matrix=rows, origins=tuple(origins.tolist()), signed=signed)
+    # SplitSpec keeps cal_len >= 1, so there is at least one origin.
+    origins = np.arange(spec.train_len, len(work))
+    # Truths beyond the calibration block stay NaN.
+    rows = _origin_residuals(work[None], origins, forecaster, series.period, horizon, refit_every)[0]
+    return ResidualMatrix(
+        matrix=rows if signed else np.abs(rows), origins=tuple(origins.tolist()), signed=signed
+    )
 
 
 def mscp_intervals(
@@ -208,12 +248,7 @@ def mscp_intervals(
         raise ValueError(
             f"forecast horizon {horizon} exceeds residual horizons {residuals.horizons}"
         )
-    radii = np.empty(horizon)
-    for h in range(1, horizon + 1):
-        col = residuals.column(h)
-        if len(col) == 0:
-            raise ValueError(f"residual column for horizon {h} is empty")
-        radii[h - 1] = conformal_quantile(col, 1.0 - alpha)
+    radii = _conformal_radii(residuals.matrix[:, :horizon], 1.0 - alpha)
     return IntervalMatrix(lower=fc - radii, upper=fc + radii)
 
 
@@ -309,8 +344,14 @@ def enbpi_intervals(
         raise ValueError(f"training span too short for an ensemble: {n_train}")
     rng = np.random.default_rng(spec.seed)
     idx = np.stack([_block_bootstrap(n_train, series.period, rng) for _ in range(spec.B)])
-    # Every resample has n_train points: one stacked solve fits the members.
-    fits = _fit_ar_prefixes(values[idx], np.array([n_train]), forecaster.max_order, forecaster.include_drift)
+    # Every resample has n_train points: stacked solves of at most
+    # _STACK_BLOCK members fit them, each member bit for bit as alone.
+    block = _forecaster._STACK_BLOCK
+    blocks = [
+        _fit_ar_prefixes(values[idx[b : b + block]], np.array([n_train]), forecaster.max_order, forecaster.include_drift)
+        for b in range(0, spec.B, block)
+    ]
+    fits = _PrefixFits(*(np.concatenate(parts) for parts in zip(*blocks)))
     # One-step predictions read only known values, so one lag-matrix product
     # over the whole series serves the training span and the test block.
     fitted = _one_step_fitted(values, fits.order[:, 0], fits.intercept[:, 0], fits.phi[:, 0])
@@ -320,19 +361,17 @@ def enbpi_intervals(
     if len(loo) == 0:
         raise ValueError("no leave-one-out residuals could be formed")
     # The sliding window at step j holds the last window_len scores before
-    # scores[start + j].
+    # step j's own: row j of the last test_len windows over the
+    # NaN-left-padded scores, where padding fills the windows that fewer
+    # scores precede. No window needs more than the scores there are.
     yhat = fitted[:, n_train:].mean(axis=0)
-    scores = np.concatenate((loo[-spec.window_len :], np.abs(values[n_train:] - yhat)))
-    start = len(scores) - test_len
-    radii = np.array([
-        conformal_quantile(scores[max(start + j - spec.window_len, 0) : start + j], 1.0 - alpha)
-        for j in range(test_len)
-    ])
-    lower = yhat - radii
-    upper = yhat + radii
+    scores = np.concatenate((loo[-spec.window_len :], np.abs(values[n_train:] - yhat)))[:-1]
+    w = min(spec.window_len, len(scores))
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((np.full(w, np.nan), scores)), w)[-test_len:]
+    radii = _conformal_radii(windows.T, 1.0 - alpha)
     return IntervalMatrix(
-        lower=lower.reshape(1, -1),
-        upper=upper.reshape(1, -1),
+        lower=yhat - radii,
+        upper=yhat + radii,
         diagnostics={"loo_fallbacks": fallbacks, "loo_count": len(loo)},
     )
 
@@ -408,22 +447,15 @@ def spci_intervals(
         raise ValueError(
             f"forecast horizon {horizon} exceeds residual horizons {residuals.horizons}"
         )
-    lower = np.empty(horizon)
-    upper = np.empty(horizon)
-    crossings = 0
-    fallbacks = 0
-    betas = []
-    for h in range(1, horizon + 1):
-        q_lo, q_hi, diag = spci_quantile_pair(residuals.column(h), spec, alpha)
-        lower[h - 1] = float(fc[h - 1]) + q_lo
-        upper[h - 1] = float(fc[h - 1]) + q_hi
-        crossings += diag["crossings"]
-        fallbacks += diag["fallbacks"]
-        betas.append(diag["beta"])
+    q_lo, q_hi, diags = zip(*(spci_quantile_pair(residuals.column(h), spec, alpha) for h in range(1, horizon + 1)))
     return IntervalMatrix(
-        lower=lower.reshape(1, -1),
-        upper=upper.reshape(1, -1),
-        diagnostics={"crossings": crossings, "fallbacks": fallbacks, "betas": betas},
+        lower=fc + q_lo,
+        upper=fc + q_hi,
+        diagnostics={
+            "crossings": sum(d["crossings"] for d in diags),
+            "fallbacks": sum(d["fallbacks"] for d in diags),
+            "betas": [d["beta"] for d in diags],
+        },
     )
 
 
@@ -480,33 +512,16 @@ def global_cp_intervals(
         if len(series) < horizon:
             raise ValueError(f"series {sid!r} too short for horizon {horizon}")
         resid[i] = np.abs(series.values[-horizon:] - _forecast(sid))
-    level = 1.0 - alpha / horizon
-    radii = np.array([conformal_quantile(resid[:, h], level) for h in range(horizon)])
+    if not np.isfinite(resid).all():
+        raise ValueError("pooled calibration scores must be finite")
+    radii = _conformal_radii(resid, 1.0 - alpha / horizon)
     intervals = {}
     for sid in eval_ids:
         yhat = _forecast(sid)
-        intervals[sid] = IntervalMatrix(
-            lower=(yhat - radii).reshape(1, -1), upper=(yhat + radii).reshape(1, -1)
-        )
+        intervals[sid] = IntervalMatrix(lower=yhat - radii, upper=yhat + radii)
     return GlobalCpResult(
         intervals=intervals, radii=radii, calibration_ids=cal_ids, evaluation_ids=eval_ids
     )
-
-
-def _cv_backtest(
-    values: np.ndarray, n_windows: int, forecaster: ForecasterSpec, period: int, horizon: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cutoffs and (S, n_windows, horizon) absolute residuals of rolling
-    H-step holdout windows on an (S, n) stack of equal-length series.
-
-    Cutoffs step back from the series end in strides of `horizon`; each
-    window fits on everything before its cutoff and scores the next
-    `horizon` observations.
-    """
-    cutoffs = values.shape[1] - horizon * np.arange(n_windows, 0, -1)
-    yhat = _prefix_forecasts(values, cutoffs, forecaster, period, horizon)
-    truth = values[:, cutoffs[:, None] + np.arange(horizon)]
-    return cutoffs, np.abs(truth - yhat)
 
 
 def cv_conformal_intervals(
@@ -520,7 +535,8 @@ def cv_conformal_intervals(
 
     forecasts maps each series id to its point forecast of the `horizon`
     points after the series, where horizon is its length. Backtest windows
-    of that length refit `forecaster` before each cutoff, and the
+    of that length, at cutoffs that step back from the series end in
+    strides of horizon, refit `forecaster` before each cutoff, and the
     per-horizon radii are the empirical (1-alpha) quantiles of their
     absolute residuals; no finite-sample correction is applied, so small
     n_windows gives anti-conservative intervals (mirroring the
@@ -553,14 +569,13 @@ def cv_conformal_intervals(
     def radii(block: list[int]) -> np.ndarray:
         _, yhat, ts = members[block[0]]
         stack = np.stack([members[i][2].values for i in block])
-        _, resid = _cv_backtest(stack, n_windows, forecaster, ts.period, len(yhat))
+        cutoffs = len(ts) - len(yhat) * np.arange(n_windows, 0, -1)
+        resid = np.abs(_origin_residuals(stack, cutoffs, forecaster, ts.period, len(yhat)))
         return np.quantile(resid, 1.0 - alpha, axis=1)
 
     keys = [(len(ts), ts.period, len(yhat)) for _, yhat, ts in members]
     for (sid, yhat, _), r in zip(members, _in_blocks(keys, radii)):
-        out[sid] = r if isinstance(r, str) else IntervalMatrix(
-            lower=(yhat - r).reshape(1, -1), upper=(yhat + r).reshape(1, -1)
-        )
+        out[sid] = r if isinstance(r, str) else IntervalMatrix(lower=yhat - r, upper=yhat + r)
     return out
 
 
@@ -576,6 +591,4 @@ def parametric_intervals(
     yhat = np.asarray(forecast, dtype=np.float64)
     sd = sigma_h(model, len(yhat))
     z = normal_quantile(1.0 - alpha / 2.0)
-    return IntervalMatrix(
-        lower=(yhat - z * sd).reshape(1, -1), upper=(yhat + z * sd).reshape(1, -1)
-    )
+    return IntervalMatrix(lower=yhat - z * sd, upper=yhat + z * sd)

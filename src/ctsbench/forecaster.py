@@ -36,7 +36,8 @@ alone, and one series' rank-deficient candidate cannot touch another's. The
 temporaries grow with S, about 60 KiB per series of 84 points fitted at two
 prefixes, so many series are stacked in blocks of at most `_STACK_BLOCK`
 (64), here for the whole-length fits and in the cv_cp backtest, by
-`_in_blocks`, which also redoes a failed block one series at a time.
+`_in_blocks`, which also redoes a failed block one series at a time;
+EnbPI slices its bootstrap members by the same bound.
 
 Rank rule: in the scaled cross-product A of an order, the pivot of column
 j, 1 / [A^-1]_jj, is the squared sine of the angle between that column and
@@ -160,7 +161,8 @@ def _fit_ar_prefixes(
 
     P = min(max_order, max(ends) - 2); a prefix of length T admits the
     orders p <= T - 2 that leave more rows (T - p) than coefficients
-    (p + include_drift).
+    (p + include_drift). A selected fit that is not finite, as on data
+    whose cross-products overflow, raises ValueError.
     """
     ends = np.asarray(ends, dtype=np.intp)
     t0, n = int(ends.min()), int(ends.max())
@@ -216,6 +218,8 @@ def _fit_ar_prefixes(
     phi = coef[..., :P]
     intercept = coef[..., P] + shift * (1.0 - phi.sum(axis=-1))
     sigma2 = rss[s, r, best] / (m[r, best] - lay.n_params[best])
+    if not (np.isfinite(intercept).all() and np.isfinite(phi).all() and np.isfinite(sigma2).all()):
+        raise ValueError("auto_ar fit is not finite: the series' scale overflows the least-squares solve")
     return _PrefixFits(best, intercept, phi, sigma2, aics)
 
 
@@ -268,7 +272,7 @@ def fit_auto_ar_stacked(trains: Sequence[TimeSeries], spec: ForecasterSpec) -> l
 # What a fit or an interval method raises on data it cannot handle (LinAlgError is a ValueError).
 _METHOD_ERRORS = (ValueError, ArithmeticError)
 
-# Series per stacked solve (cv_cp backtests, series-end fits). 588 series of
+# Series per stacked solve (cv_cp backtests, series-end fits, EnbPI members). 588 series of
 # 84 points in one stack peak at about 36 MiB of solver temporaries
 # (tracemalloc) in the cv_cp backtest, against about 5 MiB in blocks of 64,
 # at about the same speed.

@@ -19,13 +19,9 @@ from .conformal import IntervalMatrix
 
 def _aligned_truth(intervals: IntervalMatrix, truth) -> np.ndarray:
     arr = np.asarray(truth, dtype=np.float64)
-    if arr.shape != intervals.shape:
-        if arr.ndim == 1 and intervals.shape == (1, len(arr)):
-            arr = arr.reshape(1, -1)
-        else:
-            raise ValueError(
-                f"truth shape {arr.shape} does not match intervals {intervals.shape}"
-            )
+    # One trajectory's truth may come 1-D: it broadcasts against (1, H) bounds.
+    if arr.shape != intervals.shape and not (arr.ndim == 1 and intervals.shape == (1, len(arr))):
+        raise ValueError(f"truth shape {arr.shape} does not match intervals {intervals.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("truth values must be finite")
     return arr

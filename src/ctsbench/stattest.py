@@ -47,19 +47,6 @@ class RankTable:
         )
 
 
-def _midranks(row: np.ndarray) -> np.ndarray:
-    order = np.argsort(row, kind="stable")
-    ranks = np.empty(len(row))
-    i = 0
-    while i < len(row):
-        j = i
-        while j + 1 < len(row) and row[order[j + 1]] == row[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def rank_scores(scores) -> RankTable:
     """Rank methods within each dataset row, averaging tied positions."""
     arr = np.asarray(scores, dtype=np.float64)
@@ -72,7 +59,11 @@ def rank_scores(scores) -> RankTable:
     if len(bad):
         i, j = bad[0]
         raise ValueError(f"non-finite score at dataset {i}, method {j}")
-    ranks = np.vstack([_midranks(arr[i]) for i in range(n)])
+    # Midrank of a score: the scores below it, plus the mean position among
+    # its ties, (ties + 1) / 2, exact for these half-integers.
+    less = (arr[:, None, :] < arr[:, :, None]).sum(axis=-1)
+    ties = (arr[:, None, :] == arr[:, :, None]).sum(axis=-1)
+    ranks = less + (ties + 1) / 2
     sums = ranks.sum(axis=0)
     return RankTable(
         scores=arr, ranks=ranks, rank_sums=sums, avg_ranks=sums / n, n=n, k=k

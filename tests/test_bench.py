@@ -394,6 +394,24 @@ class TestRunBenchmark:
             ("bad", m, "Singular matrix") for m in ("global_cp", "mscp", "parametric")
         ]
 
+    def test_overflowing_fits_skip_every_method_with_the_fit_message(self):
+        # Values near 1e155 overflow the AR cross-products. The fit raises
+        # instead of handing NaN coefficients on, so that no method scores
+        # a series and every skip names the failed fit. np.errstate keeps
+        # numpy's overflow warnings from turning into errors under the test
+        # suite's warning filter.
+        panel = SeriesPanel(tuple(dataclasses.replace(ts, values=1e155 * ts.values) for ts in small_panel(n=4)))
+        config = BenchConfig()
+        message = "auto_ar fit is not finite: the series' scale overflows the least-squares solve"
+        with np.errstate(over="ignore", invalid="ignore"):
+            contexts, skips = bench._contexts(panel, config)
+            results = {method: bench._METHODS[method](contexts) for method in config.methods}
+            with pytest.raises(NothingEvaluableError, match="auto_ar fit is not finite"):
+                run_benchmark(config, panel=panel)
+        assert len(contexts) == 4 and not skips
+        for method, out in results.items():
+            assert out == dict.fromkeys(panel.ids, message), method
+
     def test_enbpi_alone_fits_no_end_model(self, monkeypatch):
         def refuse(trains, spec):
             raise AssertionError("a series-end model was fitted")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -109,6 +110,32 @@ class TestConformalQuantile:
             assert sum(s < q for s in scores) < k <= sum(s <= q for s in scores)
         assert conformal_quantile(permuted, level) == q
 
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([0.0, 1.0, 2.5])),
+                min_size=1,
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.randoms(use_true_random=False),
+    )
+    @example([[3.0]], 0.4, random.Random(0))  # n = 1, k = 1
+    @example([[3.0], [1.0, 1.0, 2.0]], 0.9, random.Random(0))  # k > n in both columns
+    @example([[2.0, 2.0, 1.0, 2.0, 5.0]], 0.5, random.Random(1))  # the radius is a tied score
+    def test_radii_are_each_columns_conformal_quantile(self, columns, level, rnd):
+        # Padding sits anywhere in a column: at its end in a residual
+        # matrix, at its start in EnbPI's windows.
+        rows = max(len(col) for col in columns) + 2
+        matrix = np.full((rows, len(columns)), np.nan)
+        for j, col in enumerate(columns):
+            matrix[rnd.sample(range(rows), len(col)), j] = col
+        want = [conformal_quantile(col, level) for col in columns]
+        assert conformal._conformal_radii(matrix, level).tolist() == want
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             conformal_quantile([], 0.9)
@@ -124,6 +151,13 @@ class TestResidualMatrix:
         rm = ResidualMatrix(matrix=m, origins=(5, 6))
         assert rm.column(1).tolist() == [1.0, 3.0]
         assert rm.column(2).tolist() == [2.0]
+
+    @pytest.mark.parametrize("signed, bad", [(True, math.inf), (True, -math.inf), (False, math.inf)])
+    def test_infinite_entries_rejected(self, signed, bad):
+        # NaN is the only padding: an infinite score may not leave the
+        # calibration sample unseen and narrow the radius.
+        with pytest.raises(ValueError, match="must be finite"):
+            ResidualMatrix(matrix=np.array([[1.0, 2.0], [bad, np.nan]]), origins=(5, 6), signed=signed)
 
     def test_absolute_entries_must_be_nonnegative(self):
         with pytest.raises(ValueError):
@@ -204,6 +238,21 @@ class TestResidualMatrix:
             assert rm.origins == tuple(range(split.train_len, len(work)))
             assert np.array_equal(np.isnan(rm.matrix), np.isnan(expected))
             assert np.allclose(rm.matrix, expected, rtol=0.0, atol=1e-10, equal_nan=True)
+
+
+class TestOriginResiduals:
+    @pytest.mark.parametrize("refit_every", [1, 3, None])
+    def test_stack_rows_are_lone_calls(self, refit_every):
+        values = np.stack([40.0 + simulate_ar1(50, 0.3 + 0.2 * i, seed=i) for i in range(3)])
+        values[2] = 7.0  # a constant series among them
+        origins = np.arange(30, 50)
+        stacked = conformal._origin_residuals(values, origins, ForecasterSpec(), 1, 5, refit_every)
+        assert stacked.shape == (3, 20, 5)
+        # NaN exactly where the truth lies past the end of the series
+        assert np.array_equal(np.isnan(stacked), np.broadcast_to(origins[:, None] + np.arange(5) >= 50, stacked.shape))
+        for s in range(3):
+            alone = conformal._origin_residuals(values[s : s + 1], origins, ForecasterSpec(), 1, 5, refit_every)
+            assert np.array_equal(stacked[s], alone[0], equal_nan=True)
 
 
 class TestMscp:
@@ -372,7 +421,8 @@ class TestEnbpi:
             assert fallbacks == want_fallbacks
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("window_len", [10, 100])
+    # A window longer than the series must cost no more than the scores it holds.
+    @pytest.mark.parametrize("window_len", [10, 100, 10**12])
     @pytest.mark.parametrize("period", [1, 4])
     def test_intervals_match_step_by_step_loop(self, window_len, period):
         for seed in range(3):
@@ -419,6 +469,25 @@ class TestEnbpi:
         monkeypatch.setattr("ctsbench.forecaster.fit_auto_ar", refuse)
         enbpi_intervals(make_series(simulate_ar1(80, 0.5, seed=11)), 6, EnsembleSpec(B=8), ForecasterSpec(), 0.1)
         assert calls == [((8, 74), [74])]
+
+    def test_members_fit_in_blocks_of_the_stack_bound(self, monkeypatch):
+        ts = make_series(simulate_ar1(80, 0.5, seed=11))
+        spec = EnsembleSpec(B=8, window_len=20)
+        whole = enbpi_intervals(ts, 6, spec, ForecasterSpec(), 0.1)
+        rows = []
+        fit_ar_prefixes = conformal._fit_ar_prefixes
+
+        def counting(values, *args):
+            rows.append(len(values))
+            return fit_ar_prefixes(values, *args)
+
+        monkeypatch.setattr(conformal, "_fit_ar_prefixes", counting)
+        monkeypatch.setattr("ctsbench.forecaster._STACK_BLOCK", 3)
+        blocked = enbpi_intervals(ts, 6, spec, ForecasterSpec(), 0.1)
+        assert rows == [3, 3, 2]
+        assert np.array_equal(blocked.lower, whole.lower)
+        assert np.array_equal(blocked.upper, whole.upper)
+        assert blocked.diagnostics == whole.diagnostics
 
     def test_loo_hand_example(self):
         # order-0 members are constant predictors, so LOO means are explicit
@@ -604,7 +673,7 @@ class TestCvConformal:
         ts = make_series(y)
         yhat = forecast(fit_auto_ar(ts, ForecasterSpec()), ts, 4)
         iv = cv_conformal_intervals({"s": yhat}, [ts], 3, ForecasterSpec(), 0.1)["s"]
-        _, resid = conformal._cv_backtest(ts.values[None], 3, ForecasterSpec(), ts.period, 4)
+        resid = np.abs(conformal._origin_residuals(ts.values[None], np.array([48, 52, 56]), ForecasterSpec(), ts.period, 4))
         for h in range(1, 5):
             radius = float(np.quantile(resid[0, :, h - 1], 0.9))
             assert iv.lower[0, h - 1] == pytest.approx(yhat[h - 1] - radius)
@@ -614,7 +683,8 @@ class TestCvConformal:
         for seed in range(5):
             ts = make_series(simulate_ar1(60, 0.5, seed=seed))
             yhat = np.random.default_rng(seed).standard_normal(6)
-            _, resid = conformal._cv_backtest(ts.values[None], 4, ForecasterSpec(), ts.period, 6)
+            cutoffs = np.array([36, 42, 48, 54])
+            resid = np.abs(conformal._origin_residuals(ts.values[None], cutoffs, ForecasterSpec(), ts.period, 6))
             radii = np.array([np.quantile(resid[0, :, h - 1], 0.85) for h in range(1, 7)])
             iv = cv_conformal_intervals({"s": yhat}, [ts], 4, ForecasterSpec(), 0.15)["s"]
             assert np.array_equal(iv.lower[0], yhat - radii)
@@ -623,13 +693,14 @@ class TestCvConformal:
     def test_single_window_matches_manual_holdout(self):
         y = simulate_ar1(40, 0.5, seed=31)
         ts = make_series(y)
-        cutoffs, resid = conformal._cv_backtest(ts.values[None], 1, ForecasterSpec(), ts.period, 5)
         cutoff = 35
+        resid = conformal._origin_residuals(ts.values[None], np.array([cutoff]), ForecasterSpec(), ts.period, 5)
         head = ts.head(cutoff)
         yhat = forecast(fit_auto_ar(head, ForecasterSpec()), head, 5)
-        expected = np.abs(y[cutoff:] - yhat)
-        assert np.allclose(resid[0, 0], expected)
-        assert cutoffs.tolist() == [cutoff]
+        assert np.allclose(resid[0, 0], y[cutoff:] - yhat)
+        iv = cv_conformal_intervals({"s": yhat}, [ts], 1, ForecasterSpec(), 0.1)["s"]
+        assert np.array_equal(iv.lower[0], yhat - np.abs(resid[0, 0]))
+        assert np.array_equal(iv.upper[0], yhat + np.abs(resid[0, 0]))
 
     def test_too_many_windows_rejected(self):
         ts = make_series(np.arange(10.0))

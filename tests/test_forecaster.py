@@ -295,6 +295,16 @@ class TestBatchedSolverMatchesLstsq:
         assert sigma2 * (r["m"] - r["k"]) == pytest.approx(r["rss"], abs=r["band"])
 
 
+class TestNonFiniteFits:
+    def test_overflowing_cross_products_raise(self):
+        # Squares of values near 1e155 overflow, which leaves no finite
+        # candidate. np.errstate keeps numpy's overflow warnings from
+        # turning into errors under the test suite's warning filter.
+        values = 1e155 * simulate_ar1(60, 0.5, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+            fit_auto_ar(values, ForecasterSpec())
+
+
 class TestStackedSolver:
     """A stack of equal-length series is fitted and forecast exactly as each series alone."""
 

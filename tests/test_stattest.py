@@ -8,6 +8,9 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from ctsbench.stattest import (
     conover_posthoc,
@@ -27,6 +30,23 @@ class TestRankScores:
         table = rank_scores(np.array([[1.0, 1.0, 2.0], [1.0, 2.0, 2.0]]))
         assert table.ranks[0].tolist() == [1.5, 1.5, 3.0]
         assert table.ranks[1].tolist() == [1.0, 2.5, 2.5]
+
+    @given(
+        st.integers(2, 8).flatmap(
+            lambda k: st.lists(
+                st.lists(
+                    st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(-1e6, 1e6)),
+                    min_size=k,
+                    max_size=k,
+                ),
+                min_size=2,
+                max_size=10,
+            )
+        )
+    )
+    def test_midranks_match_scipy_average_ranks(self, rows):
+        scores = np.array(rows)
+        assert np.array_equal(rank_scores(scores).ranks, rankdata(scores, method="average", axis=1))
 
     def test_rank_sums_and_averages(self):
         table = rank_scores(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]))
