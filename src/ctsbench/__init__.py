@@ -47,6 +47,7 @@ from .metrics import (
     aggregate,
     joint_coverage,
     marginal_coverage,
+    score_records,
     series_metrics,
     winkler,
     winkler_matrix,
@@ -129,6 +130,7 @@ __all__ = [
     "parse_panel",
     "rank_scores",
     "run_benchmark",
+    "score_records",
     "seasonal_naive_forecast",
     "serialize_panel",
     "series_metrics",

@@ -13,7 +13,8 @@ own one-step forecasts, wraps `fc`; most treat each series on its own.
 global_cp and cv_cp pool the forecasts of all the contexts into one call:
 global_cp calibrates on a cohort of series, and cv_cp backtests
 equal-length series heads in stacked solves, which gives each series the
-intervals it would get alone.
+intervals it would get alone. Each method's intervals are then scored in
+one pass over all its series (`metrics.score_records`).
 
 Every run is a pure function of (config, data, seed): per-series RNG seeds
 are derived by hashing the global seed with the series id. The
@@ -62,7 +63,8 @@ from .forecaster import (
     forecast,
     seasonal_naive_forecast,
 )
-from .metrics import MethodSummary, MetricRecord, aggregate, series_metrics
+from .metrics import MethodSummary, MetricRecord, aggregate, score_records
+from .metrics import series_metrics  # noqa: F401  unused here, but perfbench/spans.py traces bench.series_metrics
 # acmcp_step stays importable here: perfbench/spans.py traces it by this name.
 from .online import AciState, aci_interval, aci_step, acmcp_init, acmcp_interval, acmcp_run, acmcp_step  # noqa: F401
 from .series import PanelError, SeriesPanel, SplitSpec, TimeSeries, parse_panel, serialize_panel
@@ -472,12 +474,14 @@ def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> Benc
 
     records: list[MetricRecord] = []
     for method in config.methods:
+        scored: dict[str, IntervalMatrix] = {}
         for sid, result in _METHODS[method](contexts).items():
             if isinstance(result, str):
                 skips.append((sid, method, result))
             else:
-                truth = panel[sid].values[-H:]
-                records.append(series_metrics(sid, method, result, truth, config.alpha))
+                scored[sid] = result
+        truths = [panel[sid].values[-H:] for sid in scored]
+        records.extend(score_records(method, scored, truths, config.alpha))
     if not records:
         reason = Counter(s[2] for s in skips).most_common(1)[0][0]
         raise NothingEvaluableError(

@@ -136,8 +136,9 @@ _MAX = np.finfo(np.float64).max
 class IntervalMatrix:
     """Lower/upper interval bounds per origin and horizon.
 
-    Infinite bounds are permitted, but no cell may have lower > upper or
-    be pinned at one infinite bound (lower = +inf or upper = -inf).
+    Infinite bounds are permitted, but no bound may be NaN and no cell may
+    have lower > upper or be pinned at one infinite bound (lower = +inf or
+    upper = -inf).
     diagnostics carries method-specific counters and never participates in
     equality.
     """
@@ -153,11 +154,12 @@ class IntervalMatrix:
         if lo.shape != hi.shape:
             raise ValueError(f"bound shape mismatch: {lo.shape} vs {hi.shape}")
         # One comparison finds every bad cell. Clamping lower up to -MAX and
-        # upper down to +MAX (fmax/fmin turn a NaN bound into the clamp)
-        # keeps lower > upper where it held and makes a cell pinned at one
-        # infinite bound compare +inf > MAX or -MAX > -inf; a NaN bound
-        # alone never compares.
-        if np.greater(np.fmax(lo, -_MAX), np.fmin(hi, _MAX)).any():
+        # upper down to +MAX keeps lower > upper where it held, makes a cell
+        # pinned at one infinite bound compare +inf > MAX or -MAX > -inf,
+        # and leaves a NaN bound NaN, which compares false.
+        if not np.less_equal(np.maximum(lo, -_MAX), np.minimum(hi, _MAX)).all():
+            if np.isnan(lo).any() or np.isnan(hi).any():
+                raise ValueError("interval bound is NaN")
             if (lo > hi).any():
                 raise ValueError("lower bound exceeds upper bound")
             raise ValueError("interval pinned at an infinite bound")

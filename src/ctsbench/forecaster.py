@@ -153,6 +153,9 @@ def _order_layout(P: int, include_drift: bool) -> _Layout:
     return layout
 
 
+# The finiteness check at the end turns an overflowing solve into a
+# ValueError, so the warnings numpy would issue on the way are noise.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _fit_ar_prefixes(
     values: np.ndarray, ends: np.ndarray, max_order: int, include_drift: bool
 ) -> _PrefixFits:
@@ -162,7 +165,8 @@ def _fit_ar_prefixes(
     P = min(max_order, max(ends) - 2); a prefix of length T admits the
     orders p <= T - 2 that leave more rows (T - p) than coefficients
     (p + include_drift). A selected fit that is not finite, as on data
-    whose cross-products overflow, raises ValueError.
+    whose cross-products overflow, raises ValueError without a numpy
+    warning.
     """
     ends = np.asarray(ends, dtype=np.intp)
     t0, n = int(ends.min()), int(ends.max())

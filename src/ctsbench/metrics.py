@@ -1,30 +1,52 @@
 """Interval quality metrics and their two-stage aggregation.
 
 Per-series values are means over forecast horizons; cohort values are
-unweighted means over series. Cells with infinite width are excluded from
-width and Winkler means and surfaced through an explicit counter instead
-of propagating +inf into the averages.
+unweighted means over series. `score_records` scores all of one method's
+series in one pass over (series, cell) stacks. Cells with infinite width
+are excluded from width and Winkler means and surfaced through an explicit
+counter instead of propagating +inf into the averages.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .conformal import IntervalMatrix
 
 
-def _aligned_truth(intervals: IntervalMatrix, truth) -> np.ndarray:
+def _shaped_truth(intervals: IntervalMatrix, truth) -> np.ndarray:
     arr = np.asarray(truth, dtype=np.float64)
     # One trajectory's truth may come 1-D: it broadcasts against (1, H) bounds.
     if arr.shape != intervals.shape and not (arr.ndim == 1 and intervals.shape == (1, len(arr))):
         raise ValueError(f"truth shape {arr.shape} does not match intervals {intervals.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("truth values must be finite")
     return arr
+
+
+def _check_finite_truth(arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError("truth values must be finite")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def _aligned_truth(intervals: IntervalMatrix, truth) -> np.ndarray:
+    arr = _shaped_truth(intervals, truth)
+    _check_finite_truth(arr)
+    return arr
+
+
+def _winkler_cells(lo: np.ndarray, hi: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
+    out = hi - lo
+    out = out + (2.0 / alpha) * np.where(y < lo, lo - y, 0.0)
+    out = out + (2.0 / alpha) * np.where(y > hi, y - hi, 0.0)
+    return out
 
 
 def coverage_mask(intervals: IntervalMatrix, truth) -> np.ndarray:
@@ -48,8 +70,7 @@ def winkler(interval: tuple[float, float], y: float, alpha: float) -> float:
     lo, hi = float(interval[0]), float(interval[1])
     if lo > hi:
         raise ValueError(f"invalid interval: lower {lo} > upper {hi}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     score = hi - lo
     if y < lo:
         score += (2.0 / alpha) * (lo - y)
@@ -60,14 +81,8 @@ def winkler(interval: tuple[float, float], y: float, alpha: float) -> float:
 
 def winkler_matrix(intervals: IntervalMatrix, truth, alpha: float) -> np.ndarray:
     """Cell-wise Winkler scores."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    arr = _aligned_truth(intervals, truth)
-    lo, hi = intervals.lower, intervals.upper
-    out = hi - lo
-    out = out + (2.0 / alpha) * np.where(arr < lo, lo - arr, 0.0)
-    out = out + (2.0 / alpha) * np.where(arr > hi, arr - hi, 0.0)
-    return out
+    _check_alpha(alpha)
+    return _winkler_cells(intervals.lower, intervals.upper, _aligned_truth(intervals, truth), alpha)
 
 
 @dataclass(frozen=True)
@@ -94,6 +109,61 @@ class MetricRecord:
             raise ValueError(f"joint_coverage must be 0 or 1, got {self.joint_coverage}")
 
 
+def score_records(
+    method: str,
+    intervals: Mapping[str, IntervalMatrix],
+    truths: Sequence,
+    alpha: float,
+) -> list[MetricRecord]:
+    """Horizon-averaged metrics of one method, one record per series.
+
+    intervals maps series id to IntervalMatrix and truths holds each
+    series' realised values in the same order; records come back in that
+    order. Records of equal shape are stacked into (series, cell) arrays
+    and scored by one set of array operations. infinite_cells counts the
+    cells of infinite width, which the width and Winkler means leave out.
+    """
+    ids = list(intervals)
+    mats = list(intervals.values())
+    if len(truths) != len(mats):
+        raise ValueError(f"{len(truths)} truths for {len(mats)} interval matrices")
+    _check_alpha(alpha)
+    shaped = [_shaped_truth(iv, truth).reshape(-1) for iv, truth in zip(mats, truths)]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, iv in enumerate(mats):
+        groups.setdefault(iv.shape, []).append(i)
+    records: dict[int, MetricRecord] = {}
+    for rows in groups.values():
+        y = np.stack([shaped[i] for i in rows])
+        _check_finite_truth(y)
+        lo = np.stack([mats[i].lower for i in rows]).reshape(y.shape)
+        hi = np.stack([mats[i].upper for i in rows]).reshape(y.shape)
+        covered = (lo <= y) & (y <= hi)
+        widths = hi - lo
+        scores = _winkler_cells(lo, hi, y, alpha)
+        finite = np.isfinite(widths)
+        mean_width = widths.mean(axis=1).tolist()
+        mean_winkler = scores.mean(axis=1).tolist()
+        # A row mean over axis 1 sums in the order a lone row's mean does.
+        # Zero-filling the infinite cells would change that order, so a row
+        # holding any averages its finite cells on their own. An all-infinite
+        # row gets the math.nan object itself, so that records compare equal.
+        for k in np.flatnonzero(~finite.all(axis=1)).tolist():
+            keep = finite[k]
+            mean_width[k] = float(widths[k][keep].mean()) if keep.any() else math.nan
+            mean_winkler[k] = float(scores[k][keep].mean()) if keep.any() else math.nan
+        columns = zip(
+            covered.mean(axis=1).tolist(),
+            mean_width,
+            mean_winkler,
+            covered.all(axis=1).tolist(),
+            (~finite).sum(axis=1).tolist(),
+        )
+        for i, (cov, width, score, joint, n_inf) in zip(rows, columns):
+            records[i] = MetricRecord(ids[i], method, cov, width, score, int(joint), n_inf, y.shape[1])
+    return [records[i] for i in range(len(mats))]
+
+
 def series_metrics(
     series_id: str,
     method: str,
@@ -101,24 +171,9 @@ def series_metrics(
     truth,
     alpha: float,
 ) -> MetricRecord:
-    """Horizon-averaged metrics for one series and method."""
-    covered = coverage_mask(intervals, truth)
-    widths = intervals.width
-    finite = np.isfinite(widths)
-    scores = winkler_matrix(intervals, truth, alpha)
-    n_inf = int((~finite).sum())
-    mean_width = float(widths[finite].mean()) if finite.any() else math.nan
-    mean_winkler = float(scores[finite].mean()) if finite.any() else math.nan
-    return MetricRecord(
-        series_id=series_id,
-        method=method,
-        marginal_coverage=float(covered.mean()),
-        mean_width=mean_width,
-        winkler=mean_winkler,
-        joint_coverage=int(bool(covered.all())),
-        infinite_cells=n_inf,
-        n_cells=int(widths.size),
-    )
+    """Horizon-averaged metrics for one series and method: the one-record
+    case of `score_records`."""
+    return score_records(method, {series_id: intervals}, [truth], alpha)[0]
 
 
 @dataclass(frozen=True)

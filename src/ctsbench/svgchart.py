@@ -7,17 +7,23 @@ Both charts use a fixed 800 x 400 viewBox.
 
 from __future__ import annotations
 
+import html
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 _W, _H = 800, 400
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and >. xml.sax.saxutils.escape does the same, but its
+    import loads urllib.request, http.client, email and ssl."""
+    return html.escape(text, quote=False)
 
 
 def _svg_open(title: str) -> list[str]:
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}" '
         f'font-family="sans-serif" font-size="13">',
-        f"<title>{escape(title)}</title>",
+        f"<title>{_escape(title)}</title>",
         f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
     ]
 
@@ -57,13 +63,13 @@ def coverage_bar_svg(
         x = left + i * slot + (slot - bar_w) / 2.0
         y = y_of(cov)
         parts.append(
-            f'<rect class="bar" data-method="{escape(str(name))}" '
+            f'<rect class="bar" data-method="{_escape(str(name))}" '
             f'data-value="{cov:.6f}" x="{x:.1f}" y="{y:.1f}" '
             f'width="{bar_w:.1f}" height="{top + plot_h - y:.1f}" fill="#4878a8"/>'
         )
         parts.append(
             f'<text x="{x + bar_w / 2:.1f}" y="{_H - bottom + 18}" '
-            f'text-anchor="middle">{escape(str(name))}</text>'
+            f'text-anchor="middle">{_escape(str(name))}</text>'
         )
         parts.append(
             f'<text x="{x + bar_w / 2:.1f}" y="{y - 5:.1f}" '
@@ -137,7 +143,7 @@ def cd_diagram_svg(
         ly = label_y + (slot % 2) * 22 + (slot // 2) * 44
         ly = min(ly, _H - 12)
         parts.append(
-            f'<circle class="method-dot" data-method="{escape(str(methods[i]))}" '
+            f'<circle class="method-dot" data-method="{_escape(str(methods[i]))}" '
             f'data-rank="{avg_ranks[i]:.6f}" cx="{x:.1f}" cy="{axis_y}" r="4" '
             f'fill="#333"/>'
         )
@@ -147,7 +153,7 @@ def cd_diagram_svg(
         )
         parts.append(
             f'<text class="method-label" x="{x:.1f}" y="{ly:.1f}" '
-            f'text-anchor="middle">{escape(str(methods[i]))} '
+            f'text-anchor="middle">{_escape(str(methods[i]))} '
             f"({avg_ranks[i]:.2f})</text>"
         )
     bar_y = axis_y + 14.0

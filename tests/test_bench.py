@@ -228,14 +228,14 @@ class TestRunBenchmark:
             return results[-1]
 
         scored = {}
-        metrics = bench.series_metrics
+        score = bench.score_records
 
-        def spy(sid, method, result, truth, alpha):
-            scored[sid, method] = result
-            return metrics(sid, method, result, truth, alpha)
+        def spy(method, by_series, truths, alpha):
+            scored.update(((sid, method), iv) for sid, iv in by_series.items())
+            return score(method, by_series, truths, alpha)
 
         monkeypatch.setattr(bench, "cv_conformal_intervals", counting)
-        monkeypatch.setattr(bench, "series_metrics", spy)
+        monkeypatch.setattr(bench, "score_records", spy)
         report = run_benchmark(small_config(methods=("cv_cp", "mscp")), panel=small_panel())
         assert len(results) >= 1
         returned = {sid: iv for out in results for sid, iv in out.items()}
@@ -258,16 +258,16 @@ class TestRunBenchmark:
         # calibration residuals are computed from the forecasts.
         wrapping = ("mscp", "spci", "aci", "acmcp", "parametric", "cv_cp")
         config = small_config(methods=wrapping + ("enbpi",), alpha=0.5)
-        metrics = bench.series_metrics
+        score = bench.score_records
 
         def intervals():
             seen = {}
 
-            def spy(sid, method, result, truth, alpha):
-                seen[sid, method] = result
-                return metrics(sid, method, result, truth, alpha)
+            def spy(method, by_series, truths, alpha):
+                seen.update(((sid, method), iv) for sid, iv in by_series.items())
+                return score(method, by_series, truths, alpha)
 
-            monkeypatch.setattr(bench, "series_metrics", spy)
+            monkeypatch.setattr(bench, "score_records", spy)
             assert not run_benchmark(config, panel=small_panel()).skips
             return seen
 
@@ -397,17 +397,16 @@ class TestRunBenchmark:
     def test_overflowing_fits_skip_every_method_with_the_fit_message(self):
         # Values near 1e155 overflow the AR cross-products. The fit raises
         # instead of handing NaN coefficients on, so that no method scores
-        # a series and every skip names the failed fit. np.errstate keeps
-        # numpy's overflow warnings from turning into errors under the test
-        # suite's warning filter.
+        # a series and every skip names the failed fit. Under the test
+        # suite's error::RuntimeWarning filter this also shows that no numpy
+        # warning escapes the run.
         panel = SeriesPanel(tuple(dataclasses.replace(ts, values=1e155 * ts.values) for ts in small_panel(n=4)))
         config = BenchConfig()
         message = "auto_ar fit is not finite: the series' scale overflows the least-squares solve"
-        with np.errstate(over="ignore", invalid="ignore"):
-            contexts, skips = bench._contexts(panel, config)
-            results = {method: bench._METHODS[method](contexts) for method in config.methods}
-            with pytest.raises(NothingEvaluableError, match="auto_ar fit is not finite"):
-                run_benchmark(config, panel=panel)
+        contexts, skips = bench._contexts(panel, config)
+        results = {method: bench._METHODS[method](contexts) for method in config.methods}
+        with pytest.raises(NothingEvaluableError, match="auto_ar fit is not finite"):
+            run_benchmark(config, panel=panel)
         assert len(contexts) == 4 and not skips
         for method, out in results.items():
             assert out == dict.fromkeys(panel.ids, message), method

@@ -800,7 +800,7 @@ class TestIntervalMatrix:
 
     @given(
         st.lists(
-            st.tuples(*[st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-math.inf, math.inf]))] * 2),
+            st.tuples(*[st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-math.inf, math.inf, math.nan]))] * 2),
             min_size=1,
             max_size=6,
         )
@@ -809,9 +809,16 @@ class TestIntervalMatrix:
     @example([(1.0, 2.0), (3.0, -math.inf)])
     @example([(math.inf, math.inf)])
     @example([(-math.inf, -math.inf), (1.0, 2.0)])
+    @example([(math.nan, 5.0)])
+    @example([(1.0, 2.0), (-math.inf, math.nan)])
+    @example([(math.nan, math.nan)])
     def test_constructs_exactly_when_no_cell_is_inverted(self, cells):
         lower = np.array([[lo for lo, _ in cells]])
         upper = np.array([[hi for _, hi in cells]])
+        if any(math.isnan(lo) or math.isnan(hi) for lo, hi in cells):
+            with pytest.raises(ValueError, match="NaN"):
+                IntervalMatrix(lower=lower, upper=upper)
+            return
         if any(lo > hi for lo, hi in cells):
             with pytest.raises(ValueError, match="exceeds"):
                 IntervalMatrix(lower=lower, upper=upper)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctsbench.conformal import IntervalMatrix
 from ctsbench.metrics import (
@@ -14,6 +16,7 @@ from ctsbench.metrics import (
     coverage_mask,
     joint_coverage,
     marginal_coverage,
+    score_records,
     series_metrics,
     winkler,
     winkler_matrix,
@@ -153,6 +156,95 @@ class TestSeriesMetrics:
             MetricRecord("s", "m", 1.2, 1.0, 1.0, 1, 0, 1)
         with pytest.raises(ValueError):
             MetricRecord("s", "m", 0.5, 1.0, 1.0, 2, 0, 1)
+
+
+def one_record(series_id, method, intervals, truth, alpha):
+    """Reference: one record's metrics from its own mask, widths and scores."""
+    covered = coverage_mask(intervals, truth)
+    widths = intervals.width
+    finite = np.isfinite(widths)
+    scores = winkler_matrix(intervals, truth, alpha)
+    n_inf = int((~finite).sum())
+    mean_width = float(widths[finite].mean()) if finite.any() else math.nan
+    mean_winkler = float(scores[finite].mean()) if finite.any() else math.nan
+    return MetricRecord(
+        series_id=series_id,
+        method=method,
+        marginal_coverage=float(covered.mean()),
+        mean_width=mean_width,
+        winkler=mean_winkler,
+        joint_coverage=int(bool(covered.all())),
+        infinite_cells=n_inf,
+        n_cells=int(widths.size),
+    )
+
+
+@st.composite
+def record_stacks(draw):
+    """Interval matrices of one or two shapes, with finite, half-infinite
+    and fully infinite cells, some rows all infinite, and truths inside
+    and outside; truths of one-row matrices are drawn 1-D or 2-D."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 40)), min_size=1, max_size=2))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inf_share = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    intervals, truths = {}, []
+    for i in range(n):
+        shape = shapes[int(rng.integers(len(shapes)))]
+        scale = 10.0 ** rng.uniform(-3, 3)
+        lo = scale * rng.standard_normal(shape)
+        hi = lo + scale * rng.exponential(size=shape)
+        lo[rng.random(shape) < inf_share] = -math.inf
+        hi[rng.random(shape) < inf_share] = math.inf
+        if rng.random() < 0.1:
+            lo[:], hi[:] = -math.inf, math.inf
+        truth = scale * 1.5 * rng.standard_normal(shape)
+        intervals[f"s{i}"] = IntervalMatrix(lower=lo, upper=hi)
+        truths.append(truth[0] if shape[0] == 1 and rng.random() < 0.5 else truth)
+    alpha = draw(st.floats(0.01, 0.99))
+    return intervals, truths, alpha
+
+
+class TestScoreRecords:
+    @settings(max_examples=150, deadline=None)
+    @given(record_stacks())
+    def test_each_record_is_the_lone_records(self, stack):
+        intervals, truths, alpha = stack
+        records = score_records("m", intervals, truths, alpha)
+        expected = [one_record(sid, "m", iv, y, alpha) for (sid, iv), y in zip(intervals.items(), truths)]
+        assert [repr(r) for r in records] == [repr(r) for r in expected]
+        assert records == expected  # NaN means are the math.nan object, as a lone record's are
+
+    @settings(max_examples=50, deadline=None)
+    @given(record_stacks(), st.randoms(use_true_random=False))
+    def test_permuted_input_permutes_the_records(self, stack, rnd):
+        intervals, truths, alpha = stack
+        order = list(range(len(intervals)))
+        rnd.shuffle(order)
+        ids = list(intervals)
+        records = score_records("m", intervals, truths, alpha)
+        permuted = score_records("m", {ids[i]: intervals[ids[i]] for i in order}, [truths[i] for i in order], alpha)
+        assert [repr(r) for r in permuted] == [repr(records[i]) for i in order]
+
+    def test_series_metrics_is_the_one_record_case(self):
+        m = iv([[0.0, -math.inf, 1.0]], [[2.0, 3.0, 1.5]])
+        rec = series_metrics("s", "m", m, [1.0, 4.0, 3.0], 0.2)
+        assert repr(rec) == repr(score_records("m", {"s": m}, [[1.0, 4.0, 3.0]], 0.2)[0])
+        assert score_records("m", {}, [], 0.2) == []
+
+    @pytest.mark.parametrize(
+        "truths, alpha, match",
+        [
+            ([[1.0, 2.0], [1.0, 2.0, 3.0]], 0.1, "truth shape"),
+            ([[1.0, 2.0], [1.0, math.nan]], 0.1, "finite"),
+            ([[1.0, 2.0], [1.0, 2.0]], 1.0, "alpha"),
+            ([[1.0, 2.0]], 0.1, "1 truths for 2"),
+        ],
+    )
+    def test_bad_input_rejected(self, truths, alpha, match):
+        m = iv([[0.0, 0.0]], [[1.0, 1.0]])
+        with pytest.raises(ValueError, match=match):
+            score_records("m", {"a": m, "b": m}, truths, alpha)
 
 
 class TestAggregate:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import ctsbench
 from ctsbench.svgchart import cd_diagram_svg, coverage_bar_svg
 
 
@@ -84,3 +89,17 @@ class TestCdDiagram:
         svg = cd_diagram_svg(methods, ranks, cliques=[(0, 1, 2), (5, 6, 7)], cd=1.1)
         root = parse(svg)
         assert len([e for e in root.iter() if e.get("class") == "clique-bar"]) == 2
+
+
+def test_import_loads_no_network_modules():
+    # The charts escape text through html, not xml.sax.saxutils, whose
+    # import pulls in urllib.request and the modules below it.
+    src = Path(ctsbench.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, ctsbench; print(sorted(m for m in sys.argv[1:] if m in sys.modules))"
+    heavy = ["urllib.request", "http.client", "email", "ssl"]
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *heavy], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
