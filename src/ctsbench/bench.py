@@ -13,7 +13,9 @@ own one-step forecasts, wraps `fc`; most treat each series on its own.
 global_cp and cv_cp pool the forecasts of all the contexts into one call:
 global_cp calibrates on a cohort of series, and cv_cp backtests
 equal-length series heads in stacked solves, which gives each series the
-intervals it would get alone. Each method's intervals are then scored in
+intervals it would get alone. spci stacks the equal-length residual
+columns of every series at each horizon into one quantile regression
+solve, again each series as alone. Each method's intervals are then scored in
 one pass over all its series (`metrics.score_records`).
 
 Every run is a pure function of (config, data, seed): per-series RNG seeds
@@ -52,10 +54,12 @@ from .conformal import (
     global_cp_intervals,
     mscp_intervals,
     parametric_intervals,
-    spci_intervals,
+    spci_intervals,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.spci_intervals
+    spci_intervals_stacked,
 )
 from .forecaster import (
     _METHOD_ERRORS,
+    _in_blocks,
     FittedForecaster,
     ForecasterSpec,
     fit_auto_ar,  # noqa: F401  unused here, but perfbench/spans.py traces bench.fit_auto_ar
@@ -352,13 +356,36 @@ def _cv_cp(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
     return out | cv_conformal_intervals(forecasts, heads, c.n_windows, c.forecaster, c.alpha)
 
 
+def _spci(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
+    """Fit SPCI for every series with a forecast and signed residuals, in
+    stacked blocks of equal-length residual columns, each series as alone;
+    a series without them keeps the skip reason of what failed."""
+    c = contexts[0].config
+    spec = SpciSpec(lag_count=c.spci_lags)
+    out: dict[str, IntervalMatrix | str] = {}
+    ready: list[tuple[str, np.ndarray, ResidualMatrix]] = []
+    for ctx in contexts:
+        sid = ctx.series.series_id
+        try:
+            ready.append((sid, ctx.fc, ctx.signed))
+        except _METHOD_ERRORS as e:
+            out[sid] = str(e)
+
+    def solve(block: list[int]) -> list[IntervalMatrix]:
+        fc = np.stack([ready[i][1] for i in block])
+        return spci_intervals_stacked(fc, [ready[i][2] for i in block], spec, c.alpha)
+
+    keys = [tuple(np.count_nonzero(~np.isnan(signed.matrix), axis=0).tolist()) for _, _, signed in ready]
+    for (sid, _, _), result in zip(ready, _in_blocks(keys, solve)):
+        out[sid] = result
+    return out
+
+
 # Each method maps every eligible series' context to its intervals or a skip reason.
 _METHODS = {
     "mscp": _per_series(lambda ctx: mscp_intervals(ctx.fc, ctx.abs_matrix, ctx.config.alpha)),
     "enbpi": _per_series(_enbpi),
-    "spci": _per_series(lambda ctx: spci_intervals(
-        ctx.fc, ctx.signed, SpciSpec(lag_count=ctx.config.spci_lags), ctx.config.alpha
-    )),
+    "spci": _spci,
     "global_cp": _global_cp,
     "cv_cp": _cv_cp,
     "aci": _per_series(lambda ctx: _aci_series_intervals(

@@ -13,7 +13,11 @@ a NaN-padded score matrix: for split conformal, the pooled cohort and
 EnbPI's windows (`conformal_quantile` is its validated one-sample form).
 `_origin_residuals`, the one residual builder, gives the signed residuals
 of a stack of series' forecasts from shared origins: for
-`build_residual_matrix` and the cross-validation backtest.
+`build_residual_matrix` and the cross-validation backtest. `_spci_pairs`,
+the one SPCI fit, picks the quantile pair of every residual history of a
+stack with one solver call: for `spci_intervals_stacked`, whose
+one-series and one-column cases are `spci_intervals` and
+`spci_quantile_pair`.
 """
 
 from __future__ import annotations
@@ -36,7 +40,11 @@ from .forecaster import (
     forecast,  # unused here, but perfbench/spans.py wraps conformal.forecast
     sigma_h,
 )
-from .quantreg import fit_pinball_linear
+from .quantreg import (
+    constant_columns,
+    fit_pinball_linear,  # unused here, but perfbench/spans.py wraps conformal.fit_pinball_linear
+    fit_pinball_stacked,
+)
 from .series import SeriesPanel, SplitSpec, TimeSeries
 from .special import normal_quantile
 
@@ -392,6 +400,37 @@ class SpciSpec:
             raise ValueError(f"lag_count must be >= 1, got {self.lag_count}")
 
 
+def _spci_pairs(histories: np.ndarray, spec: SpciSpec, alpha: float) -> tuple[np.ndarray, ...]:
+    """spci_quantile_pair of every row of an (S, n) stack of residual
+    histories, with one solver call for the stack.
+
+    Returns the lower and upper quantiles, whether they crossed, whether
+    the design fell back to empirical quantiles, and the chosen beta, one
+    entry per history each.
+    """
+    w = spec.lag_count
+    S, n = histories.shape
+    if n < w + 10:
+        raise ValueError(f"residual history too short: need >= {w + 10}, have {n}")
+    betas = np.linspace(0.0, alpha, 11)
+    m = len(betas)
+    taus = np.concatenate([betas, 1.0 - alpha + betas])
+    X = np.lib.stride_tricks.sliding_window_view(histories, w, axis=1)[:, :-1]
+    y = histories[:, w:]
+    x_star = histories[:, n - w :]
+    fallback = constant_columns(X).all(axis=1)
+    preds = np.empty((S, 2 * m))
+    if fallback.any():
+        preds[fallback] = np.quantile(histories[fallback], taus, axis=1).T
+    solved = ~fallback
+    if solved.any():
+        fits = fit_pinball_stacked(X[solved], y[solved], taus)
+        preds[solved] = [fit.predict(x) for fit, x in zip(fits, x_star[solved])]
+    pick = np.argmin(preds[:, m:] - preds[:, :m], axis=1)
+    q_lo, q_hi = preds[np.arange(S), pick], preds[np.arange(S), m + pick]
+    return np.minimum(q_lo, q_hi), np.maximum(q_lo, q_hi), q_lo > q_hi, fallback, betas[pick]
+
+
 def spci_quantile_pair(
     history: np.ndarray, spec: SpciSpec, alpha: float
 ) -> tuple[float, float, dict]:
@@ -402,35 +441,12 @@ def spci_quantile_pair(
     with beta on 11 equispaced points of [0, alpha], evaluates each pair at
     the latest lag vector, and keeps the beta (diag["beta"]) whose
     predicted width is smallest. Crossed predictions are swapped and counted; a degenerate
-    (constant-feature) design falls back to empirical quantiles of the
-    history.
+    design, whose every lag column is constant (quantreg.constant_columns),
+    falls back to empirical quantiles of the history.
     """
-    history = np.asarray(history, dtype=np.float64)
-    w = spec.lag_count
-    n = len(history)
-    if n < w + 10:
-        raise ValueError(f"residual history too short: need >= {w + 10}, have {n}")
-    betas = np.linspace(0.0, alpha, 11)
-    m = len(betas)
-    diag = {"crossings": 0, "fallbacks": 0}
-    X = np.lib.stride_tricks.sliding_window_view(history, w)[:-1]
-    y = history[w:]
-    x_star = history[n - w :]
-    taus = np.concatenate([betas, 1.0 - alpha + betas])
-    if np.all(X.std(axis=0) < 1e-12):
-        preds = np.quantile(history, taus)
-        diag["fallbacks"] = 1
-    else:
-        fit = fit_pinball_linear(X, y, taus)
-        preds = fit.predict(x_star)
-    widths = preds[m:] - preds[:m]
-    pick = int(np.argmin(widths))
-    q_lo, q_hi = float(preds[pick]), float(preds[m + pick])
-    if q_lo > q_hi:
-        q_lo, q_hi = q_hi, q_lo
-        diag["crossings"] = 1
-    diag["beta"] = float(betas[pick])
-    return q_lo, q_hi, diag
+    q_lo, q_hi, crossed, fallback, beta = _spci_pairs(np.asarray(history, dtype=np.float64)[None], spec, alpha)
+    diag = {"crossings": int(crossed[0]), "fallbacks": int(fallback[0]), "beta": float(beta[0])}
+    return float(q_lo[0]), float(q_hi[0]), diag
 
 
 def spci_intervals(
@@ -441,24 +457,49 @@ def spci_intervals(
     Each horizon h gets its own quantile regression on that horizon's
     signed residual column, evaluated at the column's latest lag vector.
     """
-    if not residuals.signed:
-        raise ValueError("spci_intervals requires signed residuals")
     fc = np.asarray(forecasts, dtype=np.float64).ravel()
-    horizon = len(fc)
-    if horizon > residuals.horizons:
-        raise ValueError(
-            f"forecast horizon {horizon} exceeds residual horizons {residuals.horizons}"
+    return spci_intervals_stacked(fc[None], [residuals], spec, alpha)[0]
+
+
+def spci_intervals_stacked(
+    forecasts: np.ndarray, residuals: Sequence[ResidualMatrix], spec: SpciSpec, alpha: float
+) -> list[IntervalMatrix]:
+    """spci_intervals of many series: forecasts has one row per residual matrix.
+
+    At each horizon h the column-h residual histories of every series,
+    which must have equal lengths, are fitted in one solver call. Each
+    series gets the intervals and diagnostics that spci_intervals gives
+    it alone.
+    """
+    fc = np.atleast_2d(np.asarray(forecasts, dtype=np.float64))
+    S, horizon = fc.shape
+    if len(residuals) != S:
+        raise ValueError(f"{S} forecast rows for {len(residuals)} residual matrices")
+    for res in residuals:
+        if not res.signed:
+            raise ValueError("spci_intervals requires signed residuals")
+        if horizon > res.horizons:
+            raise ValueError(f"forecast horizon {horizon} exceeds residual horizons {res.horizons}")
+    pairs = []
+    for h in range(1, horizon + 1):
+        columns = [res.column(h) for res in residuals]
+        if len({len(col) for col in columns}) > 1:
+            raise ValueError(f"horizon {h} residual columns differ in length across series")
+        pairs.append(_spci_pairs(np.stack(columns), spec, alpha))
+    # Each part is (S, horizon): series by row.
+    q_lo, q_hi, crossed, fallback, beta = (np.stack(part, axis=1) for part in zip(*pairs))
+    return [
+        IntervalMatrix(
+            lower=fc[i] + q_lo[i],
+            upper=fc[i] + q_hi[i],
+            diagnostics={
+                "crossings": int(crossed[i].sum()),
+                "fallbacks": int(fallback[i].sum()),
+                "betas": beta[i].tolist(),
+            },
         )
-    q_lo, q_hi, diags = zip(*(spci_quantile_pair(residuals.column(h), spec, alpha) for h in range(1, horizon + 1)))
-    return IntervalMatrix(
-        lower=fc + q_lo,
-        upper=fc + q_hi,
-        diagnostics={
-            "crossings": sum(d["crossings"] for d in diags),
-            "fallbacks": sum(d["fallbacks"] for d in diags),
-            "betas": [d["beta"] for d in diags],
-        },
-    )
+        for i in range(S)
+    ]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,9 @@ temporaries grow with S, about 60 KiB per series of 84 points fitted at two
 prefixes, so many series are stacked in blocks of at most `_STACK_BLOCK`
 (64), here for the whole-length fits and in the cv_cp backtest, by
 `_in_blocks`, which also redoes a failed block one series at a time;
-EnbPI slices its bootstrap members by the same bound.
+EnbPI slices its bootstrap members by the same bound, and bench stacks
+SPCI's quantile regressions (`conformal.spci_intervals_stacked`) in the
+same blocks.
 
 Rank rule: in the scaled cross-product A of an order, the pivot of column
 j, 1 / [A^-1]_jj, is the squared sine of the angle between that column and

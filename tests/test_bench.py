@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctsbench import bench, conformal, forecaster
+from ctsbench import bench, conformal, forecaster, quantreg
 from ctsbench.bench import (
     BenchConfig,
     NothingEvaluableError,
@@ -410,6 +410,18 @@ class TestRunBenchmark:
         assert len(contexts) == 4 and not skips
         for method, out in results.items():
             assert out == dict.fromkeys(panel.ids, message), method
+
+    def test_unconverged_spci_fit_skips_only_spci(self, monkeypatch):
+        # With the Newton cap at 1 no quantile regression converges: the
+        # stacked solve raises, each series is redone alone and keeps the
+        # solver's message as its spci skip reason, and mscp scores them all.
+        monkeypatch.setattr(quantreg, "_NEWTON_CAP", 1)
+        panel = small_panel(n=4)
+        report = run_benchmark(small_config(methods=("spci", "mscp")), panel=panel)
+        assert report.summaries["mscp"].n_series == 4
+        assert "spci" not in report.summaries
+        assert [s[:2] for s in report.skips] == [(sid, "spci") for sid in panel.ids]
+        assert all("did not converge in 1 Newton steps" in s[2] for s in report.skips)
 
     def test_enbpi_alone_fits_no_end_model(self, monkeypatch):
         def refuse(trains, spec):

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctsbench import conformal
@@ -25,6 +25,7 @@ from ctsbench.conformal import (
     mscp_intervals,
     parametric_intervals,
     spci_intervals,
+    spci_intervals_stacked,
     spci_quantile_pair,
 )
 from ctsbench.forecaster import (
@@ -53,6 +54,15 @@ def simulate_ar1(n, phi, sigma=1.0, seed=0):
     for t in range(1, n + 1):
         y[t] = phi * y[t - 1] + sigma * rng.standard_normal()
     return y[1:]
+
+
+def padded_signed_residuals(rng, rows=30, horizon=4):
+    """Signed AR(1) residuals by origin and horizon, with column h NaN-padded
+    in its last h - 1 rows as build_residual_matrix pads it."""
+    m = np.stack([simulate_ar1(rows, 0.6, seed=int(rng.integers(2**32))) for _ in range(horizon)], axis=1)
+    for h in range(horizon):
+        m[rows - h :, h] = np.nan
+    return ResidualMatrix(matrix=m, origins=tuple(range(rows)), signed=True)
 
 
 def local_forecasts(panel, horizon):
@@ -561,13 +571,13 @@ class TestSpci:
 
     def test_lag_matrix_rows_are_consecutive_windows(self, monkeypatch):
         seen = {}
-        real = conformal.fit_pinball_linear
+        real = conformal.fit_pinball_stacked
 
         def capture(X, y, taus):
-            seen["X"], seen["y"] = np.array(X), np.array(y)
+            (seen["X"],), (seen["y"],) = np.array(X), np.array(y)
             return real(X, y, taus)
 
-        monkeypatch.setattr(conformal, "fit_pinball_linear", capture)
+        monkeypatch.setattr(conformal, "fit_pinball_stacked", capture)
         e = simulate_ar1(40, 0.5, seed=3)
         spci_quantile_pair(e, SpciSpec(lag_count=5), 0.1)
         loop = np.empty((35, 5))
@@ -608,6 +618,61 @@ class TestSpci:
         assert iv.shape == (1, 3)
         assert set(iv.diagnostics) == {"crossings", "fallbacks", "betas"}
         assert len(iv.diagnostics["betas"]) == 3
+
+    def test_one_solver_call_per_horizon_for_a_stack(self, monkeypatch):
+        calls = []
+        real = conformal.fit_pinball_stacked
+
+        def spy(X, y, taus):
+            calls.append(len(X))
+            return real(X, y, taus)
+
+        monkeypatch.setattr(conformal, "fit_pinball_stacked", spy)
+        rng = np.random.default_rng(5)
+        residuals = [padded_signed_residuals(rng) for _ in range(12)]
+        ivs = spci_intervals_stacked(np.zeros((12, 4)), residuals, SpciSpec(lag_count=4), 0.1)
+        assert len(ivs) == 12
+        assert calls == [12] * 4
+
+    def test_stack_gives_each_series_its_lone_intervals(self):
+        # the last series' histories are constant: it falls back to empirical
+        # quantiles inside the stack, while the others are fitted
+        rng = np.random.default_rng(6)
+        residuals = [padded_signed_residuals(rng) for _ in range(6)]
+        pattern = residuals[0].matrix
+        residuals.append(ResidualMatrix(np.where(np.isnan(pattern), np.nan, 2.0), residuals[0].origins, signed=True))
+        fc = rng.standard_normal((7, 4))
+        spec = SpciSpec(lag_count=4)
+        stacked = spci_intervals_stacked(fc, residuals, spec, 0.1)
+        for f, res, iv in zip(fc, residuals, stacked):
+            alone = spci_intervals(f, res, spec, 0.1)
+            assert iv.lower.tobytes() == alone.lower.tobytes()
+            assert iv.upper.tobytes() == alone.upper.tobytes()
+            assert iv.diagnostics == alone.diagnostics
+        assert [iv.diagnostics["fallbacks"] for iv in stacked] == [0] * 6 + [4]
+
+    def test_stack_needs_equal_column_lengths(self):
+        rng = np.random.default_rng(7)
+        residuals = [padded_signed_residuals(rng), padded_signed_residuals(rng, rows=31)]
+        with pytest.raises(ValueError, match="differ in length"):
+            spci_intervals_stacked(np.zeros((2, 4)), residuals, SpciSpec(lag_count=4), 0.1)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([-50, -20, 0, 20, 50]))
+    def test_pair_scales_with_the_history(self, seed, k):
+        # the constant-lag test is scale-free and scaling by a power of two
+        # is exact, so the whole fit scales exactly
+        e = simulate_ar1(40, 0.7, seed=seed)
+        lo, hi, diag = spci_quantile_pair(e, SpciSpec(), 0.1)
+        assert spci_quantile_pair(2.0**k * e, SpciSpec(), 0.1) == (2.0**k * lo, 2.0**k * hi, diag)
+
+    def test_tiny_history_is_fitted_not_replaced_by_empirical_quantiles(self):
+        e = simulate_ar1(40, 0.7, seed=1)
+        lo, hi, _ = spci_quantile_pair(e, SpciSpec(), 0.1)
+        lo_s, hi_s, diag = spci_quantile_pair(1e-14 * e, SpciSpec(), 0.1)
+        assert diag["fallbacks"] == 0
+        assert lo_s == pytest.approx(1e-14 * lo, rel=1e-9)
+        assert hi_s == pytest.approx(1e-14 * hi, rel=1e-9)
 
 
 class TestGlobalCp:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
-from ctsbench.quantreg import fit_pinball_linear
+from ctsbench.quantreg import fit_pinball_linear, fit_pinball_stacked
 
 # SPCI's default levels at alpha = 0.1: beta in [0, 0.1] and 0.9 + beta.
 SPCI_TAUS = np.concatenate([np.linspace(0.0, 0.1, 11), 0.9 + np.linspace(0.0, 0.1, 11)])
@@ -173,7 +173,8 @@ def test_degenerate_programme_with_non_unique_optimum():
 
 def test_newton_cap_raises_instead_of_returning():
     X, y = random_design(1)
-    with pytest.raises(RuntimeError, match="did not converge in 1 Newton step"):
+    # an ArithmeticError, which the benchmark turns into the series' skip reason
+    with pytest.raises(ArithmeticError, match="did not converge in 1 Newton step"):
         fit_pinball_linear(X, y, SPCI_TAUS, iters=1)
     with pytest.raises(ValueError, match="iters"):
         fit_pinball_linear(X, y, SPCI_TAUS, iters=0)
@@ -195,3 +196,49 @@ def test_never_worse_than_constant_quantile_line(data, tau):
     fit = fit_pinball_linear(X, y, np.array([tau]))
     const = pinball(y - np.quantile(y, tau), tau)
     assert fit_losses(fit, X, y)[0] <= const + 1e-9 * (1.0 + const)
+
+
+def _stack_problem(rng, kind, n, d):
+    """One design of a stack: plain, with a constant column, with a column
+    dependent on the others, or with every column constant."""
+    X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d) + rng.uniform(-5.0, 5.0, d)
+    if kind == "constant":
+        X[:, rng.integers(d)] = rng.uniform(-5.0, 5.0)
+    elif kind == "dependent":
+        X[:, -1] = 2.0 * X[:, 0] - 0.5 * X[:, :-1].sum(axis=1) + 3.0
+    elif kind == "all_constant":
+        X[:] = rng.uniform(-5.0, 5.0, d)
+    y = X[:, 0] + rng.standard_t(3, n)
+    return X, y
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["plain", "constant", "dependent", "all_constant"]), min_size=1, max_size=5),
+    n=st.integers(12, 30),
+    d=st.integers(2, 5),
+)
+def test_each_problem_of_a_stack_gets_its_lone_fit(seed, kinds, n, d):
+    rng = np.random.default_rng(seed)
+    X, y = map(np.stack, zip(*(_stack_problem(rng, kind, n, d) for kind in kinds)))
+    taus = np.array([0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0])
+    fits = fit_pinball_stacked(X, y, taus)
+    assert len(fits) == len(kinds)
+    for kind, Xb, yb, fit in zip(kinds, X, y, fits):
+        assert fit.degenerate.all() if kind == "all_constant" else fit.degenerate.any() == (kind != "plain")
+        alone = fit_pinball_linear(Xb, yb, taus)
+        for field in ("intercepts", "coefs", "degenerate"):
+            assert getattr(fit, field).tobytes() == getattr(alone, field).tobytes(), field
+        got = fit_losses(fit, Xb, yb)
+        want = np.array([exact_loss(Xb, yb, tau) for tau in taus])
+        np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9 * want.sum())
+
+
+def test_stack_shapes_are_checked():
+    X, y = random_design(3)
+    with pytest.raises(ValueError, match="3-D"):
+        fit_pinball_stacked(X, y, SPCI_TAUS)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        fit_pinball_stacked(X[None], y[None, :-1], SPCI_TAUS)
+    assert fit_pinball_stacked(X[None, :, :][:0], y[None][:0], SPCI_TAUS) == []
