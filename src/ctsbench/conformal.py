@@ -29,6 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import forecaster as _forecaster
+from . import quantreg as _quantreg
 from .forecaster import (
     FittedForecaster,
     ForecasterSpec,
@@ -42,7 +43,7 @@ from .forecaster import (
 )
 from .quantreg import (
     constant_columns,
-    fit_pinball_linear,  # unused here, but perfbench/spans.py wraps conformal.fit_pinball_linear
+    fit_pinball_linear,
     fit_pinball_stacked,
 )
 from .series import SeriesPanel, SplitSpec, TimeSeries
@@ -400,6 +401,16 @@ class SpciSpec:
             raise ValueError(f"lag_count must be >= 1, got {self.lag_count}")
 
 
+def _fit_pinball(X: np.ndarray, y: np.ndarray, taus: np.ndarray) -> list:
+    """fit_pinball_stacked of a (B, n, d) stack, or, where this module's
+    fit_pinball_linear has been replaced (a tracer or a spy that must see
+    every fit, as perfbench/spans.py does), that replacement once per
+    problem. Each problem gets the same fit either way."""
+    if fit_pinball_linear is _quantreg.fit_pinball_linear:
+        return fit_pinball_stacked(X, y, taus)
+    return [fit_pinball_linear(Xi, yi, taus) for Xi, yi in zip(X, y)]
+
+
 def _spci_pairs(histories: np.ndarray, spec: SpciSpec, alpha: float) -> tuple[np.ndarray, ...]:
     """spci_quantile_pair of every row of an (S, n) stack of residual
     histories, with one solver call for the stack.
@@ -424,7 +435,7 @@ def _spci_pairs(histories: np.ndarray, spec: SpciSpec, alpha: float) -> tuple[np
         preds[fallback] = np.quantile(histories[fallback], taus, axis=1).T
     solved = ~fallback
     if solved.any():
-        fits = fit_pinball_stacked(X[solved], y[solved], taus)
+        fits = _fit_pinball(X[solved], y[solved], taus)
         preds[solved] = [fit.predict(x) for fit, x in zip(fits, x_star[solved])]
     pick = np.argmin(preds[:, m:] - preds[:, :m], axis=1)
     q_lo, q_hi = preds[np.arange(S), pick], preds[np.arange(S), m + pick]

@@ -651,6 +651,32 @@ class TestSpci:
             assert iv.diagnostics == alone.diagnostics
         assert [iv.diagnostics["fallbacks"] for iv in stacked] == [0] * 6 + [4]
 
+    def test_a_replaced_one_problem_fitter_sees_every_fit(self, monkeypatch):
+        # perfbench traces quantreg at conformal.fit_pinball_linear: with that
+        # name replaced, each solved (series, horizon) goes through it once,
+        # and the intervals are those of the stacked solver
+        rng = np.random.default_rng(8)
+        residuals = [padded_signed_residuals(rng) for _ in range(5)]
+        fc = rng.standard_normal((5, 4))
+        spec = SpciSpec(lag_count=4)
+        stacked = spci_intervals_stacked(fc, residuals, spec, 0.1)
+        designs = []
+        real = conformal.fit_pinball_linear
+
+        def spy(X, y, taus):
+            designs.append(X.shape)
+            return real(X, y, taus)
+
+        monkeypatch.setattr(conformal, "fit_pinball_linear", spy)
+        monkeypatch.setattr(conformal, "fit_pinball_stacked", None)
+        traced = spci_intervals_stacked(fc, residuals, spec, 0.1)
+        assert len(designs) == 5 * 4
+        assert all(len(shape) == 2 for shape in designs)
+        for a, b in zip(stacked, traced):
+            assert a.lower.tobytes() == b.lower.tobytes()
+            assert a.upper.tobytes() == b.upper.tobytes()
+            assert a.diagnostics == b.diagnostics
+
     def test_stack_needs_equal_column_lengths(self):
         rng = np.random.default_rng(7)
         residuals = [padded_signed_residuals(rng), padded_signed_residuals(rng, rows=31)]
