@@ -362,23 +362,16 @@ def _spci(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
     a series without them keeps the skip reason of what failed."""
     c = contexts[0].config
     spec = SpciSpec(lag_count=c.spci_lags)
-    out: dict[str, IntervalMatrix | str] = {}
-    ready: list[tuple[str, np.ndarray, ResidualMatrix]] = []
-    for ctx in contexts:
-        sid = ctx.series.series_id
-        try:
-            ready.append((sid, ctx.fc, ctx.signed))
-        except _METHOD_ERRORS as e:
-            out[sid] = str(e)
+    inputs = _per_series(lambda ctx: (ctx.fc, ctx.signed))(contexts)
+    ready = {sid: pair for sid, pair in inputs.items() if not isinstance(pair, str)}
+    fcs = [fc for fc, _ in ready.values()]
+    matrices = [signed for _, signed in ready.values()]
 
     def solve(block: list[int]) -> list[IntervalMatrix]:
-        fc = np.stack([ready[i][1] for i in block])
-        return spci_intervals_stacked(fc, [ready[i][2] for i in block], spec, c.alpha)
+        return spci_intervals_stacked(np.stack([fcs[i] for i in block]), [matrices[i] for i in block], spec, c.alpha)
 
-    keys = [tuple(np.count_nonzero(~np.isnan(signed.matrix), axis=0).tolist()) for _, _, signed in ready]
-    for (sid, _, _), result in zip(ready, _in_blocks(keys, solve)):
-        out[sid] = result
-    return out
+    keys = [tuple(np.count_nonzero(~np.isnan(signed.matrix), axis=0).tolist()) for signed in matrices]
+    return inputs | dict(zip(ready, _in_blocks(keys, solve)))
 
 
 # Each method maps every eligible series' context to its intervals or a skip reason.

@@ -405,7 +405,9 @@ def _fit_pinball(X: np.ndarray, y: np.ndarray, taus: np.ndarray) -> list:
     """fit_pinball_stacked of a (B, n, d) stack, or, where this module's
     fit_pinball_linear has been replaced (a tracer or a spy that must see
     every fit, as perfbench/spans.py does), that replacement once per
-    problem. Each problem gets the same fit either way."""
+    problem. Each problem gets the same fit either way. The second path
+    goes once perfbench wraps fit_pinball_stacked itself: until then its
+    tracer counts and captures quantreg's work only one problem per call."""
     if fit_pinball_linear is _quantreg.fit_pinball_linear:
         return fit_pinball_stacked(X, y, taus)
     return [fit_pinball_linear(Xi, yi, taus) for Xi, yi in zip(X, y)]

@@ -182,7 +182,7 @@ def _orthonormal_factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     that keeps every column gets its plain QR factors.
     """
     Q, R = np.linalg.qr(A)
-    kept = np.abs(np.diagonal(R, axis1=1, axis2=2)) > _RANK_TOL * np.sqrt(np.vecdot(A, A, axis=1))
+    kept = np.abs(np.diagonal(R, axis1=1, axis2=2)) > _RANK_TOL * np.sqrt((A * A).sum(axis=1))
     if kept.all():
         return Q, R, kept
     # Factor the kept columns alone: zeroed and moved last, the dropped
@@ -196,6 +196,13 @@ def _orthonormal_factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     diag = np.arange(A.shape[2])
     R[:, diag, diag] += ~kept
     return U, R, kept
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the last axes of a and b, as one stacked matmul:
+    one BLAS dot per vector, so a problem's value does not depend on the
+    stack around it (numpy >= 2 spells this np.vecdot)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _step_length(v: np.ndarray, dv: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -243,8 +250,8 @@ def _frisch_newton(U: np.ndarray, ys: np.ndarray, taus: np.ndarray, iters: int) 
     live = np.arange(B)
     done = np.zeros((B, T), dtype=bool)
     for it in range(iters + 1):
-        gap = np.vecdot(x, zw)
-        done |= gap <= _GAP_TOL * np.maximum(np.vecdot(cost, zw), floor)
+        gap = _dot(x, zw)
+        done |= gap <= _GAP_TOL * np.maximum(_dot(cost, zw), floor)
         finished = done.all(axis=1)
         if finished.any():
             out[live[finished]] = c[finished]
@@ -277,7 +284,7 @@ def _frisch_newton(U: np.ndarray, ys: np.ndarray, taus: np.ndarray, iters: int) 
         fp, fd = _step_length(x, dx, active), _step_length(zw, dzw, active)
 
         # corrector: Mehrotra's centring target plus second-order terms
-        g = np.vecdot(x + fp * dx, zw + fd * dzw)
+        g = _dot(x + fp * dx, zw + fd * dzw)
         mu = (gap * (g / gap) ** 3 / (2 * n))[:, :, None]
         v = (mu - dx * dzw) / x
         xi = v[:, :, :n] - v[:, :, n:]

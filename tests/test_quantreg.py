@@ -242,3 +242,21 @@ def test_stack_shapes_are_checked():
     with pytest.raises(ValueError, match="shape mismatch"):
         fit_pinball_stacked(X[None], y[None, :-1], SPCI_TAUS)
     assert fit_pinball_stacked(X[None, :, :][:0], y[None][:0], SPCI_TAUS) == []
+
+
+def test_fits_without_the_functions_numpy_2_added(monkeypatch):
+    """pyproject.toml declares numpy >= 1.24, so a fit may not need
+    np.vecdot and the other names numpy 2.0 brought in."""
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((2, 24, 3))
+    X[1, :, 2] = 2.0 * X[1, :, 0]
+    y = rng.standard_normal((2, 24))
+    want = fit_pinball_stacked(X, y, SPCI_TAUS)
+    for name in ("vecdot", "matvec", "vecmat", "concat", "permute_dims", "astype", "cumulative_sum"):
+        monkeypatch.delattr(np, name, raising=False)
+    for name in ("vecdot", "vector_norm", "matrix_norm", "matrix_transpose"):
+        monkeypatch.delattr(np.linalg, name, raising=False)
+    got = fit_pinball_stacked(X, y, SPCI_TAUS)
+    assert got[1].degenerate.tolist() == [False, False, True]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.intercepts, w.intercepts) and np.array_equal(g.coefs, w.coefs)
