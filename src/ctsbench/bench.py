@@ -15,8 +15,10 @@ global_cp calibrates on a cohort of series, and cv_cp backtests
 equal-length series heads in stacked solves, which gives each series the
 intervals it would get alone. spci stacks the equal-length residual
 columns of every series at each horizon into one quantile regression
-solve, again each series as alone. Each method's intervals are then scored in
-one pass over all its series (`metrics.score_records`).
+solve, and acmcp runs the equal-length score streams of every series at
+each horizon as one stack of trackers (`online.acmcp_run_stacked`), again
+each series as alone. Each method's intervals are then scored in one pass
+over all its series (`metrics.score_records`).
 
 Every run is a pure function of (config, data, seed): per-series RNG seeds
 are derived by hashing the global seed with the series id. The
@@ -69,8 +71,9 @@ from .forecaster import (
 )
 from .metrics import MethodSummary, MetricRecord, aggregate, score_records
 from .metrics import series_metrics  # noqa: F401  unused here, but perfbench/spans.py traces bench.series_metrics
-# acmcp_step stays importable here: perfbench/spans.py traces it by this name.
-from .online import AciState, aci_interval, aci_step, acmcp_init, acmcp_interval, acmcp_run, acmcp_step  # noqa: F401
+from .online import AciState, aci_interval, aci_step, acmcp_init_stacked, acmcp_interval, acmcp_run_stacked
+# acmcp_init and acmcp_step stay importable here: perfbench/spans.py traces them by these names.
+from .online import acmcp_init, acmcp_step  # noqa: F401
 from .series import PanelError, SeriesPanel, SplitSpec, TimeSeries, parse_panel, serialize_panel
 from .stattest import FriedmanResult, PosthocResult, conover_posthoc, friedman_test, rank_scores
 from .svgchart import cd_diagram_svg, coverage_bar_svg
@@ -216,23 +219,6 @@ def _aci_series_intervals(
     )
 
 
-def _acmcp_series_intervals(
-    fc: np.ndarray, abs_matrix: ResidualMatrix, alpha: float
-) -> IntervalMatrix:
-    """Run one quantile tracker per horizon through its calibration stream."""
-    bounds = []
-    for h, y in enumerate(fc.tolist(), 1):
-        stream = abs_matrix.column(h)
-        m = len(stream)
-        burn = max(5, min(10, m // 3))
-        if m < burn + 1:
-            raise ValueError(f"horizon {h} stream too short to warm a tracker: {m}")
-        state = acmcp_run(acmcp_init(h, stream[:burn], alpha), stream[burn:])
-        bounds.append(acmcp_interval(state, y))
-    lower, upper = zip(*bounds)
-    return IntervalMatrix(lower=lower, upper=upper)
-
-
 class _EndModels:
     """The series-end models of a run's contexts by series id, fitted in
     stacked blocks the first time any context asks for its model. A fit
@@ -356,6 +342,11 @@ def _cv_cp(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
     return out | cv_conformal_intervals(forecasts, heads, c.n_windows, c.forecaster, c.alpha)
 
 
+def _column_lengths(residuals: ResidualMatrix) -> tuple[int, ...]:
+    """The residual count of each horizon: series with equal counts stack."""
+    return tuple(np.count_nonzero(~np.isnan(residuals.matrix), axis=0).tolist())
+
+
 def _spci(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
     """Fit SPCI for every series with a forecast and signed residuals, in
     stacked blocks of equal-length residual columns, each series as alone;
@@ -370,8 +361,34 @@ def _spci(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
     def solve(block: list[int]) -> list[IntervalMatrix]:
         return spci_intervals_stacked(np.stack([fcs[i] for i in block]), [matrices[i] for i in block], spec, c.alpha)
 
-    keys = [tuple(np.count_nonzero(~np.isnan(signed.matrix), axis=0).tolist()) for signed in matrices]
-    return inputs | dict(zip(ready, _in_blocks(keys, solve)))
+    return inputs | dict(zip(ready, _in_blocks([_column_lengths(m) for m in matrices], solve)))
+
+
+def _acmcp(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
+    """Run one quantile tracker per horizon through each series' calibration
+    stream, for every series with a forecast and absolute residuals, in
+    stacked blocks of equal-length streams, each series as alone; a series
+    without them keeps the skip reason of what failed."""
+    alpha = contexts[0].config.alpha
+    inputs = _per_series(lambda ctx: (ctx.fc, ctx.abs_matrix))(contexts)
+    ready = {sid: pair for sid, pair in inputs.items() if not isinstance(pair, str)}
+    fcs = [fc for fc, _ in ready.values()]
+    matrices = [abs_matrix for _, abs_matrix in ready.values()]
+
+    def solve(block: list[int]) -> list[IntervalMatrix]:
+        fc = np.stack([fcs[i] for i in block])
+        bounds = np.empty(fc.shape + (2,))  # series, horizon, (lower, upper)
+        for h, ys in enumerate(fc.T.tolist(), 1):
+            streams = np.stack([matrices[i].column(h) for i in block])
+            m = streams.shape[1]
+            burn = max(5, min(10, m // 3))
+            if m < burn + 1:
+                raise ValueError(f"horizon {h} stream too short to warm a tracker: {m}")
+            states = acmcp_run_stacked(acmcp_init_stacked(h, streams[:, :burn], alpha), streams[:, burn:])
+            bounds[:, h - 1] = [acmcp_interval(state, y) for state, y in zip(states, ys)]
+        return [IntervalMatrix(lower=b[:, 0], upper=b[:, 1]) for b in bounds]
+
+    return inputs | dict(zip(ready, _in_blocks([_column_lengths(m) for m in matrices], solve)))
 
 
 # Each method maps every eligible series' context to its intervals or a skip reason.
@@ -384,7 +401,7 @@ _METHODS = {
     "aci": _per_series(lambda ctx: _aci_series_intervals(
         ctx.fc, ctx.abs_matrix, ctx.config.alpha, ctx.config.gamma
     )),
-    "acmcp": _per_series(lambda ctx: _acmcp_series_intervals(ctx.fc, ctx.abs_matrix, ctx.config.alpha)),
+    "acmcp": _acmcp,
     "parametric": _per_series(_parametric),
 }
 METHODS = tuple(_METHODS)

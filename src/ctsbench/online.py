@@ -7,7 +7,12 @@ action plus a short autoregressive score forecast for multi-step errors
 (after Angelopoulos, Candes & Tibshirani's conformal PID control). The
 tracker runs whole score streams (`acmcp_run`): its score model reads the
 scores alone, never q or the coverage errors, so every step's prediction
-comes from one batched ridge solve before a scalar loop over q.
+comes from one batched ridge solve before a scalar loop over q. The
+trackers of many streams of one horizon and one length run as a stack
+(`acmcp_init_stacked`, `acmcp_run_stacked`): every stream's steps share
+their window sizes and lag counts, hence the shapes of the batched solve,
+and each stream gets the state it gets alone. `acmcp_init` and
+`acmcp_run` are the one-stream case.
 """
 
 from __future__ import annotations
@@ -108,8 +113,9 @@ class AcmcpState:
             raise ValueError(f"k_i must be >= 0, got {self.k_i}")
 
 
-def _score_model(scores: np.ndarray, first: int, h: int) -> tuple[np.ndarray, tuple[float, ...]]:
-    """Prediction e_hat after each of scores[first:], and the last fit's theta.
+def _score_model(scores: np.ndarray, first: int, h: int) -> tuple[np.ndarray, list[tuple[float, ...]]]:
+    """Prediction e_hat after each of scores[:, first:], one row per stream
+    of the (S, L) stack, and each stream's last theta.
 
     After the score at index t the model is a ridge fit of the centered
     score on its recent predecessors, over the last WINDOW_LEN scores up to
@@ -121,34 +127,74 @@ def _score_model(scores: np.ndarray, first: int, h: int) -> tuple[np.ndarray, tu
     at full correlation; unshrunk least squares on these short windows
     chases noise and widens the coverage error it is meant to cancel.
 
-    All steps are fitted at once, their windows zero-padded after centering
-    and their designs to the largest lag count. Padding adds nothing to the
-    cross products; a padded lag gets a unit diagonal and a zero right-hand
-    side, hence a zero coefficient; a step without a model gets the identity.
+    All steps of all streams are fitted at once, their windows zero-padded
+    after centering and their designs to the largest lag count. Padding
+    adds nothing to the cross products; a padded lag gets a unit diagonal
+    and a zero right-hand side, hence a zero coefficient; a step without a
+    model gets the identity. A step's window size and lag count depend only
+    on h and L, so every stream gets the shapes, and the values, it gets alone.
     """
-    ends = np.arange(first + 1, len(scores) + 1)
+    ends = np.arange(first + 1, scores.shape[1] + 1)
     n = np.minimum(ends, WINDOW_LEN)
     k = np.minimum(h - 1, n // 6)
     K = int(k.max())
-    # back[t, p]: step t's window, newest score first, centered, zero past its start
+    # back[s, t, p]: stream s's window at step t, newest score first, centered,
+    # zero past its start. C order keeps the centring sum in a lone stream's order.
     p = np.arange(int(n.max()))
     inside = p < n[:, None]
-    back = np.where(inside, scores[np.maximum(ends[:, None] - 1 - p, 0)], 0.0)
-    back = np.where(inside, back - back.sum(axis=1, keepdims=True) / n[:, None], 0.0)
+    window = np.ascontiguousarray(scores[:, np.maximum(ends[:, None] - 1 - p, 0)])
+    back = np.where(inside, window, 0.0)
+    back = np.where(inside, back - back.sum(axis=2, keepdims=True) / n[:, None], 0.0)
     # Design row b of step t is (c_b, c_b+1, ..., c_b+k): the target, then lags 1..k.
     j = np.arange(K + 1)
     used = (np.arange(len(p) - K)[:, None] < (n - k)[:, None, None]) & (j <= k[:, None, None])
-    design = np.where(used, np.lib.stride_tricks.sliding_window_view(back, K + 1, axis=1), 0.0)
-    cross = design.transpose(0, 2, 1) @ design
-    gram, rhs = cross[:, 1:, 1:], cross[:, 1:, 0]
-    penalty = np.trace(gram, axis1=1, axis2=2) / np.maximum(k, 1)
+    design = np.where(used, np.lib.stride_tricks.sliding_window_view(back, K + 1, axis=2), 0.0)
+    cross = design.swapaxes(2, 3) @ design
+    gram, rhs = cross[..., 1:, 1:], cross[..., 1:, 0]
+    penalty = np.trace(gram, axis1=2, axis2=3) / np.maximum(k, 1)
     ok = np.isfinite(penalty) & (penalty > 0.0)  # false without lags
-    lag = (j[:-1] < k[:, None]) & ok[:, None]
-    diagonal = np.where(lag, penalty[:, None], 1.0)
-    system = np.where(ok[:, None, None], gram, 0.0) + diagonal[:, :, None] * np.eye(K)
-    coef = np.linalg.solve(system, np.where(ok[:, None], rhs, 0.0)[:, :, None])[:, :, 0]
-    theta = tuple(coef[-1, : k[-1]].tolist()) if ok[-1] else ()
-    return (coef * np.where(lag, back[:, :K], 0.0)).sum(axis=1), theta
+    lag = (j[:-1] < k[:, None]) & ok[..., None]
+    diagonal = np.where(lag, penalty[..., None], 1.0)
+    system = np.where(ok[..., None, None], gram, 0.0) + diagonal[..., None] * np.eye(K)
+    coef = np.linalg.solve(system, np.where(ok[..., None], rhs, 0.0)[..., None])[..., 0]
+    thetas = [tuple(c[: k[-1]]) if fitted else () for c, fitted in zip(coef[:, -1].tolist(), ok[:, -1].tolist())]
+    return (coef * np.where(lag, back[..., :K], 0.0)).sum(axis=2), thetas
+
+
+def acmcp_run_stacked(
+    states: Sequence[AcmcpState], scores: Sequence[Sequence[float]] | np.ndarray
+) -> list[AcmcpState]:
+    """`acmcp_run` of many trackers at once: row i of the (S, m) scores is
+    the stream of states[i]. The trackers must share h and the length of
+    their score windows; each ends in the state `acmcp_run` gives it alone.
+    """
+    stream = np.asarray(scores, dtype=np.float64)
+    if stream.ndim != 2 or len(stream) != len(states):
+        raise ValueError(f"scores must be one row per tracker ({len(states)}), got shape {stream.shape}")
+    if not states:
+        return []
+    h, w = states[0].h, len(states[0].score_window)
+    if any(s.h != h or len(s.score_window) != w for s in states):
+        raise ValueError("stacked trackers must share h and the length of their score windows")
+    if not np.all(np.isfinite(stream)):
+        raise ValueError("scores must be finite")
+    if stream.shape[1] == 0:
+        return list(states)
+    full = np.concatenate((np.array([s.score_window for s in states], dtype=np.float64), stream), axis=1)
+    e_hats, thetas = _score_model(full, w, h)
+    out = []
+    for state, row, e_row, theta, kept in zip(
+        states, stream.tolist(), e_hats.tolist(), thetas, full[:, -WINDOW_LEN:].tolist()
+    ):
+        q, err_sum, e_prev = state.q, state.err_sum, state.e_prev
+        for score, e_hat in zip(row, e_row):
+            err = 1 if score > max(q, 0.0) else 0
+            err_sum = err_sum + (err - state.alpha)
+            saturation = state.k_i * math.tanh(err_sum / C_SAT)
+            q = q + state.eta * (err - state.alpha) + saturation + (e_hat - e_prev)
+            e_prev = e_hat
+        out.append(replace(state, q=q, err_sum=err_sum, theta=theta, e_prev=e_prev, score_window=tuple(kept)))
+    return out
 
 
 def acmcp_run(state: AcmcpState, scores: Sequence[float] | np.ndarray) -> AcmcpState:
@@ -165,21 +211,7 @@ def acmcp_run(state: AcmcpState, scores: Sequence[float] | np.ndarray) -> AcmcpS
     stream = np.asarray(scores, dtype=np.float64)
     if stream.ndim != 1:
         raise ValueError(f"scores must be one-dimensional, got shape {stream.shape}")
-    if not np.all(np.isfinite(stream)):
-        raise ValueError("scores must be finite")
-    if len(stream) == 0:
-        return state
-    full = np.concatenate((np.asarray(state.score_window, dtype=np.float64), stream))
-    e_hats, theta = _score_model(full, len(state.score_window), state.h)
-    q, err_sum, e_prev = state.q, state.err_sum, state.e_prev
-    for score, e_hat in zip(stream.tolist(), e_hats.tolist()):
-        err = 1 if score > max(q, 0.0) else 0
-        err_sum = err_sum + (err - state.alpha)
-        saturation = state.k_i * math.tanh(err_sum / C_SAT)
-        q = q + state.eta * (err - state.alpha) + saturation + (e_hat - e_prev)
-        e_prev = e_hat
-    window = tuple(full[-WINDOW_LEN:].tolist())
-    return replace(state, q=q, err_sum=err_sum, theta=theta, e_prev=e_prev, score_window=window)
+    return acmcp_run_stacked([state], stream[None])[0]
 
 
 def acmcp_step(state: AcmcpState, score: float) -> AcmcpState:
@@ -193,6 +225,27 @@ def acmcp_interval(state: AcmcpState, forecast: float) -> tuple[float, float]:
     return forecast - radius, forecast + radius
 
 
+def acmcp_init_stacked(
+    h: int, warm_scores: Sequence[Sequence[float]] | np.ndarray, alpha: float
+) -> list[AcmcpState]:
+    """`acmcp_init` of many trackers at once, one per row of the (S, m)
+    warm-up scores; each gets the state `acmcp_init` gives it alone."""
+    scores = np.asarray(warm_scores, dtype=np.float64)
+    if scores.ndim != 2:
+        raise ValueError(f"warm-up scores must be one row per tracker, got shape {scores.shape}")
+    if scores.shape[1] < 2:
+        raise ValueError(f"need >= 2 warm-up scores, have {scores.shape[1]}")
+    upper, lower, q0 = np.quantile(scores, [0.75, 0.25, 1.0 - alpha], axis=1).tolist()
+    states = []
+    for row, hi, lo, q in zip(scores, upper, lower, q0):
+        scale = hi - lo
+        if scale <= 0.0:
+            scale = max(float(np.std(row)), 1e-6)
+        window = tuple(row[-WINDOW_LEN:].tolist())
+        states.append(AcmcpState(h=h, q=q, eta=0.5 * scale, alpha=alpha, k_i=scale, score_window=window))
+    return states
+
+
 def acmcp_init(h: int, warm_scores: Sequence[float] | np.ndarray, alpha: float) -> AcmcpState:
     """Seed a tracker from warm-up scores.
 
@@ -202,17 +255,6 @@ def acmcp_init(h: int, warm_scores: Sequence[float] | np.ndarray, alpha: float) 
     collapses); the score window keeps the last WINDOW_LEN warm-up scores.
     """
     scores = np.asarray(warm_scores, dtype=np.float64)
-    if len(scores) < 2:
-        raise ValueError(f"need >= 2 warm-up scores, have {len(scores)}")
-    upper, lower, q0 = np.quantile(scores, [0.75, 0.25, 1.0 - alpha]).tolist()
-    scale = upper - lower
-    if scale <= 0.0:
-        scale = max(float(np.std(scores)), 1e-6)
-    return AcmcpState(
-        h=h,
-        q=q0,
-        eta=0.5 * scale,
-        alpha=alpha,
-        k_i=scale,
-        score_window=tuple(float(s) for s in scores[-WINDOW_LEN:]),
-    )
+    if scores.ndim != 1:
+        raise ValueError(f"warm-up scores must be one-dimensional, got shape {scores.shape}")
+    return acmcp_init_stacked(h, scores[None], alpha)[0]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctsbench import bench, conformal, forecaster, quantreg
+from ctsbench import bench, conformal, forecaster, online, quantreg
 from ctsbench.bench import (
     BenchConfig,
     NothingEvaluableError,
@@ -217,6 +217,25 @@ class TestRunBenchmark:
             assert report.records == reports[0].records
             assert report.skips == reports[0].skips
             assert payload == payloads[0]
+
+    def test_context_order_invariant(self):
+        # SeriesPanel sorts its series by id, so reversing the panel does not
+        # reach the methods; reversing the contexts does. Every method gives
+        # each series the same intervals or skip reason in either order.
+        panel = SeriesPanel(tuple(two_length_series(4)))
+        config = small_config(methods=bench.METHODS, alpha=0.5, horizon=2)
+
+        def results(method, reverse):
+            contexts, _ = bench._contexts(panel, config)
+            out = bench._METHODS[method](contexts[::-1] if reverse else contexts)
+            return {sid: r if isinstance(r, str) else (r.lower.tobytes(), r.upper.tobytes(), r.diagnostics)
+                    for sid, r in out.items()}
+
+        for method in bench.METHODS:
+            forward = results(method, reverse=False)
+            assert len(forward) == len(panel), method
+            assert not all(isinstance(r, str) for r in forward.values()), method
+            assert results(method, reverse=True) == forward, method
 
     def test_cv_cp_runs_through_the_traced_name(self, monkeypatch):
         # perfbench times cv_cp at bench.cv_conformal_intervals: a run must
@@ -422,6 +441,37 @@ class TestRunBenchmark:
         assert "spci" not in report.summaries
         assert [s[:2] for s in report.skips] == [(sid, "spci") for sid in panel.ids]
         assert all("did not converge in 1 Newton steps" in s[2] for s in report.skips)
+
+    def test_acmcp_stacks_one_score_model_call_per_horizon(self, monkeypatch):
+        # 12 equal-length series and H = 4: one stacked score-model call of
+        # 12 streams per horizon. A 13th series whose forecast fails keeps
+        # the forecast's message as its skip reason and leaves the block's
+        # other series scored as without it.
+        calls = []
+        score_model = online._score_model
+
+        def spy(scores, first, h):
+            calls.append(len(scores))
+            return score_model(scores, first, h)
+
+        real_forecast = bench.forecast
+
+        def failing(model, history, horizon):
+            if history[0] == 99.0:
+                raise ValueError("forecast failed")
+            return real_forecast(model, history, horizon)
+
+        panel = small_panel(n=12)
+        bad = panel.series[0]
+        bad = TimeSeries("bad", bad.timestamps, np.r_[99.0, bad.values[1:]], bad.period)
+        config = small_config(methods=("acmcp",), horizon=4)
+        without = run_benchmark(config, panel=panel)
+        monkeypatch.setattr(online, "_score_model", spy)
+        monkeypatch.setattr(bench, "forecast", failing)
+        with_bad = run_benchmark(config, panel=SeriesPanel(panel.series + (bad,)))
+        assert calls == [12] * 4
+        assert with_bad.skips == (("bad", "acmcp", "forecast failed"),)
+        assert with_bad.records == without.records and len(without.records) == 12
 
     def test_enbpi_alone_fits_no_end_model(self, monkeypatch):
         def refuse(trains, spec):

@@ -17,8 +17,10 @@ from ctsbench.online import (
     aci_interval,
     aci_step,
     acmcp_init,
+    acmcp_init_stacked,
     acmcp_interval,
     acmcp_run,
+    acmcp_run_stacked,
     acmcp_step,
 )
 
@@ -316,3 +318,76 @@ class TestAcmcpInit:
     def test_needs_two_scores(self):
         with pytest.raises(ValueError):
             acmcp_init(1, np.array([1.0]), 0.1)
+
+
+_STATE_FLOATS = ("q", "eta", "k_i", "err_sum", "e_prev", "theta", "score_window")
+
+
+def _state_bytes(state: AcmcpState) -> tuple[bytes, ...]:
+    return tuple(np.array(getattr(state, name), dtype=np.float64).tobytes() for name in _STATE_FLOATS)
+
+
+@st.composite
+def _tracker_stacks(draw):
+    """h, alpha, and 1..8 rows of 2..60 warm-up and 6..60 stream scores:
+    |AR(1)| rows, rows whose warm-up is constant or has a collapsed IQR
+    (the np.std / 1e-6 floor), and all-zero rows."""
+    h = draw(st.integers(1, 12))
+    alpha = draw(st.sampled_from([0.05, 0.1, 0.5]))
+    w, m = draw(st.integers(2, 60)), draw(st.integers(6, 60))
+    kinds = draw(st.lists(st.sampled_from(["ar", "constant_warm", "spiked_warm", "zeros"]), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in kinds:
+        x, row = 0.0, np.empty(w + m)
+        for t in range(w + m):
+            x = 0.8 * x + rng.standard_normal()
+            row[t] = abs(x)
+        if kind == "zeros":
+            row[:] = 0.0
+        elif kind != "ar":
+            row[:w] = row[0]
+            if kind == "spiked_warm":
+                row[w - 1] += 5.0
+        rows.append(row)
+    stack = np.stack(rows)
+    return h, alpha, stack[:, :w], stack[:, w:]
+
+
+class TestAcmcpStacked:
+    @settings(max_examples=60, deadline=None)
+    @given(_tracker_stacks())
+    def test_each_row_is_its_lone_tracker(self, case):
+        # windows trim once warm-up and stream pass WINDOW_LEN
+        h, alpha, warm, stream = case
+        stacked = acmcp_run_stacked(acmcp_init_stacked(h, warm, alpha), stream)
+        assert len(stacked) == len(warm)
+        for got, w_row, s_row in zip(stacked, warm, stream):
+            alone = acmcp_run(acmcp_init(h, w_row, alpha), s_row)
+            assert _state_bytes(got) == _state_bytes(alone)
+
+    def test_floored_rows_in_a_stack(self):
+        rng = np.random.default_rng(3)
+        warm = np.stack([np.abs(rng.standard_normal(8)), np.zeros(8), np.full(8, 0.1), np.r_[np.ones(7), 9.0]])
+        states = acmcp_init_stacked(4, warm, 0.1)
+        assert [s.k_i for s in states[1:3]] == [1e-6, 1e-6]
+        assert states[3].k_i == float(np.std(warm[3])) > 1e-6
+        for state, row in zip(states, warm):
+            assert _state_bytes(state) == _state_bytes(acmcp_init(4, row, 0.1))
+
+    def test_unequal_horizons_rejected(self):
+        states = [acmcp_init(2, np.arange(8.0), 0.1), acmcp_init(3, np.arange(8.0), 0.1)]
+        with pytest.raises(ValueError, match="share h"):
+            acmcp_run_stacked(states, np.ones((2, 5)))
+
+    def test_unequal_windows_rejected(self):
+        states = [acmcp_init(2, np.arange(8.0), 0.1), acmcp_init(2, np.arange(9.0), 0.1)]
+        with pytest.raises(ValueError, match="score windows"):
+            acmcp_run_stacked(states, np.ones((2, 5)))
+
+    def test_one_row_per_tracker(self):
+        states = acmcp_init_stacked(2, np.ones((2, 8)), 0.1)
+        with pytest.raises(ValueError, match="one row per tracker"):
+            acmcp_run_stacked(states, np.ones((3, 5)))
+        with pytest.raises(ValueError, match="one row per tracker"):
+            acmcp_init_stacked(2, np.ones(8), 0.1)
