@@ -16,7 +16,9 @@ equal-length series heads in stacked solves, which gives each series the
 intervals it would get alone. spci stacks the equal-length residual
 columns of every series at each horizon into one quantile regression
 solve, and acmcp runs the equal-length score streams of every series at
-each horizon as one stack of trackers (`online.acmcp_run_stacked`), again
+each horizon as one stack of trackers (`online.acmcp_run_stacked`), and
+parametric takes every series' forecast variance from one stacked
+psi-weight recursion (`conformal.parametric_intervals_stacked`), again
 each series as alone. Each method's intervals are then scored in one pass
 over all its series (`metrics.score_records`).
 
@@ -55,7 +57,8 @@ from .conformal import (
     enbpi_intervals,
     global_cp_intervals,
     mscp_intervals,
-    parametric_intervals,
+    parametric_intervals,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.parametric_intervals
+    parametric_intervals_stacked,
     spci_intervals,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.spci_intervals
     spci_intervals_stacked,
 )
@@ -290,12 +293,6 @@ def _enbpi(ctx: _SeriesContext) -> IntervalMatrix:
     return enbpi_intervals(ctx.series, c.horizon, spec, c.forecaster, c.alpha)
 
 
-def _parametric(ctx: _SeriesContext) -> IntervalMatrix:
-    if ctx.model is None:
-        raise ValueError("parametric intervals require an autoregressive forecaster")
-    return parametric_intervals(ctx.model, ctx.fc, ctx.config.alpha)
-
-
 def _per_series(method: Callable[[_SeriesContext], IntervalMatrix]) -> Callable:
     """Lift a method of one series' context to every context; a method
     error on a series becomes that series' skip reason."""
@@ -391,6 +388,24 @@ def _acmcp(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
     return inputs | dict(zip(ready, _in_blocks([_column_lengths(m) for m in matrices], solve)))
 
 
+def _parametric(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
+    """Gaussian intervals for every series with an autoregression and a
+    forecast, in one stacked call, each series as alone; a series without
+    them keeps the skip reason of what failed."""
+
+    def model_and_forecast(ctx: _SeriesContext) -> tuple[FittedForecaster, np.ndarray]:
+        if ctx.model is None:
+            raise ValueError("parametric intervals require an autoregressive forecaster")
+        return ctx.model, ctx.fc
+
+    inputs = _per_series(model_and_forecast)(contexts)
+    ready = {sid: pair for sid, pair in inputs.items() if not isinstance(pair, str)}
+    if not ready:
+        return inputs
+    models, fcs = zip(*ready.values())
+    return inputs | dict(zip(ready, parametric_intervals_stacked(models, np.stack(fcs), contexts[0].config.alpha)))
+
+
 # Each method maps every eligible series' context to its intervals or a skip reason.
 _METHODS = {
     "mscp": _per_series(lambda ctx: mscp_intervals(ctx.fc, ctx.abs_matrix, ctx.config.alpha)),
@@ -402,7 +417,7 @@ _METHODS = {
         ctx.fc, ctx.abs_matrix, ctx.config.alpha, ctx.config.gamma
     )),
     "acmcp": _acmcp,
-    "parametric": _per_series(_parametric),
+    "parametric": _parametric,
 }
 METHODS = tuple(_METHODS)
 

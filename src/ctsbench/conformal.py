@@ -17,7 +17,9 @@ of a stack of series' forecasts from shared origins: for
 the one SPCI fit, picks the quantile pair of every residual history of a
 stack with one solver call: for `spci_intervals_stacked`, whose
 one-series and one-column cases are `spci_intervals` and
-`spci_quantile_pair`.
+`spci_quantile_pair`. `parametric_intervals_stacked` takes the Gaussian
+intervals of many autoregressions from one stacked psi-weight recursion
+(`forecaster.sigma_h_stacked`); `parametric_intervals` is its one-row case.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .forecaster import (
     _prefix_forecasts,
     fit_auto_ar,  # unused here, but perfbench/spans.py wraps conformal.fit_auto_ar
     forecast,  # unused here, but perfbench/spans.py wraps conformal.forecast
-    sigma_h,
+    sigma_h_stacked,
 )
 from .quantreg import (
     constant_columns,
@@ -635,16 +637,45 @@ def cv_conformal_intervals(
     return out
 
 
+def parametric_intervals_stacked(
+    models: Sequence[FittedForecaster], forecasts: np.ndarray, alpha: float
+) -> list[IntervalMatrix | str]:
+    """Gaussian intervals from the AR psi-weight forecast variance of many
+    models at once; forecasts is their (S, horizon) stack of point forecasts.
+
+    Row s gets bit for bit what parametric_intervals gives its model alone,
+    or, where those intervals are invalid (NaN bounds from an explosive
+    model, say), the error message in their place.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    yhat = np.asarray(forecasts, dtype=np.float64)
+    if yhat.ndim != 2 or len(yhat) != len(models):
+        raise ValueError(f"need one forecast row per model, got shape {yhat.shape} for {len(models)} models")
+    phi = np.zeros((len(models), max((m.order for m in models), default=0)))
+    for row, m in zip(phi, models):
+        row[: m.order] = m.phi[: m.order]
+    order = np.array([m.order for m in models])
+    sd = sigma_h_stacked(phi, order, np.array([m.sigma2 for m in models]), yhat.shape[1])
+    z = normal_quantile(1.0 - alpha / 2.0)
+    out: list[IntervalMatrix | str] = []
+    for lower, upper in zip(yhat - z * sd, yhat + z * sd):
+        try:
+            out.append(IntervalMatrix(lower=lower, upper=upper))
+        except ValueError as e:
+            out.append(str(e))
+    return out
+
+
 def parametric_intervals(
     model: FittedForecaster, forecast: np.ndarray, alpha: float
 ) -> IntervalMatrix:
     """Gaussian intervals from the AR psi-weight forecast variance.
 
-    forecast is the model's point forecast; the horizon is its length.
+    forecast is the model's point forecast; the horizon is its length. The
+    one-row case of parametric_intervals_stacked.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    yhat = np.asarray(forecast, dtype=np.float64)
-    sd = sigma_h(model, len(yhat))
-    z = normal_quantile(1.0 - alpha / 2.0)
-    return IntervalMatrix(lower=yhat - z * sd, upper=yhat + z * sd)
+    (out,) = parametric_intervals_stacked([model], np.asarray(forecast, dtype=np.float64)[None], alpha)
+    if isinstance(out, str):
+        raise ValueError(out)
+    return out

@@ -101,6 +101,8 @@ class FittedForecaster:
 
     def __post_init__(self) -> None:
         phi = np.ascontiguousarray(self.phi, dtype=np.float64)
+        if phi.shape != (self.order,):
+            raise ValueError(f"an order-{self.order} model needs {self.order} coefficients, got shape {phi.shape}")
         phi.flags.writeable = False
         object.__setattr__(self, "phi", phi)
 
@@ -354,23 +356,40 @@ def forecast(model: FittedForecaster, history: np.ndarray | TimeSeries, horizon:
     return out
 
 
+def sigma_h_stacked(phi: np.ndarray, order: np.ndarray, sigma2: np.ndarray, horizon: int) -> np.ndarray:
+    """Forecast standard deviations of S autoregressions by the psi-weight
+    recursion: (S, horizon).
+
+    phi is (S, P), row s zero-padded past order[s]; sigma2 is (S,). Row s
+    gets bit for bit what sigma_h gives its model alone. A lag past a
+    row's order is masked out, not multiplied by its zero: a row whose psi
+    overflows to inf would otherwise turn 0 * inf into NaN.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    phi = np.asarray(phi, dtype=np.float64)
+    order = np.asarray(order)
+    sigma2 = np.asarray(sigma2, dtype=np.float64)
+    if phi.ndim != 2 or order.shape != (len(phi),) or sigma2.shape != (len(phi),):
+        raise ValueError(f"need (S, P) phi with (S,) order and sigma2, got {phi.shape}, {order.shape}, {sigma2.shape}")
+    psi = np.zeros((len(phi), horizon))
+    psi[:, 0] = 1.0
+    for k in range(1, horizon):
+        acc = np.zeros(len(phi))
+        for j in range(1, min(k, phi.shape[1]) + 1):
+            acc = np.where(j <= order, acc + phi[:, j - 1] * psi[:, k - j], acc)
+        psi[:, k] = acc
+    return np.sqrt(sigma2[:, None] * np.cumsum(psi * psi, axis=1))
+
+
 def sigma_h(model: FittedForecaster, horizon: int) -> np.ndarray:
     """Forecast standard deviations by the psi-weight recursion.
 
     psi_0 = 1, psi_k = sum_{j=1}^{min(k,p)} phi_j psi_{k-j};
-    var(h) = sigma2 * sum_{k<h} psi_k^2.
+    var(h) = sigma2 * sum_{k<h} psi_k^2. The one-row case of
+    sigma_h_stacked.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    p = model.order
-    psi = np.empty(horizon)
-    psi[0] = 1.0
-    for k in range(1, horizon):
-        acc = 0.0
-        for j in range(1, min(k, p) + 1):
-            acc += model.phi[j - 1] * psi[k - j]
-        psi[k] = acc
-    return np.sqrt(model.sigma2 * np.cumsum(psi * psi))
+    return sigma_h_stacked(model.phi[None], np.array([model.order]), np.array([model.sigma2]), horizon)[0]
 
 
 def seasonal_naive_forecast(history: np.ndarray | TimeSeries, horizon: int, period: int | None = None) -> np.ndarray:

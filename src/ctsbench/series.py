@@ -5,7 +5,7 @@ from __future__ import annotations
 import calendar
 import csv
 import io
-import math
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -183,13 +183,146 @@ def _parse_ds(raw: str, row_num: int) -> tuple[int, str]:
     return stamp, kind
 
 
+# Data rows are held as strings until they are flushed into arrays, every
+# _CHUNK_ROWS lines, so only one chunk of row strings is alive at a time.
+_CHUNK_ROWS = 4096
+
+
+class _Columns:
+    """The data rows parsed so far, as arrays.
+
+    A unique_id's code numbers its stripped id in order of first row. Each
+    distinct ds string is parsed once, at its first row.
+    """
+
+    def __init__(self) -> None:
+        self.code_of_id: dict[str, int] = {}
+        self.stamp_of: dict[str, int] = {}
+        self.month_of: dict[str, bool] = {}
+        # Each flush's codes, stamps, month flags and values.
+        self.chunks = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), np.empty(0))]
+        self.rows = 0
+
+    def flush(self, uids: list[str], dss: list[str], ys: list[str]) -> None:
+        """Append the buffered rows and clear the buffers; at a bad row,
+        append the rows before it and raise PanelError (see check).
+
+        A row's unique_id is checked before its ds, and its ds before its y,
+        so each column is read only up to the first bad row of the columns
+        before it.
+        """
+        codes, n, error = self._codes(uids)
+        stamps, months, n, error = self._stamps(dss, n, error)
+        values, n, error = self._values(ys, n, error)
+        self.chunks.append((
+            np.array(codes[:n], dtype=np.intp), np.array(stamps[:n], dtype=np.int64),
+            np.array(months[:n], dtype=bool), values,
+        ))
+        self.rows += n
+        uids.clear()
+        dss.clear()
+        ys.clear()
+        if error is not None:
+            self.check(error)
+
+    def _codes(self, uids: list[str]) -> tuple[list, int, str | None]:
+        ids = list(map(str.strip, uids))
+        n, error = len(ids), None
+        if not all(ids):
+            n = ids.index("")
+            ids, error = ids[:n], f"row {self.rows + n + 1}: empty unique_id"
+        for uid in dict.fromkeys(ids):  # distinct ids, in order of first row
+            self.code_of_id.setdefault(uid, len(self.code_of_id))
+        return list(map(self.code_of_id.__getitem__, ids)), n, error
+
+    def _stamps(self, dss: list[str], n: int, error: str | None) -> tuple[list, list, int, str | None]:
+        dss = dss[:n]
+        if not all(map(self.stamp_of.__contains__, dss)):  # most chunks of a panel hold no new ds string
+            for raw in dict.fromkeys(dss):  # distinct strings, in order of first row
+                if raw not in self.stamp_of:
+                    i = dss.index(raw)
+                    try:
+                        stamp, kind = _parse_ds(raw, self.rows + i + 1)
+                    except PanelError as e:
+                        n, error, dss = i, str(e), dss[:i]
+                        break
+                    self.stamp_of[raw] = stamp
+                    self.month_of[raw] = kind == "month"
+        return list(map(self.stamp_of.__getitem__, dss)), list(map(self.month_of.__getitem__, dss)), n, error
+
+    def _values(self, ys: list[str], n: int, error: str | None) -> tuple[np.ndarray, int, str | None]:
+        ys = ys[:n]
+        try:
+            values = np.fromiter(map(float, ys), dtype=np.float64, count=len(ys))
+        except ValueError:
+            parsed = []
+            for raw in ys:
+                try:
+                    parsed.append(float(raw))
+                except ValueError:
+                    break
+            n = len(parsed)
+            error = f"row {self.rows + n + 1}: cannot parse y value {ys[n]!r}"
+            values = np.array(parsed, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            n = int(bad[0])
+            error = f"row {self.rows + n + 1}: non-finite y value {ys[n]!r}"
+        return values[:n], n, error
+
+    def check(self, error: str | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Raise PanelError for the first row whose ds kind differs from its
+        series' first row's, or whose stamp repeats an earlier row's of its
+        series; failing that, for error if one is given.
+
+        Returns every row's code, stamp and value, sorted stably by (code,
+        stamp), and each series' month flag, by code.
+        """
+        codes, stamps, months, values = map(np.concatenate, zip(*self.chunks))
+        # Codes number series in order of first row, so a row is its
+        # series' first exactly when its code exceeds every earlier row's.
+        first = np.ones(len(codes), dtype=bool)
+        first[1:] = codes[1:] > np.maximum.accumulate(codes)[:-1]
+        month = months[first]
+        mixed = np.flatnonzero(months != month[codes])
+        order = np.lexsort((stamps, codes))  # equal stamps of a series sit together, in row order
+        by_code, by_stamp = codes[order], stamps[order]
+        repeats = order[1:][(by_code[1:] == by_code[:-1]) & (by_stamp[1:] == by_stamp[:-1])]
+        bad = np.concatenate([mixed, repeats])
+        if bad.size:
+            row = int(bad.min())
+            what = "mixed ds formats" if row in mixed else "duplicate timestamp"
+            uid = list(self.code_of_id)[codes[row]]
+            raise PanelError(f"row {row + 1}: {what} in series {uid!r}") from None
+        if error is not None:
+            raise PanelError(error) from None
+        return by_code, by_stamp, values[order], month
+
+    def panel(self, period: int) -> SeriesPanel:
+        """The rows as series, each sorted by stamp."""
+        if not self.rows:
+            raise PanelError("empty panel: no data rows")
+        codes, stamps, values, month = self.check()
+        cuts = np.flatnonzero(np.diff(codes)) + 1
+        return SeriesPanel(tuple(
+            TimeSeries(uid, ts, ys, period=period, ds_kind="month" if is_month else "int")
+            for uid, is_month, ts, ys in zip(self.code_of_id, month.tolist(), np.split(stamps, cuts), np.split(values, cuts))
+        ))
+
+
 def parse_panel(csv_text: str, period: int = 1) -> SeriesPanel:
     """Parse long-format panel CSV with header unique_id,ds,y.
 
-    Rows are numbered from 1 for the first data row; error messages cite
-    the offending row. Within a series timestamps must be unique and the
-    ds encoding (plain integer vs year-month date) must not mix. Each
-    distinct ds string is parsed once, at its first row.
+    Rows are numbered from 1 for the first data row, not counting blank
+    lines. Within a series timestamps must be unique and the ds encoding
+    (plain integer vs year-month date) must not mix.
+
+    One csv.reader pass buffers the rows' strings, and every _CHUNK_ROWS
+    lines flushes them into arrays: unique_ids become codes, each distinct
+    ds string is parsed once, at its first row, and y values are parsed
+    together. One stable sort by (series, stamp) then finds repeated stamps
+    and cuts out the series. Whatever the chunk a defect lies in, the error
+    names the first offending data row.
     """
     reader = csv.reader(io.StringIO(csv_text))
     try:
@@ -202,50 +335,32 @@ def parse_panel(csv_text: str, period: int = 1) -> SeriesPanel:
         raise PanelError(
             f"bad header: expected {','.join(_HEADER)!r}, got {','.join(header)!r}"
         )
-    rows_by_id: dict[str, list[tuple[int, float]]] = {}
-    kind_by_id: dict[str, str] = {}
-    seen: dict[str, set[int]] = {}
-    parsed_ds: dict[str, tuple[int, str]] = {}
-    row_num = 0
+    columns = _Columns()
+    uids: list[str] = []
+    dss: list[str] = []
+    ys: list[str] = []
+    add_uid, add_ds, add_y = uids.append, dss.append, ys.append
     try:  # the reader raises csv.Error on a row it cannot read (a field over its size limit, say)
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            row_num += 1
-            if len(row) != 3:
-                raise PanelError(f"row {row_num}: expected 3 fields, got {len(row)}")
-            uid = row[0].strip()
-            if not uid:
-                raise PanelError(f"row {row_num}: empty unique_id")
-            ds = parsed_ds.get(row[1])
-            if ds is None:
-                ds = parsed_ds[row[1]] = _parse_ds(row[1], row_num)
-            ts, kind = ds
-            try:
-                y = float(row[2])
-            except ValueError:
-                raise PanelError(f"row {row_num}: cannot parse y value {row[2]!r}") from None
-            if not math.isfinite(y):
-                raise PanelError(f"row {row_num}: non-finite y value {row[2]!r}")
-            prior_kind = kind_by_id.setdefault(uid, kind)
-            if prior_kind != kind:
-                raise PanelError(f"row {row_num}: mixed ds formats in series {uid!r}")
-            stamps = seen.setdefault(uid, set())
-            if ts in stamps:
-                raise PanelError(f"row {row_num}: duplicate timestamp in series {uid!r}")
-            stamps.add(ts)
-            rows_by_id.setdefault(uid, []).append((ts, y))
+        while True:
+            row = None
+            for row in itertools.islice(reader, _CHUNK_ROWS):
+                try:
+                    uid, ds, y = row
+                except ValueError:
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
+                    columns.flush(uids, dss, ys)
+                    columns.check(f"row {columns.rows + 1}: expected 3 fields, got {len(row)}")
+                add_uid(uid)
+                add_ds(ds)
+                add_y(y)
+            if row is None:
+                break
+            columns.flush(uids, dss, ys)
     except csv.Error as e:
-        raise PanelError(f"row {row_num + 1}: cannot read CSV row: {e}") from None
-    if not rows_by_id:
-        raise PanelError("empty panel: no data rows")
-    out = []
-    for uid, rows in rows_by_id.items():
-        rows.sort(key=lambda r: r[0])
-        ts = np.array([r[0] for r in rows], dtype=np.int64)
-        ys = np.array([r[1] for r in rows], dtype=np.float64)
-        out.append(TimeSeries(uid, ts, ys, period=period, ds_kind=kind_by_id[uid]))
-    return SeriesPanel(tuple(out))
+        columns.flush(uids, dss, ys)
+        columns.check(f"row {columns.rows + 1}: cannot read CSV row: {e}")
+    return columns.panel(period)
 
 
 def _format_ds(ts: int, kind: str) -> str:

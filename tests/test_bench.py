@@ -519,6 +519,25 @@ class TestRunBenchmark:
         assert reasons == {"EnbPI ensembles require an autoregressive forecaster"}
         assert report.summaries["mscp"].n_series == 3
 
+    def test_parametric_skipped_under_seasonal_naive(self):
+        config = small_config(methods=("parametric", "mscp"), forecaster=ForecasterSpec(kind="seasonal_naive"))
+        report = run_benchmark(config, panel=small_panel(n=3))
+        assert "parametric" not in report.summaries
+        reasons = [s[2] for s in report.skips if s[1] == "parametric"]
+        assert reasons == ["parametric intervals require an autoregressive forecaster"] * 3
+        assert report.summaries["mscp"].n_series == 3
+
+    def test_runs_from_a_csv_without_the_names_numpy_2_added(self, tmp_path, hide_numpy_2_names):
+        """Parsing and every method's stacked path run on numpy 1.x names."""
+        path = tmp_path / "panel.csv"
+        write_panel_csv(small_panel(n=4, length=110), str(path))
+        config = small_config(methods=bench.METHODS, data=str(path), period=1)
+        want = run_benchmark(config)
+        hide_numpy_2_names()
+        got = run_benchmark(config)
+        assert set(got.summaries) == set(bench.METHODS)
+        assert got.records == want.records and got.skips == want.skips
+
     def test_short_series_skipped_with_reason(self):
         from ctsbench.series import SeriesPanel, TimeSeries
 

@@ -24,11 +24,13 @@ from ctsbench.conformal import (
     global_cp_intervals,
     mscp_intervals,
     parametric_intervals,
+    parametric_intervals_stacked,
     spci_intervals,
     spci_intervals_stacked,
     spci_quantile_pair,
 )
 from ctsbench.forecaster import (
+    FittedForecaster,
     ForecasterSpec,
     fit_auto_ar,
     forecast,
@@ -870,6 +872,40 @@ class TestParametric:
         iv = parametric_intervals(model, yhat, 0.2)
         assert iv.shape == (1, 4)
         assert np.allclose((iv.lower[0] + iv.upper[0]) / 2.0, yhat)
+
+
+    def test_stacked_rows_are_each_model_alone(self):
+        models, fcs = [], []
+        for seed, phi in ((42, []), (43, [0.6]), (44, [0.5, -0.3, 0.2]), (45, [0.4, 0.1, -0.1, 0.05, 0.2])):
+            y = simulate_ar1(60, 0.6, seed=seed)
+            model = FittedForecaster(np.array(phi), 0.1, 1.5, len(phi), (0.0,) * (len(phi) + 1))
+            models.append(model)
+            fcs.append(forecast(model, y, 7))
+        models.append(fit_auto_ar(simulate_ar1(60, 0.6, seed=46), ForecasterSpec()))
+        fcs.append(forecast(models[-1], simulate_ar1(60, 0.6, seed=46), 7))
+        # An AR(1) whose psi and so whose width overflow: a valid, infinite interval.
+        models.insert(2, FittedForecaster(np.array([1e200]), 0.0, 1.0, 1, (0.0, 0.0)))
+        fcs.insert(2, np.zeros(7))
+        # An AR(2) whose psi reaches inf - inf: NaN bounds, so its message.
+        models.append(FittedForecaster(np.array([1e200, -1e200]), 0.0, 1.0, 2, (0.0,) * 3))
+        fcs.append(np.zeros(7))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = parametric_intervals_stacked(models, np.stack(fcs), 0.1)
+            for out, model, fc in zip(got[:-1], models, fcs):
+                alone = parametric_intervals(model, fc, 0.1)
+                assert out.lower.tobytes() == alone.lower.tobytes()
+                assert out.upper.tobytes() == alone.upper.tobytes()
+            with pytest.raises(ValueError, match="interval bound is NaN"):
+                parametric_intervals(models[-1], fcs[-1], 0.1)
+        assert np.isposinf(got[2].width[0, 2:]).all()
+        assert got[-1] == "interval bound is NaN"
+
+    def test_stacked_shapes_are_checked(self):
+        model = FittedForecaster(np.array([0.5]), 0.0, 1.0, 1, (0.0, 0.0))
+        with pytest.raises(ValueError, match="one forecast row per model"):
+            parametric_intervals_stacked([model], np.zeros((2, 3)), 0.1)
+        with pytest.raises(ValueError, match="alpha"):
+            parametric_intervals_stacked([model], np.zeros((1, 3)), 1.0)
 
 
 class TestIntervalMatrix:

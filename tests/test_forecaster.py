@@ -18,6 +18,7 @@ from ctsbench.forecaster import (
     forecast,
     seasonal_naive_forecast,
     sigma_h,
+    sigma_h_stacked,
 )
 from ctsbench.series import TimeSeries
 
@@ -379,6 +380,62 @@ class TestSigmaH:
                 continue
             s = sigma_h(model, 12)
             assert np.all(np.diff(s) >= -1e-12)
+
+
+def _psi_loop_sigma(phi, order, sigma2, horizon):
+    """The psi-weight recursion one model and one scalar at a time: the
+    reference sigma_h_stacked's rows must equal bit for bit."""
+    psi = np.empty(horizon)
+    psi[0] = 1.0
+    for k in range(1, horizon):
+        acc = 0.0
+        for j in range(1, min(k, order) + 1):
+            acc += phi[j - 1] * psi[k - j]
+        psi[k] = acc
+    return np.sqrt(sigma2 * np.cumsum(psi * psi))
+
+
+# An AR(1) whose psi overflows to inf at lag 2: stacked with higher orders,
+# its padded lags meet that inf.
+EXPLOSIVE = (1, [1e200, 0.0, 0.0, 0.0], 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 4), st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), st.floats(1e-3, 10.0)),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(1, 16),
+    st.booleans(),
+)
+@example([(3, [0.5, -0.2, 0.1, 0.0], 2.0), (0, [0.0] * 4, 1.0), (4, [1.0, 0.5, -0.3, 0.2], 0.5)], 12, True)
+def test_sigma_h_stacked_rows_are_each_model_alone(rows, horizon, explosive):
+    if explosive:
+        rows = rows[:1] + [EXPLOSIVE] + rows[1:]
+    phi = np.array([[c if j < p else 0.0 for j, c in enumerate(coefs)] for p, coefs, _ in rows])
+    order = np.array([p for p, _, _ in rows])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = sigma_h_stacked(phi, order, np.array([v for _, _, v in rows]), horizon)
+        for row, (p, coefs, sigma2) in zip(got, rows):
+            want = _psi_loop_sigma(coefs, p, sigma2, horizon)
+            alone = sigma_h(FittedForecaster(np.array(coefs[:p]), 0.0, sigma2, p, (0.0,) * (p + 1)), horizon)
+            assert row.tobytes() == want.tobytes() == alone.tobytes()
+    if explosive and horizon > 2:
+        assert np.isposinf(got[1, 2:]).all()
+
+
+def test_a_model_has_one_coefficient_per_lag():
+    with pytest.raises(ValueError, match="order-2 model needs 2 coefficients"):
+        FittedForecaster(np.array([0.5]), 0.0, 1.0, 2, (0.0,) * 3)
+
+
+def test_sigma_h_stacked_checks_shapes():
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        sigma_h_stacked(np.zeros((2, 1)), np.ones(2), np.ones(2), 0)
+    with pytest.raises(ValueError, match=r"need \(S, P\) phi"):
+        sigma_h_stacked(np.zeros((2, 1)), np.ones(3), np.ones(2), 4)
 
 
 class TestSeasonalNaive:

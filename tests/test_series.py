@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -231,3 +234,105 @@ class TestCsv:
         assert "2020-01-01" in text and "2020-03-01" in text
         again = parse_panel(text, period=12)
         assert np.array_equal(again["m"].timestamps, ts)
+
+
+# Row defects, each planted by editing one row's fields in place; each
+# returns the message parse_panel must raise for it at data row i + 1.
+# `duplicate` and `mixed` need row i - 1 to be of the same series.
+def _bad_y(rows, i):
+    rows[i][2] = "oops"
+    return f"row {i + 1}: cannot parse y value 'oops'"
+
+
+def _nonfinite_y(rows, i):
+    rows[i][2] = "nan"
+    return f"row {i + 1}: non-finite y value 'nan'"
+
+
+def _bad_ds(rows, i):
+    rows[i][1] = "2020-13-01"
+    return f"row {i + 1}: month out of range in ds value '2020-13-01'"
+
+
+def _empty_uid(rows, i):
+    rows[i][0] = " "
+    return f"row {i + 1}: empty unique_id"
+
+
+def _extra_field(rows, i):
+    rows[i].append("x")
+    return f"row {i + 1}: expected 3 fields, got 4"
+
+
+def _duplicate(rows, i):
+    rows[i][1] = rows[i - 1][1]
+    return f"row {i + 1}: duplicate timestamp in series {rows[i][0]!r}"
+
+
+def _mixed(rows, i):
+    rows[i][1] = "7" if "-" in rows[i - 1][1].lstrip("-") else "2000-01-01"
+    return f"row {i + 1}: mixed ds formats in series {rows[i][0]!r}"
+
+
+def _oversized(rows, i):
+    # csv's default field limit is 131072 characters.
+    rows[i][2] = "x" * 131073
+    return f"row {i + 1}: cannot read CSV row: field larger than field limit (131072)"
+
+
+ROW_DEFECTS = (_bad_y, _nonfinite_y, _bad_ds, _empty_uid, _extra_field, _duplicate, _mixed)
+
+
+def _csv(rows, blank_every=None):
+    lines = [",".join(row) for row in rows]
+    if blank_every:  # blank and whitespace-only lines, which are not data rows
+        for at in range(len(lines) - len(lines) % blank_every, 0, -blank_every):
+            lines[at:at] = ["", "  "]
+    return "unique_id,ds,y\n" + "\n".join(lines) + "\n"
+
+
+class TestFirstOffendingRow:
+    """Whatever the chunk a defect lies in, parse_panel reports the first
+    offending data row, as a one-row-at-a-time parse would."""
+
+    @staticmethod
+    def rows(n):
+        # Series are laid out in runs of 5 rows, so every row but the first
+        # of a run follows a row of its own series.
+        return [[f"s{r // 5 % 7}", str(r // 35 * 5 + r % 5), f"{r}.5"] for r in range(n)]
+
+    @pytest.mark.parametrize("gap", [3, series._CHUNK_ROWS + 502])
+    @pytest.mark.parametrize(
+        "first, second",
+        list(itertools.permutations(ROW_DEFECTS, 2)) + [(d, _oversized) for d in ROW_DEFECTS],
+        ids=lambda d: d.__name__.strip("_"),
+    )
+    def test_the_earlier_of_two_defects_is_reported(self, first, second, gap):
+        early = 1001  # not the first row of its series' run
+        rows = self.rows(early + gap + 700)
+        want = first(rows, early)
+        second(rows, early + gap)
+        with pytest.raises(PanelError) as err:
+            parse_panel(_csv(rows, blank_every=400))
+        assert str(err.value) == want
+
+    def test_a_clean_file_of_many_chunks_parses_as_one_chunk(self):
+        text = _csv(self.rows(3 * series._CHUNK_ROWS + 17), blank_every=400)
+        with mock.patch.object(series, "_CHUNK_ROWS", 10**9):
+            whole = parse_panel(text)
+        assert parse_panel(text) == whole
+
+    @given(_panels(), st.data())
+    def test_one_planted_defect_is_reported_at_its_row(self, panel, data):
+        rows = [line.split(",") for line in serialize_panel(panel).splitlines()[1:]]
+        i = data.draw(st.integers(0, len(rows) - 1))
+        defects = list(ROW_DEFECTS) + [_oversized]
+        if i == 0 or rows[i - 1][0] != rows[i][0]:
+            defects.remove(_duplicate)
+            defects.remove(_mixed)
+        want = data.draw(st.sampled_from(defects))(rows, i)
+        text = _csv(rows, blank_every=data.draw(st.integers(1, 4)))
+        with mock.patch.object(series, "_CHUNK_ROWS", data.draw(st.integers(1, 5))):
+            with pytest.raises(PanelError) as err:
+                parse_panel(text)
+        assert str(err.value) == want
