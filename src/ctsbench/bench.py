@@ -1,14 +1,18 @@
 """Benchmark orchestration: config, synthetic panels, method evaluation,
 aggregation, rank tests, and report emission.
 
-A run builds one context per eligible series, which makes the series'
-one point forecast `fc`, model and residual matrices on first use. The
-contexts share one table of series-end models: the first time a method
-asks for a model, every context's head is fitted, in stacked blocks of
-equal-length heads (`forecaster.fit_auto_ar_stacked`). A table maps each
-method to one function of all the contexts that returns each series'
-intervals or skip reason. The methods run in configured order and share
-the contexts. Every method but enbpi, whose bootstrap ensemble makes its
+A run builds one context per eligible series. Its head, the series less
+its test block, is a read-only view of the series' arrays
+(`TimeSeries.head`), and its residual matrices are made on first use.
+The contexts share one table of series ends, each series' model and its
+one point forecast `fc` of the test block: the first time a method asks
+for either, every context's head is fitted and forecast, one stacked fit
+(`forecaster.fit_auto_ar_stacked`) and one stacked recursion
+(`forecaster.forecast_stacked`) per block of equal-length heads, or, for
+seasonal naive, one index gather per block of equal length and period. A
+table maps each method to one function of all the contexts that returns
+each series' intervals or skip reason. The methods run in configured
+order and share the contexts. Every method but enbpi, whose bootstrap ensemble makes its
 own one-step forecasts, wraps `fc`; most treat each series on its own.
 global_cp and cv_cp pool the forecasts of all the contexts into one call:
 global_cp calibrates on a cohort of series, and cv_cp backtests
@@ -19,8 +23,10 @@ solve, and acmcp runs the equal-length score streams of every series at
 each horizon as one stack of trackers (`online.acmcp_run_stacked`), and
 parametric takes every series' forecast variance from one stacked
 psi-weight recursion (`conformal.parametric_intervals_stacked`), again
-each series as alone. Each method's intervals are then scored in one pass
-over all its series (`metrics.score_records`).
+each series as alone. The pooled and stacked methods build their
+intervals as row views of one validated bound stack
+(`conformal._interval_rows`). Each method's intervals are then scored in
+one pass over all its series (`metrics.score_records`).
 
 Every run is a pure function of (config, data, seed): per-series RNG seeds
 are derived by hashing the global seed with the series id. The
@@ -43,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,6 +58,8 @@ from .conformal import (
     IntervalMatrix,
     ResidualMatrix,
     SpciSpec,
+    _interval_rows,
+    _rows_or_raise,
     build_residual_matrix,
     cv_conformal_intervals,
     enbpi_intervals,
@@ -65,12 +73,13 @@ from .conformal import (
 from .forecaster import (
     _METHOD_ERRORS,
     _in_blocks,
+    _prefix_forecasts,
     FittedForecaster,
     ForecasterSpec,
     fit_auto_ar,  # noqa: F401  unused here, but perfbench/spans.py traces bench.fit_auto_ar
     fit_auto_ar_stacked,
-    forecast,
-    seasonal_naive_forecast,
+    forecast,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.forecast
+    forecast_stacked,
 )
 from .metrics import MethodSummary, MetricRecord, aggregate, score_records
 from .metrics import series_metrics  # noqa: F401  unused here, but perfbench/spans.py traces bench.series_metrics
@@ -222,37 +231,62 @@ def _aci_series_intervals(
     )
 
 
-class _EndModels:
-    """The series-end models of a run's contexts by series id, fitted in
-    stacked blocks the first time any context asks for its model. A fit
-    that raised leaves its error message in place of the model."""
+class _SeriesEnd(NamedTuple):
+    """A series' point forecast of its test block, and the autoregression
+    behind it (None for seasonal naive)."""
 
-    def __init__(self, spec: ForecasterSpec):
+    model: FittedForecaster | None
+    fc: np.ndarray
+
+
+class _SeriesEnds:
+    """The series ends of a run's contexts by series id, made the first
+    time any context asks for one, in blocks of equal-length heads (and
+    equal periods, for seasonal naive): one stacked fit and one stacked
+    forecast per block, or one seasonal gather. A fit or forecast that
+    raised leaves its error message in place of its series' end."""
+
+    def __init__(self, spec: ForecasterSpec, horizon: int):
         self.spec = spec
+        self.horizon = horizon
         # The contexts' heads, not the contexts, which hold this table: a
         # reference cycle would keep every context alive until the cyclic GC ran.
         self.heads: list[TimeSeries] = []
 
     @cached_property
-    def table(self) -> dict[str, FittedForecaster | str]:
-        models = fit_auto_ar_stacked(self.heads, self.spec)
-        return {head.series_id: model for head, model in zip(self.heads, models)}
+    def table(self) -> dict[str, _SeriesEnd | str]:
+        heads, spec, H = self.heads, self.spec, self.horizon
+
+        def solve(block: list[int]) -> list[_SeriesEnd | str]:
+            trains = [heads[i] for i in block]
+            values = np.stack([t.values for t in trains])
+            if spec.kind == "seasonal_naive":
+                fcs = _prefix_forecasts(values, [values.shape[1]], spec, trains[0].period, H)[:, 0]
+                return [_SeriesEnd(None, fc) for fc in fcs]
+            models = fit_auto_ar_stacked(trains, spec)
+            fitted = [s for s, m in enumerate(models) if not isinstance(m, str)]
+            fcs = iter(forecast_stacked([models[s] for s in fitted], values[fitted], H))
+            return [m if isinstance(m, str) else _SeriesEnd(m, next(fcs)) for m in models]
+
+        keys = [(len(t), t.period if spec.kind == "seasonal_naive" else 0) for t in heads]
+        return {head.series_id: end for head, end in zip(heads, _in_blocks(keys, solve))}
 
 
 class _SeriesContext:
     """One series' inputs shared by its methods, each built on first use.
 
     A build that raises is not cached: every method that needs it raises
-    the same error, which becomes that method's skip reason. The model
-    comes from the run's shared table, which keeps a failed fit's message.
+    the same error, which becomes that method's skip reason. The model and
+    the forecast come from the run's shared table of series ends, which
+    keeps the message of a failed fit or forecast.
     """
 
-    def __init__(self, series: TimeSeries, config: BenchConfig, split: SplitSpec, end_models: _EndModels):
+    def __init__(self, series: TimeSeries, config: BenchConfig, split: SplitSpec, ends: _SeriesEnds):
         self.series = series
         self.config = config
         self.split = split
-        self.head = series.head(len(series) - config.horizon)  # all but the test block
-        self.end_models = end_models
+        self.head = series.head(len(series) - config.horizon)  # all but the test block, a view
+        self.ends = ends
 
     @cached_property
     def signed(self) -> ResidualMatrix:
@@ -265,22 +299,24 @@ class _SeriesContext:
     def abs_matrix(self) -> ResidualMatrix:
         return ResidualMatrix(np.abs(self.signed.matrix), self.signed.origins, signed=False)
 
-    @cached_property
+    @property
+    def end(self) -> _SeriesEnd:
+        end = self.ends.table[self.series.series_id]
+        if isinstance(end, str):
+            raise ValueError(end)
+        return end
+
+    @property
     def model(self) -> FittedForecaster | None:
         """The autoregression behind the forecast; None for seasonal naive."""
         if self.config.forecaster.kind != "auto_ar":
             return None
-        model = self.end_models.table[self.series.series_id]
-        if isinstance(model, str):
-            raise ValueError(model)
-        return model
+        return self.end.model
 
-    @cached_property
+    @property
     def fc(self) -> np.ndarray:
         """The series' one point forecast of its test block."""
-        if self.model is None:
-            return seasonal_naive_forecast(self.head, self.config.horizon)
-        return forecast(self.model, self.head.values, self.config.horizon)
+        return self.end.fc
 
 
 def _enbpi(ctx: _SeriesContext) -> IntervalMatrix:
@@ -383,7 +419,7 @@ def _acmcp(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
                 raise ValueError(f"horizon {h} stream too short to warm a tracker: {m}")
             states = acmcp_run_stacked(acmcp_init_stacked(h, streams[:, :burn], alpha), streams[:, burn:])
             bounds[:, h - 1] = [acmcp_interval(state, y) for state, y in zip(states, ys)]
-        return [IntervalMatrix(lower=b[:, 0], upper=b[:, 1]) for b in bounds]
+        return _rows_or_raise(_interval_rows(bounds[..., 0], bounds[..., 1]))
 
     return inputs | dict(zip(ready, _in_blocks([_column_lengths(m) for m in matrices], solve)))
 
@@ -482,11 +518,11 @@ class BenchConfig:
 
 def _contexts(panel: SeriesPanel, config: BenchConfig) -> tuple[list[_SeriesContext], list[tuple[str, str, str]]]:
     """A context for each series long enough to evaluate, all sharing one
-    table of series-end models, and a skip for every method on each other series."""
+    table of series ends, and a skip for every method on each other series."""
     H = config.horizon
     skips: list[tuple[str, str, str]] = []
     contexts: list[_SeriesContext] = []
-    end_models = _EndModels(config.forecaster)
+    ends = _SeriesEnds(config.forecaster, H)
     for series in panel:
         n = len(series)
         train_len = config.train_len if config.train_len is not None else n - config.cal_len - H
@@ -494,8 +530,8 @@ def _contexts(panel: SeriesPanel, config: BenchConfig) -> tuple[list[_SeriesCont
             reason = f"series too short: {n} observations for train {train_len}, cal {config.cal_len}, test {H}"
             skips.extend((series.series_id, m, reason) for m in config.methods)
             continue
-        contexts.append(_SeriesContext(series, config, SplitSpec(train_len, config.cal_len, H), end_models))
-        end_models.heads.append(contexts[-1].head)
+        contexts.append(_SeriesContext(series, config, SplitSpec(train_len, config.cal_len, H), ends))
+        ends.heads.append(contexts[-1].head)
     return contexts, skips
 
 

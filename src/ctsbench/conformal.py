@@ -20,6 +20,9 @@ one-series and one-column cases are `spci_intervals` and
 `spci_quantile_pair`. `parametric_intervals_stacked` takes the Gaussian
 intervals of many autoregressions from one stacked psi-weight recursion
 (`forecaster.sigma_h_stacked`); `parametric_intervals` is its one-row case.
+Every stacked construction builds its intervals with `_interval_rows`,
+which validates an (S, H) bound stack in IntervalMatrix's one comparison
+and makes each valid row an IntervalMatrix of read-only row views.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .forecaster import (
     _fit_ar_prefixes,
     _PrefixFits,
     _in_blocks,
+    _padded_phi,
     _prefix_forecasts,
     fit_auto_ar,  # unused here, but perfbench/spans.py wraps conformal.fit_auto_ar
     forecast,  # unused here, but perfbench/spans.py wraps conformal.forecast
@@ -106,7 +110,8 @@ class ResidualMatrix:
     signed: bool = False
 
     def __post_init__(self) -> None:
-        m = np.ascontiguousarray(self.matrix, dtype=np.float64)
+        # A copy, so that freezing it never freezes or aliases a caller's array.
+        m = np.array(self.matrix, dtype=np.float64, order="C")
         if m.ndim != 2 or m.shape[0] < 1:
             raise ValueError("residual matrix must be 2-D with at least one row")
         if len(self.origins) != m.shape[0]:
@@ -159,23 +164,9 @@ class IntervalMatrix:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Copies, so that freezing them never freezes or aliases a caller's array.
-        lo = np.array(self.lower, dtype=np.float64, order="C", ndmin=2)
-        hi = np.array(self.upper, dtype=np.float64, order="C", ndmin=2)
-        if lo.shape != hi.shape:
-            raise ValueError(f"bound shape mismatch: {lo.shape} vs {hi.shape}")
-        # One comparison finds every bad cell. Clamping lower up to -MAX and
-        # upper down to +MAX keeps lower > upper where it held, makes a cell
-        # pinned at one infinite bound compare +inf > MAX or -MAX > -inf,
-        # and leaves a NaN bound NaN, which compares false.
-        if not np.less_equal(np.maximum(lo, -_MAX), np.minimum(hi, _MAX)).all():
-            if np.isnan(lo).any() or np.isnan(hi).any():
-                raise ValueError("interval bound is NaN")
-            if (lo > hi).any():
-                raise ValueError("lower bound exceeds upper bound")
-            raise ValueError("interval pinned at an infinite bound")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
+        lo, hi = _frozen_bounds(self.lower, self.upper)
+        if not _valid_cells(lo, hi).all():
+            raise ValueError(_bound_fault(lo, hi))
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -193,6 +184,72 @@ class IntervalMatrix:
         return np.array_equal(self.lower, other.lower) and np.array_equal(
             self.upper, other.upper
         )
+
+
+def _frozen_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only 2-D copies of a pair of bound arrays of one shape; copies,
+    so that freezing them never freezes or aliases a caller's array."""
+    lo = np.array(lower, dtype=np.float64, order="C", ndmin=2)
+    hi = np.array(upper, dtype=np.float64, order="C", ndmin=2)
+    if lo.shape != hi.shape:
+        raise ValueError(f"bound shape mismatch: {lo.shape} vs {hi.shape}")
+    lo.flags.writeable = False
+    hi.flags.writeable = False
+    return lo, hi
+
+
+def _valid_cells(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Where a cell is valid, in one comparison. Clamping lower up to -MAX
+    and upper down to +MAX keeps lower > upper where it held, makes a cell
+    pinned at one infinite bound compare +inf > MAX or -MAX > -inf, and
+    leaves a NaN bound NaN, which compares false."""
+    return np.less_equal(np.maximum(lo, -_MAX), np.minimum(hi, _MAX))
+
+
+def _bound_fault(lo: np.ndarray, hi: np.ndarray) -> str:
+    """What is wrong with bounds that hold an invalid cell."""
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        return "interval bound is NaN"
+    if (lo > hi).any():
+        return "lower bound exceeds upper bound"
+    return "interval pinned at an infinite bound"
+
+
+def _interval_rows(
+    lower: np.ndarray, upper: np.ndarray, diagnostics: Sequence[dict] | None = None
+) -> list[IntervalMatrix | str]:
+    """The IntervalMatrix of each row of an (S, H) bound stack, or, for a
+    row that holds an invalid cell, the message IntervalMatrix raises for
+    that row alone.
+
+    The stack is copied and validated once; each valid row's bounds are
+    read-only (1, H) views of the copy, equal to what IntervalMatrix makes
+    of the row, and diagnostics[s] is row s's.
+    """
+    lo, hi = _frozen_bounds(lower, upper)
+    if lo.ndim != 2:
+        raise ValueError(f"need (S, H) bound stacks, got shape {lo.shape}")
+    if diagnostics is None:
+        diagnostics = [{} for _ in range(len(lo))]
+    out: list[IntervalMatrix | str] = []
+    for s, valid in enumerate(_valid_cells(lo, hi).all(axis=1).tolist()):
+        if not valid:
+            out.append(_bound_fault(lo[s], hi[s]))
+            continue
+        # A row of a validated stack is valid: set the fields, as
+        # __post_init__ would, without copying or checking again.
+        row = object.__new__(IntervalMatrix)
+        row.__dict__.update(lower=lo[s : s + 1], upper=hi[s : s + 1], diagnostics=diagnostics[s])
+        out.append(row)
+    return out
+
+
+def _rows_or_raise(rows: list[IntervalMatrix | str]) -> list[IntervalMatrix]:
+    """rows, if every one is an IntervalMatrix; else raise the first message."""
+    for row in rows:
+        if isinstance(row, str):
+            raise ValueError(row)
+    return rows
 
 
 def _origin_residuals(
@@ -503,18 +560,11 @@ def spci_intervals_stacked(
         pairs.append(_spci_pairs(np.stack(columns), spec, alpha))
     # Each part is (S, horizon): series by row.
     q_lo, q_hi, crossed, fallback, beta = (np.stack(part, axis=1) for part in zip(*pairs))
-    return [
-        IntervalMatrix(
-            lower=fc[i] + q_lo[i],
-            upper=fc[i] + q_hi[i],
-            diagnostics={
-                "crossings": int(crossed[i].sum()),
-                "fallbacks": int(fallback[i].sum()),
-                "betas": beta[i].tolist(),
-            },
-        )
-        for i in range(S)
+    diagnostics = [
+        {"crossings": c, "fallbacks": f, "betas": b}
+        for c, f, b in zip(crossed.sum(axis=1).tolist(), fallback.sum(axis=1).tolist(), beta.tolist())
     ]
+    return _rows_or_raise(_interval_rows(fc + q_lo, fc + q_hi, diagnostics))
 
 
 @dataclass(frozen=True)
@@ -573,10 +623,8 @@ def global_cp_intervals(
     if not np.isfinite(resid).all():
         raise ValueError("pooled calibration scores must be finite")
     radii = _conformal_radii(resid, 1.0 - alpha / horizon)
-    intervals = {}
-    for sid in eval_ids:
-        yhat = _forecast(sid)
-        intervals[sid] = IntervalMatrix(lower=yhat - radii, upper=yhat + radii)
+    yhat = np.stack([_forecast(sid) for sid in eval_ids])
+    intervals = dict(zip(eval_ids, _rows_or_raise(_interval_rows(yhat - radii, yhat + radii))))
     return GlobalCpResult(
         intervals=intervals, radii=radii, calibration_ids=cal_ids, evaluation_ids=eval_ids
     )
@@ -624,16 +672,21 @@ def cv_conformal_intervals(
             continue
         members.append((sid, yhat, ts))
 
-    def radii(block: list[int]) -> np.ndarray:
+    def intervals(block: list[int]) -> list[IntervalMatrix | ValueError]:
         _, yhat, ts = members[block[0]]
         stack = np.stack([members[i][2].values for i in block])
         cutoffs = len(ts) - len(yhat) * np.arange(n_windows, 0, -1)
         resid = np.abs(_origin_residuals(stack, cutoffs, forecaster, ts.period, len(yhat)))
-        return np.quantile(resid, 1.0 - alpha, axis=1)
+        r = np.quantile(resid, 1.0 - alpha, axis=1)
+        fc = np.stack([members[i][1] for i in block])
+        # An invalid interval is raised below, not kept as a skip as a failed backtest is.
+        return [ValueError(row) if isinstance(row, str) else row for row in _interval_rows(fc - r, fc + r)]
 
     keys = [(len(ts), ts.period, len(yhat)) for _, yhat, ts in members]
-    for (sid, yhat, _), r in zip(members, _in_blocks(keys, radii)):
-        out[sid] = r if isinstance(r, str) else IntervalMatrix(lower=yhat - r, upper=yhat + r)
+    for (sid, _, _), result in zip(members, _in_blocks(keys, intervals)):
+        if isinstance(result, ValueError):
+            raise result
+        out[sid] = result
     return out
 
 
@@ -652,19 +705,10 @@ def parametric_intervals_stacked(
     yhat = np.asarray(forecasts, dtype=np.float64)
     if yhat.ndim != 2 or len(yhat) != len(models):
         raise ValueError(f"need one forecast row per model, got shape {yhat.shape} for {len(models)} models")
-    phi = np.zeros((len(models), max((m.order for m in models), default=0)))
-    for row, m in zip(phi, models):
-        row[: m.order] = m.phi[: m.order]
     order = np.array([m.order for m in models])
-    sd = sigma_h_stacked(phi, order, np.array([m.sigma2 for m in models]), yhat.shape[1])
+    sd = sigma_h_stacked(_padded_phi(models), order, np.array([m.sigma2 for m in models]), yhat.shape[1])
     z = normal_quantile(1.0 - alpha / 2.0)
-    out: list[IntervalMatrix | str] = []
-    for lower, upper in zip(yhat - z * sd, yhat + z * sd):
-        try:
-            out.append(IntervalMatrix(lower=lower, upper=upper))
-        except ValueError as e:
-            out.append(str(e))
-    return out
+    return _interval_rows(yhat - z * sd, yhat + z * sd)
 
 
 def parametric_intervals(

@@ -10,8 +10,10 @@ with the same interface can be swapped in.
 from many shared origins and is the one place that branches on the
 forecaster kind: batched AR fits and recursions, or one seasonal index
 gather (`seasonal_naive_forecast` is its one-series, one-origin case).
-`forecast` stays a scalar loop for one fitted model: a one-row batched
-recursion costs several times as much.
+`forecast_stacked` forecasts many fitted models from the ends of their
+equal-length histories in one recursion, in the arithmetic of a lone
+model's, so that bench forecasts every series end of a block in one call;
+`forecast` is its one-row case.
 
 All least-squares fits go through one solver, `_fit_ar_prefixes`, which fits
 every candidate order on every prefix values[s, :T] of an (S, n) stack of
@@ -100,7 +102,8 @@ class FittedForecaster:
     aics: tuple[float, ...]  # AIC of each candidate order 0..P, +inf where rejected
 
     def __post_init__(self) -> None:
-        phi = np.ascontiguousarray(self.phi, dtype=np.float64)
+        # A copy, so that freezing it never freezes or aliases a caller's array.
+        phi = np.array(self.phi, dtype=np.float64, order="C")
         if phi.shape != (self.order,):
             raise ValueError(f"an order-{self.order} model needs {self.order} coefficients, got shape {phi.shape}")
         phi.flags.writeable = False
@@ -336,24 +339,53 @@ def _forecast_paths(
     return path[..., P:]
 
 
-def forecast(model: FittedForecaster, history: np.ndarray | TimeSeries, horizon: int) -> np.ndarray:
-    """Recursive multi-step point forecasts from the end of history."""
-    values = history.values if isinstance(history, TimeSeries) else np.asarray(history, dtype=np.float64)
+def _padded_phi(models: Sequence[FittedForecaster]) -> np.ndarray:
+    """The (S, P) coefficients of S models, each row zero-padded past its order."""
+    phi = np.zeros((len(models), max((m.order for m in models), default=0)))
+    for row, m in zip(phi, models):
+        row[: m.order] = m.phi
+    return phi
+
+
+def forecast_stacked(models: Sequence[FittedForecaster], histories: np.ndarray, horizon: int) -> np.ndarray:
+    """Recursive multi-step point forecasts of S models from the ends of
+    their (S, n) stack of equal-length histories: (S, horizon).
+
+    Each step starts from the intercept and adds phi[j] * y[t-1-j] for
+    j = 0, 1, ... in turn, with the lags past a row's order masked out, not
+    multiplied by their zero padding, so that row s gets bit for bit what
+    forecast gives its model alone.
+    """
+    values = np.asarray(histories, dtype=np.float64)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    p = model.order
-    if len(values) < p:
-        raise ValueError(f"history shorter than AR order: {len(values)} < {p}")
-    buf = list(values[len(values) - p :]) if p else []
-    out = np.empty(horizon)
-    for h in range(horizon):
-        yhat = model.intercept
-        for j in range(p):
-            yhat += model.phi[j] * buf[-1 - j]
-        out[h] = yhat
-        if p:
-            buf.append(yhat)
-    return out
+    if values.ndim != 2 or len(values) != len(models):
+        raise ValueError(f"need one history row per model, got shape {values.shape} for {len(models)} models")
+    S, n = values.shape
+    order = np.array([m.order for m in models], dtype=np.intp)
+    if S and order.max() > n:
+        raise ValueError(f"history shorter than AR order: {n} < {order.max()}")
+    phi = _padded_phi(models)
+    P = phi.shape[1]
+    uses = np.arange(P)[:, None] < order  # uses[j]: the rows whose order reaches lag j + 1
+    intercept = np.array([m.intercept for m in models], dtype=np.float64)
+    path = np.empty((S, P + horizon))  # the last P values oldest first, then the forecasts
+    path[:, :P] = values[:, n - P :]
+    lag = np.empty(S)
+    for t in range(P, P + horizon):
+        yhat = path[:, t]
+        yhat[:] = intercept
+        for j in range(P):
+            np.multiply(phi[:, j], path[:, t - 1 - j], out=lag, where=uses[j])
+            np.add(yhat, lag, out=yhat, where=uses[j])
+    return path[:, P:]
+
+
+def forecast(model: FittedForecaster, history: np.ndarray | TimeSeries, horizon: int) -> np.ndarray:
+    """Recursive multi-step point forecasts from the end of history; the
+    one-row case of forecast_stacked."""
+    values = history.values if isinstance(history, TimeSeries) else np.asarray(history, dtype=np.float64)
+    return forecast_stacked([model], values[None], horizon)[0]
 
 
 def sigma_h_stacked(phi: np.ndarray, order: np.ndarray, sigma2: np.ndarray, horizon: int) -> np.ndarray:

@@ -48,8 +48,9 @@ class TimeSeries:
     ds_kind: str = "int"
 
     def __post_init__(self) -> None:
-        ts = np.ascontiguousarray(self.timestamps, dtype=np.int64)
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
+        # Copies, so that freezing them never freezes or aliases a caller's array.
+        ts = np.array(self.timestamps, dtype=np.int64, order="C")
+        vals = np.array(self.values, dtype=np.float64, order="C")
         if ts.ndim != 1 or vals.ndim != 1:
             raise ValueError("timestamps and values must be 1-D")
         if len(ts) != len(vals):
@@ -87,13 +88,15 @@ class TimeSeries:
         return hash((self.series_id, len(self.values)))
 
     def head(self, t: int) -> "TimeSeries":
-        """First t observations as a new series."""
+        """First t observations as a new series whose arrays are read-only
+        views of this one's."""
         if not 1 <= t <= len(self):
             raise ValueError(f"head needs 1 <= t <= {len(self)}, got {t}")
-        return TimeSeries(
-            self.series_id, self.timestamps[:t].copy(), self.values[:t].copy(),
-            self.period, self.ds_kind,
-        )
+        # A prefix of a valid series is valid: set the fields, as
+        # __post_init__ would, without copying or checking again.
+        head = object.__new__(TimeSeries)
+        head.__dict__.update(self.__dict__, timestamps=self.timestamps[:t], values=self.values[:t])
+        return head
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from ctsbench.forecaster import (
     fit_auto_ar,
     fit_auto_ar_stacked,
     forecast,
+    forecast_stacked,
     seasonal_naive_forecast,
 )
 from ctsbench.online import AciState, aci_interval, aci_step
@@ -292,7 +293,8 @@ class TestRunBenchmark:
 
         before = intervals()
         monkeypatch.setattr(
-            bench, "forecast", lambda model, history, horizon: forecast(model, history, horizon) + 1000.0
+            bench, "forecast_stacked",
+            lambda models, histories, horizon: forecast_stacked(models, histories, horizon) + 1000.0,
         )
         after = intervals()
         assert before.keys() == after.keys() and len(before) == 6 * 7
@@ -380,12 +382,34 @@ class TestRunBenchmark:
             TimeSeries("flat", stamps, np.full(70, 2.0), 12),
             TimeSeries("trend", stamps, 1.0 + 0.5 * np.arange(70.0), 12),
         ]
-        contexts, skips = bench._contexts(SeriesPanel(tuple(series)), small_config(forecaster=spec))
+        config = small_config(forecaster=spec)
+        contexts, skips = bench._contexts(SeriesPanel(tuple(series)), config)
         assert len(contexts) == 10 and not skips
         for ctx in contexts:
             alone = fit_auto_ar(ctx.head.values, spec)
             for f in dataclasses.fields(FittedForecaster):
                 assert np.array_equal(getattr(ctx.model, f.name), getattr(alone, f.name)), (ctx.series.series_id, f)
+            assert ctx.fc.tobytes() == forecast(alone, ctx.head, config.horizon).tobytes()
+
+    def test_seasonal_end_forecasts_gather_once_per_length_and_period(self, monkeypatch):
+        # Two lengths and two periods in blocks of 2: one gather per block,
+        # and each context's forecast is the one its head gets alone.
+        monkeypatch.setattr(forecaster, "_STACK_BLOCK", 2)
+        series = [dataclasses.replace(ts, period=4) if i % 2 else ts for i, ts in enumerate(two_length_series(5))]
+        gathers = []
+
+        def counting(values, *args):
+            gathers.append(len(values))
+            return forecaster._prefix_forecasts(values, *args)
+
+        monkeypatch.setattr(bench, "_prefix_forecasts", counting)
+        config = small_config(forecaster=ForecasterSpec(kind="seasonal_naive"))
+        contexts, _ = bench._contexts(SeriesPanel(tuple(series)), config)
+        for ctx in contexts:
+            assert ctx.model is None
+            assert ctx.fc.tobytes() == seasonal_naive_forecast(ctx.head, config.horizon).tobytes()
+        # (length, period) groups (90, 12) x3, (90, 4) x2, (70, 12) x1 and (70, 4) x2.
+        assert sorted(gathers) == [1, 1, 2, 2, 2]
 
     def test_a_failed_end_fit_skips_only_its_series(self, monkeypatch):
         # A stacked solve that raises is redone series by series: the error
@@ -454,12 +478,10 @@ class TestRunBenchmark:
             calls.append(len(scores))
             return score_model(scores, first, h)
 
-        real_forecast = bench.forecast
-
-        def failing(model, history, horizon):
-            if history[0] == 99.0:
+        def failing(models, histories, horizon):
+            if np.any(histories[:, 0] == 99.0):
                 raise ValueError("forecast failed")
-            return real_forecast(model, history, horizon)
+            return forecast_stacked(models, histories, horizon)
 
         panel = small_panel(n=12)
         bad = panel.series[0]
@@ -467,7 +489,7 @@ class TestRunBenchmark:
         config = small_config(methods=("acmcp",), horizon=4)
         without = run_benchmark(config, panel=panel)
         monkeypatch.setattr(online, "_score_model", spy)
-        monkeypatch.setattr(bench, "forecast", failing)
+        monkeypatch.setattr(bench, "forecast_stacked", failing)
         with_bad = run_benchmark(config, panel=SeriesPanel(panel.series + (bad,)))
         assert calls == [12] * 4
         assert with_bad.skips == (("bad", "acmcp", "forecast failed"),)
@@ -496,18 +518,25 @@ class TestRunBenchmark:
         assert reports[0].skips == reports[1].skips
 
     def test_each_series_forecast_once(self, monkeypatch):
-        calls = []
+        # Every head is forecast once, as one row of a stacked end forecast;
+        # no lone forecast call forecasts it again.
+        rows = []
+
+        def counting_stacked(models, histories, horizon):
+            rows.extend(len(h) for h in histories)
+            return forecast_stacked(models, histories, horizon)
 
         def counting_forecast(model, history, horizon):
-            calls.append(len(history))
+            rows.append(len(history))
             return forecast(model, history, horizon)
 
+        monkeypatch.setattr(bench, "forecast_stacked", counting_stacked)
         monkeypatch.setattr(bench, "forecast", counting_forecast)
         monkeypatch.setattr(conformal, "forecast", counting_forecast)
         config = small_config(methods=("global_cp", "parametric"))
         report = run_benchmark(config, panel=small_panel())
         assert report.summaries["parametric"].n_series == 6
-        assert calls == [90 - 6] * 6
+        assert rows == [90 - 6] * 6
 
     def test_enbpi_skipped_under_seasonal_naive(self):
         config = small_config(

@@ -171,6 +171,14 @@ class TestResidualMatrix:
         with pytest.raises(ValueError, match="must be finite"):
             ResidualMatrix(matrix=np.array([[1.0, 2.0], [bad, np.nan]]), origins=(5, 6), signed=signed)
 
+    def test_matrix_is_a_read_only_copy(self):
+        m = np.array([[1.0, 2.0], [3.0, np.nan]])
+        rm = ResidualMatrix(matrix=m, origins=(5, 6))
+        assert m.flags.writeable and not rm.matrix.flags.writeable
+        assert not np.shares_memory(m, rm.matrix)
+        m[0, 0] = 9.0
+        assert rm.matrix[0, 0] == 1.0
+
     def test_absolute_entries_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             ResidualMatrix(matrix=np.array([[-1.0]]), origins=(3,))
@@ -756,6 +764,15 @@ class TestGlobalCp:
         with pytest.raises(ValueError, match=match):
             global_cp_intervals(panel, 0.5, fcs, 0.1, 6)
 
+    def test_an_invalid_evaluation_interval_raises(self):
+        panel = SeriesPanel(tuple(
+            make_series(simulate_ar1(30, 0.4, seed=i), series_id=f"s{i:02d}") for i in range(4)
+        ))
+        fcs = local_forecasts(panel, 3)
+        fcs["s03"] = np.array([0.0, np.nan, 0.0])
+        with pytest.raises(ValueError, match="interval bound is NaN"):
+            global_cp_intervals(panel, 0.5, fcs, 0.1, 3)
+
 
 class TestCvConformal:
     def test_empirical_median_of_three(self):
@@ -794,6 +811,15 @@ class TestCvConformal:
         iv = cv_conformal_intervals({"s": yhat}, [ts], 1, ForecasterSpec(), 0.1)["s"]
         assert np.array_equal(iv.lower[0], yhat - np.abs(resid[0, 0]))
         assert np.array_equal(iv.upper[0], yhat + np.abs(resid[0, 0]))
+
+    def test_an_invalid_interval_raises(self):
+        # Unlike a series too short for its backtest, which is returned as
+        # its message, an invalid interval stops the call.
+        series = [make_series(simulate_ar1(40, 0.5, seed=i), f"s{i}") for i in range(3)]
+        forecasts = {ts.series_id: np.zeros(4) for ts in series}
+        forecasts["s1"] = np.array([0.0, 0.0, np.nan, 0.0])
+        with pytest.raises(ValueError, match="interval bound is NaN"):
+            cv_conformal_intervals(forecasts, series, 2, ForecasterSpec(), 0.1)
 
     def test_too_many_windows_rejected(self):
         ts = make_series(np.arange(10.0))
@@ -956,3 +982,43 @@ class TestIntervalMatrix:
             return
         iv = IntervalMatrix(lower=lower, upper=upper)
         assert np.all(iv.width >= 0.0)  # and so no width is nan
+
+
+def test_interval_rows_are_each_row_alone():
+    # Rows 1-4 hold a NaN bound, a crossed cell, and cells pinned at +inf
+    # and at -inf; the others are valid, one of them infinitely wide.
+    inf, nan = math.inf, math.nan
+    lower = np.array([[0.0, 1.0], [nan, 0.0], [0.0, 2.0], [inf, 0.0], [0.0, -inf], [-inf, -inf], [3.0, 3.0]])
+    upper = np.array([[1.0, 2.0], [1.0, 1.0], [1.0, 1.0], [inf, 1.0], [1.0, -inf], [inf, inf], [3.0, 3.0]])
+    diagnostics = [{"row": s} for s in range(len(lower))]
+    rows = conformal._interval_rows(lower, upper, diagnostics)
+    assert rows[1:5] == [
+        "interval bound is NaN",
+        "lower bound exceeds upper bound",
+        "interval pinned at an infinite bound",
+        "interval pinned at an infinite bound",
+    ]
+    for s, row in enumerate(rows):
+        try:
+            alone = IntervalMatrix(lower=lower[s], upper=upper[s])
+        except ValueError as e:
+            assert row == str(e)
+            continue
+        assert isinstance(row, IntervalMatrix) and row == alone
+        assert row.lower.tobytes() == alone.lower.tobytes() and row.upper.tobytes() == alone.upper.tobytes()
+        assert row.shape == (1, 2) and row.diagnostics == {"row": s}
+        assert not row.lower.flags.writeable and not row.upper.flags.writeable
+        assert not np.shares_memory(row.lower, lower) and not np.shares_memory(row.upper, upper)
+        with pytest.raises(ValueError):
+            row.lower[0, 0] = 0.0
+    assert [s for s, row in enumerate(rows) if isinstance(row, IntervalMatrix)] == [0, 5, 6]
+    assert lower.flags.writeable and upper.flags.writeable
+    lower[0, 0] = -5.0
+    assert rows[0].lower[0, 0] == 0.0
+
+
+def test_interval_rows_check_shapes():
+    with pytest.raises(ValueError, match="bound shape mismatch"):
+        conformal._interval_rows(np.zeros((2, 3)), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match=r"need \(S, H\) bound stacks"):
+        conformal._interval_rows(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)))

@@ -3,19 +3,23 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ctsbench import forecaster
 from ctsbench.forecaster import (
     FittedForecaster,
     ForecasterSpec,
     _fit_ar_prefixes,
+    _in_blocks,
     _prefix_forecasts,
     fit_auto_ar,
     forecast,
+    forecast_stacked,
     seasonal_naive_forecast,
     sigma_h,
     sigma_h_stacked,
@@ -426,6 +430,15 @@ def test_sigma_h_stacked_rows_are_each_model_alone(rows, horizon, explosive):
         assert np.isposinf(got[1, 2:]).all()
 
 
+def test_a_model_copies_its_coefficients():
+    phi = np.array([0.5, -0.2])
+    model = FittedForecaster(phi, 0.0, 1.0, 2, (0.0,) * 3)
+    assert phi.flags.writeable and not model.phi.flags.writeable
+    assert not np.shares_memory(phi, model.phi)
+    phi[0] = 9.0
+    assert model.phi[0] == 0.5
+
+
 def test_a_model_has_one_coefficient_per_lag():
     with pytest.raises(ValueError, match="order-2 model needs 2 coefficients"):
         FittedForecaster(np.array([0.5]), 0.0, 1.0, 2, (0.0,) * 3)
@@ -468,3 +481,66 @@ class TestSeasonalNaive:
         )
         fc = seasonal_naive_forecast(ts, 3)
         assert fc[0] == ts.values[-12]
+
+
+def _scalar_forecast(model, values, horizon):
+    """forecast's former scalar loop, one model and one step at a time: the
+    reference forecast_stacked's rows must equal bit for bit."""
+    p = model.order
+    buf = list(values[len(values) - p :]) if p else []
+    out = np.empty(horizon)
+    for h in range(horizon):
+        yhat = model.intercept
+        for j in range(p):
+            yhat += model.phi[j] * buf[-1 - j]
+        out[h] = yhat
+        if p:
+            buf.append(yhat)
+    return out
+
+
+def _model(p, coefs, intercept):
+    return FittedForecaster(np.array(coefs[:p]), intercept, 1.0, p, (0.0,) * (p + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 4),
+            st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+            st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 0.0)),
+        ),
+        min_size=1,
+        max_size=7,
+    ),
+    st.integers(0, 3),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+)
+@example([(0, [0.0] * 4, -0.0), (2, [0.5, -0.25, 0.0, 0.0], 0.0), (4, [1.0, 0.5, -0.3, 0.2], -3.0)], 0, 12, 0)
+def test_forecast_stacked_rows_are_the_scalar_loop(rows, extra, horizon, seed):
+    # Mixed orders 0..4 and zero (of either sign) or negative intercepts, as
+    # one stack and in blocks of 2: every row is the lone scalar loop's.
+    models = [_model(p, coefs, c) for p, coefs, c in rows]
+    n = max(m.order for m in models) + extra
+    histories = np.random.default_rng(seed).uniform(-1e3, 1e3, (len(models), n))
+    whole = forecast_stacked(models, histories, horizon)
+    with mock.patch.object(forecaster, "_STACK_BLOCK", 2):
+        blocked = _in_blocks([n] * len(models), lambda idx: forecast_stacked([models[i] for i in idx], histories[idx], horizon))
+    for row, block_row, model, history in zip(whole, blocked, models, histories):
+        want = _scalar_forecast(model, history, horizon)
+        assert row.tobytes() == block_row.tobytes() == want.tobytes() == forecast(model, history, horizon).tobytes()
+
+
+def test_forecast_stacked_checks_its_inputs():
+    models = [_model(2, [0.5, 0.1], 1.0), _model(0, [], 0.0)]
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        forecast_stacked(models, np.zeros((2, 3)), 0)
+    with pytest.raises(ValueError, match="one history row per model"):
+        forecast_stacked(models, np.zeros((3, 3)), 2)
+    with pytest.raises(ValueError, match="history shorter than AR order: 1 < 2"):
+        forecast_stacked(models, np.zeros((2, 1)), 2)
+    with pytest.raises(ValueError, match="history shorter than AR order: 1 < 2"):
+        forecast(models[0], np.zeros(1), 2)
+    assert forecast_stacked([], np.zeros((0, 4)), 3).shape == (0, 3)

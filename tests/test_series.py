@@ -85,6 +85,29 @@ class TestTimeSeries:
         assert len(h) == 2
         assert h.values.tolist() == [1.0, 2.0]
         assert h.series_id == s.series_id
+        with pytest.raises(ValueError, match=r"head needs 1 <= t <= 4, got 0"):
+            s.head(0)
+
+    @given(_panels(), st.data())
+    def test_head_is_a_read_only_view_of_a_valid_prefix(self, panel, data):
+        s = data.draw(st.sampled_from(panel.series))
+        t = data.draw(st.integers(1, len(s)))
+        h = s.head(t)
+        assert h == TimeSeries(s.series_id, s.timestamps[:t].copy(), s.values[:t].copy(), s.period, s.ds_kind)
+        assert type(h.values) is np.ndarray and h.values.dtype == np.float64 and h.timestamps.dtype == np.int64
+        for arr, parent in ((h.values, s.values), (h.timestamps, s.timestamps)):
+            assert not arr.flags.writeable and arr.flags.c_contiguous
+            assert np.shares_memory(arr, parent)
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+
+    def test_arrays_are_copies_of_the_callers(self):
+        v, stamps = np.array([1.0, 2.0, 3.0]), np.arange(3)
+        s = TimeSeries("a", stamps, v)
+        assert v.flags.writeable and stamps.flags.writeable
+        assert not np.shares_memory(v, s.values) and not np.shares_memory(stamps, s.timestamps)
+        v[0] = 9.0
+        assert s.values[0] == 1.0
 
     def test_equality_and_hash(self):
         a = make_series([1.0, 2.0])
