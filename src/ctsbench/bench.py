@@ -548,7 +548,7 @@ def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> Benc
         if config.data is None:
             raise PanelError("no data source: set the data path or pass a panel")
         try:
-            text = Path(config.data).read_text(encoding="utf-8")
+            text = Path(config.data).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
         except OSError as e:
             raise PanelError(f"cannot read data file {config.data!r}: {e}") from None
         except UnicodeDecodeError as e:

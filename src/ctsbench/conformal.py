@@ -170,6 +170,15 @@ class IntervalMatrix:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
+    @classmethod
+    def _of_valid(cls, lower: np.ndarray, upper: np.ndarray, diagnostics: dict) -> "IntervalMatrix":
+        """Intervals from fields that already are what __post_init__ makes of
+        valid ones (read-only 2-D bounds that no caller can write), set
+        without copying or checking again."""
+        iv = object.__new__(cls)
+        iv.__dict__.update(lower=lower, upper=upper, diagnostics=diagnostics)
+        return iv
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.lower.shape
@@ -236,11 +245,8 @@ def _interval_rows(
         if not valid:
             out.append(_bound_fault(lo[s], hi[s]))
             continue
-        # A row of a validated stack is valid: set the fields, as
-        # __post_init__ would, without copying or checking again.
-        row = object.__new__(IntervalMatrix)
-        row.__dict__.update(lower=lo[s : s + 1], upper=hi[s : s + 1], diagnostics=diagnostics[s])
-        out.append(row)
+        # A row of a validated stack is valid.
+        out.append(IntervalMatrix._of_valid(lo[s : s + 1], hi[s : s + 1], diagnostics[s]))
     return out
 
 

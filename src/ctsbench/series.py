@@ -70,6 +70,17 @@ class TimeSeries:
         object.__setattr__(self, "timestamps", _read_only(ts))
         object.__setattr__(self, "values", _read_only(vals))
 
+    @classmethod
+    def _of_valid(
+        cls, series_id: str, timestamps: np.ndarray, values: np.ndarray, period: int, ds_kind: str
+    ) -> "TimeSeries":
+        """A series from fields that already are what __post_init__ makes of
+        valid ones (read-only arrays that no caller can write), set without
+        copying or checking again."""
+        ts = object.__new__(cls)
+        ts.__dict__.update(series_id=series_id, timestamps=timestamps, values=values, period=period, ds_kind=ds_kind)
+        return ts
+
     def __len__(self) -> int:
         return len(self.values)
 
@@ -92,11 +103,8 @@ class TimeSeries:
         views of this one's."""
         if not 1 <= t <= len(self):
             raise ValueError(f"head needs 1 <= t <= {len(self)}, got {t}")
-        # A prefix of a valid series is valid: set the fields, as
-        # __post_init__ would, without copying or checking again.
-        head = object.__new__(TimeSeries)
-        head.__dict__.update(self.__dict__, timestamps=self.timestamps[:t], values=self.values[:t])
-        return head
+        # A prefix of a valid series is valid.
+        return TimeSeries._of_valid(self.series_id, self.timestamps[:t], self.values[:t], self.period, self.ds_kind)
 
 
 @dataclass(frozen=True)
@@ -195,15 +203,18 @@ class _Columns:
     """The data rows parsed so far, as arrays.
 
     A unique_id's code numbers its stripped id in order of first row. Each
-    distinct ds string is parsed once, at its first row.
+    distinct ds string is parsed once, at its first row, into a table of
+    stamps and month flags, and a row holds its string's index in the table;
+    check gathers every row's stamp and month flag from the table at once.
     """
 
     def __init__(self) -> None:
         self.code_of_id: dict[str, int] = {}
-        self.stamp_of: dict[str, int] = {}
-        self.month_of: dict[str, bool] = {}
-        # Each flush's codes, stamps, month flags and values.
-        self.chunks = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), np.empty(0))]
+        self.index_of_ds: dict[str, int] = {}
+        self.ds_stamps: list[int] = []
+        self.ds_months: list[bool] = []
+        # Each flush's codes, ds table indices and values.
+        self.chunks = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
         self.rows = 0
 
     def flush(self, uids: list[str], dss: list[str], ys: list[str]) -> None:
@@ -215,12 +226,9 @@ class _Columns:
         before it.
         """
         codes, n, error = self._codes(uids)
-        stamps, months, n, error = self._stamps(dss, n, error)
+        ds_rows, n, error = self._ds_rows(dss, n, error)
         values, n, error = self._values(ys, n, error)
-        self.chunks.append((
-            np.array(codes[:n], dtype=np.intp), np.array(stamps[:n], dtype=np.int64),
-            np.array(months[:n], dtype=bool), values,
-        ))
+        self.chunks.append((codes[:n], ds_rows[:n], values))
         self.rows += n
         uids.clear()
         dss.clear()
@@ -228,30 +236,38 @@ class _Columns:
         if error is not None:
             self.check(error)
 
-    def _codes(self, uids: list[str]) -> tuple[list, int, str | None]:
+    def _codes(self, uids: list[str]) -> tuple[np.ndarray, int, str | None]:
         ids = list(map(str.strip, uids))
         n, error = len(ids), None
         if not all(ids):
             n = ids.index("")
             ids, error = ids[:n], f"row {self.rows + n + 1}: empty unique_id"
+        code_of_id = self.code_of_id
         for uid in dict.fromkeys(ids):  # distinct ids, in order of first row
-            self.code_of_id.setdefault(uid, len(self.code_of_id))
-        return list(map(self.code_of_id.__getitem__, ids)), n, error
+            code_of_id.setdefault(uid, len(code_of_id))
+        return np.fromiter(map(code_of_id.__getitem__, ids), dtype=np.intp, count=n), n, error
 
-    def _stamps(self, dss: list[str], n: int, error: str | None) -> tuple[list, list, int, str | None]:
+    def _ds_rows(self, dss: list[str], n: int, error: str | None) -> tuple[np.ndarray, int, str | None]:
         dss = dss[:n]
-        if not all(map(self.stamp_of.__contains__, dss)):  # most chunks of a panel hold no new ds string
-            for raw in dict.fromkeys(dss):  # distinct strings, in order of first row
-                if raw not in self.stamp_of:
-                    i = dss.index(raw)
-                    try:
-                        stamp, kind = _parse_ds(raw, self.rows + i + 1)
-                    except PanelError as e:
-                        n, error, dss = i, str(e), dss[:i]
-                        break
-                    self.stamp_of[raw] = stamp
-                    self.month_of[raw] = kind == "month"
-        return list(map(self.stamp_of.__getitem__, dss)), list(map(self.month_of.__getitem__, dss)), n, error
+        index = self.index_of_ds
+        try:  # most chunks of a panel hold no new ds string
+            return np.fromiter(map(index.__getitem__, dss), dtype=np.intp, count=n), n, error
+        except KeyError:
+            pass
+        # Each string's first row: zipped from the end, an earlier row overwrites a later one.
+        first_row = dict(zip(reversed(dss), range(n - 1, -1, -1)))
+        for raw in dict.fromkeys(dss):  # distinct strings, in order of first row
+            if raw not in index:
+                i = first_row[raw]
+                try:
+                    stamp, kind = _parse_ds(raw, self.rows + i + 1)
+                except PanelError as e:
+                    n, error, dss = i, str(e), dss[:i]
+                    break
+                index[raw] = len(self.ds_stamps)
+                self.ds_stamps.append(stamp)
+                self.ds_months.append(kind == "month")
+        return np.fromiter(map(index.__getitem__, dss), dtype=np.intp, count=n), n, error
 
     def _values(self, ys: list[str], n: int, error: str | None) -> tuple[np.ndarray, int, str | None]:
         ys = ys[:n]
@@ -281,7 +297,9 @@ class _Columns:
         Returns every row's code, stamp and value, sorted stably by (code,
         stamp), and each series' month flag, by code.
         """
-        codes, stamps, months, values = map(np.concatenate, zip(*self.chunks))
+        codes, ds_rows, values = map(np.concatenate, zip(*self.chunks))
+        stamps = np.array(self.ds_stamps, dtype=np.int64)[ds_rows]
+        months = np.array(self.ds_months, dtype=bool)[ds_rows]
         # Codes number series in order of first row, so a row is its
         # series' first exactly when its code exceeds every earlier row's.
         first = np.ones(len(codes), dtype=bool)
@@ -302,14 +320,24 @@ class _Columns:
         return by_code, by_stamp, values[order], month
 
     def panel(self, period: int) -> SeriesPanel:
-        """The rows as series, each sorted by stamp."""
+        """The rows as series, each sorted by stamp.
+
+        check has proven what TimeSeries checks: each series is a non-empty
+        run of strictly increasing stamps with finite values and one ds
+        kind. So each series is made by TimeSeries._of_valid from read-only
+        views of its run of the sorted arrays, which no caller holds.
+        """
         if not self.rows:
             raise PanelError("empty panel: no data rows")
         codes, stamps, values, month = self.check()
-        cuts = np.flatnonzero(np.diff(codes)) + 1
+        if period < 1:
+            raise ValueError(f"period must be >= 1, got {period}")
+        stamps.flags.writeable = False
+        values.flags.writeable = False
+        bounds = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), len(codes)]
         return SeriesPanel(tuple(
-            TimeSeries(uid, ts, ys, period=period, ds_kind="month" if is_month else "int")
-            for uid, is_month, ts, ys in zip(self.code_of_id, month.tolist(), np.split(stamps, cuts), np.split(values, cuts))
+            TimeSeries._of_valid(uid, stamps[a:b], values[a:b], period, "month" if is_month else "int")
+            for uid, is_month, a, b in zip(self.code_of_id, month.tolist(), bounds, bounds[1:])
         ))
 
 
@@ -322,10 +350,13 @@ def parse_panel(csv_text: str, period: int = 1) -> SeriesPanel:
 
     One csv.reader pass buffers the rows' strings, and every _CHUNK_ROWS
     lines flushes them into arrays: unique_ids become codes, each distinct
-    ds string is parsed once, at its first row, and y values are parsed
-    together. One stable sort by (series, stamp) then finds repeated stamps
-    and cuts out the series. Whatever the chunk a defect lies in, the error
-    names the first offending data row.
+    ds string is parsed once, at its first row, into a table that rows
+    index, and y values are parsed together. One stable sort by (series,
+    stamp) then finds repeated stamps and orders every column; each series
+    is a pair of read-only views of its run of the sorted stamps and
+    values, built without copying or re-running TimeSeries' checks, which
+    the sort has already proven. Whatever the chunk a defect lies in, the
+    error names the first offending data row.
     """
     reader = csv.reader(io.StringIO(csv_text))
     try:

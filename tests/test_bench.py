@@ -777,6 +777,20 @@ class TestCli:
         assert self.run_cli("run", "--data", str(data), "--out", str(tmp_path / "r")) == 2
         assert "cannot decode data file" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a UTF-8 byte-order mark.
+        plain = tmp_path / "plain.csv"
+        write_panel_csv(small_panel(n=3), str(plain))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        payloads = []
+        for data in (plain, marked):
+            out = tmp_path / data.stem
+            argv = ("run", "--data", str(data), "--horizon", "6", "--methods", "mscp,parametric", "--out", str(out))
+            assert self.run_cli(*argv) == 0
+            payloads.append(_payload(out))
+        assert payloads[0] == payloads[1]
+
     def test_missing_data_exit_2(self, tmp_path, capsys):
         rc = self.run_cli("run", "--data", str(tmp_path / "nope.csv"))
         assert rc == 2

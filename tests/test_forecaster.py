@@ -439,6 +439,18 @@ def test_a_model_copies_its_coefficients():
     assert model.phi[0] == 0.5
 
 
+def test_stacked_models_are_the_validated_models():
+    stack = np.stack([family_series(f, 40, 5.0, i) for i, f in enumerate(["noise", "ar1", "constant", "noise"])])
+    models = forecaster._fit_stack(stack, ForecasterSpec(max_order=4))
+    assert len({m.order for m in models}) > 1
+    for m in models:
+        built = FittedForecaster(m.phi.copy(), m.intercept, m.sigma2, m.order, m.aics)
+        assert (m.phi.dtype, m.phi.shape, m.phi.tobytes()) == (built.phi.dtype, built.phi.shape, built.phi.tobytes())
+        assert (m.intercept, m.sigma2, m.order, m.aics) == (built.intercept, built.sigma2, built.order, built.aics)
+        assert [type(v) for v in (m.intercept, m.sigma2, m.order)] == [float, float, int]
+        assert not m.phi.flags.writeable and not np.shares_memory(m.phi, stack)
+
+
 def test_a_model_has_one_coefficient_per_lag():
     with pytest.raises(ValueError, match="order-2 model needs 2 coefficients"):
         FittedForecaster(np.array([0.5]), 0.0, 1.0, 2, (0.0,) * 3)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -231,6 +232,18 @@ class TestScoreRecords:
         rec = series_metrics("s", "m", m, [1.0, 4.0, 3.0], 0.2)
         assert repr(rec) == repr(score_records("m", {"s": m}, [[1.0, 4.0, 3.0]], 0.2)[0])
         assert score_records("m", {}, [], 0.2) == []
+
+    def test_each_record_is_the_validated_record(self):
+        intervals = {
+            "a": iv([[0.0, 1.0, -math.inf]], [[2.0, 1.5, 0.0]]),
+            "b": iv([[-math.inf, -math.inf]], [[math.inf, math.inf]]),
+            "c": iv([[0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0]]),
+        }
+        records = score_records("m", intervals, [[1.0, 2.0, -1.0], [0.0, 0.0], [0.5, 0.5, 0.5]], 0.1)
+        for r in records:
+            assert r == MetricRecord(**dataclasses.asdict(r))
+            assert type(r.joint_coverage) is int
+        assert [r.joint_coverage for r in records] == [0, 1, 1]
 
     @pytest.mark.parametrize(
         "truths, alpha, match",

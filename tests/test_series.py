@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import itertools
 from unittest import mock
 
@@ -11,6 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ctsbench import series
+from ctsbench.conformal import IntervalMatrix
 from ctsbench.series import (
     PanelError,
     SeriesPanel,
@@ -117,6 +120,16 @@ class TestTimeSeries:
         assert a != c
 
 
+@pytest.mark.parametrize("cls", [TimeSeries, IntervalMatrix])
+def test_trusted_constructor_sets_every_field(cls):
+    # _of_valid skips __post_init__, so a field it did not take would be
+    # silently missing from the objects it builds.
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert list(inspect.signature(cls._of_valid).parameters) == names
+    obj = cls._of_valid(*names)
+    assert [getattr(obj, name) for name in names] == names
+
+
 class TestSplit:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -197,6 +210,59 @@ class TestCsv:
         text = "unique_id,ds,y\na,2020-01-01,1.0\nb,2020-13-01,1.0\nc,2020-13-01,1.0\n"
         with pytest.raises(PanelError, match="row 2: month out of range in ds value '2020-13-01'"):
             parse_panel(text)
+
+    def test_a_bad_ds_among_distinct_stamps_is_reported_at_its_row(self, monkeypatch):
+        calls = []
+        parse_ds = series._parse_ds
+
+        def spy(raw, row_num):
+            calls.append(raw)
+            return parse_ds(raw, row_num)
+
+        monkeypatch.setattr(series, "_parse_ds", spy)
+        # Every row holds a new ds string: series i has stamps 1000 * i + t.
+        rows = [[f"s{i}", str(1000 * i + t), "1.5"] for i in range(40) for t in range(320)]
+        assert len(rows) > 3 * series._CHUNK_ROWS
+        panel = parse_panel(_csv(rows))
+        assert calls == [ds for _, ds, _ in rows]
+        assert panel["s39"].timestamps.tolist() == list(range(39000, 39320))
+        bad = 3 * series._CHUNK_ROWS + 17
+        rows[bad][1] = "x7"
+        calls.clear()
+        with pytest.raises(PanelError) as err:
+            parse_panel(_csv(rows))
+        assert str(err.value) == f"row {bad + 1}: cannot parse ds value 'x7'"
+        assert calls == [ds for _, ds, _ in rows[: bad + 1]]
+
+    def test_series_are_built_without_checking_each_again(self, monkeypatch):
+        checked = []
+        post_init = TimeSeries.__post_init__
+
+        def spy(ts):
+            checked.append(ts.series_id)
+            post_init(ts)
+
+        monkeypatch.setattr(TimeSeries, "__post_init__", spy)
+        panel = parse_panel("unique_id,ds,y\nb,2,1.0\na,2020-01-01,2.0\nb,1,3.0\n", period=4)
+        assert checked == []
+        want = [TimeSeries("a", [2020 * 12], [2.0], 4, "month"), TimeSeries("b", [1, 2], [3.0, 1.0], 4)]
+        assert list(panel) == want
+        with pytest.raises(ValueError, match="period must be >= 1, got 0"):
+            parse_panel("unique_id,ds,y\na,1,1.0\n", period=0)
+
+    @given(_panels())
+    def test_parsed_series_are_private_read_only_arrays(self, panel):
+        again = list(parse_panel(serialize_panel(panel), period=3))
+        for s in again:
+            assert s == TimeSeries(s.series_id, s.timestamps.copy(), s.values.copy(), 3, s.ds_kind)
+            assert (s.timestamps.dtype, s.values.dtype) == (np.int64, np.float64)
+            for arr in (s.timestamps, s.values):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr.flags.writeable = True
+        arrays = [arr for s in again for arr in (s.timestamps, s.values)]
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
 
     def test_oversized_field_is_a_panel_error(self):
         # csv's default field limit is 131072 characters; parsing must not
