@@ -388,8 +388,7 @@ def _block_bootstrap(n: int, block_len: int, rng: np.random.Generator) -> np.nda
     size = min(max(block_len, 1), n)
     n_blocks = math.ceil(n / size)
     starts = rng.integers(0, n - size + 1, size=n_blocks)
-    idx = np.concatenate([np.arange(s, s + size) for s in starts])
-    return idx[:n]
+    return (starts[:, None] + np.arange(size)).ravel()[:n]
 
 
 def enbpi_intervals(

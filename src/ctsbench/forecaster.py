@@ -27,8 +27,15 @@ of a 0/1 row mask, one row per (prefix, order) pair and shared by the
 series, with each series' stacked outer products gives every cross-product;
 a prefix too short for an order leaves it too few rows and no special case.
 The 0/1 weights only add, so a column that vanishes on a fit's rows stays
-exactly zero. The cross-products are scaled to unit diagonal and inverted in
-one batched call; each solution is refined once from its explicit
+exactly zero. The cross-products are scaled to unit diagonal and inverted
+by one Gauss-Jordan sweep over the whole stack (`_sweep_inverse`), laid out
+batch-last so that each pivot step is a few elementwise numpy operations,
+not one LAPACK call per matrix. It needs no pivoting: every matrix is a
+scaled cross-product plus the identity on unused columns and a ridge, so
+symmetric positive definite, and in exact arithmetic each pivot is a
+positive Schur complement. A pivot that rounds to zero or below marks a
+rank-deficient candidate, and its non-finite or out-of-range entries fail
+the rank rule below. Each solution is refined once from its explicit
 residuals, and the RSS comes from the refined residuals, not from
 y'y - b'X'y, which cancels on near-perfect fits.
 
@@ -160,6 +167,32 @@ def _order_layout(P: int, include_drift: bool) -> _Layout:
     return layout
 
 
+def _sweep_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverses of a (..., k, k) stack of symmetric positive definite
+    matrices by Gauss-Jordan elimination without pivoting.
+
+    The stack is laid out batch-last, (k, k, N), so that each of the k pivot
+    steps is a few numpy operations over all N matrices at once, and each
+    matrix gets the arithmetic it gets alone. A pivot that rounds to zero or
+    below leaves its matrix's entries meaningless or non-finite, with no
+    warning under the caller's errstate.
+    """
+    k = a.shape[-1]
+    w = np.moveaxis(a.reshape(-1, k, k), 0, -1).copy()
+    # Step j builds column j of the inverse in place of the identity's: row j
+    # becomes itself over the pivot, with 1 / pivot at [j, j], and every other
+    # row sheds its multiple of it, leaving -multiplier / pivot in column j.
+    for j in range(k):
+        pivot = w[j, j].copy()
+        col = w[:, j].copy()
+        col[j] = 0.0
+        w[:, j] = 0.0
+        w[j, j] = 1.0
+        w[j] /= pivot
+        w -= col[:, None] * w[j]
+    return np.ascontiguousarray(np.moveaxis(w, -1, 0)).reshape(a.shape)
+
+
 # The finiteness check at the end turns an overflowing solve into a
 # ValueError, so the warnings numpy would issue on the way are noise.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -204,9 +237,9 @@ def _fit_ar_prefixes(
     d = G.diagonal(axis1=-2, axis2=-1)[..., 1:]
     scale = np.zeros(d.shape)
     np.divide(1.0, np.sqrt(d), out=scale, where=lay.active & (d > 0.0))
-    # One batched inversion (a solve against the identity) serves the rank
-    # rule and both solves. Column j's pivot is 1 / inv[j, j].
-    inv = np.linalg.inv(G[..., 1:, 1:] * scale[..., :, None] * scale[..., None, :] + lay.fill)
+    # One inversion of the whole stack serves the rank rule and both
+    # solves. Column j's pivot is 1 / inv[j, j].
+    inv = _sweep_inverse(G[..., 1:, 1:] * scale[..., :, None] * scale[..., None, :] + lay.fill)
     vif = inv.diagonal(axis1=-2, axis2=-1)
     m = ends[:, None] - lay.orders
     ok = (m > lay.min_rows) & ((vif > 0.0) & (vif < 1.0 / RANK_PIVOT)).all(axis=-1)

@@ -109,6 +109,29 @@ class MetricRecord:
             raise ValueError(f"joint_coverage must be 0 or 1, got {self.joint_coverage}")
 
 
+def _stacked_truths(
+    mats: Sequence[IntervalMatrix], truths: Sequence, groups: Mapping[tuple[int, int], list[int]]
+) -> dict[tuple[int, int], np.ndarray]:
+    """Each shape group's truths as one (series, cell) array.
+
+    A group converts in one call when its truths all come in the
+    intervals' shape, or all 1-D against (1, H) intervals. Otherwise every
+    truth is shaped alone, so that the first mismatched one, in record
+    order, raises its own error.
+    """
+    stacks = {}
+    try:
+        for shape, rows in groups.items():
+            y = np.array([truths[i] for i in rows], dtype=np.float64)
+            if y.shape[1:] != shape and not (shape[0] == 1 and y.shape[1:] == shape[1:]):
+                raise ValueError("a truth does not match its intervals' shape")
+            stacks[shape] = y.reshape(len(rows), -1)
+    except (ValueError, TypeError):
+        shaped = [_shaped_truth(iv, truth).reshape(-1) for iv, truth in zip(mats, truths)]
+        stacks = {shape: np.stack([shaped[i] for i in rows]) for shape, rows in groups.items()}
+    return stacks
+
+
 def score_records(
     method: str,
     intervals: Mapping[str, IntervalMatrix],
@@ -128,13 +151,12 @@ def score_records(
     if len(truths) != len(mats):
         raise ValueError(f"{len(truths)} truths for {len(mats)} interval matrices")
     _check_alpha(alpha)
-    shaped = [_shaped_truth(iv, truth).reshape(-1) for iv, truth in zip(mats, truths)]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, iv in enumerate(mats):
         groups.setdefault(iv.shape, []).append(i)
     records: dict[int, MetricRecord] = {}
-    for rows in groups.values():
-        y = np.stack([shaped[i] for i in rows])
+    for shape, y in _stacked_truths(mats, truths, groups).items():
+        rows = groups[shape]
         _check_finite_truth(y)
         lo = np.stack([mats[i].lower for i in rows]).reshape(y.shape)
         hi = np.stack([mats[i].upper for i in rows]).reshape(y.shape)

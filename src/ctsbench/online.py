@@ -139,12 +139,19 @@ def _score_model(scores: np.ndarray, first: int, h: int) -> tuple[np.ndarray, li
     k = np.minimum(h - 1, n // 6)
     K = int(k.max())
     # back[s, t, p]: stream s's window at step t, newest score first, centered,
-    # zero past its start. C order keeps the centring sum in a lone stream's order.
+    # zero past its start. C order, and each run of steps with one window
+    # size summing only its own scores, keep the centring sum in a lone
+    # window's order: numpy's pairwise sum groups by length, so summing the
+    # zero padding too would round the mean differently.
     p = np.arange(int(n.max()))
     inside = p < n[:, None]
     window = np.ascontiguousarray(scores[:, np.maximum(ends[:, None] - 1 - p, 0)])
     back = np.where(inside, window, 0.0)
-    back = np.where(inside, back - back.sum(axis=2, keepdims=True) / n[:, None], 0.0)
+    total = np.empty(back.shape[:2])
+    runs = np.flatnonzero(np.diff(n, prepend=0)).tolist() + [len(n)]
+    for a, b in zip(runs, runs[1:]):
+        total[:, a:b] = back[:, a:b, : n[a]].sum(axis=2)
+    back = np.where(inside, back - (total / n)[..., None], 0.0)
     # Design row b of step t is (c_b, c_b+1, ..., c_b+k): the target, then lags 1..k.
     j = np.arange(K + 1)
     used = (np.arange(len(p) - K)[:, None] < (n - k)[:, None, None]) & (j <= k[:, None, None])

@@ -421,6 +421,18 @@ def reference_enbpi(series, test_len, spec, forecaster, alpha):
 
 
 class TestEnbpi:
+    @pytest.mark.parametrize("n, block_len", [(1, 1), (7, 3), (12, 12), (30, 12), (37, 5), (9, 40), (10, 0), (10, -3)])
+    def test_bootstrap_indices_are_concatenated_blocks(self, n, block_len):
+        # One rng.integers call per member, then whole blocks cut at n.
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(4):
+                size = min(max(block_len, 1), n)
+                starts = ref_rng.integers(0, n - size + 1, size=math.ceil(n / size))
+                want = np.concatenate([np.arange(s, s + size) for s in starts])[:n]
+                got = conformal._block_bootstrap(n, block_len, rng)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_loo_matches_index_loop(self):
         # Members of different orders, fitted on index sets of different sizes.
         rng = np.random.default_rng(21)

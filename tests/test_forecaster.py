@@ -17,6 +17,7 @@ from ctsbench.forecaster import (
     _fit_ar_prefixes,
     _in_blocks,
     _prefix_forecasts,
+    _sweep_inverse,
     fit_auto_ar,
     forecast,
     forecast_stacked,
@@ -308,6 +309,67 @@ class TestNonFiniteFits:
         values = 1e155 * simulate_ar1(60, 0.5, seed=1)
         with pytest.raises(ValueError, match="not finite"):
             fit_auto_ar(values, ForecasterSpec())
+
+
+@st.composite
+def scaled_spd_stacks(draw):
+    """(N, k, k) unit-diagonal cross-products of random designs, with some
+    columns unused (identity) and the solver's ridge on the diagonal."""
+    k, N = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((N, 3 * k + 10, k))
+    X += rng.uniform(-2, 2, size=(N, 1, k)) * X[..., :1]  # correlated columns
+    X *= 10.0 ** rng.uniform(-3, 3, size=(N, 1, k))
+    G = X.swapaxes(1, 2) @ X
+    scale = 1.0 / np.sqrt(np.diagonal(G, axis1=1, axis2=2))
+    A = G * scale[:, :, None] * scale[:, None, :]
+    unused = rng.random((N, k)) < 0.3
+    A[unused[:, :, None] | unused[:, None, :]] = 0.0
+    A[:, np.arange(k), np.arange(k)] = 1.0 + forecaster._RIDGE
+    return A
+
+
+class TestSweepInverse:
+    @settings(max_examples=200, deadline=None)
+    @given(scaled_spd_stacks())
+    def test_matches_lapack_inverse(self, A):
+        inv = _sweep_inverse(A)
+        want = np.linalg.inv(A)
+        assert inv.shape == A.shape and inv.flags.c_contiguous
+        assert (np.abs(inv - want).max(axis=(1, 2)) <= 1e-12 * np.abs(want).max(axis=(1, 2))).all()
+        # elementwise over the stack: each matrix gets its lone inverse
+        for a, row in zip(A, inv):
+            assert np.array_equal(_sweep_inverse(a[None])[0], row)
+
+    @pytest.mark.parametrize("include_drift", [True, False])
+    def test_dependent_candidates_rejected_without_touching_the_stack(self, include_drift):
+        # A constant start (columns equal to the intercept, or zero after the
+        # shift) and a linear trend (lag 1 - lag 2 constant) make exactly
+        # dependent candidates. Under the suite's error::RuntimeWarning
+        # filter the fit issues no warning on them.
+        rng = np.random.default_rng(4)
+        n, ends = 48, np.array([12, 30, 48])
+        constant_start = 5.0 + rng.standard_normal(n)
+        constant_start[:30] = 5.0
+        trend = 3.0 + 0.25 * np.arange(n)
+        stack = np.stack([
+            10.0 + simulate_ar1(n, 0.6, seed=1), constant_start, trend, 10.0 + simulate_ar1(n, -0.3, seed=2),
+        ])
+        fits = _fit_ar_prefixes(stack, ends, 5, include_drift)
+        # The constant start, on the prefixes within it: with drift every lag
+        # is zero after the shift; without, lags 1 and 2 are equal.
+        constant_from = 1 if include_drift else 2
+        assert np.isinf(fits.aics[1, :2, constant_from:]).all()
+        assert np.isfinite(fits.aics[1, :2, :constant_from]).all()
+        # The trend: lag 1 - lag 2 is the intercept's multiple, and without
+        # an intercept lag 1 - 2 lag 2 + lag 3 = 0.
+        trend_from = 2 if include_drift else 3
+        assert np.isinf(fits.aics[2, :, trend_from:]).all()
+        assert np.isfinite(fits.aics[[0, 3]]).all()
+        for s in range(len(stack)):
+            alone = _fit_ar_prefixes(stack[s : s + 1], ends, 5, include_drift)
+            for name, stacked, single in zip(fits._fields, fits, alone):
+                assert np.array_equal(stacked[s], single[0]), (name, s)
 
 
 class TestStackedSolver:

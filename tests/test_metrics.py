@@ -259,6 +259,14 @@ class TestScoreRecords:
         with pytest.raises(ValueError, match=match):
             score_records("m", {"a": m, "b": m}, truths, alpha)
 
+    def test_first_mismatched_truth_in_record_order_is_reported(self):
+        # Record 1 (its own shape group) mismatches before record 2, which
+        # shares record 0's group.
+        two, three = iv([[0.0, 0.0]], [[1.0, 1.0]]), iv([[0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0]])
+        intervals = {"a": two, "b": three, "c": two}
+        with pytest.raises(ValueError, match=r"truth shape \(2,\) does not match intervals \(1, 3\)"):
+            score_records("m", intervals, [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0, 3.0]], 0.1)
+
 
 class TestAggregate:
     def test_unweighted_mean_over_series(self):

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctsbench.online import (
@@ -260,6 +260,10 @@ def _tracker_streams(draw):
     return acmcp_init(h, warm, alpha), stream
 
 
+_TIE = 1.1499170164666577
+_TIE_CASE = (AcmcpState(h=3, q=_TIE, eta=5e-07, alpha=0.5, k_i=1e-06, score_window=(_TIE, _TIE)), [_TIE] * 24)
+
+
 class TestAcmcpRun:
     def test_empty_stream_keeps_state(self):
         state = acmcp_init(3, [1.0, 2.0, 3.0, 4.0], 0.1)
@@ -281,6 +285,9 @@ class TestAcmcpRun:
 
     @settings(max_examples=60, deadline=None)
     @given(_tracker_streams())
+    # A constant stream ties score and q exactly: a centring mean that rounds
+    # unlike a lone window's flips the miss indicator and moves q by eta.
+    @example(_TIE_CASE)
     def test_matches_per_step_reference(self, case):
         state, stream = case
         expected = _reference_steps(state, stream)
