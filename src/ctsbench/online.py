@@ -246,7 +246,8 @@ def acmcp_init_stacked(
     states = []
     for row, hi, lo, q in zip(scores, upper, lower, q0):
         scale = hi - lo
-        if scale <= 0.0:
+        # Floored also where a positive range is too small to halve.
+        if not 0.5 * scale > 0.0:
             scale = max(float(np.std(row)), 1e-6)
         window = tuple(row[-WINDOW_LEN:].tolist())
         states.append(AcmcpState(h=h, q=q, eta=0.5 * scale, alpha=alpha, k_i=scale, score_window=window))
@@ -258,8 +259,8 @@ def acmcp_init(h: int, warm_scores: Sequence[float] | np.ndarray, alpha: float) 
 
     q starts at the empirical (1-alpha) quantile of the warm-up scores;
     eta and k_i are half the warm-up interquartile range and the full
-    range respectively (floored by the standard deviation when the IQR
-    collapses); the score window keeps the last WINDOW_LEN warm-up scores.
+    range respectively (floored by the standard deviation when half the
+    IQR is not positive); the score window keeps the last WINDOW_LEN warm-up scores.
     """
     scores = np.asarray(warm_scores, dtype=np.float64)
     if scores.ndim != 1:

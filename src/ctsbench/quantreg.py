@@ -19,10 +19,12 @@ coefficients, falls below a fixed fraction of that loss. It is then
 frozen with zero step lengths while the other levels of its problem go
 on, and a problem leaves the stack once all its levels have converged.
 Every operation acts on one problem at a time, so each problem of a
-stack gets bit for bit the fit it gets alone. Levels below 1/n or above
-1 - 1/n share their optimal lines with every level on the same side;
-they are solved once, at 1/(2n) and 1 - 1/(2n), away from the
-ill-conditioned edge.
+stack gets bit for bit the fit it gets alone. Every level with
+tau < 1/n (strictly) shares its optimal lines with every other such
+level, and every level with 1 - tau < 1/n likewise: each side is solved
+once, at 1/(2n) or 1 - 1/(2n), away from the ill-conditioned edge. The
+upper side is tested as 1 - tau < 1/n, which is exact for tau >= 1/2,
+and not as tau > 1 - 1/n, which rounds twice at the boundary.
 
 Feature columns are standardized internally and coefficients mapped back,
 so callers see original-scale parameters. Constant columns (a standard
@@ -152,10 +154,15 @@ def _fit_stack(X: np.ndarray, y: np.ndarray, taus: np.ndarray, iters: int) -> li
     W[:, taus >= 1.0, 0] = y.max(axis=1)[:, None]
     inner = (taus > 0.0) & (taus < 1.0)
     if inner.any():
-        # Below tau = 1/n no residual may be negative at an optimum (moving
-        # the intercept down would gain), so every such level has the same
-        # optimal lines; likewise above 1 - 1/n. Solve those once, at 1/(2n).
-        levels, lane = np.unique(np.clip(taus[inner], 0.5 / n, 1.0 - 0.5 / n), return_inverse=True)
+        # For tau < 1/n no residual may be negative at an optimum: lowering
+        # the intercept gains while tau * (n - 1) < 1 - tau. So every such
+        # level has the same optimal lines, and they are solved once, at
+        # 1/(2n); likewise every level with 1 - tau < 1/n, at 1 - 1/(2n).
+        # 1 - tau is exact for tau >= 1/2, where tau > 1 - 1/n would round.
+        tau = taus[inner]
+        tau = np.where(tau < 1.0 / n, 0.5 / n, tau)
+        tau = np.where(1.0 - tau < 1.0 / n, 1.0 - 0.5 / n, tau)
+        levels, lane = np.unique(tau, return_inverse=True)
         loc = np.median(y, axis=1)
         scale = np.mean(np.abs(y - loc[:, None]), axis=1)
         scale = np.where(scale > 0.0, scale, 1.0)
@@ -210,6 +217,17 @@ def _step_length(v: np.ndarray, dv: np.ndarray, active: np.ndarray) -> np.ndarra
     and 0 where the level is not active."""
     shrink = -(dv / v).min(axis=-1, keepdims=True)
     return _STEP / np.maximum(shrink, _STEP) * active
+
+
+def _normal_matrices(q: np.ndarray, outer: np.ndarray, p: int) -> np.ndarray:
+    """The normal matrices U' diag(q) U (B, T, p, p) of weights q (B, T, n)
+    and row outer products outer (B, n, p*p), each with _RIDGE times its
+    trace added to its diagonal, in place through the diagonal's view of
+    the flat product."""
+    F = q @ outer
+    diag = F[..., :: p + 1]
+    diag += (_RIDGE * diag.sum(axis=-1))[..., None]
+    return F.reshape(*F.shape[:-1], p, p)
 
 
 def _frisch_newton(U: np.ndarray, ys: np.ndarray, taus: np.ndarray, iters: int) -> np.ndarray:
@@ -273,8 +291,7 @@ def _frisch_newton(U: np.ndarray, ys: np.ndarray, taus: np.ndarray, iters: int) 
         q = 1.0 / (ratio[:, :, :n] + ratio[:, :, n:])
         r = c @ Ut - ys
         rho = (cost[:, :n] - x[:, :, :n]) @ U
-        M = (q @ outer).reshape(*gap.shape, p, p)
-        M += (_RIDGE * np.trace(M, axis1=-2, axis2=-1))[..., None, None] * np.eye(p)
+        M = _normal_matrices(q, outer, p)
 
         # predictor: Newton step towards zero complementarity
         dc = np.linalg.solve(M, ((q * r) @ U + rho)[..., None])[..., 0]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctsbench import conformal
+from ctsbench import conformal, quantreg
 from ctsbench.conformal import (
     EnsembleSpec,
     IntervalMatrix,
@@ -655,6 +655,22 @@ class TestSpci:
         ivs = spci_intervals_stacked(np.zeros((12, 4)), residuals, SpciSpec(lag_count=4), 0.1)
         assert len(ivs) == 12
         assert calls == [12] * 4
+
+    def test_levels_beyond_one_over_n_solved_once(self, monkeypatch):
+        # A 36-point residual matrix gives horizon h a design of 28 - (h - 1)
+        # rows at 8 lags. Its levels below 1/n, and those above 1 - 1/n,
+        # share one solve per side: 169 level problems over 12 horizons.
+        solved = []
+        real = quantreg._frisch_newton
+
+        def spy(U, ys, taus, iters):
+            solved.append(len(U) * len(taus))
+            return real(U, ys, taus, iters)
+
+        monkeypatch.setattr(quantreg, "_frisch_newton", spy)
+        residuals = padded_signed_residuals(np.random.default_rng(10), rows=36, horizon=12)
+        spci_intervals(np.zeros(12), residuals, SpciSpec(), 0.1)
+        assert len(solved) == 12 and sum(solved) == 169
 
     def test_stack_gives_each_series_its_lone_intervals(self):
         # the last series' histories are constant: it falls back to empirical

@@ -262,6 +262,8 @@ def _tracker_streams(draw):
 
 _TIE = 1.1499170164666577
 _TIE_CASE = (AcmcpState(h=3, q=_TIE, eta=5e-07, alpha=0.5, k_i=1e-06, score_window=(_TIE, _TIE)), [_TIE] * 24)
+# A positive warm-up range so small that half of it rounds to 0.
+_UNDERFLOW_WARM = [0.0, 5e-324]
 
 
 class TestAcmcpRun:
@@ -288,6 +290,7 @@ class TestAcmcpRun:
     # A constant stream ties score and q exactly: a centring mean that rounds
     # unlike a lone window's flips the miss indicator and moves q by eta.
     @example(_TIE_CASE)
+    @example((acmcp_init(1, _UNDERFLOW_WARM, 0.1), [0.0, 5e-324, 1.0, 0.0, 2.0, 5e-324]))
     def test_matches_per_step_reference(self, case):
         state, stream = case
         expected = _reference_steps(state, stream)
@@ -321,6 +324,11 @@ class TestAcmcpInit:
     def test_constant_warm_scores_floored(self):
         state = acmcp_init(1, np.full(6, 2.0), 0.1)
         assert state.eta > 0.0
+
+    @pytest.mark.parametrize("warm", [_UNDERFLOW_WARM, [0.0, 0.0, 5e-324, 5e-324]])
+    def test_underflowing_range_floored(self, warm):
+        state = acmcp_init(1, warm, 0.1)
+        assert state.eta == 5e-7 and state.k_i == 1e-6
 
     def test_needs_two_scores(self):
         with pytest.raises(ValueError):

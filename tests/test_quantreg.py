@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
+from ctsbench import quantreg
 from ctsbench.quantreg import fit_pinball_linear, fit_pinball_stacked
 
 # SPCI's default levels at alpha = 0.1: beta in [0, 0.1] and 0.9 + beta.
@@ -151,12 +152,85 @@ def test_perfect_fit_is_interpolated():
     np.testing.assert_allclose(fit.coefs[:, 0], 2.0, atol=1e-8)
 
 
-@pytest.mark.parametrize("tau", [1e-3, 1.0 - 1e-3])
+# random_design(6) has n = 36 rows.
+_N6 = 36
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [
+        1e-3,
+        pytest.param(0.75 / _N6, id="0.75/n"),
+        pytest.param(1.0 - 0.75 / _N6, id="1-0.75/n"),
+        1.0 - 1e-3,
+    ],
+)
 def test_levels_beyond_one_over_n_match_highs(tau):
-    # solved at 1/(2n) or 1 - 1/(2n), which share the optimal lines
+    # Solved at 1/(2n) or 1 - 1/(2n), which share the optimal lines. 1e-3
+    # and 1 - 1e-3 lie beyond 1/(2n) and 1 - 1/(2n); 0.75/n and 1 - 0.75/n
+    # lie in the bands [1/(2n), 1/n) and (1 - 1/n, 1 - 1/(2n)].
     X, y = random_design(6)
+    assert len(y) == _N6
     fit = fit_pinball_linear(X, y, np.array([tau]))
     assert fit_losses(fit, X, y)[0] == pytest.approx(exact_loss(X, y, tau), rel=1e-7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.integers(5, 40).flatmap(
+        lambda n: st.tuples(
+            arrays(np.float64, (n, 2), elements=st.floats(-100.0, 100.0)),
+            arrays(np.float64, n, elements=st.floats(-100.0, 100.0)),
+        )
+    ),
+    fractions=st.lists(st.floats(1e-6, 0.99), min_size=2, max_size=5),
+)
+def test_levels_beyond_one_over_n_share_a_line_above_or_below_every_point(data, fractions):
+    # For 0 < tau < 1/n no residual is negative at an optimum, and for
+    # 0 < 1 - tau < 1/n none is positive: each side's levels share their
+    # lines. (Levels 0 and 1 get the flat lines at min(y) and max(y).)
+    X, y = data
+    n = len(y)
+    low = np.array(fractions) / n
+    fit = fit_pinball_linear(X, y, np.concatenate([low, 1.0 - low]))
+    resid = y - fit.intercepts[:, None] - fit.coefs @ X.T
+    tol = 1e-9 * (1.0 + np.abs(y).max())
+    k = len(low)
+    assert resid[:k].min() >= -tol
+    assert resid[k:].max() <= tol
+    for half in (slice(0, k), slice(k, None)):
+        for field in (fit.intercepts, fit.coefs):
+            assert (field[half] == field[half][:1]).all()
+
+
+def test_spci_levels_solved_once_beyond_one_over_n(monkeypatch):
+    # SPCI_TAUS's 20 inner levels, with the merged ones solved once: at
+    # n = 17, 0.01..0.05 and 0.95..0.99 each share one solve.
+    solved = []
+    real = quantreg._frisch_newton
+
+    def spy(U, ys, taus, iters):
+        solved.append(len(taus))
+        return real(U, ys, taus, iters)
+
+    monkeypatch.setattr(quantreg, "_frisch_newton", spy)
+    rng = np.random.default_rng(4)
+    for n in (17, 20, 28):
+        fit_pinball_linear(rng.standard_normal((n, 8)), rng.standard_normal(n), SPCI_TAUS)
+    assert solved == [12, 13, 16]
+
+
+def test_ridge_is_added_on_the_diagonal_in_place():
+    # bit for bit the full-matrix form M + ridge * trace(M) * I
+    rng = np.random.default_rng(11)
+    B, T, n, p = 12, 20, 30, 9
+    for _ in range(50):
+        U = rng.standard_normal((B, n, p))
+        outer = (U[:, :, :, None] * U[:, :, None, :]).reshape(B, n, p * p)
+        q = 10.0 ** rng.uniform(-15.0, 15.0, (B, T, n))
+        want = (q @ outer).reshape(B, T, p, p)
+        want += (quantreg._RIDGE * np.trace(want, axis1=-2, axis2=-1))[..., None, None] * np.eye(p)
+        assert np.array_equal(quantreg._normal_matrices(q, outer, p), want)
 
 
 def test_degenerate_programme_with_non_unique_optimum():
