@@ -3,21 +3,26 @@ aggregation, rank tests, and report emission.
 
 A run builds one context per eligible series. Its head, the series less
 its test block, is a read-only view of the series' arrays
-(`TimeSeries.head`), and its residual matrices are made on first use.
-The contexts share one table of series ends, each series' model and its
-one point forecast `fc` of the test block: the first time a method asks
-for either, every context's head is fitted and forecast, one stacked fit
-(`forecaster.fit_auto_ar_stacked`) and one stacked recursion
-(`forecaster.forecast_stacked`) per block of equal-length heads, or, for
-seasonal naive, one index gather per block of equal length and period. A
-table maps each method to one function of all the contexts that returns
-each series' intervals or skip reason. The methods run in configured
-order and share the contexts. Every method but enbpi, whose bootstrap ensemble makes its
+(`TimeSeries.head`). The contexts share one prefix table (`_PrefixTable`)
+of every forecast the run makes from a prefix of a head: each series'
+end, its model and its one point forecast `fc` of the test block; the
+calibration origins of its residual matrix, for mscp, aci, acmcp and
+spci; and cv_cp's backtest cutoffs. The first time a method asks for a
+row, the table is made for the kinds the configured methods read, with
+one batched AR solve of the union of their prefix fits and one recursion
+per block of equal-length heads (`forecaster._prefix_forecasts`), or, for
+seasonal naive, one index gather per block of equal length and period.
+A fit is the same whichever prefixes share its solve, so every row is
+what the lone public builds give (`fit_auto_ar`, `forecast`,
+`build_residual_matrix`, `cv_conformal_intervals`). A table maps each
+method to one function of all the contexts that returns each series'
+intervals or skip reason. The methods run in configured order and share
+the contexts. Every method but enbpi, whose bootstrap ensemble makes its
 own one-step forecasts, wraps `fc`; most treat each series on its own.
 global_cp and cv_cp pool the forecasts of all the contexts into one call:
-global_cp calibrates on a cohort of series, and cv_cp backtests
-equal-length series heads in stacked solves, which gives each series the
-intervals it would get alone. spci stacks the equal-length residual
+global_cp calibrates on a cohort of series, and cv_cp takes each
+series' radii from its backtest rows in the radius step of
+`cv_conformal_intervals`. spci stacks the equal-length residual
 columns of every series at each horizon into one quantile regression
 solve, and acmcp runs the equal-length score streams of every series at
 each horizon as one stack of trackers (`online.acmcp_run_stacked`), and
@@ -60,7 +65,8 @@ from .conformal import (
     SpciSpec,
     _interval_rows,
     _rows_or_raise,
-    build_residual_matrix,
+    _signed_residuals,
+    build_residual_matrix,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.build_residual_matrix
     cv_conformal_intervals,
     enbpi_intervals,
     global_cp_intervals,
@@ -73,13 +79,13 @@ from .conformal import (
 from .forecaster import (
     _METHOD_ERRORS,
     _in_blocks,
+    _models,
     _prefix_forecasts,
+    _refit_ends,
     FittedForecaster,
     ForecasterSpec,
     fit_auto_ar,  # noqa: F401  unused here, but perfbench/spans.py traces bench.fit_auto_ar
-    fit_auto_ar_stacked,
     forecast,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.forecast
-    forecast_stacked,
 )
 from .metrics import MethodSummary, MetricRecord, aggregate, score_records
 from .metrics import series_metrics  # noqa: F401  unused here, but perfbench/spans.py traces bench.series_metrics
@@ -239,72 +245,133 @@ class _SeriesEnd(NamedTuple):
     fc: np.ndarray
 
 
-class _SeriesEnds:
-    """The series ends of a run's contexts by series id, made the first
-    time any context asks for one, in blocks of equal-length heads (and
-    equal periods, for seasonal naive): one stacked fit and one stacked
-    forecast per block, or one seasonal gather. A fit or forecast that
-    raised leaves its error message in place of its series' end."""
+class _PrefixTable:
+    """Every forecast a run makes from a prefix of a context's head, by
+    series id and kind, made the first time any context asks for one.
 
-    def __init__(self, spec: ForecasterSpec, horizon: int):
-        self.spec = spec
-        self.horizon = horizon
-        # The contexts' heads, not the contexts, which hold this table: a
-        # reference cycle would keep every context alive until the cyclic GC ran.
-        self.heads: list[TimeSeries] = []
+    The kinds are those the run's methods read (`_READS`):
+    - "end": the series end, a fit on the whole head and its forecast of
+      the test block (`_SeriesEnd`);
+    - "signed": the calibration residual matrix, whose origins take the
+      latest fit at or before them, refitted every refit_every origins;
+    - "backtest": cv_cp's (n_windows, horizon) residuals at its cutoffs,
+      each from its own fit; None where the head is too short for them.
+    Heads of equal length, split (and period, for seasonal naive) form
+    blocks of at most _STACK_BLOCK, and each block makes the union of its
+    rows' prefix fits in one solve and their forecasts in one recursion
+    (`forecaster._prefix_forecasts`). With train_len set the calibration
+    segment starts after the head's first value, so its rows take a second
+    call on that shifted stack. A fit is the same whichever other prefixes
+    share its solve, so every row is bit for bit the lone fit_auto_ar,
+    forecast, build_residual_matrix or cv_cp backtest result. A block whose
+    solve raises is redone one series at a time, and a series that still
+    fails once per kind, so that each kind keeps its own error message.
+    """
+
+    def __init__(self, config: BenchConfig):
+        self.config = config
+        self.kinds = tuple(sorted({kind for m in config.methods for kind in _READS[m]}))
+        # The contexts' heads and splits, not the contexts, which hold this
+        # table: a reference cycle would keep every context alive until the
+        # cyclic GC ran.
+        self.members: list[tuple[TimeSeries, SplitSpec]] = []
 
     @cached_property
-    def table(self) -> dict[str, _SeriesEnd | str]:
-        heads, spec, H = self.heads, self.spec, self.horizon
+    def rows(self) -> dict[str, dict[str, object]]:
+        seasonal = self.config.forecaster.kind == "seasonal_naive"
+        keys = [(len(head), split.train_len, head.period if seasonal else 0) for head, split in self.members]
+        out = _in_blocks(keys, lambda block: self._solve(block, self.kinds))
+        for i, row in enumerate(out):
+            if isinstance(row, str):
+                out[i] = {}
+                for kind in self.kinds:
+                    try:
+                        out[i] |= self._solve([i], (kind,))[0]
+                    except _METHOD_ERRORS as e:
+                        out[i][kind] = str(e)
+        return {head.series_id: row for (head, _), row in zip(self.members, out)}
 
-        def solve(block: list[int]) -> list[_SeriesEnd | str]:
-            trains = [heads[i] for i in block]
-            values = np.stack([t.values for t in trains])
-            if spec.kind == "seasonal_naive":
-                fcs = _prefix_forecasts(values, [values.shape[1]], spec, trains[0].period, H)[:, 0]
-                return [_SeriesEnd(None, fc) for fc in fcs]
-            models = fit_auto_ar_stacked(trains, spec)
-            fitted = [s for s, m in enumerate(models) if not isinstance(m, str)]
-            fcs = iter(forecast_stacked([models[s] for s in fitted], values[fitted], H))
-            return [m if isinstance(m, str) else _SeriesEnd(m, next(fcs)) for m in models]
-
-        keys = [(len(t), t.period if spec.kind == "seasonal_naive" else 0) for t in heads]
-        return {head.series_id: end for head, end in zip(heads, _in_blocks(keys, solve))}
+    def _solve(self, block: list[int], kinds: tuple[str, ...]) -> list[dict[str, object]]:
+        """The rows of the given kinds of a block of equal keys."""
+        c, H = self.config, self.config.horizon
+        head, split = self.members[block[0]]
+        values = np.stack([self.members[i][0].values for i in block])
+        n = values.shape[1]
+        start = n - split.train_len - split.cal_len
+        # Each kind's rows: the offset of its stack into the heads, its prefix ends and its fit ends.
+        plan: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+        if "end" in kinds:
+            plan["end"] = (0, np.array([n]), np.array([n]))
+        if "signed" in kinds:
+            origins = np.arange(split.train_len, n - start)
+            plan["signed"] = (start, origins, _refit_ends(origins, c.refit_every))
+        cutoffs = n - H * np.arange(c.n_windows, 0, -1)
+        if "backtest" in kinds and cutoffs[0] >= 3:
+            plan["backtest"] = (0, cutoffs, cutoffs)
+        out: list[dict[str, object]] = [dict.fromkeys(kinds) for _ in block]
+        for offset in sorted({offset for offset, _, _ in plan.values()}):
+            group = {kind: plan[kind] for kind in plan if plan[kind][0] == offset}
+            stack = values[:, offset:]
+            fits, yhat = _prefix_forecasts(
+                stack, np.concatenate([ends for _, ends, _ in group.values()]),
+                np.concatenate([fit_ends for _, _, fit_ends in group.values()]), c.forecaster, head.period, H,
+            )
+            first = 0
+            for kind, (_, ends, _) in group.items():
+                part = slice(first, first + len(ends))
+                first = part.stop
+                if kind == "end":
+                    models = [None] * len(block) if fits is None else _models(fits, part.start)
+                    cells = map(_SeriesEnd, models, np.ascontiguousarray(yhat[:, part.start]))
+                else:
+                    cells = _signed_residuals(stack, ends, yhat[:, part])
+                    if kind == "signed":
+                        origins = tuple(ends.tolist())
+                        cells = (ResidualMatrix(m, origins, signed=True) for m in cells)
+                for row, cell in zip(out, cells):
+                    row[kind] = cell
+        return out
 
 
 class _SeriesContext:
-    """One series' inputs shared by its methods, each built on first use.
+    """One series' inputs shared by its methods.
 
-    A build that raises is not cached: every method that needs it raises
-    the same error, which becomes that method's skip reason. The model and
-    the forecast come from the run's shared table of series ends, which
-    keeps the message of a failed fit or forecast.
+    Its forecasts and residuals are read off the run's prefix table; a
+    build that raised left its message there, and every method that needs
+    it raises the same error, which becomes that method's skip reason.
     """
 
-    def __init__(self, series: TimeSeries, config: BenchConfig, split: SplitSpec, ends: _SeriesEnds):
+    def __init__(self, series: TimeSeries, config: BenchConfig, split: SplitSpec, table: _PrefixTable):
         self.series = series
         self.config = config
         self.split = split
         self.head = series.head(len(series) - config.horizon)  # all but the test block, a view
-        self.ends = ends
+        self.table = table
 
-    @cached_property
+    def _read(self, kind: str):
+        value = self.table.rows[self.series.series_id][kind]
+        if isinstance(value, str):
+            raise ValueError(value)
+        return value
+
+    @property
     def signed(self) -> ResidualMatrix:
-        c = self.config
-        return build_residual_matrix(
-            self.series, self.split, c.forecaster, c.horizon, c.refit_every, signed=True
-        )
+        """Signed rolling-origin residuals over the calibration segment."""
+        return self._read("signed")
 
     @cached_property
     def abs_matrix(self) -> ResidualMatrix:
         return ResidualMatrix(np.abs(self.signed.matrix), self.signed.origins, signed=False)
 
     @property
+    def backtest(self) -> np.ndarray | str | None:
+        """cv_cp's signed backtest residuals, the message of what stopped
+        them, or None where the head is too short for a backtest."""
+        return self.table.rows[self.series.series_id]["backtest"]
+
+    @property
     def end(self) -> _SeriesEnd:
-        end = self.ends.table[self.series.series_id]
-        if isinstance(end, str):
-            raise ValueError(end)
-        return end
+        return self._read("end")
 
     @property
     def model(self) -> FittedForecaster | None:
@@ -367,12 +434,15 @@ def _global_cp(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str
 
 
 def _cv_cp(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
-    """Backtest every series with a forecast in one pooled call on the
-    series' heads; a series without one keeps its forecast's skip reason."""
+    """Calibrate every series with a forecast on its backtest rows of the
+    prefix table, in one pooled call on the series' heads; a series
+    without a forecast keeps its forecast's skip reason."""
     c = contexts[0].config
     out, forecasts = _forecasts(contexts)
-    heads = [ctx.head for ctx in contexts if ctx.series.series_id in forecasts]
-    return out | cv_conformal_intervals(forecasts, heads, c.n_windows, c.forecaster, c.alpha)
+    ready = [ctx for ctx in contexts if ctx.series.series_id in forecasts]
+    backtests = {ctx.series.series_id: ctx.backtest for ctx in ready if ctx.backtest is not None}
+    heads = [ctx.head for ctx in ready]
+    return out | cv_conformal_intervals(forecasts, heads, c.n_windows, c.forecaster, c.alpha, backtests)
 
 
 def _column_lengths(residuals: ResidualMatrix) -> tuple[int, ...]:
@@ -441,6 +511,18 @@ def _parametric(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | st
     models, fcs = zip(*ready.values())
     return inputs | dict(zip(ready, parametric_intervals_stacked(models, np.stack(fcs), contexts[0].config.alpha)))
 
+
+# The kinds of prefix-table row each method reads (see _PrefixTable).
+_READS = {
+    "mscp": ("end", "signed"),
+    "enbpi": (),
+    "spci": ("end", "signed"),
+    "global_cp": ("end",),
+    "cv_cp": ("end", "backtest"),
+    "aci": ("end", "signed"),
+    "acmcp": ("end", "signed"),
+    "parametric": ("end",),
+}
 
 # Each method maps every eligible series' context to its intervals or a skip reason.
 _METHODS = {
@@ -518,11 +600,11 @@ class BenchConfig:
 
 def _contexts(panel: SeriesPanel, config: BenchConfig) -> tuple[list[_SeriesContext], list[tuple[str, str, str]]]:
     """A context for each series long enough to evaluate, all sharing one
-    table of series ends, and a skip for every method on each other series."""
+    prefix table, and a skip for every method on each other series."""
     H = config.horizon
     skips: list[tuple[str, str, str]] = []
     contexts: list[_SeriesContext] = []
-    ends = _SeriesEnds(config.forecaster, H)
+    table = _PrefixTable(config)
     for series in panel:
         n = len(series)
         train_len = config.train_len if config.train_len is not None else n - config.cal_len - H
@@ -530,8 +612,8 @@ def _contexts(panel: SeriesPanel, config: BenchConfig) -> tuple[list[_SeriesCont
             reason = f"series too short: {n} observations for train {train_len}, cal {config.cal_len}, test {H}"
             skips.extend((series.series_id, m, reason) for m in config.methods)
             continue
-        contexts.append(_SeriesContext(series, config, SplitSpec(train_len, config.cal_len, H), ends))
-        ends.heads.append(contexts[-1].head)
+        contexts.append(_SeriesContext(series, config, SplitSpec(train_len, config.cal_len, H), table))
+        table.members.append((contexts[-1].head, contexts[-1].split))
     return contexts, skips
 
 

@@ -11,9 +11,12 @@ Each kind of calibration is written once. `_conformal_radii`, the one
 radius rule, takes the finite-sample conformal quantile of every column of
 a NaN-padded score matrix: for split conformal, the pooled cohort and
 EnbPI's windows (`conformal_quantile` is its validated one-sample form).
-`_origin_residuals`, the one residual builder, gives the signed residuals
-of a stack of series' forecasts from shared origins: for
-`build_residual_matrix` and the cross-validation backtest. `_spci_pairs`,
+`_signed_residuals`, the one residual rule, gives the signed residuals
+of a stack of series' forecasts from shared origins, and rejects a
+forecast that is not finite where its truth exists: `_origin_residuals`
+makes them from `forecaster._prefix_forecasts` for `build_residual_matrix`
+and the cross-validation backtest, and bench's prefix table from the same
+call on the union of every prefix a run needs. `_spci_pairs`,
 the one SPCI fit, picks the quantile pair of every residual history of a
 stack with one solver call: for `spci_intervals_stacked`, whose
 one-series and one-column cases are `spci_intervals` and
@@ -43,6 +46,7 @@ from .forecaster import (
     _in_blocks,
     _padded_phi,
     _prefix_forecasts,
+    _refit_ends,
     fit_auto_ar,  # unused here, but perfbench/spans.py wraps conformal.fit_auto_ar
     forecast,  # unused here, but perfbench/spans.py wraps conformal.forecast
     sigma_h_stacked,
@@ -258,20 +262,33 @@ def _rows_or_raise(rows: list[IntervalMatrix | str]) -> list[IntervalMatrix]:
     return rows
 
 
+def _signed_residuals(values: np.ndarray, ends: np.ndarray, yhat: np.ndarray) -> np.ndarray:
+    """(S, R, horizon) signed residuals of the forecasts yhat from every end
+    T of an (S, n) stack of series: entry [s, r, h-1] is values[s, T+h-1]
+    less yhat[s, r, h-1], and NaN where T+h-1 >= n.
+
+    NaN marks only that padding: a forecast that is not finite where its
+    truth lies inside the series raises ValueError.
+    """
+    ahead = np.asarray(ends)[:, None] + np.arange(yhat.shape[-1])
+    inside = ahead < values.shape[1]
+    if not np.isfinite(yhat[:, inside]).all():
+        raise ValueError("a prefix forecast is not finite: the series' scale overflows the AR recursion")
+    return np.where(inside, values[:, np.where(inside, ahead, 0)] - yhat, np.nan)
+
+
 def _origin_residuals(
     values: np.ndarray, origins: np.ndarray, forecaster: ForecasterSpec, period: int, horizon: int,
     refit_every: int | None = 1,
 ) -> np.ndarray:
     """(S, R, horizon) signed residuals of forecasts from every origin T of
-    an (S, n) stack of series: entry [s, r, h-1] is values[s, T+h-1] less
-    the h-step forecast from values[s, :T], and NaN where T+h-1 >= n.
-
-    Origins ascend; refit_every is that of forecaster._prefix_forecasts.
+    an (S, n) stack of series (`_signed_residuals`), each forecast made from
+    values[s, :T] with a fit refitted at every refit_every-th of the
+    ascending origins (None: the first only).
     """
-    yhat = _prefix_forecasts(values, origins, forecaster, period, horizon, refit_every)
-    ahead = origins[:, None] + np.arange(horizon)
-    inside = ahead < values.shape[1]
-    return np.where(inside, values[:, np.where(inside, ahead, 0)] - yhat, np.nan)
+    origins = np.asarray(origins, dtype=np.intp)
+    _, yhat = _prefix_forecasts(values, origins, _refit_ends(origins, refit_every), forecaster, period, horizon)
+    return _signed_residuals(values, origins, yhat)
 
 
 def build_residual_matrix(
@@ -641,6 +658,7 @@ def cv_conformal_intervals(
     n_windows: int,
     forecaster: ForecasterSpec,
     alpha: float,
+    backtests: Mapping[str, np.ndarray | str] | None = None,
 ) -> dict[str, IntervalMatrix | str]:
     """Backtest-calibrated intervals around each series' forecast beyond its end.
 
@@ -658,7 +676,11 @@ def cv_conformal_intervals(
     equal length, period and horizon are backtested together, in blocks of
     at most forecaster._STACK_BLOCK series with one stacked AR solve each;
     every operation of the solve acts on one series at a time, so each
-    series gets the intervals it would get alone.
+    series gets the intervals it would get alone. backtests, where given,
+    maps every series that admits a backtest to its (n_windows, horizon)
+    signed backtest residuals, made as this function makes them (bench
+    reads them off its prefix table), or to the message of the error that
+    stopped them; they are then not made again.
     """
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
@@ -675,14 +697,26 @@ def cv_conformal_intervals(
         if len(ts) - n_windows * horizon < 3:
             out[sid] = f"series {sid!r} admits no {n_windows}-window backtest at horizon {horizon}"
             continue
+        if backtests is not None:
+            if sid not in backtests:
+                raise ValueError(f"no backtest residuals for series {sid!r}")
+            if isinstance(backtests[sid], str):
+                out[sid] = backtests[sid]
+                continue
+            if np.shape(backtests[sid]) != (n_windows, horizon):
+                raise ValueError(f"backtest residuals for series {sid!r} must have shape ({n_windows}, {horizon})")
         members.append((sid, yhat, ts))
 
-    def intervals(block: list[int]) -> list[IntervalMatrix | ValueError]:
+    def residuals(block: list[int]) -> np.ndarray:
+        if backtests is not None:
+            return np.stack([backtests[members[i][0]] for i in block])
         _, yhat, ts = members[block[0]]
         stack = np.stack([members[i][2].values for i in block])
         cutoffs = len(ts) - len(yhat) * np.arange(n_windows, 0, -1)
-        resid = np.abs(_origin_residuals(stack, cutoffs, forecaster, ts.period, len(yhat)))
-        r = np.quantile(resid, 1.0 - alpha, axis=1)
+        return _origin_residuals(stack, cutoffs, forecaster, ts.period, len(yhat))
+
+    def intervals(block: list[int]) -> list[IntervalMatrix | ValueError]:
+        r = np.quantile(np.abs(residuals(block)), 1.0 - alpha, axis=1)
         fc = np.stack([members[i][1] for i in block])
         # An invalid interval is raised below, not kept as a skip as a failed backtest is.
         return [ValueError(row) if isinstance(row, str) else row for row in _interval_rows(fc - r, fc + r)]

@@ -7,19 +7,22 @@ auto-ARIMA search; the conformal layer only consumes its point forecasts
 with the same interface can be swapped in.
 
 `_prefix_forecasts` makes the forecasts of a stack of equal-length series
-from many shared origins and is the one place that branches on the
-forecaster kind: batched AR fits and recursions, or one seasonal index
-gather (`seasonal_naive_forecast` is its one-series, one-origin case).
-`forecast_stacked` forecasts many fitted models from the ends of their
-equal-length histories in one recursion, in the arithmetic of a lone
-model's, so that bench forecasts every series end of a block in one call;
-`forecast` is its one-row case.
+from many prefix ends, each with a fit of its own prefix or of an earlier
+one, and is the one place that branches on the forecaster kind: one
+batched AR solve of the distinct fit ends and one recursion over every
+row, or one seasonal index gather (`seasonal_naive_forecast` is its
+one-series, one-end case). There is one forecast recursion,
+`_forecast_paths`: each step adds the lags of a row in turn, with the lags
+past its order masked out rather than multiplied by zero padding, so that
+a row gets bit for bit what it gets alone and an overflowing path stays
+inf rather than becoming NaN. `forecast_stacked` runs it from the ends of
+many fitted models' histories, and `forecast` is its one-row case.
 
 All least-squares fits go through one solver, `_fit_ar_prefixes`, which fits
 every candidate order on every prefix values[s, :T] of an (S, n) stack of
-series at once; one series is the stack S = 1. `fit_auto_ar_stacked` fits
-many series on their whole length, and `fit_auto_ar` is its one-series
-case: both turn a row of the solver's output into a model the same way.
+series at once; one series is the stack S = 1. `fit_auto_ar` fits one
+series on its whole length, and it and bench's prefix table turn a row of
+the solver's output into models the same way (`_models`).
 Order p regresses rows t >= p of a series' lag matrix Z on an intercept
 and lags 1..p, so its cross-product [y X]'[y X] on prefix T is
 the sum of the row outer products of Z over rows p..T-1. One matrix product
@@ -39,13 +42,15 @@ the rank rule below. Each solution is refined once from its explicit
 residuals, and the RSS comes from the refined residuals, not from
 y'y - b'X'y, which cancels on near-perfect fits.
 
-Every operation acts on one series' slice of the stack, in the same shapes
-whatever S is, so a series gets bit for bit the fits and forecasts it gets
-alone, and one series' rank-deficient candidate cannot touch another's. The
-temporaries grow with S, about 60 KiB per series of 84 points fitted at two
-prefixes, so many series are stacked in blocks of at most `_STACK_BLOCK`
-(64), here for the whole-length fits and in the cv_cp backtest, by
-`_in_blocks`, which also redoes a failed block one series at a time;
+Every operation acts on one series' slice of the stack, and on one
+prefix's batch row, in the same shapes whatever S is and whichever other
+ends the call fits, so a series gets bit for bit the fits and forecasts it
+gets alone, a prefix the fit it gets in any other call on the same stack,
+and one series' rank-deficient candidate cannot touch another's. The
+temporaries grow with S, about 45 KiB per series of 84 points fitted and
+forecast at three prefixes, so many series are stacked in blocks of at
+most `_STACK_BLOCK` (64), in bench's prefix table and the cv_cp backtest,
+by `_in_blocks`, which also redoes a failed block one series at a time;
 EnbPI slices its bootstrap members by the same bound, and bench stacks
 SPCI's quantile regressions (`conformal.spci_intervals_stacked`) in the
 same blocks.
@@ -182,6 +187,7 @@ def _sweep_inverse(a: np.ndarray) -> np.ndarray:
     # Step j builds column j of the inverse in place of the identity's: row j
     # becomes itself over the pivot, with 1 / pivot at [j, j], and every other
     # row sheds its multiple of it, leaving -multiplier / pivot in column j.
+    shed = np.empty_like(w)
     for j in range(k):
         pivot = w[j, j].copy()
         col = w[:, j].copy()
@@ -189,7 +195,8 @@ def _sweep_inverse(a: np.ndarray) -> np.ndarray:
         w[:, j] = 0.0
         w[j, j] = 1.0
         w[j] /= pivot
-        w -= col[:, None] * w[j]
+        w -= np.multiply(col[:, None], w[j], out=shed)
+    del shed
     return np.ascontiguousarray(np.moveaxis(w, -1, 0)).reshape(a.shape)
 
 
@@ -202,21 +209,24 @@ def _fit_ar_prefixes(
     """Fit AR(0..P) by least squares on values[s, :T] for every series s of
     an (S, n) stack and every T in ends.
 
-    P = min(max_order, max(ends) - 2); a prefix of length T admits the
-    orders p <= T - 2 that leave more rows (T - p) than coefficients
-    (p + include_drift). A selected fit that is not finite, as on data
-    whose cross-products overflow, raises ValueError without a numpy
-    warning.
+    P = min(max_order, n - 2); a prefix of length T admits the orders
+    p <= T - 2 that leave more rows (T - p) than coefficients
+    (p + include_drift). The solve spans all n columns whatever the ends,
+    and each end is a batch row of its own, so a prefix gets bit for bit
+    the same fit in any call on the same stack, alone or among other ends.
+    A selected fit that is not finite, as on data whose cross-products
+    overflow, raises ValueError without a numpy warning.
     """
     ends = np.asarray(ends, dtype=np.intp)
-    t0, n = int(ends.min()), int(ends.max())
+    t0 = int(ends.min())
     if t0 < 3:
         raise ValueError(f"auto_ar needs at least 3 observations, have {t0}")
+    S, n = values.shape
     P = min(max_order, n - 2)
     lay = _order_layout(P, include_drift)
-    S, R = len(values), len(ends)
+    R = len(ends)
     shift = values[:, :1] if include_drift else np.zeros((S, 1))
-    u = values[:, :n] - shift
+    u = values - shift
     # Row t of Z[s]: [u[t], u[t-1], ..., u[t-P], 1], lags before the start zero.
     Z = np.zeros((S, n, P + 2))
     Z[:, :, 0] = u
@@ -232,6 +242,12 @@ def _fit_ar_prefixes(
     in_fit = (rows >= lay.orders[:, None]) & (rows < ends[:, None, None])  # (R, P+1, n)
     outer = np.einsum("...i,...j->...ij", Z, Z).reshape(S, 1, n, -1)
     G = (in_fit.astype(np.float64) @ outer).reshape(S, R, P + 1, P + 2, P + 2)
+    # The temporaries below are freed as soon as they are spent and reused
+    # in place: with many ends a call's peak heap would otherwise pass
+    # glibc's trim threshold, so that every call handed its pages back and
+    # faulted them in again, and stacking many series at many ends raises
+    # the process's peak memory.
+    del outer
 
     # Scale the used columns to a unit diagonal; unused ones become identity.
     d = G.diagonal(axis1=-2, axis2=-1)[..., 1:]
@@ -239,7 +255,13 @@ def _fit_ar_prefixes(
     np.divide(1.0, np.sqrt(d), out=scale, where=lay.active & (d > 0.0))
     # One inversion of the whole stack serves the rank rule and both
     # solves. Column j's pivot is 1 / inv[j, j].
-    inv = _sweep_inverse(G[..., 1:, 1:] * scale[..., :, None] * scale[..., None, :] + lay.fill)
+    a = G[..., 1:, 1:] * scale[..., :, None]
+    a *= scale[..., None, :]
+    a += lay.fill
+    xty = G[..., 1:, 0].copy()
+    del G, d
+    inv = _sweep_inverse(a)
+    del a
     vif = inv.diagonal(axis1=-2, axis2=-1)
     m = ends[:, None] - lay.orders
     ok = (m > lay.min_rows) & ((vif > 0.0) & (vif < 1.0 / RANK_PIVOT)).all(axis=-1)
@@ -248,10 +270,17 @@ def _fit_ar_prefixes(
         return (inv @ (rhs * scale)[..., None])[..., 0] * scale
 
     y = u[:, None, None, :]
-    beta = solve(G[..., 1:, 0])
-    resid = np.where(in_fit, y - beta @ X.swapaxes(-1, -2), 0.0)
-    beta += solve(resid @ X)  # one refinement step from explicit residuals
-    resid = np.where(in_fit, y - beta @ X.swapaxes(-1, -2), 0.0)
+    outside = ~in_fit
+
+    def residuals(beta: np.ndarray) -> np.ndarray:
+        resid = beta @ X.swapaxes(-1, -2)
+        np.subtract(y, resid, out=resid)
+        np.copyto(resid, 0.0, where=outside)
+        return resid
+
+    beta = solve(xty)
+    beta += solve(residuals(beta) @ X)  # one refinement step from explicit residuals
+    resid = residuals(beta)
     rss = np.einsum("...t,...t->...", resid, resid)
 
     m = np.maximum(m, 1)
@@ -290,36 +319,27 @@ def fit_auto_ar(train: np.ndarray | TimeSeries, spec: ForecasterSpec) -> FittedF
 
 def _fit_stack(values: np.ndarray, spec: ForecasterSpec) -> list[FittedForecaster]:
     """fit_auto_ar on every series of an (S, n) stack, in one solve."""
-    n = values.shape[1]
-    fits = _fit_ar_prefixes(values, np.array([n]), spec.max_order, spec.include_drift)
-    models = []
-    for s, p in enumerate(fits.order[:, 0].tolist()):
-        models.append(FittedForecaster(
-            phi=fits.phi[s, 0, :p], intercept=float(fits.intercept[s, 0]), sigma2=float(fits.sigma2[s, 0]),
-            order=p, aics=tuple(fits.aics[s, 0].tolist()),
-        ))
-    return models
+    return _models(_fit_ar_prefixes(values, np.array([values.shape[1]]), spec.max_order, spec.include_drift), 0)
 
 
-def fit_auto_ar_stacked(trains: Sequence[TimeSeries], spec: ForecasterSpec) -> list[FittedForecaster | str]:
-    """fit_auto_ar on each of many training series, in stacked solves.
-
-    Series of equal length are fitted together, at most _STACK_BLOCK to a
-    solve, and each gets bit for bit the model fit_auto_ar gives it. A
-    series whose fit raises gets the error message in place of its model.
-    """
-    return _in_blocks(
-        [len(t) for t in trains], lambda idx: _fit_stack(np.stack([trains[i].values for i in idx]), spec)
-    )
+def _models(fits: _PrefixFits, r: int) -> list[FittedForecaster]:
+    """Every series' model of fit row r."""
+    return [
+        FittedForecaster(phi=phi[:p], intercept=c, sigma2=s2, order=p, aics=tuple(aics))
+        for p, c, phi, s2, aics in zip(
+            fits.order[:, r].tolist(), fits.intercept[:, r].tolist(), fits.phi[:, r],
+            fits.sigma2[:, r].tolist(), fits.aics[:, r].tolist(),
+        )
+    ]
 
 
 # What a fit or an interval method raises on data it cannot handle (LinAlgError is a ValueError).
 _METHOD_ERRORS = (ValueError, ArithmeticError)
 
-# Series per stacked solve (cv_cp backtests, series-end fits, EnbPI members). 588 series of
-# 84 points in one stack peak at about 36 MiB of solver temporaries
-# (tracemalloc) in the cv_cp backtest, against about 5 MiB in blocks of 64,
-# at about the same speed.
+# Series per stacked solve (prefix tables, cv_cp backtests, EnbPI members).
+# 588 series of 84 points in one stack, fitted and forecast at three
+# prefixes, peak at about 25 MiB of temporaries (tracemalloc), against
+# about 3 MiB in blocks of 64.
 _STACK_BLOCK = 64
 
 
@@ -352,23 +372,36 @@ def _in_blocks(keys: Sequence[Hashable], solve: Callable[[list[int]], Sequence])
     return out
 
 
+# Overflow is the callers' to check: the residual builder rejects a
+# forecast that is not finite, and interval builders reject invalid bounds.
+@np.errstate(over="ignore", invalid="ignore")
 def _forecast_paths(
-    values: np.ndarray, ends: np.ndarray, intercept: np.ndarray, phi: np.ndarray, horizon: int
+    values: np.ndarray, ends: np.ndarray, order: np.ndarray, intercept: np.ndarray, phi: np.ndarray,
+    horizon: int,
 ) -> np.ndarray:
     """Recursive forecasts from the end of values[s, :T] for every series s
     of an (S, n) stack and every T in ends: (S, R, horizon).
 
-    Row [s, r] uses intercept[s, r] and the coefficients phi[s, r],
-    zero-padded past its order; the recursion runs over the horizon,
-    vectorized over rows.
+    Row [s, r] is an AR(order[s, r]) with intercept[s, r] and the
+    coefficients phi[s, r], zero-padded past its order, which must not
+    exceed its T. Each step starts from the intercept and adds
+    phi[j] * y[t-1-j] for j = 0, 1, ... in turn, with the lags past a row's
+    order masked out, not multiplied by their zero padding: every row gets
+    bit for bit what it gets alone, whatever P, and a path that overflows
+    to inf stays inf instead of turning 0 * inf into NaN.
     """
     S, R, P = phi.shape
-    path = np.zeros((S, R, P + horizon))  # lag values oldest first, then forecasts
-    lag_idx = np.asarray(ends)[:, None] - np.arange(P, 0, -1)
-    path[..., :P] = np.where(lag_idx >= 0, values[:, np.maximum(lag_idx, 0)], 0.0)
-    oldest_first = phi[..., ::-1]
-    for h in range(horizon):
-        path[..., P + h] = intercept + np.einsum("...j,...j->...", path[..., h : P + h], oldest_first)
+    path = np.empty((S, R, P + horizon))  # the last P values oldest first, then the forecasts
+    # A lag before the start is past the row's order, so never read.
+    path[..., :P] = values[:, np.maximum(np.asarray(ends)[:, None] - np.arange(P, 0, -1), 0)]
+    uses = np.arange(P)[:, None, None] < order  # uses[j]: the rows whose order reaches lag j + 1
+    lag = np.empty((S, R))
+    for t in range(P, P + horizon):
+        yhat = path[..., t]
+        yhat[...] = intercept
+        for j in range(P):
+            np.multiply(phi[..., j], path[..., t - 1 - j], out=lag, where=uses[j])
+            np.add(yhat, lag, out=yhat, where=uses[j])
     return path[..., P:]
 
 
@@ -384,10 +417,9 @@ def forecast_stacked(models: Sequence[FittedForecaster], histories: np.ndarray, 
     """Recursive multi-step point forecasts of S models from the ends of
     their (S, n) stack of equal-length histories: (S, horizon).
 
-    Each step starts from the intercept and adds phi[j] * y[t-1-j] for
-    j = 0, 1, ... in turn, with the lags past a row's order masked out, not
-    multiplied by their zero padding, so that row s gets bit for bit what
-    forecast gives its model alone.
+    One row per model of the prefix recursion (`_forecast_paths`), so that
+    row s gets bit for bit what forecast gives its model alone and what
+    the prefix table gives a fit at the end of its history.
     """
     values = np.asarray(histories, dtype=np.float64)
     if horizon < 1:
@@ -398,20 +430,9 @@ def forecast_stacked(models: Sequence[FittedForecaster], histories: np.ndarray, 
     order = np.array([m.order for m in models], dtype=np.intp)
     if S and order.max() > n:
         raise ValueError(f"history shorter than AR order: {n} < {order.max()}")
-    phi = _padded_phi(models)
-    P = phi.shape[1]
-    uses = np.arange(P)[:, None] < order  # uses[j]: the rows whose order reaches lag j + 1
     intercept = np.array([m.intercept for m in models], dtype=np.float64)
-    path = np.empty((S, P + horizon))  # the last P values oldest first, then the forecasts
-    path[:, :P] = values[:, n - P :]
-    lag = np.empty(S)
-    for t in range(P, P + horizon):
-        yhat = path[:, t]
-        yhat[:] = intercept
-        for j in range(P):
-            np.multiply(phi[:, j], path[:, t - 1 - j], out=lag, where=uses[j])
-            np.add(yhat, lag, out=yhat, where=uses[j])
-    return path[:, P:]
+    phi = _padded_phi(models)
+    return _forecast_paths(values, np.array([n]), order[:, None], intercept[:, None], phi[:, None], horizon)[:, 0]
 
 
 def forecast(model: FittedForecaster, history: np.ndarray | TimeSeries, horizon: int) -> np.ndarray:
@@ -469,26 +490,37 @@ def seasonal_naive_forecast(history: np.ndarray | TimeSeries, horizon: int, peri
         m = period
     if m < 1:
         raise ValueError(f"period must be >= 1, got {m}")
-    return _prefix_forecasts(values[None], [len(values)], ForecasterSpec("seasonal_naive"), m, horizon)[0, 0]
+    end = [len(values)]
+    return _prefix_forecasts(values[None], end, end, ForecasterSpec("seasonal_naive"), m, horizon)[1][0, 0]
+
+
+def _refit_ends(ends: np.ndarray, refit_every: int | None) -> np.ndarray:
+    """The prefix each of the ascending ends takes its fit from when only
+    every refit_every-th of them is fitted (None: the first only): the
+    latest fitted end at or before it."""
+    ends = np.asarray(ends, dtype=np.intp)
+    step = len(ends) if refit_every is None else refit_every
+    return ends[np.arange(len(ends)) // step * step]
 
 
 def _prefix_forecasts(
-    values: np.ndarray, ends: np.ndarray, spec: ForecasterSpec, period: int, horizon: int,
-    refit_every: int | None = 1,
-) -> np.ndarray:
-    """(S, R, horizon) forecasts from the end of values[s, :T] for every
-    series s of an (S, n) stack and every T in ends.
+    values: np.ndarray, ends: np.ndarray, fit_ends: np.ndarray, spec: ForecasterSpec, period: int, horizon: int
+) -> tuple[_PrefixFits | None, np.ndarray]:
+    """(S, R, horizon) forecasts from the end of values[s, :ends[r]] for
+    every series s of an (S, n) stack and every row r, and each row's fit.
 
-    auto_ar fits every refit_every-th prefix (None: the first only) in one
-    batched solve, and each row uses the latest fit at or before it; ends
-    must ascend. Seasonal naive reads step h of row T at T - period + (h-1) % period.
+    auto_ar fits the distinct fit_ends in one batched solve, and row r
+    forecasts with the fit on values[s, :fit_ends[r]] (fit_ends[r] <=
+    ends[r]) in one recursion over all rows; the fits come back per row.
+    Seasonal naive fits nothing (None) and reads step h of row T at
+    T - period + (h-1) % period.
     """
     ends = np.asarray(ends, dtype=np.intp)
     if spec.kind == "seasonal_naive":
         if ends.min() < period:
             raise ValueError(f"seasonal naive needs at least one full period: {ends.min()} < {period}")
-        return values[:, ends[:, None] - period + np.arange(horizon) % period]
-    step = len(ends) if refit_every is None else refit_every
-    fits = _fit_ar_prefixes(values, ends[::step], spec.max_order, spec.include_drift)
-    model = np.arange(len(ends)) // step  # the latest fit at or before each end
-    return _forecast_paths(values, ends, fits.intercept[:, model], fits.phi[:, model], horizon)
+        return None, values[:, ends[:, None] - period + np.arange(horizon) % period]
+    fit_at, fit_of = np.unique(np.asarray(fit_ends, dtype=np.intp), return_inverse=True)
+    fits = _fit_ar_prefixes(values, fit_at, spec.max_order, spec.include_drift)
+    fits = _PrefixFits(*(a[:, fit_of.ravel()] for a in fits))
+    return fits, _forecast_paths(values, ends, fits.order, fits.intercept, fits.phi, horizon)

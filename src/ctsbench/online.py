@@ -242,6 +242,8 @@ def acmcp_init_stacked(
         raise ValueError(f"warm-up scores must be one row per tracker, got shape {scores.shape}")
     if scores.shape[1] < 2:
         raise ValueError(f"need >= 2 warm-up scores, have {scores.shape[1]}")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("warm-up scores must be finite")
     upper, lower, q0 = np.quantile(scores, [0.75, 0.25, 1.0 - alpha], axis=1).tolist()
     states = []
     for row, hi, lo, q in zip(scores, upper, lower, q0):
@@ -261,6 +263,7 @@ def acmcp_init(h: int, warm_scores: Sequence[float] | np.ndarray, alpha: float) 
     eta and k_i are half the warm-up interquartile range and the full
     range respectively (floored by the standard deviation when half the
     IQR is not positive); the score window keeps the last WINDOW_LEN warm-up scores.
+    A warm-up score that is not finite raises ValueError, as in acmcp_run.
     """
     scores = np.asarray(warm_scores, dtype=np.float64)
     if scores.ndim != 1:

@@ -29,14 +29,12 @@ from ctsbench.bench import (
     write_panel_csv,
 )
 from ctsbench.cli import main as cli_main
-from ctsbench.conformal import ResidualMatrix, global_cp_intervals
+from ctsbench.conformal import ResidualMatrix, build_residual_matrix, global_cp_intervals
 from ctsbench.forecaster import (
     FittedForecaster,
     ForecasterSpec,
     fit_auto_ar,
-    fit_auto_ar_stacked,
     forecast,
-    forecast_stacked,
     seasonal_naive_forecast,
 )
 from ctsbench.online import AciState, aci_interval, aci_step
@@ -292,10 +290,14 @@ class TestRunBenchmark:
             return seen
 
         before = intervals()
-        monkeypatch.setattr(
-            bench, "forecast_stacked",
-            lambda models, histories, horizon: forecast_stacked(models, histories, horizon) + 1000.0,
-        )
+        prefix_forecasts = bench._prefix_forecasts
+
+        def shifted(values, ends, *args):
+            # Only the prefix table's end rows, the whole head, are the context's forecast.
+            fits, yhat = prefix_forecasts(values, ends, *args)
+            return fits, yhat + 1000.0 * (np.asarray(ends) == values.shape[1])[:, None]
+
+        monkeypatch.setattr(bench, "_prefix_forecasts", shifted)
         after = intervals()
         assert before.keys() == after.keys() and len(before) == 6 * 7
         for (sid, method), iv in before.items():
@@ -345,19 +347,21 @@ class TestRunBenchmark:
             assert np.array_equal(result.intervals[sid].upper[0], fc + result.radii)
 
     def test_each_series_fitted_once(self, monkeypatch):
-        # Series-end models come from one stacked call over the eligible
-        # heads; no lone fit_auto_ar call fits them again.
+        # Series-end models come from the prefix table's one stacked call
+        # over the eligible heads, which fits nothing else for these two
+        # methods; no lone fit_auto_ar call fits them again.
         fitted = []
+        prefix_forecasts = bench._prefix_forecasts
 
-        def counting_stacked(trains, spec):
-            fitted.extend(len(t) for t in trains)
-            return fit_auto_ar_stacked(trains, spec)
+        def counting_table(values, ends, fit_ends, *args):
+            fitted.extend(int(T) for _ in values for T in np.unique(fit_ends))
+            return prefix_forecasts(values, ends, fit_ends, *args)
 
         def counting_fit(train, spec):
             fitted.append(len(train))
             return fit_auto_ar(train, spec)
 
-        monkeypatch.setattr(bench, "fit_auto_ar_stacked", counting_stacked)
+        monkeypatch.setattr(bench, "_prefix_forecasts", counting_table)
         monkeypatch.setattr(bench, "fit_auto_ar", counting_fit)
         monkeypatch.setattr(conformal, "fit_auto_ar", counting_fit)
         short = TimeSeries(
@@ -478,10 +482,12 @@ class TestRunBenchmark:
             calls.append(len(scores))
             return score_model(scores, first, h)
 
-        def failing(models, histories, horizon):
-            if np.any(histories[:, 0] == 99.0):
+        prefix_forecasts = bench._prefix_forecasts
+
+        def failing(values, *args):
+            if np.any(values[:, 0] == 99.0):
                 raise ValueError("forecast failed")
-            return forecast_stacked(models, histories, horizon)
+            return prefix_forecasts(values, *args)
 
         panel = small_panel(n=12)
         bad = panel.series[0]
@@ -489,17 +495,17 @@ class TestRunBenchmark:
         config = small_config(methods=("acmcp",), horizon=4)
         without = run_benchmark(config, panel=panel)
         monkeypatch.setattr(online, "_score_model", spy)
-        monkeypatch.setattr(bench, "forecast_stacked", failing)
+        monkeypatch.setattr(bench, "_prefix_forecasts", failing)
         with_bad = run_benchmark(config, panel=SeriesPanel(panel.series + (bad,)))
         assert calls == [12] * 4
         assert with_bad.skips == (("bad", "acmcp", "forecast failed"),)
         assert with_bad.records == without.records and len(without.records) == 12
 
     def test_enbpi_alone_fits_no_end_model(self, monkeypatch):
-        def refuse(trains, spec):
+        def refuse(*args):
             raise AssertionError("a series-end model was fitted")
 
-        monkeypatch.setattr(bench, "fit_auto_ar_stacked", refuse)
+        monkeypatch.setattr(bench, "_prefix_forecasts", refuse)
         report = run_benchmark(small_config(methods=("enbpi",)), panel=small_panel(n=3))
         assert report.summaries["enbpi"].n_series == 3
 
@@ -518,19 +524,20 @@ class TestRunBenchmark:
         assert reports[0].skips == reports[1].skips
 
     def test_each_series_forecast_once(self, monkeypatch):
-        # Every head is forecast once, as one row of a stacked end forecast;
-        # no lone forecast call forecasts it again.
+        # Every head is forecast once, as the end row of the prefix table's
+        # stacked forecast; no lone forecast call forecasts it again.
         rows = []
+        prefix_forecasts = bench._prefix_forecasts
 
-        def counting_stacked(models, histories, horizon):
-            rows.extend(len(h) for h in histories)
-            return forecast_stacked(models, histories, horizon)
+        def counting_table(values, ends, *args):
+            rows.extend(values.shape[1] for _ in values for T in ends if T == values.shape[1])
+            return prefix_forecasts(values, ends, *args)
 
         def counting_forecast(model, history, horizon):
             rows.append(len(history))
             return forecast(model, history, horizon)
 
-        monkeypatch.setattr(bench, "forecast_stacked", counting_stacked)
+        monkeypatch.setattr(bench, "_prefix_forecasts", counting_table)
         monkeypatch.setattr(bench, "forecast", counting_forecast)
         monkeypatch.setattr(conformal, "forecast", counting_forecast)
         config = small_config(methods=("global_cp", "parametric"))
@@ -590,6 +597,97 @@ class TestRunBenchmark:
 
         with pytest.raises(PanelError, match="cannot read"):
             run_benchmark(small_config(data="/nonexistent/panel.csv"))
+
+
+class TestPrefixTable:
+    """The run's one prefix table against the lone public builds of each row."""
+
+    @pytest.mark.parametrize("block", [2, 64])
+    @pytest.mark.parametrize("refit_every", [1, 3, None])
+    @pytest.mark.parametrize("train_len", [None, 30])
+    @pytest.mark.parametrize("spec", [ForecasterSpec(), ForecasterSpec("seasonal_naive")])
+    def test_rows_are_the_lone_builds(self, monkeypatch, block, refit_every, train_len, spec):
+        # Two head lengths; with train_len set the calibration segment
+        # starts inside the head, so its rows are prefixes of a shifted stack.
+        monkeypatch.setattr(forecaster, "_STACK_BLOCK", block)
+        panel = SeriesPanel(tuple(two_length_series(4)))
+        config = small_config(
+            methods=bench.METHODS, forecaster=spec, refit_every=refit_every, train_len=train_len, alpha=0.5
+        )
+        contexts, skips = bench._contexts(panel, config)
+        assert len(contexts) == 7 and not skips
+        H = config.horizon
+        cv = bench._METHODS["cv_cp"](contexts)
+        for ctx in contexts:
+            sid = ctx.series.series_id
+            for signed, matrix in ((True, ctx.signed), (False, ctx.abs_matrix)):
+                alone = build_residual_matrix(ctx.series, ctx.split, spec, H, refit_every, signed=signed)
+                assert matrix.signed == signed and matrix.origins == alone.origins, sid
+                assert matrix.matrix.tobytes() == alone.matrix.tobytes(), (sid, signed)
+            if spec.kind == "auto_ar":
+                model = fit_auto_ar(ctx.head.values, spec)
+                for f in dataclasses.fields(FittedForecaster):
+                    assert np.array_equal(getattr(ctx.model, f.name), getattr(model, f.name)), (sid, f.name)
+                fc = forecast(model, ctx.head, H)
+            else:
+                assert ctx.model is None
+                fc = seasonal_naive_forecast(ctx.head, H)
+            assert ctx.fc.tobytes() == fc.tobytes(), sid
+            alone = conformal.cv_conformal_intervals({sid: fc}, [ctx.head], config.n_windows, spec, config.alpha)[sid]
+            assert cv[sid].lower.tobytes() == alone.lower.tobytes(), sid
+            assert cv[sid].upper.tobytes() == alone.upper.tobytes(), sid
+
+    def test_a_run_without_calibration_methods_fits_no_calibration_prefix(self, monkeypatch):
+        # global_cp, parametric and cv_cp read only the end and the backtest:
+        # each block's one solve fits the cutoffs n - 2H, n - H and the end n.
+        calls = []
+        fit_ar_prefixes = forecaster._fit_ar_prefixes
+
+        def spy(values, ends, *args):
+            calls.append((values.shape[1], sorted(np.asarray(ends).tolist())))
+            return fit_ar_prefixes(values, ends, *args)
+
+        monkeypatch.setattr(forecaster, "_fit_ar_prefixes", spy)
+        config = small_config(methods=("global_cp", "parametric", "cv_cp"))
+        report = run_benchmark(config, panel=SeriesPanel(tuple(two_length_series(4))))
+        assert report.summaries["cv_cp"].n_series == 7
+        H = config.horizon
+        assert sorted(calls) == [(n, [n - 2 * H, n - H, n]) for n in (64, 84)]
+
+    @pytest.mark.parametrize(
+        "failing, skipped",
+        [
+            ("end", ("aci", "cv_cp", "mscp", "parametric")),
+            ("signed", ("aci", "mscp")),
+            ("backtest", ("cv_cp",)),
+        ],
+    )
+    def test_a_failed_kind_keeps_its_own_skip_reason(self, monkeypatch, failing, skipped):
+        # A series whose union solve raises is redone alone and then once
+        # per kind: only the methods that read the failing kind skip it, with
+        # that solve's message, and the other series and methods are scored
+        # as without the failure.
+        config = small_config(methods=("mscp", "aci", "parametric", "cv_cp"), refit_every=None, alpha=0.5)
+        panel = small_panel()
+        bad = panel.series[0]
+        bad = TimeSeries("bad", bad.timestamps, np.r_[99.0, bad.values[1:]], bad.period)
+        panel = SeriesPanel(panel.series + (bad,))
+        before = run_benchmark(config, panel=panel)
+        # Heads of 84 points, H = 6: the calibration segment's one fit is at
+        # its first origin 60, the cutoffs are 72 and 78.
+        fails_at = {"end": 84, "signed": 60, "backtest": 72}[failing]
+        fit_ar_prefixes = forecaster._fit_ar_prefixes
+
+        def failing_solve(values, ends, *args):
+            if np.any(values[:, 0] == 99.0) and fails_at in np.asarray(ends):
+                raise np.linalg.LinAlgError(f"{failing} solve failed")
+            return fit_ar_prefixes(values, ends, *args)
+
+        monkeypatch.setattr(forecaster, "_fit_ar_prefixes", failing_solve)
+        after = run_benchmark(config, panel=panel)
+        assert after.skips == tuple(("bad", m, f"{failing} solve failed") for m in skipped)
+        lost = {("bad", m) for m in skipped}
+        assert after.records == tuple(r for r in before.records if (r.series_id, r.method) not in lost)
 
 
 def _aci_warmup_reference(scores, alpha, gamma):

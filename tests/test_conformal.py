@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctsbench import conformal, quantreg
+from ctsbench import conformal, forecaster, quantreg
 from ctsbench.conformal import (
     EnsembleSpec,
     IntervalMatrix,
@@ -32,6 +32,7 @@ from ctsbench.conformal import (
 from ctsbench.forecaster import (
     FittedForecaster,
     ForecasterSpec,
+    _PrefixFits,
     fit_auto_ar,
     forecast,
     seasonal_naive_forecast,
@@ -273,6 +274,24 @@ class TestOriginResiduals:
         for s in range(3):
             alone = conformal._origin_residuals(values[s : s + 1], origins, ForecasterSpec(), 1, 5, refit_every)
             assert np.array_equal(stacked[s], alone[0], equal_nan=True)
+
+
+class TestOverflowingForecasts:
+    def test_residual_build_rejects_a_forecast_that_is_not_finite(self, monkeypatch):
+        # Every fit is the AR(2) y[t] = 10 y[t-1] - 10 y[t-2], padded to
+        # P = 3. On values near 5e307 both products overflow and inf - inf
+        # makes every forecast NaN, which the residual matrix would read as
+        # padding: the build raises instead of returning shortened columns.
+        def overflowing(values, ends, max_order, include_drift):
+            shape = (len(values), len(ends))
+            phi = np.broadcast_to([10.0, -10.0, 0.0], shape + (3,))
+            return _PrefixFits(np.full(shape, 2), np.zeros(shape), phi, np.ones(shape), np.zeros(shape + (4,)))
+
+        monkeypatch.setattr(forecaster, "_fit_ar_prefixes", overflowing)
+        split = SplitSpec(20, 10, 4)
+        series = make_series(1e307 * (5.0 + 0.1 * simulate_ar1(split.total, 0.5, seed=1)))
+        with pytest.raises(ValueError, match="prefix forecast is not finite"):
+            build_residual_matrix(series, split, ForecasterSpec(), 4)
 
 
 class TestMscp:
@@ -848,6 +867,33 @@ class TestCvConformal:
         forecasts["s1"] = np.array([0.0, 0.0, np.nan, 0.0])
         with pytest.raises(ValueError, match="interval bound is NaN"):
             cv_conformal_intervals(forecasts, series, 2, ForecasterSpec(), 0.1)
+
+    def test_given_backtests_are_read_not_made_again(self, monkeypatch):
+        # Residuals passed in give the intervals the call makes from its own
+        # backtests, without a solve; a message stands in for a failed one.
+        series = [make_series(simulate_ar1(40, 0.5, seed=i), f"s{i}") for i in range(3)]
+        forecasts = {ts.series_id: np.random.default_rng(i).standard_normal(4) for i, ts in enumerate(series)}
+        made = cv_conformal_intervals(forecasts, series, 2, ForecasterSpec(), 0.2)
+        cutoffs = np.array([32, 36])
+        backtests = {
+            ts.series_id: conformal._origin_residuals(ts.values[None], cutoffs, ForecasterSpec(), 1, 4)[0]
+            for ts in series
+        }
+        backtests["s2"] = "backtest failed"
+
+        def refuse(*args):
+            raise AssertionError("a backtest was made again")
+
+        monkeypatch.setattr(conformal, "_prefix_forecasts", refuse)
+        read = cv_conformal_intervals(forecasts, series, 2, ForecasterSpec(), 0.2, backtests)
+        assert read["s2"] == "backtest failed"
+        for sid in ("s0", "s1"):
+            assert read[sid].lower.tobytes() == made[sid].lower.tobytes()
+            assert read[sid].upper.tobytes() == made[sid].upper.tobytes()
+        with pytest.raises(ValueError, match="no backtest residuals for series 's1'"):
+            cv_conformal_intervals(forecasts, series, 2, ForecasterSpec(), 0.2, {"s0": backtests["s0"]})
+        with pytest.raises(ValueError, match=r"must have shape \(2, 4\)"):
+            cv_conformal_intervals(forecasts, series[:1], 2, ForecasterSpec(), 0.2, {"s0": np.zeros((3, 4))})
 
     def test_too_many_windows_rejected(self):
         ts = make_series(np.arange(10.0))

@@ -17,6 +17,7 @@ from ctsbench.forecaster import (
     _fit_ar_prefixes,
     _in_blocks,
     _prefix_forecasts,
+    _refit_ends,
     _sweep_inverse,
     fit_auto_ar,
     forecast,
@@ -398,22 +399,28 @@ class TestStackedSolver:
         ends = np.array(sorted({t for t in shorter if t < n} | {n}))
         spec = ForecasterSpec(max_order=max_order, include_drift=include_drift)
         fits = _fit_ar_prefixes(stack, ends, max_order, include_drift)
-        paths = _prefix_forecasts(stack, ends, spec, 12, horizon, refit_every)
+        fit_ends = _refit_ends(ends, refit_every)
+        row_fits, paths = _prefix_forecasts(stack, ends, fit_ends, spec, 12, horizon)
         assert paths.shape == (len(families), len(ends), horizon)
+        # Each row carries the fit of its own fit end, as a call on all the ends fits it.
+        fit_row = np.searchsorted(ends, fit_ends)
+        for name, per_row, at_ends in zip(fits._fields, row_fits, fits):
+            assert np.array_equal(per_row, at_ends[:, fit_row]), name
         for s in range(len(families)):
             alone = _fit_ar_prefixes(stack[s : s + 1], ends, max_order, include_drift)
             for name, stacked, single in zip(fits._fields, fits, alone):
                 assert np.array_equal(stacked[s], single[0]), (name, families[s])
-            single_paths = _prefix_forecasts(stack[s : s + 1], ends, spec, 12, horizon, refit_every)
+            _, single_paths = _prefix_forecasts(stack[s : s + 1], ends, fit_ends, spec, 12, horizon)
             assert np.array_equal(paths[s], single_paths[0]), families[s]
 
     def test_seasonal_naive_gathers_each_series(self):
         rng = np.random.default_rng(6)
         stack = rng.standard_normal((3, 30))
         ends = np.array([12, 20, 30])
-        paths = _prefix_forecasts(stack, ends, ForecasterSpec("seasonal_naive"), 12, 14)
+        fits, paths = _prefix_forecasts(stack, ends, ends, ForecasterSpec("seasonal_naive"), 12, 14)
+        assert fits is None
         for s in range(3):
-            single = _prefix_forecasts(stack[s : s + 1], ends, ForecasterSpec("seasonal_naive"), 12, 14)
+            _, single = _prefix_forecasts(stack[s : s + 1], ends, ends, ForecasterSpec("seasonal_naive"), 12, 14)
             assert np.array_equal(paths[s], single[0])
             for r, T in enumerate(ends):
                 assert np.array_equal(paths[s, r], seasonal_naive_forecast(stack[s, :T], 14, period=12))
@@ -618,3 +625,16 @@ def test_forecast_stacked_checks_its_inputs():
     with pytest.raises(ValueError, match="history shorter than AR order: 1 < 2"):
         forecast(models[0], np.zeros(1), 2)
     assert forecast_stacked([], np.zeros((0, 4)), 3).shape == (0, 3)
+
+
+def test_an_overflowing_path_stays_inf():
+    # An order-1 row in a P = 3 stack. Once its path overflows, the lags
+    # past its order are masked out, not multiplied by their zero padding:
+    # the path stays inf, where 0 * inf would turn it into NaN, which a
+    # residual matrix reads as padding. Under the suite's error::RuntimeWarning
+    # filter this also shows that the overflow issues no numpy warning.
+    values = np.array([[1.0, 2.0, 3.0, 1e307]])
+    paths = forecaster._forecast_paths(
+        values, np.array([4]), np.array([[1]]), np.array([[0.0]]), np.array([[[10.0, 0.0, 0.0]]]), 4
+    )
+    assert paths.tolist() == [[[10.0 * 1e307, math.inf, math.inf, math.inf]]]

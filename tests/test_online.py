@@ -334,6 +334,15 @@ class TestAcmcpInit:
         with pytest.raises(ValueError):
             acmcp_init(1, np.array([1.0]), 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_warm_up_score_rejected(self, bad):
+        # As acmcp_step rejects a non-finite score, init rejects one in the
+        # warm-up instead of returning a tracker whose q, eta and k_i are NaN.
+        with pytest.raises(ValueError, match="warm-up scores must be finite"):
+            acmcp_init(1, [bad, 1.0], 0.1)
+        with pytest.raises(ValueError, match="warm-up scores must be finite"):
+            acmcp_init_stacked(1, [[1.0, 2.0], [bad, 1.0]], 0.1)
+
 
 _STATE_FLOATS = ("q", "eta", "k_i", "err_sum", "e_prev", "theta", "score_window")
 
