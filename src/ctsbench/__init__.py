@@ -50,7 +50,6 @@ from .metrics import (
     score_records,
     series_metrics,
     winkler,
-    winkler_matrix,
 )
 from .online import (
     AciState,
@@ -137,5 +136,4 @@ __all__ = [
     "sigma_h",
     "spci_intervals",
     "winkler",
-    "winkler_matrix",
 ]

@@ -18,20 +18,25 @@ what the lone public builds give (`fit_auto_ar`, `forecast`,
 method to one function of all the contexts that returns each series'
 intervals or skip reason. The methods run in configured order and share
 the contexts. Every method but enbpi, whose bootstrap ensemble makes its
-own one-step forecasts, wraps `fc`; most treat each series on its own.
-global_cp and cv_cp pool the forecasts of all the contexts into one call:
-global_cp calibrates on a cohort of series, and cv_cp takes each
-series' radii from its backtest rows in the radius step of
-`cv_conformal_intervals`. spci stacks the equal-length residual
-columns of every series at each horizon into one quantile regression
-solve, and acmcp runs the equal-length score streams of every series at
-each horizon as one stack of trackers (`online.acmcp_run_stacked`), and
-parametric takes every series' forecast variance from one stacked
-psi-weight recursion (`conformal.parametric_intervals_stacked`), again
-each series as alone. The pooled and stacked methods build their
-intervals as row views of one validated bound stack
-(`conformal._interval_rows`). Each method's intervals are then scored in
-one pass over all its series (`metrics.score_records`).
+own one-step forecasts, wraps `fc`. Only mscp and aci treat each series
+on its own. global_cp and cv_cp pool the forecasts of all the contexts
+into one call: global_cp calibrates on a cohort of series, and cv_cp
+takes each series' radii from its backtest rows in the radius step of
+`cv_conformal_intervals`. parametric takes every series' forecast
+variance from one stacked psi-weight recursion
+(`conformal.parametric_intervals_stacked`). spci, acmcp and enbpi share
+one skeleton (`_stacked`): each reads its inputs from every context and
+solves the series that have them in blocks of equal key (`_in_blocks`).
+spci stacks the equal-length residual columns of a block at each horizon
+into one quantile regression solve; acmcp runs the equal-length score
+streams of a block at each horizon as one stack of trackers
+(`online.acmcp_run_stacked`); enbpi fits the bootstrap members of a
+block of equal length and period in stacked solves and makes their
+windows and radii in one pass (`conformal.enbpi_intervals_stacked`).
+Each stacked method gives each series what it gets alone. The pooled
+and stacked methods build their intervals as row views of one validated
+bound stack (`conformal._interval_rows`). Each method's intervals are
+then scored in one pass over all its series (`metrics.score_records`).
 
 Every run is a pure function of (config, data, seed): per-series RNG seeds
 are derived by hashing the global seed with the series id. The
@@ -54,7 +59,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Hashable, NamedTuple
 
 import numpy as np
 
@@ -63,12 +68,14 @@ from .conformal import (
     IntervalMatrix,
     ResidualMatrix,
     SpciSpec,
+    _check_ensemble_forecaster,
     _interval_rows,
     _rows_or_raise,
     _signed_residuals,
     build_residual_matrix,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.build_residual_matrix
     cv_conformal_intervals,
-    enbpi_intervals,
+    enbpi_intervals,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.enbpi_intervals
+    enbpi_intervals_stacked,
     global_cp_intervals,
     mscp_intervals,
     parametric_intervals,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.parametric_intervals
@@ -78,6 +85,7 @@ from .conformal import (
 )
 from .forecaster import (
     _METHOD_ERRORS,
+    _check_seasonal_ends,
     _in_blocks,
     _models,
     _prefix_forecasts,
@@ -305,10 +313,18 @@ class _PrefixTable:
         if "signed" in kinds:
             origins = np.arange(split.train_len, n - start)
             plan["signed"] = (start, origins, _refit_ends(origins, c.refit_every))
+        out: list[dict[str, object]] = [dict.fromkeys(kinds) for _ in block]
         cutoffs = n - H * np.arange(c.n_windows, 0, -1)
         if "backtest" in kinds and cutoffs[0] >= 3:
-            plan["backtest"] = (0, cutoffs, cutoffs)
-        out: list[dict[str, object]] = [dict.fromkeys(kinds) for _ in block]
+            try:
+                if c.forecaster.kind == "seasonal_naive":
+                    _check_seasonal_ends(cutoffs, head.period)
+                plan["backtest"] = (0, cutoffs, cutoffs)
+            except ValueError as e:
+                # Every series of the block shares the cutoffs, so it shares
+                # the error: no solve and no retry finds another message.
+                for row in out:
+                    row["backtest"] = str(e)
         for offset in sorted({offset for offset, _, _ in plan.values()}):
             group = {kind: plan[kind] for kind in plan if plan[kind][0] == offset}
             stack = values[:, offset:]
@@ -386,16 +402,6 @@ class _SeriesContext:
         return self.end.fc
 
 
-def _enbpi(ctx: _SeriesContext) -> IntervalMatrix:
-    c = ctx.config
-    spec = EnsembleSpec(
-        B=c.enbpi_members,
-        window_len=c.enbpi_window,
-        seed=series_seed(c.seed, ctx.series.series_id),
-    )
-    return enbpi_intervals(ctx.series, c.horizon, spec, c.forecaster, c.alpha)
-
-
 def _per_series(method: Callable[[_SeriesContext], IntervalMatrix]) -> Callable:
     """Lift a method of one series' context to every context; a method
     error on a series becomes that series' skip reason."""
@@ -450,48 +456,65 @@ def _column_lengths(residuals: ResidualMatrix) -> tuple[int, ...]:
     return tuple(np.count_nonzero(~np.isnan(residuals.matrix), axis=0).tolist())
 
 
-def _spci(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
-    """Fit SPCI for every series with a forecast and signed residuals, in
-    stacked blocks of equal-length residual columns, each series as alone;
-    a series without them keeps the skip reason of what failed."""
-    c = contexts[0].config
-    spec = SpciSpec(lag_count=c.spci_lags)
-    inputs = _per_series(lambda ctx: (ctx.fc, ctx.signed))(contexts)
-    ready = {sid: pair for sid, pair in inputs.items() if not isinstance(pair, str)}
-    fcs = [fc for fc, _ in ready.values()]
-    matrices = [signed for _, signed in ready.values()]
+def _stacked(
+    inputs: Callable[[_SeriesContext], object], key: Callable[[object], Hashable], solve: Callable
+) -> Callable:
+    """A method that reads inputs(ctx) from every context and gives every
+    series whose inputs exist the results of solve(config, block), which
+    takes the inputs of a block of series of equal key(inputs) and returns
+    one result per series (`_in_blocks`); a series without its inputs
+    keeps the skip reason of what failed."""
 
-    def solve(block: list[int]) -> list[IntervalMatrix]:
-        return spci_intervals_stacked(np.stack([fcs[i] for i in block]), [matrices[i] for i in block], spec, c.alpha)
+    def run(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
+        c = contexts[0].config
+        out = _per_series(inputs)(contexts)
+        ready = {sid: x for sid, x in out.items() if not isinstance(x, str)}
+        items = list(ready.values())
+        keys = [key(x) for x in items]
+        return out | dict(zip(ready, _in_blocks(keys, lambda block: solve(c, [items[i] for i in block]))))
 
-    return inputs | dict(zip(ready, _in_blocks([_column_lengths(m) for m in matrices], solve)))
+    return run
 
 
-def _acmcp(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
-    """Run one quantile tracker per horizon through each series' calibration
-    stream, for every series with a forecast and absolute residuals, in
-    stacked blocks of equal-length streams, each series as alone; a series
-    without them keeps the skip reason of what failed."""
-    alpha = contexts[0].config.alpha
-    inputs = _per_series(lambda ctx: (ctx.fc, ctx.abs_matrix))(contexts)
-    ready = {sid: pair for sid, pair in inputs.items() if not isinstance(pair, str)}
-    fcs = [fc for fc, _ in ready.values()]
-    matrices = [abs_matrix for _, abs_matrix in ready.values()]
+def _spci(c: BenchConfig, block: list[tuple[np.ndarray, ResidualMatrix]]) -> list[IntervalMatrix]:
+    """SPCI of a block of series, each as alone: one quantile regression
+    solve per horizon for the block's equal-length residual columns."""
+    fcs, matrices = zip(*block)
+    return spci_intervals_stacked(np.stack(fcs), matrices, SpciSpec(lag_count=c.spci_lags), c.alpha)
 
-    def solve(block: list[int]) -> list[IntervalMatrix]:
-        fc = np.stack([fcs[i] for i in block])
-        bounds = np.empty(fc.shape + (2,))  # series, horizon, (lower, upper)
-        for h, ys in enumerate(fc.T.tolist(), 1):
-            streams = np.stack([matrices[i].column(h) for i in block])
-            m = streams.shape[1]
-            burn = max(5, min(10, m // 3))
-            if m < burn + 1:
-                raise ValueError(f"horizon {h} stream too short to warm a tracker: {m}")
-            states = acmcp_run_stacked(acmcp_init_stacked(h, streams[:, :burn], alpha), streams[:, burn:])
-            bounds[:, h - 1] = [acmcp_interval(state, y) for state, y in zip(states, ys)]
-        return _rows_or_raise(_interval_rows(bounds[..., 0], bounds[..., 1]))
 
-    return inputs | dict(zip(ready, _in_blocks([_column_lengths(m) for m in matrices], solve)))
+def _acmcp(c: BenchConfig, block: list[tuple[np.ndarray, ResidualMatrix]]) -> list[IntervalMatrix]:
+    """One quantile tracker per horizon through each series' calibration
+    stream, for a block of equal-length streams run as one stack of
+    trackers, each series as alone."""
+    fc = np.stack([fc for fc, _ in block])
+    bounds = np.empty(fc.shape + (2,))  # series, horizon, (lower, upper)
+    for h, ys in enumerate(fc.T.tolist(), 1):
+        streams = np.stack([abs_matrix.column(h) for _, abs_matrix in block])
+        m = streams.shape[1]
+        burn = max(5, min(10, m // 3))
+        if m < burn + 1:
+            raise ValueError(f"horizon {h} stream too short to warm a tracker: {m}")
+        states = acmcp_run_stacked(acmcp_init_stacked(h, streams[:, :burn], c.alpha), streams[:, burn:])
+        bounds[:, h - 1] = [acmcp_interval(state, y) for state, y in zip(states, ys)]
+    return _rows_or_raise(_interval_rows(bounds[..., 0], bounds[..., 1]))
+
+
+def _enbpi_series(ctx: _SeriesContext) -> TimeSeries:
+    # The forecaster is checked before any member is drawn, so that under
+    # seasonal naive every series skips at once.
+    _check_ensemble_forecaster(ctx.config.forecaster)
+    return ctx.series
+
+
+def _enbpi(c: BenchConfig, block: list[TimeSeries]) -> list[IntervalMatrix | str]:
+    """EnbPI of a block of series of one length and period, each drawing
+    its members from its own seed, each as alone."""
+    specs = [
+        EnsembleSpec(B=c.enbpi_members, window_len=c.enbpi_window, seed=series_seed(c.seed, ts.series_id))
+        for ts in block
+    ]
+    return enbpi_intervals_stacked(block, c.horizon, specs, c.forecaster, c.alpha)
 
 
 def _parametric(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
@@ -527,14 +550,14 @@ _READS = {
 # Each method maps every eligible series' context to its intervals or a skip reason.
 _METHODS = {
     "mscp": _per_series(lambda ctx: mscp_intervals(ctx.fc, ctx.abs_matrix, ctx.config.alpha)),
-    "enbpi": _per_series(_enbpi),
-    "spci": _spci,
+    "enbpi": _stacked(_enbpi_series, lambda ts: (len(ts), ts.period), _enbpi),
+    "spci": _stacked(lambda ctx: (ctx.fc, ctx.signed), lambda pair: _column_lengths(pair[1]), _spci),
     "global_cp": _global_cp,
     "cv_cp": _cv_cp,
     "aci": _per_series(lambda ctx: _aci_series_intervals(
         ctx.fc, ctx.abs_matrix, ctx.config.alpha, ctx.config.gamma
     )),
-    "acmcp": _acmcp,
+    "acmcp": _stacked(lambda ctx: (ctx.fc, ctx.abs_matrix), lambda pair: _column_lengths(pair[1]), _acmcp),
     "parametric": _parametric,
 }
 METHODS = tuple(_METHODS)

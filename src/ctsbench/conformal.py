@@ -23,6 +23,10 @@ one-series and one-column cases are `spci_intervals` and
 `spci_quantile_pair`. `parametric_intervals_stacked` takes the Gaussian
 intervals of many autoregressions from one stacked psi-weight recursion
 (`forecaster.sigma_h_stacked`); `parametric_intervals` is its one-row case.
+`enbpi_intervals_stacked` fits the bootstrap members of many series of one
+length and period in stacked AR solves and makes their one-step
+predictions, leave-one-out residuals, windows and radii in one pass each;
+`enbpi_intervals` is its one-series case.
 Every stacked construction builds its intervals with `_interval_rows`,
 which validates an (S, H) bound stack in IntervalMatrix's one comparison
 and makes each valid row an IntervalMatrix of read-only row views.
@@ -363,20 +367,37 @@ class EnsembleSpec:
 def _one_step_fitted(
     values: np.ndarray, order: np.ndarray, intercept: np.ndarray, phi: np.ndarray
 ) -> np.ndarray:
-    """(members, n) one-step predictions of values[i] from values[:i].
+    """(..., members, n) one-step predictions of values[..., i] from
+    values[..., :i], for a series (n,) or a stack of them (S, n).
 
-    Member b is an AR(order[b]) with intercept[b] and the coefficients
-    phi[b], zero-padded past its order. Entry [b, i] is NaN where i is
-    below member b's AR order.
+    Member b of a series is an AR(order[..., b]) with intercept[..., b] and
+    the coefficients phi[..., b, :], zero-padded past its order. Entry
+    [..., b, i] is NaN where i is below member b's AR order. A stack takes
+    one batched product, which gives each series what it gets alone.
     """
-    n = len(values)
-    P = phi.shape[1]
-    lags = np.zeros((n, P))  # lags[i, j] = values[i - 1 - j]
+    n = values.shape[-1]
+    P = phi.shape[-1]
+    lags = np.zeros(values.shape + (P,))  # lags[..., i, j] = values[..., i - 1 - j]
     for j in range(P):
-        lags[j + 1 :, j] = values[: n - 1 - j]
-    fitted = intercept[:, None] + phi @ lags.T
-    fitted[np.arange(n) < order[:, None]] = np.nan
+        lags[..., j + 1 :, j] = values[..., : n - 1 - j]
+    fitted = intercept[..., None] + phi @ lags.swapaxes(-1, -2)
+    fitted[np.arange(n) < order[..., None]] = np.nan
     return fitted
+
+
+def _loo_scores(values: np.ndarray, fitted: np.ndarray, in_bag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """enbpi_loo_residuals of a series (n,) or of each series of a stack
+    (S, n), its members' predictions and in-bag marks (..., members, n):
+    the absolute residual at every index, NaN where no member predicts,
+    and the fallback count (...)."""
+    finite = np.isfinite(fitted)
+    use = finite & ~in_bag
+    fallback = ~use.any(axis=-2) & finite.any(axis=-2)
+    use |= finite & fallback[..., None, :]  # every member's prediction where none left i out
+    keep = use.any(axis=-2)
+    total = np.where(use, fitted, 0.0).sum(axis=-2)
+    mean = np.divide(total, use.sum(axis=-2), out=np.full(total.shape, np.nan), where=keep)
+    return np.abs(values - mean), fallback.sum(axis=-1)
 
 
 def enbpi_loo_residuals(
@@ -390,22 +411,104 @@ def enbpi_loo_residuals(
     all members are used instead (counted as fallbacks). Indices without
     any prediction are skipped.
     """
-    values = np.asarray(values, dtype=np.float64)
-    finite = np.isfinite(fitted)
-    use = finite & ~in_bag
-    fallback = ~use.any(axis=0) & finite.any(axis=0)
-    use[:, fallback] = finite[:, fallback]
-    keep = use.any(axis=0)
-    total = np.where(use, fitted, 0.0).sum(axis=0)
-    mean = total[keep] / use.sum(axis=0)[keep]
-    return np.abs(values[keep] - mean), int(fallback.sum())
+    scores, fallbacks = _loo_scores(np.asarray(values, dtype=np.float64), fitted, in_bag)
+    return scores[~np.isnan(scores)], int(fallbacks)
 
 
-def _block_bootstrap(n: int, block_len: int, rng: np.random.Generator) -> np.ndarray:
+def _block_bootstrap(n: int, block_len: int, rng: np.random.Generator, members: int) -> np.ndarray:
+    """(members, n) resample indices, each whole blocks of block_len
+    (clipped to 1..n) at uniform starts, concatenated and cut at n.
+
+    The one rng.integers call draws what members calls of one member's
+    starts each would, in turn."""
     size = min(max(block_len, 1), n)
-    n_blocks = math.ceil(n / size)
-    starts = rng.integers(0, n - size + 1, size=n_blocks)
-    return (starts[:, None] + np.arange(size)).ravel()[:n]
+    starts = rng.integers(0, n - size + 1, size=(members, math.ceil(n / size)))
+    return (starts[..., None] + np.arange(size)).reshape(members, -1)[:, :n]
+
+
+def _check_ensemble_forecaster(forecaster: ForecasterSpec) -> None:
+    # The members are autoregressions: under another forecaster they would
+    # wrap a different forecaster from every other method's.
+    if forecaster.kind != "auto_ar":
+        raise ValueError("EnbPI ensembles require an autoregressive forecaster")
+
+
+def enbpi_intervals_stacked(
+    series: Sequence[TimeSeries],
+    test_len: int,
+    specs: Sequence[EnsembleSpec],
+    forecaster: ForecasterSpec,
+    alpha: float,
+) -> list[IntervalMatrix | str]:
+    """enbpi_intervals of many series of one length and period, with one
+    spec each; the specs may differ only in their seeds.
+
+    Each series draws its members' resamples from its own seed, and the
+    members of every series are fitted in stacked solves of at most
+    forecaster._STACK_BLOCK members; their one-step predictions, the
+    leave-one-out residuals, the windows and the radii are each one pass
+    over the stack. Every step acts on each series alone, so series s gets
+    bit for bit the intervals and diagnostics enbpi_intervals gives it, or,
+    where those would be an error of its own (invalid bounds, say), that
+    error's message in their place.
+    """
+    _check_ensemble_forecaster(forecaster)
+    if test_len < 1:
+        raise ValueError(f"test_len must be >= 1, got {test_len}")
+    if len(specs) != len(series):
+        raise ValueError(f"{len(specs)} ensemble specs for {len(series)} series")
+    if len({(len(ts), ts.period) for ts in series}) > 1:
+        raise ValueError("stacked EnbPI needs series of one length and period")
+    if len({(spec.B, spec.window_len) for spec in specs}) > 1:
+        raise ValueError("stacked EnbPI needs one member count and window length")
+    S, B, window_len = len(series), specs[0].B, specs[0].window_len
+    n = len(series[0])
+    if n <= test_len:
+        raise ValueError(f"series shorter than test block: {n} <= {test_len}")
+    n_train = n - test_len
+    if n_train < 6:
+        raise ValueError(f"training span too short for an ensemble: {n_train}")
+    values = np.stack([ts.values for ts in series])
+    idx = np.stack([
+        _block_bootstrap(n_train, series[0].period, np.random.default_rng(spec.seed), B) for spec in specs
+    ])
+    # Every resample has n_train points: stacked solves of at most
+    # _STACK_BLOCK members fit them, each member bit for bit as alone.
+    resamples = values[np.arange(S)[:, None, None], idx].reshape(S * B, n_train)
+    block = _forecaster._STACK_BLOCK
+    parts = [
+        _fit_ar_prefixes(resamples[b : b + block], np.array([n_train]), forecaster.max_order, forecaster.include_drift)
+        for b in range(0, S * B, block)
+    ]
+    fits = _PrefixFits(*(np.concatenate(part)[:, 0].reshape(S, B, *part[0].shape[2:]) for part in zip(*parts)))
+    # One-step predictions read only known values, so one lag-matrix product
+    # over the whole series serves the training span and the test block.
+    fitted = _one_step_fitted(values, fits.order, fits.intercept, fits.phi)
+    in_bag = np.zeros((S, B, n_train), dtype=bool)
+    in_bag[np.arange(S)[:, None, None], np.arange(B)[:, None], idx] = True
+    loo, fallbacks = _loo_scores(values[:, :n_train], fitted[..., :n_train], in_bag)
+    counts = np.count_nonzero(~np.isnan(loo), axis=1)
+    # Each series' scores: its leave-one-out residuals, right-aligned with
+    # NaN before them, then its test-block residuals but the last.
+    loo = np.take_along_axis(loo, np.argsort(~np.isnan(loo), axis=1, kind="stable"), axis=1)
+    yhat = fitted[..., n_train:].mean(axis=1)
+    scores = np.concatenate((loo, np.abs(values[:, n_train:] - yhat)), axis=1)[:, :-1]
+    scores[counts == 0] = 0.0  # never read: such a series takes the message below
+    # The sliding window at step j holds the last window_len scores before
+    # step j's own: row j of the last test_len windows over the
+    # NaN-left-padded scores, where padding fills the windows that fewer
+    # scores precede. No window needs more than the scores there are, and
+    # a window wider than a series' scores holds the same scores and more
+    # padding, so the stack takes its widest series' width.
+    w = min(window_len, max(int(counts.max()), 1) + test_len - 1)
+    padded = np.concatenate((np.full((S, w), np.nan), scores), axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=1)[:, -test_len:]
+    radii = _conformal_radii(windows.reshape(-1, w).T, 1.0 - alpha).reshape(S, test_len)
+    diagnostics = [
+        {"loo_fallbacks": f, "loo_count": k} for f, k in zip(fallbacks.tolist(), counts.tolist())
+    ]
+    rows = _interval_rows(yhat - radii, yhat + radii, diagnostics)
+    return ["no leave-one-out residuals could be formed" if k == 0 else row for row, k in zip(rows, counts.tolist())]
 
 
 def enbpi_intervals(
@@ -421,51 +524,13 @@ def enbpi_intervals(
     ahead, and after each step the realized residual enters the sliding
     window while the oldest entry leaves. Bootstrap members are fitted on
     contiguous concatenations of blocks (block length = seasonal period)
-    so serial dependence inside a block survives resampling.
+    so serial dependence inside a block survives resampling. The
+    one-series case of enbpi_intervals_stacked.
     """
-    if forecaster.kind != "auto_ar":
-        raise ValueError("EnbPI ensembles require an autoregressive forecaster")
-    if test_len < 1:
-        raise ValueError(f"test_len must be >= 1, got {test_len}")
-    n = len(series)
-    if n <= test_len:
-        raise ValueError(f"series shorter than test block: {n} <= {test_len}")
-    values = series.values
-    n_train = n - test_len
-    if n_train < 6:
-        raise ValueError(f"training span too short for an ensemble: {n_train}")
-    rng = np.random.default_rng(spec.seed)
-    idx = np.stack([_block_bootstrap(n_train, series.period, rng) for _ in range(spec.B)])
-    # Every resample has n_train points: stacked solves of at most
-    # _STACK_BLOCK members fit them, each member bit for bit as alone.
-    block = _forecaster._STACK_BLOCK
-    blocks = [
-        _fit_ar_prefixes(values[idx[b : b + block]], np.array([n_train]), forecaster.max_order, forecaster.include_drift)
-        for b in range(0, spec.B, block)
-    ]
-    fits = _PrefixFits(*(np.concatenate(parts) for parts in zip(*blocks)))
-    # One-step predictions read only known values, so one lag-matrix product
-    # over the whole series serves the training span and the test block.
-    fitted = _one_step_fitted(values, fits.order[:, 0], fits.intercept[:, 0], fits.phi[:, 0])
-    in_bag = np.zeros((spec.B, n_train), dtype=bool)
-    in_bag[np.arange(spec.B)[:, None], idx] = True
-    loo, fallbacks = enbpi_loo_residuals(values[:n_train], fitted[:, :n_train], in_bag)
-    if len(loo) == 0:
-        raise ValueError("no leave-one-out residuals could be formed")
-    # The sliding window at step j holds the last window_len scores before
-    # step j's own: row j of the last test_len windows over the
-    # NaN-left-padded scores, where padding fills the windows that fewer
-    # scores precede. No window needs more than the scores there are.
-    yhat = fitted[:, n_train:].mean(axis=0)
-    scores = np.concatenate((loo[-spec.window_len :], np.abs(values[n_train:] - yhat)))[:-1]
-    w = min(spec.window_len, len(scores))
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((np.full(w, np.nan), scores)), w)[-test_len:]
-    radii = _conformal_radii(windows.T, 1.0 - alpha)
-    return IntervalMatrix(
-        lower=yhat - radii,
-        upper=yhat + radii,
-        diagnostics={"loo_fallbacks": fallbacks, "loo_count": len(loo)},
-    )
+    (out,) = enbpi_intervals_stacked([series], test_len, [spec], forecaster, alpha)
+    if isinstance(out, str):
+        raise ValueError(out)
+    return out
 
 
 @dataclass(frozen=True)

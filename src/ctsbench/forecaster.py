@@ -51,9 +51,10 @@ temporaries grow with S, about 45 KiB per series of 84 points fitted and
 forecast at three prefixes, so many series are stacked in blocks of at
 most `_STACK_BLOCK` (64), in bench's prefix table and the cv_cp backtest,
 by `_in_blocks`, which also redoes a failed block one series at a time;
-EnbPI slices its bootstrap members by the same bound, and bench stacks
-SPCI's quantile regressions (`conformal.spci_intervals_stacked`) in the
-same blocks.
+EnbPI slices the bootstrap members of all its series by the same bound,
+and bench stacks SPCI's quantile regressions
+(`conformal.spci_intervals_stacked`) and EnbPI's series in the same
+blocks.
 
 Rank rule: in the scaled cross-product A of an order, the pivot of column
 j, 1 / [A^-1]_jj, is the squared sine of the angle between that column and
@@ -503,6 +504,13 @@ def _refit_ends(ends: np.ndarray, refit_every: int | None) -> np.ndarray:
     return ends[np.arange(len(ends)) // step * step]
 
 
+def _check_seasonal_ends(ends: np.ndarray, period: int) -> None:
+    """Raise the ValueError of seasonal naive forecasts from a prefix end
+    shorter than one period."""
+    if ends.min() < period:
+        raise ValueError(f"seasonal naive needs at least one full period: {ends.min()} < {period}")
+
+
 def _prefix_forecasts(
     values: np.ndarray, ends: np.ndarray, fit_ends: np.ndarray, spec: ForecasterSpec, period: int, horizon: int
 ) -> tuple[_PrefixFits | None, np.ndarray]:
@@ -517,8 +525,7 @@ def _prefix_forecasts(
     """
     ends = np.asarray(ends, dtype=np.intp)
     if spec.kind == "seasonal_naive":
-        if ends.min() < period:
-            raise ValueError(f"seasonal naive needs at least one full period: {ends.min()} < {period}")
+        _check_seasonal_ends(ends, period)
         return None, values[:, ends[:, None] - period + np.arange(horizon) % period]
     fit_at, fit_of = np.unique(np.asarray(fit_ends, dtype=np.intp), return_inverse=True)
     fits = _fit_ar_prefixes(values, fit_at, spec.max_order, spec.include_drift)

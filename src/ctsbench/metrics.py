@@ -79,12 +79,6 @@ def winkler(interval: tuple[float, float], y: float, alpha: float) -> float:
     return score
 
 
-def winkler_matrix(intervals: IntervalMatrix, truth, alpha: float) -> np.ndarray:
-    """Cell-wise Winkler scores."""
-    _check_alpha(alpha)
-    return _winkler_cells(intervals.lower, intervals.upper, _aligned_truth(intervals, truth), alpha)
-
-
 @dataclass(frozen=True)
 class MetricRecord:
     """Per-(series, method) metric row.

@@ -29,7 +29,13 @@ from ctsbench.bench import (
     write_panel_csv,
 )
 from ctsbench.cli import main as cli_main
-from ctsbench.conformal import ResidualMatrix, build_residual_matrix, global_cp_intervals
+from ctsbench.conformal import (
+    EnsembleSpec,
+    ResidualMatrix,
+    build_residual_matrix,
+    enbpi_intervals,
+    global_cp_intervals,
+)
 from ctsbench.forecaster import (
     FittedForecaster,
     ForecasterSpec,
@@ -545,6 +551,37 @@ class TestRunBenchmark:
         assert report.summaries["parametric"].n_series == 6
         assert rows == [90 - 6] * 6
 
+    def test_enbpi_makes_no_lone_enbpi_call(self, monkeypatch):
+        # Three series of one length and period: one stacked call, and no
+        # enbpi_intervals call for any series.
+        calls = []
+        stacked = bench.enbpi_intervals_stacked
+
+        def counting(series, *args):
+            calls.append(len(series))
+            return stacked(series, *args)
+
+        def refuse(*args):
+            raise AssertionError("a series went through the lone enbpi_intervals")
+
+        monkeypatch.setattr(bench, "enbpi_intervals_stacked", counting)
+        monkeypatch.setattr(bench, "enbpi_intervals", refuse)
+        monkeypatch.setattr(conformal, "enbpi_intervals", refuse)
+        report = run_benchmark(small_config(methods=("enbpi",)), panel=small_panel(n=3))
+        assert report.summaries["enbpi"].n_series == 3
+        assert calls == [3]
+
+    def test_enbpi_under_seasonal_naive_draws_nothing(self, monkeypatch):
+        # The forecaster is checked before any block is drawn or solved.
+        def refuse(*args):
+            raise AssertionError("an EnbPI block was solved under seasonal naive")
+
+        monkeypatch.setattr(bench, "enbpi_intervals_stacked", refuse)
+        config = small_config(methods=("enbpi", "mscp"), forecaster=ForecasterSpec(kind="seasonal_naive"))
+        report = run_benchmark(config, panel=small_panel(n=3))
+        reasons = [s[2] for s in report.skips if s[1] == "enbpi"]
+        assert reasons == ["EnbPI ensembles require an autoregressive forecaster"] * 3
+
     def test_enbpi_skipped_under_seasonal_naive(self):
         config = small_config(
             methods=("enbpi", "mscp"), forecaster=ForecasterSpec(kind="seasonal_naive")
@@ -597,6 +634,53 @@ class TestRunBenchmark:
 
         with pytest.raises(PanelError, match="cannot read"):
             run_benchmark(small_config(data="/nonexistent/panel.csv"))
+
+
+class TestEnbpiBlocks:
+    """bench's EnbPI blocks against the lone enbpi_intervals of each series."""
+
+    @pytest.mark.parametrize("block", [2, 64])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("window", [10, 100])
+    def test_stacked_intervals_are_the_lone_ones(self, monkeypatch, block, reverse, window):
+        # Two lengths and two periods make four blocks; five members a
+        # series at _STACK_BLOCK 2 put members of two series in one solve.
+        monkeypatch.setattr(forecaster, "_STACK_BLOCK", block)
+        series = two_length_series(4)
+        series += [dataclasses.replace(ts, series_id=f"p{ts.series_id}", period=4) for ts in series[::2]]
+        panel = SeriesPanel(tuple(series))
+        config = small_config(methods=("enbpi",), enbpi_members=5, enbpi_window=window)
+        contexts, skips = bench._contexts(panel, config)
+        assert len(contexts) == len(series) and not skips
+        assert len({(len(ts), ts.period) for ts in series}) == 4
+        out = bench._METHODS["enbpi"](contexts[::-1] if reverse else contexts)
+        assert len(out) == len(series)
+        for ts in series:
+            spec = EnsembleSpec(B=5, window_len=window, seed=series_seed(config.seed, ts.series_id))
+            alone = enbpi_intervals(ts, config.horizon, spec, config.forecaster, config.alpha)
+            got = out[ts.series_id]
+            assert got.lower.tobytes() == alone.lower.tobytes(), ts.series_id
+            assert got.upper.tobytes() == alone.upper.tobytes(), ts.series_id
+            assert got.diagnostics == alone.diagnostics, ts.series_id
+
+    def test_a_failed_member_fit_skips_only_its_series(self, monkeypatch):
+        # A block whose member solve raises is redone one series at a time.
+        panel = small_panel(n=4)
+        config = small_config(methods=("enbpi",), enbpi_members=5)
+        before = run_benchmark(config, panel=panel)
+        bad = panel.series[1].values[:84]
+        fit_ar_prefixes = conformal._fit_ar_prefixes
+
+        def failing(values, *args):
+            if any(np.isin(row, bad).all() for row in values):
+                raise ValueError("member solve failed")
+            return fit_ar_prefixes(values, *args)
+
+        monkeypatch.setattr(conformal, "_fit_ar_prefixes", failing)
+        after = run_benchmark(config, panel=panel)
+        sid = panel.series[1].series_id
+        assert after.skips == ((sid, "enbpi", "member solve failed"),)
+        assert after.records == tuple(r for r in before.records if r.series_id != sid)
 
 
 class TestPrefixTable:
@@ -688,6 +772,35 @@ class TestPrefixTable:
         assert after.skips == tuple(("bad", m, f"{failing} solve failed") for m in skipped)
         lost = {("bad", m) for m in skipped}
         assert after.records == tuple(r for r in before.records if (r.series_id, r.method) not in lost)
+
+
+    def test_seasonal_cutoffs_shorter_than_the_period_cost_no_solve(self, monkeypatch):
+        # Heads of 74 points, H = 6 and 10 windows: the first cv_cp cutoff,
+        # 14, is shorter than the period 24, for every series of the block.
+        # The table gives the backtest kind its message when it plans the
+        # block and makes every other row in one call; without that check
+        # the block, each series and then each kind of it are tried in turn.
+        panel = SeriesPanel(tuple(generate_synthetic(SyntheticSpec(n_series=8, length=80, period=24, seed=4))))
+        config = small_config(
+            methods=("mscp", "aci", "cv_cp"), n_windows=10, forecaster=ForecasterSpec("seasonal_naive")
+        )
+        calls = []
+        prefix_forecasts = bench._prefix_forecasts
+
+        def counting(*args):
+            calls.append(1)
+            return prefix_forecasts(*args)
+
+        monkeypatch.setattr(bench, "_prefix_forecasts", counting)
+        planned = run_benchmark(config, panel=panel)
+        assert len(calls) == 1
+        calls.clear()
+        monkeypatch.setattr(bench, "_check_seasonal_ends", lambda ends, period: None)
+        retried = run_benchmark(config, panel=panel)
+        assert len(calls) == 1 + 8 + 8 * 3
+        message = "seasonal naive needs at least one full period: 14 < 24"
+        assert planned.skips == retried.skips == tuple((ts.series_id, "cv_cp", message) for ts in panel)
+        assert planned.records == retried.records and len(planned.records) == 16
 
 
 def _aci_warmup_reference(scores, alpha, gamma):

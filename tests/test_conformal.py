@@ -366,7 +366,7 @@ def reference_members(series, test_len, spec, forecaster):
     rng = np.random.default_rng(spec.seed)
     members = []
     for _ in range(spec.B):
-        idx = conformal._block_bootstrap(n_train, series.period, rng)
+        (idx,) = conformal._block_bootstrap(n_train, series.period, rng, 1)
         members.append((idx, fit_auto_ar(series.values[idx], forecaster)))
     return members
 
@@ -442,15 +442,30 @@ def reference_enbpi(series, test_len, spec, forecaster, alpha):
 class TestEnbpi:
     @pytest.mark.parametrize("n, block_len", [(1, 1), (7, 3), (12, 12), (30, 12), (37, 5), (9, 40), (10, 0), (10, -3)])
     def test_bootstrap_indices_are_concatenated_blocks(self, n, block_len):
-        # One rng.integers call per member, then whole blocks cut at n.
+        # One rng.integers call draws every member's block starts, as one
+        # call per member in turn would; each member is whole blocks cut at n.
         for seed in range(3):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(4):
-                size = min(max(block_len, 1), n)
-                starts = ref_rng.integers(0, n - size + 1, size=math.ceil(n / size))
-                want = np.concatenate([np.arange(s, s + size) for s in starts])[:n]
-                got = conformal._block_bootstrap(n, block_len, rng)
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+            for members in (1, 4):
+                got = conformal._block_bootstrap(n, block_len, rng, members)
+                assert got.shape == (members, n)
+                for row in got:
+                    size = min(max(block_len, 1), n)
+                    starts = ref_rng.integers(0, n - size + 1, size=math.ceil(n / size))
+                    want = np.concatenate([np.arange(s, s + size) for s in starts])[:n]
+                    assert row.dtype == want.dtype and np.array_equal(row, want)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 12])
+    @pytest.mark.parametrize("B", [2, 3, 20])
+    def test_one_integers_call_draws_what_calls_per_member_draw(self, k, B):
+        # The stacked draw relies on it: the generator, not the call, holds
+        # the unused half of a 64-bit draw, so odd k loses nothing.
+        for seed in range(5):
+            for high in (1, 2, 13, 109):
+                one = np.random.default_rng(seed).integers(0, high, size=(B, k))
+                rng = np.random.default_rng(seed)
+                each = np.stack([rng.integers(0, high, size=k) for _ in range(B)])
+                assert np.array_equal(one, each)
 
     def test_loo_matches_index_loop(self):
         # Members of different orders, fitted on index sets of different sizes.
@@ -539,6 +554,20 @@ class TestEnbpi:
         assert np.array_equal(blocked.lower, whole.lower)
         assert np.array_equal(blocked.upper, whole.upper)
         assert blocked.diagnostics == whole.diagnostics
+
+    def test_stacked_call_needs_one_length_period_and_ensemble_size(self):
+        a = make_series(simulate_ar1(80, 0.5, seed=11))
+        b = make_series(simulate_ar1(80, 0.5, seed=12))
+        spec = EnsembleSpec(B=4)
+        for series, specs, match in (
+            ([a, make_series(simulate_ar1(81, 0.5, seed=12))], [spec, spec], "one length and period"),
+            ([a, make_series(b.values, period=4)], [spec, spec], "one length and period"),
+            ([a, b], [spec, EnsembleSpec(B=5)], "one member count"),
+            ([a, b], [spec, EnsembleSpec(B=4, window_len=7)], "one member count"),
+            ([a, b], [spec], "2 series"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                conformal.enbpi_intervals_stacked(series, 6, specs, ForecasterSpec(), 0.1)
 
     def test_loo_hand_example(self):
         # order-0 members are constant predictors, so LOO means are explicit

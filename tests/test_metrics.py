@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ctsbench.conformal import IntervalMatrix
 from ctsbench.metrics import (
     MetricRecord,
+    _winkler_cells,
     aggregate,
     coverage_mask,
     joint_coverage,
@@ -20,7 +21,6 @@ from ctsbench.metrics import (
     score_records,
     series_metrics,
     winkler,
-    winkler_matrix,
 )
 
 
@@ -117,7 +117,7 @@ class TestWinkler:
         lo = rng.standard_normal((2, 4))
         hi = lo + np.abs(rng.standard_normal((2, 4)))
         y = rng.standard_normal((2, 4))
-        m = winkler_matrix(iv(lo, hi), y, 0.1)
+        m = _winkler_cells(lo, hi, y, 0.1)
         for i in range(2):
             for j in range(4):
                 assert m[i, j] == pytest.approx(winkler((lo[i, j], hi[i, j]), y[i, j], 0.1))
@@ -164,7 +164,7 @@ def one_record(series_id, method, intervals, truth, alpha):
     covered = coverage_mask(intervals, truth)
     widths = intervals.width
     finite = np.isfinite(widths)
-    scores = winkler_matrix(intervals, truth, alpha)
+    scores = _winkler_cells(intervals.lower, intervals.upper, np.asarray(truth, dtype=np.float64), alpha)
     n_inf = int((~finite).sum())
     mean_width = float(widths[finite].mean()) if finite.any() else math.nan
     mean_winkler = float(scores[finite].mean()) if finite.any() else math.nan
