@@ -14,29 +14,29 @@ per block of equal-length heads (`forecaster._prefix_forecasts`), or, for
 seasonal naive, one index gather per block of equal length and period.
 A fit is the same whichever prefixes share its solve, so every row is
 what the lone public builds give (`fit_auto_ar`, `forecast`,
-`build_residual_matrix`, `cv_conformal_intervals`). A table maps each
-method to one function of all the contexts that returns each series'
-intervals or skip reason. The methods run in configured order and share
-the contexts. Every method but enbpi, whose bootstrap ensemble makes its
-own one-step forecasts, wraps `fc`. Only mscp and aci treat each series
-on its own. global_cp and cv_cp pool the forecasts of all the contexts
+`build_residual_matrix`, `cv_conformal_intervals`). One table
+(`_METHODS`) gives each method the kinds of row it reads and one function
+of all the contexts that returns each series' intervals or skip reason.
+The methods run in configured order and share the contexts. Every method
+but enbpi, whose bootstrap ensemble makes its own one-step forecasts,
+wraps `fc`. global_cp and cv_cp pool the forecasts of all the contexts
 into one call: global_cp calibrates on a cohort of series, and cv_cp
 takes each series' radii from its backtest rows in the radius step of
 `cv_conformal_intervals`. parametric takes every series' forecast
 variance from one stacked psi-weight recursion
-(`conformal.parametric_intervals_stacked`). spci, acmcp and enbpi share
-one skeleton (`_stacked`): each reads its inputs from every context and
-solves the series that have them in blocks of equal key (`_in_blocks`).
-spci stacks the equal-length residual columns of a block at each horizon
-into one quantile regression solve; acmcp runs the equal-length score
-streams of a block at each horizon as one stack of trackers
-(`online.acmcp_run_stacked`); enbpi fits the bootstrap members of a
-block of equal length and period in stacked solves and makes their
-windows and radii in one pass (`conformal.enbpi_intervals_stacked`).
-Each stacked method gives each series what it gets alone. The pooled
-and stacked methods build their intervals as row views of one validated
-bound stack (`conformal._interval_rows`). Each method's intervals are
-then scored in one pass over all its series (`metrics.score_records`).
+(`conformal.parametric_intervals_stacked`). Every other method is an
+entry of one skeleton (`_stacked`), which solves the series that have
+its inputs in blocks of equal key (`_in_blocks`): mscp takes a block's
+radii in one conformal radius call (`conformal._conformal_radii`); aci
+warms a block's h=1 streams at once, one radius call a step at each
+series' own level; spci stacks a block's equal-length residual columns
+at each horizon into one quantile regression solve; acmcp runs a block's
+score streams at each horizon as one stack of trackers; enbpi fits the
+members of a block of equal length and period in stacked solves
+(`conformal.enbpi_intervals_stacked`). Each series gets what it gets
+alone. The methods build their intervals as row views of one validated
+bound stack (`conformal._interval_rows`), and each method's intervals
+are scored in one pass over all its series (`metrics.score_records`).
 
 Every run is a pure function of (config, data, seed): per-series RNG seeds
 are derived by hashing the global seed with the series id. The
@@ -46,7 +46,6 @@ made the run slower, because the per-series work is Python-bound.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import dataclasses
 import hashlib
@@ -57,7 +56,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Hashable, NamedTuple
 
@@ -69,6 +68,7 @@ from .conformal import (
     ResidualMatrix,
     SpciSpec,
     _check_ensemble_forecaster,
+    _conformal_radii,
     _interval_rows,
     _rows_or_raise,
     _signed_residuals,
@@ -77,7 +77,7 @@ from .conformal import (
     enbpi_intervals,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.enbpi_intervals
     enbpi_intervals_stacked,
     global_cp_intervals,
-    mscp_intervals,
+    mscp_intervals,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.mscp_intervals
     parametric_intervals,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.parametric_intervals
     parametric_intervals_stacked,
     spci_intervals,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.spci_intervals
@@ -97,9 +97,9 @@ from .forecaster import (
 )
 from .metrics import MethodSummary, MetricRecord, aggregate, score_records
 from .metrics import series_metrics  # noqa: F401  unused here, but perfbench/spans.py traces bench.series_metrics
-from .online import AciState, aci_interval, aci_step, acmcp_init_stacked, acmcp_interval, acmcp_run_stacked
-# acmcp_init and acmcp_step stay importable here: perfbench/spans.py traces them by these names.
-from .online import acmcp_init, acmcp_step  # noqa: F401
+from .online import AciState, acmcp_init_stacked, acmcp_interval, acmcp_run_stacked
+# These stay importable here: perfbench/spans.py traces them by these names.
+from .online import aci_interval, aci_step, acmcp_init, acmcp_step  # noqa: F401
 from .series import PanelError, SeriesPanel, SplitSpec, TimeSeries, parse_panel, serialize_panel
 from .stattest import FriedmanResult, PosthocResult, conover_posthoc, friedman_test, rank_scores
 from .svgchart import cd_diagram_svg, coverage_bar_svg
@@ -216,35 +216,6 @@ def _min_train(period: int) -> int:
     return max(10, 2 * period)
 
 
-def _aci_series_intervals(
-    fc: np.ndarray, abs_matrix: ResidualMatrix, alpha: float, gamma: float
-) -> IntervalMatrix:
-    """Warm the adaptive level through the calibration h=1 stream, then
-    issue per-horizon intervals at the final level."""
-    scores = abs_matrix.column(1)
-    if len(scores) < 2:
-        raise ValueError("adaptive calibration needs >= 2 one-step scores")
-    state = AciState(alpha_t=alpha, gamma=gamma, target=alpha)
-    pool = [float(scores[0])]  # kept sorted
-    warmup_errs = 0
-    for s in scores[1:].tolist():
-        # aci_interval's radius read off the sorted pool: 0 at alpha_t >= 1, else the
-        # rank-th smallest score, +inf past the pool (always so at alpha_t <= 0).
-        level = 1.0 - state.alpha_t
-        rank = math.ceil(level * (len(pool) + 1))
-        radius = 0.0 if level <= 0.0 else pool[rank - 1] if rank <= len(pool) else math.inf
-        err = 0 if s <= radius else 1
-        warmup_errs += err
-        state = aci_step(state, err)
-        bisect.insort(pool, s)
-    lower, upper = zip(*(aci_interval(state, y, abs_matrix.column(h)) for h, y in enumerate(fc.tolist(), 1)))
-    return IntervalMatrix(
-        lower=lower,
-        upper=upper,
-        diagnostics={"alpha_final": state.alpha_t, "warmup_errs": warmup_errs},
-    )
-
-
 class _SeriesEnd(NamedTuple):
     """A series' point forecast of its test block, and the autoregression
     behind it (None for seasonal naive)."""
@@ -257,7 +228,7 @@ class _PrefixTable:
     """Every forecast a run makes from a prefix of a context's head, by
     series id and kind, made the first time any context asks for one.
 
-    The kinds are those the run's methods read (`_READS`):
+    The kinds are those the run's methods read (`_Method.reads`):
     - "end": the series end, a fit on the whole head and its forecast of
       the test block (`_SeriesEnd`);
     - "signed": the calibration residual matrix, whose origins take the
@@ -278,7 +249,7 @@ class _PrefixTable:
 
     def __init__(self, config: BenchConfig):
         self.config = config
-        self.kinds = tuple(sorted({kind for m in config.methods for kind in _READS[m]}))
+        self.kinds = tuple(sorted({kind for m in config.methods for kind in _METHODS[m].reads}))
         # The contexts' heads and splits, not the contexts, which hold this
         # table: a reference cycle would keep every context alive until the
         # cyclic GC ran.
@@ -451,9 +422,9 @@ def _cv_cp(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
     return out | cv_conformal_intervals(forecasts, heads, c.n_windows, c.forecaster, c.alpha, backtests)
 
 
-def _column_lengths(residuals: ResidualMatrix) -> tuple[int, ...]:
-    """The residual count of each horizon: series with equal counts stack."""
-    return tuple(np.count_nonzero(~np.isnan(residuals.matrix), axis=0).tolist())
+def _column_lengths(pair: tuple[np.ndarray, ResidualMatrix]) -> tuple[int, ...]:
+    """A (forecast, residuals) pair's residual count per horizon: equal counts stack."""
+    return tuple(np.count_nonzero(~np.isnan(pair[1].matrix), axis=0).tolist())
 
 
 def _stacked(
@@ -500,6 +471,45 @@ def _acmcp(c: BenchConfig, block: list[tuple[np.ndarray, ResidualMatrix]]) -> li
     return _rows_or_raise(_interval_rows(bounds[..., 0], bounds[..., 1]))
 
 
+def _mscp(c: BenchConfig, block: list[tuple[np.ndarray, ResidualMatrix]]) -> list[IntervalMatrix | str]:
+    """Split conformal intervals of a block of series with equal residual counts,
+    every radius from one _conformal_radii call on their (R, S*H) scores, each as alone."""
+    fc = np.stack([fc for fc, _ in block])
+    radii = _conformal_radii(np.hstack([m.matrix for _, m in block]), 1.0 - c.alpha).reshape(fc.shape)
+    return _interval_rows(fc - radii, fc + radii)
+
+
+def _aci_radii(scores: np.ndarray, alpha_t: np.ndarray) -> np.ndarray:
+    """aci_interval's radius of each column of scores at its own adaptive
+    level 1 - alpha_t: 0 where the level is <= 0, +inf where it is >= 1."""
+    level = 1.0 - alpha_t
+    inside = (0.0 < level) & (level < 1.0)
+    radii = _conformal_radii(scores, np.where(inside, level, 0.5))  # 0.5 stands in where the mask rules
+    return np.where(inside, radii, np.where(level <= 0.0, 0.0, np.inf))
+
+
+def _aci(c: BenchConfig, block: list[tuple[np.ndarray, ResidualMatrix]]) -> list[IntervalMatrix | str]:
+    """ACI of a block of series with equal residual counts, each as alone: every
+    adaptive level (aci_step's update) warmed through its h=1 stream at once,
+    then per-horizon intervals at the final level."""
+    fc = np.stack([fc for fc, _ in block])
+    scores = np.hstack([m.matrix for _, m in block])  # (R, S*H): series s's horizon h at column s*H + h-1
+    stream = scores[:, :: fc.shape[1]]  # (R, S): the h=1 streams
+    if len(stream) < 2:
+        raise ValueError("adaptive calibration needs >= 2 one-step scores")
+    if np.isnan(scores).all(axis=0).any():
+        raise ValueError("aci_interval requires a nonempty score pool")
+    alpha_t = np.full(len(block), c.alpha)
+    errs = np.zeros(len(block), dtype=np.intp)
+    for t in range(1, len(stream)):
+        err = (stream[t] > _aci_radii(stream[:t], alpha_t)).astype(np.intp)
+        errs += err
+        alpha_t = alpha_t + c.gamma * (c.alpha - err)
+    radii = _aci_radii(scores, np.repeat(alpha_t, fc.shape[1])).reshape(fc.shape)
+    diagnostics = [{"alpha_final": a, "warmup_errs": e} for a, e in zip(alpha_t.tolist(), errs.tolist())]
+    return _interval_rows(fc - radii, fc + radii, diagnostics)
+
+
 def _enbpi_series(ctx: _SeriesContext) -> TimeSeries:
     # The forecaster is checked before any member is drawn, so that under
     # seasonal naive every series skips at once.
@@ -535,30 +545,20 @@ def _parametric(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | st
     return inputs | dict(zip(ready, parametric_intervals_stacked(models, np.stack(fcs), contexts[0].config.alpha)))
 
 
-# The kinds of prefix-table row each method reads (see _PrefixTable).
-_READS = {
-    "mscp": ("end", "signed"),
-    "enbpi": (),
-    "spci": ("end", "signed"),
-    "global_cp": ("end",),
-    "cv_cp": ("end", "backtest"),
-    "aci": ("end", "signed"),
-    "acmcp": ("end", "signed"),
-    "parametric": ("end",),
-}
-
-# Each method maps every eligible series' context to its intervals or a skip reason.
+# A method is the kinds of prefix-table row it reads (see _PrefixTable) and its
+# run, which maps every eligible series' context to its intervals or skip reason.
+_Method = NamedTuple("_Method", [("reads", tuple[str, ...]), ("run", Callable)])
+# The stacked methods of each series' forecast and absolute calibration scores.
+_on_scores = partial(_stacked, lambda ctx: (ctx.fc, ctx.abs_matrix), _column_lengths)
 _METHODS = {
-    "mscp": _per_series(lambda ctx: mscp_intervals(ctx.fc, ctx.abs_matrix, ctx.config.alpha)),
-    "enbpi": _stacked(_enbpi_series, lambda ts: (len(ts), ts.period), _enbpi),
-    "spci": _stacked(lambda ctx: (ctx.fc, ctx.signed), lambda pair: _column_lengths(pair[1]), _spci),
-    "global_cp": _global_cp,
-    "cv_cp": _cv_cp,
-    "aci": _per_series(lambda ctx: _aci_series_intervals(
-        ctx.fc, ctx.abs_matrix, ctx.config.alpha, ctx.config.gamma
-    )),
-    "acmcp": _stacked(lambda ctx: (ctx.fc, ctx.abs_matrix), lambda pair: _column_lengths(pair[1]), _acmcp),
-    "parametric": _parametric,
+    "mscp": _Method(("end", "signed"), _on_scores(_mscp)),
+    "enbpi": _Method((), _stacked(_enbpi_series, lambda ts: (len(ts), ts.period), _enbpi)),
+    "spci": _Method(("end", "signed"), _stacked(lambda ctx: (ctx.fc, ctx.signed), _column_lengths, _spci)),
+    "global_cp": _Method(("end",), _global_cp),
+    "cv_cp": _Method(("end", "backtest"), _cv_cp),
+    "aci": _Method(("end", "signed"), _on_scores(_aci)),
+    "acmcp": _Method(("end", "signed"), _on_scores(_acmcp)),
+    "parametric": _Method(("end",), _parametric),
 }
 METHODS = tuple(_METHODS)
 
@@ -668,7 +668,7 @@ def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> Benc
     records: list[MetricRecord] = []
     for method in config.methods:
         scored: dict[str, IntervalMatrix] = {}
-        for sid, result in _METHODS[method](contexts).items():
+        for sid, result in _METHODS[method].run(contexts).items():
             if isinstance(result, str):
                 skips.append((sid, method, result))
             else:

@@ -9,8 +9,10 @@ residual baseline, and Gaussian intervals from a fitted autoregression.
 
 Each kind of calibration is written once. `_conformal_radii`, the one
 radius rule, takes the finite-sample conformal quantile of every column of
-a NaN-padded score matrix: for split conformal, the pooled cohort and
-EnbPI's windows (`conformal_quantile` is its validated one-sample form).
+a NaN-padded score matrix, at one level or at one level per column: for
+split conformal, the pooled cohort, EnbPI's windows and bench's ACI, whose
+levels adapt per series (`conformal_quantile` is its validated one-sample
+form).
 `_signed_residuals`, the one residual rule, gives the signed residuals
 of a stack of series' forecasts from shared origins, and rejects a
 forecast that is not finite where its truth exists: `_origin_residuals`
@@ -86,14 +88,16 @@ def conformal_quantile(scores: Sequence[float] | np.ndarray, level: float) -> fl
     return float(np.partition(arr, k - 1)[k - 1])
 
 
-def _conformal_radii(scores: np.ndarray, level: float) -> np.ndarray:
-    """conformal_quantile of every column of a NaN-padded score matrix.
+def _conformal_radii(scores: np.ndarray, level: float | np.ndarray) -> np.ndarray:
+    """conformal_quantile of every column of a NaN-padded score matrix, at
+    one level or at one level per column.
 
     Column j's radius is the k-th smallest of its n non-NaN entries, with
     k = ceil(level * (n+1)), or +inf when k exceeds n. An all-NaN column
     is an error: column j holds the residuals of horizon j + 1.
     """
-    if not 0.0 < level < 1.0:
+    level = np.asarray(level, dtype=np.float64)
+    if not ((0.0 < level) & (level < 1.0)).all():
         raise ValueError(f"level must be in (0, 1), got {level}")
     n = np.count_nonzero(~np.isnan(scores), axis=0)
     if not n.all():

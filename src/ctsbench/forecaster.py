@@ -15,8 +15,8 @@ one-series, one-end case). There is one forecast recursion,
 `_forecast_paths`: each step adds the lags of a row in turn, with the lags
 past its order masked out rather than multiplied by zero padding, so that
 a row gets bit for bit what it gets alone and an overflowing path stays
-inf rather than becoming NaN. `forecast_stacked` runs it from the ends of
-many fitted models' histories, and `forecast` is its one-row case.
+inf rather than becoming NaN. `forecast` runs it from the end of one
+fitted model's history.
 
 All least-squares fits go through one solver, `_fit_ar_prefixes`, which fits
 every candidate order on every prefix values[s, :T] of an (S, n) stack of
@@ -414,33 +414,21 @@ def _padded_phi(models: Sequence[FittedForecaster]) -> np.ndarray:
     return phi
 
 
-def forecast_stacked(models: Sequence[FittedForecaster], histories: np.ndarray, horizon: int) -> np.ndarray:
-    """Recursive multi-step point forecasts of S models from the ends of
-    their (S, n) stack of equal-length histories: (S, horizon).
-
-    One row per model of the prefix recursion (`_forecast_paths`), so that
-    row s gets bit for bit what forecast gives its model alone and what
-    the prefix table gives a fit at the end of its history.
-    """
-    values = np.asarray(histories, dtype=np.float64)
+def forecast(model: FittedForecaster, history: np.ndarray | TimeSeries, horizon: int) -> np.ndarray:
+    """Recursive multi-step point forecasts from the end of history: one row
+    of the prefix recursion (`_forecast_paths`), so bit for bit what the
+    prefix table gives a fit at the end of its history."""
+    values = history.values if isinstance(history, TimeSeries) else np.asarray(history, dtype=np.float64)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if values.ndim != 2 or len(values) != len(models):
-        raise ValueError(f"need one history row per model, got shape {values.shape} for {len(models)} models")
-    S, n = values.shape
-    order = np.array([m.order for m in models], dtype=np.intp)
-    if S and order.max() > n:
-        raise ValueError(f"history shorter than AR order: {n} < {order.max()}")
-    intercept = np.array([m.intercept for m in models], dtype=np.float64)
-    phi = _padded_phi(models)
-    return _forecast_paths(values, np.array([n]), order[:, None], intercept[:, None], phi[:, None], horizon)[:, 0]
-
-
-def forecast(model: FittedForecaster, history: np.ndarray | TimeSeries, horizon: int) -> np.ndarray:
-    """Recursive multi-step point forecasts from the end of history; the
-    one-row case of forecast_stacked."""
-    values = history.values if isinstance(history, TimeSeries) else np.asarray(history, dtype=np.float64)
-    return forecast_stacked([model], values[None], horizon)[0]
+    if values.ndim != 1:
+        raise ValueError(f"need a 1-D history, got shape {values.shape}")
+    if model.order > len(values):
+        raise ValueError(f"history shorter than AR order: {len(values)} < {model.order}")
+    return _forecast_paths(
+        values[None], np.array([len(values)]), np.array([[model.order]]), np.array([[model.intercept]]),
+        model.phi[None, None], horizon,
+    )[0, 0]
 
 
 def sigma_h_stacked(phi: np.ndarray, order: np.ndarray, sigma2: np.ndarray, horizon: int) -> np.ndarray:

@@ -139,10 +139,12 @@ def _score_model(scores: np.ndarray, first: int, h: int) -> tuple[np.ndarray, li
     k = np.minimum(h - 1, n // 6)
     K = int(k.max())
     # back[s, t, p]: stream s's window at step t, newest score first, centered,
-    # zero past its start. C order, and each run of steps with one window
-    # size summing only its own scores, keep the centring sum in a lone
-    # window's order: numpy's pairwise sum groups by length, so summing the
-    # zero padding too would round the mean differently.
+    # zero past its start. Each run of steps with one window size sums only
+    # its own scores, oldest first in a C-order copy: that is a lone window's
+    # order, and numpy's pairwise sum groups by position and length, so
+    # summing newest first or the zero padding too would round the mean
+    # differently. On a nearly constant window the centered scores are
+    # rounding-sized and that last bit of the mean moves theta.
     p = np.arange(int(n.max()))
     inside = p < n[:, None]
     window = np.ascontiguousarray(scores[:, np.maximum(ends[:, None] - 1 - p, 0)])
@@ -150,7 +152,7 @@ def _score_model(scores: np.ndarray, first: int, h: int) -> tuple[np.ndarray, li
     total = np.empty(back.shape[:2])
     runs = np.flatnonzero(np.diff(n, prepend=0)).tolist() + [len(n)]
     for a, b in zip(runs, runs[1:]):
-        total[:, a:b] = back[:, a:b, : n[a]].sum(axis=2)
+        total[:, a:b] = np.ascontiguousarray(back[:, a:b, n[a] - 1 :: -1]).sum(axis=2)
     back = np.where(inside, back - (total / n)[..., None], 0.0)
     # Design row b of step t is (c_b, c_b+1, ..., c_b+k): the target, then lags 1..k.
     j = np.arange(K + 1)

@@ -173,6 +173,18 @@ def _fit_stack(X: np.ndarray, y: np.ndarray, taus: np.ndarray, iters: int) -> li
 
     coefs = np.where(degenerate[:, None], 0.0, W[:, :, 1:] / sd[:, None])
     intercepts = W[:, :, 0] - (coefs @ mu[:, :, None])[:, :, 0]
+    # An optimum beyond 1/n has no negative residual and one at zero (no
+    # positive one and one at zero beyond 1 - 1/n): moving the intercept to
+    # the extreme residual would gain otherwise. A column that is nearly
+    # dependent on the others leaves residuals of rounding size, but of
+    # either sign, on the original scale, and each one of the wrong sign
+    # costs about its full size instead of tau times it. So the intercept is
+    # moved to the extreme residual there, the same for levels sharing a line.
+    low = inner & (taus < 1.0 / n)
+    edge = np.flatnonzero(low | (inner & (1.0 - taus < 1.0 / n)))
+    if len(edge):
+        resid = y[:, None] - intercepts[:, edge, None] - coefs[:, edge] @ X.transpose(0, 2, 1)
+        intercepts[:, edge] += np.where(low[edge], resid.min(axis=2), resid.max(axis=2))
     return [
         QuantileFit(taus=taus, intercepts=intercepts[i], coefs=coefs[i], degenerate=degenerate[i])
         for i in range(B)

@@ -232,7 +232,7 @@ class TestRunBenchmark:
 
         def results(method, reverse):
             contexts, _ = bench._contexts(panel, config)
-            out = bench._METHODS[method](contexts[::-1] if reverse else contexts)
+            out = bench._METHODS[method].run(contexts[::-1] if reverse else contexts)
             return {sid: r if isinstance(r, str) else (r.lower.tobytes(), r.upper.tobytes(), r.diagnostics)
                     for sid, r in out.items()}
 
@@ -457,7 +457,7 @@ class TestRunBenchmark:
         config = BenchConfig()
         message = "auto_ar fit is not finite: the series' scale overflows the least-squares solve"
         contexts, skips = bench._contexts(panel, config)
-        results = {method: bench._METHODS[method](contexts) for method in config.methods}
+        results = {method: bench._METHODS[method].run(contexts) for method in config.methods}
         with pytest.raises(NothingEvaluableError, match="auto_ar fit is not finite"):
             run_benchmark(config, panel=panel)
         assert len(contexts) == 4 and not skips
@@ -653,7 +653,7 @@ class TestEnbpiBlocks:
         contexts, skips = bench._contexts(panel, config)
         assert len(contexts) == len(series) and not skips
         assert len({(len(ts), ts.period) for ts in series}) == 4
-        out = bench._METHODS["enbpi"](contexts[::-1] if reverse else contexts)
+        out = bench._METHODS["enbpi"].run(contexts[::-1] if reverse else contexts)
         assert len(out) == len(series)
         for ts in series:
             spec = EnsembleSpec(B=5, window_len=window, seed=series_seed(config.seed, ts.series_id))
@@ -701,7 +701,7 @@ class TestPrefixTable:
         contexts, skips = bench._contexts(panel, config)
         assert len(contexts) == 7 and not skips
         H = config.horizon
-        cv = bench._METHODS["cv_cp"](contexts)
+        cv = bench._METHODS["cv_cp"].run(contexts)
         for ctx in contexts:
             sid = ctx.series.series_id
             for signed, matrix in ((True, ctx.signed), (False, ctx.abs_matrix)):
@@ -819,23 +819,37 @@ def _aci_warmup_reference(scores, alpha, gamma):
 
 class TestAciWarmup:
     @given(
-        st.lists(
-            st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, 1.0, 2.0])),
-            min_size=2,
-            max_size=60,
+        st.integers(2, 60).flatmap(
+            lambda m: st.lists(
+                st.lists(st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, 1.0, 2.0])), min_size=m, max_size=m),
+                min_size=1,
+                max_size=4,
+            )
         ),
         st.sampled_from([0.05, 0.1, 0.2]),
         st.sampled_from([0.005, 0.01, 0.05, 0.3, 1.0]),
     )
     # four covers lift alpha_t to 1 (radius 0), a miss drops it, another takes it below 0
-    @example(scores=[5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.25, 10.0, 20.0], alpha=0.2, gamma=1.0)
-    def test_matches_per_step_reference(self, scores, alpha, gamma):
-        matrix = ResidualMatrix(np.array(scores)[:, None], tuple(range(len(scores))))
-        iv = bench._aci_series_intervals(np.array([5.0]), matrix, alpha, gamma)
-        alpha_t, errs = _aci_warmup_reference(scores, alpha, gamma)
-        assert iv.diagnostics == {"alpha_final": alpha_t, "warmup_errs": errs}
-        ref = AciState(alpha_t=alpha_t, gamma=gamma, target=alpha)
-        assert (iv.lower[0, 0], iv.upper[0, 0]) == aci_interval(ref, 5.0, scores)
+    @example(streams=[[5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.25, 10.0, 20.0]], alpha=0.2, gamma=1.0)
+    @example(
+        streams=[[5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.25, 10.0, 20.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]],
+        alpha=0.2,
+        gamma=1.0,
+    )
+    def test_matches_per_step_reference(self, streams, alpha, gamma):
+        # A block of equal-length h=1 streams warmed at once: each row is
+        # its stream's per-step reference and lone aci_interval.
+        block = [
+            (np.array([5.0 + i]), ResidualMatrix(np.array(scores)[:, None], tuple(range(len(scores)))))
+            for i, scores in enumerate(streams)
+        ]
+        rows = bench._aci(BenchConfig(alpha=alpha, gamma=gamma), block)
+        assert len(rows) == len(streams)
+        for (fc, _), scores, iv in zip(block, streams, rows):
+            alpha_t, errs = _aci_warmup_reference(scores, alpha, gamma)
+            assert iv.diagnostics == {"alpha_final": alpha_t, "warmup_errs": errs}
+            ref = AciState(alpha_t=alpha_t, gamma=gamma, target=alpha)
+            assert (iv.lower[0, 0], iv.upper[0, 0]) == aci_interval(ref, fc[0], scores)
 
 
 def _payload(out_dir: Path) -> bytes:

@@ -149,6 +149,42 @@ class TestConformalQuantile:
         want = [conformal_quantile(col, level) for col in columns]
         assert conformal._conformal_radii(matrix, level).tolist() == want
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([0.0, 1.0, 2.5])),
+                    min_size=1,
+                    max_size=12,
+                ),
+                st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0, math.nan])),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @example([([3.0], 0.4), ([1.0, 1.0, 2.0], 0.9)], random.Random(0))  # k <= n, then k > n
+    @example([([3.0], 0.4), ([1.0, 2.0], 1.0)], random.Random(0))
+    @example([([3.0], 0.0), ([1.0, 2.0], 0.5)], random.Random(0))
+    @example([([3.0], math.nan)], random.Random(0))
+    def test_radii_at_a_level_per_column(self, columns, rnd):
+        # Each column's radius is conformal_quantile at that column's level;
+        # one level outside (0, 1), which conformal_quantile rejects, rejects
+        # the whole matrix.
+        rows = max(len(col) for col, _ in columns) + 2
+        matrix = np.full((rows, len(columns)), np.nan)
+        for j, (col, _) in enumerate(columns):
+            matrix[rnd.sample(range(rows), len(col)), j] = col
+        levels = np.array([level for _, level in columns])
+        try:
+            want = [conformal_quantile(col, level) for col, level in columns]
+        except ValueError:
+            with pytest.raises(ValueError, match=r"level must be in \(0, 1\)"):
+                conformal._conformal_radii(matrix, levels)
+        else:
+            assert conformal._conformal_radii(matrix, levels).tolist() == want
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             conformal_quantile([], 0.9)

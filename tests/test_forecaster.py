@@ -15,13 +15,14 @@ from ctsbench.forecaster import (
     FittedForecaster,
     ForecasterSpec,
     _fit_ar_prefixes,
+    _forecast_paths,
     _in_blocks,
+    _padded_phi,
     _prefix_forecasts,
     _refit_ends,
     _sweep_inverse,
     fit_auto_ar,
     forecast,
-    forecast_stacked,
     seasonal_naive_forecast,
     sigma_h,
     sigma_h_stacked,
@@ -566,7 +567,7 @@ class TestSeasonalNaive:
 
 def _scalar_forecast(model, values, horizon):
     """forecast's former scalar loop, one model and one step at a time: the
-    reference forecast_stacked's rows must equal bit for bit."""
+    reference the prefix recursion's rows must equal bit for bit."""
     p = model.order
     buf = list(values[len(values) - p :]) if p else []
     out = np.empty(horizon)
@@ -600,31 +601,37 @@ def _model(p, coefs, intercept):
     st.integers(0, 2**32 - 1),
 )
 @example([(0, [0.0] * 4, -0.0), (2, [0.5, -0.25, 0.0, 0.0], 0.0), (4, [1.0, 0.5, -0.3, 0.2], -3.0)], 0, 12, 0)
-def test_forecast_stacked_rows_are_the_scalar_loop(rows, extra, horizon, seed):
+def test_forecast_path_rows_are_the_scalar_loop(rows, extra, horizon, seed):
     # Mixed orders 0..4 and zero (of either sign) or negative intercepts, as
-    # one stack and in blocks of 2: every row is the lone scalar loop's.
+    # one stack of the prefix recursion from each history's end and in
+    # blocks of 2: every row is the lone scalar loop's and forecast's.
     models = [_model(p, coefs, c) for p, coefs, c in rows]
     n = max(m.order for m in models) + extra
     histories = np.random.default_rng(seed).uniform(-1e3, 1e3, (len(models), n))
-    whole = forecast_stacked(models, histories, horizon)
+
+    def paths(idx):
+        stack = [models[i] for i in idx]
+        order = np.array([[m.order] for m in stack])
+        intercept = np.array([[m.intercept] for m in stack])
+        return _forecast_paths(histories[idx], np.array([n]), order, intercept, _padded_phi(stack)[:, None], horizon)[:, 0]
+
+    whole = paths(list(range(len(models))))
     with mock.patch.object(forecaster, "_STACK_BLOCK", 2):
-        blocked = _in_blocks([n] * len(models), lambda idx: forecast_stacked([models[i] for i in idx], histories[idx], horizon))
+        blocked = _in_blocks([n] * len(models), paths)
     for row, block_row, model, history in zip(whole, blocked, models, histories):
         want = _scalar_forecast(model, history, horizon)
         assert row.tobytes() == block_row.tobytes() == want.tobytes() == forecast(model, history, horizon).tobytes()
 
 
-def test_forecast_stacked_checks_its_inputs():
-    models = [_model(2, [0.5, 0.1], 1.0), _model(0, [], 0.0)]
+def test_forecast_checks_its_inputs():
+    model = _model(2, [0.5, 0.1], 1.0)
     with pytest.raises(ValueError, match="horizon must be >= 1"):
-        forecast_stacked(models, np.zeros((2, 3)), 0)
-    with pytest.raises(ValueError, match="one history row per model"):
-        forecast_stacked(models, np.zeros((3, 3)), 2)
+        forecast(model, np.zeros(3), 0)
+    with pytest.raises(ValueError, match=r"need a 1-D history, got shape \(2, 3\)"):
+        forecast(model, np.zeros((2, 3)), 2)
     with pytest.raises(ValueError, match="history shorter than AR order: 1 < 2"):
-        forecast_stacked(models, np.zeros((2, 1)), 2)
-    with pytest.raises(ValueError, match="history shorter than AR order: 1 < 2"):
-        forecast(models[0], np.zeros(1), 2)
-    assert forecast_stacked([], np.zeros((0, 4)), 3).shape == (0, 3)
+        forecast(model, np.zeros(1), 2)
+    assert forecast(_model(0, [], 0.0), np.zeros(0), 3).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_an_overflowing_path_stays_inf():

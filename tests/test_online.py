@@ -264,6 +264,9 @@ _TIE = 1.1499170164666577
 _TIE_CASE = (AcmcpState(h=3, q=_TIE, eta=5e-07, alpha=0.5, k_i=1e-06, score_window=(_TIE, _TIE)), [_TIE] * 24)
 # A positive warm-up range so small that half of it rounds to 0.
 _UNDERFLOW_WARM = [0.0, 5e-324]
+_NEAR_CONSTANT_STATE = AcmcpState(
+    h=3, q=11.667187499999999, eta=3.0703125, alpha=0.05, k_i=6.140625, score_window=(0.0, 12.28125)
+)
 
 
 class TestAcmcpRun:
@@ -291,6 +294,9 @@ class TestAcmcpRun:
     # unlike a lone window's flips the miss indicator and moves q by eta.
     @example(_TIE_CASE)
     @example((acmcp_init(1, _UNDERFLOW_WARM, 0.1), [0.0, 5e-324, 1.0, 0.0, 2.0, 5e-324]))
+    # A nearly constant window centres to rounding-sized scores: a mean
+    # summed newest first rounds unlike a lone window's and moves theta.
+    @example((_NEAR_CONSTANT_STATE, [12.278436986233125] * 49))
     def test_matches_per_step_reference(self, case):
         state, stream = case
         expected = _reference_steps(state, stream)

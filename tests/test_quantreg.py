@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
@@ -263,6 +263,16 @@ def test_newton_cap_raises_instead_of_returning():
         )
     ),
     tau=st.floats(0.0, 1.0),
+)
+# Two columns 2**-24 apart fit y exactly, with coefficients near 2**24: the
+# fitted line's residuals of rounding size must not fall below zero at a
+# level this far below 1/n, where each negative one costs its full size.
+@example(
+    data=(
+        np.array([[2.0**-24, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        np.array([1.0, 0.0, 0.0, 0.0, 0.0]),
+    ),
+    tau=1.6997658805975471e-158,
 )
 def test_never_worse_than_constant_quantile_line(data, tau):
     # the constant line is one feasible point of the linear programme
