@@ -1,42 +1,33 @@
 """Benchmark orchestration: config, synthetic panels, method evaluation,
 aggregation, rank tests, and report emission.
 
-A run builds one context per eligible series. Its head, the series less
-its test block, is a read-only view of the series' arrays
-(`TimeSeries.head`). The contexts share one prefix table (`_PrefixTable`)
-of every forecast the run makes from a prefix of a head: each series'
-end, its model and its one point forecast `fc` of the test block; the
-calibration origins of its residual matrix, for mscp, aci, acmcp and
-spci; and cv_cp's backtest cutoffs. The first time a method asks for a
-row, the table is made for the kinds the configured methods read, with
-one batched AR solve of the union of their prefix fits and one recursion
-per block of equal-length heads (`forecaster._prefix_forecasts`), or, for
-seasonal naive, one index gather per block of equal length and period.
-A fit is the same whichever prefixes share its solve, so every row is
-what the lone public builds give (`fit_auto_ar`, `forecast`,
-`build_residual_matrix`, `cv_conformal_intervals`). One table
-(`_METHODS`) gives each method the kinds of row it reads and one function
-of all the contexts that returns each series' intervals or skip reason.
-The methods run in configured order and share the contexts. Every method
+A run makes one row dict per eligible series (`_contexts`): the series,
+its head (all but the test block, a read-only view) and its rows of the
+run's prefix table (`_prefix_rows`): the series end, a fit on the head
+and its point forecast `fc` of the test block; the signed residuals of
+the calibration origins; and cv_cp's backtest residuals. The table is
+made once, for the kinds the configured methods read, with one batched
+solve and one recursion per block of heads
+(`forecaster._prefix_forecasts`), and each row is what the lone public
+builds give (`fit_auto_ar`, `forecast`, `build_residual_matrix`,
+`cv_conformal_intervals`), or the message of what stopped it. Each method
+(`_METHODS`) names the entries it reads, and its run takes every series'
+reads (`_read`): the tuple of those rows, or the first failure message
+among them, which becomes the series' skip reason. The methods run in
+configured order and share the rows, which are read-only. Every method
 but enbpi, whose bootstrap ensemble makes its own one-step forecasts,
-wraps `fc`. global_cp and cv_cp pool the forecasts of all the contexts
-into one call: global_cp calibrates on a cohort of series, and cv_cp
-takes each series' radii from its backtest rows in the radius step of
-`cv_conformal_intervals`. parametric takes every series' forecast
-variance from one stacked psi-weight recursion
-(`conformal.parametric_intervals_stacked`). Every other method is an
-entry of one skeleton (`_stacked`), which solves the series that have
-its inputs in blocks of equal key (`_in_blocks`): mscp takes a block's
-radii in one conformal radius call (`conformal._conformal_radii`); aci
-warms a block's h=1 streams at once, one radius call a step at each
-series' own level; spci stacks a block's equal-length residual columns
-at each horizon into one quantile regression solve; acmcp runs a block's
-score streams at each horizon as one stack of trackers; enbpi fits the
-members of a block of equal length and period in stacked solves
-(`conformal.enbpi_intervals_stacked`). Each series gets what it gets
-alone. The methods build their intervals as row views of one validated
-bound stack (`conformal._interval_rows`), and each method's intervals
-are scored in one pass over all its series (`metrics.score_records`).
+wraps `fc`. global_cp, cv_cp and parametric pool all the series into one
+call: global_cp calibrates on a cohort of series, cv_cp takes each
+series' radii from its backtest rows, and parametric takes every forecast
+variance from one stacked psi-weight recursion. The other methods are
+entries of one skeleton (`_stacked`), which solves blocks of series
+(`_in_blocks`), each series as alone: mscp, aci, acmcp and spci take a
+block's (S, H) forecasts and (S, cal_len, H) signed residual stack, and
+enbpi a block of series of one length and period
+(`conformal.enbpi_intervals_stacked`). The methods build their intervals
+as row views of one validated bound stack (`conformal._interval_rows`),
+and each method's intervals are scored in one pass over all its series
+(`metrics.score_records`).
 
 Every run is a pure function of (config, data, seed): per-series RNG seeds
 are derived by hashing the global seed with the series id. The
@@ -56,7 +47,6 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Hashable, NamedTuple
 
@@ -65,7 +55,6 @@ import numpy as np
 from .conformal import (
     EnsembleSpec,
     IntervalMatrix,
-    ResidualMatrix,
     SpciSpec,
     _check_ensemble_forecaster,
     _conformal_radii,
@@ -224,244 +213,182 @@ class _SeriesEnd(NamedTuple):
     fc: np.ndarray
 
 
-class _PrefixTable:
-    """Every forecast a run makes from a prefix of a context's head, by
-    series id and kind, made the first time any context asks for one.
+def _prefix_block(
+    heads: list[TimeSeries], split: SplitSpec, config: BenchConfig, kinds: tuple[str, ...]
+) -> list[dict[str, object]]:
+    """The rows of the given kinds of a block of heads of equal length and
+    split (and period, for seasonal naive); see _prefix_rows."""
+    H = config.horizon
+    values = np.stack([head.values for head in heads])
+    n, period = values.shape[1], heads[0].period
+    start = n - split.train_len - split.cal_len
+    # Each kind's rows: the offset of its stack into the heads, its prefix ends and its fit ends.
+    plan: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+    if "end" in kinds:
+        plan["end"] = (0, np.array([n]), np.array([n]))
+    if "signed" in kinds:
+        origins = np.arange(split.train_len, n - start)
+        plan["signed"] = (start, origins, _refit_ends(origins, config.refit_every))
+    out: list[dict[str, object]] = [dict.fromkeys(kinds) for _ in heads]
+    cutoffs = n - H * np.arange(config.n_windows, 0, -1)
+    if "backtest" in kinds and cutoffs[0] >= 3:
+        try:
+            if config.forecaster.kind == "seasonal_naive":
+                _check_seasonal_ends(cutoffs, period)
+            plan["backtest"] = (0, cutoffs, cutoffs)
+        except ValueError as e:
+            # Every series of the block shares the cutoffs, so it shares
+            # the error: no solve and no retry finds another message.
+            for row in out:
+                row["backtest"] = str(e)
+    for offset in sorted({offset for offset, _, _ in plan.values()}):
+        group = {kind: plan[kind] for kind in plan if plan[kind][0] == offset}
+        stack = values[:, offset:]
+        fits, yhat = _prefix_forecasts(
+            stack, np.concatenate([ends for _, ends, _ in group.values()]),
+            np.concatenate([fit_ends for _, _, fit_ends in group.values()]), config.forecaster, period, H,
+        )
+        first = 0
+        for kind, (_, ends, _) in group.items():
+            part = slice(first, first + len(ends))
+            first = part.stop
+            if kind == "end":
+                models = [None] * len(heads) if fits is None else _models(fits, part.start)
+                cells = map(_SeriesEnd, models, np.ascontiguousarray(yhat[:, part.start]))
+            else:
+                cells = _signed_residuals(stack, ends, yhat[:, part])
+                if kind == "signed" and np.isinf(cells).any():
+                    raise ValueError("residual matrix entries must be finite; NaN marks padding")
+                cells.flags.writeable = False  # every method reads the same rows
+            for row, cell in zip(out, cells):
+                row[kind] = cell
+    return out
+
+
+def _prefix_rows(
+    heads: list[TimeSeries], splits: list[SplitSpec], config: BenchConfig, kinds: tuple[str, ...]
+) -> list[dict[str, object]]:
+    """Every forecast a run makes from a prefix of one of its heads: one
+    dict per head of its row of each kind, or the message of what stopped it.
 
     The kinds are those the run's methods read (`_Method.reads`):
-    - "end": the series end, a fit on the whole head and its forecast of
-      the test block (`_SeriesEnd`);
-    - "signed": the calibration residual matrix, whose origins take the
-      latest fit at or before them, refitted every refit_every origins;
+    - "end": a fit on the whole head and its forecast of the test block
+      (`_SeriesEnd`);
+    - "signed": the (cal_len, horizon) signed residuals of the calibration
+      origins, each forecast from the latest fit at or before its origin,
+      refitted every refit_every origins; NaN where the truth lies past
+      the calibration segment;
     - "backtest": cv_cp's (n_windows, horizon) residuals at its cutoffs,
       each from its own fit; None where the head is too short for them.
-    Heads of equal length, split (and period, for seasonal naive) form
-    blocks of at most _STACK_BLOCK, and each block makes the union of its
-    rows' prefix fits in one solve and their forecasts in one recursion
-    (`forecaster._prefix_forecasts`). With train_len set the calibration
-    segment starts after the head's first value, so its rows take a second
-    call on that shifted stack. A fit is the same whichever other prefixes
-    share its solve, so every row is bit for bit the lone fit_auto_ar,
-    forecast, build_residual_matrix or cv_cp backtest result. A block whose
-    solve raises is redone one series at a time, and a series that still
-    fails once per kind, so that each kind keeps its own error message.
+    The residual rows are read-only views of their block's stack. Heads of
+    equal length, split (and period, for seasonal naive) form blocks of at
+    most _STACK_BLOCK, and each block makes the union of its rows' prefix
+    fits in one solve and their forecasts in one recursion, or, with
+    train_len set, one more for the calibration segment, which then starts
+    inside the head. A fit is the same whichever other prefixes share its
+    solve, so every row is bit for bit the lone fit_auto_ar, forecast,
+    build_residual_matrix or cv_cp backtest result. A block whose solve
+    raises is redone one series at a time, and a series that still fails
+    once per kind, so that each kind keeps its own error message.
     """
-
-    def __init__(self, config: BenchConfig):
-        self.config = config
-        self.kinds = tuple(sorted({kind for m in config.methods for kind in _METHODS[m].reads}))
-        # The contexts' heads and splits, not the contexts, which hold this
-        # table: a reference cycle would keep every context alive until the
-        # cyclic GC ran.
-        self.members: list[tuple[TimeSeries, SplitSpec]] = []
-
-    @cached_property
-    def rows(self) -> dict[str, dict[str, object]]:
-        seasonal = self.config.forecaster.kind == "seasonal_naive"
-        keys = [(len(head), split.train_len, head.period if seasonal else 0) for head, split in self.members]
-        out = _in_blocks(keys, lambda block: self._solve(block, self.kinds))
-        for i, row in enumerate(out):
-            if isinstance(row, str):
-                out[i] = {}
-                for kind in self.kinds:
-                    try:
-                        out[i] |= self._solve([i], (kind,))[0]
-                    except _METHOD_ERRORS as e:
-                        out[i][kind] = str(e)
-        return {head.series_id: row for (head, _), row in zip(self.members, out)}
-
-    def _solve(self, block: list[int], kinds: tuple[str, ...]) -> list[dict[str, object]]:
-        """The rows of the given kinds of a block of equal keys."""
-        c, H = self.config, self.config.horizon
-        head, split = self.members[block[0]]
-        values = np.stack([self.members[i][0].values for i in block])
-        n = values.shape[1]
-        start = n - split.train_len - split.cal_len
-        # Each kind's rows: the offset of its stack into the heads, its prefix ends and its fit ends.
-        plan: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
-        if "end" in kinds:
-            plan["end"] = (0, np.array([n]), np.array([n]))
-        if "signed" in kinds:
-            origins = np.arange(split.train_len, n - start)
-            plan["signed"] = (start, origins, _refit_ends(origins, c.refit_every))
-        out: list[dict[str, object]] = [dict.fromkeys(kinds) for _ in block]
-        cutoffs = n - H * np.arange(c.n_windows, 0, -1)
-        if "backtest" in kinds and cutoffs[0] >= 3:
-            try:
-                if c.forecaster.kind == "seasonal_naive":
-                    _check_seasonal_ends(cutoffs, head.period)
-                plan["backtest"] = (0, cutoffs, cutoffs)
-            except ValueError as e:
-                # Every series of the block shares the cutoffs, so it shares
-                # the error: no solve and no retry finds another message.
-                for row in out:
-                    row["backtest"] = str(e)
-        for offset in sorted({offset for offset, _, _ in plan.values()}):
-            group = {kind: plan[kind] for kind in plan if plan[kind][0] == offset}
-            stack = values[:, offset:]
-            fits, yhat = _prefix_forecasts(
-                stack, np.concatenate([ends for _, ends, _ in group.values()]),
-                np.concatenate([fit_ends for _, _, fit_ends in group.values()]), c.forecaster, head.period, H,
-            )
-            first = 0
-            for kind, (_, ends, _) in group.items():
-                part = slice(first, first + len(ends))
-                first = part.stop
-                if kind == "end":
-                    models = [None] * len(block) if fits is None else _models(fits, part.start)
-                    cells = map(_SeriesEnd, models, np.ascontiguousarray(yhat[:, part.start]))
-                else:
-                    cells = _signed_residuals(stack, ends, yhat[:, part])
-                    if kind == "signed":
-                        origins = tuple(ends.tolist())
-                        cells = (ResidualMatrix(m, origins, signed=True) for m in cells)
-                for row, cell in zip(out, cells):
-                    row[kind] = cell
-        return out
+    seasonal = config.forecaster.kind == "seasonal_naive"
+    keys = [(len(head), split.train_len, head.period if seasonal else 0) for head, split in zip(heads, splits)]
+    out = _in_blocks(keys, lambda block: _prefix_block([heads[i] for i in block], splits[block[0]], config, kinds))
+    for i, row in enumerate(out):
+        if isinstance(row, str):
+            out[i] = {}
+            for kind in kinds:
+                try:
+                    out[i] |= _prefix_block([heads[i]], splits[i], config, (kind,))[0]
+                except _METHOD_ERRORS as e:
+                    out[i][kind] = str(e)
+    return out
 
 
-class _SeriesContext:
-    """One series' inputs shared by its methods.
-
-    Its forecasts and residuals are read off the run's prefix table; a
-    build that raised left its message there, and every method that needs
-    it raises the same error, which becomes that method's skip reason.
-    """
-
-    def __init__(self, series: TimeSeries, config: BenchConfig, split: SplitSpec, table: _PrefixTable):
-        self.series = series
-        self.config = config
-        self.split = split
-        self.head = series.head(len(series) - config.horizon)  # all but the test block, a view
-        self.table = table
-
-    def _read(self, kind: str):
-        value = self.table.rows[self.series.series_id][kind]
-        if isinstance(value, str):
-            raise ValueError(value)
-        return value
-
-    @property
-    def signed(self) -> ResidualMatrix:
-        """Signed rolling-origin residuals over the calibration segment."""
-        return self._read("signed")
-
-    @cached_property
-    def abs_matrix(self) -> ResidualMatrix:
-        return ResidualMatrix(np.abs(self.signed.matrix), self.signed.origins, signed=False)
-
-    @property
-    def backtest(self) -> np.ndarray | str | None:
-        """cv_cp's signed backtest residuals, the message of what stopped
-        them, or None where the head is too short for a backtest."""
-        return self.table.rows[self.series.series_id]["backtest"]
-
-    @property
-    def end(self) -> _SeriesEnd:
-        return self._read("end")
-
-    @property
-    def model(self) -> FittedForecaster | None:
-        """The autoregression behind the forecast; None for seasonal naive."""
-        if self.config.forecaster.kind != "auto_ar":
-            return None
-        return self.end.model
-
-    @property
-    def fc(self) -> np.ndarray:
-        """The series' one point forecast of its test block."""
-        return self.end.fc
+def _read(rows: list[dict[str, object]], kinds: tuple[str, ...]) -> dict[str, tuple | str]:
+    """Each series' rows of the given kinds, in that order, or the first of
+    them that is a failure message: the series' skip reason."""
+    out: dict[str, tuple | str] = {}
+    for row in rows:
+        values = tuple(row[kind] for kind in kinds)
+        out[row["series"].series_id] = next((v for v in values if isinstance(v, str)), values)
+    return out
 
 
-def _per_series(method: Callable[[_SeriesContext], IntervalMatrix]) -> Callable:
-    """Lift a method of one series' context to every context; a method
-    error on a series becomes that series' skip reason."""
-
-    def run(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
-        out = {}
-        for ctx in contexts:
-            sid = ctx.series.series_id
-            try:
-                out[sid] = method(ctx)
-            except _METHOD_ERRORS as e:
-                out[sid] = str(e)
-        return out
-
-    return run
+def _ready(inputs: dict[str, tuple | str]) -> dict[str, tuple]:
+    """The inputs of the series that have them."""
+    return {sid: x for sid, x in inputs.items() if not isinstance(x, str)}
 
 
-def _forecasts(contexts: list[_SeriesContext]) -> tuple[dict[str, np.ndarray | str], dict[str, np.ndarray]]:
-    """Every context's forecast or skip reason, and the forecasts alone."""
-    out = _per_series(lambda ctx: ctx.fc)(contexts)
-    return out, {sid: fc for sid, fc in out.items() if not isinstance(fc, str)}
-
-
-def _global_cp(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
+def _global_cp(c: BenchConfig, inputs: dict[str, tuple | str]) -> dict[str, IntervalMatrix | str]:
     """Pool the series' forecasts. Each becomes an interval on an evaluation
     series, or a skip on a calibration series or when pooling fails."""
-    c = contexts[0].config
-    out, forecasts = _forecasts(contexts)
+    ready = _ready(inputs)
     try:
-        cohort = SeriesPanel(tuple(ctx.series for ctx in contexts if ctx.series.series_id in forecasts))
+        cohort = SeriesPanel(tuple(series for series, _ in ready.values()))
+        forecasts = {sid: end.fc for sid, (_, end) in ready.items()}
         result = global_cp_intervals(cohort, c.cohort_split, forecasts, c.alpha, c.horizon)
     except ValueError as e:
-        return out | dict.fromkeys(forecasts, str(e))
+        return inputs | dict.fromkeys(ready, str(e))
     cohort_skips = dict.fromkeys(result.calibration_ids, "spent as pooled calibration cohort")
-    return out | cohort_skips | result.intervals
+    return inputs | cohort_skips | result.intervals
 
 
-def _cv_cp(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
+def _cv_cp(c: BenchConfig, inputs: dict[str, tuple | str]) -> dict[str, IntervalMatrix | str]:
     """Calibrate every series with a forecast on its backtest rows of the
-    prefix table, in one pooled call on the series' heads; a series
-    without a forecast keeps its forecast's skip reason."""
-    c = contexts[0].config
-    out, forecasts = _forecasts(contexts)
-    ready = [ctx for ctx in contexts if ctx.series.series_id in forecasts]
-    backtests = {ctx.series.series_id: ctx.backtest for ctx in ready if ctx.backtest is not None}
-    heads = [ctx.head for ctx in ready]
-    return out | cv_conformal_intervals(forecasts, heads, c.n_windows, c.forecaster, c.alpha, backtests)
+    prefix table, in one pooled call on the series' heads."""
+    ready = _ready(inputs)
+    forecasts = {sid: end.fc for sid, (_, end, _) in ready.items()}
+    backtests = {sid: backtest for sid, (_, _, backtest) in ready.items() if backtest is not None}
+    heads = [head for head, _, _ in ready.values()]
+    return inputs | cv_conformal_intervals(forecasts, heads, c.n_windows, c.forecaster, c.alpha, backtests)
 
 
-def _column_lengths(pair: tuple[np.ndarray, ResidualMatrix]) -> tuple[int, ...]:
-    """A (forecast, residuals) pair's residual count per horizon: equal counts stack."""
-    return tuple(np.count_nonzero(~np.isnan(pair[1].matrix), axis=0).tolist())
+def _stacked(solve: Callable, key: Callable[[tuple], Hashable] = lambda inputs: None) -> Callable:
+    """A method that gives every series with its inputs the results of
+    solve(config, block), which takes the inputs of a block of series of
+    equal key(inputs) and returns one result per series (`_in_blocks`).
 
+    By default every series shares one key: every signed row of a run has
+    the shape (cal_len, H), and NaN exactly where r + h - 1 >= cal_len.
+    """
 
-def _stacked(
-    inputs: Callable[[_SeriesContext], object], key: Callable[[object], Hashable], solve: Callable
-) -> Callable:
-    """A method that reads inputs(ctx) from every context and gives every
-    series whose inputs exist the results of solve(config, block), which
-    takes the inputs of a block of series of equal key(inputs) and returns
-    one result per series (`_in_blocks`); a series without its inputs
-    keeps the skip reason of what failed."""
-
-    def run(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
-        c = contexts[0].config
-        out = _per_series(inputs)(contexts)
-        ready = {sid: x for sid, x in out.items() if not isinstance(x, str)}
+    def run(c: BenchConfig, inputs: dict[str, tuple | str]) -> dict[str, IntervalMatrix | str]:
+        ready = _ready(inputs)
         items = list(ready.values())
-        keys = [key(x) for x in items]
-        return out | dict(zip(ready, _in_blocks(keys, lambda block: solve(c, [items[i] for i in block]))))
+        results = _in_blocks([key(x) for x in items], lambda block: solve(c, [items[i] for i in block]))
+        return inputs | dict(zip(ready, results))
 
     return run
 
 
-def _spci(c: BenchConfig, block: list[tuple[np.ndarray, ResidualMatrix]]) -> list[IntervalMatrix]:
+def _stacks(block: list[tuple[_SeriesEnd, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """A block's (S, H) forecasts and (S, cal_len, H) signed residuals."""
+    return np.stack([end.fc for end, _ in block]), np.stack([signed for _, signed in block])
+
+
+def _scores(signed: np.ndarray) -> np.ndarray:
+    """The absolute values of an (S, R, H) signed stack as one (R, S*H)
+    score matrix: series s's horizon h at column s*H + h-1."""
+    return np.abs(signed).transpose(1, 0, 2).reshape(signed.shape[1], -1)
+
+
+def _spci(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix]:
     """SPCI of a block of series, each as alone: one quantile regression
-    solve per horizon for the block's equal-length residual columns."""
-    fcs, matrices = zip(*block)
-    return spci_intervals_stacked(np.stack(fcs), matrices, SpciSpec(lag_count=c.spci_lags), c.alpha)
+    solve per horizon for the block's residual columns."""
+    return spci_intervals_stacked(*_stacks(block), SpciSpec(lag_count=c.spci_lags), c.alpha)
 
 
-def _acmcp(c: BenchConfig, block: list[tuple[np.ndarray, ResidualMatrix]]) -> list[IntervalMatrix]:
+def _acmcp(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix]:
     """One quantile tracker per horizon through each series' calibration
-    stream, for a block of equal-length streams run as one stack of
-    trackers, each series as alone."""
-    fc = np.stack([fc for fc, _ in block])
+    stream, for a block of series run as one stack of trackers, each
+    series as alone."""
+    fc, signed = _stacks(block)
+    scores = np.abs(signed)
     bounds = np.empty(fc.shape + (2,))  # series, horizon, (lower, upper)
     for h, ys in enumerate(fc.T.tolist(), 1):
-        streams = np.stack([abs_matrix.column(h) for _, abs_matrix in block])
+        column = scores[:, :, h - 1]
+        streams = column[:, ~np.isnan(column[0])]  # the series share their NaN padding
         m = streams.shape[1]
         burn = max(5, min(10, m // 3))
         if m < burn + 1:
@@ -471,11 +398,11 @@ def _acmcp(c: BenchConfig, block: list[tuple[np.ndarray, ResidualMatrix]]) -> li
     return _rows_or_raise(_interval_rows(bounds[..., 0], bounds[..., 1]))
 
 
-def _mscp(c: BenchConfig, block: list[tuple[np.ndarray, ResidualMatrix]]) -> list[IntervalMatrix | str]:
-    """Split conformal intervals of a block of series with equal residual counts,
-    every radius from one _conformal_radii call on their (R, S*H) scores, each as alone."""
-    fc = np.stack([fc for fc, _ in block])
-    radii = _conformal_radii(np.hstack([m.matrix for _, m in block]), 1.0 - c.alpha).reshape(fc.shape)
+def _mscp(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix | str]:
+    """Split conformal intervals of a block of series, every radius from one
+    _conformal_radii call on their (R, S*H) scores, each as alone."""
+    fc, signed = _stacks(block)
+    radii = _conformal_radii(_scores(signed), 1.0 - c.alpha).reshape(fc.shape)
     return _interval_rows(fc - radii, fc + radii)
 
 
@@ -488,12 +415,12 @@ def _aci_radii(scores: np.ndarray, alpha_t: np.ndarray) -> np.ndarray:
     return np.where(inside, radii, np.where(level <= 0.0, 0.0, np.inf))
 
 
-def _aci(c: BenchConfig, block: list[tuple[np.ndarray, ResidualMatrix]]) -> list[IntervalMatrix | str]:
-    """ACI of a block of series with equal residual counts, each as alone: every
-    adaptive level (aci_step's update) warmed through its h=1 stream at once,
-    then per-horizon intervals at the final level."""
-    fc = np.stack([fc for fc, _ in block])
-    scores = np.hstack([m.matrix for _, m in block])  # (R, S*H): series s's horizon h at column s*H + h-1
+def _aci(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix | str]:
+    """ACI of a block of series, each as alone: every adaptive level
+    (aci_step's update) warmed through its h=1 stream at once, then
+    per-horizon intervals at the final level."""
+    fc, signed = _stacks(block)
+    scores = _scores(signed)
     stream = scores[:, :: fc.shape[1]]  # (R, S): the h=1 streams
     if len(stream) < 2:
         raise ValueError("adaptive calibration needs >= 2 one-step scores")
@@ -510,54 +437,42 @@ def _aci(c: BenchConfig, block: list[tuple[np.ndarray, ResidualMatrix]]) -> list
     return _interval_rows(fc - radii, fc + radii, diagnostics)
 
 
-def _enbpi_series(ctx: _SeriesContext) -> TimeSeries:
-    # The forecaster is checked before any member is drawn, so that under
-    # seasonal naive every series skips at once.
-    _check_ensemble_forecaster(ctx.config.forecaster)
-    return ctx.series
-
-
-def _enbpi(c: BenchConfig, block: list[TimeSeries]) -> list[IntervalMatrix | str]:
+def _enbpi(c: BenchConfig, block: list[tuple[TimeSeries]]) -> list[IntervalMatrix | str]:
     """EnbPI of a block of series of one length and period, each drawing
     its members from its own seed, each as alone."""
+    # Checked before any member is drawn: under seasonal naive no block is solved.
+    _check_ensemble_forecaster(c.forecaster)
+    series = [ts for (ts,) in block]
     specs = [
         EnsembleSpec(B=c.enbpi_members, window_len=c.enbpi_window, seed=series_seed(c.seed, ts.series_id))
-        for ts in block
+        for ts in series
     ]
-    return enbpi_intervals_stacked(block, c.horizon, specs, c.forecaster, c.alpha)
+    return enbpi_intervals_stacked(series, c.horizon, specs, c.forecaster, c.alpha)
 
 
-def _parametric(contexts: list[_SeriesContext]) -> dict[str, IntervalMatrix | str]:
+def _parametric(c: BenchConfig, inputs: dict[str, tuple | str]) -> dict[str, IntervalMatrix | str]:
     """Gaussian intervals for every series with an autoregression and a
-    forecast, in one stacked call, each series as alone; a series without
-    them keeps the skip reason of what failed."""
-
-    def model_and_forecast(ctx: _SeriesContext) -> tuple[FittedForecaster, np.ndarray]:
-        if ctx.model is None:
-            raise ValueError("parametric intervals require an autoregressive forecaster")
-        return ctx.model, ctx.fc
-
-    inputs = _per_series(model_and_forecast)(contexts)
-    ready = {sid: pair for sid, pair in inputs.items() if not isinstance(pair, str)}
+    forecast, in one stacked call, each series as alone."""
+    if c.forecaster.kind != "auto_ar":
+        return dict.fromkeys(inputs, "parametric intervals require an autoregressive forecaster")
+    ready = _ready(inputs)
     if not ready:
         return inputs
-    models, fcs = zip(*ready.values())
-    return inputs | dict(zip(ready, parametric_intervals_stacked(models, np.stack(fcs), contexts[0].config.alpha)))
+    models, fcs = zip(*((end.model, end.fc) for (end,) in ready.values()))
+    return inputs | dict(zip(ready, parametric_intervals_stacked(models, np.stack(fcs), c.alpha)))
 
 
-# A method is the kinds of prefix-table row it reads (see _PrefixTable) and its
-# run, which maps every eligible series' context to its intervals or skip reason.
+# A method is the entries of each series' row dict it reads and its run, which
+# maps the config and every series' reads (`_read`) to its intervals or skip reason.
 _Method = NamedTuple("_Method", [("reads", tuple[str, ...]), ("run", Callable)])
-# The stacked methods of each series' forecast and absolute calibration scores.
-_on_scores = partial(_stacked, lambda ctx: (ctx.fc, ctx.abs_matrix), _column_lengths)
 _METHODS = {
-    "mscp": _Method(("end", "signed"), _on_scores(_mscp)),
-    "enbpi": _Method((), _stacked(_enbpi_series, lambda ts: (len(ts), ts.period), _enbpi)),
-    "spci": _Method(("end", "signed"), _stacked(lambda ctx: (ctx.fc, ctx.signed), _column_lengths, _spci)),
-    "global_cp": _Method(("end",), _global_cp),
-    "cv_cp": _Method(("end", "backtest"), _cv_cp),
-    "aci": _Method(("end", "signed"), _on_scores(_aci)),
-    "acmcp": _Method(("end", "signed"), _on_scores(_acmcp)),
+    "mscp": _Method(("end", "signed"), _stacked(_mscp)),
+    "enbpi": _Method(("series",), _stacked(_enbpi, key=lambda inputs: (len(inputs[0]), inputs[0].period))),
+    "spci": _Method(("end", "signed"), _stacked(_spci)),
+    "global_cp": _Method(("series", "end"), _global_cp),
+    "cv_cp": _Method(("head", "end", "backtest"), _cv_cp),
+    "aci": _Method(("end", "signed"), _stacked(_aci)),
+    "acmcp": _Method(("end", "signed"), _stacked(_acmcp)),
     "parametric": _Method(("end",), _parametric),
 }
 METHODS = tuple(_METHODS)
@@ -596,6 +511,9 @@ class BenchConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}; choose from {METHODS}")
+        duplicates = [m for m, count in Counter(self.methods).items() if count > 1]
+        if duplicates:
+            raise ValueError(f"duplicate methods: {duplicates}")
         if self.cal_len < 2:
             raise ValueError(f"cal_len must be >= 2, got {self.cal_len}")
         # _min_train(1) is the least training length of any period.
@@ -621,13 +539,14 @@ class BenchConfig:
         return hashlib.sha256(repr(dataclasses.asdict(self)).encode()).hexdigest()[:12]
 
 
-def _contexts(panel: SeriesPanel, config: BenchConfig) -> tuple[list[_SeriesContext], list[tuple[str, str, str]]]:
-    """A context for each series long enough to evaluate, all sharing one
-    prefix table, and a skip for every method on each other series."""
+def _contexts(panel: SeriesPanel, config: BenchConfig) -> tuple[list[dict[str, object]], list[tuple[str, str, str]]]:
+    """One row dict per series long enough to evaluate: the series, its head
+    (all but the test block, a view) and its prefix-table rows of every kind
+    the configured methods read; and a skip for every method on each other series."""
     H = config.horizon
     skips: list[tuple[str, str, str]] = []
-    contexts: list[_SeriesContext] = []
-    table = _PrefixTable(config)
+    rows: list[dict[str, object]] = []
+    splits: list[SplitSpec] = []
     for series in panel:
         n = len(series)
         train_len = config.train_len if config.train_len is not None else n - config.cal_len - H
@@ -635,9 +554,12 @@ def _contexts(panel: SeriesPanel, config: BenchConfig) -> tuple[list[_SeriesCont
             reason = f"series too short: {n} observations for train {train_len}, cal {config.cal_len}, test {H}"
             skips.extend((series.series_id, m, reason) for m in config.methods)
             continue
-        contexts.append(_SeriesContext(series, config, SplitSpec(train_len, config.cal_len, H), table))
-        table.members.append((contexts[-1].head, contexts[-1].split))
-    return contexts, skips
+        rows.append({"series": series, "head": series.head(n - H)})
+        splits.append(SplitSpec(train_len, config.cal_len, H))
+    kinds = tuple(sorted({kind for m in config.methods for kind in _METHODS[m].reads} - {"series", "head"}))
+    for row, prefix in zip(rows, _prefix_rows([row["head"] for row in rows], splits, config, kinds)):
+        row.update(prefix)
+    return rows, skips
 
 
 def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> BenchmarkReport:
@@ -661,14 +583,15 @@ def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> Benc
         panel = parse_panel(text, period=config.period)
 
     H = config.horizon
-    contexts, skips = _contexts(panel, config)
-    if not contexts:
+    rows, skips = _contexts(panel, config)
+    if not rows:
         raise NothingEvaluableError("no series long enough to evaluate")
 
     records: list[MetricRecord] = []
     for method in config.methods:
         scored: dict[str, IntervalMatrix] = {}
-        for sid, result in _METHODS[method].run(contexts).items():
+        reads, run = _METHODS[method]
+        for sid, result in run(config, _read(rows, reads)).items():
             if isinstance(result, str):
                 skips.append((sid, method, result))
             else:
@@ -715,7 +638,7 @@ def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> Benc
         "horizon": H,
         "methods": list(config.methods),
         "n_series": len(panel),
-        "n_series_evaluated": len(contexts),
+        "n_series_evaluated": len(rows),
         "n_rank_series": len(complete) if len(rank_methods) >= 2 else 0,
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }

@@ -18,12 +18,13 @@ of a stack of series' forecasts from shared origins, and rejects a
 forecast that is not finite where its truth exists: `_origin_residuals`
 makes them from `forecaster._prefix_forecasts` for `build_residual_matrix`
 and the cross-validation backtest, and bench's prefix table from the same
-call on the union of every prefix a run needs. `_spci_pairs`,
-the one SPCI fit, picks the quantile pair of every residual history of a
-stack with one solver call: for `spci_intervals_stacked`, whose
-one-series and one-column cases are `spci_intervals` and
-`spci_quantile_pair`. `parametric_intervals_stacked` takes the Gaussian
-intervals of many autoregressions from one stacked psi-weight recursion
+call on the union of every prefix a run needs. `_spci_pairs`, the one
+SPCI fit, picks the quantile pair of every residual history of a stack
+with one solver call: for `spci_intervals_stacked`, which takes an
+(S, R, H) stack of signed residuals, and whose one-series and one-column
+cases are `spci_intervals` and `spci_quantile_pair`.
+`parametric_intervals_stacked` takes the Gaussian intervals of many
+autoregressions from one stacked psi-weight recursion
 (`forecaster.sigma_h_stacked`); `parametric_intervals` is its one-row case.
 `enbpi_intervals_stacked` fits the bootstrap members of many series of one
 length and period in stacked AR solves and makes their one-step
@@ -620,14 +621,18 @@ def spci_intervals(
     Each horizon h gets its own quantile regression on that horizon's
     signed residual column, evaluated at the column's latest lag vector.
     """
+    if not residuals.signed:
+        raise ValueError("spci_intervals requires signed residuals")
     fc = np.asarray(forecasts, dtype=np.float64).ravel()
-    return spci_intervals_stacked(fc[None], [residuals], spec, alpha)[0]
+    return spci_intervals_stacked(fc[None], residuals.matrix[None], spec, alpha)[0]
 
 
 def spci_intervals_stacked(
-    forecasts: np.ndarray, residuals: Sequence[ResidualMatrix], spec: SpciSpec, alpha: float
+    forecasts: np.ndarray, signed: np.ndarray, spec: SpciSpec, alpha: float
 ) -> list[IntervalMatrix]:
-    """spci_intervals of many series: forecasts has one row per residual matrix.
+    """spci_intervals of many series: forecasts (S, H) and their signed
+    residuals, an (S, R, H') stack with H' >= H, NaN-padded as in
+    ResidualMatrix.
 
     At each horizon h the column-h residual histories of every series,
     which must have equal lengths, are fitted in one solver call. Each
@@ -635,20 +640,22 @@ def spci_intervals_stacked(
     it alone.
     """
     fc = np.atleast_2d(np.asarray(forecasts, dtype=np.float64))
+    signed = np.asarray(signed, dtype=np.float64)
     S, horizon = fc.shape
-    if len(residuals) != S:
-        raise ValueError(f"{S} forecast rows for {len(residuals)} residual matrices")
-    for res in residuals:
-        if not res.signed:
-            raise ValueError("spci_intervals requires signed residuals")
-        if horizon > res.horizons:
-            raise ValueError(f"forecast horizon {horizon} exceeds residual horizons {res.horizons}")
+    if signed.ndim != 3 or len(signed) != S:
+        raise ValueError(f"{S} forecast rows for a signed residual stack of shape {signed.shape}")
+    if horizon > signed.shape[2]:
+        raise ValueError(f"forecast horizon {horizon} exceeds residual horizons {signed.shape[2]}")
+    if np.isinf(signed).any():
+        raise ValueError("residual entries must be finite; NaN marks padding")
     pairs = []
-    for h in range(1, horizon + 1):
-        columns = [res.column(h) for res in residuals]
-        if len({len(col) for col in columns}) > 1:
-            raise ValueError(f"horizon {h} residual columns differ in length across series")
-        pairs.append(_spci_pairs(np.stack(columns), spec, alpha))
+    for h in range(horizon):
+        column = signed[:, :, h]
+        kept = ~np.isnan(column)
+        lengths = np.count_nonzero(kept, axis=1)
+        if (lengths != lengths[0]).any():
+            raise ValueError(f"horizon {h + 1} residual columns differ in length across series")
+        pairs.append(_spci_pairs(column[kept].reshape(S, lengths[0]), spec, alpha))
     # Each part is (S, horizon): series by row.
     q_lo, q_hi, crossed, fallback, beta = (np.stack(part, axis=1) for part in zip(*pairs))
     diagnostics = [
@@ -727,7 +734,7 @@ def cv_conformal_intervals(
     n_windows: int,
     forecaster: ForecasterSpec,
     alpha: float,
-    backtests: Mapping[str, np.ndarray | str] | None = None,
+    backtests: Mapping[str, np.ndarray] | None = None,
 ) -> dict[str, IntervalMatrix | str]:
     """Backtest-calibrated intervals around each series' forecast beyond its end.
 
@@ -748,8 +755,7 @@ def cv_conformal_intervals(
     series gets the intervals it would get alone. backtests, where given,
     maps every series that admits a backtest to its (n_windows, horizon)
     signed backtest residuals, made as this function makes them (bench
-    reads them off its prefix table), or to the message of the error that
-    stopped them; they are then not made again.
+    reads them off its prefix table); they are then not made again.
     """
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
@@ -769,9 +775,6 @@ def cv_conformal_intervals(
         if backtests is not None:
             if sid not in backtests:
                 raise ValueError(f"no backtest residuals for series {sid!r}")
-            if isinstance(backtests[sid], str):
-                out[sid] = backtests[sid]
-                continue
             if np.shape(backtests[sid]) != (n_windows, horizon):
                 raise ValueError(f"backtest residuals for series {sid!r} must have shape ({n_windows}, {horizon})")
         members.append((sid, yhat, ts))

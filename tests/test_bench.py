@@ -31,7 +31,6 @@ from ctsbench.bench import (
 from ctsbench.cli import main as cli_main
 from ctsbench.conformal import (
     EnsembleSpec,
-    ResidualMatrix,
     build_residual_matrix,
     enbpi_intervals,
     global_cp_intervals,
@@ -44,7 +43,7 @@ from ctsbench.forecaster import (
     seasonal_naive_forecast,
 )
 from ctsbench.online import AciState, aci_interval, aci_step
-from ctsbench.series import SeriesPanel, TimeSeries, parse_panel
+from ctsbench.series import SeriesPanel, SplitSpec, TimeSeries, parse_panel
 
 FAST_METHODS = ("mscp", "cv_cp", "parametric")
 
@@ -61,6 +60,12 @@ def small_panel(n=6, seed=2, length=90, generator="ar1"):
     return generate_synthetic(
         SyntheticSpec(generator=generator, n_series=n, length=length, seed=seed)
     )
+
+
+def run_method(config, rows, method):
+    """One method run on a run's row dicts: each series' intervals or skip reason."""
+    reads, run = bench._METHODS[method]
+    return run(config, bench._read(rows, reads))
 
 
 def two_length_series(n_long):
@@ -171,6 +176,15 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown methods"):
             BenchConfig(methods=("mscp", "quantum"))
 
+    def test_duplicate_method_rejected(self):
+        # A repeated method was once run twice: its records doubled, its
+        # n_series counted every series twice, and Friedman ranked it
+        # against itself.
+        with pytest.raises(ValueError, match=r"^duplicate methods: \['mscp'\]$"):
+            BenchConfig(methods=("mscp", "mscp", "parametric"))
+        with pytest.raises(ValueError, match=r"duplicate methods: \['aci', 'mscp'\]"):
+            build_config(methods="aci,mscp,aci,mscp")
+
     def test_config_hash_tracks_content(self):
         assert small_config().config_hash() == small_config().config_hash()
         assert small_config().config_hash() != small_config(seed=99).config_hash()
@@ -225,14 +239,14 @@ class TestRunBenchmark:
 
     def test_context_order_invariant(self):
         # SeriesPanel sorts its series by id, so reversing the panel does not
-        # reach the methods; reversing the contexts does. Every method gives
+        # reach the methods; reversing the row dicts does. Every method gives
         # each series the same intervals or skip reason in either order.
         panel = SeriesPanel(tuple(two_length_series(4)))
         config = small_config(methods=bench.METHODS, alpha=0.5, horizon=2)
 
         def results(method, reverse):
-            contexts, _ = bench._contexts(panel, config)
-            out = bench._METHODS[method].run(contexts[::-1] if reverse else contexts)
+            rows, _ = bench._contexts(panel, config)
+            out = run_method(config, rows[::-1] if reverse else rows, method)
             return {sid: r if isinstance(r, str) else (r.lower.tobytes(), r.upper.tobytes(), r.diagnostics)
                     for sid, r in out.items()}
 
@@ -383,7 +397,7 @@ class TestRunBenchmark:
     )
     def test_stacked_end_fits_match_lone_fits(self, monkeypatch, spec):
         # Two head lengths, each larger than the block, a constant and a
-        # trend among them: every context's model is, field for field, the
+        # trend among them: every series' end model is, field for field, the
         # one fit_auto_ar gives its head alone.
         monkeypatch.setattr(forecaster, "_STACK_BLOCK", 2)
         series = two_length_series(5)
@@ -393,17 +407,18 @@ class TestRunBenchmark:
             TimeSeries("trend", stamps, 1.0 + 0.5 * np.arange(70.0), 12),
         ]
         config = small_config(forecaster=spec)
-        contexts, skips = bench._contexts(SeriesPanel(tuple(series)), config)
-        assert len(contexts) == 10 and not skips
-        for ctx in contexts:
-            alone = fit_auto_ar(ctx.head.values, spec)
+        rows, skips = bench._contexts(SeriesPanel(tuple(series)), config)
+        assert len(rows) == 10 and not skips
+        for row in rows:
+            head, (model, fc) = row["head"], row["end"]
+            alone = fit_auto_ar(head.values, spec)
             for f in dataclasses.fields(FittedForecaster):
-                assert np.array_equal(getattr(ctx.model, f.name), getattr(alone, f.name)), (ctx.series.series_id, f)
-            assert ctx.fc.tobytes() == forecast(alone, ctx.head, config.horizon).tobytes()
+                assert np.array_equal(getattr(model, f.name), getattr(alone, f.name)), (head.series_id, f)
+            assert fc.tobytes() == forecast(alone, head, config.horizon).tobytes()
 
     def test_seasonal_end_forecasts_gather_once_per_length_and_period(self, monkeypatch):
         # Two lengths and two periods in blocks of 2: one gather per block,
-        # and each context's forecast is the one its head gets alone.
+        # and each series' end forecast is the one its head gets alone.
         monkeypatch.setattr(forecaster, "_STACK_BLOCK", 2)
         series = [dataclasses.replace(ts, period=4) if i % 2 else ts for i, ts in enumerate(two_length_series(5))]
         gathers = []
@@ -414,10 +429,11 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(bench, "_prefix_forecasts", counting)
         config = small_config(forecaster=ForecasterSpec(kind="seasonal_naive"))
-        contexts, _ = bench._contexts(SeriesPanel(tuple(series)), config)
-        for ctx in contexts:
-            assert ctx.model is None
-            assert ctx.fc.tobytes() == seasonal_naive_forecast(ctx.head, config.horizon).tobytes()
+        rows, _ = bench._contexts(SeriesPanel(tuple(series)), config)
+        for row in rows:
+            model, fc = row["end"]
+            assert model is None
+            assert fc.tobytes() == seasonal_naive_forecast(row["head"], config.horizon).tobytes()
         # (length, period) groups (90, 12) x3, (90, 4) x2, (70, 12) x1 and (70, 4) x2.
         assert sorted(gathers) == [1, 1, 2, 2, 2]
 
@@ -456,11 +472,11 @@ class TestRunBenchmark:
         panel = SeriesPanel(tuple(dataclasses.replace(ts, values=1e155 * ts.values) for ts in small_panel(n=4)))
         config = BenchConfig()
         message = "auto_ar fit is not finite: the series' scale overflows the least-squares solve"
-        contexts, skips = bench._contexts(panel, config)
-        results = {method: bench._METHODS[method].run(contexts) for method in config.methods}
+        rows, skips = bench._contexts(panel, config)
+        results = {method: run_method(config, rows, method) for method in config.methods}
         with pytest.raises(NothingEvaluableError, match="auto_ar fit is not finite"):
             run_benchmark(config, panel=panel)
-        assert len(contexts) == 4 and not skips
+        assert len(rows) == 4 and not skips
         for method, out in results.items():
             assert out == dict.fromkeys(panel.ids, message), method
 
@@ -650,10 +666,10 @@ class TestEnbpiBlocks:
         series += [dataclasses.replace(ts, series_id=f"p{ts.series_id}", period=4) for ts in series[::2]]
         panel = SeriesPanel(tuple(series))
         config = small_config(methods=("enbpi",), enbpi_members=5, enbpi_window=window)
-        contexts, skips = bench._contexts(panel, config)
-        assert len(contexts) == len(series) and not skips
+        rows, skips = bench._contexts(panel, config)
+        assert len(rows) == len(series) and not skips
         assert len({(len(ts), ts.period) for ts in series}) == 4
-        out = bench._METHODS["enbpi"].run(contexts[::-1] if reverse else contexts)
+        out = run_method(config, rows[::-1] if reverse else rows, "enbpi")
         assert len(out) == len(series)
         for ts in series:
             spec = EnsembleSpec(B=5, window_len=window, seed=series_seed(config.seed, ts.series_id))
@@ -698,28 +714,67 @@ class TestPrefixTable:
         config = small_config(
             methods=bench.METHODS, forecaster=spec, refit_every=refit_every, train_len=train_len, alpha=0.5
         )
-        contexts, skips = bench._contexts(panel, config)
-        assert len(contexts) == 7 and not skips
+        rows, skips = bench._contexts(panel, config)
+        assert len(rows) == 7 and not skips
         H = config.horizon
-        cv = bench._METHODS["cv_cp"].run(contexts)
-        for ctx in contexts:
-            sid = ctx.series.series_id
-            for signed, matrix in ((True, ctx.signed), (False, ctx.abs_matrix)):
-                alone = build_residual_matrix(ctx.series, ctx.split, spec, H, refit_every, signed=signed)
-                assert matrix.signed == signed and matrix.origins == alone.origins, sid
-                assert matrix.matrix.tobytes() == alone.matrix.tobytes(), (sid, signed)
+        cv = run_method(config, rows, "cv_cp")
+        for row in rows:
+            series, head, end = row["series"], row["head"], row["end"]
+            sid = series.series_id
+            split = SplitSpec(train_len or len(series) - config.cal_len - H, config.cal_len, H)
+            for signed, matrix in ((True, row["signed"]), (False, np.abs(row["signed"]))):
+                alone = build_residual_matrix(series, split, spec, H, refit_every, signed=signed)
+                assert matrix.shape == alone.matrix.shape, sid
+                assert matrix.tobytes() == alone.matrix.tobytes(), (sid, signed)
             if spec.kind == "auto_ar":
-                model = fit_auto_ar(ctx.head.values, spec)
+                model = fit_auto_ar(head.values, spec)
                 for f in dataclasses.fields(FittedForecaster):
-                    assert np.array_equal(getattr(ctx.model, f.name), getattr(model, f.name)), (sid, f.name)
-                fc = forecast(model, ctx.head, H)
+                    assert np.array_equal(getattr(end.model, f.name), getattr(model, f.name)), (sid, f.name)
+                fc = forecast(model, head, H)
             else:
-                assert ctx.model is None
-                fc = seasonal_naive_forecast(ctx.head, H)
-            assert ctx.fc.tobytes() == fc.tobytes(), sid
-            alone = conformal.cv_conformal_intervals({sid: fc}, [ctx.head], config.n_windows, spec, config.alpha)[sid]
+                assert end.model is None
+                fc = seasonal_naive_forecast(head, H)
+            assert end.fc.tobytes() == fc.tobytes(), sid
+            alone = conformal.cv_conformal_intervals({sid: fc}, [head], config.n_windows, spec, config.alpha)[sid]
             assert cv[sid].lower.tobytes() == alone.lower.tobytes(), sid
             assert cv[sid].upper.tobytes() == alone.upper.tobytes(), sid
+
+    def test_residual_rows_are_read_only(self):
+        # Every method reads the same rows, so none may write to them.
+        config = small_config(methods=("mscp", "cv_cp"))
+        rows, _ = bench._contexts(SeriesPanel(tuple(two_length_series(4))), config)
+        assert len(rows) == 7
+        for row in rows:
+            for kind in ("signed", "backtest"):
+                assert isinstance(row[kind], np.ndarray) and not row[kind].flags.writeable, kind
+                with pytest.raises(ValueError, match="read-only"):
+                    row[kind][0, 0] = 0.0
+
+    def test_the_first_failed_read_is_the_skip_reason(self, monkeypatch):
+        # A series whose end and calibration solves both fail, each with its
+        # own message: mscp reads the end first, so it skips with the end's
+        # message; cv_cp, which reads no calibration row, skips the same way.
+        config = small_config(methods=("mscp", "cv_cp"), refit_every=None)
+        panel = small_panel()
+        bad = panel.series[0]
+        bad = TimeSeries("bad", bad.timestamps, np.r_[99.0, bad.values[1:]], bad.period)
+        fit_ar_prefixes = forecaster._fit_ar_prefixes
+
+        def failing_solve(values, ends, *args):
+            if np.any(values[:, 0] == 99.0):
+                # Heads of 84 points: the end is 84 and the calibration fit is at 60.
+                for end, kind in ((84, "end"), (60, "signed")):
+                    if end in np.asarray(ends):
+                        raise np.linalg.LinAlgError(f"{kind} solve failed")
+            return fit_ar_prefixes(values, ends, *args)
+
+        monkeypatch.setattr(forecaster, "_fit_ar_prefixes", failing_solve)
+        rows, _ = bench._contexts(SeriesPanel(panel.series + (bad,)), config)
+        (row,) = [row for row in rows if row["series"].series_id == "bad"]
+        assert (row["end"], row["signed"]) == ("end solve failed", "signed solve failed")
+        assert bench._read(rows, ("signed", "end"))["bad"] == "signed solve failed"
+        assert run_method(config, rows, "mscp")["bad"] == "end solve failed"
+        assert run_method(config, rows, "cv_cp")["bad"] == "end solve failed"
 
     def test_a_run_without_calibration_methods_fits_no_calibration_prefix(self, monkeypatch):
         # global_cp, parametric and cv_cp read only the end and the backtest:
@@ -840,16 +895,15 @@ class TestAciWarmup:
         # A block of equal-length h=1 streams warmed at once: each row is
         # its stream's per-step reference and lone aci_interval.
         block = [
-            (np.array([5.0 + i]), ResidualMatrix(np.array(scores)[:, None], tuple(range(len(scores)))))
-            for i, scores in enumerate(streams)
+            (bench._SeriesEnd(None, np.array([5.0 + i])), np.array(scores)[:, None]) for i, scores in enumerate(streams)
         ]
         rows = bench._aci(BenchConfig(alpha=alpha, gamma=gamma), block)
         assert len(rows) == len(streams)
-        for (fc, _), scores, iv in zip(block, streams, rows):
+        for (end, _), scores, iv in zip(block, streams, rows):
             alpha_t, errs = _aci_warmup_reference(scores, alpha, gamma)
             assert iv.diagnostics == {"alpha_final": alpha_t, "warmup_errs": errs}
             ref = AciState(alpha_t=alpha_t, gamma=gamma, target=alpha)
-            assert (iv.lower[0, 0], iv.upper[0, 0]) == aci_interval(ref, fc[0], scores)
+            assert (iv.lower[0, 0], iv.upper[0, 0]) == aci_interval(ref, end.fc[0], scores)
 
 
 def _payload(out_dir: Path) -> bytes:
@@ -995,6 +1049,15 @@ class TestCli:
         assert self.run_cli("run", "--config", str(cfg)) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and match in err
+
+    def test_duplicate_methods_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "panel.csv"
+        write_panel_csv(small_panel(n=3), str(data))
+        out = tmp_path / "r"
+        assert self.run_cli("run", "--data", str(data), "--methods", "mscp,mscp", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "duplicate methods: ['mscp']" in err
+        assert not out.exists()
 
     def test_non_utf8_data_exit_2(self, tmp_path, capsys):
         data = tmp_path / "panel.csv"

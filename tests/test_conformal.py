@@ -735,8 +735,8 @@ class TestSpci:
 
         monkeypatch.setattr(conformal, "fit_pinball_stacked", spy)
         rng = np.random.default_rng(5)
-        residuals = [padded_signed_residuals(rng) for _ in range(12)]
-        ivs = spci_intervals_stacked(np.zeros((12, 4)), residuals, SpciSpec(lag_count=4), 0.1)
+        signed = np.stack([padded_signed_residuals(rng).matrix for _ in range(12)])
+        ivs = spci_intervals_stacked(np.zeros((12, 4)), signed, SpciSpec(lag_count=4), 0.1)
         assert len(ivs) == 12
         assert calls == [12] * 4
 
@@ -765,7 +765,7 @@ class TestSpci:
         residuals.append(ResidualMatrix(np.where(np.isnan(pattern), np.nan, 2.0), residuals[0].origins, signed=True))
         fc = rng.standard_normal((7, 4))
         spec = SpciSpec(lag_count=4)
-        stacked = spci_intervals_stacked(fc, residuals, spec, 0.1)
+        stacked = spci_intervals_stacked(fc, np.stack([res.matrix for res in residuals]), spec, 0.1)
         for f, res, iv in zip(fc, residuals, stacked):
             alone = spci_intervals(f, res, spec, 0.1)
             assert iv.lower.tobytes() == alone.lower.tobytes()
@@ -778,10 +778,10 @@ class TestSpci:
         # name replaced, each solved (series, horizon) goes through it once,
         # and the intervals are those of the stacked solver
         rng = np.random.default_rng(8)
-        residuals = [padded_signed_residuals(rng) for _ in range(5)]
+        signed = np.stack([padded_signed_residuals(rng).matrix for _ in range(5)])
         fc = rng.standard_normal((5, 4))
         spec = SpciSpec(lag_count=4)
-        stacked = spci_intervals_stacked(fc, residuals, spec, 0.1)
+        stacked = spci_intervals_stacked(fc, signed, spec, 0.1)
         designs = []
         real = conformal.fit_pinball_linear
 
@@ -791,7 +791,7 @@ class TestSpci:
 
         monkeypatch.setattr(conformal, "fit_pinball_linear", spy)
         monkeypatch.setattr(conformal, "fit_pinball_stacked", None)
-        traced = spci_intervals_stacked(fc, residuals, spec, 0.1)
+        traced = spci_intervals_stacked(fc, signed, spec, 0.1)
         assert len(designs) == 5 * 4
         assert all(len(shape) == 2 for shape in designs)
         for a, b in zip(stacked, traced):
@@ -801,9 +801,11 @@ class TestSpci:
 
     def test_stack_needs_equal_column_lengths(self):
         rng = np.random.default_rng(7)
-        residuals = [padded_signed_residuals(rng), padded_signed_residuals(rng, rows=31)]
-        with pytest.raises(ValueError, match="differ in length"):
-            spci_intervals_stacked(np.zeros((2, 4)), residuals, SpciSpec(lag_count=4), 0.1)
+        # One stack, but the second series' first origin is padding too.
+        signed = np.stack([padded_signed_residuals(rng).matrix for _ in range(2)])
+        signed[1, 0] = np.nan
+        with pytest.raises(ValueError, match="horizon 1 residual columns differ in length"):
+            spci_intervals_stacked(np.zeros((2, 4)), signed, SpciSpec(lag_count=4), 0.1)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([-50, -20, 0, 20, 50]))
@@ -935,7 +937,7 @@ class TestCvConformal:
 
     def test_given_backtests_are_read_not_made_again(self, monkeypatch):
         # Residuals passed in give the intervals the call makes from its own
-        # backtests, without a solve; a message stands in for a failed one.
+        # backtests, without a solve.
         series = [make_series(simulate_ar1(40, 0.5, seed=i), f"s{i}") for i in range(3)]
         forecasts = {ts.series_id: np.random.default_rng(i).standard_normal(4) for i, ts in enumerate(series)}
         made = cv_conformal_intervals(forecasts, series, 2, ForecasterSpec(), 0.2)
@@ -944,15 +946,13 @@ class TestCvConformal:
             ts.series_id: conformal._origin_residuals(ts.values[None], cutoffs, ForecasterSpec(), 1, 4)[0]
             for ts in series
         }
-        backtests["s2"] = "backtest failed"
 
         def refuse(*args):
             raise AssertionError("a backtest was made again")
 
         monkeypatch.setattr(conformal, "_prefix_forecasts", refuse)
         read = cv_conformal_intervals(forecasts, series, 2, ForecasterSpec(), 0.2, backtests)
-        assert read["s2"] == "backtest failed"
-        for sid in ("s0", "s1"):
+        for sid in ("s0", "s1", "s2"):
             assert read[sid].lower.tobytes() == made[sid].lower.tobytes()
             assert read[sid].upper.tobytes() == made[sid].upper.tobytes()
         with pytest.raises(ValueError, match="no backtest residuals for series 's1'"):
