@@ -24,15 +24,17 @@ entries of one skeleton (`_stacked`), which solves blocks of series
 (`_in_blocks`), each series as alone: mscp, aci, acmcp and spci take a
 block's (S, H) forecasts and (S, cal_len, H) signed residual stack, and
 enbpi a block of series of one length and period
-(`conformal.enbpi_intervals_stacked`). The methods build their intervals
+(`conformal.enbpi_intervals_stacked`). aci's radii are those of
+`aci_interval` (`online._aci_radii`). The methods build their intervals
 as row views of one validated bound stack (`conformal._interval_rows`),
 and each method's intervals are scored in one pass over all its series
 (`metrics.score_records`).
 
 Every run is a pure function of (config, data, seed): per-series RNG seeds
 are derived by hashing the global seed with the series id. The
-`parallelism` setting is validated but selects nothing; worker threads
-made the run slower, because the per-series work is Python-bound.
+`parallelism` setting is validated, then dropped: it selects nothing and
+stays out of `config_hash`. Worker threads made the run slower, because
+the per-series work is Python-bound.
 """
 
 from __future__ import annotations
@@ -56,7 +58,10 @@ from .conformal import (
     EnsembleSpec,
     IntervalMatrix,
     SpciSpec,
+    _backtest_cutoffs,
+    _calibration_origins,
     _check_ensemble_forecaster,
+    _check_padding,
     _conformal_radii,
     _interval_rows,
     _rows_or_raise,
@@ -86,7 +91,7 @@ from .forecaster import (
 )
 from .metrics import MethodSummary, MetricRecord, aggregate, score_records
 from .metrics import series_metrics  # noqa: F401  unused here, but perfbench/spans.py traces bench.series_metrics
-from .online import AciState, acmcp_init_stacked, acmcp_interval, acmcp_run_stacked
+from .online import AciState, _aci_radii, acmcp_init_stacked, acmcp_interval, acmcp_run_stacked
 # These stay importable here: perfbench/spans.py traces them by these names.
 from .online import aci_interval, aci_step, acmcp_init, acmcp_step  # noqa: F401
 from .series import PanelError, SeriesPanel, SplitSpec, TimeSeries, parse_panel, serialize_panel
@@ -221,17 +226,16 @@ def _prefix_block(
     H = config.horizon
     values = np.stack([head.values for head in heads])
     n, period = values.shape[1], heads[0].period
-    start = n - split.train_len - split.cal_len
     # Each kind's rows: the offset of its stack into the heads, its prefix ends and its fit ends.
     plan: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
     if "end" in kinds:
         plan["end"] = (0, np.array([n]), np.array([n]))
     if "signed" in kinds:
-        origins = np.arange(split.train_len, n - start)
+        start, origins = _calibration_origins(n, split)
         plan["signed"] = (start, origins, _refit_ends(origins, config.refit_every))
     out: list[dict[str, object]] = [dict.fromkeys(kinds) for _ in heads]
-    cutoffs = n - H * np.arange(config.n_windows, 0, -1)
-    if "backtest" in kinds and cutoffs[0] >= 3:
+    cutoffs = _backtest_cutoffs(n, config.n_windows, H)
+    if "backtest" in kinds and cutoffs is not None:
         try:
             if config.forecaster.kind == "seasonal_naive":
                 _check_seasonal_ends(cutoffs, period)
@@ -257,8 +261,8 @@ def _prefix_block(
                 cells = map(_SeriesEnd, models, np.ascontiguousarray(yhat[:, part.start]))
             else:
                 cells = _signed_residuals(stack, ends, yhat[:, part])
-                if kind == "signed" and np.isinf(cells).any():
-                    raise ValueError("residual matrix entries must be finite; NaN marks padding")
+                if kind == "signed":
+                    _check_padding(cells)
                 cells.flags.writeable = False  # every method reads the same rows
             for row, cell in zip(out, cells):
                 row[kind] = cell
@@ -406,15 +410,6 @@ def _mscp(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[In
     return _interval_rows(fc - radii, fc + radii)
 
 
-def _aci_radii(scores: np.ndarray, alpha_t: np.ndarray) -> np.ndarray:
-    """aci_interval's radius of each column of scores at its own adaptive
-    level 1 - alpha_t: 0 where the level is <= 0, +inf where it is >= 1."""
-    level = 1.0 - alpha_t
-    inside = (0.0 < level) & (level < 1.0)
-    radii = _conformal_radii(scores, np.where(inside, level, 0.5))  # 0.5 stands in where the mask rules
-    return np.where(inside, radii, np.where(level <= 0.0, 0.0, np.inf))
-
-
 def _aci(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix | str]:
     """ACI of a block of series, each as alone: every adaptive level
     (aci_step's update) warmed through its h=1 stream at once, then
@@ -424,8 +419,6 @@ def _aci(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[Int
     stream = scores[:, :: fc.shape[1]]  # (R, S): the h=1 streams
     if len(stream) < 2:
         raise ValueError("adaptive calibration needs >= 2 one-step scores")
-    if np.isnan(scores).all(axis=0).any():
-        raise ValueError("aci_interval requires a nonempty score pool")
     alpha_t = np.full(len(block), c.alpha)
     errs = np.zeros(len(block), dtype=np.intp)
     for t in range(1, len(stream)):
@@ -493,7 +486,7 @@ class BenchConfig:
     period: int = 12
     seed: int = 0
     out_dir: str | None = None
-    parallelism: int = 1  # validated; series are evaluated serially whatever it is
+    parallelism: dataclasses.InitVar[int] = 1  # validated only: no field, so not in config_hash
     cohort_split: float = 0.5
     n_windows: int = 2
     gamma: float = 0.01
@@ -501,7 +494,7 @@ class BenchConfig:
     enbpi_window: int = 100
     spci_lags: int = 8
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, parallelism: int) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.horizon < 1:
@@ -519,8 +512,8 @@ class BenchConfig:
         # _min_train(1) is the least training length of any period.
         if self.train_len is not None and self.train_len < _min_train(1):
             raise ValueError(f"train_len must be >= {_min_train(1)}, got {self.train_len}")
-        if self.parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
+        if parallelism < 1:
+            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
         if self.refit_every is not None and self.refit_every < 1:

@@ -10,19 +10,19 @@ residual baseline, and Gaussian intervals from a fitted autoregression.
 Each kind of calibration is written once. `_conformal_radii`, the one
 radius rule, takes the finite-sample conformal quantile of every column of
 a NaN-padded score matrix, at one level or at one level per column: for
-split conformal, the pooled cohort, EnbPI's windows and bench's ACI, whose
-levels adapt per series (`conformal_quantile` is its validated one-sample
-form).
-`_signed_residuals`, the one residual rule, gives the signed residuals
-of a stack of series' forecasts from shared origins, and rejects a
-forecast that is not finite where its truth exists: `_origin_residuals`
-makes them from `forecaster._prefix_forecasts` for `build_residual_matrix`
-and the cross-validation backtest, and bench's prefix table from the same
-call on the union of every prefix a run needs. `_spci_pairs`, the one
-SPCI fit, picks the quantile pair of every residual history of a stack
-with one solver call: for `spci_intervals_stacked`, which takes an
-(S, R, H) stack of signed residuals, and whose one-series and one-column
-cases are `spci_intervals` and `spci_quantile_pair`.
+split conformal, the pooled cohort, EnbPI's windows and ACI, whose levels
+adapt per series (`online._aci_radii`); `conformal_quantile` is its
+validated one-column case. `_signed_residuals`, the one residual rule,
+gives the signed residuals of a stack of series' forecasts from shared
+origins, and rejects a forecast that is not finite where its truth exists:
+`_origin_residuals` makes them from `forecaster._prefix_forecasts` for
+`build_residual_matrix` and the cross-validation backtest, and bench's
+prefix table from the same call on the union of every prefix a run needs,
+both at the origins of `_calibration_origins` and `_backtest_cutoffs`.
+`_spci_pairs`, the one SPCI fit, picks the quantile pair of every residual
+history of a stack with one solver call, for `spci_intervals_stacked`,
+which takes an (S, R, H) stack of signed residuals, and whose one-series
+case is `spci_intervals`.
 `parametric_intervals_stacked` takes the Gaussian intervals of many
 autoregressions from one stacked psi-weight recursion
 (`forecaster.sigma_h_stacked`); `parametric_intervals` is its one-row case.
@@ -68,30 +68,25 @@ from .special import normal_quantile
 
 
 def conformal_quantile(scores: Sequence[float] | np.ndarray, level: float) -> float:
-    """Finite-sample-corrected quantile of a score sample.
+    """Finite-sample-corrected quantile of a score sample (`_conformal_radii`
+    of one column).
 
     Returns the k-th smallest score with k = ceil(level * (n+1)), or +inf
     when k exceeds n (the sample is too small to certify the level).
     """
-    arr = np.asarray(scores, dtype=np.float64)
-    if arr.ndim != 1:
-        arr = arr.ravel()
-    n = len(arr)
-    if n == 0:
+    arr = np.asarray(scores, dtype=np.float64).ravel()
+    if len(arr) == 0:
         raise ValueError("conformal_quantile requires a nonempty score sample")
     if not np.all(np.isfinite(arr)):
         raise ValueError("conformal_quantile requires finite scores")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    k = math.ceil(level * (n + 1))
-    if k > n:
-        return math.inf
-    return float(np.partition(arr, k - 1)[k - 1])
+    return float(_conformal_radii(arr[:, None], level)[0])
 
 
 def _conformal_radii(scores: np.ndarray, level: float | np.ndarray) -> np.ndarray:
-    """conformal_quantile of every column of a NaN-padded score matrix, at
-    one level or at one level per column.
+    """The finite-sample conformal quantile of every column of a NaN-padded
+    score matrix, at one level or at one level per column.
 
     Column j's radius is the k-th smallest of its n non-NaN entries, with
     k = ceil(level * (n+1)), or +inf when k exceeds n. An all-NaN column
@@ -129,8 +124,7 @@ class ResidualMatrix:
             raise ValueError("residual matrix must be 2-D with at least one row")
         if len(self.origins) != m.shape[0]:
             raise ValueError("one origin per matrix row required")
-        if np.isinf(m).any():
-            raise ValueError("residual matrix entries must be finite; NaN marks padding")
+        _check_padding(m)
         if not self.signed and np.any(m < 0.0):
             raise ValueError("absolute-score matrix entries must be nonnegative")
         m.flags.writeable = False
@@ -156,6 +150,12 @@ class ResidualMatrix:
             and self.origins == other.origins
             and np.array_equal(self.matrix, other.matrix, equal_nan=True)
         )
+
+
+def _check_padding(residuals: np.ndarray) -> None:
+    """Reject an infinite residual: NaN is the only padding."""
+    if np.isinf(residuals).any():
+        raise ValueError("residual matrix entries must be finite; NaN marks padding")
 
 
 _MAX = np.finfo(np.float64).max
@@ -300,6 +300,12 @@ def _origin_residuals(
     return _signed_residuals(values, origins, yhat)
 
 
+def _calibration_origins(head_len: int, spec: SplitSpec) -> tuple[int, np.ndarray]:
+    """The training block's start in a head (a series but its test block) of
+    head_len points, and one origin per calibration point, counted from it."""
+    return head_len - spec.train_len - spec.cal_len, np.arange(spec.train_len, spec.train_len + spec.cal_len)
+
+
 def build_residual_matrix(
     series: TimeSeries,
     spec: SplitSpec,
@@ -327,10 +333,8 @@ def build_residual_matrix(
         raise ValueError(
             f"series {series.series_id!r} too short to split: need {spec.total}, have {n}"
         )
-    start = n - spec.total
-    work = series.values[start : start + spec.train_len + spec.cal_len]
-    # SplitSpec keeps cal_len >= 1, so there is at least one origin.
-    origins = np.arange(spec.train_len, len(work))
+    start, origins = _calibration_origins(n - spec.test_len, spec)
+    work = series.values[start : n - spec.test_len]
     # Truths beyond the calibration block stay NaN.
     rows = _origin_residuals(work[None], origins, forecaster, series.period, horizon, refit_every)[0]
     return ResidualMatrix(
@@ -391,10 +395,12 @@ def _one_step_fitted(
 
 
 def _loo_scores(values: np.ndarray, fitted: np.ndarray, in_bag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """enbpi_loo_residuals of a series (n,) or of each series of a stack
-    (S, n), its members' predictions and in-bag marks (..., members, n):
-    the absolute residual at every index, NaN where no member predicts,
-    and the fallback count (...)."""
+    """Leave-one-out residuals of a series (n,), or of each series of a stack
+    (S, n), from its members' one-step predictions (..., members, n), NaN
+    where none, and in-bag marks: at index i, the absolute residual of the
+    mean prediction of the members that left i out, or of every member when
+    none did (a fallback); NaN where no member predicts. Also returns the
+    fallback count (...)."""
     finite = np.isfinite(fitted)
     use = finite & ~in_bag
     fallback = ~use.any(axis=-2) & finite.any(axis=-2)
@@ -403,21 +409,6 @@ def _loo_scores(values: np.ndarray, fitted: np.ndarray, in_bag: np.ndarray) -> t
     total = np.where(use, fitted, 0.0).sum(axis=-2)
     mean = np.divide(total, use.sum(axis=-2), out=np.full(total.shape, np.nan), where=keep)
     return np.abs(values - mean), fallback.sum(axis=-1)
-
-
-def enbpi_loo_residuals(
-    values: np.ndarray, fitted: np.ndarray, in_bag: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Leave-one-out residuals on the training span from members' one-step
-    predictions fitted[b, i] (NaN where none) and in-bag marks in_bag[b, i].
-
-    For each index i, the aggregate prediction averages the predictions of
-    members whose bootstrap index set excludes i; when every member saw i,
-    all members are used instead (counted as fallbacks). Indices without
-    any prediction are skipped.
-    """
-    scores, fallbacks = _loo_scores(np.asarray(values, dtype=np.float64), fitted, in_bag)
-    return scores[~np.isnan(scores)], int(fallbacks)
 
 
 def _block_bootstrap(n: int, block_len: int, rng: np.random.Generator, members: int) -> np.ndarray:
@@ -532,10 +523,7 @@ def enbpi_intervals(
     so serial dependence inside a block survives resampling. The
     one-series case of enbpi_intervals_stacked.
     """
-    (out,) = enbpi_intervals_stacked([series], test_len, [spec], forecaster, alpha)
-    if isinstance(out, str):
-        raise ValueError(out)
-    return out
+    return _rows_or_raise(enbpi_intervals_stacked([series], test_len, [spec], forecaster, alpha))[0]
 
 
 @dataclass(frozen=True)
@@ -565,13 +553,14 @@ def _fit_pinball(X: np.ndarray, y: np.ndarray, taus: np.ndarray) -> list:
 
 
 def _spci_pairs(histories: np.ndarray, spec: SpciSpec, alpha: float) -> tuple[np.ndarray, ...]:
-    """spci_quantile_pair of every row of an (S, n) stack of residual
-    histories, with one solver call for the stack.
-
-    Returns the lower and upper quantiles, whether they crossed, whether
-    the design fell back to empirical quantiles, and the chosen beta, one
-    entry per history each.
-    """
+    """The predicted (lower, upper) next-step quantiles of every row of an
+    (S, n) stack of signed residual histories, with one solver call: linear
+    pinball-loss regressions on lag_count lags fit every level pair
+    (beta, 1-alpha+beta), beta on 11 points of [0, alpha], and the pair
+    narrowest at the latest lags is kept, swapped if crossed. A design of
+    constant lag columns falls back to empirical quantiles. Returns the
+    quantiles, whether they crossed, whether the design fell back, and the
+    chosen beta, one entry per history each."""
     w = spec.lag_count
     S, n = histories.shape
     if n < w + 10:
@@ -593,24 +582,6 @@ def _spci_pairs(histories: np.ndarray, spec: SpciSpec, alpha: float) -> tuple[np
     pick = np.argmin(preds[:, m:] - preds[:, :m], axis=1)
     q_lo, q_hi = preds[np.arange(S), pick], preds[np.arange(S), m + pick]
     return np.minimum(q_lo, q_hi), np.maximum(q_lo, q_hi), q_lo > q_hi, fallback, betas[pick]
-
-
-def spci_quantile_pair(
-    history: np.ndarray, spec: SpciSpec, alpha: float
-) -> tuple[float, float, dict]:
-    """Predicted (lower, upper) residual quantiles at the next step and their diagnostics.
-
-    Fits linear pinball-loss regressions of the signed residual on its
-    lag_count predecessors for every candidate level pair (beta, 1-alpha+beta)
-    with beta on 11 equispaced points of [0, alpha], evaluates each pair at
-    the latest lag vector, and keeps the beta (diag["beta"]) whose
-    predicted width is smallest. Crossed predictions are swapped and counted; a degenerate
-    design, whose every lag column is constant (quantreg.constant_columns),
-    falls back to empirical quantiles of the history.
-    """
-    q_lo, q_hi, crossed, fallback, beta = _spci_pairs(np.asarray(history, dtype=np.float64)[None], spec, alpha)
-    diag = {"crossings": int(crossed[0]), "fallbacks": int(fallback[0]), "beta": float(beta[0])}
-    return float(q_lo[0]), float(q_hi[0]), diag
 
 
 def spci_intervals(
@@ -646,8 +617,7 @@ def spci_intervals_stacked(
         raise ValueError(f"{S} forecast rows for a signed residual stack of shape {signed.shape}")
     if horizon > signed.shape[2]:
         raise ValueError(f"forecast horizon {horizon} exceeds residual horizons {signed.shape[2]}")
-    if np.isinf(signed).any():
-        raise ValueError("residual entries must be finite; NaN marks padding")
+    _check_padding(signed)
     pairs = []
     for h in range(horizon):
         column = signed[:, :, h]
@@ -728,6 +698,13 @@ def global_cp_intervals(
     )
 
 
+def _backtest_cutoffs(n: int, n_windows: int, horizon: int) -> np.ndarray | None:
+    """The ascending cutoffs of n_windows backtest windows of horizon points
+    back from the end of n points; None if the first leaves under 3 to fit."""
+    cutoffs = n - horizon * np.arange(n_windows, 0, -1)
+    return cutoffs if cutoffs[0] >= 3 else None
+
+
 def cv_conformal_intervals(
     forecasts: Mapping[str, np.ndarray],
     series: Sequence[TimeSeries],
@@ -769,7 +746,7 @@ def cv_conformal_intervals(
         horizon = len(yhat)
         if horizon < 1:
             raise ValueError(f"forecast for series {sid!r} is empty")
-        if len(ts) - n_windows * horizon < 3:
+        if _backtest_cutoffs(len(ts), n_windows, horizon) is None:
             out[sid] = f"series {sid!r} admits no {n_windows}-window backtest at horizon {horizon}"
             continue
         if backtests is not None:
@@ -784,7 +761,7 @@ def cv_conformal_intervals(
             return np.stack([backtests[members[i][0]] for i in block])
         _, yhat, ts = members[block[0]]
         stack = np.stack([members[i][2].values for i in block])
-        cutoffs = len(ts) - len(yhat) * np.arange(n_windows, 0, -1)
+        cutoffs = _backtest_cutoffs(len(ts), n_windows, len(yhat))
         return _origin_residuals(stack, cutoffs, forecaster, ts.period, len(yhat))
 
     def intervals(block: list[int]) -> list[IntervalMatrix | ValueError]:
@@ -830,7 +807,4 @@ def parametric_intervals(
     forecast is the model's point forecast; the horizon is its length. The
     one-row case of parametric_intervals_stacked.
     """
-    (out,) = parametric_intervals_stacked([model], np.asarray(forecast, dtype=np.float64)[None], alpha)
-    if isinstance(out, str):
-        raise ValueError(out)
-    return out
+    return _rows_or_raise(parametric_intervals_stacked([model], [forecast], alpha))[0]

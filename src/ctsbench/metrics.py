@@ -2,9 +2,10 @@
 
 Per-series values are means over forecast horizons; cohort values are
 unweighted means over series. `score_records` scores all of one method's
-series in one pass over (series, cell) stacks. Cells with infinite width
-are excluded from width and Winkler means and surfaced through an explicit
-counter instead of propagating +inf into the averages.
+series in one pass over (series, cell) stacks, with the one Winkler rule,
+`_winkler_cells` (`winkler` is its one-cell case). Cells with infinite
+width are excluded from width and Winkler means and surfaced through an
+explicit counter instead of propagating +inf into the averages.
 """
 
 from __future__ import annotations
@@ -66,17 +67,12 @@ def joint_coverage(intervals: IntervalMatrix, truth) -> int:
 
 
 def winkler(interval: tuple[float, float], y: float, alpha: float) -> float:
-    """Winkler interval score: width plus a 2/alpha-scaled breach penalty."""
+    """Winkler interval score (`_winkler_cells` of one cell): width plus a 2/alpha-scaled breach penalty."""
     lo, hi = float(interval[0]), float(interval[1])
     if lo > hi:
         raise ValueError(f"invalid interval: lower {lo} > upper {hi}")
     _check_alpha(alpha)
-    score = hi - lo
-    if y < lo:
-        score += (2.0 / alpha) * (lo - y)
-    elif y > hi:
-        score += (2.0 / alpha) * (y - hi)
-    return score
+    return float(_winkler_cells(lo, hi, y, alpha))
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,18 @@
 
 Two feedback rules that adapt interval size from realized coverage errors:
 the miscoverage-level update of Gibbs & Candes (adaptive conformal
-inference) and a per-horizon quantile tracker with saturated integral
-action plus a short autoregressive score forecast for multi-step errors
-(after Angelopoulos, Candes & Tibshirani's conformal PID control). The
-tracker runs whole score streams (`acmcp_run`): its score model reads the
-scores alone, never q or the coverage errors, so every step's prediction
-comes from one batched ridge solve before a scalar loop over q. The
-trackers of many streams of one horizon and one length run as a stack
-(`acmcp_init_stacked`, `acmcp_run_stacked`): every stream's steps share
-their window sizes and lag counts, hence the shapes of the batched solve,
-and each stream gets the state it gets alone. `acmcp_init` and
-`acmcp_run` are the one-stream case.
+inference), whose one radius rule, `_aci_radii`, serves bench's ACI and
+`aci_interval`, its one-column case; and a per-horizon quantile tracker
+with saturated integral action plus a short autoregressive score forecast
+for multi-step errors (after Angelopoulos, Candes & Tibshirani's conformal
+PID control). The tracker runs whole score streams (`acmcp_run`): its
+score model reads the scores alone, never q or the coverage errors, so
+every step's prediction comes from one batched ridge solve before a scalar
+loop over q. The trackers of many streams of one horizon and one length
+run as a stack (`acmcp_init_stacked`, `acmcp_run_stacked`): every
+stream's steps share their window sizes and lag counts, hence the shapes
+of the batched solve, and each stream gets the state it gets alone.
+`acmcp_init` and `acmcp_run` are the one-stream case.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conformal import conformal_quantile
+from .conformal import _conformal_radii
 
 
 @dataclass(frozen=True)
@@ -54,23 +55,29 @@ def aci_step(state: AciState, err: int) -> AciState:
     return replace(state, alpha_t=state.alpha_t + state.gamma * (state.target - err))
 
 
+def _aci_radii(scores: np.ndarray, alpha_t: Sequence[float] | np.ndarray) -> np.ndarray:
+    """The radius of each column of a NaN-padded score matrix, none empty, at
+    its own adaptive level 1 - alpha_t: the conformal quantile
+    (`_conformal_radii`) inside (0, 1), 0 at a level <= 0, +inf at one >= 1."""
+    if np.isnan(scores).all(axis=0).any():
+        raise ValueError("aci_interval requires a nonempty score pool")
+    level = 1.0 - np.asarray(alpha_t, dtype=np.float64)
+    inside = (0.0 < level) & (level < 1.0)
+    radii = _conformal_radii(scores, np.where(inside, level, 0.5))  # 0.5 stands in where the mask rules
+    return np.where(inside, radii, np.where(level <= 0.0, 0.0, np.inf))
+
+
 def aci_interval(
     state: AciState, forecast: float, scores: Sequence[float] | np.ndarray
 ) -> tuple[float, float]:
-    """Symmetric interval at the current adaptive level.
-
-    alpha_t <= 0 (or so small that 1 - alpha_t rounds to 1) demands certain
-    coverage, giving the whole line; alpha_t >= 1 tolerates certain
-    miscoverage, giving the point forecast alone.
-    """
-    if len(scores) == 0:
-        raise ValueError("aci_interval requires a nonempty score pool")
-    level = 1.0 - state.alpha_t
-    if level >= 1.0:
-        return -math.inf, math.inf
-    if level <= 0.0:
-        return forecast, forecast
-    radius = conformal_quantile(scores, level)
+    """Symmetric interval at the current adaptive level: `_aci_radii` of a
+    nonempty, finite score pool. alpha_t <= 0 (or so small that 1 - alpha_t
+    rounds to 1) demands certain coverage, giving the whole line; alpha_t >= 1
+    tolerates certain miscoverage, giving the point forecast alone."""
+    pool = np.asarray(scores, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(pool)):
+        raise ValueError("aci_interval requires finite scores")
+    radius = float(_aci_radii(pool[:, None], [state.alpha_t])[0])
     return forecast - radius, forecast + radius
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -42,7 +43,6 @@ from ctsbench.forecaster import (
     forecast,
     seasonal_naive_forecast,
 )
-from ctsbench.online import AciState, aci_interval, aci_step
 from ctsbench.series import SeriesPanel, SplitSpec, TimeSeries, parse_panel
 
 FAST_METHODS = ("mscp", "cv_cp", "parametric")
@@ -188,6 +188,12 @@ class TestConfigParsing:
     def test_config_hash_tracks_content(self):
         assert small_config().config_hash() == small_config().config_hash()
         assert small_config().config_hash() != small_config(seed=99).config_hash()
+
+    def test_parallelism_changes_no_config_hash(self):
+        # parallelism selects nothing, so it is no field of the config.
+        assert BenchConfig(parallelism=8).config_hash() == BenchConfig().config_hash()
+        assert small_config(parallelism=8) == small_config()
+        assert "parallelism" not in dataclasses.asdict(BenchConfig(parallelism=8))
 
 
 class TestRunBenchmark:
@@ -858,18 +864,31 @@ class TestPrefixTable:
         assert planned.records == retried.records and len(planned.records) == 16
 
 
+def _aci_radius_reference(alpha_t, pool):
+    """ACI's radius at level 1 - alpha_t, written out: the whole line at a
+    level >= 1, zero at a level <= 0, else the ceil(level * (n+1))-th
+    smallest of the n pooled scores by a plain sort (+inf past n)."""
+    level = 1.0 - alpha_t
+    if level >= 1.0:
+        return math.inf
+    if level <= 0.0:
+        return 0.0
+    k = math.ceil(level * (len(pool) + 1))
+    return math.inf if k > len(pool) else sorted(pool)[k - 1]
+
+
 def _aci_warmup_reference(scores, alpha, gamma):
-    """The warm-up loop as it was: a conformal quantile of the grown pool per step."""
-    state = AciState(alpha_t=alpha, gamma=gamma, target=alpha)
+    """The warm-up loop step by step: the radius of the grown pool per step,
+    then alpha_t += gamma * (alpha - err)."""
+    alpha_t = alpha
     pool = [float(scores[0])]
     warmup_errs = 0
     for s in scores[1:]:
-        _, radius = aci_interval(state, 0.0, pool)
-        err = 0 if s <= radius else 1
+        err = 0 if s <= _aci_radius_reference(alpha_t, pool) else 1
         warmup_errs += err
-        state = aci_step(state, err)
+        alpha_t = alpha_t + gamma * (alpha - err)
         pool.append(float(s))
-    return state.alpha_t, warmup_errs
+    return alpha_t, warmup_errs
 
 
 class TestAciWarmup:
@@ -893,7 +912,7 @@ class TestAciWarmup:
     )
     def test_matches_per_step_reference(self, streams, alpha, gamma):
         # A block of equal-length h=1 streams warmed at once: each row is
-        # its stream's per-step reference and lone aci_interval.
+        # its stream's per-step reference.
         block = [
             (bench._SeriesEnd(None, np.array([5.0 + i])), np.array(scores)[:, None]) for i, scores in enumerate(streams)
         ]
@@ -902,8 +921,8 @@ class TestAciWarmup:
         for (end, _), scores, iv in zip(block, streams, rows):
             alpha_t, errs = _aci_warmup_reference(scores, alpha, gamma)
             assert iv.diagnostics == {"alpha_final": alpha_t, "warmup_errs": errs}
-            ref = AciState(alpha_t=alpha_t, gamma=gamma, target=alpha)
-            assert (iv.lower[0, 0], iv.upper[0, 0]) == aci_interval(ref, end.fc[0], scores)
+            radius = _aci_radius_reference(alpha_t, scores)
+            assert (iv.lower[0, 0], iv.upper[0, 0]) == (end.fc[0] - radius, end.fc[0] + radius)
 
 
 def _payload(out_dir: Path) -> bytes:
@@ -1036,6 +1055,7 @@ class TestCli:
             ("include_drift = ture", "include_drift"),
             ("period = 0", "period"),
             ("train_len = 0", "train_len"),
+            ("parallelism = 0", "parallelism"),
         ],
     )
     def test_invalid_setting_exit_2(self, tmp_path, capsys, line, match):

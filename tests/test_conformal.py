@@ -20,14 +20,12 @@ from ctsbench.conformal import (
     conformal_quantile,
     cv_conformal_intervals,
     enbpi_intervals,
-    enbpi_loo_residuals,
     global_cp_intervals,
     mscp_intervals,
     parametric_intervals,
     parametric_intervals_stacked,
     spci_intervals,
     spci_intervals_stacked,
-    spci_quantile_pair,
 )
 from ctsbench.forecaster import (
     FittedForecaster,
@@ -78,11 +76,10 @@ def local_forecasts(panel, horizon):
 
 
 def oracle_quantile(scores, level):
-    arr = np.sort(np.asarray(scores, dtype=np.float64))
-    k = math.ceil(level * (len(arr) + 1))
-    if k > len(arr):
-        return math.inf
-    return float(arr[k - 1])
+    """The k-th smallest score by a plain sort, k = ceil(level * (n+1)); +inf when k > n."""
+    ordered = sorted(float(s) for s in scores)
+    k = math.ceil(level * (len(ordered) + 1))
+    return math.inf if k > len(ordered) else ordered[k - 1]
 
 
 class TestConformalQuantile:
@@ -146,7 +143,7 @@ class TestConformalQuantile:
         matrix = np.full((rows, len(columns)), np.nan)
         for j, col in enumerate(columns):
             matrix[rnd.sample(range(rows), len(col)), j] = col
-        want = [conformal_quantile(col, level) for col in columns]
+        want = [oracle_quantile(col, level) for col in columns]
         assert conformal._conformal_radii(matrix, level).tolist() == want
 
     @given(
@@ -169,21 +166,19 @@ class TestConformalQuantile:
     @example([([3.0], 0.0), ([1.0, 2.0], 0.5)], random.Random(0))
     @example([([3.0], math.nan)], random.Random(0))
     def test_radii_at_a_level_per_column(self, columns, rnd):
-        # Each column's radius is conformal_quantile at that column's level;
-        # one level outside (0, 1), which conformal_quantile rejects, rejects
-        # the whole matrix.
+        # Each column's radius is its conformal quantile at that column's
+        # level; one level outside (0, 1), NaN included, rejects the whole matrix.
         rows = max(len(col) for col, _ in columns) + 2
         matrix = np.full((rows, len(columns)), np.nan)
         for j, (col, _) in enumerate(columns):
             matrix[rnd.sample(range(rows), len(col)), j] = col
         levels = np.array([level for _, level in columns])
-        try:
-            want = [conformal_quantile(col, level) for col, level in columns]
-        except ValueError:
+        if all(0.0 < level < 1.0 for _, level in columns):
+            want = [oracle_quantile(col, level) for col, level in columns]
+            assert conformal._conformal_radii(matrix, levels).tolist() == want
+        else:
             with pytest.raises(ValueError, match=r"level must be in \(0, 1\)"):
                 conformal._conformal_radii(matrix, levels)
-        else:
-            assert conformal._conformal_radii(matrix, levels).tolist() == want
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -444,16 +439,17 @@ def reference_enbpi_per_member(series, test_len, spec, forecaster, alpha):
     in_bag = np.zeros(fitted.shape, dtype=bool)
     for b, (idx, _) in enumerate(members):
         in_bag[b, idx] = True
-    loo, fallbacks = enbpi_loo_residuals(values[:n_train], fitted, in_bag)
+    loo, fallbacks = conformal._loo_scores(values[:n_train], fitted, in_bag)
+    loo = loo[~np.isnan(loo)]
     yhat = reference_one_step(values, models)[:, n_train:].mean(axis=0)
     window = list(loo[-spec.window_len :])
     radii = np.empty(test_len)
     for j in range(test_len):
-        radii[j] = conformal_quantile(np.asarray(window), 1.0 - alpha)
+        radii[j] = oracle_quantile(window, 1.0 - alpha)
         window.append(abs(values[n_train + j] - yhat[j]))
         if len(window) > spec.window_len:
             window.pop(0)
-    return yhat - radii, yhat + radii, {"loo_fallbacks": fallbacks, "loo_count": len(loo)}
+    return yhat - radii, yhat + radii, {"loo_fallbacks": int(fallbacks), "loo_count": len(loo)}
 
 
 def reference_enbpi(series, test_len, spec, forecaster, alpha):
@@ -467,7 +463,7 @@ def reference_enbpi(series, test_len, spec, forecaster, alpha):
     for j in range(test_len):
         _, _, fitted = reference_loo(values[: n_train + j + 1], members)
         yhat = float(np.mean(fitted[:, n_train + j]))
-        radius = conformal_quantile(np.asarray(window), 1.0 - alpha)
+        radius = oracle_quantile(window, 1.0 - alpha)
         lower[j], upper[j] = yhat - radius, yhat + radius
         window.append(abs(values[n_train + j] - yhat))
         if len(window) > spec.window_len:
@@ -517,11 +513,11 @@ class TestEnbpi:
             in_bag = np.zeros(fitted.shape, dtype=bool)
             for b, (idx, _) in enumerate(members):
                 in_bag[b, list(idx)] = True
-            got, fallbacks = enbpi_loo_residuals(values, fitted, in_bag)
+            got, fallbacks = conformal._loo_scores(values, fitted, in_bag)
             want, want_fallbacks, want_fitted = reference_loo(values, members)
             assert np.allclose(fitted, want_fitted, rtol=0.0, atol=1e-12, equal_nan=True)
             assert fallbacks == want_fallbacks
-            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+            assert np.allclose(got[~np.isnan(got)], want, rtol=0.0, atol=1e-12)
 
     # A window longer than the series must cost no more than the scores it holds.
     @pytest.mark.parametrize("window_len", [10, 100, 10**12])
@@ -609,7 +605,7 @@ class TestEnbpi:
         # order-0 members are constant predictors, so LOO means are explicit
         fitted = np.array([[10.0, 10.0, 10.0], [20.0, 20.0, 20.0]])
         in_bag = np.array([[True, True, False], [False, True, True]])
-        residuals, fallbacks = enbpi_loo_residuals(np.array([1.0, 2.0, 3.0]), fitted, in_bag)
+        residuals, fallbacks = conformal._loo_scores(np.array([1.0, 2.0, 3.0]), fitted, in_bag)
         # i=0: only member 2 excludes it -> |1-20|; i=1: nobody excludes it
         # -> fallback mean 15 -> |2-15|; i=2: member 1 -> |3-10|
         assert residuals.tolist() == [19.0, 13.0, 7.0]
@@ -655,13 +651,11 @@ class TestEnbpi:
 class TestSpci:
     def test_history_too_short(self):
         with pytest.raises(ValueError, match="history too short"):
-            spci_quantile_pair(np.zeros(10), SpciSpec(lag_count=8), 0.1)
+            conformal._spci_pairs(np.zeros((1, 10)), SpciSpec(lag_count=8), 0.1)
 
     def test_constant_history_falls_back(self):
-        q_lo, q_hi, diag = spci_quantile_pair(
-            np.full(30, 2.0), SpciSpec(lag_count=8), 0.1
-        )
-        assert diag["fallbacks"] == 1
+        (q_lo,), (q_hi,), _, (fallback,), _ = conformal._spci_pairs(np.full((1, 30), 2.0), SpciSpec(lag_count=8), 0.1)
+        assert fallback
         assert q_lo == pytest.approx(2.0) and q_hi == pytest.approx(2.0)
 
     @pytest.mark.parametrize("pattern", [[1.0, -1.0], [1.0, 2.0, -3.0]])
@@ -669,8 +663,8 @@ class TestSpci:
         # periodic residuals make lag columns collinear without being
         # constant; the next residual is pattern[0], predicted exactly
         history = np.tile(pattern, 30 // len(pattern))
-        q_lo, q_hi, diag = spci_quantile_pair(history, SpciSpec(), 0.1)
-        assert diag["fallbacks"] == 0
+        (q_lo,), (q_hi,), _, (fallback,), _ = conformal._spci_pairs(history[None], SpciSpec(), 0.1)
+        assert not fallback
         assert q_lo <= q_hi
         assert q_lo == pytest.approx(pattern[0], abs=1e-8)
         assert q_hi == pytest.approx(pattern[0], abs=1e-8)
@@ -685,7 +679,7 @@ class TestSpci:
 
         monkeypatch.setattr(conformal, "fit_pinball_stacked", capture)
         e = simulate_ar1(40, 0.5, seed=3)
-        spci_quantile_pair(e, SpciSpec(lag_count=5), 0.1)
+        conformal._spci_pairs(e[None], SpciSpec(lag_count=5), 0.1)
         loop = np.empty((35, 5))
         for r in range(35):
             loop[r] = e[r : r + 5]
@@ -694,8 +688,8 @@ class TestSpci:
 
     def test_beta_in_grid(self):
         e = simulate_ar1(60, 0.8, seed=21)
-        _, _, diag = spci_quantile_pair(e, SpciSpec(), 0.1)
-        assert diag["beta"] in np.linspace(0.0, 0.1, 11)
+        *_, (beta,) = conformal._spci_pairs(e[None], SpciSpec(), 0.1)
+        assert beta in np.linspace(0.0, 0.1, 11)
 
     def test_narrower_than_split_on_autocorrelated_residuals(self):
         # quantile regression on lagged residuals exploits the dependence
@@ -706,9 +700,9 @@ class TestSpci:
             e = np.zeros(60)
             for t in range(1, 60):
                 e[t] = 0.8 * e[t - 1] + rng.standard_normal()
-            q_lo, q_hi, _ = spci_quantile_pair(e, SpciSpec(), 0.1)
+            (q_lo,), (q_hi,), *_ = conformal._spci_pairs(e[None], SpciSpec(), 0.1)
             spci_w.append(q_hi - q_lo)
-            mscp_w.append(2.0 * conformal_quantile(np.abs(e), 0.9))
+            mscp_w.append(2.0 * oracle_quantile(np.abs(e), 0.9))
         assert np.mean(spci_w) < np.mean(mscp_w)
 
     def test_intervals_require_signed(self):
@@ -807,20 +801,29 @@ class TestSpci:
         with pytest.raises(ValueError, match="horizon 1 residual columns differ in length"):
             spci_intervals_stacked(np.zeros((2, 4)), signed, SpciSpec(lag_count=4), 0.1)
 
+    def test_stack_rejects_an_infinite_residual(self):
+        # The residual matrix's own check and message: NaN is the only padding.
+        signed = np.stack([padded_signed_residuals(np.random.default_rng(7)).matrix])
+        signed[0, 3, 1] = -np.inf
+        with pytest.raises(ValueError, match="residual matrix entries must be finite; NaN marks padding"):
+            spci_intervals_stacked(np.zeros((1, 4)), signed, SpciSpec(lag_count=4), 0.1)
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([-50, -20, 0, 20, 50]))
     def test_pair_scales_with_the_history(self, seed, k):
         # the constant-lag test is scale-free and scaling by a power of two
         # is exact, so the whole fit scales exactly
         e = simulate_ar1(40, 0.7, seed=seed)
-        lo, hi, diag = spci_quantile_pair(e, SpciSpec(), 0.1)
-        assert spci_quantile_pair(2.0**k * e, SpciSpec(), 0.1) == (2.0**k * lo, 2.0**k * hi, diag)
+        (lo,), (hi,), *diag = conformal._spci_pairs(e[None], SpciSpec(), 0.1)
+        (scaled_lo,), (scaled_hi,), *scaled_diag = conformal._spci_pairs(2.0**k * e[None], SpciSpec(), 0.1)
+        assert (scaled_lo, scaled_hi) == (2.0**k * lo, 2.0**k * hi)
+        assert [d.tolist() for d in scaled_diag] == [d.tolist() for d in diag]
 
     def test_tiny_history_is_fitted_not_replaced_by_empirical_quantiles(self):
         e = simulate_ar1(40, 0.7, seed=1)
-        lo, hi, _ = spci_quantile_pair(e, SpciSpec(), 0.1)
-        lo_s, hi_s, diag = spci_quantile_pair(1e-14 * e, SpciSpec(), 0.1)
-        assert diag["fallbacks"] == 0
+        (lo,), (hi,), *_ = conformal._spci_pairs(e[None], SpciSpec(), 0.1)
+        (lo_s,), (hi_s,), _, (fallback,), _ = conformal._spci_pairs(1e-14 * e[None], SpciSpec(), 0.1)
+        assert not fallback
         assert lo_s == pytest.approx(1e-14 * lo, rel=1e-9)
         assert hi_s == pytest.approx(1e-14 * hi, rel=1e-9)
 
@@ -845,7 +848,7 @@ class TestGlobalCp:
         assert res.calibration_ids == panel.ids[:4]
         assert res.evaluation_ids == panel.ids[4:]
         pooled = [abs(panel[sid].values[-1] - fcs[sid][0]) for sid in res.calibration_ids]
-        radius = conformal_quantile(np.asarray(pooled), 0.9)
+        radius = oracle_quantile(pooled, 0.9)
         assert res.radii[0] == radius
         for sid in res.evaluation_ids:
             iv = res.intervals[sid]

@@ -81,6 +81,14 @@ class TestAciInterval:
         with pytest.raises(ValueError):
             aci_interval(state, 0.0, [])
 
+    # The degenerate levels take no score from the pool, but still check it.
+    @pytest.mark.parametrize("alpha_t", [-0.02, 0.1, 1.3])
+    def test_non_finite_pool_rejected_at_every_level(self, alpha_t):
+        state = AciState(alpha_t=alpha_t, gamma=0.01, target=0.1)
+        for pool in ([1.0, math.inf], [math.nan, 2.0]):
+            with pytest.raises(ValueError, match="finite scores"):
+                aci_interval(state, 0.0, pool)
+
     def test_long_run_error_rate(self):
         # deterministic telescoping bound plus a sanity band
         rng = np.random.default_rng(51)
