@@ -532,6 +532,12 @@ class BenchConfig:
         return hashlib.sha256(repr(dataclasses.asdict(self)).encode()).hexdigest()[:12]
 
 
+# An InitVar's default stays behind as a class attribute, which every config
+# would read as its parallelism whatever was passed. __init__ keeps its own
+# copy of the default.
+del BenchConfig.parallelism
+
+
 def _contexts(panel: SeriesPanel, config: BenchConfig) -> tuple[list[dict[str, object]], list[tuple[str, str, str]]]:
     """One row dict per series long enough to evaluate: the series, its head
     (all but the test block, a view) and its prefix-table rows of every kind

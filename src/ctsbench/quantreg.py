@@ -18,6 +18,22 @@ its duality gap, which bounds the excess pinball loss of its
 coefficients, falls below a fixed fraction of that loss. It is then
 frozen with zero step lengths while the other levels of its problem go
 on, and a problem leaves the stack once all its levels have converged.
+
+Every level has an optimal vertex: a line through p of the rows, for p
+regression parameters, and neighbouring levels often share it. So with
+more than two distinct levels, Newton solves only the lowest and the
+highest (the seeds). Each seed fit is turned into its vertex, the exact
+line through the p rows it fits most closely, and that vertex is
+certified at every level by its optimality conditions: no other row lies
+on the line (within a tie distance), and the dual weights of the p basis
+rows, which are affine in tau, lie in [0, 1]. Each level takes the first
+seed vertex certified for it. A problem with a level that neither
+certifies (a singular or ill-conditioned basis, a tie, a dual weight
+outside [0, 1], or a vertex that loses more than the seed's Newton fit)
+is Newton-solved at all its levels, and its uncertified levels take
+those fits. So every level gets an exact vertex or a Newton fit within
+the gap tolerance. The Newton cap applies to each Newton solve.
+
 Every operation acts on one problem at a time, so each problem of a
 stack gets bit for bit the fit it gets alone. Every level with
 tau < 1/n (strictly) shares its optimal lines with every other such
@@ -56,6 +72,13 @@ _RANK_TOL = 1e-9
 # Ridge added to each normal matrix, relative to its trace: it keeps the
 # matrix invertible when a degenerate programme sends weights to 0 or inf.
 _RIDGE = 1e-15
+# A vertex is certified only when its basis inverse has no entry above
+# _INV_TOL, and no row off its basis has a residual within _TIE_TOL times
+# the largest |response| of zero. The bound keeps a residual's rounding
+# error, at most about p * p * _INV_TOL * eps times that response, well
+# inside the tie distance.
+_INV_TOL = 1e4
+_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,12 +110,13 @@ def fit_pinball_linear(
 ) -> QuantileFit:
     """Fit one exact linear quantile regression per level in taus.
 
-    Each level with 0 < tau < 1 is solved to optimality by the
-    Frisch–Newton interior point. iters caps its number of Newton steps
-    (SPCI-sized problems take about ten); reaching the cap before every
-    level converges raises ArithmeticError rather than returning a
-    suboptimal fit. Levels tau = 0 and tau = 1 get the flat line at
-    min(y) and max(y). Constant feature columns, and columns linearly
+    Each level with 0 < tau < 1 is solved to optimality: by the
+    Frisch–Newton interior point, or as a vertex certified optimal from
+    the Newton fits of the lowest and highest level. iters caps the
+    Newton steps of each interior-point solve (SPCI-sized problems take
+    about ten); reaching the cap before every level converges raises
+    ArithmeticError rather than returning a suboptimal fit. Levels
+    tau = 0 and tau = 1 get the flat line at min(y) and max(y). Constant feature columns, and columns linearly
     dependent on earlier ones, get a zero coefficient and are marked in
     the result's degenerate mask.
     """
@@ -166,7 +190,7 @@ def _fit_stack(X: np.ndarray, y: np.ndarray, taus: np.ndarray, iters: int) -> li
         loc = np.median(y, axis=1)
         scale = np.mean(np.abs(y - loc[:, None]), axis=1)
         scale = np.where(scale > 0.0, scale, 1.0)
-        c = _frisch_newton(U, (y - loc[:, None]) / scale[:, None], levels, iters)
+        c = _solve_levels(U, (y - loc[:, None]) / scale[:, None], levels, iters)
         b = np.linalg.solve(R, c.transpose(0, 2, 1)).transpose(0, 2, 1) * scale[:, None, None]
         b[:, :, 0] += loc[:, None]
         W[:, inner] = b[:, lane]
@@ -240,6 +264,68 @@ def _normal_matrices(q: np.ndarray, outer: np.ndarray, p: int) -> np.ndarray:
     diag = F[..., :: p + 1]
     diag += (_RIDGE * diag.sum(axis=-1))[..., None]
     return F.reshape(*F.shape[:-1], p, p)
+
+
+def _pinball_losses(r: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Pinball loss of each row of residuals r (..., T, n) at its level."""
+    tau = taus[:, None]
+    return np.maximum(tau * r, (tau - 1.0) * r).sum(axis=-1)
+
+
+def _solve_levels(U: np.ndarray, ys: np.ndarray, levels: np.ndarray, iters: int) -> np.ndarray:
+    """The coefficients c (B, T, p) of _frisch_newton at every level, from
+    Newton solves at the lowest and highest level alone where they suffice.
+
+    Each of these two seed fits is turned into a vertex: the line through
+    the p rows it fits most closely, solved exactly. The vertex is optimal
+    at level tau when no other row's residual is (near) zero and the dual
+    weights of its p basis rows, a_h(tau) = (1-tau) g - f, lie in [0, 1].
+    Both g and f are fixed by the vertex, so one p x p inverse checks it
+    at every level. Each level takes the first seed vertex that is optimal
+    there. A vertex certifies no level when its basis is singular or
+    ill-conditioned (an inverse entry above _INV_TOL), when a residual
+    ties, or when it loses more at its seed level than the Newton fit
+    does by more than the gap tolerance. A problem with a level that no
+    vertex certifies is Newton-solved at every level, and its uncertified
+    levels take those fits.
+    """
+    if len(levels) <= 2:
+        return _frisch_newton(U, ys, levels, iters)
+    p = U.shape[2]
+    seeds = levels[[0, -1]]
+    Ut = U.transpose(0, 2, 1)
+    ys2 = ys[:, None]
+    newton = ys2 - _frisch_newton(U, ys, seeds, iters) @ Ut
+    basis = np.argpartition(np.abs(newton), p - 1, axis=-1)[..., :p]
+    Uh = np.take_along_axis(U[:, None], basis[..., None], axis=2)
+    sign, _ = np.linalg.slogdet(Uh)
+    valid = sign != 0
+    Uh[~valid] = np.eye(p)
+    inv = np.linalg.inv(Uh)
+    # U's columns are orthonormal, so a basis (p of its rows) has a 2-norm
+    # of at most 1, and a condition number of at most p times its
+    # inverse's largest entry.
+    valid &= np.abs(inv).max(axis=(-2, -1)) <= _INV_TOL
+    vertex = (inv @ np.take_along_axis(ys2, basis, axis=-1)[..., None])[..., 0]
+    r = ys2 - vertex @ Ut
+    outside = np.ones(r.shape, dtype=bool)
+    np.put_along_axis(outside, basis, False, axis=-1)
+    tie = _TIE_TOL * np.abs(ys).max(axis=1)[:, None, None]
+    valid &= ~(outside & (np.abs(r) <= tie)).any(axis=-1)
+    valid &= _pinball_losses(r, seeds) <= (1.0 + _GAP_TOL) * _pinball_losses(newton, seeds)
+    # Off the basis, a row's dual weight is 1 above the line and 0 below it;
+    # the basis weights make up the rest of U'a = (1-tau) U'1.
+    g = U.sum(axis=1)[:, None, None] @ inv
+    f = ((outside & (r > 0.0)) @ U)[:, :, None] @ inv
+    duals = (1.0 - levels)[:, None] * g - f
+    certified = valid[:, :, None] & ((duals >= 0.0) & (duals <= 1.0)).all(axis=-1)
+    c = np.take_along_axis(vertex, certified.argmax(axis=1)[..., None], axis=1)
+    missed = ~certified.any(axis=1)
+    fallback = missed.any(axis=1)
+    if fallback.any():
+        full = _frisch_newton(U[fallback], ys[fallback], levels, iters)
+        c[fallback] = np.where(missed[fallback, :, None], full, c[fallback])
+    return c
 
 
 def _frisch_newton(U: np.ndarray, ys: np.ndarray, taus: np.ndarray, iters: int) -> np.ndarray:

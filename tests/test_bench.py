@@ -195,6 +195,14 @@ class TestConfigParsing:
         assert small_config(parallelism=8) == small_config()
         assert "parallelism" not in dataclasses.asdict(BenchConfig(parallelism=8))
 
+    def test_parallelism_is_not_readable_from_a_config(self):
+        # A default left on the class would read 1 whatever was passed.
+        for config in (BenchConfig(parallelism=8), BenchConfig(), small_config(parallelism=3)):
+            with pytest.raises(AttributeError):
+                config.parallelism
+        with pytest.raises(ValueError, match="parallelism"):
+            BenchConfig(parallelism=0)
+
 
 class TestRunBenchmark:
     def test_small_run_structure(self):

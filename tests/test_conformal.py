@@ -738,17 +738,26 @@ class TestSpci:
         # A 36-point residual matrix gives horizon h a design of 28 - (h - 1)
         # rows at 8 lags. Its levels below 1/n, and those above 1 - 1/n,
         # share one solve per side: 169 level problems over 12 horizons.
-        solved = []
-        real = quantreg._frisch_newton
+        # Newton solves each problem's two extreme levels, and all its
+        # levels only where a vertex falls short.
+        solved, newton = [], []
+        solve_levels, frisch_newton = quantreg._solve_levels, quantreg._frisch_newton
 
-        def spy(U, ys, taus, iters):
+        def levels_spy(U, ys, taus, iters):
             solved.append(len(U) * len(taus))
-            return real(U, ys, taus, iters)
+            newton.append([])
+            return solve_levels(U, ys, taus, iters)
 
-        monkeypatch.setattr(quantreg, "_frisch_newton", spy)
+        def newton_spy(U, ys, taus, iters):
+            newton[-1].append(len(taus))
+            return frisch_newton(U, ys, taus, iters)
+
+        monkeypatch.setattr(quantreg, "_solve_levels", levels_spy)
+        monkeypatch.setattr(quantreg, "_frisch_newton", newton_spy)
         residuals = padded_signed_residuals(np.random.default_rng(10), rows=36, horizon=12)
         spci_intervals(np.zeros(12), residuals, SpciSpec(), 0.1)
         assert len(solved) == 12 and sum(solved) == 169
+        assert all(calls in ([2], [2, levels]) for calls, levels in zip(newton, solved))
 
     def test_stack_gives_each_series_its_lone_intervals(self):
         # the last series' histories are constant: it falls back to empirical

@@ -156,7 +156,7 @@ def lstsq_candidates(y, max_order, include_drift):
     the smallest over the largest singular value of X with its columns
     scaled to unit norm ("ratio"); then, unless the order has no more rows
     than coefficients or lstsq finds X rank-deficient ("rejected"), the
-    coefficients and the RSS.
+    coefficients, refined once on lstsq's residuals, and the RSS.
     """
     n = len(y)
     out = []
@@ -181,6 +181,10 @@ def lstsq_candidates(y, max_order, include_drift):
         coef, _, rank, _ = np.linalg.lstsq(X, y[p:], rcond=None)
         if k and rank < k:
             continue
+        # One step of iterative refinement: on a nearly collinear design
+        # lstsq's own rounding can leave residuals well above 1e-13 of the
+        # level where the exact fit has none.
+        coef = coef + np.linalg.lstsq(X, y[p:] - X @ coef, rcond=None)[0]
         resid = y[p:] - X @ coef
         r.update(coef=coef, rss=float(resid @ resid), rejected=False)
     return out

@@ -62,13 +62,17 @@ def test_matches_highs_optimum(seed):
     np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9 * want.sum())
 
 
-def test_matches_highs_on_spci_lag_design():
-    rng = np.random.default_rng(3)
+def spci_lag_design(seed):
+    """SPCI's design on an AR(1) residual stream of 40: 32 rows of 8 lags."""
+    rng = np.random.default_rng(seed)
     e = np.zeros(40)
     for t in range(1, 40):
         e[t] = 0.7 * e[t - 1] + rng.standard_normal()
-    X = np.lib.stride_tricks.sliding_window_view(e, 8)[:-1]
-    y = e[8:]
+    return np.lib.stride_tricks.sliding_window_view(e, 8)[:-1], e[8:]
+
+
+def test_matches_highs_on_spci_lag_design():
+    X, y = spci_lag_design(3)
     fit = fit_pinball_linear(X, y, SPCI_TAUS)
     want = sum(exact_loss(X, y, tau) for tau in SPCI_TAUS)
     assert fit_losses(fit, X, y).sum() == pytest.approx(want, rel=1e-7)
@@ -203,21 +207,36 @@ def test_levels_beyond_one_over_n_share_a_line_above_or_below_every_point(data, 
             assert (field[half] == field[half][:1]).all()
 
 
+def spy_on_solves(monkeypatch):
+    """Record, per _solve_levels call, its level count and the level counts
+    of the _frisch_newton calls it makes."""
+    solved, newton = [], []
+    solve_levels, frisch_newton = quantreg._solve_levels, quantreg._frisch_newton
+
+    def levels_spy(U, ys, taus, iters):
+        solved.append(len(taus))
+        newton.append([])
+        return solve_levels(U, ys, taus, iters)
+
+    def newton_spy(U, ys, taus, iters):
+        newton[-1].append(len(taus))
+        return frisch_newton(U, ys, taus, iters)
+
+    monkeypatch.setattr(quantreg, "_solve_levels", levels_spy)
+    monkeypatch.setattr(quantreg, "_frisch_newton", newton_spy)
+    return solved, newton
+
+
 def test_spci_levels_solved_once_beyond_one_over_n(monkeypatch):
     # SPCI_TAUS's 20 inner levels, with the merged ones solved once: at
-    # n = 17, 0.01..0.05 and 0.95..0.99 each share one solve.
-    solved = []
-    real = quantreg._frisch_newton
-
-    def spy(U, ys, taus, iters):
-        solved.append(len(taus))
-        return real(U, ys, taus, iters)
-
-    monkeypatch.setattr(quantreg, "_frisch_newton", spy)
+    # n = 17, 0.01..0.05 and 0.95..0.99 each share one solve. Newton solves
+    # the two extreme levels, and all of them only where a vertex falls short.
+    solved, newton = spy_on_solves(monkeypatch)
     rng = np.random.default_rng(4)
     for n in (17, 20, 28):
         fit_pinball_linear(rng.standard_normal((n, 8)), rng.standard_normal(n), SPCI_TAUS)
     assert solved == [12, 13, 16]
+    assert all(calls in ([2], [2, levels]) for calls, levels in zip(newton, solved))
 
 
 def test_ridge_is_added_on_the_diagonal_in_place():
@@ -284,7 +303,9 @@ def test_never_worse_than_constant_quantile_line(data, tau):
 
 def _stack_problem(rng, kind, n, d):
     """One design of a stack: plain, with a constant column, with a column
-    dependent on the others, or with every column constant."""
+    dependent on the others, with every column constant, or tied: every row
+    but an odd last one repeated, so that every vertex's basis holds a row
+    and its copy, or leaves out a copy at zero residual."""
     X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d) + rng.uniform(-5.0, 5.0, d)
     if kind == "constant":
         X[:, rng.integers(d)] = rng.uniform(-5.0, 5.0)
@@ -293,6 +314,8 @@ def _stack_problem(rng, kind, n, d):
     elif kind == "all_constant":
         X[:] = rng.uniform(-5.0, 5.0, d)
     y = X[:, 0] + rng.standard_t(3, n)
+    if kind == "tied":
+        X[1::2], y[1::2] = X[: n - 1 : 2], y[: n - 1 : 2]
     return X, y
 
 
@@ -317,6 +340,84 @@ def test_each_problem_of_a_stack_gets_its_lone_fit(seed, kinds, n, d):
         got = fit_losses(fit, Xb, yb)
         want = np.array([exact_loss(Xb, yb, tau) for tau in taus])
         np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9 * want.sum())
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["plain", "tied", "dependent", "all_constant"]), min_size=1, max_size=4),
+    n=st.integers(17, 36),
+    d=st.integers(2, 8),
+)
+def test_certified_and_fallback_problems_of_an_spci_stack(seed, kinds, n, d):
+    # Only a plain design can have every level certified by a seed vertex:
+    # the others' bases are singular or tie, and they are Newton-solved at
+    # every level. Each problem still gets its lone fit and the optimum.
+    rng = np.random.default_rng(seed)
+    X, y = map(np.stack, zip(*(_stack_problem(rng, kind, n, d) for kind in kinds)))
+    with pytest.MonkeyPatch.context() as mp:
+        _, newton = spy_on_solves(mp)
+        fits = fit_pinball_stacked(X, y, SPCI_TAUS)
+        alone = [fit_pinball_linear(Xb, yb, SPCI_TAUS) for Xb, yb in zip(X, y)]
+    for kind, Xb, yb, fit, lone, calls in zip(kinds, X, y, fits, alone, newton[1:]):
+        assert kind == "plain" or len(calls) == 2, kind
+        for field in ("intercepts", "coefs", "degenerate"):
+            assert getattr(fit, field).tobytes() == getattr(lone, field).tobytes(), field
+        got = fit_losses(fit, Xb, yb)
+        want = np.array([exact_loss(Xb, yb, tau) for tau in SPCI_TAUS])
+        np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9 * want.sum())
+
+
+def test_levels_between_two_vertices_fall_back_to_newton(monkeypatch):
+    # On 60 rows the optimal line moves between levels 0.1 and 0.4: the
+    # optima of 0.1 and 0.4 both lose more than the optimum at 0.25, so no
+    # seed vertex certifies it and every level is Newton-solved.
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((60, 3))
+    y = X @ np.array([1.0, -0.5, 2.0]) + rng.standard_normal(60)
+    taus = np.linspace(0.1, 0.4, 7)
+    _, newton = spy_on_solves(monkeypatch)
+    fit = fit_pinball_linear(X, y, taus)
+    assert newton == [[2, 7]]
+    want = np.array([exact_loss(X, y, tau) for tau in taus])
+    np.testing.assert_allclose(fit_losses(fit, X, y), want, rtol=1e-7, atol=1e-9 * want.sum())
+    for k in (0, -1):
+        assert pinball(y - fit.intercepts[k] - X @ fit.coefs[k], 0.25) > want[3] * (1.0 + 1e-7)
+
+
+def test_certified_fit_is_a_vertex_no_worse_than_newton(monkeypatch):
+    # Every level of this SPCI design is certified by a seed vertex: its line
+    # passes through exactly p = 9 rows, up to rounding, and loses no more
+    # at a seed level than the Newton fit of that level alone.
+    X, y = spci_lag_design(0)
+    _, newton = spy_on_solves(monkeypatch)
+    fit = fit_pinball_linear(X, y, SPCI_TAUS)
+    assert newton == [[2]]
+    inner = (SPCI_TAUS > 0.0) & (SPCI_TAUS < 1.0)
+    resid = y - fit.intercepts[inner, None] - fit.coefs[inner] @ X.T
+    on_line = np.abs(resid) <= 1e-12 * np.abs(y).max()
+    assert (on_line.sum(axis=1) == X.shape[1] + 1).all()
+    losses = fit_losses(fit, X, y)
+    for k in np.flatnonzero(inner)[[0, -1]]:
+        seed = fit_pinball_linear(X, y, SPCI_TAUS[k : k + 1])
+        assert losses[k] <= fit_losses(seed, X, y)[0]
+        assert losses[k] == pytest.approx(exact_loss(X, y, SPCI_TAUS[k]), rel=1e-7)
+
+
+def test_a_row_on_a_seed_vertex_ties_and_falls_back(monkeypatch):
+    # A row added on the certified line of level 0.1 keeps that line optimal
+    # but lies on it beside the basis: the vertex ties, so every level is
+    # Newton-solved, and the fits still reach the optimum.
+    X, y = spci_lag_design(0)
+    line = fit_pinball_linear(X, y, SPCI_TAUS)
+    x_new = X[0] + X[1] - X[2]
+    X = np.vstack([X, x_new])
+    y = np.append(y, line.intercepts[10] + line.coefs[10] @ x_new)
+    _, newton = spy_on_solves(monkeypatch)
+    fit = fit_pinball_linear(X, y, SPCI_TAUS)
+    assert newton == [[2, 16]]
+    want = np.array([exact_loss(X, y, tau) for tau in SPCI_TAUS])
+    np.testing.assert_allclose(fit_losses(fit, X, y), want, rtol=1e-7, atol=1e-9 * want.sum())
 
 
 def test_stack_shapes_are_checked():
