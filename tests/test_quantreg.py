@@ -208,35 +208,51 @@ def test_levels_beyond_one_over_n_share_a_line_above_or_below_every_point(data, 
 
 
 def spy_on_solves(monkeypatch):
-    """Record, per _solve_levels call, its level count and the level counts
-    of the _frisch_newton calls it makes."""
-    solved, newton = [], []
-    solve_levels, frisch_newton = quantreg._solve_levels, quantreg._frisch_newton
+    """Record, per _solve_levels call, its level count, the level counts
+    of the _frisch_newton calls it makes, and the rounds its walk takes
+    (the _vertices calls after the seeds' one)."""
+    solved, newton, rounds = [], [], []
+    solve_levels, frisch_newton, vertices = quantreg._solve_levels, quantreg._frisch_newton, quantreg._vertices
 
     def levels_spy(U, ys, taus, iters):
         solved.append(len(taus))
         newton.append([])
+        rounds.append(-1)
         return solve_levels(U, ys, taus, iters)
 
     def newton_spy(U, ys, taus, iters):
         newton[-1].append(len(taus))
         return frisch_newton(U, ys, taus, iters)
 
+    def vertices_spy(U, ys, basis, levels):
+        rounds[-1] += 1
+        return vertices(U, ys, basis, levels)
+
     monkeypatch.setattr(quantreg, "_solve_levels", levels_spy)
     monkeypatch.setattr(quantreg, "_frisch_newton", newton_spy)
-    return solved, newton
+    monkeypatch.setattr(quantreg, "_vertices", vertices_spy)
+    return solved, newton, rounds
+
+
+def assert_matches_highs(fit, X, y):
+    """Every level's pinball loss is HiGHS's optimum, to within the gap
+    tolerance's reach plus a rounding floor: a perfect fit's optimum is 0,
+    and its exact line still leaves residuals of rounding size."""
+    got = fit_losses(fit, X, y)
+    want = np.array([exact_loss(X, y, tau) for tau in fit.taus])
+    np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9 * want.sum() + 1e-12 * np.abs(y).sum())
 
 
 def test_spci_levels_solved_once_beyond_one_over_n(monkeypatch):
     # SPCI_TAUS's 20 inner levels, with the merged ones solved once: at
     # n = 17, 0.01..0.05 and 0.95..0.99 each share one solve. Newton solves
-    # the two extreme levels, and all of them only where a vertex falls short.
-    solved, newton = spy_on_solves(monkeypatch)
+    # the two extreme levels, and others only where no vertex certifies them.
+    solved, newton, _ = spy_on_solves(monkeypatch)
     rng = np.random.default_rng(4)
     for n in (17, 20, 28):
         fit_pinball_linear(rng.standard_normal((n, 8)), rng.standard_normal(n), SPCI_TAUS)
     assert solved == [12, 13, 16]
-    assert all(calls in ([2], [2, levels]) for calls, levels in zip(newton, solved))
+    assert all(calls[0] == 2 and all(k < levels - 1 for k in calls[1:]) for calls, levels in zip(newton, solved))
 
 
 def test_ridge_is_added_on_the_diagonal_in_place():
@@ -350,39 +366,106 @@ def test_each_problem_of_a_stack_gets_its_lone_fit(seed, kinds, n, d):
     d=st.integers(2, 8),
 )
 def test_certified_and_fallback_problems_of_an_spci_stack(seed, kinds, n, d):
-    # Only a plain design can have every level certified by a seed vertex:
-    # the others' bases are singular or tie, and they are Newton-solved at
-    # every level. Each problem still gets its lone fit and the optimum.
+    # Only a plain design can have every level certified by a vertex: the
+    # others' bases are singular or tie, and their uncertified levels are
+    # Newton-solved. Each problem still gets its lone fit and the optimum.
     rng = np.random.default_rng(seed)
     X, y = map(np.stack, zip(*(_stack_problem(rng, kind, n, d) for kind in kinds)))
     with pytest.MonkeyPatch.context() as mp:
-        _, newton = spy_on_solves(mp)
+        _, newton, _ = spy_on_solves(mp)
         fits = fit_pinball_stacked(X, y, SPCI_TAUS)
         alone = [fit_pinball_linear(Xb, yb, SPCI_TAUS) for Xb, yb in zip(X, y)]
     for kind, Xb, yb, fit, lone, calls in zip(kinds, X, y, fits, alone, newton[1:]):
         assert kind == "plain" or len(calls) == 2, kind
         for field in ("intercepts", "coefs", "degenerate"):
             assert getattr(fit, field).tobytes() == getattr(lone, field).tobytes(), field
-        got = fit_losses(fit, Xb, yb)
-        want = np.array([exact_loss(Xb, yb, tau) for tau in SPCI_TAUS])
-        np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9 * want.sum())
+        assert_matches_highs(fit, Xb, yb)
 
 
-def test_levels_between_two_vertices_fall_back_to_newton(monkeypatch):
-    # On 60 rows the optimal line moves between levels 0.1 and 0.4: the
-    # optima of 0.1 and 0.4 both lose more than the optimum at 0.25, so no
-    # seed vertex certifies it and every level is Newton-solved.
+def sixty_row_design():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((60, 3))
-    y = X @ np.array([1.0, -0.5, 2.0]) + rng.standard_normal(60)
-    taus = np.linspace(0.1, 0.4, 7)
-    _, newton = spy_on_solves(monkeypatch)
+    return X, X @ np.array([1.0, -0.5, 2.0]) + rng.standard_normal(60)
+
+
+def test_levels_between_two_vertices_are_certified_by_the_walk(monkeypatch):
+    # On 60 rows the optimal line moves between levels 0.1 and 0.15: the
+    # seed fits at 0.1 and 0.15 both lose more than the optimum at a level
+    # between them. The walk certifies every such level, each at a vertex
+    # (p = 4 rows on its line), so no second Newton solve runs.
+    X, y = sixty_row_design()
+    taus = np.linspace(0.1, 0.15, 6)
+    _, newton, rounds = spy_on_solves(monkeypatch)
     fit = fit_pinball_linear(X, y, taus)
-    assert newton == [[2, 7]]
-    want = np.array([exact_loss(X, y, tau) for tau in taus])
-    np.testing.assert_allclose(fit_losses(fit, X, y), want, rtol=1e-7, atol=1e-9 * want.sum())
+    assert newton == [[2]]
+    assert 1 <= rounds[0] <= quantreg._WALK_ROUNDS
+    assert_matches_highs(fit, X, y)
+    resid = y - fit.intercepts[:, None] - fit.coefs @ X.T
+    assert ((np.abs(resid) <= 1e-12 * np.abs(y).max()).sum(axis=1) == 4).all()
+    seed_losses = [[pinball(y - fit.intercepts[e] - X @ fit.coefs[e], tau) for tau in taus] for e in (0, -1)]
+    assert (np.min(seed_losses, axis=0) > fit_losses(fit, X, y) * (1.0 + 1e-7)).any()
+
+
+def test_the_walk_stops_at_its_bound_and_newton_solves_the_rest(monkeypatch):
+    # On this SPCI design the walk needs more than _WALK_ROUNDS pivots a
+    # side: it stops there, and Newton solves the one level it leaves
+    # (not the seeds again). With a higher bound it certifies that level.
+    X, y = spci_lag_design(6)
+    _, newton, rounds = spy_on_solves(monkeypatch)
+    fit = fit_pinball_linear(X, y, SPCI_TAUS)
+    assert newton == [[2, 1]] and rounds == [quantreg._WALK_ROUNDS]
+    assert_matches_highs(fit, X, y)
+    monkeypatch.setattr(quantreg, "_WALK_ROUNDS", 10)
+    walked = fit_pinball_linear(X, y, SPCI_TAUS)
+    assert newton[1:] == [[2]] and rounds[1] > 3
+    assert_matches_highs(walked, X, y)
+
+
+def test_levels_beyond_the_walks_reach_go_straight_to_newton(monkeypatch):
+    # Levels 0.1..0.4 on 60 rows: the middle levels lie more than
+    # _WALK_ROUNDS/n = 0.05 from both seeds, and no seed vertex certifies
+    # 0.25 (both seed fits lose more there than its optimum). The problem
+    # skips the walk, and Newton solves the 5 levels between the seeds.
+    X, y = sixty_row_design()
+    taus = np.linspace(0.1, 0.4, 7)
+    _, newton, rounds = spy_on_solves(monkeypatch)
+    fit = fit_pinball_linear(X, y, taus)
+    assert newton == [[2, 5]] and rounds == [0]
+    assert_matches_highs(fit, X, y)
+    want = exact_loss(X, y, 0.25)
     for k in (0, -1):
-        assert pinball(y - fit.intercepts[k] - X @ fit.coefs[k], 0.25) > want[3] * (1.0 + 1e-7)
+        assert pinball(y - fit.intercepts[k] - X @ fit.coefs[k], 0.25) > want * (1.0 + 1e-7)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["plain", "tied", "dependent"]), min_size=1, max_size=4),
+    n=st.integers(12, 40),
+    d=st.integers(1, 6),
+    taus=st.one_of(
+        st.lists(st.floats(1e-3, 1.0 - 1e-3), min_size=2, max_size=9),
+        # (first level, spacing in units of 1/n, count): levels close
+        # enough together for the walk to reach
+        st.tuples(st.floats(0.01, 0.5), st.floats(0.1, 0.8), st.integers(2, 9)),
+    ),
+)
+def test_any_level_set_matches_highs_within_the_walks_bound(seed, kinds, n, d, taus):
+    if isinstance(taus, tuple):
+        first, spacing, count = taus
+        taus = first + spacing / n * np.arange(count)
+    taus = np.array(taus)
+    rng = np.random.default_rng(seed)
+    X, y = map(np.stack, zip(*(_stack_problem(rng, kind, n, d) for kind in kinds)))
+    with pytest.MonkeyPatch.context() as mp:
+        _, _, rounds = spy_on_solves(mp)
+        fits = fit_pinball_stacked(X, y, taus)
+    assert all(k <= quantreg._WALK_ROUNDS for k in rounds)
+    for Xb, yb, fit in zip(X, y, fits):
+        lone = fit_pinball_linear(Xb, yb, taus)
+        for field in ("intercepts", "coefs", "degenerate"):
+            assert getattr(fit, field).tobytes() == getattr(lone, field).tobytes(), field
+        assert_matches_highs(fit, Xb, yb)
 
 
 def test_certified_fit_is_a_vertex_no_worse_than_newton(monkeypatch):
@@ -390,9 +473,9 @@ def test_certified_fit_is_a_vertex_no_worse_than_newton(monkeypatch):
     # passes through exactly p = 9 rows, up to rounding, and loses no more
     # at a seed level than the Newton fit of that level alone.
     X, y = spci_lag_design(0)
-    _, newton = spy_on_solves(monkeypatch)
+    _, newton, rounds = spy_on_solves(monkeypatch)
     fit = fit_pinball_linear(X, y, SPCI_TAUS)
-    assert newton == [[2]]
+    assert newton == [[2]] and rounds == [0]
     inner = (SPCI_TAUS > 0.0) & (SPCI_TAUS < 1.0)
     resid = y - fit.intercepts[inner, None] - fit.coefs[inner] @ X.T
     on_line = np.abs(resid) <= 1e-12 * np.abs(y).max()
@@ -406,18 +489,78 @@ def test_certified_fit_is_a_vertex_no_worse_than_newton(monkeypatch):
 
 def test_a_row_on_a_seed_vertex_ties_and_falls_back(monkeypatch):
     # A row added on the certified line of level 0.1 keeps that line optimal
-    # but lies on it beside the basis: the vertex ties, so every level is
-    # Newton-solved, and the fits still reach the optimum.
+    # but lies on it beside the basis: the low seed's vertex ties, so it
+    # certifies nothing and no walk starts from it. The levels it leaves
+    # lie beyond the high seed's reach, so Newton solves all 7 of them (all
+    # but the low seed itself), and the fits still reach the optimum.
     X, y = spci_lag_design(0)
     line = fit_pinball_linear(X, y, SPCI_TAUS)
     x_new = X[0] + X[1] - X[2]
     X = np.vstack([X, x_new])
     y = np.append(y, line.intercepts[10] + line.coefs[10] @ x_new)
-    _, newton = spy_on_solves(monkeypatch)
+    _, newton, rounds = spy_on_solves(monkeypatch)
     fit = fit_pinball_linear(X, y, SPCI_TAUS)
-    assert newton == [[2, 16]]
-    want = np.array([exact_loss(X, y, tau) for tau in SPCI_TAUS])
-    np.testing.assert_allclose(fit_losses(fit, X, y), want, rtol=1e-7, atol=1e-9 * want.sum())
+    assert newton == [[2, 7]] and rounds == [0]
+    assert_matches_highs(fit, X, y)
+
+
+def test_walk_leaves_no_problem_of_the_suite_panels_spci_to_newton(monkeypatch):
+    # A count, not a timing, so a change in the walk's reach shows without
+    # timing noise. SPCI on the benchmark's seed-0 suite panel (the first
+    # 5, 4 and 3 series of the ar1, seasonal_ar and shift acceptance
+    # families) fits 144 quantile problems. The seed vertices leave
+    # levels uncertified in 6 of them, and the walk certifies all 6.
+    import dataclasses
+
+    from ctsbench.bench import BenchConfig, SyntheticSpec, generate_synthetic, run_benchmark
+    from ctsbench.series import SeriesPanel
+
+    series = []
+    for generator, count, seed in (("ar1", 5, 11), ("seasonal_ar", 4, 12), ("shift", 3, 13)):
+        spec = SyntheticSpec(generator=generator, n_series=count, length=120, seed=seed)
+        series += [dataclasses.replace(ts, series_id=f"{generator}_{ts.series_id}") for ts in generate_synthetic(spec)]
+    problems, walked, newton = [], [], []
+    solve_levels, walk, frisch_newton = quantreg._solve_levels, quantreg._walk, quantreg._frisch_newton
+
+    def levels_spy(U, ys, taus, iters):
+        problems.append(len(U))
+        newton.append([])
+        return solve_levels(U, ys, taus, iters)
+
+    def walk_spy(U, ys, levels, prob, *rest):
+        walked.append(len(np.unique(prob)))
+        return walk(U, ys, levels, prob, *rest)
+
+    def newton_spy(U, ys, taus, iters):
+        newton[-1].append(len(U))
+        return frisch_newton(U, ys, taus, iters)
+
+    monkeypatch.setattr(quantreg, "_solve_levels", levels_spy)
+    monkeypatch.setattr(quantreg, "_walk", walk_spy)
+    monkeypatch.setattr(quantreg, "_frisch_newton", newton_spy)
+    report = run_benchmark(BenchConfig(seed=20, methods=("spci",)), SeriesPanel(tuple(series)))
+    assert not report.skips
+    assert sum(problems) == 144
+    assert sum(walked) == 6
+    assert sum(sum(calls[1:]) for calls in newton) == 0
+
+
+def test_a_row_on_a_walk_vertex_ties_and_stops_the_walk(monkeypatch):
+    # On the 60-row design the walk certifies 0.12 and 0.13 at a vertex
+    # that neither seed's line is. A row added on that line ties the vertex
+    # when the walk reaches it: it certifies nothing, its walkers stop, and
+    # Newton solves the 3 levels they leave. The fits still reach the
+    # optimum.
+    X, y = sixty_row_design()
+    taus = np.linspace(0.1, 0.15, 6)
+    line = fit_pinball_linear(X, y, taus)
+    x_new = X[0] + X[1] - X[2]
+    X = np.vstack([X, x_new])
+    y = np.append(y, line.intercepts[2] + line.coefs[2] @ x_new)
+    _, newton, rounds = spy_on_solves(monkeypatch)
+    fit = fit_pinball_linear(X, y, taus)
+    assert newton == [[2, 3]] and rounds == [2]
+    assert_matches_highs(fit, X, y)
 
 
 def test_stack_shapes_are_checked():
