@@ -379,7 +379,7 @@ def _scores(signed: np.ndarray) -> np.ndarray:
 
 def _spci(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix]:
     """SPCI of a block of series, each as alone: one quantile regression
-    solve per horizon for the block's residual columns."""
+    solve per row bucket for the residual columns of all its horizons."""
     return spci_intervals_stacked(*_stacks(block), SpciSpec(lag_count=c.spci_lags), c.alpha)
 
 
@@ -534,8 +534,11 @@ class BenchConfig:
 
 # An InitVar's default stays behind as a class attribute, which every config
 # would read as its parallelism whatever was passed. __init__ keeps its own
-# copy of the default.
+# copy of the default. dataclasses.replace reads every InitVar back from
+# the config it copies, so the InitVar leaves the field table too: replace
+# then passes no parallelism, and __init__ takes its default.
 del BenchConfig.parallelism
+del BenchConfig.__dataclass_fields__["parallelism"]
 
 
 def _contexts(panel: SeriesPanel, config: BenchConfig) -> tuple[list[dict[str, object]], list[tuple[str, str, str]]]:

@@ -20,9 +20,10 @@ origins, and rejects a forecast that is not finite where its truth exists:
 prefix table from the same call on the union of every prefix a run needs,
 both at the origins of `_calibration_origins` and `_backtest_cutoffs`.
 `_spci_pairs`, the one SPCI fit, picks the quantile pair of every residual
-history of a stack with one solver call, for `spci_intervals_stacked`,
-which takes an (S, R, H) stack of signed residuals, and whose one-series
-case is `spci_intervals`.
+history of a ragged stack with one solver call, for
+`spci_intervals_stacked`, which takes an (S, R, H) stack of signed
+residuals and fits the histories of all its horizons together, and whose
+one-series case is `spci_intervals`.
 `parametric_intervals_stacked` takes the Gaussian intervals of many
 autoregressions from one stacked psi-weight recursion
 (`forecaster.sigma_h_stacked`); `parametric_intervals` is its one-row case.
@@ -540,21 +541,25 @@ class SpciSpec:
             raise ValueError(f"lag_count must be >= 1, got {self.lag_count}")
 
 
-def _fit_pinball(X: np.ndarray, y: np.ndarray, taus: np.ndarray) -> list:
-    """fit_pinball_stacked of a (B, n, d) stack, or, where this module's
-    fit_pinball_linear has been replaced (a tracer or a spy that must see
-    every fit, as perfbench/spans.py does), that replacement once per
-    problem. Each problem gets the same fit either way. The second path
+def _fit_pinball(X: np.ndarray, y: np.ndarray, rows: np.ndarray, taus: np.ndarray) -> list:
+    """fit_pinball_stacked of a (B, N, d) stack whose problem b is its first
+    rows[b] rows, or, where this module's fit_pinball_linear has been
+    replaced (a tracer or a spy that must see every fit, as
+    perfbench/spans.py does), that replacement once per problem, on its
+    rows alone. Each problem gets the same fit either way. The second path
     goes once perfbench wraps fit_pinball_stacked itself: until then its
     tracer counts and captures quantreg's work only one problem per call."""
     if fit_pinball_linear is _quantreg.fit_pinball_linear:
-        return fit_pinball_stacked(X, y, taus)
-    return [fit_pinball_linear(Xi, yi, taus) for Xi, yi in zip(X, y)]
+        return fit_pinball_stacked(X, y, taus, rows)
+    return [fit_pinball_linear(Xi[:k], yi[:k], taus) for Xi, yi, k in zip(X, y, rows)]
 
 
-def _spci_pairs(histories: np.ndarray, spec: SpciSpec, alpha: float) -> tuple[np.ndarray, ...]:
-    """The predicted (lower, upper) next-step quantiles of every row of an
-    (S, n) stack of signed residual histories, with one solver call: linear
+def _spci_pairs(
+    histories: np.ndarray, spec: SpciSpec, alpha: float, lengths: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
+    """The predicted (lower, upper) next-step quantiles of every row of a
+    (P, L) stack of signed residual histories, each its first lengths[i]
+    entries (all L when lengths is None), with one solver call: linear
     pinball-loss regressions on lag_count lags fit every level pair
     (beta, 1-alpha+beta), beta on 11 points of [0, alpha], and the pair
     narrowest at the latest lags is kept, swapped if crossed. A design of
@@ -562,25 +567,29 @@ def _spci_pairs(histories: np.ndarray, spec: SpciSpec, alpha: float) -> tuple[np
     quantiles, whether they crossed, whether the design fell back, and the
     chosen beta, one entry per history each."""
     w = spec.lag_count
-    S, n = histories.shape
-    if n < w + 10:
-        raise ValueError(f"residual history too short: need >= {w + 10}, have {n}")
+    P, L = histories.shape
+    lengths = np.full(P, L) if lengths is None else lengths
+    short = lengths < w + 10
+    if short.any():
+        raise ValueError(f"residual history too short: need >= {w + 10}, have {lengths[np.argmax(short)]}")
     betas = np.linspace(0.0, alpha, 11)
     m = len(betas)
     taus = np.concatenate([betas, 1.0 - alpha + betas])
     X = np.lib.stride_tricks.sliding_window_view(histories, w, axis=1)[:, :-1]
     y = histories[:, w:]
-    x_star = histories[:, n - w :]
-    fallback = constant_columns(X).all(axis=1)
-    preds = np.empty((S, 2 * m))
-    if fallback.any():
-        preds[fallback] = np.quantile(histories[fallback], taus, axis=1).T
-    solved = ~fallback
-    if solved.any():
-        fits = _fit_pinball(X[solved], y[solved], taus)
+    rows = lengths - w
+    x_star = histories[np.arange(P)[:, None], rows[:, None] + np.arange(w)]
+    fallback = constant_columns(X, rows).all(axis=1)
+    preds = np.empty((P, 2 * m))
+    for i in np.flatnonzero(fallback):
+        preds[i] = np.quantile(histories[i, : lengths[i]], taus)
+    # A basic slice keeps the windows a view where no history falls back.
+    solved = slice(None) if not fallback.any() else ~fallback
+    if not fallback.all():
+        fits = _fit_pinball(X[solved], y[solved], rows[solved], taus)
         preds[solved] = [fit.predict(x) for fit, x in zip(fits, x_star[solved])]
     pick = np.argmin(preds[:, m:] - preds[:, :m], axis=1)
-    q_lo, q_hi = preds[np.arange(S), pick], preds[np.arange(S), m + pick]
+    q_lo, q_hi = preds[np.arange(P), pick], preds[np.arange(P), m + pick]
     return np.minimum(q_lo, q_hi), np.maximum(q_lo, q_hi), q_lo > q_hi, fallback, betas[pick]
 
 
@@ -605,10 +614,11 @@ def spci_intervals_stacked(
     residuals, an (S, R, H') stack with H' >= H, NaN-padded as in
     ResidualMatrix.
 
-    At each horizon h the column-h residual histories of every series,
-    which must have equal lengths, are fitted in one solver call. Each
-    series gets the intervals and diagnostics that spci_intervals gives
-    it alone.
+    At each horizon h the column-h residual histories of every series
+    must have equal lengths. The histories of every horizon and series are
+    fitted in one solver call, which solves the designs of each row bucket
+    together. Each series gets the intervals and diagnostics that
+    spci_intervals gives it alone.
     """
     fc = np.atleast_2d(np.asarray(forecasts, dtype=np.float64))
     signed = np.asarray(signed, dtype=np.float64)
@@ -618,16 +628,20 @@ def spci_intervals_stacked(
     if horizon > signed.shape[2]:
         raise ValueError(f"forecast horizon {horizon} exceeds residual horizons {signed.shape[2]}")
     _check_padding(signed)
-    pairs = []
+    # Every horizon's histories, left-aligned in one (horizon, S, R) stack.
+    histories = np.zeros((horizon, S, signed.shape[1]))
+    lengths = np.empty(horizon, dtype=np.intp)
     for h in range(horizon):
         column = signed[:, :, h]
         kept = ~np.isnan(column)
-        lengths = np.count_nonzero(kept, axis=1)
-        if (lengths != lengths[0]).any():
+        counts = np.count_nonzero(kept, axis=1)
+        if (counts != counts[0]).any():
             raise ValueError(f"horizon {h + 1} residual columns differ in length across series")
-        pairs.append(_spci_pairs(column[kept].reshape(S, lengths[0]), spec, alpha))
+        lengths[h] = counts[0]
+        histories[h, :, : counts[0]] = column[kept].reshape(S, counts[0])
+    pairs = _spci_pairs(histories.reshape(horizon * S, -1), spec, alpha, np.repeat(lengths, S))
     # Each part is (S, horizon): series by row.
-    q_lo, q_hi, crossed, fallback, beta = (np.stack(part, axis=1) for part in zip(*pairs))
+    q_lo, q_hi, crossed, fallback, beta = (part.reshape(horizon, S).T for part in pairs)
     diagnostics = [
         {"crossings": c, "fallbacks": f, "betas": b}
         for c, f, b in zip(crossed.sum(axis=1).tolist(), fallback.sum(axis=1).tolist(), beta.tolist())

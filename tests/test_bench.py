@@ -203,6 +203,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="parallelism"):
             BenchConfig(parallelism=0)
 
+    def test_replace_keeps_every_field_and_the_hash(self):
+        for config in (BenchConfig(), small_config(parallelism=3)):
+            copy = dataclasses.replace(config)
+            assert copy == config and copy.config_hash() == config.config_hash()
+            assert dataclasses.asdict(copy) == dataclasses.asdict(config)
+            moved = dataclasses.replace(config, seed=config.seed + 1)
+            assert dataclasses.asdict(moved) == {**dataclasses.asdict(config), "seed": config.seed + 1}
+            assert moved.config_hash() != config.config_hash()
+        with pytest.raises(ValueError, match="parallelism"):
+            dataclasses.replace(BenchConfig(), parallelism=0)
+
 
 class TestRunBenchmark:
     def test_small_run_structure(self):

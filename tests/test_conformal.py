@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import math
 import random
 
@@ -673,9 +674,11 @@ class TestSpci:
         seen = {}
         real = conformal.fit_pinball_stacked
 
-        def capture(X, y, taus):
-            (seen["X"],), (seen["y"],) = np.array(X), np.array(y)
-            return real(X, y, taus)
+        def capture(X, y, taus, rows):
+            # The real rows of the one design: those past rows[0] are padding.
+            (k,) = rows
+            (seen["X"],), (seen["y"],) = np.array(X)[:, :k], np.array(y)[:, :k]
+            return real(X, y, taus, rows)
 
         monkeypatch.setattr(conformal, "fit_pinball_stacked", capture)
         e = simulate_ar1(40, 0.5, seed=3)
@@ -719,45 +722,63 @@ class TestSpci:
         assert set(iv.diagnostics) == {"crossings", "fallbacks", "betas"}
         assert len(iv.diagnostics["betas"]) == 3
 
-    def test_one_solver_call_per_horizon_for_a_stack(self, monkeypatch):
-        calls = []
-        real = conformal.fit_pinball_stacked
+    def test_one_solver_call_per_row_bucket_for_a_stack(self, monkeypatch):
+        # 12 series at 4 horizons give designs of 26, 25, 24 and 23 rows at
+        # 4 lags. All 48 go to the solver in one call, which pads them to
+        # the next multiple of 8 rows and solves each bucket, 32 and 24, once.
+        calls, solves = [], []
+        real, fit_stack = conformal.fit_pinball_stacked, quantreg._fit_stack
 
-        def spy(X, y, taus):
-            calls.append(len(X))
-            return real(X, y, taus)
+        def spy(X, y, taus, rows):
+            calls.append(sorted(collections.Counter(rows.tolist()).items()))
+            return real(X, y, taus, rows)
+
+        def solve_spy(X, y, mask, taus, iters):
+            solves.append(X.shape)
+            return fit_stack(X, y, mask, taus, iters)
 
         monkeypatch.setattr(conformal, "fit_pinball_stacked", spy)
+        monkeypatch.setattr(quantreg, "_fit_stack", solve_spy)
         rng = np.random.default_rng(5)
         signed = np.stack([padded_signed_residuals(rng).matrix for _ in range(12)])
         ivs = spci_intervals_stacked(np.zeros((12, 4)), signed, SpciSpec(lag_count=4), 0.1)
         assert len(ivs) == 12
-        assert calls == [12] * 4
+        assert calls == [[(23, 12), (24, 12), (25, 12), (26, 12)]]
+        assert sorted(solves) == [(24, 24, 4), (24, 32, 4)]
 
     def test_levels_beyond_one_over_n_solved_once(self, monkeypatch):
         # A 36-point residual matrix gives horizon h a design of 28 - (h - 1)
-        # rows at 8 lags. Its levels below 1/n, and those above 1 - 1/n,
-        # share one solve per side: 169 level problems over 12 horizons.
-        # Newton solves each problem's two extreme levels, and others only
-        # where no vertex certifies them.
+        # rows at 8 lags: 17-24 rows pad to 24 and 25-28 to 32, two solves.
+        # Each problem's levels below 1/n, and those above 1 - 1/n, share one
+        # level per side: 169 distinct level problems over the 12 designs.
+        # Newton first solves each problem's two extreme levels (its seeds)
+        # alone, and a later Newton call never solves a seed level again.
         solved, newton = [], []
         solve_levels, frisch_newton = quantreg._solve_levels, quantreg._frisch_newton
 
-        def levels_spy(U, ys, taus, iters):
-            solved.append(len(U) * len(taus))
+        def levels_spy(U, ys, real, levels, iters):
+            solved.append((ys, levels))
             newton.append([])
-            return solve_levels(U, ys, taus, iters)
+            return solve_levels(U, ys, real, levels, iters)
 
-        def newton_spy(U, ys, taus, iters):
-            newton[-1].append(len(taus))
-            return frisch_newton(U, ys, taus, iters)
+        def newton_spy(U, ys, real, taus, iters):
+            newton[-1].append((ys, taus))
+            return frisch_newton(U, ys, real, taus, iters)
 
         monkeypatch.setattr(quantreg, "_solve_levels", levels_spy)
         monkeypatch.setattr(quantreg, "_frisch_newton", newton_spy)
         residuals = padded_signed_residuals(np.random.default_rng(10), rows=36, horizon=12)
         spci_intervals(np.zeros(12), residuals, SpciSpec(), 0.1)
-        assert len(solved) == 12 and sum(solved) == 169
-        assert all(calls[0] == 2 and all(k < levels - 1 for k in calls[1:]) for calls, levels in zip(newton, solved))
+        assert len(solved) == 2
+        assert sum(len(np.unique(row)) for _, levels in solved for row in levels) == 169
+        for (ys, levels), calls in zip(solved, newton):
+            seeds = levels[:, [0, -1]]
+            assert calls[0][0] is ys and np.array_equal(calls[0][1], seeds)
+            for later_ys, taus in calls[1:]:
+                # Each row of a later call is one of this solve's problems.
+                for row, lanes in zip(later_ys, taus):
+                    (problem,) = np.flatnonzero((ys == row).all(axis=1))
+                    assert not np.isin(lanes, seeds[problem]).any()
 
     def test_stack_gives_each_series_its_lone_intervals(self):
         # the last series' histories are constant: it falls back to empirical

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -208,25 +210,25 @@ def test_levels_beyond_one_over_n_share_a_line_above_or_below_every_point(data, 
 
 
 def spy_on_solves(monkeypatch):
-    """Record, per _solve_levels call, its level count, the level counts
-    of the _frisch_newton calls it makes, and the rounds its walk takes
-    (the _vertices calls after the seeds' one)."""
+    """Record, per _solve_levels call, its count of distinct levels, the
+    lane counts of the _frisch_newton calls it makes, and the rounds its
+    walk takes (the _vertices calls after the seeds' one)."""
     solved, newton, rounds = [], [], []
     solve_levels, frisch_newton, vertices = quantreg._solve_levels, quantreg._frisch_newton, quantreg._vertices
 
-    def levels_spy(U, ys, taus, iters):
-        solved.append(len(taus))
+    def levels_spy(U, ys, real, levels, iters):
+        solved.append(len(np.unique(levels)))
         newton.append([])
         rounds.append(-1)
-        return solve_levels(U, ys, taus, iters)
+        return solve_levels(U, ys, real, levels, iters)
 
-    def newton_spy(U, ys, taus, iters):
-        newton[-1].append(len(taus))
-        return frisch_newton(U, ys, taus, iters)
+    def newton_spy(U, ys, real, taus, iters):
+        newton[-1].append(taus.shape[1])
+        return frisch_newton(U, ys, real, taus, iters)
 
-    def vertices_spy(U, ys, basis, levels):
+    def vertices_spy(U, ys, real, basis, levels):
         rounds[-1] += 1
-        return vertices(U, ys, basis, levels)
+        return vertices(U, ys, real, basis, levels)
 
     monkeypatch.setattr(quantreg, "_solve_levels", levels_spy)
     monkeypatch.setattr(quantreg, "_frisch_newton", newton_spy)
@@ -261,11 +263,11 @@ def test_ridge_is_added_on_the_diagonal_in_place():
     B, T, n, p = 12, 20, 30, 9
     for _ in range(50):
         U = rng.standard_normal((B, n, p))
-        outer = (U[:, :, :, None] * U[:, :, None, :]).reshape(B, n, p * p)
+        Ut = np.ascontiguousarray(U.transpose(0, 2, 1))
         q = 10.0 ** rng.uniform(-15.0, 15.0, (B, T, n))
-        want = (q @ outer).reshape(B, T, p, p)
+        want = (Ut[:, None] * q[:, :, None, :]) @ U[:, None]
         want += (quantreg._RIDGE * np.trace(want, axis1=-2, axis2=-1))[..., None, None] * np.eye(p)
-        assert np.array_equal(quantreg._normal_matrices(q, outer, p), want)
+        assert np.array_equal(quantreg._normal_matrices(q, U, Ut), want)
 
 
 def test_degenerate_programme_with_non_unique_optimum():
@@ -468,6 +470,58 @@ def test_any_level_set_matches_highs_within_the_walks_bound(seed, kinds, n, d, t
         assert_matches_highs(fit, Xb, yb)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["plain", "tied", "dependent"]), min_size=2, max_size=5),
+    edge=st.sampled_from([16, 24, 32]),
+    offsets=st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+    d=st.integers(2, 6),
+    # Levels within 1e-3 of 0 or 1 lose so little at their optimum that
+    # HiGHS's tolerances leave its objective percents off.
+    taus=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-3, 1.0 - 1e-3)), min_size=1, max_size=9),
+)
+def test_a_ragged_stack_across_a_bucket_edge_gets_its_lone_fits(seed, kinds, edge, offsets, d, taus):
+    # Row counts on both sides of a bucket edge (a multiple of 8): the
+    # stack is solved in two buckets, padded to edge and edge + 8 rows,
+    # and each problem's rows past its own count hold NaN, which the fit
+    # ignores. Each problem gets its lone fit bit for bit, and the optimum.
+    # A padded row enters no basis, and no tie or ratio test (those read
+    # the off-basis mask of _vertices).
+    rng = np.random.default_rng(seed)
+    rows = edge + np.array([0, 1, *offsets])[: len(kinds)]
+    N = rows.max()
+    X, y = np.full((len(kinds), N, d), np.nan), np.full((len(kinds), N), np.nan)
+    for b, (kind, n) in enumerate(zip(kinds, rows)):
+        X[b, :n], y[b, :n] = _stack_problem(rng, kind, n, d)
+    taus = np.array(taus)
+    vertices = quantreg._vertices
+
+    def vertices_spy(U, ys, real, basis, levels):
+        out = vertices(U, ys, real, basis, levels)
+        _, inv, r, outside, _, _, valid, _ = out
+        B = len(basis)
+        assert np.take_along_axis(real, basis.reshape(B, -1), axis=1).all()
+        assert not (outside & ~real[:, None]).any()
+        # Valid unless the basis is singular or ill-conditioned, or a real
+        # row off it ties.
+        sign, _ = np.linalg.slogdet(U[np.arange(B)[:, None, None], basis])
+        well = (sign != 0) & (np.abs(inv).max(axis=(-2, -1)) <= quantreg._INV_TOL)
+        tie = quantreg._TIE_TOL * np.abs(ys).max(axis=1)[:, None, None]
+        assert np.array_equal(valid, well & ~(outside & (np.abs(r) <= tie)).any(axis=-1))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mp.setattr(quantreg, "_vertices", vertices_spy)
+        fits = fit_pinball_stacked(X, y, taus, rows)
+        alone = [fit_pinball_linear(Xb[:n], yb[:n], taus) for Xb, yb, n in zip(X, y, rows)]
+    for Xb, yb, n, fit, lone in zip(X, y, rows, fits, alone):
+        for field in ("intercepts", "coefs", "degenerate"):
+            assert getattr(fit, field).tobytes() == getattr(lone, field).tobytes(), field
+        assert_matches_highs(fit, Xb[:n], yb[:n])
+
+
 def test_certified_fit_is_a_vertex_no_worse_than_newton(monkeypatch):
     # Every level of this SPCI design is certified by a seed vertex: its line
     # passes through exactly p = 9 rows, up to rounding, and loses no more
@@ -504,45 +558,93 @@ def test_a_row_on_a_seed_vertex_ties_and_falls_back(monkeypatch):
     assert_matches_highs(fit, X, y)
 
 
-def test_walk_leaves_no_problem_of_the_suite_panels_spci_to_newton(monkeypatch):
-    # A count, not a timing, so a change in the walk's reach shows without
-    # timing noise. SPCI on the benchmark's seed-0 suite panel (the first
-    # 5, 4 and 3 series of the ar1, seasonal_ar and shift acceptance
-    # families) fits 144 quantile problems. The seed vertices leave
-    # levels uncertified in 6 of them, and the walk certifies all 6.
+def suite_panel():
+    """The benchmark's seed-0 suite panel: the first 5, 4 and 3 series of the
+    ar1, seasonal_ar and shift acceptance families."""
     import dataclasses
 
-    from ctsbench.bench import BenchConfig, SyntheticSpec, generate_synthetic, run_benchmark
+    from ctsbench.bench import SyntheticSpec, generate_synthetic
     from ctsbench.series import SeriesPanel
 
     series = []
     for generator, count, seed in (("ar1", 5, 11), ("seasonal_ar", 4, 12), ("shift", 3, 13)):
         spec = SyntheticSpec(generator=generator, n_series=count, length=120, seed=seed)
         series += [dataclasses.replace(ts, series_id=f"{generator}_{ts.series_id}") for ts in generate_synthetic(spec)]
+    return SeriesPanel(tuple(series))
+
+
+def run_suite_spci(monkeypatch):
+    """SPCI's intervals on the suite panel, from a benchmark run."""
+    from ctsbench import bench, conformal
+
+    intervals = []
+    stacked = conformal.spci_intervals_stacked
+
+    def keep(*args):
+        intervals.extend(stacked(*args))
+        return intervals[-len(args[0]) :]
+
+    monkeypatch.setattr(bench, "spci_intervals_stacked", keep)
+    report = bench.run_benchmark(bench.BenchConfig(seed=20, methods=("spci",)), suite_panel())
+    assert not report.skips
+    return intervals
+
+
+def test_walk_leaves_no_problem_of_the_suite_panels_spci_to_newton(monkeypatch):
+    # A count, not a timing, so a change in the walk's reach shows without
+    # timing noise. SPCI on the benchmark's seed-0 suite panel fits 144
+    # quantile problems of 17-28 rows, in one solve per row bucket: 96
+    # padded to 24 rows and 48 to 32. The seed vertices leave levels
+    # uncertified in 6 of them, and the walk certifies all 6.
     problems, walked, newton = [], [], []
     solve_levels, walk, frisch_newton = quantreg._solve_levels, quantreg._walk, quantreg._frisch_newton
 
-    def levels_spy(U, ys, taus, iters):
+    def levels_spy(U, ys, real, levels, iters):
         problems.append(len(U))
         newton.append([])
-        return solve_levels(U, ys, taus, iters)
+        return solve_levels(U, ys, real, levels, iters)
 
-    def walk_spy(U, ys, levels, prob, *rest):
+    def walk_spy(U, ys, real, levels, prob, *rest):
         walked.append(len(np.unique(prob)))
-        return walk(U, ys, levels, prob, *rest)
+        return walk(U, ys, real, levels, prob, *rest)
 
-    def newton_spy(U, ys, taus, iters):
+    def newton_spy(U, ys, real, taus, iters):
         newton[-1].append(len(U))
-        return frisch_newton(U, ys, taus, iters)
+        return frisch_newton(U, ys, real, taus, iters)
 
     monkeypatch.setattr(quantreg, "_solve_levels", levels_spy)
     monkeypatch.setattr(quantreg, "_walk", walk_spy)
     monkeypatch.setattr(quantreg, "_frisch_newton", newton_spy)
-    report = run_benchmark(BenchConfig(seed=20, methods=("spci",)), SeriesPanel(tuple(series)))
-    assert not report.skips
-    assert sum(problems) == 144
+    run_suite_spci(monkeypatch)
+    assert problems == [96, 48]
     assert sum(walked) == 6
     assert sum(sum(calls[1:]) for calls in newton) == 0
+
+
+def test_a_traced_suite_run_fits_each_unpadded_design_alone(monkeypatch):
+    # perfbench traces quantreg at conformal.fit_pinball_linear. With that
+    # name replaced, the suite panel's SPCI fits each of its 144 designs
+    # (12 series at 12 horizons, 28 down to 17 rows of 8 lags) through it,
+    # unpadded, and its intervals are byte for byte those of the fused
+    # solve of every horizon's designs.
+    from ctsbench import conformal
+
+    fused = run_suite_spci(monkeypatch)
+    designs = []
+    lone = conformal.fit_pinball_linear
+
+    def spy(X, y, taus):
+        designs.append(X.shape)
+        return lone(X, y, taus)
+
+    monkeypatch.setattr(conformal, "fit_pinball_linear", spy)
+    traced = run_suite_spci(monkeypatch)
+    assert sorted(designs) == sorted((28 - h, 8) for h in range(12) for _ in range(12))
+    assert len(traced) == len(fused) == 12
+    for a, b in zip(fused, traced):
+        assert a.lower.tobytes() == b.lower.tobytes()
+        assert a.upper.tobytes() == b.upper.tobytes()
+        assert a.diagnostics == b.diagnostics
 
 
 def test_a_row_on_a_walk_vertex_ties_and_stops_the_walk(monkeypatch):
@@ -569,6 +671,11 @@ def test_stack_shapes_are_checked():
         fit_pinball_stacked(X, y, SPCI_TAUS)
     with pytest.raises(ValueError, match="shape mismatch"):
         fit_pinball_stacked(X[None], y[None, :-1], SPCI_TAUS)
+    for rows in ([len(y), 5], [len(y) + 1], [10.0]):
+        with pytest.raises(ValueError, match="rows must give one count"):
+            fit_pinball_stacked(X[None], y[None], SPCI_TAUS, np.array(rows))
+    with pytest.raises(ValueError, match="empty"):
+        fit_pinball_stacked(X[None], y[None], SPCI_TAUS, np.array([0]))
     assert fit_pinball_stacked(X[None, :, :][:0], y[None][:0], SPCI_TAUS) == []
 
 
