@@ -24,7 +24,10 @@ entries of one skeleton (`_stacked`), which solves blocks of series
 (`_in_blocks`), each series as alone: mscp, aci, acmcp and spci take a
 block's (S, H) forecasts and (S, cal_len, H) signed residual stack, and
 enbpi a block of series of one length and period
-(`conformal.enbpi_intervals_stacked`). aci's radii are those of
+(`conformal.enbpi_intervals_stacked`). A block failure that depends
+only on what its series share, such as a calibration stream too short for
+every one of them, is every series' skip reason at once (`_shared`), with
+no retry one series at a time. aci's radii are those of
 `aci_interval` (`online._aci_radii`). The methods build their intervals
 as row views of one validated bound stack (`conformal._interval_rows`),
 and each method's intervals are scored in one pass over all its series
@@ -39,6 +42,7 @@ the per-series work is Python-bound.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -50,7 +54,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Hashable, NamedTuple
+from typing import Callable, Hashable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -79,6 +83,7 @@ from .conformal import (
 )
 from .forecaster import (
     _METHOD_ERRORS,
+    _SharedError,
     _check_seasonal_ends,
     _in_blocks,
     _models,
@@ -377,6 +382,17 @@ def _scores(signed: np.ndarray) -> np.ndarray:
     return np.abs(signed).transpose(1, 0, 2).reshape(signed.shape[1], -1)
 
 
+@contextlib.contextmanager
+def _shared() -> Iterator[None]:
+    """Mark a ValueError raised inside as every series' of the block
+    (`forecaster._SharedError`): a failure of a block's shapes alone, which
+    its series share, as they share their NaN padding (`_stacked`)."""
+    try:
+        yield
+    except ValueError as e:
+        raise _SharedError(str(e)) from e
+
+
 def _spci(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix]:
     """SPCI of a block of series, each as alone: one quantile regression
     solve per row bucket for the residual columns of all its horizons."""
@@ -385,20 +401,25 @@ def _spci(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[In
 
 def _acmcp(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix]:
     """One quantile tracker per horizon through each series' calibration
-    stream, for a block of series run as one stack of trackers, each
-    series as alone."""
+    stream, for a block of series run as one stack of trackers of every
+    horizon, each series as alone. Horizon h's stream is a series' first
+    m_h scores of column h, its first burn_h of them the warm-up."""
     fc, signed = _stacks(block)
-    scores = np.abs(signed)
-    bounds = np.empty(fc.shape + (2,))  # series, horizon, (lower, upper)
-    for h, ys in enumerate(fc.T.tolist(), 1):
-        column = scores[:, :, h - 1]
-        streams = column[:, ~np.isnan(column[0])]  # the series share their NaN padding
-        m = streams.shape[1]
-        burn = max(5, min(10, m // 3))
-        if m < burn + 1:
-            raise ValueError(f"horizon {h} stream too short to warm a tracker: {m}")
-        states = acmcp_run_stacked(acmcp_init_stacked(h, streams[:, :burn], c.alpha), streams[:, burn:])
-        bounds[:, h - 1] = [acmcp_interval(state, y) for state, y in zip(states, ys)]
+    S, R, H = signed.shape
+    m = np.count_nonzero(~np.isnan(signed[0]), axis=0)  # the series share their NaN padding
+    burn = np.maximum(5, np.minimum(10, m // 3))
+    short = m < burn + 1
+    if short.any():
+        h = int(np.argmax(short))
+        raise _SharedError(f"horizon {h + 1} stream too short to warm a tracker: {m[h]}")
+    # Tracker (h, s) at row (h - 1) * S + s.
+    streams = np.abs(signed).transpose(2, 0, 1).reshape(H * S, R)
+    warm, total = np.repeat(burn, S), np.repeat(m, S)
+    after = np.take_along_axis(streams, np.minimum(warm[:, None] + np.arange(R - burn.min()), R - 1), axis=1)
+    states = acmcp_init_stacked(np.repeat(np.arange(1, H + 1), S), streams[:, : burn.max()], c.alpha, warm)
+    states = acmcp_run_stacked(states, after, total - warm)
+    bounds = np.array([acmcp_interval(state, y) for state, y in zip(states, fc.T.ravel().tolist())])
+    bounds = bounds.reshape(H, S, 2).transpose(1, 0, 2)  # series, horizon, (lower, upper)
     return _rows_or_raise(_interval_rows(bounds[..., 0], bounds[..., 1]))
 
 
@@ -406,7 +427,8 @@ def _mscp(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[In
     """Split conformal intervals of a block of series, every radius from one
     _conformal_radii call on their (R, S*H) scores, each as alone."""
     fc, signed = _stacks(block)
-    radii = _conformal_radii(_scores(signed), 1.0 - c.alpha).reshape(fc.shape)
+    with _shared():  # an empty column, or an invalid level
+        radii = _conformal_radii(_scores(signed), 1.0 - c.alpha).reshape(fc.shape)
     return _interval_rows(fc - radii, fc + radii)
 
 
@@ -417,15 +439,16 @@ def _aci(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[Int
     fc, signed = _stacks(block)
     scores = _scores(signed)
     stream = scores[:, :: fc.shape[1]]  # (R, S): the h=1 streams
-    if len(stream) < 2:
-        raise ValueError("adaptive calibration needs >= 2 one-step scores")
-    alpha_t = np.full(len(block), c.alpha)
-    errs = np.zeros(len(block), dtype=np.intp)
-    for t in range(1, len(stream)):
-        err = (stream[t] > _aci_radii(stream[:t], alpha_t)).astype(np.intp)
-        errs += err
-        alpha_t = alpha_t + c.gamma * (c.alpha - err)
-    radii = _aci_radii(scores, np.repeat(alpha_t, fc.shape[1])).reshape(fc.shape)
+    with _shared():  # too few scores, or an empty column
+        if len(stream) < 2:
+            raise ValueError("adaptive calibration needs >= 2 one-step scores")
+        alpha_t = np.full(len(block), c.alpha)
+        errs = np.zeros(len(block), dtype=np.intp)
+        for t in range(1, len(stream)):
+            err = (stream[t] > _aci_radii(stream[:t], alpha_t)).astype(np.intp)
+            errs += err
+            alpha_t = alpha_t + c.gamma * (c.alpha - err)
+        radii = _aci_radii(scores, np.repeat(alpha_t, fc.shape[1])).reshape(fc.shape)
     diagnostics = [{"alpha_final": a, "warmup_errs": e} for a, e in zip(alpha_t.tolist(), errs.tolist())]
     return _interval_rows(fc - radii, fc + radii, diagnostics)
 

@@ -51,6 +51,7 @@ from .forecaster import (
     ForecasterSpec,
     _fit_ar_prefixes,
     _PrefixFits,
+    _SharedError,
     _in_blocks,
     _padded_phi,
     _prefix_forecasts,
@@ -571,7 +572,9 @@ def _spci_pairs(
     lengths = np.full(P, L) if lengths is None else lengths
     short = lengths < w + 10
     if short.any():
-        raise ValueError(f"residual history too short: need >= {w + 10}, have {lengths[np.argmax(short)]}")
+        # Each horizon's histories share their length across the series of
+        # a stack (spci_intervals_stacked), so every series shares the error.
+        raise _SharedError(f"residual history too short: need >= {w + 10}, have {lengths[np.argmax(short)]}")
     betas = np.linspace(0.0, alpha, 11)
     m = len(betas)
     taus = np.concatenate([betas, 1.0 - alpha + betas])

@@ -50,7 +50,8 @@ and one series' rank-deficient candidate cannot touch another's. The
 temporaries grow with S, about 45 KiB per series of 84 points fitted and
 forecast at three prefixes, so many series are stacked in blocks of at
 most `_STACK_BLOCK` (64), in bench's prefix table and the cv_cp backtest,
-by `_in_blocks`, which also redoes a failed block one series at a time;
+by `_in_blocks`, which also redoes a failed block one series at a time,
+unless its error is one that every series shares (`_SharedError`);
 EnbPI slices the bootstrap members of all its series by the same bound,
 and bench stacks SPCI's quantile regressions
 (`conformal.spci_intervals_stacked`) and EnbPI's series in the same
@@ -344,14 +345,20 @@ _METHOD_ERRORS = (ValueError, ArithmeticError)
 _STACK_BLOCK = 64
 
 
+class _SharedError(ValueError):
+    """A block solve's failure that every item of the block shares, as it
+    depends only on what the items share (their key and shapes):
+    `_in_blocks` gives its message to every item without a retry."""
+
+
 def _in_blocks(keys: Sequence[Hashable], solve: Callable[[list[int]], Sequence]) -> list:
     """Each item's result from solve(block), where a block lists the indices
     of at most _STACK_BLOCK items of equal key and solve returns one result
     per index.
 
     A block whose solve raises one of _METHOD_ERRORS is redone one item at
-    a time, so that an error stays with its item: that item's
-    result is the error message.
+    a time, so that an error stays with its item: that item's result is the
+    error message. A _SharedError's message is every item's at once.
     """
     groups: dict[Hashable, list[int]] = {}
     for i, key in enumerate(keys):
@@ -362,6 +369,8 @@ def _in_blocks(keys: Sequence[Hashable], solve: Callable[[list[int]], Sequence])
         block = blocks.pop()
         try:
             results = solve(block)
+        except _SharedError as e:
+            results = [str(e)] * len(block)
         except _METHOD_ERRORS as e:
             if len(block) > 1:
                 blocks.extend([i] for i in block)

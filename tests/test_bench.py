@@ -518,16 +518,20 @@ class TestRunBenchmark:
         assert all("did not converge in 1 Newton steps" in s[2] for s in report.skips)
 
     def test_acmcp_stacks_one_score_model_call_per_horizon(self, monkeypatch):
-        # 12 equal-length series and H = 4: one stacked score-model call of
-        # 12 streams per horizon. A 13th series whose forecast fails keeps
-        # the forecast's message as its skip reason and leaves the block's
-        # other series scored as without it.
-        calls = []
-        score_model = online._score_model
+        # 12 equal-length series and H = 4: one stack of 48 trackers, and in
+        # it one stacked score-model call of 12 streams per horizon. A 13th
+        # series whose forecast fails keeps the forecast's message as its
+        # skip reason and leaves the block's other series scored as without it.
+        calls, runs = [], []
+        score_model, run_stacked = online._score_model, bench.acmcp_run_stacked
 
-        def spy(scores, first, h):
+        def spy(scores, first, h, sums):
             calls.append(len(scores))
-            return score_model(scores, first, h)
+            return score_model(scores, first, h, sums)
+
+        def spy_run(states, *args):
+            runs.append(sorted({state.h for state in states}))
+            return run_stacked(states, *args)
 
         prefix_forecasts = bench._prefix_forecasts
 
@@ -542,11 +546,60 @@ class TestRunBenchmark:
         config = small_config(methods=("acmcp",), horizon=4)
         without = run_benchmark(config, panel=panel)
         monkeypatch.setattr(online, "_score_model", spy)
+        monkeypatch.setattr(bench, "acmcp_run_stacked", spy_run)
         monkeypatch.setattr(bench, "_prefix_forecasts", failing)
         with_bad = run_benchmark(config, panel=SeriesPanel(panel.series + (bad,)))
         assert calls == [12] * 4
+        assert runs == [[1, 2, 3, 4]]
         assert with_bad.skips == (("bad", "acmcp", "forecast failed"),)
         assert with_bad.records == without.records and len(without.records) == 12
+
+    def test_a_default_acmcp_block_solves_each_horizon_in_one_chunk(self):
+        # A full block of the default config (cal_len 36, H 12) holds each
+        # horizon's score-model design in one solve under the cell budget.
+        config = BenchConfig()
+        for h in range(1, config.horizon + 1):
+            m = config.cal_len - h + 1
+            burn = max(5, min(10, m // 3))
+            plan = online._design(burn, m, h)
+            assert plan is None or plan[2].size * forecaster._STACK_BLOCK <= online._CELL_BUDGET
+
+    def test_a_failure_every_series_shares_is_not_retried(self, monkeypatch):
+        # At cal_len 5 no horizon-6 residual exists and every stream is too
+        # short: each method's block fails as every one of its series would
+        # alone. Blocks of 4: each method solves its 3 blocks once each, with
+        # no retry one series at a time, and every series keeps the message
+        # it gets alone.
+        monkeypatch.setattr(forecaster, "_STACK_BLOCK", 4)
+        solves = []
+        in_blocks = bench._in_blocks
+
+        def counting(keys, solve):
+            sizes = []
+            solves.append(sizes)
+            return in_blocks(keys, lambda block: (sizes.append(len(block)), solve(block))[1])
+
+        monkeypatch.setattr(bench, "_in_blocks", counting)
+        panel = small_panel(n=10)
+        methods = ("mscp", "aci", "acmcp", "spci")
+        with pytest.raises(NothingEvaluableError):
+            run_benchmark(small_config(methods=methods, cal_len=5), panel=panel)
+        _, *method_solves = solves  # the first call builds the prefix table
+        assert [sorted(sizes) for sizes in method_solves] == [[2, 4, 4]] * len(methods)
+        rows, _ = bench._contexts(panel, small_config(methods=methods, cal_len=5))
+        messages = {
+            "mscp": "residual column for horizon 6 is empty",
+            "aci": "aci_interval requires a nonempty score pool",
+            "acmcp": "horizon 1 stream too short to warm a tracker: 5",
+            "spci": "residual history too short: need >= 18, have 5",
+        }
+        for method, message in messages.items():
+            config = small_config(methods=(method,), cal_len=5)
+            assert run_method(config, rows, method) == dict.fromkeys(panel.ids, message)
+            # A block of one series, as a series alone, gives the same message.
+            monkeypatch.setattr(forecaster, "_STACK_BLOCK", 1)
+            assert run_method(config, rows, method) == dict.fromkeys(panel.ids, message)
+            monkeypatch.setattr(forecaster, "_STACK_BLOCK", 4)
 
     def test_enbpi_alone_fits_no_end_model(self, monkeypatch):
         def refuse(*args):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ctsbench import online
 from ctsbench.online import (
     WINDOW_LEN,
     AciState,
@@ -413,15 +414,39 @@ class TestAcmcpStacked:
         for state, row in zip(states, warm):
             assert _state_bytes(state) == _state_bytes(acmcp_init(4, row, 0.1))
 
-    def test_unequal_horizons_rejected(self):
+    def test_unequal_horizons_each_get_their_lone_state(self):
         states = [acmcp_init(2, np.arange(8.0), 0.1), acmcp_init(3, np.arange(8.0), 0.1)]
-        with pytest.raises(ValueError, match="share h"):
-            acmcp_run_stacked(states, np.ones((2, 5)))
+        stream = np.abs(np.random.default_rng(1).standard_normal((2, 5)))
+        for got, state, row in zip(acmcp_run_stacked(states, stream), states, stream):
+            assert _state_bytes(got) == _state_bytes(acmcp_run(state, row))
 
-    def test_unequal_windows_rejected(self):
+    def test_unequal_windows_each_get_their_lone_state(self):
         states = [acmcp_init(2, np.arange(8.0), 0.1), acmcp_init(2, np.arange(9.0), 0.1)]
-        with pytest.raises(ValueError, match="score windows"):
-            acmcp_run_stacked(states, np.ones((2, 5)))
+        stream = np.abs(np.random.default_rng(2).standard_normal((2, 5)))
+        for got, state, row in zip(acmcp_run_stacked(states, stream), states, stream):
+            assert _state_bytes(got) == _state_bytes(acmcp_run(state, row))
+
+    def test_lengths_cut_each_row_and_ignore_its_padding(self):
+        # Entries past a row's length are never read, NaN included; a row
+        # of length 0 keeps its state, the very object.
+        states = acmcp_init_stacked([1, 4, 4], np.c_[np.ones((3, 6)), [np.nan, 7.0, np.nan]], 0.1, [6, 7, 6])
+        assert _state_bytes(states[1]) == _state_bytes(acmcp_init(4, np.r_[np.ones(6), 7.0], 0.1))
+        stream = np.array([[1.0, 2.0, np.nan], [3.0, np.inf, np.nan], [4.0, 5.0, 6.0]])
+        got = acmcp_run_stacked(states, stream, [2, 0, 3])
+        assert got[1] is states[1]
+        assert _state_bytes(got[0]) == _state_bytes(acmcp_run(states[0], [1.0, 2.0]))
+        assert _state_bytes(got[2]) == _state_bytes(acmcp_run(states[2], [4.0, 5.0, 6.0]))
+
+    def test_lengths_checked(self):
+        states = acmcp_init_stacked(2, np.ones((2, 8)), 0.1)
+        with pytest.raises(ValueError, match="row lengths"):
+            acmcp_run_stacked(states, np.ones((2, 5)), [1, 6])
+        with pytest.raises(ValueError, match="row lengths"):
+            acmcp_init_stacked(2, np.ones((2, 8)), 0.1, [8])
+        with pytest.raises(ValueError, match="finite"):
+            acmcp_run_stacked(states, [[1.0, np.nan], [1.0, 1.0]], [2, 1])
+        with pytest.raises(ValueError, match="need >= 2 warm-up scores, have 1"):
+            acmcp_init_stacked(2, np.ones((2, 8)), 0.1, [8, 1])
 
     def test_one_row_per_tracker(self):
         states = acmcp_init_stacked(2, np.ones((2, 8)), 0.1)
@@ -429,3 +454,71 @@ class TestAcmcpStacked:
             acmcp_run_stacked(states, np.ones((3, 5)))
         with pytest.raises(ValueError, match="one row per tracker"):
             acmcp_init_stacked(2, np.ones(8), 0.1)
+
+
+@st.composite
+def _mixed_stacks(draw):
+    """2..10 trackers of horizons 1..12, each with its own 2..60 warm-up
+    scores (or the state of one of the three examples of
+    test_matches_per_step_reference) and its own 0..60-score stream: |AR(1)|,
+    constant or drawn. Rows are NaN-padded past their lengths."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = draw(st.sampled_from([0.05, 0.1, 0.5]))
+    examples = [_TIE_CASE, (acmcp_init(1, _UNDERFLOW_WARM, 0.1), [0.0, 5e-324, 1.0, 0.0, 2.0, 5e-324])]
+    examples.append((_NEAR_CONSTANT_STATE, [12.278436986233125] * 49))
+    states, streams = [], []
+    for kind in draw(st.lists(st.sampled_from(["ar", "constant", "drawn", "example"]), min_size=2, max_size=10)):
+        if kind == "example":
+            state, stream = examples[draw(st.integers(0, 2))]
+            states.append(state)
+            streams.append(np.asarray(stream[: draw(st.integers(0, len(stream)))], dtype=np.float64))
+            continue
+        w, m = draw(st.integers(2, 60)), draw(st.integers(0, 60))
+        x, row = 0.0, np.empty(w + m)
+        for t in range(w + m):
+            x = 0.8 * x + rng.standard_normal()
+            row[t] = abs(x)
+        if kind == "constant":
+            row[:] = row[0]
+        elif kind == "drawn":
+            row = np.array(draw(st.lists(_score, min_size=w + m, max_size=w + m)))
+        states.append(acmcp_init(draw(st.integers(1, 12)), row[:w], alpha))
+        streams.append(row[w:])
+    return states, streams
+
+
+class TestAcmcpMixedStack:
+    @settings(max_examples=60, deadline=None)
+    @given(_mixed_stacks())
+    @example(([_TIE_CASE[0], acmcp_init(12, np.arange(1.0, 40.0), 0.1)], [np.array(_TIE_CASE[1]), np.ones(30)]))
+    def test_each_tracker_is_its_lone_run(self, case):
+        # Trackers of any horizon, window and stream length in one stack:
+        # each ends bit for bit in the state its lone acmcp_run gives it.
+        states, streams = case
+        lengths = [len(row) for row in streams]
+        padded = np.full((len(streams), max(lengths)), np.nan)
+        for row, stream in zip(padded, streams):
+            row[: len(stream)] = stream
+        for got, state, stream in zip(acmcp_run_stacked(states, padded, lengths), states, streams):
+            assert _state_bytes(got) == _state_bytes(acmcp_run(state, stream))
+
+    def test_stacked_init_of_mixed_horizons_and_warm_ups(self):
+        rng = np.random.default_rng(5)
+        warm = np.abs(rng.standard_normal((4, 12)))
+        warm[1, 3:] = warm[1, 2]  # a collapsed IQR: the np.std floor
+        hs, lengths = [1, 5, 12, 3], [12, 9, 2, 7]
+        padded = np.where(np.arange(12) < np.array(lengths)[:, None], warm, np.nan)
+        states = acmcp_init_stacked(hs, padded, 0.2, lengths)
+        for state, h, row, n in zip(states, hs, warm, lengths):
+            assert _state_bytes(state) == _state_bytes(acmcp_init(h, row[:n], 0.2))
+
+    def test_a_tiny_cell_budget_gives_the_same_states(self, monkeypatch):
+        # Chunked solves and window-sum gathers do each stream's arithmetic
+        # as one solve does.
+        rng = np.random.default_rng(6)
+        warm, stream = np.abs(rng.standard_normal((9, 10))), np.abs(rng.standard_normal((9, 70)))
+        states = acmcp_init_stacked(np.arange(1, 10), warm, 0.1)
+        whole = acmcp_run_stacked(states, stream)
+        monkeypatch.setattr(online, "_CELL_BUDGET", 7)
+        for got, want in zip(acmcp_run_stacked(states, stream), whole):
+            assert _state_bytes(got) == _state_bytes(want)

@@ -29,7 +29,14 @@ def fit_losses(fit, X, y):
 
 
 def exact_loss(X, y, tau):
-    """Optimal pinball loss: min tau*1'u + (1-tau)*1'v s.t. [1 X]b + u - v = y."""
+    """Optimal pinball loss: min tau*1'u + (1-tau)*1'v s.t. [1 X]b + u - v = y.
+
+    HiGHS runs at its tightest feasibility tolerances (1e-10, against its
+    default 1e-7) and a 1e-12 interior-point optimality tolerance: at a
+    level near 0 or 1 the costs are themselves below the default tolerance,
+    and HiGHS stopped at a vertex 1.4% above the optimum
+    (test_highs_oracle_is_exact_at_an_extreme_level).
+    """
     n = len(y)
     A = np.column_stack([np.ones(n), X])
     p = A.shape[1]
@@ -40,9 +47,26 @@ def exact_loss(X, y, tau):
         b_eq=y,
         bounds=[(None, None)] * p + [(0.0, None)] * (2 * n),
         method="highs",
+        options={
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+            "ipm_optimality_tolerance": 1e-12,
+        },
     )
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def test_highs_oracle_is_exact_at_an_extreme_level():
+    # tau = 1.2e-7 on a 17-row plain design of the ragged-stack test's
+    # example (seed 95838, two plain designs at a bucket edge of 16, d = 2):
+    # at its default tolerances HiGHS returned 3.614e-6 against the
+    # 3.564e-6 that the fitted line loses.
+    rng = np.random.default_rng(95838)
+    _stack_problem(rng, "plain", 16, 2)
+    X, y = _stack_problem(rng, "plain", 17, 2)
+    fit = fit_pinball_linear(X, y, np.array([1.2e-7]))
+    assert_matches_highs(fit, X, y)
 
 
 def random_design(seed):
