@@ -151,8 +151,9 @@ def _lengths(scores: np.ndarray, lengths: Sequence[int] | np.ndarray | None, wha
 def _window_sums(history: np.ndarray, first: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """sums[i, t]: the sum of row i's score-model window after its step t,
     for t < steps[i], where row i of history holds its first[i] window
-    scores right-aligned before column W = history.shape[1] - M, then its
-    steps[i] stream scores. Every row's step t ends at column W + t.
+    scores right-aligned before column W (history's width less the most
+    steps), then its steps[i] stream scores: every row's step t ends at
+    column W + t.
 
     Each window size is one `.sum` over a C-order gather of every window of
     that size (cut in chunks of at most _CELL_BUDGET scores), oldest score
