@@ -195,8 +195,15 @@ def _parse_ds(raw: str, row_num: int) -> tuple[int, str]:
 
 
 # Data rows are held as strings until they are flushed into arrays, every
-# _CHUNK_ROWS lines, so only one chunk of row strings is alive at a time.
+# _CHUNK_ROWS lines of a csv.reader, so only one chunk of row strings is
+# alive at a time.
 _CHUNK_ROWS = 4096
+# A quote-free text's rows are split in pieces of whole lines of at most this
+# many characters, nor more than csv.field_size_limit(): no field of a piece
+# can then be over the limit that csv.reader would enforce.
+_CHUNK_CHARS = 1 << 17
+# Every byte but the field and line separators.
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 
 
 class _Columns:
@@ -341,35 +348,10 @@ class _Columns:
         ))
 
 
-def parse_panel(csv_text: str, period: int = 1) -> SeriesPanel:
-    """Parse long-format panel CSV with header unique_id,ds,y.
-
-    Rows are numbered from 1 for the first data row, not counting blank
-    lines. Within a series timestamps must be unique and the ds encoding
-    (plain integer vs year-month date) must not mix.
-
-    One csv.reader pass buffers the rows' strings, and every _CHUNK_ROWS
-    lines flushes them into arrays: unique_ids become codes, each distinct
-    ds string is parsed once, at its first row, into a table that rows
-    index, and y values are parsed together. One stable sort by (series,
-    stamp) then finds repeated stamps and orders every column; each series
-    is a pair of read-only views of its run of the sorted stamps and
-    values, built without copying or re-running TimeSeries' checks, which
-    the sort has already proven. Whatever the chunk a defect lies in, the
-    error names the first offending data row.
-    """
-    reader = csv.reader(io.StringIO(csv_text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise PanelError("empty panel: no header row") from None
-    except csv.Error as e:
-        raise PanelError(f"cannot read CSV header row: {e}") from None
-    if tuple(h.strip() for h in header) != _HEADER:
-        raise PanelError(
-            f"bad header: expected {','.join(_HEADER)!r}, got {','.join(header)!r}"
-        )
-    columns = _Columns()
+def _read_rows(reader: Iterator[list[str]], columns: _Columns) -> None:
+    """Append a csv.reader's rows to columns, skipping blank and
+    whitespace-only lines; at the first row that is not three fields, or
+    that the reader cannot read, raise PanelError (see _Columns.check)."""
     uids: list[str] = []
     dss: list[str] = []
     ys: list[str] = []
@@ -394,6 +376,89 @@ def parse_panel(csv_text: str, period: int = 1) -> SeriesPanel:
     except csv.Error as e:
         columns.flush(uids, dss, ys)
         columns.check(f"row {columns.rows + 1}: cannot read CSV row: {e}")
+
+
+def _line_chunks(text: str, start: int, size: int) -> Iterator[str]:
+    """text from start, without a final newline, cut at line ends into
+    pieces of at most size characters; a line longer than size is a piece
+    of its own."""
+    stop = len(text) - 1 if text.endswith("\n") else len(text)
+    while start < stop:
+        end = stop
+        if stop - start > size:
+            end = text.rfind("\n", start, start + size + 1)
+            if end < 0:
+                end = text.find("\n", start + size, stop)
+                if end < 0:
+                    end = stop
+        yield text[start:end]
+        start = end + 1
+
+
+def _split_fields(chunk: str) -> list[str] | None:
+    """The fields of chunk's lines in order, if every line is three fields."""
+    # It is when its separators alone read ",,\n" a line and ",," at the end.
+    seps = chunk.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS)
+    if not seps.endswith(b",,") or seps.count(b",,\n") != len(seps) // 3:
+        return None
+    return chunk.replace("\n", ",").split(",")
+
+
+def parse_panel(csv_text: str, period: int = 1) -> SeriesPanel:
+    """Parse long-format panel CSV with header unique_id,ds,y.
+
+    Rows are numbered from 1 for the first data row, not counting blank
+    lines. Within a series timestamps must be unique and the ds encoding
+    (plain integer vs year-month date) must not mix. Quoted fields are
+    read as csv.reader reads them.
+
+    A text with no quote, carriage return or NUL is split by str calls:
+    its body is cut at line ends into pieces of at most _CHUNK_CHARS
+    characters, nor more than csv.field_size_limit(), so that no field of
+    a piece is over csv.reader's limit. A piece whose every line is three
+    fields is split at its commas and newlines into the three columns; any
+    other piece (a blank or whitespace-only line, two or four fields, a
+    line longer than a piece) is read by csv.reader over its lines, the
+    row numbers running on. A text with a quote, a carriage return or a
+    NUL is read by one csv.reader pass: only csv.reader reads quoted
+    fields, a carriage return ends a row, and csv.reader's handling of NUL
+    differs between Python versions. Both routes give the same panel, and
+    the same error for a malformed text.
+
+    Rows are flushed into arrays a piece at a time, or every _CHUNK_ROWS
+    rows of a csv.reader: unique_ids become codes, each distinct ds string
+    is parsed once, at its first row, into a table that rows index, and y
+    values are parsed together. One stable sort by (series, stamp) then
+    finds repeated stamps and orders every column; each series is a pair
+    of read-only views of its run of the sorted stamps and values, built
+    without copying or re-running TimeSeries' checks, which the sort has
+    already proven. Whatever the chunk a defect lies in, the error names
+    the first offending data row.
+    """
+    if '"' in csv_text or "\r" in csv_text or "\0" in csv_text:
+        body = len(csv_text)
+    else:  # the header is the first line; the rest is split in pieces below
+        body = csv_text.find("\n") + 1 or len(csv_text)
+    reader = csv.reader(io.StringIO(csv_text[:body]))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise PanelError("empty panel: no header row") from None
+    except csv.Error as e:
+        raise PanelError(f"cannot read CSV header row: {e}") from None
+    if tuple(h.strip() for h in header) != _HEADER:
+        raise PanelError(
+            f"bad header: expected {','.join(_HEADER)!r}, got {','.join(header)!r}"
+        )
+    columns = _Columns()
+    _read_rows(reader, columns)
+    size = min(_CHUNK_CHARS, csv.field_size_limit())
+    for chunk in _line_chunks(csv_text, body, size):
+        fields = _split_fields(chunk) if len(chunk) <= size else None
+        if fields is None:
+            _read_rows(csv.reader(chunk.split("\n")), columns)
+        else:
+            columns.flush(fields[0::3], fields[1::3], fields[2::3])
     return columns.panel(period)
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import inspect
+import io
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -37,8 +40,11 @@ def make_series(values, series_id="s1", period=1, ds_kind="int"):
 
 @st.composite
 def _panels(draw):
-    """Panels of int and month series; stamps span the whole int64 range."""
-    ids = draw(st.lists(st.text("abz09_", min_size=1, max_size=5), min_size=1, max_size=4, unique=True))
+    """Panels of int and month series; stamps span the whole int64 range.
+    An id with a comma or a quote is written quoted, which sends the text
+    through csv.reader; an id has no leading or trailing whitespace, which
+    parse_panel strips."""
+    ids = draw(st.lists(st.text('abz09_,"', min_size=1, max_size=5), min_size=1, max_size=4, unique=True))
     series = []
     for sid in ids:
         stamps = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6, unique=True))
@@ -276,6 +282,8 @@ class TestCsv:
     def test_header_must_match(self):
         with pytest.raises(PanelError, match="header"):
             parse_panel("id,ds,y\na,1,1.0\n", period=1)
+        for header in HEADERS:
+            assert _outcome(header) == "empty panel: no data rows"
 
     def test_bad_row_numbered(self):
         with pytest.raises(PanelError, match="row 2"):
@@ -372,17 +380,34 @@ def _oversized(rows, i):
 ROW_DEFECTS = (_bad_y, _nonfinite_y, _bad_ds, _empty_uid, _extra_field, _duplicate, _mixed)
 
 
-def _csv(rows, blank_every=None):
-    lines = [",".join(row) for row in rows]
+# A quote-free text is split in pieces; the same rows under a quoted header
+# are read by csv.reader.
+HEADERS = ("unique_id,ds,y", '"unique_id",ds,y')
+
+
+def _csv(rows, blank_every=None, header=HEADERS[0]):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    lines = buf.getvalue().split("\n")[:-1]
     if blank_every:  # blank and whitespace-only lines, which are not data rows
         for at in range(len(lines) - len(lines) % blank_every, 0, -blank_every):
             lines[at:at] = ["", "  "]
-    return "unique_id,ds,y\n" + "\n".join(lines) + "\n"
+    return header + "\n" + "\n".join(lines) + "\n"
 
 
+def _outcome(text):
+    """The panel parse_panel makes of text, or the message of its PanelError."""
+    try:
+        return parse_panel(text, period=3)
+    except PanelError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("header", HEADERS, ids=["split", "csv_reader"])
 class TestFirstOffendingRow:
-    """Whatever the chunk a defect lies in, parse_panel reports the first
-    offending data row, as a one-row-at-a-time parse would."""
+    """Whatever the chunk a defect lies in, and whether its text is split in
+    pieces or read by csv.reader, parse_panel reports the first offending
+    data row, as a one-row-at-a-time parse would."""
 
     @staticmethod
     def rows(n):
@@ -396,32 +421,94 @@ class TestFirstOffendingRow:
         list(itertools.permutations(ROW_DEFECTS, 2)) + [(d, _oversized) for d in ROW_DEFECTS],
         ids=lambda d: d.__name__.strip("_"),
     )
-    def test_the_earlier_of_two_defects_is_reported(self, first, second, gap):
+    def test_the_earlier_of_two_defects_is_reported(self, first, second, gap, header):
         early = 1001  # not the first row of its series' run
         rows = self.rows(early + gap + 700)
         want = first(rows, early)
         second(rows, early + gap)
-        with pytest.raises(PanelError) as err:
-            parse_panel(_csv(rows, blank_every=400))
+        # Pieces of about 140 rows: a quarter of them hold a blank line and
+        # are read by csv.reader, the rest are split.
+        with mock.patch.object(series, "_CHUNK_CHARS", 2048), pytest.raises(PanelError) as err:
+            parse_panel(_csv(rows, blank_every=400, header=header))
         assert str(err.value) == want
 
-    def test_a_clean_file_of_many_chunks_parses_as_one_chunk(self):
-        text = _csv(self.rows(3 * series._CHUNK_ROWS + 17), blank_every=400)
+    def test_a_clean_file_of_many_chunks_parses_as_one_chunk(self, header):
+        rows = self.rows(3 * series._CHUNK_ROWS + 17)
         with mock.patch.object(series, "_CHUNK_ROWS", 10**9):
-            whole = parse_panel(text)
-        assert parse_panel(text) == whole
+            whole = parse_panel(_csv(rows, header=HEADERS[1]))  # one csv.reader flush
+        for blank_every in (None, 400):
+            text = _csv(rows, blank_every, header)
+            assert parse_panel(text) == whole
+            with mock.patch.object(series, "_CHUNK_CHARS", 2048):
+                assert parse_panel(text) == whole
 
     @given(_panels(), st.data())
-    def test_one_planted_defect_is_reported_at_its_row(self, panel, data):
-        rows = [line.split(",") for line in serialize_panel(panel).splitlines()[1:]]
+    def test_one_planted_defect_is_reported_at_its_row(self, header, panel, data):
+        rows = list(csv.reader(io.StringIO(serialize_panel(panel))))[1:]
         i = data.draw(st.integers(0, len(rows) - 1))
         defects = list(ROW_DEFECTS) + [_oversized]
         if i == 0 or rows[i - 1][0] != rows[i][0]:
             defects.remove(_duplicate)
             defects.remove(_mixed)
         want = data.draw(st.sampled_from(defects))(rows, i)
-        text = _csv(rows, blank_every=data.draw(st.integers(1, 4)))
-        with mock.patch.object(series, "_CHUNK_ROWS", data.draw(st.integers(1, 5))):
+        text = _csv(rows, blank_every=data.draw(st.one_of(st.none(), st.integers(1, 4))), header=header)
+        with mock.patch.object(series, "_CHUNK_ROWS", data.draw(st.integers(1, 5))), \
+                mock.patch.object(series, "_CHUNK_CHARS", data.draw(st.integers(1, 64))):
             with pytest.raises(PanelError) as err:
                 parse_panel(text)
         assert str(err.value) == want
+
+
+# Lines of a quote-free text: rows of three fields, mostly valid, and lines
+# that send their piece to csv.reader.
+_LINES = st.one_of(
+    st.tuples(
+        st.sampled_from(["a", "b", " b", ""]),
+        st.one_of(st.integers(-3, 40).map(str), st.sampled_from(["2020-01-01", "x"])),
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.just("oops")),
+    ).map(",".join),
+    st.sampled_from(["", "  ", "a,1", "a,1,2,3", "a,\x00,1", "a\r,1,1.0", "\ud800,7,1.0", "a,9,1." + "0" * 200]),
+    st.just("a,1," + "x" * 131073),  # a field past csv's default limit
+)
+
+
+@given(st.lists(_LINES, max_size=12), st.booleans(), st.integers(1, 64), st.sampled_from([None, 12, 20]))
+@example(["a,1,1.0", "", "b,2,2.0"], False, 64, None)
+@example(["a,1,1.0", "a,2", "b,2,2.0,x"], True, 64, None)  # field counts that sum to 3 a line
+@example(["a,1,1.0", "a\r,2,1.0"], True, 64, None)
+def test_split_pieces_read_as_csv_reader_reads_them(lines, final_newline, chunk_chars, field_limit):
+    # A quoted header sends the same lines through csv.reader; a carriage
+    # return or NUL sends both through it, since csv.reader ends a row at a
+    # carriage return and its handling of NUL differs between Python versions.
+    body = "\n".join(lines) + ("\n" if final_newline else "")
+    default_limit = csv.field_size_limit()
+    try:
+        if field_limit is not None:
+            csv.field_size_limit(field_limit)
+        with mock.patch.object(series, "_CHUNK_CHARS", chunk_chars):
+            split = _outcome(f"{HEADERS[0]}\n{body}")
+        assert split == _outcome(f"{HEADERS[1]}\n{body}")
+    finally:
+        csv.field_size_limit(default_limit)
+
+
+def test_quote_free_parse_peaks_under_four_times_its_text():
+    # The text of the 600-series monthly panel is not copied whole: a
+    # csv.reader over io.StringIO(text) holds a 4-byte-per-character copy.
+    rng = np.random.default_rng(5)
+    values = 50.0 + rng.standard_normal((600, 96)).cumsum(axis=1)
+    start = rng.integers(1990 * 12, 2010 * 12, 600).tolist()
+    lines = [HEADERS[0]] + [
+        f"m{i:05d},{(first + k) // 12:04d}-{(first + k) % 12 + 1:02d}-01,{y!r}"
+        for i, (row, first) in enumerate(zip(values.tolist(), start))
+        for k, y in enumerate(row)
+    ]
+    text = "\n".join(lines) + "\n"
+    tracemalloc.start()
+    try:
+        panel = parse_panel(text, period=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(panel) == 600 and {len(s) for s in panel} == {96}
+    assert peak <= 4 * len(text)
