@@ -16,17 +16,17 @@ reads (`_read`): the tuple of those rows, or the first failure message
 among them, which becomes the series' skip reason. The methods run in
 configured order and share the rows, which are read-only. Every method
 but enbpi, whose bootstrap ensemble makes its own one-step forecasts,
-wraps `fc`. global_cp, cv_cp and parametric pool all the series into one
-call: global_cp calibrates on a cohort of series, cv_cp takes each
-series' radii from its backtest rows, and parametric takes every forecast
-variance from one stacked psi-weight recursion. The other methods are
-entries of one skeleton (`_stacked`), which solves blocks of series
-(`_in_blocks`), each series as alone: mscp, aci, acmcp and spci take a
-block's (S, H) forecasts and (S, cal_len, H) signed residual stack, and
-enbpi a block of series of one length and period
-(`conformal.enbpi_intervals_stacked`). A block failure that depends
-only on what its series share, such as a calibration stream too short for
-every one of them, is every series' skip reason at once (`_shared`), with
+wraps `fc`. global_cp, whose calibration cohort spans the run, pools all
+the series into one call. Every other method is a block rule of one
+skeleton (`_stacked`), which solves blocks of series (`_in_blocks`), each
+series as alone, and gives each its intervals or its own skip reason:
+mscp, aci, acmcp and spci take a block's (S, H) forecasts and
+(S, cal_len, H) signed residual stack, cv_cp its forecasts and
+(S, n_windows, H) backtest stack, parametric its forecasts and their
+autoregressions, and enbpi a block of series of one length and period.
+A block failure that depends only on what its series share, such as a
+calibration stream too short for every one of them or a forecaster the
+method cannot wrap, is every series' skip reason at once (`_shared`), with
 no retry one series at a time. aci's radii are those of
 `aci_interval` (`online._aci_radii`). The methods build their intervals
 as row views of one validated bound stack (`conformal._interval_rows`),
@@ -62,16 +62,17 @@ from .conformal import (
     EnsembleSpec,
     IntervalMatrix,
     SpciSpec,
+    _NO_BACKTEST,
     _backtest_cutoffs,
     _calibration_origins,
     _check_ensemble_forecaster,
     _check_padding,
     _conformal_radii,
     _interval_rows,
-    _rows_or_raise,
     _signed_residuals,
     build_residual_matrix,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.build_residual_matrix
-    cv_conformal_intervals,
+    cv_conformal_intervals,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.cv_conformal_intervals
+    cv_intervals_stacked,
     enbpi_intervals,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.enbpi_intervals
     enbpi_intervals_stacked,
     global_cp_intervals,
@@ -240,7 +241,10 @@ def _prefix_block(
         plan["signed"] = (start, origins, _refit_ends(origins, config.refit_every))
     out: list[dict[str, object]] = [dict.fromkeys(kinds) for _ in heads]
     cutoffs = _backtest_cutoffs(n, config.n_windows, H)
-    if "backtest" in kinds and cutoffs is not None:
+    if "backtest" in kinds and cutoffs is None:
+        for row, head in zip(out, heads):
+            row["backtest"] = _NO_BACKTEST.format(head.series_id, config.n_windows, H)
+    elif "backtest" in kinds:
         try:
             if config.forecaster.kind == "seasonal_naive":
                 _check_seasonal_ends(cutoffs, period)
@@ -288,7 +292,7 @@ def _prefix_rows(
       refitted every refit_every origins; NaN where the truth lies past
       the calibration segment;
     - "backtest": cv_cp's (n_windows, horizon) residuals at its cutoffs,
-      each from its own fit; None where the head is too short for them.
+      each from its own fit, or cv_cp's message for a head too short.
     The residual rows are read-only views of their block's stack. Heads of
     equal length, split (and period, for seasonal naive) form blocks of at
     most _STACK_BLOCK, and each block makes the union of its rows' prefix
@@ -343,23 +347,13 @@ def _global_cp(c: BenchConfig, inputs: dict[str, tuple | str]) -> dict[str, Inte
     return inputs | cohort_skips | result.intervals
 
 
-def _cv_cp(c: BenchConfig, inputs: dict[str, tuple | str]) -> dict[str, IntervalMatrix | str]:
-    """Calibrate every series with a forecast on its backtest rows of the
-    prefix table, in one pooled call on the series' heads."""
-    ready = _ready(inputs)
-    forecasts = {sid: end.fc for sid, (_, end, _) in ready.items()}
-    backtests = {sid: backtest for sid, (_, _, backtest) in ready.items() if backtest is not None}
-    heads = [head for head, _, _ in ready.values()]
-    return inputs | cv_conformal_intervals(forecasts, heads, c.n_windows, c.forecaster, c.alpha, backtests)
-
-
 def _stacked(solve: Callable, key: Callable[[tuple], Hashable] = lambda inputs: None) -> Callable:
     """A method that gives every series with its inputs the results of
     solve(config, block), which takes the inputs of a block of series of
     equal key(inputs) and returns one result per series (`_in_blocks`).
 
-    By default every series shares one key: every signed row of a run has
-    the shape (cal_len, H), and NaN exactly where r + h - 1 >= cal_len.
+    By default every series shares one key: every row of one kind has one
+    shape in a run, and every signed row NaN exactly where r + h - 1 >= cal_len.
     """
 
     def run(c: BenchConfig, inputs: dict[str, tuple | str]) -> dict[str, IntervalMatrix | str]:
@@ -372,7 +366,7 @@ def _stacked(solve: Callable, key: Callable[[tuple], Hashable] = lambda inputs: 
 
 
 def _stacks(block: list[tuple[_SeriesEnd, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """A block's (S, H) forecasts and (S, cal_len, H) signed residuals."""
+    """A block's (S, H) forecasts and (S, R, H) stack of its residual rows."""
     return np.stack([end.fc for end, _ in block]), np.stack([signed for _, signed in block])
 
 
@@ -393,13 +387,13 @@ def _shared() -> Iterator[None]:
         raise _SharedError(str(e)) from e
 
 
-def _spci(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix]:
+def _spci(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix | str]:
     """SPCI of a block of series, each as alone: one quantile regression
     solve per row bucket for the residual columns of all its horizons."""
     return spci_intervals_stacked(*_stacks(block), SpciSpec(lag_count=c.spci_lags), c.alpha)
 
 
-def _acmcp(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix]:
+def _acmcp(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix | str]:
     """One quantile tracker per horizon through each series' calibration
     stream, for a block of series run as one stack of trackers of every
     horizon, each series as alone. Horizon h's stream is a series' first
@@ -420,7 +414,7 @@ def _acmcp(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[I
     states = acmcp_run_stacked(states, after, total - warm)
     bounds = np.array([acmcp_interval(state, y) for state, y in zip(states, fc.T.ravel().tolist())])
     bounds = bounds.reshape(H, S, 2).transpose(1, 0, 2)  # series, horizon, (lower, upper)
-    return _rows_or_raise(_interval_rows(bounds[..., 0], bounds[..., 1]))
+    return _interval_rows(bounds[..., 0], bounds[..., 1])
 
 
 def _mscp(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix | str]:
@@ -456,8 +450,8 @@ def _aci(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[Int
 def _enbpi(c: BenchConfig, block: list[tuple[TimeSeries]]) -> list[IntervalMatrix | str]:
     """EnbPI of a block of series of one length and period, each drawing
     its members from its own seed, each as alone."""
-    # Checked before any member is drawn: under seasonal naive no block is solved.
-    _check_ensemble_forecaster(c.forecaster)
+    with _shared():  # checked before any member is drawn: under seasonal naive no block is solved
+        _check_ensemble_forecaster(c.forecaster)
     series = [ts for (ts,) in block]
     specs = [
         EnsembleSpec(B=c.enbpi_members, window_len=c.enbpi_window, seed=series_seed(c.seed, ts.series_id))
@@ -466,16 +460,18 @@ def _enbpi(c: BenchConfig, block: list[tuple[TimeSeries]]) -> list[IntervalMatri
     return enbpi_intervals_stacked(series, c.horizon, specs, c.forecaster, c.alpha)
 
 
-def _parametric(c: BenchConfig, inputs: dict[str, tuple | str]) -> dict[str, IntervalMatrix | str]:
-    """Gaussian intervals for every series with an autoregression and a
-    forecast, in one stacked call, each series as alone."""
+def _cv_cp(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix | str]:
+    """cv_cp of a block of series, each as alone, from its backtest rows."""
+    return cv_intervals_stacked(*_stacks(block), c.alpha)
+
+
+def _parametric(c: BenchConfig, block: list[tuple[_SeriesEnd]]) -> list[IntervalMatrix | str]:
+    """Gaussian intervals of a block of series, each as alone, from one
+    stacked psi-weight recursion of their autoregressions."""
     if c.forecaster.kind != "auto_ar":
-        return dict.fromkeys(inputs, "parametric intervals require an autoregressive forecaster")
-    ready = _ready(inputs)
-    if not ready:
-        return inputs
-    models, fcs = zip(*((end.model, end.fc) for (end,) in ready.values()))
-    return inputs | dict(zip(ready, parametric_intervals_stacked(models, np.stack(fcs), c.alpha)))
+        raise _SharedError("parametric intervals require an autoregressive forecaster")
+    models, fcs = zip(*((end.model, end.fc) for (end,) in block))
+    return parametric_intervals_stacked(models, np.stack(fcs), c.alpha)
 
 
 # A method is the entries of each series' row dict it reads and its run, which
@@ -486,10 +482,10 @@ _METHODS = {
     "enbpi": _Method(("series",), _stacked(_enbpi, key=lambda inputs: (len(inputs[0]), inputs[0].period))),
     "spci": _Method(("end", "signed"), _stacked(_spci)),
     "global_cp": _Method(("series", "end"), _global_cp),
-    "cv_cp": _Method(("head", "end", "backtest"), _cv_cp),
+    "cv_cp": _Method(("end", "backtest"), _stacked(_cv_cp)),
     "aci": _Method(("end", "signed"), _stacked(_aci)),
     "acmcp": _Method(("end", "signed"), _stacked(_acmcp)),
-    "parametric": _Method(("end",), _parametric),
+    "parametric": _Method(("end",), _stacked(_parametric)),
 }
 METHODS = tuple(_METHODS)
 
@@ -581,7 +577,7 @@ def _contexts(panel: SeriesPanel, config: BenchConfig) -> tuple[list[dict[str, o
             continue
         rows.append({"series": series, "head": series.head(n - H)})
         splits.append(SplitSpec(train_len, config.cal_len, H))
-    kinds = tuple(sorted({kind for m in config.methods for kind in _METHODS[m].reads} - {"series", "head"}))
+    kinds = tuple(sorted({kind for m in config.methods for kind in _METHODS[m].reads} - {"series"}))
     for row, prefix in zip(rows, _prefix_rows([row["head"] for row in rows], splits, config, kinds)):
         row.update(prefix)
     return rows, skips

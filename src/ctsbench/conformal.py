@@ -31,9 +31,12 @@ autoregressions from one stacked psi-weight recursion
 length and period in stacked AR solves and makes their one-step
 predictions, leave-one-out residuals, windows and radii in one pass each;
 `enbpi_intervals` is its one-series case.
+`cv_intervals_stacked`, the one cross-validation radius rule, serves
+bench's backtest rows and `cv_conformal_intervals`.
 Every stacked construction builds its intervals with `_interval_rows`,
 which validates an (S, H) bound stack in IntervalMatrix's one comparison
-and makes each valid row an IntervalMatrix of read-only row views.
+and makes each valid row an IntervalMatrix of read-only row views and any
+other row its fault's message, which only lone wrappers and global_cp raise.
 """
 
 from __future__ import annotations
@@ -607,12 +610,12 @@ def spci_intervals(
     if not residuals.signed:
         raise ValueError("spci_intervals requires signed residuals")
     fc = np.asarray(forecasts, dtype=np.float64).ravel()
-    return spci_intervals_stacked(fc[None], residuals.matrix[None], spec, alpha)[0]
+    return _rows_or_raise(spci_intervals_stacked(fc[None], residuals.matrix[None], spec, alpha))[0]
 
 
 def spci_intervals_stacked(
     forecasts: np.ndarray, signed: np.ndarray, spec: SpciSpec, alpha: float
-) -> list[IntervalMatrix]:
+) -> list[IntervalMatrix | str]:
     """spci_intervals of many series: forecasts (S, H) and their signed
     residuals, an (S, R, H') stack with H' >= H, NaN-padded as in
     ResidualMatrix.
@@ -621,7 +624,7 @@ def spci_intervals_stacked(
     must have equal lengths. The histories of every horizon and series are
     fitted in one solver call, which solves the designs of each row bucket
     together. Each series gets the intervals and diagnostics that
-    spci_intervals gives it alone.
+    spci_intervals gives it alone, or the message of its invalid bounds.
     """
     fc = np.atleast_2d(np.asarray(forecasts, dtype=np.float64))
     signed = np.asarray(signed, dtype=np.float64)
@@ -649,7 +652,7 @@ def spci_intervals_stacked(
         {"crossings": c, "fallbacks": f, "betas": b}
         for c, f, b in zip(crossed.sum(axis=1).tolist(), fallback.sum(axis=1).tolist(), beta.tolist())
     ]
-    return _rows_or_raise(_interval_rows(fc + q_lo, fc + q_hi, diagnostics))
+    return _interval_rows(fc + q_lo, fc + q_hi, diagnostics)
 
 
 @dataclass(frozen=True)
@@ -722,13 +725,23 @@ def _backtest_cutoffs(n: int, n_windows: int, horizon: int) -> np.ndarray | None
     return cutoffs if cutoffs[0] >= 3 else None
 
 
+_NO_BACKTEST = "series {!r} admits no {}-window backtest at horizon {}"  # where _backtest_cutoffs is None
+
+
+def cv_intervals_stacked(forecasts: np.ndarray, backtests: np.ndarray, alpha: float) -> list[IntervalMatrix | str]:
+    """Intervals around (S, H) forecasts whose radii are the uncorrected
+    (1-alpha) quantiles of each column of (S, n_windows, H) backtest
+    residuals; each row as `_interval_rows` gives it."""
+    r = np.quantile(np.abs(backtests), 1.0 - alpha, axis=1)
+    return _interval_rows(forecasts - r, forecasts + r)
+
+
 def cv_conformal_intervals(
     forecasts: Mapping[str, np.ndarray],
     series: Sequence[TimeSeries],
     n_windows: int,
     forecaster: ForecasterSpec,
     alpha: float,
-    backtests: Mapping[str, np.ndarray] | None = None,
 ) -> dict[str, IntervalMatrix | str]:
     """Backtest-calibrated intervals around each series' forecast beyond its end.
 
@@ -737,24 +750,22 @@ def cv_conformal_intervals(
     of that length, at cutoffs that step back from the series end in
     strides of horizon, refit `forecaster` before each cutoff, and the
     per-horizon radii are the empirical (1-alpha) quantiles of their
-    absolute residuals; no finite-sample correction is applied, so small
-    n_windows gives anti-conservative intervals (mirroring the
-    cross-validation baseline this reproduces).
+    absolute residuals (`cv_intervals_stacked`); no finite-sample
+    correction is applied, so small n_windows gives anti-conservative
+    intervals (mirroring the cross-validation baseline this reproduces).
 
     Returns each series' intervals, or the message of the error that
-    stopped it (a series too short for its backtest, for one). Series of
-    equal length, period and horizon are backtested together, in blocks of
-    at most forecaster._STACK_BLOCK series with one stacked AR solve each;
-    every operation of the solve acts on one series at a time, so each
-    series gets the intervals it would get alone. backtests, where given,
-    maps every series that admits a backtest to its (n_windows, horizon)
-    signed backtest residuals, made as this function makes them (bench
-    reads them off its prefix table); they are then not made again.
+    stopped it (a series too short for its backtest, for one); an invalid
+    interval raises. Series of equal length, period and horizon are
+    backtested together, in blocks of at most forecaster._STACK_BLOCK
+    series with one stacked AR solve each; every operation of the solve
+    acts on one series at a time, so each series gets the intervals it
+    would get alone.
     """
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
     out: dict[str, IntervalMatrix | str] = {}
-    members: list[tuple[str, np.ndarray, TimeSeries]] = []
+    members: list[tuple[str, np.ndarray, TimeSeries, np.ndarray]] = []
     for ts in series:
         sid = ts.series_id
         if sid not in forecasts:
@@ -763,32 +774,22 @@ def cv_conformal_intervals(
         horizon = len(yhat)
         if horizon < 1:
             raise ValueError(f"forecast for series {sid!r} is empty")
-        if _backtest_cutoffs(len(ts), n_windows, horizon) is None:
-            out[sid] = f"series {sid!r} admits no {n_windows}-window backtest at horizon {horizon}"
-            continue
-        if backtests is not None:
-            if sid not in backtests:
-                raise ValueError(f"no backtest residuals for series {sid!r}")
-            if np.shape(backtests[sid]) != (n_windows, horizon):
-                raise ValueError(f"backtest residuals for series {sid!r} must have shape ({n_windows}, {horizon})")
-        members.append((sid, yhat, ts))
-
-    def residuals(block: list[int]) -> np.ndarray:
-        if backtests is not None:
-            return np.stack([backtests[members[i][0]] for i in block])
-        _, yhat, ts = members[block[0]]
-        stack = np.stack([members[i][2].values for i in block])
-        cutoffs = _backtest_cutoffs(len(ts), n_windows, len(yhat))
-        return _origin_residuals(stack, cutoffs, forecaster, ts.period, len(yhat))
+        cutoffs = _backtest_cutoffs(len(ts), n_windows, horizon)
+        if cutoffs is None:
+            out[sid] = _NO_BACKTEST.format(sid, n_windows, horizon)
+        else:
+            members.append((sid, yhat, ts, cutoffs))
 
     def intervals(block: list[int]) -> list[IntervalMatrix | ValueError]:
-        r = np.quantile(np.abs(residuals(block)), 1.0 - alpha, axis=1)
+        _, _, ts, cutoffs = members[block[0]]
         fc = np.stack([members[i][1] for i in block])
+        stack = np.stack([members[i][2].values for i in block])
+        residuals = _origin_residuals(stack, cutoffs, forecaster, ts.period, fc.shape[1])
         # An invalid interval is raised below, not kept as a skip as a failed backtest is.
-        return [ValueError(row) if isinstance(row, str) else row for row in _interval_rows(fc - r, fc + r)]
+        return [ValueError(row) if isinstance(row, str) else row for row in cv_intervals_stacked(fc, residuals, alpha)]
 
-    keys = [(len(ts), ts.period, len(yhat)) for _, yhat, ts in members]
-    for (sid, _, _), result in zip(members, _in_blocks(keys, intervals)):
+    keys = [(len(ts), ts.period, len(yhat)) for _, yhat, ts, _ in members]
+    for (sid, *_), result in zip(members, _in_blocks(keys, intervals)):
         if isinstance(result, ValueError):
             raise result
         out[sid] = result

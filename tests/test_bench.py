@@ -281,31 +281,6 @@ class TestRunBenchmark:
             assert not all(isinstance(r, str) for r in forward.values()), method
             assert results(method, reverse=True) == forward, method
 
-    def test_cv_cp_runs_through_the_traced_name(self, monkeypatch):
-        # perfbench times cv_cp at bench.cv_conformal_intervals: a run must
-        # call it, and every cv_cp interval must be one it returned.
-        results = []
-
-        def counting(*args, **kwargs):
-            results.append(conformal.cv_conformal_intervals(*args, **kwargs))
-            return results[-1]
-
-        scored = {}
-        score = bench.score_records
-
-        def spy(method, by_series, truths, alpha):
-            scored.update(((sid, method), iv) for sid, iv in by_series.items())
-            return score(method, by_series, truths, alpha)
-
-        monkeypatch.setattr(bench, "cv_conformal_intervals", counting)
-        monkeypatch.setattr(bench, "score_records", spy)
-        report = run_benchmark(small_config(methods=("cv_cp", "mscp")), panel=small_panel())
-        assert len(results) >= 1
-        returned = {sid: iv for out in results for sid, iv in out.items()}
-        cv_scored = {sid: iv for (sid, method), iv in scored.items() if method == "cv_cp"}
-        assert len(cv_scored) == report.summaries["cv_cp"].n_series == 6
-        assert all(iv is returned[sid] for sid, iv in cv_scored.items())
-
     def test_methods_do_not_interfere_through_shared_contexts(self):
         panel = small_panel()
         kw = dict(alpha=0.5, horizon=2)
@@ -601,6 +576,40 @@ class TestRunBenchmark:
             assert run_method(config, rows, method) == dict.fromkeys(panel.ids, message)
             monkeypatch.setattr(forecaster, "_STACK_BLOCK", 4)
 
+    @pytest.mark.parametrize(
+        "method, solver",
+        [("cv_cp", "cv_intervals_stacked"), ("spci", "spci_intervals_stacked"), ("acmcp", "acmcp_run_stacked")],
+    )
+    def test_an_invalid_row_skips_only_its_series(self, monkeypatch, method, solver):
+        # One series' forecast is NaN, so its bounds are: it alone skips,
+        # with IntervalMatrix's message. The block is solved once, with no
+        # retry one series at a time, and every other series gets bit for
+        # bit what it gets as a block of its own.
+        config = small_config(methods=(method,))
+        rows, _ = bench._contexts(small_panel(n=4), config)
+        end = rows[1]["end"]
+        rows[1] = rows[1] | {"end": bench._SeriesEnd(end.model, np.full(config.horizon, np.nan))}
+        alone = {}
+        for row in rows:
+            alone |= run_method(config, [row], method)
+        calls = []
+        solve = getattr(bench, solver)
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return solve(*args)
+
+        monkeypatch.setattr(bench, solver, spy)
+        out = run_method(config, rows, method)
+        assert len(calls) == 1
+        bad = rows[1]["series"].series_id
+        assert out[bad] == alone[bad] == "interval bound is NaN"
+        assert out.keys() == alone.keys() and len(out) == 4
+        for sid in out.keys() - {bad}:
+            assert out[sid].lower.tobytes() == alone[sid].lower.tobytes(), sid
+            assert out[sid].upper.tobytes() == alone[sid].upper.tobytes(), sid
+            assert out[sid].diagnostics == alone[sid].diagnostics, sid
+
     def test_enbpi_alone_fits_no_end_model(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a series-end model was fitted")
@@ -693,6 +702,31 @@ class TestRunBenchmark:
         reasons = [s[2] for s in report.skips if s[1] == "parametric"]
         assert reasons == ["parametric intervals require an autoregressive forecaster"] * 3
         assert report.summaries["mscp"].n_series == 3
+
+    def test_a_forecaster_the_method_cannot_wrap_fails_each_block_once(self, monkeypatch):
+        # Under seasonal naive, enbpi's and parametric's blocks fail on the
+        # forecaster alone, which all their series share: blocks of 4 over
+        # 10 series, each solved once, with no retry one series at a time.
+        monkeypatch.setattr(forecaster, "_STACK_BLOCK", 4)
+        solves = []
+        in_blocks = bench._in_blocks
+
+        def counting(keys, solve):
+            sizes = []
+            solves.append(sizes)
+            return in_blocks(keys, lambda block: (sizes.append(len(block)), solve(block))[1])
+
+        monkeypatch.setattr(bench, "_in_blocks", counting)
+        config = small_config(methods=("enbpi", "parametric", "mscp"), forecaster=ForecasterSpec(kind="seasonal_naive"))
+        report = run_benchmark(config, panel=small_panel(n=10))
+        # The prefix table's blocks, then each method's.
+        assert [sorted(sizes) for sizes in solves] == [[2, 4, 4]] * 4
+        assert report.summaries["mscp"].n_series == 10
+        assert {s[1:] for s in report.skips} == {
+            ("enbpi", "EnbPI ensembles require an autoregressive forecaster"),
+            ("parametric", "parametric intervals require an autoregressive forecaster"),
+        }
+        assert len(report.skips) == 20
 
     def test_runs_from_a_csv_without_the_names_numpy_2_added(self, tmp_path, hide_numpy_2_names):
         """Parsing and every method's stacked path run on numpy 1.x names."""
@@ -789,8 +823,11 @@ class TestPrefixTable:
         # starts inside the head, so its rows are prefixes of a shifted stack.
         monkeypatch.setattr(forecaster, "_STACK_BLOCK", block)
         panel = SeriesPanel(tuple(two_length_series(4)))
+        # Eleven windows of 6 leave a head of 84 points its first cutoff at
+        # 18, and a head of 64 none: its backtest row is the lone message.
         config = small_config(
-            methods=bench.METHODS, forecaster=spec, refit_every=refit_every, train_len=train_len, alpha=0.5
+            methods=bench.METHODS, forecaster=spec, refit_every=refit_every, train_len=train_len, alpha=0.5,
+            n_windows=11,
         )
         rows, skips = bench._contexts(panel, config)
         assert len(rows) == 7 and not skips
@@ -814,6 +851,10 @@ class TestPrefixTable:
                 fc = seasonal_naive_forecast(head, H)
             assert end.fc.tobytes() == fc.tobytes(), sid
             alone = conformal.cv_conformal_intervals({sid: fc}, [head], config.n_windows, spec, config.alpha)[sid]
+            if len(head) == 64:
+                message = f"series {sid!r} admits no 11-window backtest at horizon 6"
+                assert row["backtest"] == cv[sid] == alone == message
+                continue
             assert cv[sid].lower.tobytes() == alone.lower.tobytes(), sid
             assert cv[sid].upper.tobytes() == alone.upper.tobytes(), sid
 

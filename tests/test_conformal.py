@@ -968,31 +968,6 @@ class TestCvConformal:
         with pytest.raises(ValueError, match="interval bound is NaN"):
             cv_conformal_intervals(forecasts, series, 2, ForecasterSpec(), 0.1)
 
-    def test_given_backtests_are_read_not_made_again(self, monkeypatch):
-        # Residuals passed in give the intervals the call makes from its own
-        # backtests, without a solve.
-        series = [make_series(simulate_ar1(40, 0.5, seed=i), f"s{i}") for i in range(3)]
-        forecasts = {ts.series_id: np.random.default_rng(i).standard_normal(4) for i, ts in enumerate(series)}
-        made = cv_conformal_intervals(forecasts, series, 2, ForecasterSpec(), 0.2)
-        cutoffs = np.array([32, 36])
-        backtests = {
-            ts.series_id: conformal._origin_residuals(ts.values[None], cutoffs, ForecasterSpec(), 1, 4)[0]
-            for ts in series
-        }
-
-        def refuse(*args):
-            raise AssertionError("a backtest was made again")
-
-        monkeypatch.setattr(conformal, "_prefix_forecasts", refuse)
-        read = cv_conformal_intervals(forecasts, series, 2, ForecasterSpec(), 0.2, backtests)
-        for sid in ("s0", "s1", "s2"):
-            assert read[sid].lower.tobytes() == made[sid].lower.tobytes()
-            assert read[sid].upper.tobytes() == made[sid].upper.tobytes()
-        with pytest.raises(ValueError, match="no backtest residuals for series 's1'"):
-            cv_conformal_intervals(forecasts, series, 2, ForecasterSpec(), 0.2, {"s0": backtests["s0"]})
-        with pytest.raises(ValueError, match=r"must have shape \(2, 4\)"):
-            cv_conformal_intervals(forecasts, series[:1], 2, ForecasterSpec(), 0.2, {"s0": np.zeros((3, 4))})
-
     def test_too_many_windows_rejected(self):
         ts = make_series(np.arange(10.0))
         out = cv_conformal_intervals({"s": np.zeros(4)}, [ts], 3, ForecasterSpec(), 0.1)
