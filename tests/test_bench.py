@@ -818,16 +818,18 @@ class TestPrefixTable:
     @pytest.mark.parametrize("refit_every", [1, 3, None])
     @pytest.mark.parametrize("train_len", [None, 30])
     @pytest.mark.parametrize("spec", [ForecasterSpec(), ForecasterSpec("seasonal_naive")])
-    def test_rows_are_the_lone_builds(self, monkeypatch, block, refit_every, train_len, spec):
+    @pytest.mark.parametrize("n_windows", [2, 11])
+    def test_rows_are_the_lone_builds(self, monkeypatch, block, refit_every, train_len, spec, n_windows):
         # Two head lengths; with train_len set the calibration segment
         # starts inside the head, so its rows are prefixes of a shifted stack.
+        # Two windows admit both heads, each at its own first cutoff. Eleven
+        # windows of 6 leave a head of 84 points its first cutoff at 18, and
+        # a head of 64 none: its backtest row is the lone call's message.
         monkeypatch.setattr(forecaster, "_STACK_BLOCK", block)
         panel = SeriesPanel(tuple(two_length_series(4)))
-        # Eleven windows of 6 leave a head of 84 points its first cutoff at
-        # 18, and a head of 64 none: its backtest row is the lone message.
         config = small_config(
             methods=bench.METHODS, forecaster=spec, refit_every=refit_every, train_len=train_len, alpha=0.5,
-            n_windows=11,
+            n_windows=n_windows,
         )
         rows, skips = bench._contexts(panel, config)
         assert len(rows) == 7 and not skips
@@ -851,7 +853,7 @@ class TestPrefixTable:
                 fc = seasonal_naive_forecast(head, H)
             assert end.fc.tobytes() == fc.tobytes(), sid
             alone = conformal.cv_conformal_intervals({sid: fc}, [head], config.n_windows, spec, config.alpha)[sid]
-            if len(head) == 64:
+            if len(head) == 64 and n_windows == 11:
                 message = f"series {sid!r} admits no 11-window backtest at horizon 6"
                 assert row["backtest"] == cv[sid] == alone == message
                 continue
