@@ -1,37 +1,31 @@
 """Benchmark orchestration: config, synthetic panels, method evaluation,
 aggregation, rank tests, and report emission.
 
-A run makes one row dict per eligible series (`_contexts`): the series,
-its head (all but the test block, a read-only view) and its rows of the
-run's prefix table (`_prefix_rows`): the series end, a fit on the head
-and its point forecast `fc` of the test block; the signed residuals of
-the calibration origins; and cv_cp's backtest residuals. The table is
-made once, for the kinds the configured methods read, with one batched
-solve and one recursion per block of heads
-(`forecaster._prefix_forecasts`), and each row is what the lone public
-builds give (`fit_auto_ar`, `forecast`, `build_residual_matrix`,
-`cv_conformal_intervals`), or the message of what stopped it. Each method
-(`_METHODS`) names the entries it reads, and its run takes every series'
-reads (`_read`): the tuple of those rows, or the first failure message
-among them, which becomes the series' skip reason. The methods run in
-configured order and share the rows, which are read-only. Every method
-but enbpi, whose bootstrap ensemble makes its own one-step forecasts,
-wraps `fc`. global_cp, whose calibration cohort spans the run, pools all
-the series into one call. Every other method is a block rule of one
-skeleton (`_stacked`), which solves blocks of series (`_in_blocks`), each
-series as alone, and gives each its intervals or its own skip reason:
-mscp, aci, acmcp and spci take a block's (S, H) forecasts and
-(S, cal_len, H) signed residual stack, cv_cp its forecasts and
-(S, n_windows, H) backtest stack, parametric its forecasts and their
-autoregressions, and enbpi a block of series of one length and period.
-A block failure that depends only on what its series share, such as a
-calibration stream too short for every one of them or a forecaster the
-method cannot wrap, is every series' skip reason at once (`_shared`), with
-no retry one series at a time. aci's radii are those of
-`aci_interval` (`online._aci_radii`). The methods build their intervals
-as row views of one validated bound stack (`conformal._interval_rows`),
-and each method's intervals are scored in one pass over all its series
-(`metrics.score_records`).
+A run carries its series as (S, ...) stacks from the prefix table to the
+scores. The table (`_prefix_table`) holds, over the series long enough to
+evaluate and in panel order, each test block and one array of each kind
+of row the configured methods read: the end (each head's forecast `fc` of
+its test block and the autoregression behind it), the signed residuals of
+the calibration origins, and cv_cp's backtest residuals, each row bit for
+bit what a lone public build gives (`fit_auto_ar`, `forecast`,
+`build_residual_matrix`, `cv_conformal_intervals`), and the message of
+every row that could not be made. It is made once, with one batched solve
+and one recursion per block of heads (`forecaster._prefix_forecasts`).
+A method (`_METHODS`) names the kinds it reads. A series with a failed
+read skips it with the first failure's message; the method's run takes
+the others' rows and gives their (S, H) bounds and each one's skip reason
+or None. global_cp pools its series into one cohort. Every other method
+is a block rule (`_stacked`) over blocks of series (`_in_blocks`), each
+series as alone: enbpi, whose bootstrap ensemble makes its own one-step
+forecasts, over series of one length and period, the others from the
+forecasts and, for mscp, aci, acmcp and spci, the signed residuals, for
+cv_cp the backtests, for parametric the autoregressions. A failure that
+depends only on what a block's series share, such as a calibration stream
+too short for every one of them, is every series' skip reason at once
+(`_shared`), with no retry one series at a time; an invalid row of bounds
+is its own series' (`conformal._row_faults`). aci's radii are those of
+`aci_interval` (`online._aci_radii`). Each method's bounds are scored in
+one array pass (`metrics.score_stack`), which builds only the records.
 
 Every run is a pure function of (config, data, seed): per-series RNG seeds
 are derived by hashing the global seed with the series id. The
@@ -47,6 +41,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -54,48 +49,47 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Hashable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .conformal import (
     EnsembleSpec,
-    IntervalMatrix,
     SpciSpec,
     _NO_BACKTEST,
     _backtest_cutoffs,
     _calibration_origins,
     _check_ensemble_forecaster,
     _check_padding,
+    _cohort_size,
     _conformal_radii,
-    _interval_rows,
+    _cv_bounds,
+    _enbpi_bounds,
+    _parametric_bounds,
+    _pooled_bounds,
+    _row_faults,
     _signed_residuals,
+    _spci_bounds,
     build_residual_matrix,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.build_residual_matrix
     cv_conformal_intervals,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.cv_conformal_intervals
-    cv_intervals_stacked,
     enbpi_intervals,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.enbpi_intervals
-    enbpi_intervals_stacked,
-    global_cp_intervals,
+    global_cp_intervals,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.global_cp_intervals
     mscp_intervals,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.mscp_intervals
     parametric_intervals,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.parametric_intervals
-    parametric_intervals_stacked,
     spci_intervals,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.spci_intervals
-    spci_intervals_stacked,
 )
 from .forecaster import (
     _METHOD_ERRORS,
     _SharedError,
     _check_seasonal_ends,
     _in_blocks,
-    _models,
     _prefix_forecasts,
     _refit_ends,
-    FittedForecaster,
     ForecasterSpec,
     fit_auto_ar,  # noqa: F401  unused here, but perfbench/spans.py traces bench.fit_auto_ar
     forecast,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.forecast
 )
-from .metrics import MethodSummary, MetricRecord, aggregate, score_records
+from .metrics import MethodSummary, MetricRecord, aggregate, score_stack
 from .metrics import series_metrics  # noqa: F401  unused here, but perfbench/spans.py traces bench.series_metrics
 from .online import AciState, _aci_radii, acmcp_init_stacked, acmcp_interval, acmcp_run_stacked
 # These stay importable here: perfbench/spans.py traces them by these names.
@@ -216,22 +210,36 @@ def _min_train(period: int) -> int:
     return max(10, 2 * period)
 
 
-class _SeriesEnd(NamedTuple):
-    """A series' point forecast of its test block, and the autoregression
-    behind it (None for seasonal naive)."""
+def _end_rows(S: int, config: BenchConfig) -> np.ndarray:
+    """S blank end rows of a prefix table, one record each: a series'
+    forecast "fc" of its test block and the autoregression behind it, phi
+    zero-padded to max_order (all zero under seasonal naive, which fits
+    nothing)."""
+    fields = [("fc", np.float64, (config.horizon,)), ("order", np.intp), ("intercept", np.float64),
+              ("phi", np.float64, (config.forecaster.max_order,)), ("sigma2", np.float64)]
+    return np.zeros(S, dtype=fields)
 
-    model: FittedForecaster | None
-    fc: np.ndarray
+
+class _Table(NamedTuple):
+    """A run's prefix table (see _prefix_table): read-only arrays of its
+    series, their (S, H) test blocks ("truth") and the rows of each kind
+    the methods read, and by kind and row the message of each row not made."""
+
+    rows: dict[str, np.ndarray]
+    faults: dict[str, dict[int, str]]
+
+    def failures(self, kinds: tuple[str, ...]) -> dict[int, str]:
+        """By row, each series' first failed row of the given kinds, in that order: its skip reason."""
+        return {i: fault for kind in reversed(kinds) for i, fault in self.faults.get(kind, {}).items()}
 
 
 def _prefix_block(
-    heads: list[TimeSeries], split: SplitSpec, config: BenchConfig, kinds: tuple[str, ...]
-) -> list[dict[str, object]]:
-    """The rows of the given kinds of a block of heads of equal length and
-    split (and period, for seasonal naive); see _prefix_rows."""
-    H = config.horizon
-    values = np.stack([head.values for head in heads])
-    n, period = values.shape[1], heads[0].period
+    series: np.ndarray, heads: np.ndarray, split: SplitSpec, config: BenchConfig, kinds: tuple[str, ...]
+) -> dict[str, object]:
+    """The rows of the given kinds of a block of series' (S, n) heads, of
+    equal split (and period, for seasonal naive): each kind's stack, or
+    each head's message where what the block shares stopped it."""
+    H, (S, n), period = config.horizon, heads.shape, series[0].period
     # Each kind's rows: the offset of its stack into the heads, its prefix ends and its fit ends.
     plan: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
     if "end" in kinds:
@@ -239,11 +247,10 @@ def _prefix_block(
     if "signed" in kinds:
         start, origins = _calibration_origins(n, split)
         plan["signed"] = (start, origins, _refit_ends(origins, config.refit_every))
-    out: list[dict[str, object]] = [dict.fromkeys(kinds) for _ in heads]
+    out: dict[str, object] = {}
     cutoffs = _backtest_cutoffs(n, config.n_windows, H)
     if "backtest" in kinds and cutoffs is None:
-        for row, head in zip(out, heads):
-            row["backtest"] = _NO_BACKTEST.format(head.series_id, config.n_windows, H)
+        out["backtest"] = [_NO_BACKTEST.format(ts.series_id, config.n_windows, H) for ts in series]
     elif "backtest" in kinds:
         try:
             if config.forecaster.kind == "seasonal_naive":
@@ -252,11 +259,10 @@ def _prefix_block(
         except ValueError as e:
             # Every series of the block shares the cutoffs, so it shares
             # the error: no solve and no retry finds another message.
-            for row in out:
-                row["backtest"] = str(e)
+            out["backtest"] = [str(e)] * S
     for offset in sorted({offset for offset, _, _ in plan.values()}):
         group = {kind: plan[kind] for kind in plan if plan[kind][0] == offset}
-        stack = values[:, offset:]
+        stack = heads[:, offset:]
         fits, yhat = _prefix_forecasts(
             stack, np.concatenate([ends for _, ends, _ in group.values()]),
             np.concatenate([fit_ends for _, _, fit_ends in group.values()]), config.forecaster, period, H,
@@ -266,108 +272,133 @@ def _prefix_block(
             part = slice(first, first + len(ends))
             first = part.stop
             if kind == "end":
-                models = [None] * len(heads) if fits is None else _models(fits, part.start)
-                cells = map(_SeriesEnd, models, np.ascontiguousarray(yhat[:, part.start]))
+                out[kind] = end = _end_rows(S, config)
+                end["fc"] = yhat[:, part.start]
+                if fits is not None:
+                    for name in ("order", "intercept", "sigma2"):
+                        end[name] = getattr(fits, name)[:, part.start]
+                    end["phi"][:, : fits.phi.shape[2]] = fits.phi[:, part.start]
             else:
-                cells = _signed_residuals(stack, ends, yhat[:, part])
+                out[kind] = _signed_residuals(stack, ends, yhat[:, part])
                 if kind == "signed":
-                    _check_padding(cells)
-                cells.flags.writeable = False  # every method reads the same rows
-            for row, cell in zip(out, cells):
-                row[kind] = cell
+                    _check_padding(out[kind])
     return out
 
 
-def _prefix_rows(
-    heads: list[TimeSeries], splits: list[SplitSpec], config: BenchConfig, kinds: tuple[str, ...]
-) -> list[dict[str, object]]:
-    """Every forecast a run makes from a prefix of one of its heads: one
-    dict per head of its row of each kind, or the message of what stopped it.
+def _prefix_table(panel: SeriesPanel, config: BenchConfig) -> tuple[_Table, list[tuple[str, str, str]]]:
+    """Every forecast a run makes from a prefix of a head (a series but its
+    test block), over the series long enough to evaluate; and a skip for
+    every method on each other series.
 
-    The kinds are those the run's methods read (`_Method.reads`):
-    - "end": a fit on the whole head and its forecast of the test block
-      (`_SeriesEnd`);
-    - "signed": the (cal_len, horizon) signed residuals of the calibration
-      origins, each forecast from the latest fit at or before its origin,
-      refitted every refit_every origins; NaN where the truth lies past
-      the calibration segment;
-    - "backtest": cv_cp's (n_windows, horizon) residuals at its cutoffs,
-      each from its own fit, or cv_cp's message for a head too short.
-    The residual rows are read-only views of their block's stack. Heads of
-    equal length, split (and period, for seasonal naive) form blocks of at
-    most _STACK_BLOCK, and each block makes the union of its rows' prefix
-    fits in one solve and their forecasts in one recursion, or, with
-    train_len set, one more for the calibration segment, which then starts
-    inside the head. A fit is the same whichever other prefixes share its
-    solve, so every row is bit for bit the lone fit_auto_ar, forecast,
-    build_residual_matrix or cv_cp backtest result. A block whose solve
-    raises is redone one series at a time, and a series that still fails
-    once per kind, so that each kind keeps its own error message.
+    The table holds one array, in panel order, of each kind the run's
+    methods read (`_Method.reads`): "end", a fit on the whole head and its
+    forecast of the test block (`_end_rows`); "signed", the (cal_len, H)
+    signed residuals of the calibration origins, each forecast from the
+    latest fit at or before its origin, refitted every refit_every origins,
+    NaN where the truth lies past the calibration segment; "backtest",
+    cv_cp's (n_windows, H) residuals at its cutoffs, each from its own fit;
+    and the message of each row that could not be made, such as cv_cp's
+    for a head too short. Heads of equal length, split (and period, for
+    seasonal naive) form blocks of at most _STACK_BLOCK, and each block
+    makes the union of its rows' prefix fits in one solve and their
+    forecasts in one recursion, or, with train_len set, one more for the
+    calibration segment, which then starts inside the head. A fit is the
+    same whichever other prefixes share its solve, so every row is bit for
+    bit the lone fit_auto_ar, forecast, build_residual_matrix or cv_cp
+    backtest result. A block whose solve raises is redone one series at a
+    time, and a series that still fails once per kind, so that each kind
+    keeps its own error message.
     """
+    H, cal_len = config.horizon, config.cal_len
+    skips: list[tuple[str, str, str]] = []
+    series: list[TimeSeries] = []
+    train_lens: list[int] = []
+    for ts in panel:
+        n = len(ts)
+        train_len = config.train_len if config.train_len is not None else n - cal_len - H
+        if train_len < _min_train(ts.period) or n < train_len + cal_len + H:
+            reason = f"series too short: {n} observations for train {train_len}, cal {cal_len}, test {H}"
+            skips.extend((ts.series_id, m, reason) for m in config.methods)
+        else:
+            series.append(ts)
+            train_lens.append(train_len)
+    S = len(series)
+    kinds = tuple(sorted({kind for m in config.methods for kind in _METHODS[m].reads} - {"series"}))
+    rows = {"series": np.empty(S, dtype=object), "truth": np.empty((S, H))}
+    rows["series"][:] = series
+    residual_rows = {"signed": cal_len, "backtest": config.n_windows}
+    for kind in kinds:
+        rows[kind] = _end_rows(S, config) if kind == "end" else np.full((S, residual_rows[kind], H), np.nan)
+    table = _Table(rows, {kind: {} for kind in kinds})
+
+    def fill(block: list[int], kinds: tuple[str, ...]) -> list[None]:
+        values = np.stack([series[i].values for i in block])
+        rows["truth"][block] = values[:, -H:]
+        split = SplitSpec(train_lens[block[0]], cal_len, H)
+        for kind, part in _prefix_block(rows["series"][block], values[:, :-H], split, config, kinds).items():
+            if isinstance(part, list):
+                table.faults[kind].update(zip(block, part))
+            else:
+                rows[kind][block] = part
+        return [None] * len(block)
+
     seasonal = config.forecaster.kind == "seasonal_naive"
-    keys = [(len(head), split.train_len, head.period if seasonal else 0) for head, split in zip(heads, splits)]
-    out = _in_blocks(keys, lambda block: _prefix_block([heads[i] for i in block], splits[block[0]], config, kinds))
-    for i, row in enumerate(out):
-        if isinstance(row, str):
-            out[i] = {}
-            for kind in kinds:
-                try:
-                    out[i] |= _prefix_block([heads[i]], splits[i], config, (kind,))[0]
-                except _METHOD_ERRORS as e:
-                    out[i][kind] = str(e)
-    return out
+    keys = [(len(ts), train_len, ts.period if seasonal else 0) for ts, train_len in zip(series, train_lens)]
+    failed = [i for i, error in enumerate(_in_blocks(keys, lambda block: fill(block, kinds))) if error is not None]
+    for i, kind in itertools.product(failed, kinds):
+        try:
+            fill([i], (kind,))
+        except _METHOD_ERRORS as e:
+            table.faults[kind][i] = str(e)
+    for a in rows.values():
+        a.flags.writeable = False
+    return table, skips
 
 
-def _read(rows: list[dict[str, object]], kinds: tuple[str, ...]) -> dict[str, tuple | str]:
-    """Each series' rows of the given kinds, in that order, or the first of
-    them that is a failure message: the series' skip reason."""
-    out: dict[str, tuple | str] = {}
-    for row in rows:
-        values = tuple(row[kind] for kind in kinds)
-        out[row["series"].series_id] = next((v for v in values if isinstance(v, str)), values)
-    return out
+def _checked(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+    """(S, H) bound stacks and each row's fault (`conformal._row_faults`)."""
+    return lower, upper, _row_faults(lower, upper)
 
 
-def _ready(inputs: dict[str, tuple | str]) -> dict[str, tuple]:
-    """The inputs of the series that have them."""
-    return {sid: x for sid, x in inputs.items() if not isinstance(x, str)}
-
-
-def _global_cp(c: BenchConfig, inputs: dict[str, tuple | str]) -> dict[str, IntervalMatrix | str]:
-    """Pool the series' forecasts. Each becomes an interval on an evaluation
-    series, or a skip on a calibration series or when pooling fails."""
-    ready = _ready(inputs)
+def _global_cp(c: BenchConfig, table: _Table, ready: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Pool the series' forecasts, the first in panel order the cohort:
+    each becomes an interval on an evaluation series, or a skip on a
+    calibration series or when pooling fails."""
+    fc = table.rows["end"]["fc"][ready]
+    lower, upper = fc.copy(), fc.copy()
     try:
-        cohort = SeriesPanel(tuple(series for series, _ in ready.values()))
-        forecasts = {sid: end.fc for sid, (_, end) in ready.items()}
-        result = global_cp_intervals(cohort, c.cohort_split, forecasts, c.alpha, c.horizon)
+        k = _cohort_size(len(ready), c.cohort_split)
+        _, lower[k:], upper[k:] = _pooled_bounds(table.rows["truth"][ready[:k]], fc, c.alpha)
     except ValueError as e:
-        return inputs | dict.fromkeys(ready, str(e))
-    cohort_skips = dict.fromkeys(result.calibration_ids, "spent as pooled calibration cohort")
-    return inputs | cohort_skips | result.intervals
+        return lower, upper, [str(e)] * len(ready)
+    return lower, upper, ["spent as pooled calibration cohort"] * k + [None] * (len(ready) - k)
 
 
-def _stacked(solve: Callable, key: Callable[[tuple], Hashable] = lambda inputs: None) -> Callable:
-    """A method that gives every series with its inputs the results of
-    solve(config, block), which takes the inputs of a block of series of
-    equal key(inputs) and returns one result per series (`_in_blocks`).
+# A method is the kinds of prefix-table rows it reads and its run, which
+# maps the config, the table and the rows of the series with every read to
+# their (S, H) bounds and each one's skip reason or None.
+_Method = NamedTuple("_Method", [("reads", tuple[str, ...]), ("run", Callable)])
 
-    By default every series shares one key: every row of one kind has one
+
+def _stacked(reads: tuple[str, ...], rule: Callable, key: Callable | None = None) -> _Method:
+    """A method whose run solves blocks of series of equal key(*rows)
+    (`_in_blocks`) by rule(config, *rows), where rows are a block's rows of
+    each kind it reads; rule gives their bounds and each one's fault. By
+    default every series shares one key: every row of one kind has one
     shape in a run, and every signed row NaN exactly where r + h - 1 >= cal_len.
     """
 
-    def run(c: BenchConfig, inputs: dict[str, tuple | str]) -> dict[str, IntervalMatrix | str]:
-        ready = _ready(inputs)
-        items = list(ready.values())
-        results = _in_blocks([key(x) for x in items], lambda block: solve(c, [items[i] for i in block]))
-        return inputs | dict(zip(ready, results))
+    def run(c: BenchConfig, table: _Table, ready: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+        lower, upper = np.empty((2, len(ready), c.horizon))
 
-    return run
+        def solve(block: list[int]) -> list[str | None]:
+            lower[block], upper[block], faults = rule(c, *(table.rows[kind][ready[block]] for kind in reads))
+            return faults
 
+        keys = [None] * len(ready) if key is None else key(*(table.rows[kind][ready] for kind in reads))
+        return lower, upper, _in_blocks(keys, solve)
 
-def _stacks(block: list[tuple[_SeriesEnd, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """A block's (S, H) forecasts and (S, R, H) stack of its residual rows."""
-    return np.stack([end.fc for end, _ in block]), np.stack([signed for _, signed in block])
+    return _Method(reads, run)
 
 
 def _scores(signed: np.ndarray) -> np.ndarray:
@@ -387,18 +418,17 @@ def _shared() -> Iterator[None]:
         raise _SharedError(str(e)) from e
 
 
-def _spci(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix | str]:
+def _spci(c: BenchConfig, end: np.ndarray, signed: np.ndarray) -> tuple:
     """SPCI of a block of series, each as alone: one quantile regression
     solve per row bucket for the residual columns of all its horizons."""
-    return spci_intervals_stacked(*_stacks(block), SpciSpec(lag_count=c.spci_lags), c.alpha)
+    return _checked(*_spci_bounds(end["fc"], signed, SpciSpec(lag_count=c.spci_lags), c.alpha)[:2])
 
 
-def _acmcp(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix | str]:
+def _acmcp(c: BenchConfig, end: np.ndarray, signed: np.ndarray) -> tuple:
     """One quantile tracker per horizon through each series' calibration
     stream, for a block of series run as one stack of trackers of every
     horizon, each series as alone. Horizon h's stream is a series' first
     m_h scores of column h, its first burn_h of them the warm-up."""
-    fc, signed = _stacks(block)
     S, R, H = signed.shape
     m = np.count_nonzero(~np.isnan(signed[0]), axis=0)  # the series share their NaN padding
     burn = np.maximum(5, np.minimum(10, m // 3))
@@ -412,80 +442,77 @@ def _acmcp(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[I
     after = np.take_along_axis(streams, np.minimum(warm[:, None] + np.arange(R - burn.min()), R - 1), axis=1)
     states = acmcp_init_stacked(np.repeat(np.arange(1, H + 1), S), streams[:, : burn.max()], c.alpha, warm)
     states = acmcp_run_stacked(states, after, total - warm)
-    bounds = np.array([acmcp_interval(state, y) for state, y in zip(states, fc.T.ravel().tolist())])
+    bounds = np.array([acmcp_interval(state, y) for state, y in zip(states, end["fc"].T.ravel().tolist())])
     bounds = bounds.reshape(H, S, 2).transpose(1, 0, 2)  # series, horizon, (lower, upper)
-    return _interval_rows(bounds[..., 0], bounds[..., 1])
+    return _checked(bounds[..., 0], bounds[..., 1])
 
 
-def _mscp(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix | str]:
+def _mscp(c: BenchConfig, end: np.ndarray, signed: np.ndarray) -> tuple:
     """Split conformal intervals of a block of series, every radius from one
     _conformal_radii call on their (R, S*H) scores, each as alone."""
-    fc, signed = _stacks(block)
+    fc = end["fc"]
     with _shared():  # an empty column, or an invalid level
         radii = _conformal_radii(_scores(signed), 1.0 - c.alpha).reshape(fc.shape)
-    return _interval_rows(fc - radii, fc + radii)
+    return _checked(fc - radii, fc + radii)
 
 
-def _aci(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix | str]:
-    """ACI of a block of series, each as alone: every adaptive level
-    (aci_step's update) warmed through its h=1 stream at once, then
-    per-horizon intervals at the final level."""
-    fc, signed = _stacks(block)
-    scores = _scores(signed)
-    stream = scores[:, :: fc.shape[1]]  # (R, S): the h=1 streams
+def _aci_warmup(stream: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
+    """The final adaptive level of each column of an (R, S) stack of h=1
+    score streams, every level warmed through its stream at once by
+    aci_step's update at the radius of the scores before each step."""
+    if len(stream) < 2:
+        raise ValueError("adaptive calibration needs >= 2 one-step scores")
+    alpha_t = np.full(stream.shape[1], alpha)
+    for t in range(1, len(stream)):
+        err = stream[t] > _aci_radii(stream[:t], alpha_t)
+        alpha_t = alpha_t + gamma * (alpha - err)
+    return alpha_t
+
+
+def _aci(c: BenchConfig, end: np.ndarray, signed: np.ndarray) -> tuple:
+    """ACI of a block of series, each as alone: per-horizon intervals at
+    the level each series' h=1 stream warms (`_aci_warmup`)."""
+    fc, scores = end["fc"], _scores(signed)
     with _shared():  # too few scores, or an empty column
-        if len(stream) < 2:
-            raise ValueError("adaptive calibration needs >= 2 one-step scores")
-        alpha_t = np.full(len(block), c.alpha)
-        errs = np.zeros(len(block), dtype=np.intp)
-        for t in range(1, len(stream)):
-            err = (stream[t] > _aci_radii(stream[:t], alpha_t)).astype(np.intp)
-            errs += err
-            alpha_t = alpha_t + c.gamma * (c.alpha - err)
+        alpha_t = _aci_warmup(scores[:, :: fc.shape[1]], c.alpha, c.gamma)
         radii = _aci_radii(scores, np.repeat(alpha_t, fc.shape[1])).reshape(fc.shape)
-    diagnostics = [{"alpha_final": a, "warmup_errs": e} for a, e in zip(alpha_t.tolist(), errs.tolist())]
-    return _interval_rows(fc - radii, fc + radii, diagnostics)
+    return _checked(fc - radii, fc + radii)
 
 
-def _enbpi(c: BenchConfig, block: list[tuple[TimeSeries]]) -> list[IntervalMatrix | str]:
+def _enbpi(c: BenchConfig, series: np.ndarray) -> tuple:
     """EnbPI of a block of series of one length and period, each drawing
     its members from its own seed, each as alone."""
     with _shared():  # checked before any member is drawn: under seasonal naive no block is solved
         _check_ensemble_forecaster(c.forecaster)
-    series = [ts for (ts,) in block]
     specs = [
         EnsembleSpec(B=c.enbpi_members, window_len=c.enbpi_window, seed=series_seed(c.seed, ts.series_id))
         for ts in series
     ]
-    return enbpi_intervals_stacked(series, c.horizon, specs, c.forecaster, c.alpha)
+    return _enbpi_bounds(series, c.horizon, specs, c.forecaster, c.alpha)[:3]  # less the diagnostics
 
 
-def _cv_cp(c: BenchConfig, block: list[tuple[_SeriesEnd, np.ndarray]]) -> list[IntervalMatrix | str]:
+def _cv_cp(c: BenchConfig, end: np.ndarray, backtest: np.ndarray) -> tuple:
     """cv_cp of a block of series, each as alone, from its backtest rows."""
-    return cv_intervals_stacked(*_stacks(block), c.alpha)
+    return _checked(*_cv_bounds(end["fc"], backtest, c.alpha))
 
 
-def _parametric(c: BenchConfig, block: list[tuple[_SeriesEnd]]) -> list[IntervalMatrix | str]:
+def _parametric(c: BenchConfig, end: np.ndarray) -> tuple:
     """Gaussian intervals of a block of series, each as alone, from one
     stacked psi-weight recursion of their autoregressions."""
     if c.forecaster.kind != "auto_ar":
         raise _SharedError("parametric intervals require an autoregressive forecaster")
-    models, fcs = zip(*((end.model, end.fc) for (end,) in block))
-    return parametric_intervals_stacked(models, np.stack(fcs), c.alpha)
+    return _checked(*_parametric_bounds(end["phi"], end["order"], end["sigma2"], end["fc"], c.alpha))
 
 
-# A method is the entries of each series' row dict it reads and its run, which
-# maps the config and every series' reads (`_read`) to its intervals or skip reason.
-_Method = NamedTuple("_Method", [("reads", tuple[str, ...]), ("run", Callable)])
 _METHODS = {
-    "mscp": _Method(("end", "signed"), _stacked(_mscp)),
-    "enbpi": _Method(("series",), _stacked(_enbpi, key=lambda inputs: (len(inputs[0]), inputs[0].period))),
-    "spci": _Method(("end", "signed"), _stacked(_spci)),
-    "global_cp": _Method(("series", "end"), _global_cp),
-    "cv_cp": _Method(("end", "backtest"), _stacked(_cv_cp)),
-    "aci": _Method(("end", "signed"), _stacked(_aci)),
-    "acmcp": _Method(("end", "signed"), _stacked(_acmcp)),
-    "parametric": _Method(("end",), _stacked(_parametric)),
+    "mscp": _stacked(("end", "signed"), _mscp),
+    "enbpi": _stacked(("series",), _enbpi, key=lambda series: [(len(ts), ts.period) for ts in series]),
+    "spci": _stacked(("end", "signed"), _spci),
+    "global_cp": _Method(("end",), _global_cp),
+    "cv_cp": _stacked(("end", "backtest"), _cv_cp),
+    "aci": _stacked(("end", "signed"), _aci),
+    "acmcp": _stacked(("end", "signed"), _acmcp),
+    "parametric": _stacked(("end",), _parametric),
 }
 METHODS = tuple(_METHODS)
 
@@ -560,27 +587,17 @@ del BenchConfig.parallelism
 del BenchConfig.__dataclass_fields__["parallelism"]
 
 
-def _contexts(panel: SeriesPanel, config: BenchConfig) -> tuple[list[dict[str, object]], list[tuple[str, str, str]]]:
-    """One row dict per series long enough to evaluate: the series, its head
-    (all but the test block, a view) and its prefix-table rows of every kind
-    the configured methods read; and a skip for every method on each other series."""
-    H = config.horizon
-    skips: list[tuple[str, str, str]] = []
-    rows: list[dict[str, object]] = []
-    splits: list[SplitSpec] = []
-    for series in panel:
-        n = len(series)
-        train_len = config.train_len if config.train_len is not None else n - config.cal_len - H
-        if train_len < _min_train(series.period) or n < train_len + config.cal_len + H:
-            reason = f"series too short: {n} observations for train {train_len}, cal {config.cal_len}, test {H}"
-            skips.extend((series.series_id, m, reason) for m in config.methods)
-            continue
-        rows.append({"series": series, "head": series.head(n - H)})
-        splits.append(SplitSpec(train_len, config.cal_len, H))
-    kinds = tuple(sorted({kind for m in config.methods for kind in _METHODS[m].reads} - {"series"}))
-    for row, prefix in zip(rows, _prefix_rows([row["head"] for row in rows], splits, config, kinds)):
-        row.update(prefix)
-    return rows, skips
+def _evaluate(config: BenchConfig, table: _Table, method: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """One method's run over a prefix table: the rows of the series it
+    scores, their (S, H) lower and upper bounds, and by row every other
+    series' skip reason."""
+    reads, run = _METHODS[method]
+    skipped = table.failures(reads)
+    ready = np.delete(np.arange(len(table.rows["series"])), list(skipped))
+    lower, upper, reasons = run(config, table, ready)
+    scored = np.array([reason is None for reason in reasons], dtype=bool)
+    skipped |= {i: reason for i, reason in zip(ready.tolist(), reasons) if reason is not None}
+    return ready[scored], lower[scored], upper[scored], skipped
 
 
 def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> BenchmarkReport:
@@ -603,22 +620,17 @@ def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> Benc
             raise PanelError(f"cannot decode data file {config.data!r} as UTF-8: {e}") from None
         panel = parse_panel(text, period=config.period)
 
-    H = config.horizon
-    rows, skips = _contexts(panel, config)
-    if not rows:
+    prefix, skips = _prefix_table(panel, config)
+    ids = [ts.series_id for ts in prefix.rows["series"]]
+    if not ids:
         raise NothingEvaluableError("no series long enough to evaluate")
 
     records: list[MetricRecord] = []
     for method in config.methods:
-        scored: dict[str, IntervalMatrix] = {}
-        reads, run = _METHODS[method]
-        for sid, result in run(config, _read(rows, reads)).items():
-            if isinstance(result, str):
-                skips.append((sid, method, result))
-            else:
-                scored[sid] = result
-        truths = [panel[sid].values[-H:] for sid in scored]
-        records.extend(score_records(method, scored, truths, config.alpha))
+        rows, lower, upper, skipped = _evaluate(config, prefix, method)
+        skips.extend((ids[i], method, reason) for i, reason in skipped.items())
+        scored = [ids[i] for i in rows.tolist()]
+        records.extend(score_stack(method, scored, lower, upper, prefix.rows["truth"][rows], config.alpha))
     if not records:
         reason = Counter(s[2] for s in skips).most_common(1)[0][0]
         raise NothingEvaluableError(
@@ -628,24 +640,16 @@ def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> Benc
     skips.sort(key=lambda s: (s[0], s[1]))
     summaries = aggregate(records)
 
-    by_series: dict[str, dict[str, MetricRecord]] = {}
-    for rec in records:
-        by_series.setdefault(rec.series_id, {})[rec.method] = rec
+    winkler = {(rec.series_id, rec.method): rec.winkler for rec in records}
     rank_methods = tuple(m for m in config.methods if m in summaries)
     complete = [
-        sid
-        for sid in sorted(by_series)
-        if all(
-            m in by_series[sid] and math.isfinite(by_series[sid][m].winkler)
-            for m in rank_methods
-        )
+        sid for sid in sorted({rec.series_id for rec in records})
+        if all(math.isfinite(winkler.get((sid, m), math.nan)) for m in rank_methods)
     ]
     friedman = posthoc = None
     avg_ranks: tuple[float, ...] = ()
     if len(rank_methods) >= 2 and len(complete) >= 2:
-        matrix = np.array(
-            [[by_series[sid][m].winkler for m in rank_methods] for sid in complete]
-        )
+        matrix = np.array([[winkler[sid, m] for m in rank_methods] for sid in complete])
         table = rank_scores(matrix)
         friedman = friedman_test(table)
         avg_ranks = tuple(float(r) for r in table.avg_ranks)
@@ -656,10 +660,10 @@ def run_benchmark(config: BenchConfig, panel: SeriesPanel | None = None) -> Benc
         "seed": config.seed,
         "config_hash": config.config_hash(),
         "alpha": config.alpha,
-        "horizon": H,
+        "horizon": config.horizon,
         "methods": list(config.methods),
         "n_series": len(panel),
-        "n_series_evaluated": len(rows),
+        "n_series_evaluated": len(ids),
         "n_rank_series": len(complete) if len(rank_methods) >= 2 else 0,
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
@@ -728,16 +732,10 @@ def emit_reports(report: BenchmarkReport, out_dir: str) -> dict[str, str]:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["series", "method", "coverage", "width", "winkler"])
-        for rec in report.records:
-            writer.writerow(
-                [
-                    rec.series_id,
-                    rec.method,
-                    repr(rec.marginal_coverage),
-                    repr(rec.mean_width),
-                    repr(rec.winkler),
-                ]
-            )
+        writer.writerows(
+            [r.series_id, r.method, repr(r.marginal_coverage), repr(r.mean_width), repr(r.winkler)]
+            for r in report.records
+        )
         paths["metrics"] = os.path.join(out_dir, "metrics.csv")
         Path(paths["metrics"]).write_text(buf.getvalue())
 
@@ -755,30 +753,16 @@ def emit_reports(report: BenchmarkReport, out_dir: str) -> dict[str, str]:
         )
 
         if report.rank_methods and report.avg_ranks:
-            cd_methods = list(report.rank_methods)
-            ranks = list(report.avg_ranks)
-            if report.posthoc is not None:
-                cliques = report.posthoc.cliques
-                cd = report.posthoc.cd
-            else:
-                cliques = (tuple(range(len(cd_methods))),)
-                cd = None
-        else:
+            cd_methods, ranks = list(report.rank_methods), list(report.avg_ranks)
+        else:  # no rank test: rank the methods by cohort Winkler, a NaN last
             cd_methods = cov_methods
-            order = np.argsort(
-                [
-                    report.summaries[m].winkler
-                    if math.isfinite(report.summaries[m].winkler)
-                    else math.inf
-                    for m in cd_methods
-                ],
-                kind="stable",
-            )
-            ranks = [0.0] * len(cd_methods)
-            for pos, idx in enumerate(order):
-                ranks[idx] = float(pos + 1)
-            cliques = (tuple(range(len(cd_methods))),)
-            cd = None
+            scores = [report.summaries[m].winkler for m in cd_methods]
+            order = np.argsort([w if math.isfinite(w) else math.inf for w in scores], kind="stable")
+            ranks = (np.argsort(order) + 1.0).tolist()
+        # A post-hoc test runs only after a rank test.
+        cliques, cd = (tuple(range(len(cd_methods))),), None
+        if report.posthoc is not None:
+            cliques, cd = report.posthoc.cliques, report.posthoc.cd
         paths["cd"] = os.path.join(out_dir, "cd.svg")
         Path(paths["cd"]).write_text(cd_diagram_svg(cd_methods, ranks, cliques, cd))
         return paths

@@ -20,23 +20,19 @@ origins, and rejects a forecast that is not finite where its truth exists:
 prefix table from the same call on the union of every prefix a run needs,
 both at the origins of `_calibration_origins` and `_backtest_cutoffs`.
 `_spci_pairs`, the one SPCI fit, picks the quantile pair of every residual
-history of a ragged stack with one solver call, for
-`spci_intervals_stacked`, which takes an (S, R, H) stack of signed
-residuals and fits the histories of all its horizons together, and whose
-one-series case is `spci_intervals`.
-`parametric_intervals_stacked` takes the Gaussian intervals of many
-autoregressions from one stacked psi-weight recursion
-(`forecaster.sigma_h_stacked`); `parametric_intervals` is its one-row case.
-`enbpi_intervals_stacked` fits the bootstrap members of many series of one
-length and period in stacked AR solves and makes their one-step
-predictions, leave-one-out residuals, windows and radii in one pass each;
-`enbpi_intervals` is its one-series case.
-`cv_intervals_stacked`, the one cross-validation radius rule, serves
-bench's backtest rows and `cv_conformal_intervals`.
-Every stacked construction builds its intervals with `_interval_rows`,
-which validates an (S, H) bound stack in IntervalMatrix's one comparison
-and makes each valid row an IntervalMatrix of read-only row views and any
-other row its fault's message, which only lone wrappers and global_cp raise.
+history of a ragged stack with one solver call.
+
+Every construction over many series is one array rule, which bench runs
+on its prefix table's stacks: `_spci_bounds` (an (S, R, H) signed stack,
+the histories of all its horizons fitted together), `_parametric_bounds`
+(one stacked psi-weight recursion, `forecaster.sigma_h_stacked`),
+`_enbpi_bounds` (the bootstrap members of series of one length and period
+in stacked AR solves), `_cv_bounds` (the cross-validation radius rule) and
+`_pooled_bounds` (Global-CP's cohort). Each gives (S, H) bound stacks, and
+`_row_faults` checks them in IntervalMatrix's one comparison, giving each
+invalid row its message. The public constructions wrap the same rules:
+`_interval_rows` makes each valid row an IntervalMatrix of read-only row
+views, and the lone cases and `global_cp_intervals` raise a fault.
 """
 
 from __future__ import annotations
@@ -242,12 +238,19 @@ def _bound_fault(lo: np.ndarray, hi: np.ndarray) -> str:
     return "interval pinned at an infinite bound"
 
 
+def _row_faults(lower: np.ndarray, upper: np.ndarray) -> list[str | None]:
+    """Each row's message IntervalMatrix raises for it alone, or None where
+    it is valid, of an (S, H) bound stack checked in one comparison."""
+    valid = _valid_cells(lower, upper).all(axis=1).tolist()
+    return [None if ok else _bound_fault(lower[s], upper[s]) for s, ok in enumerate(valid)]
+
+
 def _interval_rows(
-    lower: np.ndarray, upper: np.ndarray, diagnostics: Sequence[dict] | None = None
+    lower: np.ndarray, upper: np.ndarray, diagnostics: Sequence[dict] | None = None, faults: list | None = None
 ) -> list[IntervalMatrix | str]:
     """The IntervalMatrix of each row of an (S, H) bound stack, or, for a
     row that holds an invalid cell, the message IntervalMatrix raises for
-    that row alone.
+    that row alone (`_row_faults`, unless faults gives each row's).
 
     The stack is copied and validated once; each valid row's bounds are
     read-only (1, H) views of the copy, equal to what IntervalMatrix makes
@@ -256,20 +259,16 @@ def _interval_rows(
     lo, hi = _frozen_bounds(lower, upper)
     if lo.ndim != 2:
         raise ValueError(f"need (S, H) bound stacks, got shape {lo.shape}")
-    if diagnostics is None:
-        diagnostics = [{} for _ in range(len(lo))]
-    out: list[IntervalMatrix | str] = []
-    for s, valid in enumerate(_valid_cells(lo, hi).all(axis=1).tolist()):
-        if not valid:
-            out.append(_bound_fault(lo[s], hi[s]))
-            continue
-        # A row of a validated stack is valid.
-        out.append(IntervalMatrix._of_valid(lo[s : s + 1], hi[s : s + 1], diagnostics[s]))
-    return out
+    # A row of a validated stack is valid.
+    return [
+        fault if fault is not None
+        else IntervalMatrix._of_valid(lo[s : s + 1], hi[s : s + 1], {} if diagnostics is None else diagnostics[s])
+        for s, fault in enumerate(_row_faults(lo, hi) if faults is None else faults)
+    ]
 
 
-def _rows_or_raise(rows: list[IntervalMatrix | str]) -> list[IntervalMatrix]:
-    """rows, if every one is an IntervalMatrix; else raise the first message."""
+def _rows_or_raise(rows: list) -> list:
+    """rows, if none of them is a message; else raise the first message."""
     for row in rows:
         if isinstance(row, str):
             raise ValueError(row)
@@ -442,16 +441,23 @@ def enbpi_intervals_stacked(
     alpha: float,
 ) -> list[IntervalMatrix | str]:
     """enbpi_intervals of many series of one length and period, with one
-    spec each; the specs may differ only in their seeds.
+    spec each; the specs may differ only in their seeds (`_enbpi_bounds`).
+    Each series gets bit for bit what enbpi_intervals gives it, or the
+    message of an error of its own (invalid bounds, say)."""
+    lower, upper, faults, diagnostics = _enbpi_bounds(series, test_len, specs, forecaster, alpha)
+    return _interval_rows(lower, upper, diagnostics, faults)
 
-    Each series draws its members' resamples from its own seed, and the
-    members of every series are fitted in stacked solves of at most
-    forecaster._STACK_BLOCK members; their one-step predictions, the
-    leave-one-out residuals, the windows and the radii are each one pass
-    over the stack. Every step acts on each series alone, so series s gets
-    bit for bit the intervals and diagnostics enbpi_intervals gives it, or,
-    where those would be an error of its own (invalid bounds, say), that
-    error's message in their place.
+
+def _enbpi_bounds(
+    series: Sequence[TimeSeries], test_len: int, specs: Sequence[EnsembleSpec], forecaster: ForecasterSpec, alpha: float
+) -> tuple[np.ndarray, np.ndarray, list[str | None], list[dict]]:
+    """The (S, test_len) bounds of enbpi_intervals_stacked, each row's
+    fault (`_row_faults`, or that it has no leave-one-out residual) and
+    diagnostics. Each series draws its members' resamples from its own
+    seed, and the members of every series are fitted in stacked solves of
+    at most forecaster._STACK_BLOCK members; their one-step predictions,
+    the leave-one-out residuals, the windows and the radii are each one
+    pass over the stack. Every step acts on each series alone.
     """
     _check_ensemble_forecaster(forecaster)
     if test_len < 1:
@@ -508,8 +514,11 @@ def enbpi_intervals_stacked(
     diagnostics = [
         {"loo_fallbacks": f, "loo_count": k} for f, k in zip(fallbacks.tolist(), counts.tolist())
     ]
-    rows = _interval_rows(yhat - radii, yhat + radii, diagnostics)
-    return ["no leave-one-out residuals could be formed" if k == 0 else row for row, k in zip(rows, counts.tolist())]
+    lower, upper = yhat - radii, yhat + radii
+    faults = _row_faults(lower, upper)
+    for s in np.flatnonzero(counts == 0).tolist():
+        faults[s] = "no leave-one-out residuals could be formed"
+    return lower, upper, faults, diagnostics
 
 
 def enbpi_intervals(
@@ -626,6 +635,13 @@ def spci_intervals_stacked(
     together. Each series gets the intervals and diagnostics that
     spci_intervals gives it alone, or the message of its invalid bounds.
     """
+    return _interval_rows(*_spci_bounds(forecasts, signed, spec, alpha))
+
+
+def _spci_bounds(
+    forecasts: np.ndarray, signed: np.ndarray, spec: SpciSpec, alpha: float
+) -> tuple[np.ndarray, np.ndarray, list[dict]]:
+    """The (S, H) bounds of spci_intervals_stacked and each row's diagnostics."""
     fc = np.atleast_2d(np.asarray(forecasts, dtype=np.float64))
     signed = np.asarray(signed, dtype=np.float64)
     S, horizon = fc.shape
@@ -652,7 +668,7 @@ def spci_intervals_stacked(
         {"crossings": c, "fallbacks": f, "betas": b}
         for c, f, b in zip(crossed.sum(axis=1).tolist(), fallback.sum(axis=1).tolist(), beta.tolist())
     ]
-    return _interval_rows(fc + q_lo, fc + q_hi, diagnostics)
+    return fc + q_lo, fc + q_hi, diagnostics
 
 
 @dataclass(frozen=True)
@@ -682,40 +698,46 @@ def global_cp_intervals(
     1 - alpha/horizon. Evaluation series receive those radii around their
     own forecasts.
     """
-    if len(panel) < 2:
-        raise ValueError("Global-CP requires a cohort: panel has fewer than 2 series")
+    k = _cohort_size(len(panel), cohort_split)
     if not 0.0 < cohort_split < 1.0:
         raise ValueError(f"cohort_split must be in (0, 1), got {cohort_split}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     ids = panel.ids
-    k = min(max(int(round(cohort_split * len(ids))), 1), len(ids) - 1)
-    cal_ids, eval_ids = ids[:k], ids[k:]
-
-    def _forecast(sid: str) -> np.ndarray:
+    for sid in ids[:k]:
+        if len(panel[sid]) < horizon:
+            raise ValueError(f"series {sid!r} too short for horizon {horizon}")
+    for sid in ids:
         if sid not in forecasts:
             raise ValueError(f"no forecast for series {sid!r}")
-        yhat = np.asarray(forecasts[sid], dtype=np.float64)
-        if yhat.shape != (horizon,):
-            raise ValueError(
-                f"forecast for series {sid!r} has shape {yhat.shape}, expected ({horizon},)"
-            )
-        return yhat
+        if np.shape(forecasts[sid]) != (horizon,):
+            raise ValueError(f"forecast for series {sid!r} has shape {np.shape(forecasts[sid])}, expected ({horizon},)")
+    truth = np.array([panel[sid].values[-horizon:] for sid in ids[:k]])
+    radii, lower, upper = _pooled_bounds(truth, np.array([forecasts[sid] for sid in ids], dtype=np.float64), alpha)
+    return GlobalCpResult(dict(zip(ids[k:], _interval_rows(lower, upper))), radii, ids[:k], ids[k:])
 
-    resid = np.empty((k, horizon))
-    for i, sid in enumerate(cal_ids):
-        series = panel[sid]
-        if len(series) < horizon:
-            raise ValueError(f"series {sid!r} too short for horizon {horizon}")
-        resid[i] = np.abs(series.values[-horizon:] - _forecast(sid))
+
+def _cohort_size(n: int, cohort_split: float) -> int:
+    """How many of n >= 2 pooled series form the calibration cohort: at least one, and at most n - 1."""
+    if n < 2:
+        raise ValueError("Global-CP requires a cohort: panel has fewer than 2 series")
+    return min(max(int(round(cohort_split * n)), 1), n - 1)
+
+
+def _pooled_bounds(truth: np.ndarray, forecasts: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
+    """The per-horizon radii, conformal quantiles at level 1 - alpha/H of
+    the cohort's absolute residuals from its (k, H) truths and the first k
+    rows of an (S, H) forecast stack, and the bounds around the other
+    rows. Raises ValueError on a residual that is not finite, or an
+    invalid row."""
+    k, horizon = truth.shape
+    resid = np.abs(truth - forecasts[:k])
     if not np.isfinite(resid).all():
         raise ValueError("pooled calibration scores must be finite")
     radii = _conformal_radii(resid, 1.0 - alpha / horizon)
-    yhat = np.stack([_forecast(sid) for sid in eval_ids])
-    intervals = dict(zip(eval_ids, _rows_or_raise(_interval_rows(yhat - radii, yhat + radii))))
-    return GlobalCpResult(
-        intervals=intervals, radii=radii, calibration_ids=cal_ids, evaluation_ids=eval_ids
-    )
+    lower, upper = forecasts[k:] - radii, forecasts[k:] + radii
+    _rows_or_raise(_row_faults(lower, upper))
+    return radii, lower, upper
 
 
 def _backtest_cutoffs(n: int, n_windows: int, horizon: int) -> np.ndarray | None:
@@ -731,9 +753,14 @@ _NO_BACKTEST = "series {!r} admits no {}-window backtest at horizon {}"  # where
 def cv_intervals_stacked(forecasts: np.ndarray, backtests: np.ndarray, alpha: float) -> list[IntervalMatrix | str]:
     """Intervals around (S, H) forecasts whose radii are the uncorrected
     (1-alpha) quantiles of each column of (S, n_windows, H) backtest
-    residuals; each row as `_interval_rows` gives it."""
+    residuals (`_cv_bounds`); each row as `_interval_rows` gives it."""
+    return _interval_rows(*_cv_bounds(forecasts, backtests, alpha))
+
+
+def _cv_bounds(forecasts: np.ndarray, backtests: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, H) bounds of cv_intervals_stacked."""
     r = np.quantile(np.abs(backtests), 1.0 - alpha, axis=1)
-    return _interval_rows(forecasts - r, forecasts + r)
+    return forecasts - r, forecasts + r
 
 
 def cv_conformal_intervals(
@@ -780,19 +807,17 @@ def cv_conformal_intervals(
         else:
             members.append((sid, yhat, ts, cutoffs))
 
-    def intervals(block: list[int]) -> list[IntervalMatrix | ValueError]:
-        _, _, ts, cutoffs = members[block[0]]
-        fc = np.stack([members[i][1] for i in block])
+    def backtest(block: list[int]) -> np.ndarray:
+        _, yhat, ts, cutoffs = members[block[0]]
         stack = np.stack([members[i][2].values for i in block])
-        residuals = _origin_residuals(stack, cutoffs, forecaster, ts.period, fc.shape[1])
-        # An invalid interval is raised below, not kept as a skip as a failed backtest is.
-        return [ValueError(row) if isinstance(row, str) else row for row in cv_intervals_stacked(fc, residuals, alpha)]
+        return _origin_residuals(stack, cutoffs, forecaster, ts.period, len(yhat))
 
     keys = [(len(ts), ts.period, len(yhat)) for _, yhat, ts, _ in members]
-    for (sid, *_), result in zip(members, _in_blocks(keys, intervals)):
-        if isinstance(result, ValueError):
-            raise result
-        out[sid] = result
+    for (sid, yhat, _, _), residuals in zip(members, _in_blocks(keys, backtest)):
+        if isinstance(residuals, str):  # a failed backtest is the series' message
+            out[sid] = residuals
+        else:  # an invalid interval raises
+            out[sid] = _rows_or_raise(cv_intervals_stacked(yhat[None], residuals[None], alpha))[0]
     return out
 
 
@@ -804,17 +829,26 @@ def parametric_intervals_stacked(
 
     Row s gets bit for bit what parametric_intervals gives its model alone,
     or, where those intervals are invalid (NaN bounds from an explosive
-    model, say), the error message in their place.
+    model, say), the error message in their place (`_parametric_bounds`).
     """
+    order, sigma2 = np.array([m.order for m in models]), np.array([m.sigma2 for m in models])
+    return _interval_rows(*_parametric_bounds(_padded_phi(models), order, sigma2, forecasts, alpha))
+
+
+@np.errstate(invalid="ignore")  # inf - inf, where an overflowing forecast meets its infinite width: NaN, rejected
+def _parametric_bounds(
+    phi: np.ndarray, order: np.ndarray, sigma2: np.ndarray, forecasts: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, H) Gaussian bounds around the forecasts of S autoregressions,
+    phi (S, P) zero-padded past each order (`forecaster.sigma_h_stacked`)."""
+    forecasts = np.asarray(forecasts, dtype=np.float64)
+    if forecasts.ndim != 2 or len(forecasts) != len(phi):
+        raise ValueError(f"need one forecast row per model, got shape {forecasts.shape} for {len(phi)} models")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    yhat = np.asarray(forecasts, dtype=np.float64)
-    if yhat.ndim != 2 or len(yhat) != len(models):
-        raise ValueError(f"need one forecast row per model, got shape {yhat.shape} for {len(models)} models")
-    order = np.array([m.order for m in models])
-    sd = sigma_h_stacked(_padded_phi(models), order, np.array([m.sigma2 for m in models]), yhat.shape[1])
+    sd = sigma_h_stacked(phi, order, sigma2, forecasts.shape[1])
     z = normal_quantile(1.0 - alpha / 2.0)
-    return _interval_rows(yhat - z * sd, yhat + z * sd)
+    return forecasts - z * sd, forecasts + z * sd
 
 
 def parametric_intervals(

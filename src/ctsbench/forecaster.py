@@ -20,9 +20,8 @@ fitted model's history.
 
 All least-squares fits go through one solver, `_fit_ar_prefixes`, which fits
 every candidate order on every prefix values[s, :T] of an (S, n) stack of
-series at once; one series is the stack S = 1. `fit_auto_ar` fits one
-series on its whole length, and it and bench's prefix table turn a row of
-the solver's output into models the same way (`_models`).
+series at once; one series is the stack S = 1, which `fit_auto_ar` fits
+on its whole length. bench's prefix table keeps its fits as arrays.
 Order p regresses rows t >= p of a series' lag matrix Z on an intercept
 and lags 1..p, so its cross-product [y X]'[y X] on prefix T is
 the sum of the row outer products of Z over rows p..T-1. One matrix product
@@ -321,17 +320,11 @@ def fit_auto_ar(train: np.ndarray | TimeSeries, spec: ForecasterSpec) -> FittedF
 
 def _fit_stack(values: np.ndarray, spec: ForecasterSpec) -> list[FittedForecaster]:
     """fit_auto_ar on every series of an (S, n) stack, in one solve."""
-    return _models(_fit_ar_prefixes(values, np.array([values.shape[1]]), spec.max_order, spec.include_drift), 0)
-
-
-def _models(fits: _PrefixFits, r: int) -> list[FittedForecaster]:
-    """Every series' model of fit row r."""
+    fits = _fit_ar_prefixes(values, [values.shape[1]], spec.max_order, spec.include_drift)
+    order, intercept, phi, sigma2, aics = (a[:, 0] for a in fits)
     return [
-        FittedForecaster(phi=phi[:p], intercept=c, sigma2=s2, order=p, aics=tuple(aics))
-        for p, c, phi, s2, aics in zip(
-            fits.order[:, r].tolist(), fits.intercept[:, r].tolist(), fits.phi[:, r],
-            fits.sigma2[:, r].tolist(), fits.aics[:, r].tolist(),
-        )
+        FittedForecaster(phi=row[:p], intercept=c, sigma2=s2, order=p, aics=tuple(a))
+        for p, c, row, s2, a in zip(order.tolist(), intercept.tolist(), phi, sigma2.tolist(), aics.tolist())
     ]
 
 
@@ -440,6 +433,7 @@ def forecast(model: FittedForecaster, history: np.ndarray | TimeSeries, horizon:
     )[0, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an explosive model's psi: inf, or NaN that interval builders reject
 def sigma_h_stacked(phi: np.ndarray, order: np.ndarray, sigma2: np.ndarray, horizon: int) -> np.ndarray:
     """Forecast standard deviations of S autoregressions by the psi-weight
     recursion: (S, horizon).

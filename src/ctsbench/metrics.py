@@ -1,9 +1,10 @@
 """Interval quality metrics and their two-stage aggregation.
 
 Per-series values are means over forecast horizons; cohort values are
-unweighted means over series. `score_records` scores all of one method's
-series in one pass over (series, cell) stacks, with the one Winkler rule,
-`_winkler_cells` (`winkler` is its one-cell case). Cells with infinite
+unweighted means over series. `score_stack` scores all of one method's
+series in one pass over (series, cell) bound stacks, with the one Winkler
+rule, `_winkler_cells` (`winkler` is its one-cell case); `score_records`
+and `series_metrics` stack IntervalMatrix objects for it. Cells with infinite
 width are excluded from width and Winkler means and surfaced through an
 explicit counter instead of propagating +inf into the averages.
 """
@@ -37,12 +38,6 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
-def _aligned_truth(intervals: IntervalMatrix, truth) -> np.ndarray:
-    arr = _shaped_truth(intervals, truth)
-    _check_finite_truth(arr)
-    return arr
-
-
 def _winkler_cells(lo: np.ndarray, hi: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     out = hi - lo
     out = out + (2.0 / alpha) * np.where(y < lo, lo - y, 0.0)
@@ -52,7 +47,8 @@ def _winkler_cells(lo: np.ndarray, hi: np.ndarray, y: np.ndarray, alpha: float) 
 
 def coverage_mask(intervals: IntervalMatrix, truth) -> np.ndarray:
     """Boolean cell mask: truth inside the closed interval."""
-    arr = _aligned_truth(intervals, truth)
+    arr = _shaped_truth(intervals, truth)
+    _check_finite_truth(arr)
     return (intervals.lower <= arr) & (arr <= intervals.upper)
 
 
@@ -99,29 +95,6 @@ class MetricRecord:
             raise ValueError(f"joint_coverage must be 0 or 1, got {self.joint_coverage}")
 
 
-def _stacked_truths(
-    mats: Sequence[IntervalMatrix], truths: Sequence, groups: Mapping[tuple[int, int], list[int]]
-) -> dict[tuple[int, int], np.ndarray]:
-    """Each shape group's truths as one (series, cell) array.
-
-    A group converts in one call when its truths all come in the
-    intervals' shape, or all 1-D against (1, H) intervals. Otherwise every
-    truth is shaped alone, so that the first mismatched one, in record
-    order, raises its own error.
-    """
-    stacks = {}
-    try:
-        for shape, rows in groups.items():
-            y = np.array([truths[i] for i in rows], dtype=np.float64)
-            if y.shape[1:] != shape and not (shape[0] == 1 and y.shape[1:] == shape[1:]):
-                raise ValueError("a truth does not match its intervals' shape")
-            stacks[shape] = y.reshape(len(rows), -1)
-    except (ValueError, TypeError):
-        shaped = [_shaped_truth(iv, truth).reshape(-1) for iv, truth in zip(mats, truths)]
-        stacks = {shape: np.stack([shaped[i] for i in rows]) for shape, rows in groups.items()}
-    return stacks
-
-
 def score_records(
     method: str,
     intervals: Mapping[str, IntervalMatrix],
@@ -132,48 +105,57 @@ def score_records(
 
     intervals maps series id to IntervalMatrix and truths holds each
     series' realised values in the same order; records come back in that
-    order. Records of equal shape are stacked into (series, cell) arrays
-    and scored by one set of array operations. infinite_cells counts the
-    cells of infinite width, which the width and Winkler means leave out.
+    order. Records of equal shape are stacked and scored together (`score_stack`).
     """
-    ids = list(intervals)
-    mats = list(intervals.values())
+    ids, mats = list(intervals), list(intervals.values())
     if len(truths) != len(mats):
         raise ValueError(f"{len(truths)} truths for {len(mats)} interval matrices")
     _check_alpha(alpha)
+    # Shaped in record order, so that the first mismatched truth raises.
+    shaped = [_shaped_truth(iv, truth).reshape(-1) for iv, truth in zip(mats, truths)]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, iv in enumerate(mats):
         groups.setdefault(iv.shape, []).append(i)
     records: dict[int, MetricRecord] = {}
-    for shape, y in _stacked_truths(mats, truths, groups).items():
-        rows = groups[shape]
-        _check_finite_truth(y)
-        lo = np.stack([mats[i].lower for i in rows]).reshape(y.shape)
-        hi = np.stack([mats[i].upper for i in rows]).reshape(y.shape)
-        covered = (lo <= y) & (y <= hi)
-        widths = hi - lo
-        scores = _winkler_cells(lo, hi, y, alpha)
-        finite = np.isfinite(widths)
-        mean_width = widths.mean(axis=1).tolist()
-        mean_winkler = scores.mean(axis=1).tolist()
-        # A row mean over axis 1 sums in the order a lone row's mean does.
-        # Zero-filling the infinite cells would change that order, so a row
-        # holding any averages its finite cells on their own. An all-infinite
-        # row gets the math.nan object itself, so that records compare equal.
-        for k in np.flatnonzero(~finite.all(axis=1)).tolist():
-            keep = finite[k]
-            mean_width[k] = float(widths[k][keep].mean()) if keep.any() else math.nan
-            mean_winkler[k] = float(scores[k][keep].mean()) if keep.any() else math.nan
-        columns = zip(
-            covered.mean(axis=1).tolist(),
-            mean_width,
-            mean_winkler,
-            covered.all(axis=1).tolist(),
-            (~finite).sum(axis=1).tolist(),
-        )
-        for i, (cov, width, score, joint, n_inf) in zip(rows, columns):
-            records[i] = MetricRecord(ids[i], method, cov, width, score, int(joint), n_inf, y.shape[1])
+    for rows in groups.values():
+        lo = np.stack([mats[i].lower for i in rows]).reshape(len(rows), -1)
+        hi = np.stack([mats[i].upper for i in rows]).reshape(len(rows), -1)
+        y = np.stack([shaped[i] for i in rows])
+        records.update(zip(rows, score_stack(method, [ids[i] for i in rows], lo, hi, y, alpha)))
     return [records[i] for i in range(len(mats))]
+
+
+def score_stack(
+    method: str, ids: Sequence[str], lower: np.ndarray, upper: np.ndarray, truth: np.ndarray, alpha: float
+) -> list[MetricRecord]:
+    """Horizon-averaged metrics of one method, one record per row of
+    (S, cells) stacks of valid bounds and their truths, by one set of array
+    operations. infinite_cells counts the cells of infinite width, which
+    the width and Winkler means leave out."""
+    _check_alpha(alpha)
+    _check_finite_truth(truth)
+    covered = (lower <= truth) & (truth <= upper)
+    widths = upper - lower
+    scores = _winkler_cells(lower, upper, truth, alpha)
+    finite = np.isfinite(widths)
+    mean_width = widths.mean(axis=1).tolist()
+    mean_winkler = scores.mean(axis=1).tolist()
+    # A row mean over axis 1 sums in the order a lone row's mean does.
+    # Zero-filling the infinite cells would change that order, so a row
+    # holding any averages its finite cells on their own. An all-infinite
+    # row gets the math.nan object itself, so that records compare equal.
+    for k in np.flatnonzero(~finite.all(axis=1)).tolist():
+        keep = finite[k]
+        mean_width[k] = float(widths[k][keep].mean()) if keep.any() else math.nan
+        mean_winkler[k] = float(scores[k][keep].mean()) if keep.any() else math.nan
+    columns = zip(
+        ids, covered.mean(axis=1).tolist(), mean_width, mean_winkler, covered.all(axis=1).tolist(),
+        (~finite).sum(axis=1).tolist(),
+    )
+    return [
+        MetricRecord(sid, method, cov, width, score, int(joint), n_inf, truth.shape[1])
+        for sid, cov, width, score, joint, n_inf in columns
+    ]
 
 
 def series_metrics(

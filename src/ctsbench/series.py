@@ -209,7 +209,8 @@ _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 class _Columns:
     """The data rows parsed so far, as arrays.
 
-    A unique_id's code numbers its stripped id in order of first row. Each
+    A unique_id's code numbers its stripped id in order of first row, and
+    each distinct raw unique_id is stripped once, at its first row. Each
     distinct ds string is parsed once, at its first row, into a table of
     stamps and month flags, and a row holds its string's index in the table;
     check gathers every row's stamp and month flag from the table at once.
@@ -217,6 +218,7 @@ class _Columns:
 
     def __init__(self) -> None:
         self.code_of_id: dict[str, int] = {}
+        self.code_of_raw: dict[str, int] = {}  # each raw unique_id's code, as its stripped id's
         self.index_of_ds: dict[str, int] = {}
         self.ds_stamps: list[int] = []
         self.ds_months: list[bool] = []
@@ -244,15 +246,19 @@ class _Columns:
             self.check(error)
 
     def _codes(self, uids: list[str]) -> tuple[np.ndarray, int, str | None]:
-        ids = list(map(str.strip, uids))
-        n, error = len(ids), None
-        if not all(ids):
-            n = ids.index("")
-            ids, error = ids[:n], f"row {self.rows + n + 1}: empty unique_id"
-        code_of_id = self.code_of_id
-        for uid in dict.fromkeys(ids):  # distinct ids, in order of first row
-            code_of_id.setdefault(uid, len(code_of_id))
-        return np.fromiter(map(code_of_id.__getitem__, ids), dtype=np.intp, count=n), n, error
+        n, error = len(uids), None
+        code_of_raw, code_of_id = self.code_of_raw, self.code_of_id
+        # Raw ids not seen before, in order of first row: the first that
+        # strips to empty is the first row with an empty id.
+        for raw in dict.fromkeys(uids):
+            if raw not in code_of_raw:
+                uid = raw.strip()
+                if not uid:
+                    n = uids.index(raw)
+                    error = f"row {self.rows + n + 1}: empty unique_id"
+                    break
+                code_of_raw[raw] = code_of_id.setdefault(uid, len(code_of_id))
+        return np.fromiter(map(code_of_raw.__getitem__, uids), dtype=np.intp, count=n), n, error
 
     def _ds_rows(self, dss: list[str], n: int, error: str | None) -> tuple[np.ndarray, int, str | None]:
         dss = dss[:n]

@@ -32,12 +32,13 @@ from ctsbench.bench import (
 from ctsbench.cli import main as cli_main
 from ctsbench.conformal import (
     EnsembleSpec,
+    IntervalMatrix,
     build_residual_matrix,
     enbpi_intervals,
     global_cp_intervals,
+    parametric_intervals,
 )
 from ctsbench.forecaster import (
-    FittedForecaster,
     ForecasterSpec,
     fit_auto_ar,
     forecast,
@@ -62,10 +63,32 @@ def small_panel(n=6, seed=2, length=90, generator="ar1"):
     )
 
 
-def run_method(config, rows, method):
-    """One method run on a run's row dicts: each series' intervals or skip reason."""
-    reads, run = bench._METHODS[method]
-    return run(config, bench._read(rows, reads))
+def run_method(config, table, method):
+    """One method run over a run's prefix table: each series' intervals (an
+    IntervalMatrix of its bound rows) or skip reason."""
+    rows, lower, upper, skipped = bench._evaluate(config, table, method)
+    ids = [ts.series_id for ts in table.rows["series"]]
+    out = {ids[i]: reason for i, reason in skipped.items()}
+    return out | {ids[i]: IntervalMatrix(lo, hi) for i, lo, hi in zip(rows.tolist(), lower, upper)}
+
+
+def assert_end_fit(end, alone, what):
+    """A prefix table's end row's fit, phi zero-padded past its order, is bit for bit the lone model."""
+    assert (int(end["order"]), end["intercept"].tobytes(), end["sigma2"].tobytes()) == (
+        alone.order, np.float64(alone.intercept).tobytes(), np.float64(alone.sigma2).tobytes()
+    ), what
+    phi = end["phi"]
+    assert phi[: alone.order].tobytes() == alone.phi.tobytes() and not phi[alone.order :].any(), what
+
+
+def table_rows(table, idx):
+    """The prefix table of the given rows of table, in that order."""
+    idx = np.asarray(idx, dtype=np.intp)
+    new = {int(i): k for k, i in enumerate(idx)}
+    return bench._Table(
+        {kind: rows[idx] for kind, rows in table.rows.items()},
+        {kind: {new[i]: m for i, m in faults.items() if i in new} for kind, faults in table.faults.items()},
+    )
 
 
 def two_length_series(n_long):
@@ -264,18 +287,21 @@ class TestRunBenchmark:
 
     def test_context_order_invariant(self):
         # SeriesPanel sorts its series by id, so reversing the panel does not
-        # reach the methods; reversing the row dicts does. Every method gives
-        # each series the same intervals or skip reason in either order.
+        # reach the methods; reversing the prefix table does. Every method
+        # whose run solves blocks of series gives each series the same
+        # intervals or skip reason in either order. global_cp is left out:
+        # its calibration cohort is the first of the table's series, which
+        # are in panel order.
         panel = SeriesPanel(tuple(two_length_series(4)))
         config = small_config(methods=bench.METHODS, alpha=0.5, horizon=2)
+        table, _ = bench._prefix_table(panel, config)
 
         def results(method, reverse):
-            rows, _ = bench._contexts(panel, config)
-            out = run_method(config, rows[::-1] if reverse else rows, method)
-            return {sid: r if isinstance(r, str) else (r.lower.tobytes(), r.upper.tobytes(), r.diagnostics)
-                    for sid, r in out.items()}
+            rows = np.arange(len(table.rows["series"]))
+            out = run_method(config, table_rows(table, rows[::-1] if reverse else rows), method)
+            return {sid: r if isinstance(r, str) else (r.lower.tobytes(), r.upper.tobytes()) for sid, r in out.items()}
 
-        for method in bench.METHODS:
+        for method in set(bench.METHODS) - {"global_cp"}:
             forward = results(method, reverse=False)
             assert len(forward) == len(panel), method
             assert not all(isinstance(r, str) for r in forward.values()), method
@@ -296,16 +322,16 @@ class TestRunBenchmark:
         # calibration residuals are computed from the forecasts.
         wrapping = ("mscp", "spci", "aci", "acmcp", "parametric", "cv_cp")
         config = small_config(methods=wrapping + ("enbpi",), alpha=0.5)
-        score = bench.score_records
+        score = bench.score_stack
 
         def intervals():
             seen = {}
 
-            def spy(method, by_series, truths, alpha):
-                seen.update(((sid, method), iv) for sid, iv in by_series.items())
-                return score(method, by_series, truths, alpha)
+            def spy(method, ids, lower, upper, truth, alpha):
+                seen.update(((sid, method), IntervalMatrix(lo, hi)) for sid, lo, hi in zip(ids, lower, upper))
+                return score(method, ids, lower, upper, truth, alpha)
 
-            monkeypatch.setattr(bench, "score_records", spy)
+            monkeypatch.setattr(bench, "score_stack", spy)
             assert not run_benchmark(config, panel=small_panel()).skips
             return seen
 
@@ -342,13 +368,16 @@ class TestRunBenchmark:
         assert report.summaries["global_cp"].n_series == 3
 
     def test_global_cp_centres_on_the_configured_forecaster(self, monkeypatch):
+        # The pooled bounds the run scores are the lone global_cp_intervals
+        # of the panel around each head's seasonal naive forecast.
         results = []
+        pooled = bench._pooled_bounds
 
-        def spy(*args, **kwargs):
-            results.append(global_cp_intervals(*args, **kwargs))
+        def spy(*args):
+            results.append(pooled(*args))
             return results[-1]
 
-        monkeypatch.setattr(bench, "global_cp_intervals", spy)
+        monkeypatch.setattr(bench, "_pooled_bounds", spy)
         panel = small_panel(generator="seasonal_ar")
         config = small_config(
             methods=("global_cp", "mscp"),
@@ -357,14 +386,16 @@ class TestRunBenchmark:
             horizon=2,
         )
         run_benchmark(config, panel=panel)
-        (result,) = results
-        assert np.all(np.isfinite(result.radii))
-        assert len(result.evaluation_ids) == 3
-        for sid in result.evaluation_ids:
-            series = panel[sid]
-            fc = seasonal_naive_forecast(series.head(len(series) - 2), 2)
-            assert np.array_equal(result.intervals[sid].lower[0], fc - result.radii)
-            assert np.array_equal(result.intervals[sid].upper[0], fc + result.radii)
+        ((radii, lower, upper),) = results
+        assert np.all(np.isfinite(radii))
+        forecasts = {ts.series_id: seasonal_naive_forecast(ts.head(len(ts) - 2), 2) for ts in panel}
+        alone = global_cp_intervals(panel, config.cohort_split, forecasts, config.alpha, 2)
+        assert len(alone.evaluation_ids) == len(lower) == 3
+        assert alone.radii.tobytes() == radii.tobytes()
+        for sid, lo, hi in zip(alone.evaluation_ids, lower, upper):
+            assert np.array_equal(lo, forecasts[sid] - radii)
+            assert np.array_equal(hi, forecasts[sid] + radii)
+            assert alone.intervals[sid] == IntervalMatrix(lo, hi)
 
     def test_each_series_fitted_once(self, monkeypatch):
         # Series-end models come from the prefix table's one stacked call
@@ -407,14 +438,13 @@ class TestRunBenchmark:
             TimeSeries("trend", stamps, 1.0 + 0.5 * np.arange(70.0), 12),
         ]
         config = small_config(forecaster=spec)
-        rows, skips = bench._contexts(SeriesPanel(tuple(series)), config)
-        assert len(rows) == 10 and not skips
-        for row in rows:
-            head, (model, fc) = row["head"], row["end"]
+        table, skips = bench._prefix_table(SeriesPanel(tuple(series)), config)
+        assert len(table.rows["series"]) == 10 and not skips
+        for ts, end in zip(table.rows["series"], table.rows["end"]):
+            head = ts.head(len(ts) - config.horizon)
             alone = fit_auto_ar(head.values, spec)
-            for f in dataclasses.fields(FittedForecaster):
-                assert np.array_equal(getattr(model, f.name), getattr(alone, f.name)), (head.series_id, f)
-            assert fc.tobytes() == forecast(alone, head, config.horizon).tobytes()
+            assert_end_fit(end, alone, head.series_id)
+            assert end["fc"].tobytes() == forecast(alone, head, config.horizon).tobytes()
 
     def test_seasonal_end_forecasts_gather_once_per_length_and_period(self, monkeypatch):
         # Two lengths and two periods in blocks of 2: one gather per block,
@@ -429,11 +459,12 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(bench, "_prefix_forecasts", counting)
         config = small_config(forecaster=ForecasterSpec(kind="seasonal_naive"))
-        rows, _ = bench._contexts(SeriesPanel(tuple(series)), config)
-        for row in rows:
-            model, fc = row["end"]
-            assert model is None
-            assert fc.tobytes() == seasonal_naive_forecast(row["head"], config.horizon).tobytes()
+        table, _ = bench._prefix_table(SeriesPanel(tuple(series)), config)
+        end = table.rows["end"]
+        assert not end["order"].any() and not end["phi"].any()  # seasonal naive fits nothing
+        for ts, fc in zip(table.rows["series"], end["fc"]):
+            head = ts.head(len(ts) - config.horizon)
+            assert fc.tobytes() == seasonal_naive_forecast(head, config.horizon).tobytes()
         # (length, period) groups (90, 12) x3, (90, 4) x2, (70, 12) x1 and (70, 4) x2.
         assert sorted(gathers) == [1, 1, 2, 2, 2]
 
@@ -472,11 +503,11 @@ class TestRunBenchmark:
         panel = SeriesPanel(tuple(dataclasses.replace(ts, values=1e155 * ts.values) for ts in small_panel(n=4)))
         config = BenchConfig()
         message = "auto_ar fit is not finite: the series' scale overflows the least-squares solve"
-        rows, skips = bench._contexts(panel, config)
-        results = {method: run_method(config, rows, method) for method in config.methods}
+        table, skips = bench._prefix_table(panel, config)
+        results = {method: run_method(config, table, method) for method in config.methods}
         with pytest.raises(NothingEvaluableError, match="auto_ar fit is not finite"):
             run_benchmark(config, panel=panel)
-        assert len(rows) == 4 and not skips
+        assert len(table.rows["series"]) == 4 and not skips
         for method, out in results.items():
             assert out == dict.fromkeys(panel.ids, message), method
 
@@ -561,7 +592,7 @@ class TestRunBenchmark:
             run_benchmark(small_config(methods=methods, cal_len=5), panel=panel)
         _, *method_solves = solves  # the first call builds the prefix table
         assert [sorted(sizes) for sizes in method_solves] == [[2, 4, 4]] * len(methods)
-        rows, _ = bench._contexts(panel, small_config(methods=methods, cal_len=5))
+        table, _ = bench._prefix_table(panel, small_config(methods=methods, cal_len=5))
         messages = {
             "mscp": "residual column for horizon 6 is empty",
             "aci": "aci_interval requires a nonempty score pool",
@@ -570,15 +601,15 @@ class TestRunBenchmark:
         }
         for method, message in messages.items():
             config = small_config(methods=(method,), cal_len=5)
-            assert run_method(config, rows, method) == dict.fromkeys(panel.ids, message)
+            assert run_method(config, table, method) == dict.fromkeys(panel.ids, message)
             # A block of one series, as a series alone, gives the same message.
             monkeypatch.setattr(forecaster, "_STACK_BLOCK", 1)
-            assert run_method(config, rows, method) == dict.fromkeys(panel.ids, message)
+            assert run_method(config, table, method) == dict.fromkeys(panel.ids, message)
             monkeypatch.setattr(forecaster, "_STACK_BLOCK", 4)
 
     @pytest.mark.parametrize(
         "method, solver",
-        [("cv_cp", "cv_intervals_stacked"), ("spci", "spci_intervals_stacked"), ("acmcp", "acmcp_run_stacked")],
+        [("cv_cp", "_cv_bounds"), ("spci", "_spci_bounds"), ("acmcp", "acmcp_run_stacked")],
     )
     def test_an_invalid_row_skips_only_its_series(self, monkeypatch, method, solver):
         # One series' forecast is NaN, so its bounds are: it alone skips,
@@ -586,12 +617,13 @@ class TestRunBenchmark:
         # retry one series at a time, and every other series gets bit for
         # bit what it gets as a block of its own.
         config = small_config(methods=(method,))
-        rows, _ = bench._contexts(small_panel(n=4), config)
-        end = rows[1]["end"]
-        rows[1] = rows[1] | {"end": bench._SeriesEnd(end.model, np.full(config.horizon, np.nan))}
+        table, _ = bench._prefix_table(small_panel(n=4), config)
+        end = table.rows["end"].copy()
+        end["fc"][1] = np.nan
+        table = table._replace(rows=table.rows | {"end": end})
         alone = {}
-        for row in rows:
-            alone |= run_method(config, [row], method)
+        for i in range(len(table.rows["series"])):
+            alone |= run_method(config, table_rows(table, [i]), method)
         calls = []
         solve = getattr(bench, solver)
 
@@ -600,15 +632,14 @@ class TestRunBenchmark:
             return solve(*args)
 
         monkeypatch.setattr(bench, solver, spy)
-        out = run_method(config, rows, method)
+        out = run_method(config, table, method)
         assert len(calls) == 1
-        bad = rows[1]["series"].series_id
+        bad = table.rows["series"][1].series_id
         assert out[bad] == alone[bad] == "interval bound is NaN"
         assert out.keys() == alone.keys() and len(out) == 4
         for sid in out.keys() - {bad}:
             assert out[sid].lower.tobytes() == alone[sid].lower.tobytes(), sid
             assert out[sid].upper.tobytes() == alone[sid].upper.tobytes(), sid
-            assert out[sid].diagnostics == alone[sid].diagnostics, sid
 
     def test_enbpi_alone_fits_no_end_model(self, monkeypatch):
         def refuse(*args):
@@ -658,7 +689,7 @@ class TestRunBenchmark:
         # Three series of one length and period: one stacked call, and no
         # enbpi_intervals call for any series.
         calls = []
-        stacked = bench.enbpi_intervals_stacked
+        stacked = bench._enbpi_bounds
 
         def counting(series, *args):
             calls.append(len(series))
@@ -667,7 +698,7 @@ class TestRunBenchmark:
         def refuse(*args):
             raise AssertionError("a series went through the lone enbpi_intervals")
 
-        monkeypatch.setattr(bench, "enbpi_intervals_stacked", counting)
+        monkeypatch.setattr(bench, "_enbpi_bounds", counting)
         monkeypatch.setattr(bench, "enbpi_intervals", refuse)
         monkeypatch.setattr(conformal, "enbpi_intervals", refuse)
         report = run_benchmark(small_config(methods=("enbpi",)), panel=small_panel(n=3))
@@ -679,7 +710,7 @@ class TestRunBenchmark:
         def refuse(*args):
             raise AssertionError("an EnbPI block was solved under seasonal naive")
 
-        monkeypatch.setattr(bench, "enbpi_intervals_stacked", refuse)
+        monkeypatch.setattr(bench, "_enbpi_bounds", refuse)
         config = small_config(methods=("enbpi", "mscp"), forecaster=ForecasterSpec(kind="seasonal_naive"))
         report = run_benchmark(config, panel=small_panel(n=3))
         reasons = [s[2] for s in report.skips if s[1] == "enbpi"]
@@ -778,10 +809,11 @@ class TestEnbpiBlocks:
         series += [dataclasses.replace(ts, series_id=f"p{ts.series_id}", period=4) for ts in series[::2]]
         panel = SeriesPanel(tuple(series))
         config = small_config(methods=("enbpi",), enbpi_members=5, enbpi_window=window)
-        rows, skips = bench._contexts(panel, config)
-        assert len(rows) == len(series) and not skips
+        table, skips = bench._prefix_table(panel, config)
+        assert len(table.rows["series"]) == len(series) and not skips
         assert len({(len(ts), ts.period) for ts in series}) == 4
-        out = run_method(config, rows[::-1] if reverse else rows, "enbpi")
+        rows = np.arange(len(series))
+        out = run_method(config, table_rows(table, rows[::-1] if reverse else rows), "enbpi")
         assert len(out) == len(series)
         for ts in series:
             spec = EnsembleSpec(B=5, window_len=window, seed=series_seed(config.seed, ts.series_id))
@@ -789,7 +821,6 @@ class TestEnbpiBlocks:
             got = out[ts.series_id]
             assert got.lower.tobytes() == alone.lower.tobytes(), ts.series_id
             assert got.upper.tobytes() == alone.upper.tobytes(), ts.series_id
-            assert got.diagnostics == alone.diagnostics, ts.series_id
 
     def test_a_failed_member_fit_skips_only_its_series(self, monkeypatch):
         # A block whose member solve raises is redone one series at a time.
@@ -831,31 +862,32 @@ class TestPrefixTable:
             methods=bench.METHODS, forecaster=spec, refit_every=refit_every, train_len=train_len, alpha=0.5,
             n_windows=n_windows,
         )
-        rows, skips = bench._contexts(panel, config)
-        assert len(rows) == 7 and not skips
+        table, skips = bench._prefix_table(panel, config)
+        assert len(table.rows["series"]) == 7 and not skips
         H = config.horizon
-        cv = run_method(config, rows, "cv_cp")
-        for row in rows:
-            series, head, end = row["series"], row["head"], row["end"]
+        cv = run_method(config, table, "cv_cp")
+        end = table.rows["end"]
+        for i, series in enumerate(table.rows["series"]):
             sid = series.series_id
+            head = series.head(len(series) - H)
             split = SplitSpec(train_len or len(series) - config.cal_len - H, config.cal_len, H)
-            for signed, matrix in ((True, row["signed"]), (False, np.abs(row["signed"]))):
+            signed_row = table.rows["signed"][i]
+            for signed, matrix in ((True, signed_row), (False, np.abs(signed_row))):
                 alone = build_residual_matrix(series, split, spec, H, refit_every, signed=signed)
                 assert matrix.shape == alone.matrix.shape, sid
                 assert matrix.tobytes() == alone.matrix.tobytes(), (sid, signed)
             if spec.kind == "auto_ar":
                 model = fit_auto_ar(head.values, spec)
-                for f in dataclasses.fields(FittedForecaster):
-                    assert np.array_equal(getattr(end.model, f.name), getattr(model, f.name)), (sid, f.name)
+                assert_end_fit(end[i], model, sid)
                 fc = forecast(model, head, H)
             else:
-                assert end.model is None
+                assert not end["order"][i] and not end["phi"][i].any()
                 fc = seasonal_naive_forecast(head, H)
-            assert end.fc.tobytes() == fc.tobytes(), sid
+            assert end["fc"][i].tobytes() == fc.tobytes(), sid
             alone = conformal.cv_conformal_intervals({sid: fc}, [head], config.n_windows, spec, config.alpha)[sid]
             if len(head) == 64 and n_windows == 11:
                 message = f"series {sid!r} admits no 11-window backtest at horizon 6"
-                assert row["backtest"] == cv[sid] == alone == message
+                assert table.faults["backtest"][i] == cv[sid] == alone == message
                 continue
             assert cv[sid].lower.tobytes() == alone.lower.tobytes(), sid
             assert cv[sid].upper.tobytes() == alone.upper.tobytes(), sid
@@ -863,13 +895,15 @@ class TestPrefixTable:
     def test_residual_rows_are_read_only(self):
         # Every method reads the same rows, so none may write to them.
         config = small_config(methods=("mscp", "cv_cp"))
-        rows, _ = bench._contexts(SeriesPanel(tuple(two_length_series(4))), config)
-        assert len(rows) == 7
-        for row in rows:
-            for kind in ("signed", "backtest"):
-                assert isinstance(row[kind], np.ndarray) and not row[kind].flags.writeable, kind
-                with pytest.raises(ValueError, match="read-only"):
-                    row[kind][0, 0] = 0.0
+        table, _ = bench._prefix_table(SeriesPanel(tuple(two_length_series(4))), config)
+        assert len(table.rows["series"]) == 7
+        for kind in ("signed", "backtest"):
+            rows = table.rows[kind]
+            assert isinstance(rows, np.ndarray) and not rows.flags.writeable, kind
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0, 0] = 0.0
+        for rows in (table.rows["truth"], table.rows["end"], table.rows["series"]):
+            assert not rows.flags.writeable
 
     def test_the_first_failed_read_is_the_skip_reason(self, monkeypatch):
         # A series whose end and calibration solves both fail, each with its
@@ -890,12 +924,12 @@ class TestPrefixTable:
             return fit_ar_prefixes(values, ends, *args)
 
         monkeypatch.setattr(forecaster, "_fit_ar_prefixes", failing_solve)
-        rows, _ = bench._contexts(SeriesPanel(panel.series + (bad,)), config)
-        (row,) = [row for row in rows if row["series"].series_id == "bad"]
-        assert (row["end"], row["signed"]) == ("end solve failed", "signed solve failed")
-        assert bench._read(rows, ("signed", "end"))["bad"] == "signed solve failed"
-        assert run_method(config, rows, "mscp")["bad"] == "end solve failed"
-        assert run_method(config, rows, "cv_cp")["bad"] == "end solve failed"
+        table, _ = bench._prefix_table(SeriesPanel(panel.series + (bad,)), config)
+        (row,) = [i for i, ts in enumerate(table.rows["series"]) if ts.series_id == "bad"]
+        assert (table.faults["end"][row], table.faults["signed"][row]) == ("end solve failed", "signed solve failed")
+        assert table.failures(("signed", "end"))[row] == "signed solve failed"
+        assert run_method(config, table, "mscp")["bad"] == "end solve failed"
+        assert run_method(config, table, "cv_cp")["bad"] == "end solve failed"
 
     def test_a_run_without_calibration_methods_fits_no_calibration_prefix(self, monkeypatch):
         # global_cp, parametric and cv_cp read only the end and the backtest:
@@ -979,6 +1013,102 @@ class TestPrefixTable:
         assert planned.records == retried.records and len(planned.records) == 16
 
 
+class TestArraySkips:
+    """A ragged panel with a row failing in each way a row can, run through
+    the prefix table's arrays by all eight methods."""
+
+    H, N_WINDOWS = 6, 11
+
+    @staticmethod
+    def explosive_fits(monkeypatch):
+        """Make the solver fail at the end of a head starting at 99.0, and
+        fit an explosive AR(2), 1e200 y[t-1] - 1e200 y[t-2], at the end of a
+        head starting at 77.0, whose psi weights overflow to inf - inf."""
+        fit_ar_prefixes = forecaster._fit_ar_prefixes
+
+        def patched(values, ends, *args):
+            n, ends = values.shape[1], np.asarray(ends)
+            if np.any(values[:, 0] == 99.0) and n in ends:
+                raise np.linalg.LinAlgError("end solve failed")
+            fits = fit_ar_prefixes(values, ends, *args)
+            rows, at = np.flatnonzero(values[:, 0] == 77.0)[:, None], np.flatnonzero(ends == n)
+            if rows.size and at.size:
+                order, intercept, phi, sigma2, aics = (a.copy() for a in fits)
+                order[rows, at], intercept[rows, at], sigma2[rows, at] = 2, 0.0, 1.0
+                phi[rows, at] = np.r_[1e200, -1e200, np.zeros(phi.shape[2] - 2)]
+                fits = forecaster._PrefixFits(order, intercept, phi, sigma2, aics)
+            return fits
+
+        monkeypatch.setattr(forecaster, "_fit_ar_prefixes", patched)
+
+    def panel(self):
+        base = small_panel(n=6).series
+        explosive = base[0].values.copy()
+        explosive[0] = 77.0
+        explosive[-self.H - 2 :][:2] = 0.0  # the head ends in two zeros, so its explosive forecast stays 0
+        failing = np.r_[99.0, base[1].values[1:]]
+        stamps = np.arange(1, 91, dtype=np.int64)
+        return SeriesPanel(base + (
+            TimeSeries("explosive", stamps, explosive, 12),
+            TimeSeries("failing", stamps, failing, 12),
+            dataclasses.replace(small_panel(n=1, seed=3, length=70).series[0], series_id="short"),  # no 11-window backtest
+            dataclasses.replace(small_panel(n=1, seed=4, length=20).series[0], series_id="tiny"),  # too short to evaluate
+        ))
+
+    def test_report_bytes_do_not_depend_on_the_block_and_skips_are_the_lone_messages(self, monkeypatch, tmp_path):
+        self.explosive_fits(monkeypatch)
+        panel = self.panel()
+        config = small_config(methods=bench.METHODS, n_windows=self.N_WINDOWS, enbpi_members=5, alpha=0.5)
+        payloads, reports = [], []
+        for block in (1, 2, 64):
+            monkeypatch.setattr(forecaster, "_STACK_BLOCK", block)
+            reports.append(run_benchmark(config, panel=panel))
+            emit_reports(reports[-1], str(tmp_path / str(block)))
+            payloads.append(_payload(tmp_path / str(block)))
+        assert payloads[0] == payloads[1] == payloads[2]
+        skips = {(sid, m): reason for sid, m, reason in reports[0].skips}
+        # The cohort is the first four of the eight series that pool, in panel order.
+        assert {sid for sid, _ in skips} == {"explosive", "failing", "short", "tiny", "s0000", "s0001", "s0002"}
+        assert all(skips["tiny", m].startswith("series too short: 20 observations") for m in bench.METHODS)
+        # Every other skip is the message of the lone public call that fails, and only those skip.
+        H, spec, alpha = self.H, config.forecaster, config.alpha
+        heads = {ts.series_id: ts.head(len(ts) - H) for ts in panel if ts.series_id != "tiny"}
+        pooled = {sid: forecast(fit_auto_ar(head.values, spec), head, H) for sid, head in heads.items() if sid != "failing"}
+        cohort = SeriesPanel(tuple(panel[sid] for sid in pooled))
+        calibration = global_cp_intervals(cohort, config.cohort_split, pooled, alpha, H).calibration_ids
+
+        def lone_message(sid, method):
+            ts, head = panel[sid], heads[sid]
+            if method == "enbpi":
+                spec_b = EnsembleSpec(B=5, window_len=config.enbpi_window, seed=series_seed(config.seed, sid))
+                enbpi_intervals(ts, H, spec_b, spec, alpha)
+                return None
+            try:
+                model = fit_auto_ar(head.values, spec)
+            except ValueError as e:
+                return str(e)
+            fc = forecast(model, head, H)
+            if method == "global_cp":
+                return "spent as pooled calibration cohort" if sid in calibration else None
+            if method == "parametric":
+                try:
+                    parametric_intervals(model, fc, alpha)
+                except ValueError as e:
+                    return str(e)
+            if method == "cv_cp":
+                out = conformal.cv_conformal_intervals({sid: fc}, [head], self.N_WINDOWS, spec, alpha)[sid]
+                return out if isinstance(out, str) else None
+            return None
+
+        for sid in heads:
+            for method in bench.METHODS:
+                assert skips.get((sid, method)) == lone_message(sid, method), (sid, method)
+        assert skips["explosive", "parametric"] == "interval bound is NaN"
+        assert skips["short", "cv_cp"] == "series 'short' admits no 11-window backtest at horizon 6"
+        assert [m for m in bench.METHODS if ("failing", m) in skips] == [m for m in bench.METHODS if m != "enbpi"]
+        assert {skips["failing", m] for m in bench.METHODS if m != "enbpi"} == {"end solve failed"}
+
+
 def _aci_radius_reference(alpha_t, pool):
     """ACI's radius at level 1 - alpha_t, written out: the whole line at a
     level >= 1, zero at a level <= 0, else the ceil(level * (n+1))-th
@@ -1028,16 +1158,18 @@ class TestAciWarmup:
     def test_matches_per_step_reference(self, streams, alpha, gamma):
         # A block of equal-length h=1 streams warmed at once: each row is
         # its stream's per-step reference.
-        block = [
-            (bench._SeriesEnd(None, np.array([5.0 + i])), np.array(scores)[:, None]) for i, scores in enumerate(streams)
-        ]
-        rows = bench._aci(BenchConfig(alpha=alpha, gamma=gamma), block)
-        assert len(rows) == len(streams)
-        for (end, _), scores, iv in zip(block, streams, rows):
-            alpha_t, errs = _aci_warmup_reference(scores, alpha, gamma)
-            assert iv.diagnostics == {"alpha_final": alpha_t, "warmup_errs": errs}
+        stream = np.array(streams).T  # (R, S)
+        config = BenchConfig(alpha=alpha, gamma=gamma, horizon=1)
+        end = bench._end_rows(len(streams), config)
+        end["fc"] = fc = 5.0 + np.arange(len(streams), dtype=np.float64)[:, None]
+        lower, upper, faults = bench._aci(config, end, stream.T[:, :, None])
+        assert faults == [None] * len(streams)
+        levels = bench._aci_warmup(stream, alpha, gamma)
+        for i, scores in enumerate(streams):
+            alpha_t, _ = _aci_warmup_reference(scores, alpha, gamma)
+            assert levels[i] == alpha_t
             radius = _aci_radius_reference(alpha_t, scores)
-            assert (iv.lower[0, 0], iv.upper[0, 0]) == (end.fc[0] - radius, end.fc[0] + radius)
+            assert (lower[i, 0], upper[i, 0]) == (fc[i, 0] - radius, fc[i, 0] + radius)
 
 
 def _payload(out_dir: Path) -> bytes:

@@ -602,13 +602,14 @@ def run_suite_spci(monkeypatch):
     from ctsbench import bench, conformal
 
     intervals = []
-    stacked = conformal.spci_intervals_stacked
+    bounds = conformal._spci_bounds
 
     def keep(*args):
-        intervals.extend(stacked(*args))
-        return intervals[-len(args[0]) :]
+        lower, upper, diagnostics = bounds(*args)
+        intervals.extend(conformal._interval_rows(lower, upper, diagnostics))
+        return lower, upper, diagnostics
 
-    monkeypatch.setattr(bench, "spci_intervals_stacked", keep)
+    monkeypatch.setattr(bench, "_spci_bounds", keep)
     report = bench.run_benchmark(bench.BenchConfig(seed=20, methods=("spci",)), suite_panel())
     assert not report.skips
     return intervals

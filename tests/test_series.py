@@ -442,6 +442,20 @@ class TestFirstOffendingRow:
             with mock.patch.object(series, "_CHUNK_CHARS", 2048):
                 assert parse_panel(text) == whole
 
+    def test_padded_ids_are_one_series_and_a_blank_id_its_own_row(self, header):
+        # A raw id seen in an earlier piece is looked up, not stripped again:
+        # ids padded with different whitespace in different pieces are one
+        # series, and an id that strips to empty in a later piece is
+        # reported at its own row.
+        rows = self.rows(1000)
+        pads = ("{}", " {}", "{}  ", "\t{} ")
+        padded = [[pads[r // 100 % 4].format(uid), ds, y] for r, (uid, ds, y) in enumerate(rows)]
+        with mock.patch.object(series, "_CHUNK_CHARS", 2048), mock.patch.object(series, "_CHUNK_ROWS", 64):
+            assert parse_panel(_csv(padded, header=header)) == parse_panel(_csv(rows, header=header))
+            padded[900][0] = " \t "
+            with pytest.raises(PanelError, match="^row 901: empty unique_id$"):
+                parse_panel(_csv(padded, header=header))
+
     @given(_panels(), st.data())
     def test_one_planted_defect_is_reported_at_its_row(self, header, panel, data):
         rows = list(csv.reader(io.StringIO(serialize_panel(panel))))[1:]
