@@ -30,9 +30,10 @@ the histories of all its horizons fitted together), `_parametric_bounds`
 in stacked AR solves), `_cv_bounds` (the cross-validation radius rule) and
 `_pooled_bounds` (Global-CP's cohort). Each gives (S, H) bound stacks, and
 `_row_faults` checks them in IntervalMatrix's one comparison, giving each
-invalid row its message. The public constructions wrap the same rules:
-`_interval_rows` makes each valid row an IntervalMatrix of read-only row
-views, and the lone cases and `global_cp_intervals` raise a fault.
+invalid row the message IntervalMatrix raises for it alone. Each public
+interval method is one call of its rule, on a one-row stack or, for
+`global_cp_intervals`, on the panel's cohort, and builds an IntervalMatrix
+of each row, which raises on an invalid one.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .forecaster import (
     _PrefixFits,
     _SharedError,
     _in_blocks,
-    _padded_phi,
     _prefix_forecasts,
     _refit_ends,
     fit_auto_ar,  # unused here, but perfbench/spans.py wraps conformal.fit_auto_ar
@@ -178,20 +178,17 @@ class IntervalMatrix:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        lo, hi = _frozen_bounds(self.lower, self.upper)
+        # Copies, so that freezing them never freezes or aliases a caller's array.
+        lo = np.array(self.lower, dtype=np.float64, order="C", ndmin=2)
+        hi = np.array(self.upper, dtype=np.float64, order="C", ndmin=2)
+        if lo.shape != hi.shape:
+            raise ValueError(f"bound shape mismatch: {lo.shape} vs {hi.shape}")
         if not _valid_cells(lo, hi).all():
             raise ValueError(_bound_fault(lo, hi))
+        lo.flags.writeable = False
+        hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-
-    @classmethod
-    def _of_valid(cls, lower: np.ndarray, upper: np.ndarray, diagnostics: dict) -> "IntervalMatrix":
-        """Intervals from fields that already are what __post_init__ makes of
-        valid ones (read-only 2-D bounds that no caller can write), set
-        without copying or checking again."""
-        iv = object.__new__(cls)
-        iv.__dict__.update(lower=lower, upper=upper, diagnostics=diagnostics)
-        return iv
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -207,18 +204,6 @@ class IntervalMatrix:
         return np.array_equal(self.lower, other.lower) and np.array_equal(
             self.upper, other.upper
         )
-
-
-def _frozen_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only 2-D copies of a pair of bound arrays of one shape; copies,
-    so that freezing them never freezes or aliases a caller's array."""
-    lo = np.array(lower, dtype=np.float64, order="C", ndmin=2)
-    hi = np.array(upper, dtype=np.float64, order="C", ndmin=2)
-    if lo.shape != hi.shape:
-        raise ValueError(f"bound shape mismatch: {lo.shape} vs {hi.shape}")
-    lo.flags.writeable = False
-    hi.flags.writeable = False
-    return lo, hi
 
 
 def _valid_cells(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -243,36 +228,6 @@ def _row_faults(lower: np.ndarray, upper: np.ndarray) -> list[str | None]:
     it is valid, of an (S, H) bound stack checked in one comparison."""
     valid = _valid_cells(lower, upper).all(axis=1).tolist()
     return [None if ok else _bound_fault(lower[s], upper[s]) for s, ok in enumerate(valid)]
-
-
-def _interval_rows(
-    lower: np.ndarray, upper: np.ndarray, diagnostics: Sequence[dict] | None = None, faults: list | None = None
-) -> list[IntervalMatrix | str]:
-    """The IntervalMatrix of each row of an (S, H) bound stack, or, for a
-    row that holds an invalid cell, the message IntervalMatrix raises for
-    that row alone (`_row_faults`, unless faults gives each row's).
-
-    The stack is copied and validated once; each valid row's bounds are
-    read-only (1, H) views of the copy, equal to what IntervalMatrix makes
-    of the row, and diagnostics[s] is row s's.
-    """
-    lo, hi = _frozen_bounds(lower, upper)
-    if lo.ndim != 2:
-        raise ValueError(f"need (S, H) bound stacks, got shape {lo.shape}")
-    # A row of a validated stack is valid.
-    return [
-        fault if fault is not None
-        else IntervalMatrix._of_valid(lo[s : s + 1], hi[s : s + 1], {} if diagnostics is None else diagnostics[s])
-        for s, fault in enumerate(_row_faults(lo, hi) if faults is None else faults)
-    ]
-
-
-def _rows_or_raise(rows: list) -> list:
-    """rows, if none of them is a message; else raise the first message."""
-    for row in rows:
-        if isinstance(row, str):
-            raise ValueError(row)
-    return rows
 
 
 def _signed_residuals(values: np.ndarray, ends: np.ndarray, yhat: np.ndarray) -> np.ndarray:
@@ -433,31 +388,19 @@ def _check_ensemble_forecaster(forecaster: ForecasterSpec) -> None:
         raise ValueError("EnbPI ensembles require an autoregressive forecaster")
 
 
-def enbpi_intervals_stacked(
-    series: Sequence[TimeSeries],
-    test_len: int,
-    specs: Sequence[EnsembleSpec],
-    forecaster: ForecasterSpec,
-    alpha: float,
-) -> list[IntervalMatrix | str]:
-    """enbpi_intervals of many series of one length and period, with one
-    spec each; the specs may differ only in their seeds (`_enbpi_bounds`).
-    Each series gets bit for bit what enbpi_intervals gives it, or the
-    message of an error of its own (invalid bounds, say)."""
-    lower, upper, faults, diagnostics = _enbpi_bounds(series, test_len, specs, forecaster, alpha)
-    return _interval_rows(lower, upper, diagnostics, faults)
-
-
 def _enbpi_bounds(
     series: Sequence[TimeSeries], test_len: int, specs: Sequence[EnsembleSpec], forecaster: ForecasterSpec, alpha: float
 ) -> tuple[np.ndarray, np.ndarray, list[str | None], list[dict]]:
-    """The (S, test_len) bounds of enbpi_intervals_stacked, each row's
-    fault (`_row_faults`, or that it has no leave-one-out residual) and
-    diagnostics. Each series draws its members' resamples from its own
-    seed, and the members of every series are fitted in stacked solves of
-    at most forecaster._STACK_BLOCK members; their one-step predictions,
-    the leave-one-out residuals, the windows and the radii are each one
-    pass over the stack. Every step acts on each series alone.
+    """The (S, test_len) bounds that enbpi_intervals gives each of many
+    series of one length and period, with one spec each that may differ
+    from the others only in its seed, each row's fault (`_row_faults`, or
+    that it has no leave-one-out residual) and diagnostics. Each series
+    draws its members' resamples from its own seed, and the members of
+    every series are fitted in stacked solves of at most
+    forecaster._STACK_BLOCK members; their one-step predictions, the
+    leave-one-out residuals, the windows and the radii are each one pass
+    over the stack. Every step acts on each series alone, so each row is
+    bit for bit the series' alone.
     """
     _check_ensemble_forecaster(forecaster)
     if test_len < 1:
@@ -535,9 +478,12 @@ def enbpi_intervals(
     window while the oldest entry leaves. Bootstrap members are fitted on
     contiguous concatenations of blocks (block length = seasonal period)
     so serial dependence inside a block survives resampling. The
-    one-series case of enbpi_intervals_stacked.
+    one-series case of `_enbpi_bounds`.
     """
-    return _rows_or_raise(enbpi_intervals_stacked([series], test_len, [spec], forecaster, alpha))[0]
+    lower, upper, faults, diagnostics = _enbpi_bounds([series], test_len, [spec], forecaster, alpha)
+    if faults[0] is not None:
+        raise ValueError(faults[0])
+    return IntervalMatrix(lower, upper, diagnostics[0])
 
 
 @dataclass(frozen=True)
@@ -585,7 +531,7 @@ def _spci_pairs(
     short = lengths < w + 10
     if short.any():
         # Each horizon's histories share their length across the series of
-        # a stack (spci_intervals_stacked), so every series shares the error.
+        # a stack (`_spci_bounds`), so every series shares the error.
         raise _SharedError(f"residual history too short: need >= {w + 10}, have {lengths[np.argmax(short)]}")
     betas = np.linspace(0.0, alpha, 11)
     m = len(betas)
@@ -615,33 +561,27 @@ def spci_intervals(
 
     Each horizon h gets its own quantile regression on that horizon's
     signed residual column, evaluated at the column's latest lag vector.
+    The one-series case of `_spci_bounds`.
     """
     if not residuals.signed:
         raise ValueError("spci_intervals requires signed residuals")
     fc = np.asarray(forecasts, dtype=np.float64).ravel()
-    return _rows_or_raise(spci_intervals_stacked(fc[None], residuals.matrix[None], spec, alpha))[0]
-
-
-def spci_intervals_stacked(
-    forecasts: np.ndarray, signed: np.ndarray, spec: SpciSpec, alpha: float
-) -> list[IntervalMatrix | str]:
-    """spci_intervals of many series: forecasts (S, H) and their signed
-    residuals, an (S, R, H') stack with H' >= H, NaN-padded as in
-    ResidualMatrix.
-
-    At each horizon h the column-h residual histories of every series
-    must have equal lengths. The histories of every horizon and series are
-    fitted in one solver call, which solves the designs of each row bucket
-    together. Each series gets the intervals and diagnostics that
-    spci_intervals gives it alone, or the message of its invalid bounds.
-    """
-    return _interval_rows(*_spci_bounds(forecasts, signed, spec, alpha))
+    lower, upper, diagnostics = _spci_bounds(fc[None], residuals.matrix[None], spec, alpha)
+    return IntervalMatrix(lower, upper, diagnostics[0])
 
 
 def _spci_bounds(
     forecasts: np.ndarray, signed: np.ndarray, spec: SpciSpec, alpha: float
 ) -> tuple[np.ndarray, np.ndarray, list[dict]]:
-    """The (S, H) bounds of spci_intervals_stacked and each row's diagnostics."""
+    """The (S, H) bounds that spci_intervals gives each of many series, and
+    each row's diagnostics: forecasts (S, H) and their signed residuals, an
+    (S, R, H') stack with H' >= H, NaN-padded as in ResidualMatrix.
+
+    At each horizon h the column-h residual histories of every series
+    must have equal lengths. The histories of every horizon and series are
+    fitted in one solver call, which solves the designs of each row bucket
+    together, and each row is bit for bit the series' alone.
+    """
     fc = np.atleast_2d(np.asarray(forecasts, dtype=np.float64))
     signed = np.asarray(signed, dtype=np.float64)
     S, horizon = fc.shape
@@ -698,9 +638,9 @@ def global_cp_intervals(
     1 - alpha/horizon. Evaluation series receive those radii around their
     own forecasts.
     """
-    k = _cohort_size(len(panel), cohort_split)
     if not 0.0 < cohort_split < 1.0:
         raise ValueError(f"cohort_split must be in (0, 1), got {cohort_split}")
+    k = _cohort_size(len(panel), cohort_split)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     ids = panel.ids
@@ -714,7 +654,8 @@ def global_cp_intervals(
             raise ValueError(f"forecast for series {sid!r} has shape {np.shape(forecasts[sid])}, expected ({horizon},)")
     truth = np.array([panel[sid].values[-horizon:] for sid in ids[:k]])
     radii, lower, upper = _pooled_bounds(truth, np.array([forecasts[sid] for sid in ids], dtype=np.float64), alpha)
-    return GlobalCpResult(dict(zip(ids[k:], _interval_rows(lower, upper))), radii, ids[:k], ids[k:])
+    intervals = {sid: IntervalMatrix(lo, hi) for sid, lo, hi in zip(ids[k:], lower, upper)}
+    return GlobalCpResult(intervals, radii, ids[:k], ids[k:])
 
 
 def _cohort_size(n: int, cohort_split: float) -> int:
@@ -736,7 +677,9 @@ def _pooled_bounds(truth: np.ndarray, forecasts: np.ndarray, alpha: float) -> tu
         raise ValueError("pooled calibration scores must be finite")
     radii = _conformal_radii(resid, 1.0 - alpha / horizon)
     lower, upper = forecasts[k:] - radii, forecasts[k:] + radii
-    _rows_or_raise(_row_faults(lower, upper))
+    fault = next(filter(None, _row_faults(lower, upper)), None)
+    if fault is not None:
+        raise ValueError(fault)
     return radii, lower, upper
 
 
@@ -750,15 +693,10 @@ def _backtest_cutoffs(n: int, n_windows: int, horizon: int) -> np.ndarray | None
 _NO_BACKTEST = "series {!r} admits no {}-window backtest at horizon {}"  # where _backtest_cutoffs is None
 
 
-def cv_intervals_stacked(forecasts: np.ndarray, backtests: np.ndarray, alpha: float) -> list[IntervalMatrix | str]:
-    """Intervals around (S, H) forecasts whose radii are the uncorrected
-    (1-alpha) quantiles of each column of (S, n_windows, H) backtest
-    residuals (`_cv_bounds`); each row as `_interval_rows` gives it."""
-    return _interval_rows(*_cv_bounds(forecasts, backtests, alpha))
-
-
 def _cv_bounds(forecasts: np.ndarray, backtests: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """The (S, H) bounds of cv_intervals_stacked."""
+    """The (S, H) bounds around (S, H) forecasts whose radii are the
+    uncorrected (1-alpha) quantiles of each column of (S, n_windows, H)
+    backtest residuals: cv_conformal_intervals' radius rule."""
     r = np.quantile(np.abs(backtests), 1.0 - alpha, axis=1)
     return forecasts - r, forecasts + r
 
@@ -777,7 +715,7 @@ def cv_conformal_intervals(
     of that length, at cutoffs that step back from the series end in
     strides of horizon, refit `forecaster` before each cutoff, and the
     per-horizon radii are the empirical (1-alpha) quantiles of their
-    absolute residuals (`cv_intervals_stacked`); no finite-sample
+    absolute residuals (`_cv_bounds`); no finite-sample
     correction is applied, so small n_windows gives anti-conservative
     intervals (mirroring the cross-validation baseline this reproduces).
 
@@ -817,22 +755,8 @@ def cv_conformal_intervals(
         if isinstance(residuals, str):  # a failed backtest is the series' message
             out[sid] = residuals
         else:  # an invalid interval raises
-            out[sid] = _rows_or_raise(cv_intervals_stacked(yhat[None], residuals[None], alpha))[0]
+            out[sid] = IntervalMatrix(*_cv_bounds(yhat[None], residuals[None], alpha))
     return out
-
-
-def parametric_intervals_stacked(
-    models: Sequence[FittedForecaster], forecasts: np.ndarray, alpha: float
-) -> list[IntervalMatrix | str]:
-    """Gaussian intervals from the AR psi-weight forecast variance of many
-    models at once; forecasts is their (S, horizon) stack of point forecasts.
-
-    Row s gets bit for bit what parametric_intervals gives its model alone,
-    or, where those intervals are invalid (NaN bounds from an explosive
-    model, say), the error message in their place (`_parametric_bounds`).
-    """
-    order, sigma2 = np.array([m.order for m in models]), np.array([m.sigma2 for m in models])
-    return _interval_rows(*_parametric_bounds(_padded_phi(models), order, sigma2, forecasts, alpha))
 
 
 @np.errstate(invalid="ignore")  # inf - inf, where an overflowing forecast meets its infinite width: NaN, rejected
@@ -840,7 +764,9 @@ def _parametric_bounds(
     phi: np.ndarray, order: np.ndarray, sigma2: np.ndarray, forecasts: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (S, H) Gaussian bounds around the forecasts of S autoregressions,
-    phi (S, P) zero-padded past each order (`forecaster.sigma_h_stacked`)."""
+    phi (S, P) zero-padded past each order (`forecaster.sigma_h_stacked`):
+    row s is bit for bit what parametric_intervals gives its model alone.
+    NaN bounds (from an explosive model, say) are the caller's to reject."""
     forecasts = np.asarray(forecasts, dtype=np.float64)
     if forecasts.ndim != 2 or len(forecasts) != len(phi):
         raise ValueError(f"need one forecast row per model, got shape {forecasts.shape} for {len(phi)} models")
@@ -857,6 +783,8 @@ def parametric_intervals(
     """Gaussian intervals from the AR psi-weight forecast variance.
 
     forecast is the model's point forecast; the horizon is its length. The
-    one-row case of parametric_intervals_stacked.
+    one-row case of `_parametric_bounds`.
     """
-    return _rows_or_raise(parametric_intervals_stacked([model], [forecast], alpha))[0]
+    return IntervalMatrix(
+        *_parametric_bounds(model.phi[None], np.array([model.order]), np.array([model.sigma2]), [forecast], alpha)
+    )

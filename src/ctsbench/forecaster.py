@@ -52,9 +52,8 @@ most `_STACK_BLOCK` (64), in bench's prefix table and the cv_cp backtest,
 by `_in_blocks`, which also redoes a failed block one series at a time,
 unless its error is one that every series shares (`_SharedError`);
 EnbPI slices the bootstrap members of all its series by the same bound,
-and bench stacks SPCI's quantile regressions
-(`conformal.spci_intervals_stacked`) and EnbPI's series in the same
-blocks.
+and bench stacks SPCI's quantile regressions (`conformal._spci_bounds`)
+and EnbPI's series (`conformal._enbpi_bounds`) in the same blocks.
 
 Rank rule: in the scaled cross-product A of an order, the pivot of column
 j, 1 / [A^-1]_jj, is the squared sine of the angle between that column and
@@ -315,17 +314,12 @@ def fit_auto_ar(train: np.ndarray | TimeSeries, spec: ForecasterSpec) -> FittedF
         values = np.asarray(train, dtype=np.float64)
         if not np.all(np.isfinite(values)):
             raise ValueError("auto_ar needs finite observations")
-    return _fit_stack(values[None], spec)[0]
-
-
-def _fit_stack(values: np.ndarray, spec: ForecasterSpec) -> list[FittedForecaster]:
-    """fit_auto_ar on every series of an (S, n) stack, in one solve."""
-    fits = _fit_ar_prefixes(values, [values.shape[1]], spec.max_order, spec.include_drift)
-    order, intercept, phi, sigma2, aics = (a[:, 0] for a in fits)
-    return [
-        FittedForecaster(phi=row[:p], intercept=c, sigma2=s2, order=p, aics=tuple(a))
-        for p, c, row, s2, a in zip(order.tolist(), intercept.tolist(), phi, sigma2.tolist(), aics.tolist())
-    ]
+    fits = _fit_ar_prefixes(values[None], [len(values)], spec.max_order, spec.include_drift)
+    order, intercept, phi, sigma2, aics = (a[0, 0] for a in fits)
+    p = int(order)
+    return FittedForecaster(
+        phi=phi[:p], intercept=float(intercept), sigma2=float(sigma2), order=p, aics=tuple(aics.tolist())
+    )
 
 
 # What a fit or an interval method raises on data it cannot handle (LinAlgError is a ValueError).
@@ -406,14 +400,6 @@ def _forecast_paths(
             np.multiply(phi[..., j], path[..., t - 1 - j], out=lag, where=uses[j])
             np.add(yhat, lag, out=yhat, where=uses[j])
     return path[..., P:]
-
-
-def _padded_phi(models: Sequence[FittedForecaster]) -> np.ndarray:
-    """The (S, P) coefficients of S models, each row zero-padded past its order."""
-    phi = np.zeros((len(models), max((m.order for m in models), default=0)))
-    for row, m in zip(phi, models):
-        row[: m.order] = m.phi
-    return phi
 
 
 def forecast(model: FittedForecaster, history: np.ndarray | TimeSeries, horizon: int) -> np.ndarray:

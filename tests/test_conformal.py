@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import inspect
 import math
 import random
 
@@ -24,9 +25,7 @@ from ctsbench.conformal import (
     global_cp_intervals,
     mscp_intervals,
     parametric_intervals,
-    parametric_intervals_stacked,
     spci_intervals,
-    spci_intervals_stacked,
 )
 from ctsbench.forecaster import (
     FittedForecaster,
@@ -600,7 +599,7 @@ class TestEnbpi:
             ([a, b], [spec], "2 series"),
         ):
             with pytest.raises(ValueError, match=match):
-                conformal.enbpi_intervals_stacked(series, 6, specs, ForecasterSpec(), 0.1)
+                conformal._enbpi_bounds(series, 6, specs, ForecasterSpec(), 0.1)
 
     def test_loo_hand_example(self):
         # order-0 members are constant predictors, so LOO means are explicit
@@ -741,8 +740,8 @@ class TestSpci:
         monkeypatch.setattr(quantreg, "_fit_stack", solve_spy)
         rng = np.random.default_rng(5)
         signed = np.stack([padded_signed_residuals(rng).matrix for _ in range(12)])
-        ivs = spci_intervals_stacked(np.zeros((12, 4)), signed, SpciSpec(lag_count=4), 0.1)
-        assert len(ivs) == 12
+        lower, upper, diagnostics = conformal._spci_bounds(np.zeros((12, 4)), signed, SpciSpec(lag_count=4), 0.1)
+        assert lower.shape == upper.shape == (12, 4) and len(diagnostics) == 12
         assert calls == [[(23, 12), (24, 12), (25, 12), (26, 12)]]
         assert sorted(solves) == [(24, 24, 4), (24, 32, 4)]
 
@@ -789,13 +788,14 @@ class TestSpci:
         residuals.append(ResidualMatrix(np.where(np.isnan(pattern), np.nan, 2.0), residuals[0].origins, signed=True))
         fc = rng.standard_normal((7, 4))
         spec = SpciSpec(lag_count=4)
-        stacked = spci_intervals_stacked(fc, np.stack([res.matrix for res in residuals]), spec, 0.1)
-        for f, res, iv in zip(fc, residuals, stacked):
+        lower, upper, diagnostics = conformal._spci_bounds(fc, np.stack([res.matrix for res in residuals]), spec, 0.1)
+        assert conformal._row_faults(lower, upper) == [None] * 7
+        for f, res, lo, hi, diag in zip(fc, residuals, lower, upper, diagnostics):
             alone = spci_intervals(f, res, spec, 0.1)
-            assert iv.lower.tobytes() == alone.lower.tobytes()
-            assert iv.upper.tobytes() == alone.upper.tobytes()
-            assert iv.diagnostics == alone.diagnostics
-        assert [iv.diagnostics["fallbacks"] for iv in stacked] == [0] * 6 + [4]
+            assert lo.tobytes() == alone.lower.tobytes()
+            assert hi.tobytes() == alone.upper.tobytes()
+            assert diag == alone.diagnostics
+        assert [diag["fallbacks"] for diag in diagnostics] == [0] * 6 + [4]
 
     def test_a_replaced_one_problem_fitter_sees_every_fit(self, monkeypatch):
         # perfbench traces quantreg at conformal.fit_pinball_linear: with that
@@ -805,7 +805,7 @@ class TestSpci:
         signed = np.stack([padded_signed_residuals(rng).matrix for _ in range(5)])
         fc = rng.standard_normal((5, 4))
         spec = SpciSpec(lag_count=4)
-        stacked = spci_intervals_stacked(fc, signed, spec, 0.1)
+        stacked = conformal._spci_bounds(fc, signed, spec, 0.1)
         designs = []
         real = conformal.fit_pinball_linear
 
@@ -815,13 +815,14 @@ class TestSpci:
 
         monkeypatch.setattr(conformal, "fit_pinball_linear", spy)
         monkeypatch.setattr(conformal, "fit_pinball_stacked", None)
-        traced = spci_intervals_stacked(fc, signed, spec, 0.1)
+        traced = conformal._spci_bounds(fc, signed, spec, 0.1)
         assert len(designs) == 5 * 4
         assert all(len(shape) == 2 for shape in designs)
-        for a, b in zip(stacked, traced):
-            assert a.lower.tobytes() == b.lower.tobytes()
-            assert a.upper.tobytes() == b.upper.tobytes()
-            assert a.diagnostics == b.diagnostics
+        (lower, upper, diagnostics), (traced_lower, traced_upper, traced_diagnostics) = stacked, traced
+        assert conformal._row_faults(lower, upper) == [None] * 5
+        assert lower.tobytes() == traced_lower.tobytes()
+        assert upper.tobytes() == traced_upper.tobytes()
+        assert diagnostics == traced_diagnostics
 
     def test_stack_needs_equal_column_lengths(self):
         rng = np.random.default_rng(7)
@@ -829,14 +830,14 @@ class TestSpci:
         signed = np.stack([padded_signed_residuals(rng).matrix for _ in range(2)])
         signed[1, 0] = np.nan
         with pytest.raises(ValueError, match="horizon 1 residual columns differ in length"):
-            spci_intervals_stacked(np.zeros((2, 4)), signed, SpciSpec(lag_count=4), 0.1)
+            conformal._spci_bounds(np.zeros((2, 4)), signed, SpciSpec(lag_count=4), 0.1)
 
     def test_stack_rejects_an_infinite_residual(self):
         # The residual matrix's own check and message: NaN is the only padding.
         signed = np.stack([padded_signed_residuals(np.random.default_rng(7)).matrix])
         signed[0, 3, 1] = -np.inf
         with pytest.raises(ValueError, match="residual matrix entries must be finite; NaN marks padding"):
-            spci_intervals_stacked(np.zeros((1, 4)), signed, SpciSpec(lag_count=4), 0.1)
+            conformal._spci_bounds(np.zeros((1, 4)), signed, SpciSpec(lag_count=4), 0.1)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([-50, -20, 0, 20, 50]))
@@ -863,6 +864,12 @@ class TestGlobalCp:
         panel = SeriesPanel((make_series(np.arange(30.0)),))
         with pytest.raises(ValueError, match="requires a cohort"):
             global_cp_intervals(panel, 0.5, local_forecasts(panel, 3), 0.1, 3)
+
+    @pytest.mark.parametrize("cohort_split", [0.0, 1.0, 1.5, math.nan])
+    def test_cohort_split_must_be_a_fraction(self, cohort_split):
+        panel = SeriesPanel(tuple(make_series(np.arange(30.0), series_id=f"s{i}") for i in range(4)))
+        with pytest.raises(ValueError, match=rf"cohort_split must be in \(0, 1\), got {cohort_split}"):
+            global_cp_intervals(panel, cohort_split, {sid: np.zeros(3) for sid in panel.ids}, 0.1, 3)
 
     def test_h1_equals_split_conformal(self):
         # with one horizon the pooled construction reduces to plain split
@@ -1062,29 +1069,38 @@ class TestParametric:
         # An AR(2) whose psi reaches inf - inf: NaN bounds, so its message.
         models.append(FittedForecaster(np.array([1e200, -1e200]), 0.0, 1.0, 2, (0.0,) * 3))
         fcs.append(np.zeros(7))
+        phi = np.zeros((len(models), max(m.order for m in models)))
+        for row, m in zip(phi, models):
+            row[: m.order] = m.phi
+        order, sigma2 = np.array([m.order for m in models]), np.array([m.sigma2 for m in models])
         with np.errstate(over="ignore", invalid="ignore"):
-            got = parametric_intervals_stacked(models, np.stack(fcs), 0.1)
-            for out, model, fc in zip(got[:-1], models, fcs):
+            lower, upper = conformal._parametric_bounds(phi, order, sigma2, np.stack(fcs), 0.1)
+            faults = conformal._row_faults(lower, upper)
+            for lo, hi, model, fc in zip(lower[:-1], upper[:-1], models, fcs):
                 alone = parametric_intervals(model, fc, 0.1)
-                assert out.lower.tobytes() == alone.lower.tobytes()
-                assert out.upper.tobytes() == alone.upper.tobytes()
+                assert lo.tobytes() == alone.lower.tobytes()
+                assert hi.tobytes() == alone.upper.tobytes()
             with pytest.raises(ValueError, match="interval bound is NaN"):
                 parametric_intervals(models[-1], fcs[-1], 0.1)
-        assert np.isposinf(got[2].width[0, 2:]).all()
-        assert got[-1] == "interval bound is NaN"
+        assert np.isposinf(upper[2, 2:] - lower[2, 2:]).all()
+        assert faults == [None] * (len(models) - 1) + ["interval bound is NaN"]
 
     def test_stacked_shapes_are_checked(self):
-        model = FittedForecaster(np.array([0.5]), 0.0, 1.0, 1, (0.0, 0.0))
+        phi, order, sigma2 = np.array([[0.5]]), np.array([1]), np.array([1.0])
         with pytest.raises(ValueError, match="one forecast row per model"):
-            parametric_intervals_stacked([model], np.zeros((2, 3)), 0.1)
+            conformal._parametric_bounds(phi, order, sigma2, np.zeros((2, 3)), 0.1)
         with pytest.raises(ValueError, match="alpha"):
-            parametric_intervals_stacked([model], np.zeros((1, 3)), 1.0)
+            conformal._parametric_bounds(phi, order, sigma2, np.zeros((1, 3)), 1.0)
 
 
 class TestIntervalMatrix:
     def test_crossed_bounds_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             IntervalMatrix(lower=np.array([[1.0]]), upper=np.array([[0.0]]))
+
+    def test_bound_shapes_must_match(self):
+        with pytest.raises(ValueError, match=r"bound shape mismatch: \(2, 3\) vs \(3, 3\)"):
+            IntervalMatrix(lower=np.zeros((2, 3)), upper=np.zeros((3, 3)))
 
     def test_width(self):
         iv = IntervalMatrix(lower=np.array([[0.0, 1.0]]), upper=np.array([[2.0, 4.0]]))
@@ -1131,41 +1147,43 @@ class TestIntervalMatrix:
         assert np.all(iv.width >= 0.0)  # and so no width is nan
 
 
-def test_interval_rows_are_each_row_alone():
+def test_row_faults_are_each_row_alone():
     # Rows 1-4 hold a NaN bound, a crossed cell, and cells pinned at +inf
-    # and at -inf; the others are valid, one of them infinitely wide.
+    # and at -inf; the others are valid, one of them infinitely wide. Each
+    # row's fault is the message IntervalMatrix raises for that row alone,
+    # which bench reports as the row's skip.
     inf, nan = math.inf, math.nan
     lower = np.array([[0.0, 1.0], [nan, 0.0], [0.0, 2.0], [inf, 0.0], [0.0, -inf], [-inf, -inf], [3.0, 3.0]])
     upper = np.array([[1.0, 2.0], [1.0, 1.0], [1.0, 1.0], [inf, 1.0], [1.0, -inf], [inf, inf], [3.0, 3.0]])
-    diagnostics = [{"row": s} for s in range(len(lower))]
-    rows = conformal._interval_rows(lower, upper, diagnostics)
-    assert rows[1:5] == [
+    faults = conformal._row_faults(lower, upper)
+    assert faults[1:5] == [
         "interval bound is NaN",
         "lower bound exceeds upper bound",
         "interval pinned at an infinite bound",
         "interval pinned at an infinite bound",
     ]
-    for s, row in enumerate(rows):
+    for s, fault in enumerate(faults):
         try:
             alone = IntervalMatrix(lower=lower[s], upper=upper[s])
         except ValueError as e:
-            assert row == str(e)
+            assert fault == str(e)
             continue
-        assert isinstance(row, IntervalMatrix) and row == alone
-        assert row.lower.tobytes() == alone.lower.tobytes() and row.upper.tobytes() == alone.upper.tobytes()
-        assert row.shape == (1, 2) and row.diagnostics == {"row": s}
-        assert not row.lower.flags.writeable and not row.upper.flags.writeable
-        assert not np.shares_memory(row.lower, lower) and not np.shares_memory(row.upper, upper)
-        with pytest.raises(ValueError):
-            row.lower[0, 0] = 0.0
-    assert [s for s, row in enumerate(rows) if isinstance(row, IntervalMatrix)] == [0, 5, 6]
-    assert lower.flags.writeable and upper.flags.writeable
-    lower[0, 0] = -5.0
-    assert rows[0].lower[0, 0] == 0.0
+        assert fault is None
+        assert alone.lower.tobytes() == lower[s].tobytes() and alone.upper.tobytes() == upper[s].tobytes()
+    assert [s for s, fault in enumerate(faults) if fault is None] == [0, 5, 6]
 
 
-def test_interval_rows_check_shapes():
-    with pytest.raises(ValueError, match="bound shape mismatch"):
-        conformal._interval_rows(np.zeros((2, 3)), np.zeros((3, 3)))
-    with pytest.raises(ValueError, match=r"need \(S, H\) bound stacks"):
-        conformal._interval_rows(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)))
+def test_every_public_construction_is_exported():
+    # A public function or class of the module is package API: none exists
+    # only for its own tests.
+    import ctsbench
+
+    defined = {
+        name
+        for name, obj in vars(conformal).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == conformal.__name__
+    }
+    assert "spci_intervals" in defined
+    assert defined <= set(ctsbench.__all__), sorted(defined - set(ctsbench.__all__))

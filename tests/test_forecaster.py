@@ -17,7 +17,6 @@ from ctsbench.forecaster import (
     _fit_ar_prefixes,
     _forecast_paths,
     _in_blocks,
-    _padded_phi,
     _prefix_forecasts,
     _refit_ends,
     _sweep_inverse,
@@ -513,15 +512,16 @@ def test_a_model_copies_its_coefficients():
     assert model.phi[0] == 0.5
 
 
-def test_stacked_models_are_the_validated_models():
+def test_fitted_models_are_the_validated_models():
     stack = np.stack([family_series(f, 40, 5.0, i) for i, f in enumerate(["noise", "ar1", "constant", "noise"])])
-    models = forecaster._fit_stack(stack, ForecasterSpec(max_order=4))
+    models = [fit_auto_ar(values, ForecasterSpec(max_order=4)) for values in stack]
     assert len({m.order for m in models}) > 1
     for m in models:
         built = FittedForecaster(m.phi.copy(), m.intercept, m.sigma2, m.order, m.aics)
         assert (m.phi.dtype, m.phi.shape, m.phi.tobytes()) == (built.phi.dtype, built.phi.shape, built.phi.tobytes())
         assert (m.intercept, m.sigma2, m.order, m.aics) == (built.intercept, built.sigma2, built.order, built.aics)
         assert [type(v) for v in (m.intercept, m.sigma2, m.order)] == [float, float, int]
+        assert {type(a) for a in m.aics} == {float}
         assert not m.phi.flags.writeable and not np.shares_memory(m.phi, stack)
 
 
@@ -617,7 +617,10 @@ def test_forecast_path_rows_are_the_scalar_loop(rows, extra, horizon, seed):
         stack = [models[i] for i in idx]
         order = np.array([[m.order] for m in stack])
         intercept = np.array([[m.intercept] for m in stack])
-        return _forecast_paths(histories[idx], np.array([n]), order, intercept, _padded_phi(stack)[:, None], horizon)[:, 0]
+        phi = np.zeros((len(stack), 1, max(m.order for m in stack)))  # zero-padded past each order
+        for row, m in zip(phi, stack):
+            row[0, : m.order] = m.phi
+        return _forecast_paths(histories[idx], np.array([n]), order, intercept, phi, horizon)[:, 0]
 
     whole = paths(list(range(len(models))))
     with mock.patch.object(forecaster, "_STACK_BLOCK", 2):

@@ -606,7 +606,7 @@ def run_suite_spci(monkeypatch):
 
     def keep(*args):
         lower, upper, diagnostics = bounds(*args)
-        intervals.extend(conformal._interval_rows(lower, upper, diagnostics))
+        intervals.extend(map(conformal.IntervalMatrix, lower, upper, diagnostics))
         return lower, upper, diagnostics
 
     monkeypatch.setattr(bench, "_spci_bounds", keep)

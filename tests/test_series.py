@@ -16,7 +16,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ctsbench import series
-from ctsbench.conformal import IntervalMatrix
 from ctsbench.series import (
     PanelError,
     SeriesPanel,
@@ -126,7 +125,7 @@ class TestTimeSeries:
         assert a != c
 
 
-@pytest.mark.parametrize("cls", [TimeSeries, IntervalMatrix])
+@pytest.mark.parametrize("cls", [TimeSeries])
 def test_trusted_constructor_sets_every_field(cls):
     # _of_valid skips __post_init__, so a field it did not take would be
     # silently missing from the objects it builds.
