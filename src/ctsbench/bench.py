@@ -10,7 +10,12 @@ the calibration origins, and cv_cp's backtest residuals, each row bit for
 bit what a lone public build gives (`fit_auto_ar`, `forecast`,
 `build_residual_matrix`, `cv_conformal_intervals`), and the message of
 every row that could not be made. It is made once, with one batched solve
-and one recursion per block of heads (`forecaster._prefix_forecasts`).
+and one recursion of the distinct prefix ends of every row a block of
+heads needs (`forecaster._prefix_forecasts`). Every run follows one
+rolling-origin protocol: a series' calibration block is the last cal_len
+points of its head, its training block everything before, and the model
+is refitted at every calibration origin.
+
 A method (`_METHODS`) names the kinds it reads. A series with a failed
 read skips it with the first failure's message; the method's run takes
 the others' rows and gives their (S, H) bounds and each one's skip reason
@@ -58,7 +63,6 @@ from .conformal import (
     SpciSpec,
     _NO_BACKTEST,
     _backtest_cutoffs,
-    _calibration_origins,
     _check_ensemble_forecaster,
     _check_padding,
     _cohort_size,
@@ -84,7 +88,6 @@ from .forecaster import (
     _check_seasonal_ends,
     _in_blocks,
     _prefix_forecasts,
-    _refit_ends,
     ForecasterSpec,
     fit_auto_ar,  # noqa: F401  unused here, but perfbench/spans.py traces bench.fit_auto_ar
     forecast,  # noqa: F401  unused here, but perfbench/spans.py wraps bench.forecast
@@ -94,7 +97,7 @@ from .metrics import series_metrics  # noqa: F401  unused here, but perfbench/sp
 from .online import AciState, _aci_radii, acmcp_init_stacked, acmcp_interval, acmcp_run_stacked
 # These stay importable here: perfbench/spans.py traces them by these names.
 from .online import aci_interval, aci_step, acmcp_init, acmcp_step  # noqa: F401
-from .series import PanelError, SeriesPanel, SplitSpec, TimeSeries, parse_panel, serialize_panel
+from .series import PanelError, SeriesPanel, TimeSeries, parse_panel, serialize_panel
 from .stattest import FriedmanResult, PosthocResult, conover_posthoc, friedman_test, rank_scores
 from .svgchart import cd_diagram_svg, coverage_bar_svg
 
@@ -234,19 +237,19 @@ class _Table(NamedTuple):
 
 
 def _prefix_block(
-    series: np.ndarray, heads: np.ndarray, split: SplitSpec, config: BenchConfig, kinds: tuple[str, ...]
+    series: np.ndarray, heads: np.ndarray, config: BenchConfig, kinds: tuple[str, ...]
 ) -> dict[str, object]:
     """The rows of the given kinds of a block of series' (S, n) heads, of
-    equal split (and period, for seasonal naive): each kind's stack, or
-    each head's message where what the block shares stopped it."""
+    equal length (and period, for seasonal naive), from one
+    `_prefix_forecasts` call: each kind's stack, or each head's message
+    where what the block shares stopped it."""
     H, (S, n), period = config.horizon, heads.shape, series[0].period
-    # Each kind's rows: the offset of its stack into the heads, its prefix ends and its fit ends.
-    plan: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+    # Each kind's prefix ends: the head's end, the calibration origins, the cv_cp cutoffs.
+    plan: dict[str, np.ndarray] = {}
     if "end" in kinds:
-        plan["end"] = (0, np.array([n]), np.array([n]))
+        plan["end"] = np.array([n])
     if "signed" in kinds:
-        start, origins = _calibration_origins(n, split)
-        plan["signed"] = (start, origins, _refit_ends(origins, config.refit_every))
+        plan["signed"] = np.arange(n - config.cal_len, n)
     out: dict[str, object] = {}
     cutoffs = _backtest_cutoffs(n, config.n_windows, H)
     if "backtest" in kinds and cutoffs is None:
@@ -255,33 +258,28 @@ def _prefix_block(
         try:
             if config.forecaster.kind == "seasonal_naive":
                 _check_seasonal_ends(cutoffs, period)
-            plan["backtest"] = (0, cutoffs, cutoffs)
+            plan["backtest"] = cutoffs
         except ValueError as e:
             # Every series of the block shares the cutoffs, so it shares
             # the error: no solve and no retry finds another message.
             out["backtest"] = [str(e)] * S
-    for offset in sorted({offset for offset, _, _ in plan.values()}):
-        group = {kind: plan[kind] for kind in plan if plan[kind][0] == offset}
-        stack = heads[:, offset:]
-        fits, yhat = _prefix_forecasts(
-            stack, np.concatenate([ends for _, ends, _ in group.values()]),
-            np.concatenate([fit_ends for _, _, fit_ends in group.values()]), config.forecaster, period, H,
-        )
-        first = 0
-        for kind, (_, ends, _) in group.items():
-            part = slice(first, first + len(ends))
-            first = part.stop
-            if kind == "end":
-                out[kind] = end = _end_rows(S, config)
-                end["fc"] = yhat[:, part.start]
-                if fits is not None:
-                    for name in ("order", "intercept", "sigma2"):
-                        end[name] = getattr(fits, name)[:, part.start]
-                    end["phi"][:, : fits.phi.shape[2]] = fits.phi[:, part.start]
-            else:
-                out[kind] = _signed_residuals(stack, ends, yhat[:, part])
-                if kind == "signed":
-                    _check_padding(out[kind])
+    if not plan:
+        return out
+    fits, yhat = _prefix_forecasts(heads, np.concatenate(list(plan.values())), config.forecaster, period, H)
+    first = 0  # each kind's first row in the call
+    for kind, ends in plan.items():
+        if kind == "end":
+            out[kind] = end = _end_rows(S, config)
+            end["fc"] = yhat[:, first]
+            if fits is not None:
+                for name in ("order", "intercept", "sigma2"):
+                    end[name] = getattr(fits, name)[:, first]
+                end["phi"][:, : fits.phi.shape[2]] = fits.phi[:, first]
+        else:
+            out[kind] = _signed_residuals(heads, ends, yhat[:, first : first + len(ends)])
+            if kind == "signed":
+                _check_padding(out[kind])
+        first += len(ends)
     return out
 
 
@@ -293,35 +291,32 @@ def _prefix_table(panel: SeriesPanel, config: BenchConfig) -> tuple[_Table, list
     The table holds one array, in panel order, of each kind the run's
     methods read (`_Method.reads`): "end", a fit on the whole head and its
     forecast of the test block (`_end_rows`); "signed", the (cal_len, H)
-    signed residuals of the calibration origins, each forecast from the
-    latest fit at or before its origin, refitted every refit_every origins,
-    NaN where the truth lies past the calibration segment; "backtest",
-    cv_cp's (n_windows, H) residuals at its cutoffs, each from its own fit;
-    and the message of each row that could not be made, such as cv_cp's
-    for a head too short. Heads of equal length, split (and period, for
-    seasonal naive) form blocks of at most _STACK_BLOCK, and each block
-    makes the union of its rows' prefix fits in one solve and their
-    forecasts in one recursion, or, with train_len set, one more for the
-    calibration segment, which then starts inside the head. A fit is the
-    same whichever other prefixes share its solve, so every row is bit for
-    bit the lone fit_auto_ar, forecast, build_residual_matrix or cv_cp
-    backtest result. A block whose solve raises is redone one series at a
-    time, and a series that still fails once per kind, so that each kind
-    keeps its own error message.
+    signed residuals of the calibration origins, the last cal_len points
+    of the head, each forecast from a fit on the head up to its origin,
+    NaN where the truth lies past the head; "backtest", cv_cp's
+    (n_windows, H) residuals at its cutoffs, each from its own fit; and
+    the message of each row that could not be made, such as cv_cp's for a
+    head too short. Heads of equal length (and period, for seasonal naive)
+    form blocks of at most _STACK_BLOCK, and each block fits the distinct
+    ends of all its rows in one solve and forecasts from them in one
+    recursion (`_prefix_block`). A fit is the same whichever other
+    prefixes share its solve, so every row is bit for bit the lone
+    fit_auto_ar, forecast, build_residual_matrix or cv_cp backtest result.
+    A block whose solve raises is redone one series at a time, and a
+    series that still fails once per kind, so that each kind keeps its own
+    error message.
     """
     H, cal_len = config.horizon, config.cal_len
     skips: list[tuple[str, str, str]] = []
     series: list[TimeSeries] = []
-    train_lens: list[int] = []
     for ts in panel:
         n = len(ts)
-        train_len = config.train_len if config.train_len is not None else n - cal_len - H
-        if train_len < _min_train(ts.period) or n < train_len + cal_len + H:
+        train_len = n - cal_len - H  # everything before the calibration block
+        if train_len < _min_train(ts.period):
             reason = f"series too short: {n} observations for train {train_len}, cal {cal_len}, test {H}"
             skips.extend((ts.series_id, m, reason) for m in config.methods)
         else:
             series.append(ts)
-            train_lens.append(train_len)
     S = len(series)
     kinds = tuple(sorted({kind for m in config.methods for kind in _METHODS[m].reads} - {"series"}))
     rows = {"series": np.empty(S, dtype=object), "truth": np.empty((S, H))}
@@ -334,8 +329,7 @@ def _prefix_table(panel: SeriesPanel, config: BenchConfig) -> tuple[_Table, list
     def fill(block: list[int], kinds: tuple[str, ...]) -> list[None]:
         values = np.stack([series[i].values for i in block])
         rows["truth"][block] = values[:, -H:]
-        split = SplitSpec(train_lens[block[0]], cal_len, H)
-        for kind, part in _prefix_block(rows["series"][block], values[:, :-H], split, config, kinds).items():
+        for kind, part in _prefix_block(rows["series"][block], values[:, :-H], config, kinds).items():
             if isinstance(part, list):
                 table.faults[kind].update(zip(block, part))
             else:
@@ -343,7 +337,7 @@ def _prefix_table(panel: SeriesPanel, config: BenchConfig) -> tuple[_Table, list
         return [None] * len(block)
 
     seasonal = config.forecaster.kind == "seasonal_naive"
-    keys = [(len(ts), train_len, ts.period if seasonal else 0) for ts, train_len in zip(series, train_lens)]
+    keys = [(len(ts), ts.period if seasonal else 0) for ts in series]
     failed = [i for i, error in enumerate(_in_blocks(keys, lambda block: fill(block, kinds))) if error is not None]
     for i, kind in itertools.product(failed, kinds):
         try:
@@ -527,8 +521,6 @@ class BenchConfig:
     methods: tuple[str, ...] = METHODS
     forecaster: ForecasterSpec = field(default_factory=ForecasterSpec)
     cal_len: int = 36
-    train_len: int | None = None
-    refit_every: int | None = 1
     period: int = 12
     seed: int = 0
     out_dir: str | None = None
@@ -555,15 +547,10 @@ class BenchConfig:
             raise ValueError(f"duplicate methods: {duplicates}")
         if self.cal_len < 2:
             raise ValueError(f"cal_len must be >= 2, got {self.cal_len}")
-        # _min_train(1) is the least training length of any period.
-        if self.train_len is not None and self.train_len < _min_train(1):
-            raise ValueError(f"train_len must be >= {_min_train(1)}, got {self.train_len}")
         if parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {parallelism}")
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
-        if self.refit_every is not None and self.refit_every < 1:
-            raise ValueError(f"refit_every must be >= 1 or None, got {self.refit_every}")
         if not 0.0 < self.cohort_split < 1.0:
             raise ValueError(f"cohort_split must be in (0, 1), got {self.cohort_split}")
         if self.n_windows < 1:
@@ -776,8 +763,6 @@ _CONFIG_KEYS = {
     "horizon": int,
     "methods": str,
     "cal_len": int,
-    "train_len": int,
-    "refit_every": str,
     "period": int,
     "seed": int,
     "out": str,
@@ -807,7 +792,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         value = value.strip().strip("\"'")
         if key not in _CONFIG_KEYS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            raise ValueError(f"config line {lineno}: unknown key {key!r}; accepted keys: {', '.join(_CONFIG_KEYS)}")
         out[key] = value
     return out
 
@@ -835,8 +820,6 @@ def build_config(file_values: dict[str, str] | None = None, **overrides) -> Benc
             kwargs["methods"] = tuple(m.strip() for m in value.split(",") if m.strip())
         elif key == "out":
             kwargs["out_dir"] = value
-        elif key == "refit_every":
-            kwargs["refit_every"] = None if value.lower() in ("none", "never") else int(value)
         elif key == "forecaster":
             fc_kwargs["kind"] = value
         elif key == "max_order":

@@ -17,8 +17,9 @@ gives the signed residuals of a stack of series' forecasts from shared
 origins, and rejects a forecast that is not finite where its truth exists:
 `_origin_residuals` makes them from `forecaster._prefix_forecasts` for
 `build_residual_matrix` and the cross-validation backtest, and bench's
-prefix table from the same call on the union of every prefix a run needs,
-both at the origins of `_calibration_origins` and `_backtest_cutoffs`.
+prefix table from the same call on the union of every prefix end a block
+of heads needs: each head's end, its calibration origins and the cutoffs
+of `_backtest_cutoffs`.
 `_spci_pairs`, the one SPCI fit, picks the quantile pair of every residual
 history of a ragged stack with one solver call.
 
@@ -54,9 +55,8 @@ from .forecaster import (
     _SharedError,
     _in_blocks,
     _prefix_forecasts,
-    _refit_ends,
-    fit_auto_ar,  # unused here, but perfbench/spans.py wraps conformal.fit_auto_ar
-    forecast,  # unused here, but perfbench/spans.py wraps conformal.forecast
+    fit_auto_ar,  # noqa: F401  unused here, but perfbench/spans.py wraps conformal.fit_auto_ar
+    forecast,  # noqa: F401  unused here, but perfbench/spans.py wraps conformal.forecast
     sigma_h_stacked,
 )
 from .quantreg import (
@@ -181,6 +181,8 @@ class IntervalMatrix:
         # Copies, so that freezing them never freezes or aliases a caller's array.
         lo = np.array(self.lower, dtype=np.float64, order="C", ndmin=2)
         hi = np.array(self.upper, dtype=np.float64, order="C", ndmin=2)
+        if lo.ndim != 2 or hi.ndim != 2:
+            raise ValueError(f"bounds must be 2-D (origins, horizons), got shapes {lo.shape} and {hi.shape}")
         if lo.shape != hi.shape:
             raise ValueError(f"bound shape mismatch: {lo.shape} vs {hi.shape}")
         if not _valid_cells(lo, hi).all():
@@ -246,23 +248,15 @@ def _signed_residuals(values: np.ndarray, ends: np.ndarray, yhat: np.ndarray) ->
 
 
 def _origin_residuals(
-    values: np.ndarray, origins: np.ndarray, forecaster: ForecasterSpec, period: int, horizon: int,
-    refit_every: int | None = 1,
+    values: np.ndarray, origins: np.ndarray, forecaster: ForecasterSpec, period: int, horizon: int
 ) -> np.ndarray:
     """(S, R, horizon) signed residuals of forecasts from every origin T of
     an (S, n) stack of series (`_signed_residuals`), each forecast made from
-    values[s, :T] with a fit refitted at every refit_every-th of the
-    ascending origins (None: the first only).
+    a fit on values[s, :T].
     """
     origins = np.asarray(origins, dtype=np.intp)
-    _, yhat = _prefix_forecasts(values, origins, _refit_ends(origins, refit_every), forecaster, period, horizon)
+    _, yhat = _prefix_forecasts(values, origins, forecaster, period, horizon)
     return _signed_residuals(values, origins, yhat)
-
-
-def _calibration_origins(head_len: int, spec: SplitSpec) -> tuple[int, np.ndarray]:
-    """The training block's start in a head (a series but its test block) of
-    head_len points, and one origin per calibration point, counted from it."""
-    return head_len - spec.train_len - spec.cal_len, np.arange(spec.train_len, spec.train_len + spec.cal_len)
 
 
 def build_residual_matrix(
@@ -270,32 +264,28 @@ def build_residual_matrix(
     spec: SplitSpec,
     forecaster: ForecasterSpec,
     horizon: int,
-    refit_every: int | None = 1,
     signed: bool = False,
 ) -> ResidualMatrix:
     """Rolling-origin residuals over the calibration segment.
 
     Origins run through the calibration block (one per calibration point);
-    at each origin the forecaster sees all data up to the origin and
-    forecasts `horizon` steps. A residual is recorded only for horizons
-    whose truth falls inside the calibration block, so late columns are
-    shorter. refit_every controls how often the model is refitted along
-    the origins (None: fit once at the first origin); forecasts always use
-    all the data from the start of the training block to the origin.
+    at each origin the forecaster is refitted on all the data from the
+    start of the training block to the origin and forecasts `horizon`
+    steps. A residual is recorded only for horizons whose truth falls
+    inside the calibration block, so late columns are shorter.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if refit_every is not None and refit_every < 1:
-        raise ValueError(f"refit_every must be >= 1 or None, got {refit_every}")
     n = len(series)
     if n < spec.total:
         raise ValueError(
             f"series {series.series_id!r} too short to split: need {spec.total}, have {n}"
         )
-    start, origins = _calibration_origins(n - spec.test_len, spec)
-    work = series.values[start : n - spec.test_len]
+    # The training block starts train_len + cal_len points before the test block.
+    work = series.values[n - spec.total : n - spec.test_len]
+    origins = np.arange(spec.train_len, spec.train_len + spec.cal_len)
     # Truths beyond the calibration block stay NaN.
-    rows = _origin_residuals(work[None], origins, forecaster, series.period, horizon, refit_every)[0]
+    rows = _origin_residuals(work[None], origins, forecaster, series.period, horizon)[0]
     return ResidualMatrix(
         matrix=rows if signed else np.abs(rows), origins=tuple(origins.tolist()), signed=signed
     )

@@ -7,16 +7,15 @@ auto-ARIMA search; the conformal layer only consumes its point forecasts
 with the same interface can be swapped in.
 
 `_prefix_forecasts` makes the forecasts of a stack of equal-length series
-from many prefix ends, each with a fit of its own prefix or of an earlier
-one, and is the one place that branches on the forecaster kind: one
-batched AR solve of the distinct fit ends and one recursion over every
-row, or one seasonal index gather (`seasonal_naive_forecast` is its
-one-series, one-end case). There is one forecast recursion,
-`_forecast_paths`: each step adds the lags of a row in turn, with the lags
-past its order masked out rather than multiplied by zero padding, so that
-a row gets bit for bit what it gets alone and an overflowing path stays
-inf rather than becoming NaN. `forecast` runs it from the end of one
-fitted model's history.
+from many prefix ends, each with the fit of its own prefix, and is the one
+place that branches on the forecaster kind: one batched AR solve and one
+recursion of the distinct ends, or one seasonal index gather
+(`seasonal_naive_forecast` is its one-series, one-end case). There is one
+forecast recursion, `_forecast_paths`: each step adds the lags of a row in
+turn, with the lags past its order masked out rather than multiplied by
+zero padding, so that a row gets bit for bit what it gets alone and an
+overflowing path stays inf rather than becoming NaN. `forecast` runs it
+from the end of one fitted model's history.
 
 All least-squares fits go through one solver, `_fit_ar_prefixes`, which fits
 every candidate order on every prefix values[s, :T] of an (S, n) stack of
@@ -468,17 +467,7 @@ def seasonal_naive_forecast(history: np.ndarray | TimeSeries, horizon: int, peri
         m = period
     if m < 1:
         raise ValueError(f"period must be >= 1, got {m}")
-    end = [len(values)]
-    return _prefix_forecasts(values[None], end, end, ForecasterSpec("seasonal_naive"), m, horizon)[1][0, 0]
-
-
-def _refit_ends(ends: np.ndarray, refit_every: int | None) -> np.ndarray:
-    """The prefix each of the ascending ends takes its fit from when only
-    every refit_every-th of them is fitted (None: the first only): the
-    latest fitted end at or before it."""
-    ends = np.asarray(ends, dtype=np.intp)
-    step = len(ends) if refit_every is None else refit_every
-    return ends[np.arange(len(ends)) // step * step]
+    return _prefix_forecasts(values[None], [len(values)], ForecasterSpec("seasonal_naive"), m, horizon)[1][0, 0]
 
 
 def _check_seasonal_ends(ends: np.ndarray, period: int) -> None:
@@ -489,22 +478,21 @@ def _check_seasonal_ends(ends: np.ndarray, period: int) -> None:
 
 
 def _prefix_forecasts(
-    values: np.ndarray, ends: np.ndarray, fit_ends: np.ndarray, spec: ForecasterSpec, period: int, horizon: int
+    values: np.ndarray, ends: np.ndarray, spec: ForecasterSpec, period: int, horizon: int
 ) -> tuple[_PrefixFits | None, np.ndarray]:
     """(S, R, horizon) forecasts from the end of values[s, :ends[r]] for
     every series s of an (S, n) stack and every row r, and each row's fit.
 
-    auto_ar fits the distinct fit_ends in one batched solve, and row r
-    forecasts with the fit on values[s, :fit_ends[r]] (fit_ends[r] <=
-    ends[r]) in one recursion over all rows; the fits come back per row.
-    Seasonal naive fits nothing (None) and reads step h of row T at
-    T - period + (h-1) % period.
+    auto_ar fits the distinct ends in one batched solve and forecasts from
+    each in one recursion; rows of equal end share them, and the fits come
+    back per row. Seasonal naive fits nothing (None) and reads step h of
+    row T at T - period + (h-1) % period.
     """
     ends = np.asarray(ends, dtype=np.intp)
     if spec.kind == "seasonal_naive":
         _check_seasonal_ends(ends, period)
         return None, values[:, ends[:, None] - period + np.arange(horizon) % period]
-    fit_at, fit_of = np.unique(np.asarray(fit_ends, dtype=np.intp), return_inverse=True)
-    fits = _fit_ar_prefixes(values, fit_at, spec.max_order, spec.include_drift)
-    fits = _PrefixFits(*(a[:, fit_of.ravel()] for a in fits))
-    return fits, _forecast_paths(values, ends, fits.order, fits.intercept, fits.phi, horizon)
+    at, row = np.unique(ends, return_inverse=True)
+    fits = _fit_ar_prefixes(values, at, spec.max_order, spec.include_drift)
+    yhat = _forecast_paths(values, at, fits.order, fits.intercept, fits.phi, horizon)
+    return _PrefixFits(*(a[:, row] for a in fits)), yhat[:, row]

@@ -167,6 +167,12 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="line 2.*frobnicate"):
             parse_config_text("alpha = 0.1\nfrobnicate = yes\n")
 
+    def test_unknown_key_names_the_accepted_keys(self):
+        with pytest.raises(ValueError) as info:
+            parse_config_text("frobnicate = 3\n")
+        accepted = ", ".join(bench._CONFIG_KEYS)
+        assert str(info.value) == f"config line 1: unknown key 'frobnicate'; accepted keys: {accepted}"
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
             parse_config_text("alpha 0.1\n")
@@ -176,7 +182,6 @@ class TestConfigParsing:
             {
                 "methods": "mscp, aci",
                 "out": "results",
-                "refit_every": "none",
                 "alpha": "0.05",
                 "forecaster": "auto_ar",
                 "max_order": "3",
@@ -185,7 +190,6 @@ class TestConfigParsing:
         )
         assert cfg.methods == ("mscp", "aci")
         assert cfg.out_dir == "results"
-        assert cfg.refit_every is None
         assert cfg.alpha == 0.05
         assert cfg.forecaster == ForecasterSpec(max_order=3, include_drift=False)
         assert build_config({"include_drift": "No"}).forecaster.include_drift is False
@@ -404,9 +408,9 @@ class TestRunBenchmark:
         fitted = []
         prefix_forecasts = bench._prefix_forecasts
 
-        def counting_table(values, ends, fit_ends, *args):
-            fitted.extend(int(T) for _ in values for T in np.unique(fit_ends))
-            return prefix_forecasts(values, ends, fit_ends, *args)
+        def counting_table(values, ends, *args):
+            fitted.extend(int(T) for _ in values for T in np.unique(ends))
+            return prefix_forecasts(values, ends, *args)
 
         def counting_fit(train, spec):
             fitted.append(len(train))
@@ -846,22 +850,17 @@ class TestPrefixTable:
     """The run's one prefix table against the lone public builds of each row."""
 
     @pytest.mark.parametrize("block", [2, 64])
-    @pytest.mark.parametrize("refit_every", [1, 3, None])
-    @pytest.mark.parametrize("train_len", [None, 30])
     @pytest.mark.parametrize("spec", [ForecasterSpec(), ForecasterSpec("seasonal_naive")])
     @pytest.mark.parametrize("n_windows", [2, 11])
-    def test_rows_are_the_lone_builds(self, monkeypatch, block, refit_every, train_len, spec, n_windows):
-        # Two head lengths; with train_len set the calibration segment
-        # starts inside the head, so its rows are prefixes of a shifted stack.
-        # Two windows admit both heads, each at its own first cutoff. Eleven
-        # windows of 6 leave a head of 84 points its first cutoff at 18, and
-        # a head of 64 none: its backtest row is the lone call's message.
+    def test_rows_are_the_lone_builds(self, monkeypatch, block, spec, n_windows):
+        # Two head lengths, each trained on everything before its
+        # calibration block. Two windows admit both heads, each at its own
+        # first cutoff, which is also a calibration origin. Eleven windows of
+        # 6 leave a head of 84 points its first cutoff at 18, and a head of
+        # 64 none: its backtest row is the lone call's message.
         monkeypatch.setattr(forecaster, "_STACK_BLOCK", block)
         panel = SeriesPanel(tuple(two_length_series(4)))
-        config = small_config(
-            methods=bench.METHODS, forecaster=spec, refit_every=refit_every, train_len=train_len, alpha=0.5,
-            n_windows=n_windows,
-        )
+        config = small_config(methods=bench.METHODS, forecaster=spec, alpha=0.5, n_windows=n_windows)
         table, skips = bench._prefix_table(panel, config)
         assert len(table.rows["series"]) == 7 and not skips
         H = config.horizon
@@ -870,10 +869,10 @@ class TestPrefixTable:
         for i, series in enumerate(table.rows["series"]):
             sid = series.series_id
             head = series.head(len(series) - H)
-            split = SplitSpec(train_len or len(series) - config.cal_len - H, config.cal_len, H)
+            split = SplitSpec(len(series) - config.cal_len - H, config.cal_len, H)
             signed_row = table.rows["signed"][i]
             for signed, matrix in ((True, signed_row), (False, np.abs(signed_row))):
-                alone = build_residual_matrix(series, split, spec, H, refit_every, signed=signed)
+                alone = build_residual_matrix(series, split, spec, H, signed=signed)
                 assert matrix.shape == alone.matrix.shape, sid
                 assert matrix.tobytes() == alone.matrix.tobytes(), (sid, signed)
             if spec.kind == "auto_ar":
@@ -909,7 +908,7 @@ class TestPrefixTable:
         # A series whose end and calibration solves both fail, each with its
         # own message: mscp reads the end first, so it skips with the end's
         # message; cv_cp, which reads no calibration row, skips the same way.
-        config = small_config(methods=("mscp", "cv_cp"), refit_every=None)
+        config = small_config(methods=("mscp", "cv_cp"))
         panel = small_panel()
         bad = panel.series[0]
         bad = TimeSeries("bad", bad.timestamps, np.r_[99.0, bad.values[1:]], bad.period)
@@ -917,7 +916,8 @@ class TestPrefixTable:
 
         def failing_solve(values, ends, *args):
             if np.any(values[:, 0] == 99.0):
-                # Heads of 84 points: the end is 84 and the calibration fit is at 60.
+                # Heads of 84 points: the end is 84, and 60 is the first
+                # calibration origin and no cv_cp cutoff (72 and 78).
                 for end, kind in ((84, "end"), (60, "signed")):
                     if end in np.asarray(ends):
                         raise np.linalg.LinAlgError(f"{kind} solve failed")
@@ -931,22 +931,34 @@ class TestPrefixTable:
         assert run_method(config, table, "mscp")["bad"] == "end solve failed"
         assert run_method(config, table, "cv_cp")["bad"] == "end solve failed"
 
-    def test_a_run_without_calibration_methods_fits_no_calibration_prefix(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "methods, origins",
+        [(("global_cp", "parametric", "cv_cp"), False), (("mscp", "cv_cp", "parametric"), True)],
+        ids=["end_and_backtest", "every_kind"],
+    )
+    def test_a_run_without_calibration_methods_fits_no_calibration_prefix(self, monkeypatch, methods, origins):
         # global_cp, parametric and cv_cp read only the end and the backtest:
         # each block's one solve fits the cutoffs n - 2H, n - H and the end n.
+        # With mscp it also fits the calibration origins n - cal_len..n - 1,
+        # among them the cutoffs, each once: one solve of the sorted
+        # distinct union of every end the block's rows read.
         calls = []
         fit_ar_prefixes = forecaster._fit_ar_prefixes
 
         def spy(values, ends, *args):
-            calls.append((values.shape[1], sorted(np.asarray(ends).tolist())))
+            calls.append((values.shape[1], np.asarray(ends).tolist()))
             return fit_ar_prefixes(values, ends, *args)
 
         monkeypatch.setattr(forecaster, "_fit_ar_prefixes", spy)
-        config = small_config(methods=("global_cp", "parametric", "cv_cp"))
+        config = small_config(methods=methods)
         report = run_benchmark(config, panel=SeriesPanel(tuple(two_length_series(4))))
         assert report.summaries["cv_cp"].n_series == 7
-        H = config.horizon
-        assert sorted(calls) == [(n, [n - 2 * H, n - H, n]) for n in (64, 84)]
+        H, cal_len = config.horizon, config.cal_len
+        expected = []
+        for n in (64, 84):
+            ends = {n - 2 * H, n - H, n} | (set(range(n - cal_len, n)) if origins else set())
+            expected.append((n, sorted(ends)))
+        assert sorted(calls) == expected
 
     @pytest.mark.parametrize(
         "failing, skipped",
@@ -961,15 +973,16 @@ class TestPrefixTable:
         # per kind: only the methods that read the failing kind skip it, with
         # that solve's message, and the other series and methods are scored
         # as without the failure.
-        config = small_config(methods=("mscp", "aci", "parametric", "cv_cp"), refit_every=None, alpha=0.5)
+        config = small_config(methods=("mscp", "aci", "parametric", "cv_cp"), n_windows=5, alpha=0.5)
         panel = small_panel()
         bad = panel.series[0]
         bad = TimeSeries("bad", bad.timestamps, np.r_[99.0, bad.values[1:]], bad.period)
         panel = SeriesPanel(panel.series + (bad,))
         before = run_benchmark(config, panel=panel)
-        # Heads of 84 points, H = 6: the calibration segment's one fit is at
-        # its first origin 60, the cutoffs are 72 and 78.
-        fails_at = {"end": 84, "signed": 60, "backtest": 72}[failing]
+        # Heads of 84 points, H = 6: the calibration origins are 60..83 and
+        # the cutoffs 54, 60, 66, 72 and 78. Origin 61 is no cutoff, and
+        # cutoff 54 lies before the calibration block.
+        fails_at = {"end": 84, "signed": 61, "backtest": 54}[failing]
         fit_ar_prefixes = forecaster._fit_ar_prefixes
 
         def failing_solve(values, ends, *args):
@@ -1290,7 +1303,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "line, match",
         [
-            ("refit_every = 0", "refit_every"),
             ("gamma = -1", "gamma"),
             ("gamma = nan", "gamma"),
             ("gamma = inf", "gamma"),
@@ -1301,7 +1313,6 @@ class TestCli:
             ("cohort_split = 1.5", "cohort_split"),
             ("include_drift = ture", "include_drift"),
             ("period = 0", "period"),
-            ("train_len = 0", "train_len"),
             ("parallelism = 0", "parallelism"),
         ],
     )
@@ -1316,6 +1327,21 @@ class TestCli:
         assert self.run_cli("run", "--config", str(cfg)) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and match in err
+
+    @pytest.mark.parametrize("key", ["train_len", "refit_every"])
+    def test_removed_protocol_keys_exit_2(self, tmp_path, capsys, key):
+        # Every run trains on everything before the calibration block and
+        # refits at every origin: a config file that still sets a key of
+        # another protocol is refused as an unknown key, with the keys a
+        # config file accepts.
+        data = tmp_path / "panel.csv"
+        write_panel_csv(small_panel(n=3), str(data))
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"data = {data}\nhorizon = 6\nmethods = mscp\nout = {tmp_path / 'r'}\n{key} = 30\n")
+        assert self.run_cli("run", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: config line 5: unknown key {key!r}; accepted keys: data, alpha," in err
+        assert not (tmp_path / "r").exists()
 
     def test_duplicate_methods_exit_2(self, tmp_path, capsys):
         data = tmp_path / "panel.csv"

@@ -262,7 +262,6 @@ class TestResidualMatrix:
         with pytest.raises(ValueError, match="full period: 8 < 12"):
             build_residual_matrix(ts, SplitSpec(8, 10, 5), ForecasterSpec(kind="seasonal_naive"), 3)
 
-    @pytest.mark.parametrize("refit_every", [1, 3, None])
     @pytest.mark.parametrize("signed", [True, False])
     @pytest.mark.parametrize(
         "split, spec",
@@ -273,17 +272,15 @@ class TestResidualMatrix:
             (SplitSpec(4, 10, 3), ForecasterSpec(max_order=5)),
         ],
     )
-    def test_build_matches_per_origin_refits(self, refit_every, signed, split, spec):
+    def test_build_matches_per_origin_refits(self, signed, split, spec):
         horizon = 5
         for seed in range(3):
             y = 40.0 + simulate_ar1(split.total + 7, 0.7, seed=seed)
-            rm = build_residual_matrix(make_series(y), split, spec, horizon, refit_every, signed)
+            rm = build_residual_matrix(make_series(y), split, spec, horizon, signed)
             work = y[7 : 7 + split.train_len + split.cal_len]
             expected = np.full((split.cal_len, horizon), np.nan)
-            model = None
             for r, t in enumerate(range(split.train_len, len(work))):
-                if model is None or (refit_every is not None and r % refit_every == 0):
-                    model = fit_auto_ar(work[:t], spec)
+                model = fit_auto_ar(work[:t], spec)
                 avail = min(horizon, len(work) - t)
                 resid = work[t : t + avail] - forecast(model, work[:t], horizon)[:avail]
                 expected[r, :avail] = resid if signed else np.abs(resid)
@@ -293,17 +290,16 @@ class TestResidualMatrix:
 
 
 class TestOriginResiduals:
-    @pytest.mark.parametrize("refit_every", [1, 3, None])
-    def test_stack_rows_are_lone_calls(self, refit_every):
+    def test_stack_rows_are_lone_calls(self):
         values = np.stack([40.0 + simulate_ar1(50, 0.3 + 0.2 * i, seed=i) for i in range(3)])
         values[2] = 7.0  # a constant series among them
         origins = np.arange(30, 50)
-        stacked = conformal._origin_residuals(values, origins, ForecasterSpec(), 1, 5, refit_every)
+        stacked = conformal._origin_residuals(values, origins, ForecasterSpec(), 1, 5)
         assert stacked.shape == (3, 20, 5)
         # NaN exactly where the truth lies past the end of the series
         assert np.array_equal(np.isnan(stacked), np.broadcast_to(origins[:, None] + np.arange(5) >= 50, stacked.shape))
         for s in range(3):
-            alone = conformal._origin_residuals(values[s : s + 1], origins, ForecasterSpec(), 1, 5, refit_every)
+            alone = conformal._origin_residuals(values[s : s + 1], origins, ForecasterSpec(), 1, 5)
             assert np.array_equal(stacked[s], alone[0], equal_nan=True)
 
 
@@ -357,9 +353,7 @@ class TestMscp:
         for _ in range(150):
             y = simulate_ar1(60, 0.6, seed=int(rng.integers(1 << 30)))
             ts = make_series(y)
-            rm = build_residual_matrix(
-                ts, SplitSpec(40, 15, 5), ForecasterSpec(), 5, refit_every=None
-            )
+            rm = build_residual_matrix(ts, SplitSpec(40, 15, 5), ForecasterSpec(), 5)
             model = fit_auto_ar(y[:55], ForecasterSpec())
             iv = mscp_intervals(forecast(model, y[:55], 5), rm, 0.1)
             truth = y[55:]
@@ -1101,6 +1095,14 @@ class TestIntervalMatrix:
     def test_bound_shapes_must_match(self):
         with pytest.raises(ValueError, match=r"bound shape mismatch: \(2, 3\) vs \(3, 3\)"):
             IntervalMatrix(lower=np.zeros((2, 3)), upper=np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("lower, upper", [((1, 2, 3), (1, 2, 3)), ((1, 2, 3), (2, 3)), ((2, 3), (1, 1, 2, 3))])
+    def test_bounds_must_be_2d(self, lower, upper):
+        # (origins, horizons): a stack of more dimensions is refused, not
+        # given a shape of three numbers; 1-D bounds are one origin's row.
+        with pytest.raises(ValueError, match=r"^bounds must be 2-D \(origins, horizons\), got shapes"):
+            IntervalMatrix(lower=np.zeros(lower), upper=np.ones(upper))
+        assert IntervalMatrix(lower=np.zeros(3), upper=np.ones(3)).shape == (1, 3)
 
     def test_width(self):
         iv = IntervalMatrix(lower=np.array([[0.0, 1.0]]), upper=np.array([[2.0, 4.0]]))

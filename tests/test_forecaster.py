@@ -18,7 +18,6 @@ from ctsbench.forecaster import (
     _forecast_paths,
     _in_blocks,
     _prefix_forecasts,
-    _refit_ends,
     _sweep_inverse,
     fit_auto_ar,
     forecast,
@@ -390,41 +389,43 @@ class TestStackedSolver:
         seed=st.integers(0, 2**32 - 1),
         shorter=st.lists(st.integers(3, 60), max_size=4),
         horizon=st.integers(1, 13),
-        refit_every=st.sampled_from([1, 2, None]),
+        repeats=st.lists(st.integers(0, 4), max_size=4),
     )
     @example(
         families=["noise", "constant", "trend", "ar1"], n=40, max_order=5, include_drift=True,
-        offset=100.0, seed=0, shorter=[10, 25], horizon=12, refit_every=1,
+        offset=100.0, seed=0, shorter=[10, 25], horizon=12, repeats=[2, 0],
     )
     def test_stack_matches_one_series_calls(
-        self, families, n, max_order, include_drift, offset, seed, shorter, horizon, refit_every
+        self, families, n, max_order, include_drift, offset, seed, shorter, horizon, repeats
     ):
         stack = np.stack([family_series(f, n, offset, (seed + i) % 2**32) for i, f in enumerate(families)])
         ends = np.array(sorted({t for t in shorter if t < n} | {n}))
+        # The rows: every end, then some of them again, out of order.
+        rows = np.r_[ends, ends[[r % len(ends) for r in repeats]]].astype(np.intp)
         spec = ForecasterSpec(max_order=max_order, include_drift=include_drift)
         fits = _fit_ar_prefixes(stack, ends, max_order, include_drift)
-        fit_ends = _refit_ends(ends, refit_every)
-        row_fits, paths = _prefix_forecasts(stack, ends, fit_ends, spec, 12, horizon)
-        assert paths.shape == (len(families), len(ends), horizon)
-        # Each row carries the fit of its own fit end, as a call on all the ends fits it.
-        fit_row = np.searchsorted(ends, fit_ends)
+        row_fits, paths = _prefix_forecasts(stack, rows, spec, 12, horizon)
+        assert paths.shape == (len(families), len(rows), horizon)
+        # Each row carries the fit of its own end, as a call on the distinct ends fits it.
+        fit_row = np.searchsorted(ends, rows)
         for name, per_row, at_ends in zip(fits._fields, row_fits, fits):
             assert np.array_equal(per_row, at_ends[:, fit_row]), name
+        assert np.array_equal(paths, paths[:, fit_row])  # rows of one end share its forecast
         for s in range(len(families)):
             alone = _fit_ar_prefixes(stack[s : s + 1], ends, max_order, include_drift)
             for name, stacked, single in zip(fits._fields, fits, alone):
                 assert np.array_equal(stacked[s], single[0]), (name, families[s])
-            _, single_paths = _prefix_forecasts(stack[s : s + 1], ends, fit_ends, spec, 12, horizon)
+            _, single_paths = _prefix_forecasts(stack[s : s + 1], rows, spec, 12, horizon)
             assert np.array_equal(paths[s], single_paths[0]), families[s]
 
     def test_seasonal_naive_gathers_each_series(self):
         rng = np.random.default_rng(6)
         stack = rng.standard_normal((3, 30))
         ends = np.array([12, 20, 30])
-        fits, paths = _prefix_forecasts(stack, ends, ends, ForecasterSpec("seasonal_naive"), 12, 14)
+        fits, paths = _prefix_forecasts(stack, ends, ForecasterSpec("seasonal_naive"), 12, 14)
         assert fits is None
         for s in range(3):
-            _, single = _prefix_forecasts(stack[s : s + 1], ends, ends, ForecasterSpec("seasonal_naive"), 12, 14)
+            _, single = _prefix_forecasts(stack[s : s + 1], ends, ForecasterSpec("seasonal_naive"), 12, 14)
             assert np.array_equal(paths[s], single[0])
             for r, T in enumerate(ends):
                 assert np.array_equal(paths[s, r], seasonal_naive_forecast(stack[s, :T], 14, period=12))
