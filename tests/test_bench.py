@@ -852,15 +852,20 @@ class TestPrefixTable:
     @pytest.mark.parametrize("block", [2, 64])
     @pytest.mark.parametrize("spec", [ForecasterSpec(), ForecasterSpec("seasonal_naive")])
     @pytest.mark.parametrize("n_windows", [2, 11])
-    def test_rows_are_the_lone_builds(self, monkeypatch, block, spec, n_windows):
+    @pytest.mark.parametrize("cal_len", [5, 9, 24, 40])
+    def test_rows_are_the_lone_builds(self, monkeypatch, block, spec, n_windows, cal_len):
         # Two head lengths, each trained on everything before its
         # calibration block. Two windows admit both heads, each at its own
-        # first cutoff, which is also a calibration origin. Eleven windows of
-        # 6 leave a head of 84 points its first cutoff at 18, and a head of
-        # 64 none: its backtest row is the lone call's message.
+        # first cutoff. Eleven windows of 6 leave a head of 84 points its
+        # first cutoff at 18, and a head of 64 none: its backtest row is the
+        # lone call's message. A calibration block of 5 holds no cutoff, one
+        # of 9 holds the cutoff n - 6, and blocks of 24 and 40 hold four and
+        # six: the one solve fits each coinciding end once for both kinds.
         monkeypatch.setattr(forecaster, "_STACK_BLOCK", block)
         panel = SeriesPanel(tuple(two_length_series(4)))
-        config = small_config(methods=bench.METHODS, forecaster=spec, alpha=0.5, n_windows=n_windows)
+        config = small_config(
+            methods=bench.METHODS, forecaster=spec, alpha=0.5, n_windows=n_windows, cal_len=cal_len
+        )
         table, skips = bench._prefix_table(panel, config)
         assert len(table.rows["series"]) == 7 and not skips
         H = config.horizon

@@ -262,6 +262,8 @@ class TestResidualMatrix:
         with pytest.raises(ValueError, match="full period: 8 < 12"):
             build_residual_matrix(ts, SplitSpec(8, 10, 5), ForecasterSpec(kind="seasonal_naive"), 3)
 
+    # A horizon of 1 pads nothing; one of 13 outruns every calibration block.
+    @pytest.mark.parametrize("horizon", [1, 5, 13])
     @pytest.mark.parametrize("signed", [True, False])
     @pytest.mark.parametrize(
         "split, spec",
@@ -272,8 +274,7 @@ class TestResidualMatrix:
             (SplitSpec(4, 10, 3), ForecasterSpec(max_order=5)),
         ],
     )
-    def test_build_matches_per_origin_refits(self, signed, split, spec):
-        horizon = 5
+    def test_build_matches_per_origin_refits(self, signed, split, spec, horizon):
         for seed in range(3):
             y = 40.0 + simulate_ar1(split.total + 7, 0.7, seed=seed)
             rm = build_residual_matrix(make_series(y), split, spec, horizon, signed)
@@ -290,16 +291,19 @@ class TestResidualMatrix:
 
 
 class TestOriginResiduals:
-    def test_stack_rows_are_lone_calls(self):
+    @pytest.mark.parametrize(
+        "spec", [ForecasterSpec(), ForecasterSpec(max_order=2, include_drift=False), ForecasterSpec("seasonal_naive")]
+    )
+    def test_stack_rows_are_lone_calls(self, spec):
         values = np.stack([40.0 + simulate_ar1(50, 0.3 + 0.2 * i, seed=i) for i in range(3)])
         values[2] = 7.0  # a constant series among them
         origins = np.arange(30, 50)
-        stacked = conformal._origin_residuals(values, origins, ForecasterSpec(), 1, 5)
+        stacked = conformal._origin_residuals(values, origins, spec, 1, 5)
         assert stacked.shape == (3, 20, 5)
         # NaN exactly where the truth lies past the end of the series
         assert np.array_equal(np.isnan(stacked), np.broadcast_to(origins[:, None] + np.arange(5) >= 50, stacked.shape))
         for s in range(3):
-            alone = conformal._origin_residuals(values[s : s + 1], origins, ForecasterSpec(), 1, 5)
+            alone = conformal._origin_residuals(values[s : s + 1], origins, spec, 1, 5)
             assert np.array_equal(stacked[s], alone[0], equal_nan=True)
 
 
