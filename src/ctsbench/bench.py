@@ -779,6 +779,18 @@ _CONFIG_KEYS = {
 }
 
 
+def _unknown_key(key: str) -> str:
+    return f"unknown key {key!r}; accepted keys: {', '.join(_CONFIG_KEYS)}"
+
+
+def _convert(key: str, value: str):
+    kind = _CONFIG_KEYS[key]
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}") from None
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """key = value lines; # starts a comment; quotes around values optional."""
     out: dict[str, str] = {}
@@ -792,7 +804,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         value = value.strip().strip("\"'")
         if key not in _CONFIG_KEYS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}; accepted keys: {', '.join(_CONFIG_KEYS)}")
+            raise ValueError(f"config line {lineno}: {_unknown_key(key)}")
         out[key] = value
     return out
 
@@ -816,6 +828,8 @@ def build_config(file_values: dict[str, str] | None = None, **overrides) -> Benc
     kwargs: dict = {}
     fc_kwargs: dict = {}
     for key, value in raw.items():
+        if key not in _CONFIG_KEYS:
+            raise ValueError(_unknown_key(key))
         if key == "methods":
             kwargs["methods"] = tuple(m.strip() for m in value.split(",") if m.strip())
         elif key == "out":
@@ -823,11 +837,11 @@ def build_config(file_values: dict[str, str] | None = None, **overrides) -> Benc
         elif key == "forecaster":
             fc_kwargs["kind"] = value
         elif key == "max_order":
-            fc_kwargs["max_order"] = int(value)
+            fc_kwargs["max_order"] = _convert(key, value)
         elif key == "include_drift":
             fc_kwargs["include_drift"] = _parse_bool(key, value)
         else:
-            kwargs[key] = _CONFIG_KEYS[key](value)
+            kwargs[key] = _convert(key, value)
     if fc_kwargs:
         kwargs["forecaster"] = ForecasterSpec(**fc_kwargs)
     return BenchConfig(**kwargs)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -65,7 +66,6 @@ from .quantreg import (
     fit_pinball_stacked,
 )
 from .series import SeriesPanel, SplitSpec, TimeSeries
-from .special import normal_quantile
 
 
 def conformal_quantile(scores: Sequence[float] | np.ndarray, level: float) -> float:
@@ -763,7 +763,7 @@ def _parametric_bounds(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     sd = sigma_h_stacked(phi, order, sigma2, forecasts.shape[1])
-    z = normal_quantile(1.0 - alpha / 2.0)
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     return forecasts - z * sd, forecasts + z * sd
 
 

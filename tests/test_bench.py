@@ -195,6 +195,29 @@ class TestConfigParsing:
         assert build_config({"include_drift": "No"}).forecaster.include_drift is False
         assert build_config({"include_drift": "YES"}).forecaster.include_drift is True
 
+    def test_build_config_unknown_key_names_the_accepted_keys(self):
+        accepted = ", ".join(bench._CONFIG_KEYS)
+        for call in (lambda: build_config(train_len=30), lambda: build_config({"train_len": "30"})):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"unknown key 'train_len'; accepted keys: {accepted}"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("horizon", "x", "horizon must be of type int, got 'x'"),
+            ("alpha", "abc", "alpha must be of type float, got 'abc'"),
+            ("max_order", "1.5", "max_order must be of type int, got '1.5'"),
+        ],
+    )
+    def test_build_config_bad_value_names_key_and_type(self, key, value, message):
+        with pytest.raises(ValueError) as info:
+            build_config({key: value})
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            build_config(**{key: value})
+        assert str(info.value) == message
+
     def test_overrides_win(self):
         cfg = build_config({"alpha": "0.05"}, alpha=0.2, seed=9)
         assert cfg.alpha == 0.2 and cfg.seed == 9
@@ -1346,6 +1369,16 @@ class TestCli:
         assert self.run_cli("run", "--config", str(cfg)) == 2
         err = capsys.readouterr().err
         assert f"configuration error: config line 5: unknown key {key!r}; accepted keys: data, alpha," in err
+        assert not (tmp_path / "r").exists()
+
+    def test_unconvertible_value_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "panel.csv"
+        write_panel_csv(small_panel(n=3), str(data))
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"data = {data}\nmethods = mscp\nout = {tmp_path / 'r'}\nalpha = abc\n")
+        assert self.run_cli("run", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: alpha must be of type float, got 'abc'" in err
         assert not (tmp_path / "r").exists()
 
     def test_duplicate_methods_exit_2(self, tmp_path, capsys):

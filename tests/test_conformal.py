@@ -6,6 +6,7 @@ import collections
 import inspect
 import math
 import random
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from ctsbench.forecaster import (
     sigma_h,
 )
 from ctsbench.series import SeriesPanel, SplitSpec, TimeSeries
-from ctsbench.special import normal_quantile
 
 
 def make_series(values, series_id="s", period=1):
@@ -1040,7 +1040,7 @@ class TestParametric:
         y = simulate_ar1(50, 0.5, seed=40)
         model = fit_auto_ar(y, ForecasterSpec())
         iv = parametric_intervals(model, forecast(model, y, 6), 0.1)
-        z = normal_quantile(0.95)
+        z = NormalDist().inv_cdf(0.95)
         assert np.allclose(iv.width[0], 2.0 * z * sigma_h(model, 6))
 
     def test_centered_on_forecast(self):
